@@ -1,0 +1,143 @@
+"""Golden output bytes of the canonical CLI outputs.
+
+Pins the sha256 of the construct family JSON, the all-suites check report
+and the auto-grid trace CSV of the built-in examples, plus the wavelet-set
+family and tiling report of the Journe set.  These outputs are exact: every
+number in them is a rational or the float of a rational.  The one exception
+is the semi-orthogonality witness `max_cross_inner`, which comes out of the
+numpy quadrature; it is rounded to 9 significant digits before hashing so
+the digests do not depend on the numpy build.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from framesmith.cli import main
+from framesmith.construction import JOURNE_WAVELET_SET
+from framesmith.serialize import dumps_canonical, sets_to_jsonable
+
+EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+CASES = [(ex, a) for ex in EXAMPLES for a in (2, 3, -2) if (ex, a) != ("journe", 3)]
+
+_NUMPY_FLOAT = re.compile(rb'("max_cross_inner": ")([^"]+)(")')
+
+
+def _digest(path) -> str:
+    data = _NUMPY_FLOAT.sub(
+        lambda m: m.group(1) + format(float(m.group(2)), ".9g").encode() + m.group(3),
+        path.read_bytes())
+    return hashlib.sha256(data).hexdigest()
+
+
+def _family_outputs(tmp_path, *construct_args):
+    fam, rep, csv = (tmp_path / n for n in ("fam.json", "check.json", "trace.csv"))
+    assert main(["construct", *construct_args, "--out", str(fam)]) == 0
+    code = main(["check", "--family", str(fam), "--out", str(rep)])
+    assert main(["trace", "--family", str(fam), "--grid", "auto",
+                 "--out", str(csv)]) == 0
+    return (_digest(fam), code, _digest(rep), _digest(csv))
+
+
+# (family JSON, check exit code, check report, trace CSV)
+GOLDEN = {
+    'shannon@2': (
+        'd95131e076e01bba437661c13ab385d26d426ba4dfd97514e1ae3a412ebee98d',
+        0,
+        '7868e64fe005ee073df0c91d051424b403eea62b5fbd9c44ff3197b3078ac576',
+        '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
+    ),
+    'shannon@3': (
+        '9f521dfa1ff887426708726eb0b05b988b11de4908721d354762a80f0a8c107a',
+        0,
+        'c62f1c7c320f85850963719eed67cc1dc1acfcf94537c57e61d75637f02cbcc3',
+        '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
+    ),
+    'shannon@-2': (
+        '9341af3c4563e45d693d2fc65a5789d63aaae56d920ef47bfabd3628032663e9',
+        0,
+        '7868e64fe005ee073df0c91d051424b403eea62b5fbd9c44ff3197b3078ac576',
+        '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
+    ),
+    'journe@2': (
+        'ba14adddd77933a9b95130746604157181100565e23fd6776768837be684880f',
+        0,
+        'bcb97485d72210a45cd22fc950dac5d6a3090bf776693480663c482d7af15732',
+        '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
+    ),
+    'journe@-2': (
+        'a50f1e4b6c7224e3f881eacbbff79cef0423dd3269578b41b1ead95523218b4c',
+        0,
+        'bcb97485d72210a45cd22fc950dac5d6a3090bf776693480663c482d7af15732',
+        '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
+    ),
+    'pwl:a=1/2,b=1/2@2': (
+        'f2d950a0072c56e796beab44d10e1c3d3f5a77d9ab590ce23e93db24ff65af9f',
+        1,
+        '630db21246b7f20741ff61b0487bfcae9ddf42da1d7c8f420e209ac81363d06c',
+        '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
+    ),
+    'pwl:a=1/2,b=1/2@3': (
+        '380b4657e9c468fb000d615de5c531937541d2be893c815136e44b5b81f49f06',
+        1,
+        '9e552683ad70a476cf6f30373387c59d5210e493ce73400111267fb66afc729b',
+        '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
+    ),
+    'pwl:a=1/2,b=1/2@-2': (
+        'e7bb75796f5a461d965f81c55059ed5f22d028ee76e88d3764b281d5e49247b5',
+        1,
+        '630db21246b7f20741ff61b0487bfcae9ddf42da1d7c8f420e209ac81363d06c',
+        '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
+    ),
+    'pwl:a=3/4,b=5/4@2': (
+        'b013ce9ddde6e5500bace3b164614d79b72517317d5ee408b233f9287fa0453f',
+        1,
+        '5b2a80205cec5118bc4d28aeae610171b997f90b5d69aedebb05b74c326ec6e2',
+        '226479a08ee1fc56935f8599ea5cda755c0619176ae5ec634ba3df0397e052fa',
+    ),
+    'pwl:a=3/4,b=5/4@3': (
+        'd3f2f1a54d1c1cc2cd079d297aa181415b646c6b753783e7fd9e2a34ebea75ed',
+        1,
+        '1c5793388bfc4dce6aacb32fda1f11dd04056d17dc35a1261c283d85d234d20c',
+        '95400f875449ce2413ceea6d546757e1d4d43a3f1c8d45329f56dbd74f418628',
+    ),
+    'pwl:a=3/4,b=5/4@-2': (
+        '6f77b5595fd9cd5e25762fb24d86382139148108b2fc39fe19ac790b2b33a838',
+        1,
+        'f98cc3b9f125cfcb2640722d073a71892a12b471ba9886fd8a01dbf018a0b6d6',
+        '3c94b532fd1b62b80677a8e68d758e8c249187619195e3d2ad26ec2758f62978',
+    ),
+    'pwl:a=2,b=2@2 windows': (
+        '454adfbd71c6b17597f7168ebf8869c9e87952fabc7152c946f464a68616b94a',
+        1,
+        '8ccf9dec35c882084d9f1c91f941cc3a3997fa487c9b313293a5a85468869ca5',
+        '974ba1b3f8c47513b3d1d4cfbee316ba47bb3197d81064c605f0ca32e51fdf53',
+    ),
+    'journe waveletset': (
+        '8ee11175c5cd78264c4d4f2be44861c9662ee267e927dbbfed72cba1c2d7396d',
+        '6081d0019233b6010ad2b37f7dd038d9fe0b710fe3a355a2fdbd3cfdf880a740',
+    ),
+}
+
+
+@pytest.mark.parametrize("example,a", CASES, ids=[f"{e}@{a}" for e, a in CASES])
+def test_builtin_outputs(tmp_path, example, a):
+    got = _family_outputs(tmp_path, "--example", example, "--a", str(a))
+    assert got == GOLDEN[f"{example}@{a}"]
+
+
+def test_windows_partition_outputs(tmp_path):
+    got = _family_outputs(tmp_path, "--example", "pwl:a=2,b=2",
+                          "--partition", "windows")
+    assert got == GOLDEN["pwl:a=2,b=2@2 windows"]
+
+
+def test_journe_waveletset_outputs(tmp_path):
+    sets = tmp_path / "journe.json"
+    sets.write_text(dumps_canonical(sets_to_jsonable([JOURNE_WAVELET_SET])))
+    fam, rep = tmp_path / "ws_fam.json", tmp_path / "tiling.json"
+    assert main(["waveletset", "--E", str(sets), "--a", "2", "--out", str(fam)]) == 0
+    assert main(["check-waveletset", "--E", str(sets), "--a", "2",
+                 "--out", str(rep)]) == 0
+    assert (_digest(fam), _digest(rep)) == GOLDEN["journe waveletset"]
