@@ -10,7 +10,7 @@ symbolic and comparisons go through outward-rounded intervals.
 __version__ = "0.1.0"
 
 from .intervals import IntervalSet
-from .piecewise import PiecewiseLinear, SqrtProfile
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from .folding import FoldedMultiplicity, layered_partition, per_multiplicity
 from .construction import (
     AdmissibilityReport,
@@ -28,7 +28,6 @@ from .construction import (
 )
 from .sequences import CRat, Sequence, coset_op, coset_op_adj
 from .trace import (
-    GeneratorSet,
     WindowOperator,
     dilation_trace_check,
     dimension_function,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .construction import (SpectralSpec, build_family, build_wavelets,
+from .construction import (SpectralSpec, build_family,
                            classify_waveletset_seed, example_by_name,
                            waveletset_sigma, ClosureDidNotStabilize)
 from .frametest import TestSignal, frame_energy
@@ -24,8 +24,8 @@ from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
                         family_from_jsonable, family_to_jsonable,
                         loads_json, pwl_from_jsonable, sets_from_jsonable)
-from .trace import (default_grid, dimension_function, restricted_trace,
-                    spectral_function, GRID_SEED)
+from .trace import (GRID_SEED, _nonempty_hull, dimension_function,
+                    restricted_trace, spectral_function)
 from .verification import (VerificationReport, check_decay, check_density,
                            check_ntf_multiwavelet, check_semiorthogonal,
                            check_split, check_sufficiency,
@@ -57,10 +57,12 @@ def cmd_construct(args) -> int:
         obj = loads_json(Path(args.sigma).read_text(encoding="utf-8"), args.sigma)
         if isinstance(obj, dict) and "sigma" in obj:
             sigma = pwl_from_jsonable(obj["sigma"], "sigma")
-            dilation = args.a if args.a is not None else int(obj.get("dilation", 2))
+            dilation = args.a if args.a is not None else obj.get("dilation", 2)
         else:
             sigma = pwl_from_jsonable(obj, "sigma")
             dilation = args.a if args.a is not None else 2
+        if not isinstance(dilation, int):
+            raise ParseError("dilation: expected an integer")
         spec = SpectralSpec(sigma, dilation)
         source = {"sigma_file": obj, "dilation": dilation}
     else:
@@ -151,9 +153,7 @@ def cmd_trace(args) -> int:
         grid = family_grid(gen, wavelets.generator_set(), seed=args.seed)
     else:
         n = int(args.grid)
-        lo, hi = gen.support_hull()
-        if hi <= lo:
-            lo, hi = Fraction(-1), Fraction(1)
+        lo, hi = _nonempty_hull(gen.support_hull())
         grid = [lo + (hi - lo) * Fraction(i, n) for i in range(n)]
     lines = ["xi,spectral,dim,tau_f"]
     for xi in grid:
@@ -188,9 +188,7 @@ def cmd_frame_test(args) -> int:
 
 def cmd_sample(args) -> int:
     scaling, wavelets = _load_family(args.family)
-    hull_lo, hull_hi = wavelets.generator_set().support_hull()
-    if hull_hi <= hull_lo:
-        hull_lo, hull_hi = Fraction(-1), Fraction(1)
+    hull_lo, hull_hi = _nonempty_hull(wavelets.generator_set().support_hull())
     n = int(args.grid)
     header = ["xi"] + [f"psi_hat_{i}" for i in range(len(wavelets.psis))] + ["sigma"]
     lines = [",".join(header)]

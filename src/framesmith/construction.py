@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .folding import layered_partition, per_multiplicity
-from .intervals import IntervalSet, union_all
-from .piecewise import PiecewiseLinear, SqrtProfile
+from .folding import _windows, layered_partition, per_multiplicity
+from .intervals import IntervalSet
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
 from .rationals import as_fraction
-from .trace import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,11 @@ class ScalingFamily:
                             self.dilation)
 
     def validate(self) -> None:
-        total = PiecewiseLinear.zero()
         for k, phi in self.phis.items():
             window = IntervalSet.of((2 * k - 1, 2 * k + 1))
             if phi.support().difference(window):
                 raise ValueError(f"scaling profile {k} leaks outside its window")
-            total = total + phi.abs2()
-        if total != self.sigma:
+        if _square_sum(self.phis.values()) != self.sigma:
             raise ValueError("scaling squares do not sum to sigma")
 
 
@@ -160,25 +157,20 @@ class WaveletFamily:
     def validate(self) -> None:
         if len(self.psis) != len(self.partition):
             raise ValueError("wavelet/partition length mismatch")
-        total = PiecewiseLinear.zero()
         for psi, layer in zip(self.psis, self.partition):
             if psi.support().difference(layer):
                 raise ValueError("wavelet support leaks outside its layer")
             if per_multiplicity(layer).max_value() > 1:
                 raise ValueError("partition layer not injective mod 2pi")
-            total = total + psi.abs2()
-        if total != self.gain():
+        if _square_sum(self.psis) != self.gain():
             raise ValueError("wavelet squares do not telescope to the gain")
 
 
 def build_scaling(spec: SpectralSpec, check: bool = True) -> ScalingFamily:
     if check:
         require_admissible(spec)
-    lo, hi = spec.sigma.support().hull()
     phis: Dict[int, SqrtProfile] = {}
-    k_min = int(-((1 - lo) // 2))   # ceil((lo-1)/2)
-    k_max = int((hi + 1) // 2)
-    for k in range(k_min, k_max + 1):
+    for k in _windows(*spec.sigma.support().hull()):
         window = IntervalSet.of((2 * k - 1, 2 * k + 1))
         sq = spec.sigma.restrict(window)
         if sq.is_zero():
@@ -200,10 +192,7 @@ def build_wavelets(spec: SpectralSpec, partition: str = "greedy",
         layers = layered_partition(K)
     elif partition == "windows":
         layers = []
-        lo, hi = K.hull()
-        l_min = int(-((1 - lo) // 2))
-        l_max = int((hi + 1) // 2)
-        for l in range(l_min, l_max + 1):
+        for l in _windows(*K.hull()):
             piece = K.intersect(IntervalSet.of((2 * l - 1, 2 * l + 1)))
             if piece:
                 layers.append(piece)
@@ -382,8 +371,13 @@ def example_by_name(name: str) -> SpectralSpec:
 
 def random_admissible_spec(rng: random.Random, dilation: int | None = None
                            ) -> SpectralSpec:
-    """Random radially nonincreasing tent-like profile: admissible by
-    construction (|xi'| >= |xi| forces sigma(xi') <= sigma(xi))."""
+    """Random radially nonincreasing tent-like profile for a dilation a >= 2
+    (2 or 3 when not given), admissible by construction: a xi lies on the
+    same side of 0 as xi and |a xi| >= |xi|, so sigma(a xi) <= sigma(xi).
+    For a < 0, a xi lands on the independently drawn other side, so such
+    dilations are refused with ValueError."""
+    if dilation is not None and dilation < 2:
+        raise ValueError("random_admissible_spec draws profiles for a >= 2 only")
     a = dilation if dilation is not None else rng.choice((2, 3))
 
     def one_side() -> List[Tuple[Fraction, Fraction]]:

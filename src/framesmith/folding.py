@@ -14,10 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _overlay
 from .rationals import as_fraction
 
 Chunk = Tuple[Fraction, Fraction, int]  # residue cell [lo, hi) carried by shift 2k
+
+
+def _windows(lo: Fraction, hi: Fraction) -> range:
+    """The k whose window [2k - 1, 2k + 1) meets the nonempty [lo, hi)."""
+    return range((lo + 1) // 2, -((-1 - hi) // 2))
+
+
+def _shifts(xi: Fraction, lo: Fraction, hi: Fraction) -> range:
+    """The k with lo <= xi + 2k < hi."""
+    return range(-((xi - lo) // 2), -((xi - hi) // 2))
 
 
 def fold_chunks(K: IntervalSet) -> List[Chunk]:
@@ -25,12 +35,9 @@ def fold_chunks(K: IntervalSet) -> List[Chunk]:
     translation; returns (residue_lo, residue_hi, k) with chunk = cell + 2k."""
     out: List[Chunk] = []
     for lo, hi in K.pieces:
-        cur = lo
-        while cur < hi:
-            k = int((cur + 1) // 2)  # floor((cur+1)/2) puts cur - 2k in [-1, 1)
-            cut = min(hi, Fraction(2 * k + 1))
-            out.append((cur - 2 * k, cut - 2 * k, k))
-            cur = cut
+        for k in _windows(lo, hi):
+            out.append((max(lo, Fraction(2 * k - 1)) - 2 * k,
+                        min(hi, Fraction(2 * k + 1)) - 2 * k, k))
     out.sort()
     return out
 
@@ -59,30 +66,10 @@ class FoldedMultiplicity:
         """{residues with multiplicity >= i} as an interval set."""
         return IntervalSet(tuple((lo, hi) for lo, hi, c in self.cells if c >= i))
 
-    def bounded_by(self, bound: int) -> bool:
-        return self.max_value() <= bound
-
 
 def per_multiplicity(K: IntervalSet) -> FoldedMultiplicity:
     """Exact periodization multiplicity of chi_K on the fundamental domain."""
-    chunks = fold_chunks(K)
-    events: list[tuple[Fraction, int]] = []
-    for lo, hi, _ in chunks:
-        events.append((lo, 1))
-        events.append((hi, -1))
-    events.sort(key=lambda e: (e[0], -e[1]))
-    cells: list[tuple[Fraction, Fraction, int]] = []
-    count = 0
-    prev: Fraction | None = None
-    for x, d in events:
-        if prev is not None and count > 0 and x > prev:
-            if cells and cells[-1][2] == count and cells[-1][1] == prev:
-                cells[-1] = (cells[-1][0], x, count)
-            else:
-                cells.append((prev, x, count))
-        count += d
-        prev = x
-    return FoldedMultiplicity(tuple(cells))
+    return FoldedMultiplicity(tuple(_overlay((lo, hi) for lo, hi, _ in fold_chunks(K))))
 
 
 def layered_partition(K: IntervalSet) -> List[IntervalSet]:

@@ -121,9 +121,6 @@ class IntervalSet:
         """Image under multiplication by the integer dilation a."""
         return self.scale(Fraction(a))
 
-    def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self.difference(other).union(other.difference(self))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.pieces == other.pieces
 
@@ -142,19 +139,14 @@ def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:
     return IntervalSet(tuple(pieces))
 
 
-def overlay_counts(sets: Sequence[IntervalSet]) -> list[Tuple[Fraction, Fraction, int]]:
-    """Piecewise-constant multiplicity of a family of interval sets.
-
-    Returns (lo, hi, count) cells with count >= 1, sorted, non-overlapping.
-    Exact sweep over the 2n endpoints.
-    """
+def _overlay(pairs: Iterable[Tuple[Fraction, Fraction]]
+             ) -> list[Tuple[Fraction, Fraction, int]]:
+    """(lo, hi, count) cells, count >= 1, of the multiplicity of a family of
+    nonempty [lo, hi) intervals: exact sweep over their endpoints."""
     events: list[Tuple[Fraction, int]] = []
-    for s in sets:
-        for lo, hi in s.pieces:
-            events.append((lo, 1))
-            events.append((hi, -1))
-    if not events:
-        return []
+    for lo, hi in pairs:
+        events.append((lo, 1))
+        events.append((hi, -1))
     events.sort(key=lambda e: (e[0], -e[1]))
     out: list[Tuple[Fraction, Fraction, int]] = []
     count = 0
@@ -168,3 +160,11 @@ def overlay_counts(sets: Sequence[IntervalSet]) -> list[Tuple[Fraction, Fraction
         count += delta
         prev = x
     return out
+
+
+def overlay_counts(sets: Sequence[IntervalSet]) -> list[Tuple[Fraction, Fraction, int]]:
+    """Piecewise-constant multiplicity of a family of interval sets.
+
+    Returns (lo, hi, count) cells with count >= 1, sorted, non-overlapping.
+    """
+    return _overlay(piece for s in sets for piece in s.pieces)

@@ -80,17 +80,11 @@ class FInterval:
     def sup_abs(self) -> Fraction:
         return max(abs(self.lo), abs(self.hi))
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def definitely_positive(self) -> bool:
         return self.lo > 0
 
     def definitely_negative(self) -> bool:
         return self.hi < 0
-
-    def definitely_le(self, other: "FInterval") -> bool:
-        return self.hi <= other.lo
 
     def __float__(self) -> float:
         return float(self.mid())
@@ -209,21 +203,8 @@ class CInterval:
     def __add__(self, other: "CInterval") -> "CInterval":
         return CInterval(self.re + other.re, self.im + other.im)
 
-    def __mul__(self, other: "CInterval") -> "CInterval":
-        return CInterval(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-
-    def scale(self, q) -> "CInterval":
-        return CInterval(self.re.scale(q), self.im.scale(q))
-
     def scale_interval(self, f: FInterval) -> "CInterval":
         return CInterval(self.re * f, self.im * f)
 
-    def conj(self) -> "CInterval":
-        return CInterval(self.re, -self.im)
-
     def abs2(self) -> FInterval:
         return self.re.square() + self.im.square()
-
-
-CINTERVAL_ZERO = CInterval(FInterval.ZERO, FInterval.ZERO)

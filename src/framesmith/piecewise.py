@@ -8,20 +8,21 @@ objects coincide with pointwise equality away from a finite breakpoint set.
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square
-and with (sign, radicand) fiber values.
+and with (sign, radicand) fiber values.  A GeneratorSet is a tuple of
+profiles read as the Fourier transforms of the generators of a
+shift-invariant space.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, union_all
 from .rationals import as_fraction
 
 Piece = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, alpha, beta
@@ -66,12 +67,6 @@ class PiecewiseLinear:
     def indicator(sets: IntervalSet) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple(
             (lo, hi, Fraction(0), Fraction(1)) for lo, hi in sets.pieces))
-
-    @staticmethod
-    def constant(c, on: IntervalSet) -> "PiecewiseLinear":
-        c = as_fraction(c)
-        return PiecewiseLinear(tuple(
-            (lo, hi, Fraction(0), c) for lo, hi in on.pieces))
 
     # -- evaluation -----------------------------------------------------
 
@@ -190,23 +185,6 @@ class PiecewiseLinear:
                     out.append((l, h, a, b))
         return PiecewiseLinear(tuple(out))
 
-    def max_zero(self) -> "PiecewiseLinear":
-        """Pointwise max(f, 0), splitting pieces at interior sign changes."""
-        out = []
-        for lo, hi, a, b in self.pieces:
-            vlo, vhi = a * lo + b, a * hi + b
-            if vlo >= 0 and vhi >= 0:
-                out.append((lo, hi, a, b))
-            elif vlo <= 0 and vhi <= 0:
-                continue
-            else:
-                root = -b / a
-                if vlo > 0:
-                    out.append((lo, root, a, b))
-                else:
-                    out.append((root, hi, a, b))
-        return PiecewiseLinear(tuple(out))
-
     def nonneg(self) -> bool:
         """Exact: a piecewise-linear function is >= 0 iff it is >= 0 at every
         piece endpoint (outside pieces it is 0)."""
@@ -268,6 +246,19 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({body})" if body else "PiecewiseLinear(0)"
 
 
+def _linear_product(lines: Iterable[Tuple[Fraction, Fraction]]) -> list[Fraction]:
+    """Monomial coefficients, constant term first, of the product of the
+    lines alpha*x + beta given as (alpha, beta) pairs."""
+    poly = [Fraction(1)]
+    for a, b in lines:
+        new = [Fraction(0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            new[i] += c * b
+            new[i + 1] += c * a
+        poly = new
+    return poly
+
+
 def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
     """Exact integral of a product of piecewise-linear functions."""
     if not factors:
@@ -278,21 +269,10 @@ def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
     cuts_sorted = sorted(cuts)
     total = Fraction(0)
     for lo, hi in zip(cuts_sorted, cuts_sorted[1:]):
-        poly = [Fraction(1)]
-        dead = False
-        for f in factors:
-            p = f._piece_at(lo)
-            if p is None:
-                dead = True
-                break
-            a, b = p[2], p[3]
-            new = [Fraction(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i] += c * b
-                new[i + 1] += c * a
-            poly = new
-        if dead:
+        pieces = [f._piece_at(lo) for f in factors]
+        if None in pieces:
             continue
+        poly = _linear_product((p[2], p[3]) for p in pieces)
         for i, c in enumerate(poly):
             total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
     return total
@@ -331,13 +311,6 @@ class SqrtProfile:
         """|profile(x)|^2, exact."""
         return self.square.eval(x)
 
-    def value_float(self, x: float) -> float:
-        v = self.square.eval_float(np.asarray([x], dtype=float))[0]
-        return math.sqrt(v) if v > 0 else 0.0
-
-    def eval_float(self, xs: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self.square.eval_float(xs), 0.0))
-
     def scale_amplitude_sq(self, c) -> "SqrtProfile":
         """Scale |profile|^2 by the rational c >= 0 (profile by sqrt(c))."""
         c = as_fraction(c)
@@ -353,18 +326,31 @@ class SqrtProfile:
         sq = self.square.compose_scale(Fraction(1, a)).scale_value(Fraction(1, abs(a)))
         return SqrtProfile(sq, self.domain.scale(a))
 
-    def sqrt_singularities(self) -> list[Fraction]:
-        """Points where the profile behaves like sqrt(|x - x0|) (square has a
-        nonconstant piece vanishing at an endpoint): quadrature must grade there."""
-        out = []
-        for lo, hi, a, b in self.square.pieces:
-            if a == 0:
-                continue
-            if a * lo + b == 0:
-                out.append(lo)
-            if a * hi + b == 0:
-                out.append(hi)
-        return out
-
     def is_indicator(self) -> bool:
         return all(a == 0 and b == 1 for _, _, a, b in self.square.pieces)
+
+
+def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:
+    """sum of |profile|^2 over the profiles, exact."""
+    total = PiecewiseLinear.zero()
+    for p in profiles:
+        total = total + p.abs2()
+    return total
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Profiles interpreted as Fourier transforms of the generators of a
+    shift-invariant space; assumed (not verified) to form an NTF generator."""
+
+    profiles: Tuple[SqrtProfile, ...]
+    dilation: int = 2
+
+    def support_hull(self) -> Tuple[Fraction, Fraction]:
+        return union_all([p.support() for p in self.profiles]).hull()
+
+    def breakpoints(self) -> List[Fraction]:
+        pts: set[Fraction] = set()
+        for p in self.profiles:
+            pts.update(p.square.breakpoints())
+        return sorted(pts)

@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .intervals import IntervalSet
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, _linear_product
 
 _GL_ORDER = 24
 _PHASE_PER_PANEL = 16.0     # |c|*length per panel; GL-24 resolves this to ~1e-13
@@ -80,7 +80,7 @@ def _cell_closed_form(factors: Sequence[Factor], lo: Fraction, hi: Fraction
                       ) -> List[float] | None:
     """Monomial coefficients (floats) of the integrand on the cell when every
     sqrt factor is constant there; None when a genuine sqrt(linear) remains."""
-    poly = [Fraction(1)]
+    lines = []
     root_sq = Fraction(1)
     for f in factors:
         piece = f.pwl._piece_at(lo)
@@ -92,15 +92,11 @@ def _cell_closed_form(factors: Sequence[Factor], lo: Fraction, hi: Fraction
                 return None
             root_sq *= b
         else:
-            new = [Fraction(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i] += c * b
-                new[i + 1] += c * a
-            poly = new
+            lines.append((a, b))
     if root_sq < 0:
         return [0.0]
     scale = math.sqrt(float(root_sq))
-    return [float(c) * scale for c in poly]
+    return [float(c) * scale for c in _linear_product(lines)]
 
 
 def _moment_integrals(lo: float, hi: float, degree: int, cs: np.ndarray

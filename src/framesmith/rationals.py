@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-QQ = Fraction
-
 _RATIO_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+))?\s*$")
 
 

@@ -163,6 +163,13 @@ class SqrtSum:
         return f"SqrtSum({body})"
 
 
+def _zero_status(value: SqrtSum, bits: int | None = None) -> str:
+    """Check status of a value that should vanish: 'pass' when it is exactly
+    zero, 'fail' when its sign is certified, 'uncertain' otherwise."""
+    return {"zero": "pass", "uncertain": "uncertain"}.get(
+        value.sign_verdict(bits), "fail")
+
+
 @dataclass(frozen=True)
 class CSqrtSum:
     """Complex value with exact SqrtSum real and imaginary parts."""
@@ -170,21 +177,8 @@ class CSqrtSum:
     re: SqrtSum
     im: SqrtSum
 
-    @staticmethod
-    def zero() -> "CSqrtSum":
-        return CSqrtSum(SqrtSum.zero(), SqrtSum.zero())
-
     def __add__(self, other: "CSqrtSum") -> "CSqrtSum":
         return CSqrtSum(self.re + other.re, self.im + other.im)
-
-    def scale_complex(self, re_q, im_q) -> "CSqrtSum":
-        """Multiply by the Gaussian rational re_q + i*im_q."""
-        re_q, im_q = Fraction(re_q), Fraction(im_q)
-        return CSqrtSum(self.re.scale(re_q) - self.im.scale(im_q),
-                        self.re.scale(im_q) + self.im.scale(re_q))
-
-    def conj(self) -> "CSqrtSum":
-        return CSqrtSum(self.re, -self.im)
 
     def abs2(self) -> SqrtSum:
         return self.re * self.re + self.im * self.im

@@ -79,7 +79,6 @@ class CRat:
 
 CRAT_ZERO = CRat()
 CRAT_ONE = CRat(Fraction(1))
-CRAT_I = CRat(Fraction(0), Fraction(1))
 
 
 class Sequence:

@@ -67,8 +67,11 @@ def pwl_from_jsonable(obj, where: str = "pwl") -> PiecewiseLinear:
         loc = f"{where}[{i}]"
         if not isinstance(item, dict) or "piece" not in item:
             raise ParseError(f"{loc}: expected {{piece, alpha, beta}}")
-        lo = _ratio_in(item["piece"][0], f"{loc}.piece.lo")
-        hi = _ratio_in(item["piece"][1], f"{loc}.piece.hi")
+        piece = item["piece"]
+        if not isinstance(piece, list) or len(piece) != 2:
+            raise ParseError(f"{loc}.piece: expected [lo, hi]")
+        lo = _ratio_in(piece[0], f"{loc}.piece.lo")
+        hi = _ratio_in(piece[1], f"{loc}.piece.hi")
         alpha = _ratio_in(item.get("alpha", 0), f"{loc}.alpha")
         beta = _ratio_in(item.get("beta", 0), f"{loc}.beta")
         pieces.append((lo, hi, alpha, beta))
@@ -120,6 +123,10 @@ def family_from_jsonable(obj) -> Tuple[ScalingFamily, WaveletFamily]:
     if not isinstance(a, int) or abs(a) < 2:
         raise ParseError("family.dilation: expected integer |a| >= 2")
     sigma = pwl_from_jsonable(obj.get("sigma", []), "family.sigma")
+    for key, kind, name in (("partition", list, "a list"), ("psis", list, "a list"),
+                            ("phis", dict, "an object")):
+        if not isinstance(obj.get(key, kind()), kind):
+            raise ParseError(f"family.{key}: expected {name}")
     partition = tuple(intervalset_from_jsonable(x, f"family.partition[{i}]")
                       for i, x in enumerate(obj.get("partition", [])))
     psis = tuple(profile_from_jsonable(x, f"family.psis[{i}]")

@@ -20,34 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
-from .intervals import IntervalSet, union_all
+from .folding import _shifts
 from .numeric import CInterval, FInterval, precision_bits
-from .piecewise import PiecewiseLinear, SqrtProfile
+from .piecewise import GeneratorSet, SqrtProfile
 from .rationals import as_fraction
-from .roots import CSqrtSum, SqrtSum
+from .roots import CSqrtSum, SqrtSum, _zero_status
 from .sequences import CRat, Sequence, coset_op_adj
 
 Fiber = Dict[int, Fraction]  # k -> radicand of the (nonnegative) entry
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Profiles interpreted as Fourier transforms of the generators of a
-    shift-invariant space; assumed (not verified) to form an NTF generator."""
-
-    profiles: Tuple[SqrtProfile, ...]
-    dilation: int = 2
-
-    def support_hull(self) -> Tuple[Fraction, Fraction]:
-        sets = [p.support() for p in self.profiles]
-        merged = union_all(sets) if sets else IntervalSet.empty()
-        return merged.hull()
-
-    def breakpoints(self) -> List[Fraction]:
-        pts: set[Fraction] = set()
-        for p in self.profiles:
-            pts.update(p.square.breakpoints())
-        return sorted(pts)
 
 
 def fiber(profile: SqrtProfile, xi) -> Fiber:
@@ -55,13 +35,10 @@ def fiber(profile: SqrtProfile, xi) -> Fiber:
     xi = as_fraction(xi)
     out: Fiber = {}
     for lo, hi, _, _ in profile.square.pieces:
-        # xi + 2k in [lo, hi)  <=>  k in [(lo-xi)/2, (hi-xi)/2)
-        k = -((xi - lo) // 2)  # ceil((lo-xi)/2)
-        while lo <= xi + 2 * k < hi:
+        for k in _shifts(xi, lo, hi):
             r = profile.value_sq(xi + 2 * k)
             if r:
-                out[int(k)] = r
-            k += 1
+                out[k] = r
     return out
 
 
@@ -214,13 +191,9 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     inv_a = Fraction(1, abs(a))
     total = FInterval.ZERO
     for p in gen.profiles:
-        dom = p.support().scale(a)  # xi + 2k must land in a*domain
-        ks: List[int] = []
-        for lo, hi, in dom.pieces:
-            k = -((xi - lo) // 2)
-            while lo <= xi + 2 * k < hi:
-                ks.append(int(k))
-                k += 1
+        # xi + 2k must land in a*domain
+        ks = [k for lo, hi in p.support().scale(a).pieces
+              for k in _shifts(xi, lo, hi)]
         for d in range(abs(a)):
             acc = CInterval.point(0)
             for k in ks:
@@ -321,11 +294,9 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
                 for fib in ref_fibers:
                     rhs = rhs + fiber_inner(f, fib).abs2()
                 diff = lhs - rhs
-                verdict = diff.sign_verdict(bits)
-                status = "pass" if verdict == "zero" else (
-                    "uncertain" if verdict == "uncertain" else "fail")
                 rows.append(GeneratorTestRow(
-                    xi, l, alpha, status, abs(float(diff.enclosure(bits).mid()))))
+                    xi, l, alpha, _zero_status(diff, bits),
+                    abs(float(diff.enclosure(bits).mid()))))
     return rows
 
 
@@ -339,8 +310,7 @@ class SeriesRow:
     residual: SqrtSum
 
     def verdict(self, bits: int | None = None) -> str:
-        v = self.residual.sign_verdict(bits)
-        return "pass" if v == "zero" else ("uncertain" if v == "uncertain" else "fail")
+        return _zero_status(self.residual, bits)
 
 
 def pair_sum(profiles: Seq[SqrtProfile], x, y) -> SqrtSum:
@@ -423,6 +393,12 @@ GRID_SEED = 0x5EED
 _GRID_DEN = 5040
 
 
+def _nonempty_hull(hull: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
+    """The hull itself, or [-1, 1) when it is empty."""
+    lo, hi = hull
+    return (lo, hi) if lo < hi else (Fraction(-1), Fraction(1))
+
+
 def default_grid(breakpoints: Seq[Fraction], hull: Tuple[Fraction, Fraction],
                  n_random: int = 97, seed: int = GRID_SEED,
                  exclude: Iterable[Fraction] = ()) -> List[Fraction]:
@@ -435,9 +411,7 @@ def default_grid(breakpoints: Seq[Fraction], hull: Tuple[Fraction, Fraction],
         mid = (lo + hi) / 2
         if mid not in banned:
             grid.append(mid)
-    lo, hi = hull
-    if hi <= lo:
-        lo, hi = Fraction(-1), Fraction(1)
+    lo, hi = _nonempty_hull(hull)
     rng = random.Random(seed)
     span = hi - lo
     tries = 0
@@ -457,9 +431,7 @@ def grid_of_size(hull: Tuple[Fraction, Fraction], n: int,
                  exclude: Iterable[Fraction] = ()) -> List[Fraction]:
     """Exactly n distinct seeded rationals in the hull, excluding 0 and the
     given measure-zero points."""
-    lo, hi = hull
-    if hi <= lo:
-        lo, hi = Fraction(-1), Fraction(1)
+    lo, hi = _nonempty_hull(hull)
     banned = {Fraction(0)} | {as_fraction(e) for e in exclude}
     rng = random.Random(seed)
     span = hi - lo

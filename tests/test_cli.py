@@ -101,6 +101,33 @@ class TestValidationRefusal:
         bad.write_text("{not json")
         assert run("check", "--family", bad) == 2
 
+    @pytest.mark.parametrize("kind,mutate,where", [
+        ("family", lambda o: o["sigma"][0].update(piece=o["sigma"][0]["piece"][:1]),
+         "family.sigma[0].piece"),
+        ("family", lambda o: o["sigma"][0].update(piece=5), "family.sigma[0].piece"),
+        ("family", lambda o: o.update(phis=list(o["phis"].values())), "family.phis"),
+        ("family", lambda o: o.update(partition=None), "family.partition"),
+        ("family", lambda o: o.update(psis=None), "family.psis"),
+        ("sigma", lambda o: o.update(dilation=[2]), "dilation"),
+    ], ids=["short_piece", "scalar_piece", "phis_list", "partition_null",
+            "psis_null", "sigma_dilation_list"])
+    def test_malformed_file_exits_2_with_location(self, family_file, tmp_path,
+                                                  capsys, kind, mutate, where):
+        if kind == "family":
+            obj = loads_json(family_file.read_text())
+            argv = ["check", "--family", family_file]
+        else:
+            from framesmith.serialize import pwl_to_jsonable
+            obj = {"sigma": pwl_to_jsonable(example_pwl(F(1, 2), F(1, 2)).sigma),
+                   "dilation": 2}
+            family_file = tmp_path / "sigma.json"
+            argv = ["construct", "--sigma", family_file, "--out", tmp_path / "o.json"]
+        mutate(obj)
+        family_file.write_text(dumps_canonical(obj))
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert f"parse error: {where}" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_pass_is_zero(self, family_file):

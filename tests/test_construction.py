@@ -199,6 +199,15 @@ class TestExamples:
         # on part of the fundamental domain for this classic example)
         assert len(scaling.phis) >= 3
 
+    def test_random_spec_refuses_negative_dilation(self):
+        rng = random.Random(7)
+        for a in (-2, -3):
+            with pytest.raises(ValueError, match="a >= 2"):
+                random_admissible_spec(rng, a)
+        # the refusal draws nothing, so later specs are unaffected
+        assert random_admissible_spec(rng, 2) == \
+            random_admissible_spec(random.Random(7), 2)
+
     def test_random_specs_build_and_validate(self):
         rng = random.Random(42)
         for _ in range(25):

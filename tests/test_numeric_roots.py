@@ -120,6 +120,5 @@ class TestSqrtSum:
 def test_complex_sqrt_sum_abs2():
     v = CSqrtSum(SqrtSum.sqrt_of(2), SqrtSum.sqrt_of(3))
     assert v.abs2().rational_value() == 5
-    w = v.scale_complex(0, 1)  # multiply by i
-    assert w.re == -SqrtSum.sqrt_of(3)
+    w = CSqrtSum(-v.im, v.re)  # i * v
     assert w.abs2().rational_value() == 5

@@ -5,6 +5,7 @@ import pytest
 
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile, integrate_product
+from framesmith.quadrature import Factor
 
 
 def tent(A, B):
@@ -86,9 +87,6 @@ def test_compose_scale_and_shift_laws():
 def test_support_and_max_zero():
     f = PiecewiseLinear.of((-1, 1, 1, 0))  # x on [-1, 1)
     assert f.support() == IntervalSet.of((-1, 1))
-    m = f.max_zero()
-    assert m.eval(F(-1, 2)) == 0
-    assert m.eval(F(1, 2)) == F(1, 2)
 
 
 def test_canonical_equality_merges_split_lines():
@@ -148,7 +146,7 @@ class TestSqrtProfile:
 
     def test_sqrt_singularities(self):
         p = SqrtProfile.from_square(tent(1, 1))
-        assert set(p.sqrt_singularities()) == {F(-1), F(1)}
+        assert set(Factor(p.square, is_sqrt=True).sqrt_zeros()) == {F(-1), F(1)}
 
     def test_indicator_profile(self):
         p = SqrtProfile.indicator(IntervalSet.of((-1, 1)))

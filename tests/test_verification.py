@@ -10,6 +10,7 @@ from framesmith.construction import (JOURNE_WAVELET_SET, ScalingFamily,
                                      example_shannon, random_admissible_spec,
                                      waveletset_sigma)
 from framesmith.intervals import IntervalSet
+from framesmith.piecewise import SqrtProfile
 from framesmith.trace import grid_of_size
 from framesmith.verification import (check_decay, check_density,
                                      check_ntf_multiwavelet,
@@ -100,6 +101,15 @@ class TestSplitChecks:
         assert report.status == "fail"
         assert any(c.name == "inward_limit_one" and c.status == "fail"
                    for c in report.checks)
+
+    def test_shift_failures_suppress_shifted_splits_pass(self, shannon):
+        layer = IntervalSet.of((1, 4))
+        bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
+                              shannon[1].sigma, 2)
+        report = check_split(shannon[0], bogus, grid=[F(5, 4), F(3, 2)])
+        names = [c.name for c in report.checks if c.status == "fail"]
+        assert names.count("off_lattice_split[s=1]") == 2
+        assert not any(c.name == "shifted_splits" for c in report.checks)
 
     def test_empty_wavelets_fail_zero_shift(self, shannon):
         empty = WaveletFamily((), (), shannon[1].sigma, 2)
