@@ -80,10 +80,9 @@ def _verdict_check(name: str, value: SqrtSum, xi, extra: dict | None = None,
     witness = {"xi": xi, "residual": float(value.enclosure(bits).mid())}
     if extra:
         witness.update(extra)
-    if status == "uncertain":
-        return Check(name, "uncertain", witness,
-                     detail="interval arithmetic cannot separate the sides")
-    return Check(name, "fail", witness)
+    detail = "interval arithmetic cannot separate the sides" \
+        if status == "uncertain" else ""
+    return Check(name, status, witness, detail=detail)
 
 
 def family_grid(*gens: GeneratorSet, n_random: int = 97,

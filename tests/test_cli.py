@@ -114,16 +114,17 @@ class TestValidationRefusal:
     def test_malformed_file_exits_2_with_location(self, family_file, tmp_path,
                                                   capsys, kind, mutate, where):
         if kind == "family":
-            obj = loads_json(family_file.read_text())
-            argv = ["check", "--family", family_file]
+            path = family_file
+            obj = loads_json(path.read_text())
+            argv = ["check", "--family", path]
         else:
             from framesmith.serialize import pwl_to_jsonable
+            path = tmp_path / "sigma.json"
             obj = {"sigma": pwl_to_jsonable(example_pwl(F(1, 2), F(1, 2)).sigma),
                    "dilation": 2}
-            family_file = tmp_path / "sigma.json"
-            argv = ["construct", "--sigma", family_file, "--out", tmp_path / "o.json"]
+            argv = ["construct", "--sigma", path, "--out", tmp_path / "o.json"]
         mutate(obj)
-        family_file.write_text(dumps_canonical(obj))
+        path.write_text(dumps_canonical(obj))
         capsys.readouterr()
         assert run(*argv) == 2
         assert f"parse error: {where}" in capsys.readouterr().err
