@@ -1,11 +1,19 @@
 """Outward-rounded interval arithmetic on exact rational endpoints.
 
 Endpoints are Fractions, so +, -, * are rounding-free; widening happens only
-where irrationals enter: square roots (integer isqrt at 2^-bits) and
-cos/sin of rational multiples of pi (Taylor with an explicit remainder and
-rational pi bounds from Machin's formula).  The working precision defaults
-to 64 fractional bits and is overridden by the FRAMESMITH_PRECISION
-environment variable.
+where irrationals enter, and there the endpoints are dyadic:
+
+- square roots: integer isqrt at 2^-bits;
+- cos/sin of rational multiples of pi: a fixed-point kernel on Python
+  integers at 2^-(bits+32).  The argument is reduced by symmetry to
+  [0, pi/4] and enclosed with pi bounds from Machin's formula; the
+  alternating Taylor series then runs with floored lower and ceiled upper
+  terms plus the Lagrange remainder, at both ends of the argument interval
+  (cos and sin are monotone there).  This is the fixed-point ball technique
+  of Arb (F. Johansson, IEEE Trans. Computers 2017).
+
+The working precision defaults to 64 fractional bits and is overridden by
+the FRAMESMITH_PRECISION environment variable.
 """
 
 from __future__ import annotations
@@ -142,28 +150,35 @@ def pi_enclosure(bits: int | None = None) -> FInterval:
     return _pi_enclosure(precision_bits() if bits is None else bits)
 
 
-def _cos_taylor(x: FInterval, bits: int) -> FInterval:
-    # Lagrange remainder: |cos(x) - sum_{k<=K} (-1)^k x^{2k}/(2k)!|
-    # <= sup|x|^{2K+2}/(2K+2)!, since all derivatives of cos are bounded by 1.
-    xx = x.square()
-    m = xx.hi
-    total = FInterval.point(1)
-    term = FInterval.point(1)
-    mag = Fraction(1)  # m^k/(2k)! alongside term index k
-    eps = Fraction(1, 1 << (bits + 8))
-    k = 0
+def _series(x: int, odd: bool, prec: int) -> tuple[int, int]:
+    """Integer bounds [lo, hi] on 2^prec * cos(t) (odd=False) or sin(t)
+    (odd=True) at t = x / 2^prec, 0 <= t <= 1.
+
+    The alternating Taylor terms t^n/n! are carried as integer pairs, floored
+    for the lower bound and ceiled for the upper.  The loop stops at the first
+    term of at most one unit, which bounds the Lagrange remainder (every
+    derivative of cos and sin is bounded by 1), and adds it on both sides."""
+    xx = x * x
+    shift = 2 * prec
+    t_lo = t_hi = lo = hi = x if odd else 1 << prec
+    n = 1 if odd else 0
+    negative = False
     while True:
-        k += 1
-        term = (term * xx).scale(Fraction(-1, (2 * k - 1) * (2 * k)))
-        total = total + term
-        mag = mag * m / ((2 * k - 1) * (2 * k))
-        rem = mag * m / ((2 * k + 1) * (2 * k + 2))
-        if rem < eps:
-            return FInterval(total.lo - rem, total.hi + rem)
+        den = (n + 1) * (n + 2)
+        n += 2
+        t_lo = (t_lo * xx >> shift) // den
+        t_hi = -((-t_hi * xx >> shift) // den)
+        if t_hi <= 1:
+            return lo - t_hi, hi + t_hi
+        negative = not negative
+        if negative:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
 
 
 def cos_pi(q, bits: int | None = None) -> FInterval:
-    """Enclosure of cos(q*pi) for rational q."""
+    """Enclosure of cos(q*pi) for rational q, with dyadic endpoints."""
     q = Fraction(q)
     bits = precision_bits() if bits is None else bits
     # reduce mod 2 into [-1, 1]
@@ -175,8 +190,32 @@ def cos_pi(q, bits: int | None = None) -> FInterval:
         return FInterval.point(1)
     if q == 1 or q == -1:
         return FInterval.point(-1)
-    x = pi_enclosure(bits).scale(q)
-    return _cos_taylor(x, bits)
+    # cos(-x) = cos x and cos(pi - x) = -cos x bring q into (0, 1/2); above
+    # 1/4, cos(q pi) = sin((1/2 - q) pi), so the argument lies in [0, pi/4]
+    q = abs(q)
+    negate = q > half
+    if negate:
+        q = 1 - q
+    odd = q > half / 2
+    if odd:
+        q = half - q
+    prec = bits + 32
+    pi = _pi_enclosure(prec)
+    pi_lo = (pi.lo.numerator << prec) // pi.lo.denominator
+    pi_hi = -((-pi.hi.numerator << prec) // pi.hi.denominator)
+    n, d = q.numerator, q.denominator
+    x_lo = n * pi_lo // d
+    x_hi = -(-n * pi_hi // d)
+    # on [0, pi/2] cos decreases and sin increases, both within [0, 1]
+    if odd:
+        lo, hi = _series(x_lo, True, prec)[0], _series(x_hi, True, prec)[1]
+    else:
+        lo, hi = _series(x_hi, False, prec)[0], _series(x_lo, False, prec)[1]
+    one = 1 << prec
+    lo, hi = max(lo, 0), min(hi, one)
+    if negate:
+        lo, hi = -hi, -lo
+    return FInterval(Fraction(lo, one), Fraction(hi, one))
 
 
 def sin_pi(q, bits: int | None = None) -> FInterval:

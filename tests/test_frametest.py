@@ -128,6 +128,18 @@ class TestFrameEnergy:
         assert rep.inconclusive
         assert rep.detail
 
+    def test_negative_dilation_odd_scales_converge(self):
+        # at a < 0 the frequency unit of an odd scale is negative; the
+        # quadrature plan must still be refined for |frequency|
+        wavelets = build_family(example_pwl(F(3, 4), F(5, 4), -2))[1]
+        tent = TestSignal.tent(1, 3)
+        rep = frame_energy(tent, wavelets, j_min=1, j_max=3)
+        assert not rep.inconclusive
+        for scale in rep.scales:
+            exact = sum(per_scale_energy_exact(tent, psi, -2, scale.j)
+                        for psi in wavelets.psis)
+            assert abs(scale.computed - float(exact)) <= 1e-6
+
     def test_scaling_covariance(self, worked_half):
         # f_hat(a xi) with the j-range shifted by one gives the same ratio
         tent = TestSignal.tent(-1, 1)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framesmith.numeric import (CInterval, FInterval, cos_pi, pi_enclosure,
                                 precision_bits, sin_pi, sqrt_enclosure)
@@ -52,6 +53,58 @@ def test_cos_sin_against_float_libm():
     assert cos_pi(0).lo == 1
     assert cos_pi(1).hi == -1
     assert sin_pi(F(1, 2)).lo == 1
+
+
+def _cos_pi_oracle(q, bits):
+    """Reference cos(q*pi): interval Taylor over Fraction endpoints of
+    q * [pi], with the Lagrange remainder sup|x|^{2K+2}/(2K+2)!, clipped to
+    [-1, 1]."""
+    q = F(q)
+    q -= 2 * ((q + 1) // 2)
+    x = pi_enclosure(bits).scale(q)
+    xx = x.square()
+    m = xx.hi
+    total = term = FInterval.point(1)
+    mag = F(1)  # m^k/(2k)! alongside term index k
+    eps = F(1, 1 << (bits + 8))
+    k = 0
+    while True:
+        k += 1
+        term = (term * xx).scale(F(-1, (2 * k - 1) * (2 * k)))
+        total = total + term
+        mag = mag * m / ((2 * k - 1) * (2 * k))
+        rem = mag * m / ((2 * k + 1) * (2 * k + 2))
+        if rem < eps:
+            return FInterval(max(total.lo - rem, F(-1)), min(total.hi + rem, F(1)))
+
+
+_HARD_ARGS = (
+    [F(k, 4) + s * F(1, 2 ** 40) for k in range(-8, 9) for s in (-1, 1)]
+    + [F(1, 10 ** 30), F(-1, 10 ** 30), 1 - F(1, 2 ** 50), F(-1) + F(1, 10 ** 30),
+       F(123456789012345678901234567891, 7),
+       F(-314159265358979323846264338327, 100000000000000000000000000001)])
+
+
+@pytest.mark.parametrize("q", _HARD_ARGS, ids=str)
+def test_cos_pi_encloses_reference_at_reduction_edges(q):
+    bits = 64
+    ref = _cos_pi_oracle(q, bits + 40)
+    got = cos_pi(q, bits)
+    assert got.lo <= ref.lo and ref.hi <= got.hi
+    assert got.width() <= F(1, 2 ** (bits + 16))
+    assert got.lo.denominator & (got.lo.denominator - 1) == 0  # dyadic
+    assert got.hi.denominator & (got.hi.denominator - 1) == 0
+
+
+@given(st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 6),
+       st.sampled_from((64, 128, 256)))
+@settings(max_examples=150, deadline=None)
+def test_trig_identities_hold_on_enclosures(q, bits):
+    c, s = cos_pi(q, bits), sin_pi(q, bits)
+    one = c.square() + s.square()
+    assert one.lo <= 1 <= one.hi
+    double, direct = c.square().scale(2) - FInterval.point(1), cos_pi(2 * q, bits)
+    assert double.lo <= direct.hi and direct.lo <= double.hi
 
 
 def test_interval_arithmetic_basics():

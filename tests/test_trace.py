@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import build_family, example_pwl, example_shannon
+from framesmith.construction import (SpectralSpec, build_family, example_pwl,
+                                    example_shannon)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
 from framesmith.roots import SqrtSum
@@ -16,6 +17,7 @@ from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               spectral_function, trace_split_check)
 
 TWO_POW_40 = F(1, 2 ** 40)
+DILATIONS = (2, -2, 3, -3, 4)
 
 
 @pytest.fixture(scope="module")
@@ -160,9 +162,11 @@ class TestDilationFormula:
         assert dilated_trace(gen, zero, F(1, 3)).hi == 0
         assert dilation_coset_sum(gen, zero, F(1, 3)).is_zero()
 
-    def test_discrepancy_below_2_pow_40(self, shannon, worked):
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_discrepancy_below_2_pow_40(self, a):
         f = Sequence.delta(0) + Sequence.delta(1, CRat.of(0, 1))
-        for fam in (shannon, worked):
+        for fam in (build_family(SpectralSpec(example_shannon().sigma, a)),
+                    build_family(example_pwl(1, 1, a))):
             gen = fam[0].generator_set()
             grid = grid_of_size(gen.support_hull(), 25)
             rows = dilation_trace_check(gen, f, grid)
@@ -215,8 +219,10 @@ class TestSeriesIdentity:
 
 
 class TestTraceSplit:
-    def test_additivity_and_monotonicity(self, worked):
-        phi, psi = worked[0].generator_set(), worked[1].generator_set()
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_additivity_and_monotonicity(self, a):
+        scaling, wavelets = build_family(example_pwl(1, 1, a))
+        phi, psi = scaling.generator_set(), wavelets.generator_set()
         grid = grid_of_size(phi.support_hull(), 15)
         for f in (Sequence.delta(0), Sequence.delta(0) + Sequence.delta(1),
                   Sequence.delta(0) + Sequence.delta(2, CRat.of(0, 1))):
