@@ -41,12 +41,11 @@ from .trace import (
 )
 from .verification import (
     VerificationReport,
-    check_decay,
     check_density,
     check_ntf_multiwavelet,
     check_semiorthogonal,
     check_split,
-    check_sufficiency,
+    check_suites,
     check_wavelet_set_tiling,
 )
 from .frametest import TestSignal, coefficient, frame_energy

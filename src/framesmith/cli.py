@@ -26,12 +26,8 @@ from .serialize import (ParseError, digest_of, dumps_canonical,
                         loads_json, pwl_from_jsonable, sets_from_jsonable)
 from .trace import (GRID_SEED, _nonempty_hull, dimension_function,
                     restricted_trace, spectral_function)
-from .verification import (VerificationReport, check_decay, check_density,
-                           check_ntf_multiwavelet, check_semiorthogonal,
-                           check_split, check_sufficiency,
+from .verification import (SUITES, VerificationReport, check_suites,
                            check_wavelet_set_tiling, family_grid)
-
-SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
 
 
 def _write(path: str, text: str) -> None:
@@ -87,20 +83,10 @@ def cmd_check(args) -> int:
             return 2
     grid = family_grid(scaling.generator_set(), wavelets.generator_set(),
                        seed=args.seed)
+    reports = check_suites(scaling, wavelets, names, grid)
     report = VerificationReport()
     for n in names:
-        if n == "ntf":
-            report.merge(check_ntf_multiwavelet(wavelets, grid=grid), "ntf:")
-        elif n == "split":
-            report.merge(check_split(scaling, wavelets, grid), "split:")
-        elif n == "decay":
-            report.merge(check_decay(scaling, wavelets, grid), "decay:")
-        elif n == "sufficiency":
-            report.merge(check_sufficiency(scaling, wavelets, grid), "sufficiency:")
-        elif n == "density":
-            report.merge(check_density(scaling, grid), "density:")
-        elif n == "semiorth":
-            report.merge(check_semiorthogonal(wavelets), "semiorth:")
+        report.merge(reports[n], f"{n}:")
     payload = report.to_jsonable()
     payload["suite"] = names
     if args.out:
@@ -227,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="run verification suites on a family file")
     k.add_argument("--family", required=True)
     k.add_argument("--suite", default=",".join(SUITES),
-                   help=f"comma list from {','.join(SUITES)}")
+                   help=f"comma list from {','.join(SUITES)}; decay = the "
+                        "split identities + outward decay, sufficiency = local "
+                        "finiteness + split + outward decay + inward limit 1 "
+                        "+ the NTF check as a meta check")
     k.add_argument("--seed", type=int, default=GRID_SEED)
     k.add_argument("--out")
     k.set_defaults(func=cmd_check)

@@ -198,15 +198,14 @@ class QuadPlan:
     then only evaluates phases, so sweeping thousands of frequencies is cheap.
     """
 
-    def __init__(self, factors: Sequence[Factor], c_max: float,
-                 gl_order: int = _GL_ORDER):
+    def __init__(self, factors: Sequence[Factor], c_max: float):
         self.c_max = max(c_max, 1.0)
         self.closed: List[Tuple[List[float], Fraction, Fraction]] = []
         nodes_parts: List[np.ndarray] = []
         wb_parts: List[np.ndarray] = []
         if factors:
             sqrt_zero_pts = {float(z) for f in factors for z in f.sqrt_zeros()}
-            xs, ws = _gl_nodes(gl_order)
+            xs, ws = _gl_nodes(_GL_ORDER)
             for lo, hi in _cells(factors):
                 poly = _cell_closed_form(factors, lo, hi)
                 if poly is not None:
@@ -244,13 +243,13 @@ class QuadPlan:
         return out
 
 
-def oscillatory_integrals(factors: Sequence[Factor], freqs: np.ndarray,
-                          gl_order: int = _GL_ORDER) -> np.ndarray:
+def oscillatory_integrals(factors: Sequence[Factor], freqs: np.ndarray
+                          ) -> np.ndarray:
     """integral prod_f factor(u) * e^{i c u} du for each frequency c in freqs."""
     freqs = np.asarray(freqs, dtype=float)
     if not len(freqs) or not factors:
         return np.zeros(len(freqs), dtype=complex)
-    plan = QuadPlan(factors, float(np.max(np.abs(freqs))), gl_order)
+    plan = QuadPlan(factors, float(np.max(np.abs(freqs))))
     return plan.integrate(freqs)
 
 

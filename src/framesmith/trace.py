@@ -263,17 +263,16 @@ class GeneratorTestRow:
 
 
 def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
-                       grid: Iterable, l_window: int | None = None,
-                       bits: int | None = None) -> List[GeneratorTestRow]:
+                       grid: Iterable, bits: int | None = None
+                       ) -> List[GeneratorTestRow]:
     """Check sum_phi |phi_hat(xi) + conj(alpha) phi_hat(xi+2l)|^2 against the
     restricted trace at delta_0 + alpha*delta_l computed from the reference
     generator set of the same space, for alpha in {0, 1, i} and 0 < |l| <= L."""
     bits = precision_bits() if bits is None else bits
-    if l_window is None:
-        lo1, hi1 = gen.support_hull()
-        lo2, hi2 = reference.support_hull()
-        radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
-        l_window = int(radius) + 1
+    lo1, hi1 = gen.support_hull()
+    lo2, hi2 = reference.support_hull()
+    radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
+    l_window = int(radius) + 1
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -328,8 +327,7 @@ def pair_sum(profiles: Seq[SqrtProfile], x, y) -> SqrtSum:
 
 
 def series_identity_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
-                          s: int, grid: Iterable,
-                          j_max: int | None = None) -> List[SeriesRow]:
+                          s: int, grid: Iterable) -> List[SeriesRow]:
     """Residual of
     sum_{j>=1} sum_psi psi_hat(a^j xi) conj(psi_hat(a^j (xi+2s)))
       = sum_phi phi_hat(xi) conj(phi_hat(xi+2s)),
@@ -350,8 +348,6 @@ def series_identity_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
             if not inside:
                 break
             left = left + pair_sum(psi_gen.profiles, x, y)
-            if j_max is not None and j >= j_max:
-                break
             j += 1
         right = pair_sum(phi_gen.profiles, xi, xi + 2 * s)
         rows.append(SeriesRow(xi, s, left - right))

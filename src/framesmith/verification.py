@@ -4,24 +4,32 @@ Every "pass" in exact mode is backed by rational identities or an explicit
 tail bound; nothing is accepted silently through floating point.  Fails carry
 a witness (grid point, shift, sides); interval-arithmetic indeterminacy
 surfaces as "uncertain" instead of being coerced either way.
+
+`check_suites` runs the SUITES on one grid.  decay = the split identities +
+outward decay of the scaling square sum; sufficiency = local finiteness +
+split + outward decay + inward limit 1 + (when those hold) the NTF
+characterization as a meta check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence as Seq
+from functools import cache
+from itertools import count
+from typing import Dict, Iterable, List, Optional, Sequence as Seq
 
 from .construction import ScalingFamily, WaveletFamily
 from .folding import per_multiplicity
 from .frametest import cross_inner_product
 from .intervals import IntervalSet, overlay_counts, union_all
-from .piecewise import GeneratorSet, _square_sum
+from .piecewise import GeneratorSet, PiecewiseLinear, _square_sum
 from .rationals import as_fraction, format_ratio
 from .roots import SqrtSum, _zero_status
 from .trace import default_grid, pair_sum as _pair_sum
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
+SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,7 @@ class Check:
         if self.witness is not None:
             out["witness"] = {k: str(v) for k, v in self.witness.items()}
         if self.tail_bound is not None:
-            out["tail_bound"] = format_ratio(self.tail_bound) \
-                if isinstance(self.tail_bound, Fraction) else repr(self.tail_bound)
+            out["tail_bound"] = format_ratio(self.tail_bound)
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -62,22 +69,20 @@ class VerificationReport:
         self.checks.extend(checks)
 
     def merge(self, other: "VerificationReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.status, c.witness,
-                                     c.tail_bound, c.detail))
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     def to_jsonable(self) -> dict:
         return {"status": self.status,
                 "checks": [c.to_jsonable() for c in self.checks]}
 
 
-def _verdict_check(name: str, value: SqrtSum, xi, extra: dict | None = None,
-                   bits: int | None = None) -> Check:
+def _verdict_check(name: str, value: SqrtSum, xi, extra: dict | None = None
+                   ) -> Check:
     """Turn an exact should-be-zero value into a pass/fail/uncertain check."""
-    status = _zero_status(value, bits)
+    status = _zero_status(value)
     if status == "pass":
         return Check(name, "pass")
-    witness = {"xi": xi, "residual": float(value.enclosure(bits).mid())}
+    witness = {"xi": xi, "residual": float(value.enclosure().mid())}
     if extra:
         witness.update(extra)
     detail = "interval arithmetic cannot separate the sides" \
@@ -85,8 +90,7 @@ def _verdict_check(name: str, value: SqrtSum, xi, extra: dict | None = None,
     return Check(name, status, witness, detail=detail)
 
 
-def family_grid(*gens: GeneratorSet, n_random: int = 97,
-                seed: int = 0x5EED) -> List[Fraction]:
+def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
     breaks: set[Fraction] = set()
     hull_pts: List[Fraction] = []
     for g in gens:
@@ -94,16 +98,14 @@ def family_grid(*gens: GeneratorSet, n_random: int = 97,
         lo, hi = g.support_hull()
         hull_pts.extend((lo, hi))
     hull = (min(hull_pts, default=Fraction(0)), max(hull_pts, default=Fraction(0)))
-    return default_grid(sorted(breaks), hull, n_random=n_random, seed=seed)
+    return default_grid(sorted(breaks), hull, seed=seed)
 
 
 # -- NTF multiwavelet characterization ----------------------------------------
 
 
 def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
-                           grid: Iterable | None = None,
-                           tail_target: Fraction = TAIL_TARGET,
-                           bits: int | None = None) -> VerificationReport:
+                           grid: Iterable | None = None) -> VerificationReport:
     """Norm-sum (sum over all scales of |psi_hat|^2 equals 1) and shifted
     orthogonality (vanishing cross terms for shifts outside the dilation
     lattice), certified per grid point.
@@ -164,15 +166,16 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
     radius = max(abs(lo), abs(hi), Fraction(1))
 
     worst_tail = Fraction(0)
-    failures = 0
+    failures = checked = 0
     for xi in grid:
         xi = as_fraction(xi)
         if xi == 0:
             continue
+        checked += 1
         # inward depth J: a^{-J-1}|xi| inside the 0-clearance and tail small
         J = 0
         while abs(xi) > clearance * abs(a) ** (J + 1) or \
-                (slope and slope * abs(xi) > tail_target * abs(a) ** (J + 1)):
+                (slope and slope * abs(xi) > TAIL_TARGET * abs(a) ** (J + 1)):
             J += 1
         Jout = 0
         while abs(xi) * abs(a) ** Jout <= radius:
@@ -194,7 +197,10 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
                 report.add(Check("norm_sum", "fail",
                                  {"xi": xi, "partial_sum": partial,
                                   "allowed_tail": tail}))
-    if failures == 0:
+    if checked == 0:
+        report.add(Check("norm_sum", "uncertain", detail=(
+            "the grid holds no point other than 0, so nothing was checked")))
+    elif failures == 0:
         report.add(Check("norm_sum", "pass", tail_bound=worst_tail,
                          detail=f"all grid points within the certified tail"))
     elif failures > 3:
@@ -207,8 +213,7 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
 
 
 def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
-                grid: Iterable | None = None, s_window: int | None = None,
-                bits: int | None = None) -> VerificationReport:
+                grid: Iterable | None = None) -> VerificationReport:
     """The two bilinear identities tying a scaling family to the wavelets of
     the complement space between consecutive dilates, per shift class."""
     report = VerificationReport()
@@ -232,8 +237,7 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     lo1, hi1 = phi_fam.generator_set().support_hull()
     lo2, hi2 = psi_fam.generator_set().support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
-    if s_window is None:
-        s_window = int(radius) * abs(a) + 1
+    s_window = int(radius) * abs(a) + 1
     report.add(Check("s_window_complete", "pass", detail=(
         f"all bilinear terms vanish identically for |s| > {s_window}: the "
         f"supports have radius {radius} so shifts beyond that cannot overlap")))
@@ -258,7 +262,7 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
                 val = -(_pair_sum(phis, xi, xi + 2 * s)) - rhs
                 name = f"off_lattice_split[s={s}]"
             if not val.is_zero():
-                check = _verdict_check(name, val, xi, {"s": s}, bits)
+                check = _verdict_check(name, val, xi, {"s": s})
                 report.add(check)
                 if check.status == "fail":
                     bad += 1
@@ -270,75 +274,74 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     return report
 
 
-def check_decay(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
-                grid: Iterable | None = None,
-                bits: int | None = None) -> VerificationReport:
-    """Split identities plus outward decay of the scaling square sum (exact:
-    the sum is identically 0 once a^j xi leaves the support hull)."""
-    report = check_split(phi_fam, psi_fam, grid, bits=bits)
-    a = phi_fam.dilation
-    lo, hi = phi_fam.generator_set().support_hull()
-    radius = max(abs(lo), abs(hi), Fraction(1))
+def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
+                 names: Iterable[str], grid: Iterable | None = None
+                 ) -> Dict[str, VerificationReport]:
+    """Run the named suites (from SUITES) on one grid; {name: report}.
+
+    The split identities run at most once per call, and the NTF
+    characterization once per sigma: the sufficiency meta check takes sigma
+    from the scaling squares, not from the family, and reuses the ntf
+    suite's report when the two agree."""
     if grid is None:
         grid = family_grid(phi_fam.generator_set(), psi_fam.generator_set())
-    exits = []
-    for xi in grid:
-        xi = as_fraction(xi)
-        if xi == 0:
-            continue
-        j = 0
-        while abs(xi) * abs(a) ** j <= radius:
-            j += 1
-        exits.append(j)
-    report.add(Check("outward_decay", "pass", detail=(
-        f"scaling square sum is identically 0 beyond the support hull; exit "
-        f"index <= {max(exits, default=0)} on the grid (0 itself is the "
-        f"measure-zero dilation fixed point, excluded)")))
-    return report
+    grid = [as_fraction(x) for x in grid]
 
+    @cache
+    def ntf(sigma: PiecewiseLinear) -> VerificationReport:
+        return check_ntf_multiwavelet(replace(psi_fam, sigma=sigma), grid=grid)
 
-def check_sufficiency(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
-                      grid: Iterable | None = None,
-                      bits: int | None = None) -> VerificationReport:
-    """Hypotheses that force the wavelet family to be an NTF of the whole
-    space: local finiteness, the split identities, outward decay, and inward
-    limit 1 of the scaling square sum; on pass the NTF check must also pass
-    (asserted as a meta check)."""
-    report = VerificationReport()
-    phi_sq = _square_sum(phi_fam.phis.values())
-    report.add(Check("local_finiteness", "pass", detail=(
-        f"finitely many scaling profiles; square sum bounded by "
-        f"{phi_sq.max_value()}")))
-    report.merge(check_decay(phi_fam, psi_fam, grid, bits=bits))
+    @cache
+    def split() -> VerificationReport:
+        return check_split(phi_fam, psi_fam, grid)
 
-    nbhd = phi_sq.zero_neighborhood()
-    if nbhd is None:
-        report.add(Check("inward_limit_one", "fail", {"xi": Fraction(0)},
-                         detail="scaling square sum vanishes near 0"))
-    else:
-        left, right, _, _ = nbhd
-        if left == 1 and right == 1:
+    @cache
+    def decay() -> VerificationReport:
+        # the scaling square sum is identically 0 once a^j xi leaves the hull
+        a = abs(phi_fam.dilation)
+        lo, hi = phi_fam.generator_set().support_hull()
+        radius = max(abs(lo), abs(hi), Fraction(1))
+        exits = [next(j for j in count() if abs(xi) * a ** j > radius)
+                 for xi in grid if xi != 0]
+        outward = Check("outward_decay", "pass", detail=(
+            f"scaling square sum is identically 0 beyond the support hull; exit "
+            f"index <= {max(exits, default=0)} on the grid (0 itself is the "
+            f"measure-zero dilation fixed point, excluded)"))
+        return VerificationReport(split().checks + [outward])
+
+    def sufficiency() -> VerificationReport:
+        phi_sq = _square_sum(phi_fam.phis.values())
+        report = VerificationReport([Check("local_finiteness", "pass", detail=(
+            f"finitely many scaling profiles; square sum bounded by "
+            f"{phi_sq.max_value()}"))] + decay().checks)
+        nbhd = phi_sq.zero_neighborhood()
+        if nbhd is None:
+            report.add(Check("inward_limit_one", "fail", {"xi": Fraction(0)},
+                             detail="scaling square sum vanishes near 0"))
+        elif nbhd[:2] == (1, 1):
             report.add(Check("inward_limit_one", "pass", detail=(
                 "both one-sided limits of the scaling square sum at 0 are 1")))
         else:
             report.add(Check("inward_limit_one", "fail",
-                             {"xi": Fraction(0), "left": left, "right": right}))
+                             {"xi": Fraction(0), "left": nbhd[0], "right": nbhd[1]}))
+        if report.status == "pass":
+            sub = ntf(phi_sq)
+            if sub.status == "pass":
+                report.add(Check("meta_ntf_follows", "pass", detail=(
+                    "hypotheses hold and the NTF characterization passes too")))
+            else:
+                report.merge(sub, prefix="meta:")
+        return report
 
-    if report.status == "pass":
-        sigma = phi_sq  # derived from the family, not trusted from the file
-        derived = WaveletFamily(psi_fam.psis, psi_fam.partition, sigma,
-                                psi_fam.dilation)
-        sub = check_ntf_multiwavelet(derived, "exact", grid, bits=bits)
-        if sub.status == "pass":
-            report.add(Check("meta_ntf_follows", "pass", detail=(
-                "hypotheses hold and the NTF characterization passes too")))
-        else:
-            report.merge(sub, prefix="meta:")
-    return report
+    suites = {"ntf": lambda: ntf(psi_fam.sigma), "split": split,
+              "decay": decay, "sufficiency": sufficiency,
+              "density": lambda: check_density(phi_fam, grid),
+              "semiorth": lambda: check_semiorthogonal(psi_fam)}
+    return {n: suites[n]() for n in dict.fromkeys(names)}
 
 
-def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None,
-                  j_max: int = 64) -> VerificationReport:
+def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
+                  ) -> VerificationReport:
     """Union density of the dilates: inward limit of the scaling square sum
     is 1, plus exact monotonicity of the sum along contraction orbits."""
     report = VerificationReport()
@@ -361,7 +364,7 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None,
         if xi == 0:
             continue
         prev = None
-        for j in range(j_max):
+        for j in range(64):
             val = phi_sq.eval(xi / Fraction(a) ** j)
             if prev is not None and val < prev:
                 report.add(Check("orbit_monotone", "fail",
@@ -472,8 +475,7 @@ def _delta_bound(support: IntervalSet, reach: Fraction, a: int) -> int:
     return bound + 1
 
 
-def check_semiorthogonal(family: WaveletFamily, k_window: int = 8
-                         ) -> VerificationReport:
+def check_semiorthogonal(family: WaveletFamily) -> VerificationReport:
     """Certify via exact support algebra: scales j < j' are orthogonal iff
     support(psi) and a^{Delta} support(psi') intersect in measure zero for all
     Delta >= 1 (profiles are nonnegative, so a positive-measure overlap is
@@ -509,7 +511,7 @@ def check_semiorthogonal(family: WaveletFamily, k_window: int = 8
     i, i2, delta, ov = overlap_found
     worst = 0.0
     worst_k = 0
-    for k in range(-k_window, k_window + 1):
+    for k in range(-8, 9):
         val = abs(cross_inner_product(psis[i], psis[i2], a, delta, k))
         if val > worst:
             worst, worst_k = val, k

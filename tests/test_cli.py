@@ -205,6 +205,33 @@ class TestOutputs:
         assert run("check-waveletset", "--E", pert, "--a", 2) == 1
 
 
+class TestSuites:
+    def test_section_independent_of_suite_list(self, family_file, tmp_path):
+        full = tmp_path / "full.json"
+        run("check", "--family", family_file, "--out", full)
+        whole: dict = {}
+        for c in loads_json(full.read_text())["checks"]:
+            whole.setdefault(c["name"].split(":")[0], []).append(c)
+        for suites in ("sufficiency", "decay,split", "split,split",
+                       "sufficiency,ntf"):
+            rep = tmp_path / f"{suites}.json"
+            run("check", "--family", family_file, "--suite", suites, "--out", rep)
+            checks = loads_json(rep.read_text())["checks"]
+            expected = [c for n in suites.split(",") for c in whole[n]]
+            assert dumps_canonical(checks) == dumps_canonical(expected)
+
+    def test_shared_checks_run_once(self, family_file, monkeypatch):
+        import framesmith.verification as v
+        calls = {"check_split": 0, "check_ntf_multiwavelet": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(v, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(v, name, counted)
+        run("check", "--family", family_file)
+        assert calls == {"check_split": 1, "check_ntf_multiwavelet": 1}
+
+
 class TestDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         # the full suite legitimately reports the overlap family as not

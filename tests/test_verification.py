@@ -12,11 +12,10 @@ from framesmith.construction import (JOURNE_WAVELET_SET, ScalingFamily,
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
 from framesmith.trace import grid_of_size
-from framesmith.verification import (check_decay, check_density,
-                                     check_ntf_multiwavelet,
+from framesmith.verification import (check_density, check_ntf_multiwavelet,
                                      check_semiorthogonal, check_split,
-                                     check_sufficiency,
-                                     check_wavelet_set_tiling)
+                                     check_suites, check_wavelet_set_tiling,
+                                     family_grid)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +56,14 @@ class TestNtfCheck:
         report = check_ntf_multiwavelet(worked_half[1], mode="numeric")
         assert report.status == "pass"
 
+    def test_grid_without_nonzero_point_is_uncertain(self, shannon):
+        for grid in ([], [F(0)]):
+            report = check_ntf_multiwavelet(shannon[1], grid=grid)
+            norm_row = next(c for c in report.checks if c.name == "norm_sum")
+            assert norm_row.status == "uncertain"
+            assert norm_row.tail_bound is None
+            assert "no point other than 0" in norm_row.detail
+
     def test_numeric_mode_divergence_detected(self, shannon):
         # squares not vanishing at 0 make the scale series diverge
         fat = WaveletFamily(
@@ -82,22 +89,35 @@ class TestSplitChecks:
         assert first.witness is not None
 
     def test_decay_reports_exit_indices(self, worked_half):
-        report = check_decay(*worked_half)
+        report = check_suites(*worked_half, ["decay"])["decay"]
         assert report.status == "pass"
         assert any(c.name == "outward_decay" for c in report.checks)
 
     def test_sufficiency_passes_and_implies_ntf(self, shannon, worked_half):
         for scaling, wavelets in (shannon, worked_half):
-            report = check_sufficiency(scaling, wavelets)
+            report = check_suites(scaling, wavelets, ["sufficiency"])["sufficiency"]
             assert report.status == "pass"
             assert any(c.name == "meta_ntf_follows" for c in report.checks)
+
+    def test_one_shot_iterator_grid_reads_every_point(self, worked_half):
+        scaling, wavelets = worked_half
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        names = ["decay", "sufficiency"]
+        once = check_suites(scaling, wavelets, names, iter(grid))
+        listed = check_suites(scaling, wavelets, names, grid)
+        for n in names:
+            assert once[n].to_jsonable() == listed[n].to_jsonable()
+        decay = next(c for c in once["decay"].checks if c.name == "outward_decay")
+        assert "exit index <= 7" in decay.detail
+        assert any(c.name == "meta_ntf_follows"
+                   for c in once["sufficiency"].checks)
 
     def test_halved_sigma_fails_inward_limit(self, worked_half):
         scaling, wavelets = worked_half
         halved = ScalingFamily(
             {k: p.scale_amplitude_sq(F(1, 2)) for k, p in scaling.phis.items()},
             scaling.sigma.scale_value(F(1, 2)), scaling.dilation)
-        report = check_sufficiency(halved, wavelets)
+        report = check_suites(halved, wavelets, ["sufficiency"])["sufficiency"]
         assert report.status == "fail"
         assert any(c.name == "inward_limit_one" and c.status == "fail"
                    for c in report.checks)
@@ -192,7 +212,8 @@ class TestSoundnessChain:
             scaling, wavelets = build_family(spec)
             grid = grid_of_size(scaling.generator_set().support_hull(), 25,
                                 seed=rng.randint(0, 10 ** 6))
-            assert check_sufficiency(scaling, wavelets, grid).status == "pass"
+            reports = check_suites(scaling, wavelets, ["sufficiency"], grid)
+            assert reports["sufficiency"].status == "pass"
             assert check_ntf_multiwavelet(wavelets, grid=grid).status == "pass"
 
     def test_orthonormal_seed_round_trip(self):
