@@ -175,15 +175,12 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     for j, psi in active:
         scale = scales[j]
         factors, freq_unit, amplitude = _scale_factors(f, psi, a, j)
-        k_cap = 4 * _K_BLOCK
-        plan = QuadPlan(factors, abs(freq_unit) * k_cap)
+        # one root factor: every cell is closed form, valid at every frequency
+        plan = QuadPlan(factors)
         k_hi = -1
         block = _K_BLOCK
         while True:
             ks = np.arange(k_hi + 1, k_hi + 1 + block)
-            if ks[-1] > k_cap:
-                k_cap = int(4 * ks[-1])
-                plan = QuadPlan(factors, abs(freq_unit) * k_cap)
             vals = amplitude * plan.integrate(ks * freq_unit)
             # real factors: coeff(-k) = conj(coeff(k)), so fold negative k in
             weights = np.where(ks == 0, 1.0, 2.0)

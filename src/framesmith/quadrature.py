@@ -1,13 +1,35 @@
-"""Oscillatory quadrature for products of piecewise-linear and square-root
+"""Oscillatory quadrature of products of piecewise-linear and square-root
 factors against e^{i c u}, vectorized over many frequencies at once.
 
-Panels split at every factor breakpoint.  Where all square-root factors are
-locally constant the integral is evaluated in closed form (stable moment
-series for small phase), which is what makes indicator-type profiles cheap
-for very large frequency sweeps.  Genuine sqrt(linear) pieces get
-geometrically graded panels toward the vanishing endpoint (the O(h^{3/2})
-convergence of Gauss panels at a sqrt singularity is rescued by grading) and
-panel lengths are capped against the largest frequency requested.
+The joint support is cut at every factor breakpoint.  On each cell the plain
+factors multiply to an exact polynomial P(u), and each root factor
+sqrt(alpha*u + beta) is either constant there or varies.
+
+* No varying root.  With s = u - lo the cell integral is
+  e^{i c lo} * sum_m q_m J_m(c) over [0, hi - lo], where q_m are the exact
+  coefficients of P(lo + s).
+* One varying root.  u0 = -beta/alpha is the exact zero of the radicand and
+  s = |u - u0|, so the root is sqrt(|alpha| s) and the cell integral is
+  sqrt|alpha| e^{i c u0} * sum_m q_m J_{m+1/2}(+-c), where q_m are the exact
+  coefficients of P(u0 +- s) and the sign is that of alpha.  Every frame-test
+  integrand (a linear signal times one root profile) is of this kind.
+
+Both are closed forms in the moments J_p(w) = int_{s0}^{s1} s^p e^{i w s} ds,
+p = m + nu with nu in {0, 1/2}, which one routine computes: the power series
+in i*w*s for |w|*s1 <= _SERIES_PHASE, and otherwise the upward recurrence
+J_p = ([s^p e^{i w s}] - p J_{p-1}) / (i w) from a base integral that is
+elementary for nu = 0 and a Fresnel integral for nu = 1/2 (Abramowitz &
+Stegun 7.3), evaluated on numpy by its power series and the continued
+fraction of Numerical Recipes 6.8.  This is the moment (Filon-type) approach
+of Iserles & Norsett (Proc. R. Soc. A 2005): the work per cell does not grow
+with the frequency, so a sweep over K frequencies costs O(cells * K), and a
+plan serves every frequency.
+
+Only a cell with two varying roots -- reached by the single-frequency
+semi-orthogonality witness -- falls back to Gauss-Legendre panels, graded
+geometrically toward a vanishing radicand (the O(h^{3/2}) convergence of
+Gauss panels at a square-root singularity is rescued by grading) and capped
+in length against the largest frequency the plan was built for.
 """
 
 from __future__ import annotations
@@ -16,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +48,9 @@ from .piecewise import PiecewiseLinear, _linear_product
 _GL_ORDER = 24
 _PHASE_PER_PANEL = 16.0     # |c|*length per panel; GL-24 resolves this to ~1e-13
 _GRADE_DEPTH = 30           # sqrt-endpoint geometric grading levels
-_SMALL_PHASE = 0.5          # switch to moment series below this |c|*length
+_SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
+_FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
+_FRESNEL_INF = math.sqrt(math.pi / 2) * (1 + 1j)   # int_0^inf t^{-1/2} e^{it} dt
 
 
 @dataclass(frozen=True)
@@ -76,98 +100,181 @@ def _cells(factors: Sequence[Factor]) -> List[Tuple[Fraction, Fraction]]:
     return cells
 
 
-def _cell_closed_form(factors: Sequence[Factor], lo: Fraction, hi: Fraction
-                      ) -> List[float] | None:
-    """Monomial coefficients (floats) of the integrand on the cell when every
-    sqrt factor is constant there; None when a genuine sqrt(linear) remains."""
+# -- moments int_{s0}^{s1} s^{m+nu} e^{iws} ds ---------------------------------
+
+
+def _fresnel_tail(t: np.ndarray) -> np.ndarray:
+    """e^{-it} (G(t) - G(inf)) for t >= 0, where G(t) = int_0^t tau^{-1/2}
+    e^{i tau} dtau = sqrt(2 pi) (C(x) + i S(x)) at t = pi x^2 / 2."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    small = t < _FRESNEL_SERIES
+    if small.any():
+        # G(t) = sqrt(t) sum_n (it)^n / (n! (n + 1/2)); 3.5^40/40! < 1e-26
+        ts = t[small]
+        term = np.ones(ts.shape, dtype=complex)
+        acc = np.zeros(ts.shape, dtype=complex)
+        for n in range(40):
+            acc += term / (n + 0.5)
+            term = term * (1j * ts) / (n + 1)
+        out[small] = (np.sqrt(ts) * acc - _FRESNEL_INF) * np.exp(-1j * ts)
+    big = ~small
+    if big.any():
+        # continued fraction in modified Lentz form (Numerical Recipes 6.8):
+        # e^{-it} (G(t) - G(inf)) = -2 sqrt(t) h with
+        # h = 1/(1 - 2it -) 1*2/(5 - 2it -) 3*4/(9 - 2it -) ...
+        tb = t[big]
+        b = 1 - 2j * tb
+        d = 1 / b
+        h = d.copy()
+        c = np.full(b.shape, 1e300, dtype=complex)
+        live = np.arange(len(tb))
+        for n in range(1, 400, 2):
+            a = -n * (n + 1.0)
+            b = b + 4
+            d = 1 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            h[live] *= delta
+            going = np.abs(delta - 1) > 3e-16
+            if not going.any():
+                break
+            live, b, d, c = live[going], b[going], d[going], c[going]
+        else:
+            raise ArithmeticError("Fresnel continued fraction did not converge")
+        out[big] = -2 * np.sqrt(tb) * h
+    return out
+
+
+def _pow_diff(s0: float, s1: float, length: float, q: float) -> float:
+    """s1^q - s0^q for 0 <= s0 < s1 = s0 + length, q > 0, without the
+    cancellation of the plain difference when s0 is close to s1."""
+    if s0 == 0:
+        return s1 ** q
+    return s0 ** q * math.expm1(q * math.log1p(length / s0))
+
+
+def _moments(nu: float, degree: int, s0: float, s1: float, length: float,
+             w: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """e^{i theta} J_{m+nu}(w), J_p(w) = int_{s0}^{s1} s^p e^{iws} ds, for
+    m = 0..degree and each w, 0 <= s0 < s1 = s0 + length, given the end
+    phases e_k = e^{i (theta + w s_k)}; array (degree + 1, len(w))."""
+    out = np.empty((degree + 1, len(w)), dtype=complex)
+    small = np.abs(w) * s1 <= _SERIES_PHASE
+    n_small = np.count_nonzero(small)
+    if n_small:
+        # sum_n (iw)^n / n! * (s1^{p+n+1} - s0^{p+n+1}) / (p+n+1)
+        ws = w[small]
+        acc = np.zeros((degree + 1, n_small), dtype=complex)
+        term = e0[small] * np.exp(-1j * ws * s0) if s0 else e0[small]
+        bound = s1 / length          # term bound relative to the moment
+        x = float(np.abs(ws).max()) * s1
+        n = 0
+        while True:
+            for m in range(degree + 1):
+                q = m + nu + n + 1
+                acc[m] += term * (_pow_diff(s0, s1, length, q) / q)
+            n += 1
+            bound *= x / n
+            if bound < 1e-17:
+                break
+            term = term * (1j * ws) / n
+        if n_small == len(w):
+            return acc
+        out[:, small] = acc
+    big = ~small if n_small else slice(None)
+    wb, e0, e1 = w[big], e0[big], e1[big]
+    iw = 1j * wb
+    if nu:
+        # J_{-1/2}(w) = |w|^{-1/2} (G(|w| s1) - G(|w| s0)), conjugated for w < 0
+        aw = np.abs(wb)
+        t0 = _fresnel_tail(aw * s0) if s0 else -_FRESNEL_INF
+        t1 = _fresnel_tail(aw * s1)
+        neg = wb < 0
+        moment = (e1 * np.where(neg, t1.conj(), t1)
+                  - e0 * np.where(neg, np.conj(t0), t0)) / np.sqrt(aw)
+        p = nu - 1
+    else:
+        moment = (e1 - e0) / iw
+        out[0, big] = moment
+        p = 0
+    for m in range(0 if nu else 1, degree + 1):
+        p += 1
+        moment = (s1 ** p * e1 - s0 ** p * e0 - p * moment) / iw
+        out[m, big] = moment
+    return out
+
+
+class _Cell(NamedTuple):
+    """A closed-form cell: scale * sum_m coeffs[m] * e^{i c u0} *
+    J_{m+nu}(sign * c) over [s0, s1], where u0 = ends[k] - sign * s_k is the
+    zero of the radicand (nu = 1/2) or the cell's left end (nu = 0)."""
+
+    sign: int
+    s0: float
+    s1: float
+    length: float
+    ends: Tuple[float, float]
+    nu: float
+    scale: float
+    coeffs: np.ndarray
+
+    def integrate(self, freqs: np.ndarray) -> np.ndarray:
+        mom = _moments(self.nu, len(self.coeffs) - 1, self.s0, self.s1,
+                       self.length, self.sign * freqs,
+                       np.exp(1j * freqs * self.ends[0]),
+                       np.exp(1j * freqs * self.ends[1]))
+        return self.scale * (self.coeffs @ mom)
+
+
+_GRADED = object()
+
+
+def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
+    """The integrand on [lo, hi] as a _Cell; None where it vanishes, _GRADED
+    where two or more root factors vary."""
     lines = []
-    root_sq = Fraction(1)
+    roots = []
+    scale_sq = Fraction(1)
     for f in factors:
         piece = f.pwl._piece_at(lo)
         if piece is None:
-            return [0.0]
+            return None
         a, b = piece[2], piece[3]
-        if f.is_sqrt:
-            if a != 0:
-                return None
-            root_sq *= b
-        else:
+        if not f.is_sqrt:
             lines.append((a, b))
-    if root_sq < 0:
-        return [0.0]
-    scale = math.sqrt(float(root_sq))
-    return [float(c) * scale for c in _linear_product(lines)]
-
-
-def _moment_integrals(lo: float, hi: float, degree: int, cs: np.ndarray
-                      ) -> np.ndarray:
-    """int_lo^hi u^m e^{i c u} du for m=0..degree, each c; moment series
-    (|c|*(hi-lo) assumed small).  Returns array (degree+1, len(cs))."""
-    out = np.zeros((degree + 1, len(cs)), dtype=complex)
-    # expand around the midpoint for conditioning
-    mid = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    # int_{-h}^{h} (mid+t)^m e^{ic(mid+t)} dt
-    phase = np.exp(1j * cs * mid)
-    for m in range(degree + 1):
-        # binomial expansion of (mid+t)^m, moments of t^n e^{ict}
-        acc = np.zeros(len(cs), dtype=complex)
-        for n in range(m + 1):
-            binom = math.comb(m, n) * mid ** (m - n)
-            acc += binom * _t_moment(n, h, cs)
-        out[m] = phase * acc
-    return out
-
-
-def _t_moment(n: int, h: float, cs: np.ndarray) -> np.ndarray:
-    """int_{-h}^{h} t^n e^{i c t} dt via series sum_j (ic)^j/j! * M_{n+j},
-    M_m = int t^m = 2h^{m+1}/(m+1) for even m else 0."""
-    out = np.zeros(len(cs), dtype=complex)
-    term = np.ones(len(cs), dtype=complex)
-    for j in range(0, 40):
-        m = n + j
-        if m % 2 == 0:
-            out += term * (2.0 * h ** (m + 1) / (m + 1))
-        term = term * (1j * cs) / (j + 1)
-        if np.all(np.abs(term) * (2.0 * h ** (n + j + 2)) < 1e-19):
-            break
-    return out
-
-
-def _closed_form_poly(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction,
-                      cs: np.ndarray) -> np.ndarray:
-    """int poly(u) e^{i c u} du on [lo, hi] per frequency; the antiderivative
-    formula for |c|L >= _SMALL_PHASE, the moment series otherwise."""
-    flo, fhi = float(lo), float(hi)
-    length = fhi - flo
-    out = np.zeros(len(cs), dtype=complex)
-    small = np.abs(cs) * length < _SMALL_PHASE
-    if small.any():
-        mom = _moment_integrals(flo, fhi, len(coeffs) - 1, cs[small])
-        acc = np.zeros(small.sum(), dtype=complex)
-        for m, c in enumerate(coeffs):
-            acc += float(c) * mom[m]
-        out[small] = acc
-    big = ~small
-    if big.any():
-        c_big = cs[big]
-        ic = 1j * c_big
-        # antiderivative of u^m e^{icu}: e^{icu} sum_t (-1)^t m!/(m-t)! u^{m-t}/(ic)^{t+1}
-        def anti(u: float) -> np.ndarray:
-            total = np.zeros(len(c_big), dtype=complex)
-            for m, coeff in enumerate(coeffs):
-                if coeff == 0:
-                    continue
-                inner = np.zeros(len(c_big), dtype=complex)
-                fact = 1.0
-                for t in range(m + 1):
-                    if t:
-                        fact *= (m - t + 1)
-                    inner += ((-1.0) ** t) * fact * (u ** (m - t)) / ic ** (t + 1)
-                total += float(coeff) * inner
-            return total
-        out[big] = np.exp(1j * c_big * fhi) * anti(fhi) - np.exp(1j * c_big * flo) * anti(flo)
-    return out
+        elif a != 0:
+            roots.append((a, b))
+        elif b <= 0:
+            return None
+        else:
+            scale_sq *= b
+    if len(roots) > 1:
+        return _GRADED
+    if roots:
+        alpha, beta = roots[0]
+        origin = -beta / alpha
+        sign = 1 if alpha > 0 else -1
+        # the radicand alpha * (u - origin) is >= 0 where sign*(u - origin) >= 0
+        if sign > 0:
+            lo = max(lo, origin)
+        else:
+            hi = min(hi, origin)
+        if lo >= hi:
+            return None
+        scale_sq *= abs(alpha)
+        nu = 0.5
+    else:
+        origin, sign, nu = lo, 1, 0.0
+    # P(origin + sign*s), exact
+    coeffs = _linear_product((sign * a, a * origin + b) for a, b in lines)
+    if not any(coeffs):
+        return None
+    ends = (lo, hi) if sign > 0 else (hi, lo)
+    s0, s1 = (sign * (u - origin) for u in ends)
+    return _Cell(sign, float(s0), float(s1), float(s1 - s0),
+                 (float(ends[0]), float(ends[1])), nu,
+                 math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]))
 
 
 def _graded_panels(lo: float, hi: float, sing_lo: bool, sing_hi: bool,
@@ -190,27 +297,28 @@ def _graded_panels(lo: float, hi: float, sing_lo: bool, sing_hi: bool,
 
 
 class QuadPlan:
-    """Reusable integration plan for one integrand, valid for |c| <= c_max.
+    """Reusable integration plan for one integrand.
 
-    Building the plan does the exact support/breakpoint splitting once:
-    closed-form cells keep their monomial coefficients; sqrt cells get graded
-    Gauss-Legendre nodes with panel lengths capped against c_max.  integrate()
-    then only evaluates phases, so sweeping thousands of frequencies is cheap.
+    Building the plan does the exact support/breakpoint splitting once and
+    keeps each closed-form cell; integrate() then evaluates the moments for
+    every requested frequency.  Cells with two varying roots get graded
+    Gauss-Legendre nodes whose panel lengths are capped against c_max; a plan
+    holding such nodes refuses frequencies above c_max.
     """
 
-    def __init__(self, factors: Sequence[Factor], c_max: float):
+    def __init__(self, factors: Sequence[Factor], c_max: float = 1.0):
         self.c_max = max(c_max, 1.0)
-        self.closed: List[Tuple[List[float], Fraction, Fraction]] = []
+        self.closed: List[_Cell] = []
         nodes_parts: List[np.ndarray] = []
         wb_parts: List[np.ndarray] = []
         if factors:
             sqrt_zero_pts = {float(z) for f in factors for z in f.sqrt_zeros()}
             xs, ws = _gl_nodes(_GL_ORDER)
             for lo, hi in _cells(factors):
-                poly = _cell_closed_form(factors, lo, hi)
-                if poly is not None:
-                    if any(poly):
-                        self.closed.append((poly, lo, hi))
+                cell = _closed_cell(factors, lo, hi)
+                if cell is not _GRADED:
+                    if cell is not None:
+                        self.closed.append(cell)
                     continue
                 flo, fhi = float(lo), float(hi)
                 max_len = max((fhi - flo) * 2 ** (1 - _GRADE_DEPTH),
@@ -232,14 +340,12 @@ class QuadPlan:
     def integrate(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.asarray(freqs, dtype=float)
         out = np.zeros(len(freqs), dtype=complex)
-        for poly, lo, hi in self.closed:
-            out += _closed_form_poly(poly, lo, hi, freqs)
-        if len(self.nodes):
-            chunk = max(1, int(8_000_000 / max(1, len(self.nodes))))
-            for start in range(0, len(freqs), chunk):
-                cs = freqs[start:start + chunk]
-                out[start:start + chunk] += \
-                    np.exp(1j * np.outer(cs, self.nodes)) @ self.wb
+        for cell in self.closed:
+            out += cell.integrate(freqs)
+        if len(self.nodes) and len(freqs):
+            if np.max(np.abs(freqs)) > self.c_max:
+                raise ValueError(f"frequency beyond the plan's c_max {self.c_max}")
+            out += np.exp(1j * np.outer(freqs, self.nodes)) @ self.wb
         return out
 
 

@@ -30,6 +30,7 @@ from .trace import default_grid, pair_sum as _pair_sum
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
+_EMPTY_GRID = "the grid holds no point other than 0, so nothing was checked"
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,7 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
                                  {"xi": xi, "partial_sum": partial,
                                   "allowed_tail": tail}))
     if checked == 0:
-        report.add(Check("norm_sum", "uncertain", detail=(
-            "the grid holds no point other than 0, so nothing was checked")))
+        report.add(Check("norm_sum", "uncertain", detail=_EMPTY_GRID))
     elif failures == 0:
         report.add(Check("norm_sum", "pass", tail_bound=worst_tail,
                          detail=f"all grid points within the certified tail"))
@@ -268,9 +268,13 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
                     bad += 1
                 if bad >= 5:
                     return report
-    if len(report.checks) == recorded:
+    if len(report.checks) > recorded:
+        return report
+    if any(grid):
         report.add(Check("shifted_splits", "pass", detail=(
             f"all shifts 0 < |s| <= {s_window} verified over {len(grid)} grid points")))
+    else:
+        report.add(Check("shifted_splits", "uncertain", detail=_EMPTY_GRID))
     return report
 
 
@@ -358,11 +362,12 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
         "one-sided limits at 0 both equal 1 (exact)")))
     if grid is None:
         grid = family_grid(phi_fam.generator_set())
-    violations = 0
+    violations = walked = 0
     for xi in grid:
         xi = as_fraction(xi)
         if xi == 0:
             continue
+        walked += 1
         prev = None
         for j in range(64):
             val = phi_sq.eval(xi / Fraction(a) ** j)
@@ -377,7 +382,9 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
             prev = val
         if violations >= 3:
             break
-    if violations == 0:
+    if walked == 0:
+        report.add(Check("orbit_monotone", "uncertain", detail=_EMPTY_GRID))
+    elif violations == 0:
         report.add(Check("orbit_monotone", "pass", detail=(
             "square sum nondecreasing along every sampled contraction orbit")))
     return report

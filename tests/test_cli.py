@@ -155,6 +155,26 @@ class TestExitCodes:
                    "--kbudget", 256, "--out", energy)
         assert code == 2
 
+    @pytest.mark.parametrize("example", ["shannon", "journe", "pwl:a=1/2,b=1/2",
+                                         "pwl:a=3/4,b=5/4"])
+    def test_frame_test_defaults_pass_on_builtins(self, tmp_path, example):
+        # ratio + the exact energy of the scales outside -8..8 is within --tol
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", example, "--out", fam) == 0
+        assert run("frame-test", "--family", fam, "--out", energy) == 0
+        report = json.loads(energy.read_text())
+        assert report["within_tolerance"] and not report["inconclusive"]
+        assert report["ratio"] < 1 - report["tolerance"]
+
+    def test_frame_test_halved_family_fails(self, tmp_path):
+        spec = example_pwl(F(1, 2), F(1, 2))
+        halved = SpectralSpec(spec.sigma.scale_value(F(1, 2)), 2)
+        out = tmp_path / "halved.json"
+        out.write_text(dumps_canonical(family_to_jsonable(
+            build_scaling(halved, check=False), build_wavelets(halved, check=False),
+            digest_of({"t": 1}))))
+        assert run("frame-test", "--family", out, "--jmin", -4, "--jmax", 4) == 1
+
     def test_waveletset_classify(self, tmp_path):
         seeds = tmp_path / "seed.json"
         seeds.write_text(dumps_canonical(

@@ -140,6 +140,18 @@ class TestFrameEnergy:
                         for psi in wavelets.psis)
             assert abs(scale.computed - float(exact)) <= 1e-6
 
+    def test_three_quarter_family_default_range(self):
+        # the k sweep reaches past 32000 here; closed-form cells keep it cheap
+        wavelets = build_family(example_pwl(F(3, 4), F(5, 4)))[1]
+        tent = TestSignal.tent(-1, 1)
+        rep = frame_energy(tent, wavelets)
+        assert not rep.inconclusive
+        assert max(s.k_used for s in rep.scales) > 32000
+        for scale in rep.scales:
+            exact = sum(per_scale_energy_exact(tent, psi, 2, scale.j)
+                        for psi in wavelets.psis)
+            assert abs(scale.computed - float(exact)) <= 1e-6
+
     def test_scaling_covariance(self, worked_half):
         # f_hat(a xi) with the j-range shifted by one gives the same ratio
         tent = TestSignal.tent(-1, 1)

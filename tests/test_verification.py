@@ -131,6 +131,14 @@ class TestSplitChecks:
         assert names.count("off_lattice_split[s=1]") == 2
         assert not any(c.name == "shifted_splits" for c in report.checks)
 
+    def test_grid_without_nonzero_point_is_uncertain(self, worked_half):
+        for grid in ([], [F(0)]):
+            report = check_split(*worked_half, grid=grid)
+            row = next(c for c in report.checks if c.name == "shifted_splits")
+            assert row.status == "uncertain"
+            assert "no point other than 0" in row.detail
+            assert report.status == "uncertain"
+
     def test_empty_wavelets_fail_zero_shift(self, shannon):
         empty = WaveletFamily((), (), shannon[1].sigma, 2)
         report = check_split(shannon[0], empty)
@@ -145,6 +153,14 @@ class TestDensity:
 
     def test_shannon_reaches_one_exactly(self, shannon):
         assert check_density(shannon[0]).status == "pass"
+
+    def test_grid_without_nonzero_point_is_uncertain(self, worked_half):
+        for grid in ([], [F(0)]):
+            report = check_density(worked_half[0], grid=grid)
+            row = next(c for c in report.checks if c.name == "orbit_monotone")
+            assert row.status == "uncertain"
+            assert "no point other than 0" in row.detail
+            assert report.status == "uncertain"
 
     def test_narrow_indicator_seed(self):
         # chi on [-1/4, 1/4) is admissible and dense; cross-checked reports
