@@ -1,8 +1,8 @@
 """Golden output bytes of the canonical CLI outputs.
 
 Pins the sha256 of the construct family JSON, the all-suites check report
-and the auto-grid trace CSV of the built-in examples, plus the wavelet-set
-family and tiling report of the Journe set.  These outputs are exact: every
+and the auto-grid trace CSV of the built-in examples at a = 2, 3, -2, 4 and
+-3, plus the wavelet-set family and tiling report of the Journe set.  These outputs are exact: every
 number in them is a rational or the float of a rational.  The one exception
 is the semi-orthogonality witness `max_cross_inner`, which comes out of the
 numpy quadrature; it is rounded to 9 significant digits before hashing so
@@ -19,7 +19,10 @@ from framesmith.construction import JOURNE_WAVELET_SET
 from framesmith.serialize import dumps_canonical, sets_to_jsonable
 
 EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
-CASES = [(ex, a) for ex in EXAMPLES for a in (2, 3, -2) if (ex, a) != ("journe", 3)]
+# sigma of the Journe example is not dilation-monotone at a = 3 or -3
+REFUSED = [("journe", 3), ("journe", -3)]
+CASES = [(ex, a) for ex in EXAMPLES for a in (2, 3, -2, 4, -3)
+         if (ex, a) not in REFUSED]
 
 _NUMPY_FLOAT = re.compile(rb'("max_cross_inner": ")([^"]+)(")')
 
@@ -108,6 +111,48 @@ GOLDEN = {
         'f98cc3b9f125cfcb2640722d073a71892a12b471ba9886fd8a01dbf018a0b6d6',
         '3c94b532fd1b62b80677a8e68d758e8c249187619195e3d2ad26ec2758f62978',
     ),
+    'shannon@4': (
+        '858206647e92f2a9828844e7becb82ae29ce2e1d8a4cd630f7b96b824134ac48',
+        0,
+        '32295fcb9abd41f5c441f7878e88c03e12c0927f70bd6d8b711e6a6469901e17',
+        'a5590151be760028ba86bba8613a938271a9e011d7cd0770a187be6222d49b82',
+    ),
+    'shannon@-3': (
+        '5b6ac7eabcd3404faf7369798d0ef5e1fb9ca75e8bd3736e8c959ac7dc21653d',
+        0,
+        'c62f1c7c320f85850963719eed67cc1dc1acfcf94537c57e61d75637f02cbcc3',
+        '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
+    ),
+    'journe@4': (
+        'e9b2327369e81852c6b4e3c01d6adb46eb1e72e32e7c15b9827c150cdbd2ed4a',
+        0,
+        '9890250b79f73429d6b95955edb48a312eaef3f2924bf1a96908632e966f1904',
+        'c37c1623f1b5020df5111a28abe8e4fb19510d80cdee98d285e97fed083c2417',
+    ),
+    'pwl:a=1/2,b=1/2@4': (
+        '5e0817fb064c04412309eb9e00aaf2f0b12c519fccf501ceb544b68b5fc1206a',
+        1,
+        'e4c706c276a397fc01327bc1a56639765f214ff81a4202f4f52efd6bde586cfe',
+        '8a9e08559367873830818e618f12726efb71cced48c49e2bccbec13f4d60162b',
+    ),
+    'pwl:a=1/2,b=1/2@-3': (
+        '70913fc2997fa0bbc13b582f0dd6210df6256c78dc0fb9d8dd7a46a1a92cbf9f',
+        1,
+        '9e552683ad70a476cf6f30373387c59d5210e493ce73400111267fb66afc729b',
+        '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
+    ),
+    'pwl:a=3/4,b=5/4@4': (
+        '15bee835df74c061bd8d28a2cfdb402ad56301f7befac95bb1fc7cde76f207ab',
+        1,
+        '8b35e76675b987d3abffcec59bf173c37c669ae856f4f2e635fb70adbef38e21',
+        '1e3e7a98bbd0f2805e378a19d49a7e7edbbbae4833fb3e159733c6352fbb5153',
+    ),
+    'pwl:a=3/4,b=5/4@-3': (
+        '7cf3ac340898352d6766497c4e2d55af799fa670eeb1f74cad628f4c66c48d24',
+        1,
+        'c491d23e267034922cfd2a4c9f8f628edba525e03f16e4d200ffe8fdd7b36832',
+        '7a2dd6b591f1036080c65511e99e1a6e89ad241c53190e4d57ee2197a152fac9',
+    ),
     'pwl:a=2,b=2@2 windows': (
         '454adfbd71c6b17597f7168ebf8869c9e87952fabc7152c946f464a68616b94a',
         1,
@@ -125,6 +170,12 @@ GOLDEN = {
 def test_builtin_outputs(tmp_path, example, a):
     got = _family_outputs(tmp_path, "--example", example, "--a", str(a))
     assert got == GOLDEN[f"{example}@{a}"]
+
+
+@pytest.mark.parametrize("example,a", REFUSED, ids=[f"{e}@{a}" for e, a in REFUSED])
+def test_refused_dilations(tmp_path, example, a):
+    assert main(["construct", "--example", example, "--a", str(a),
+                 "--out", str(tmp_path / "fam.json")]) == 2
 
 
 def test_windows_partition_outputs(tmp_path):
