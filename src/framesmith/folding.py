@@ -27,7 +27,10 @@ def _windows(lo: Fraction, hi: Fraction) -> range:
 
 def _shifts(xi: Fraction, lo: Fraction, hi: Fraction) -> range:
     """The k with lo <= xi + 2k < hi."""
-    return range(-((xi - lo) // 2), -((xi - hi) // 2))
+    n, d = xi.numerator, xi.denominator
+    # -floor((xi - e) / 2) for e = lo, hi, over one integer denominator
+    return range(-((n * lo.denominator - lo.numerator * d) // (2 * d * lo.denominator)),
+                 -((n * hi.denominator - hi.numerator * d) // (2 * d * hi.denominator)))
 
 
 def fold_chunks(K: IntervalSet) -> List[Chunk]:

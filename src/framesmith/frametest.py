@@ -91,11 +91,15 @@ def coefficients_for_scale(f: TestSignal, psi: SqrtProfile, a: int, j: int,
     return amplitude * vals
 
 
+def _meets(f: TestSignal, psi: SqrtProfile, a: int, j: int) -> bool:
+    """Whether the support of psi_hat(a^{-j} .) meets that of f_hat."""
+    return not f.hat.support().intersect(psi.domain.scale(Fraction(a) ** j)).is_empty()
+
+
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
                 ) -> complex:
     """Single affine-system coefficient; exact 0 when supports miss."""
-    support = f.hat.support().intersect(psi.domain.scale(Fraction(a) ** j))
-    if support.is_empty():
+    if not _meets(f, psi, a, j):
         return 0.0 + 0.0j
     return complex(coefficients_for_scale(f, psi, a, j, np.array([k]))[0])
 
@@ -164,11 +168,8 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     a = family.dilation
     report = EnergyReport(0.0, 0.0, norm2)
     total = 0.0
-    active = []
-    for j in range(j_min, j_max + 1):
-        for psi in family.psis:
-            if not f.hat.support().intersect(psi.domain.scale(Fraction(a) ** j)).is_empty():
-                active.append((j, psi))
+    active = [(j, psi) for j in range(j_min, j_max + 1) for psi in family.psis
+              if _meets(f, psi, a, j)]
     # per-scale tail contract: each (j, psi) sweep stops below this energy
     per_target = k_tail_target * norm2f
     scales: Dict[int, ScaleEnergy] = {j: ScaleEnergy(j) for j in range(j_min, j_max + 1)}
@@ -204,10 +205,12 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
                 break
             block = min(block * 2, 16384)
     report.scales.extend(scales[j] for j in range(j_min, j_max + 1))
-    # exact per-scale energies outside the computed j range (tail estimate)
+    # exact per-scale energies outside the computed j range (tail estimate);
+    # a scale whose dilated support misses f_hat adds exactly 0
     for j in list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41)):
         for psi in family.psis:
-            report.tail_estimate += float(per_scale_energy_exact(f, psi, a, j))
+            if _meets(f, psi, a, j):
+                report.tail_estimate += float(per_scale_energy_exact(f, psi, a, j))
     report.ratio = total / norm2f
     return report
 

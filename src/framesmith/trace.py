@@ -34,9 +34,9 @@ def fiber(profile: SqrtProfile, xi) -> Fiber:
     """Exact fiber of one profile: entry k has value sqrt(radicand)."""
     xi = as_fraction(xi)
     out: Fiber = {}
-    for lo, hi, _, _ in profile.square.pieces:
+    for lo, hi, alpha, beta in profile.square.pieces:
         for k in _shifts(xi, lo, hi):
-            r = profile.value_sq(xi + 2 * k)
+            r = alpha * (xi + 2 * k) + beta
             if r:
                 out[k] = r
     return out
@@ -410,13 +410,15 @@ def default_grid(breakpoints: Seq[Fraction], hull: Tuple[Fraction, Fraction],
     lo, hi = _nonempty_hull(hull)
     rng = random.Random(seed)
     span = hi - lo
+    taken = banned | set(grid)
     tries = 0
     added = 0
     while added < n_random and tries < 50 * n_random:
         tries += 1
         q = lo + span * Fraction(rng.randrange(1, _GRID_DEN), _GRID_DEN)
-        if q in banned or q in grid:
+        if q in taken:
             continue
+        taken.add(q)
         grid.append(q)
         added += 1
     return sorted(set(grid))

@@ -9,24 +9,34 @@ surfaces as "uncertain" instead of being coerced either way.
 outward decay of the scaling square sum; sufficiency = local finiteness +
 split + outward decay + inward limit 1 + (when those hold) the NTF
 characterization as a meta check.
+
+The grid checks evaluate each value once:
+- shifted splits: per grid point, the fibers of the psi and phi profiles at
+  xi and of the phi profiles at xi/a, one exact root per entry; the value at
+  shift s pairs entry 0 with entry s (entry s/a at xi/a on lattice shifts).
+- norm sum: when the wavelet square sum equals the gain sigma(./a) - sigma,
+  the partial scale sum telescopes to its two end terms, plus the jumps of
+  sigma on the orbit where a < 0 (see `_TelescopedScaleSum`).
+- orbit monotonicity: near 0 the scaling square sum is a line through
+  (0, 1) on each side, so the walk stops two steps into that region.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from typing import Dict, Iterable, List, Optional, Sequence as Seq
 
 from .construction import ScalingFamily, WaveletFamily
 from .folding import per_multiplicity
 from .frametest import cross_inner_product
 from .intervals import IntervalSet, overlay_counts, union_all
-from .piecewise import GeneratorSet, PiecewiseLinear, _square_sum
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
 from .rationals import as_fraction, format_ratio
 from .roots import SqrtSum, _zero_status
-from .trace import default_grid, pair_sum as _pair_sum
+from .trace import default_grid, fiber
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
@@ -91,6 +101,20 @@ def _verdict_check(name: str, value: SqrtSum, xi, extra: dict | None = None
     return Check(name, status, witness, detail=detail)
 
 
+def _first_power(base: int, bound: Fraction) -> int:
+    """The least n >= 0 with base**n >= bound, for an integer base >= 2."""
+    target = -(-bound.numerator // bound.denominator)
+    n, power = 0, 1
+    while power < target:
+        n, power = n + 1, power * base
+    return n
+
+
+def _exit_index(xi: Fraction, a: int, radius: Fraction) -> int:
+    """The least j >= 0 with |a^j xi| > radius, for xi != 0."""
+    return _first_power(abs(a), Fraction(radius // abs(xi) + 1))
+
+
 def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
     breaks: set[Fraction] = set()
     hull_pts: List[Fraction] = []
@@ -103,6 +127,40 @@ def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
 
 
 # -- NTF multiwavelet characterization ----------------------------------------
+
+
+class _TelescopedScaleSum:
+    """sum_{j=-J}^{Jout} g(a^j xi) for the gain g = coarse - sigma, where
+    coarse = sigma o (1/a) as a PiecewiseLinear, from the two end terms:
+
+        coarse(a^{-J} xi) - sigma(a^{Jout} xi)
+            + sum_{-J <= m < Jout} (coarse(a^{m+1} xi) - sigma(a^m xi)).
+
+    The bracket is coarse(a b) - sigma(b) at b = a^m xi.  For a > 0 it is
+    identically 0.  For a < 0, compose_scale keeps pieces [l, r), so coarse
+    takes the left limit of sigma and the bracket is the jump of sigma at b;
+    only the breakpoints of sigma with a jump can contribute."""
+
+    def __init__(self, sigma: PiecewiseLinear, a: int):
+        self.sigma, self.a = sigma, Fraction(a)
+        self.coarse = sigma.compose_scale(1 / self.a)
+        self.jumps = {}
+        for b in sigma.breakpoints():
+            delta = self.coarse.eval(self.a * b) - sigma.eval(b)
+            if delta:
+                self.jumps[b] = delta
+
+    def partial(self, xi: Fraction, J: int, Jout: int) -> Fraction:
+        a = self.a
+        total = self.coarse.eval(xi * a ** -J) - self.sigma.eval(xi * a ** Jout)
+        for b, delta in self.jumps.items():
+            q = b / xi
+            if q:
+                m = round((math.log(abs(q.numerator)) - math.log(q.denominator))
+                          / math.log(abs(a)))
+                if -J <= m < Jout and a ** m == q:
+                    total += delta
+        return total
 
 
 def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
@@ -134,10 +192,12 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
                              {"residue": cell[0], "multiplicity": cell[2]}))
 
     square_sum = _square_sum(family.psis)
+    telescopes = False
 
     if mode == "exact":
         gain = family.gain()
-        if square_sum == gain:
+        telescopes = square_sum == gain
+        if telescopes:
             report.add(Check("scale_sum_telescopes", "pass", detail=(
                 "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
                 "piecewise-linear identity")))
@@ -166,6 +226,8 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
     lo, hi = psi_gen.support_hull()
     radius = max(abs(lo), abs(hi), Fraction(1))
 
+    if telescopes:
+        scale_sum = _TelescopedScaleSum(family.sigma, a)
     worst_tail = Fraction(0)
     failures = checked = 0
     for xi in grid:
@@ -174,17 +236,17 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
             continue
         checked += 1
         # inward depth J: a^{-J-1}|xi| inside the 0-clearance and tail small
-        J = 0
-        while abs(xi) > clearance * abs(a) ** (J + 1) or \
-                (slope and slope * abs(xi) > TAIL_TARGET * abs(a) ** (J + 1)):
-            J += 1
-        Jout = 0
-        while abs(xi) * abs(a) ** Jout <= radius:
-            Jout += 1
-        partial = Fraction(0)
-        for j in range(-J, Jout + 1):
-            x = xi * Fraction(a) ** j
-            partial += square_sum.eval(x)
+        depth = abs(xi) / clearance
+        if slope:
+            depth = max(depth, slope * abs(xi) / TAIL_TARGET)
+        J = max(_first_power(abs(a), depth) - 1, 0)
+        Jout = _exit_index(xi, a, radius)
+        if telescopes:
+            partial = scale_sum.partial(xi, J, Jout)
+        else:
+            partial = Fraction(0)
+            for j in range(-J, Jout + 1):
+                partial += square_sum.eval(xi * Fraction(a) ** j)
         if mode == "exact":
             tail = slope * abs(xi) / abs(a) ** (J + 1)
         else:
@@ -210,6 +272,28 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
 
 
 # -- wavelet-from-scaling equations -------------------------------------------
+
+
+def _split_residuals(phis: Seq[SqrtProfile], psis: Seq[SqrtProfile], a: int,
+                     xi: Fraction) -> Dict[int, SqrtSum]:
+    """s -> [a | s] sum_phi phi_hat(xi/a) phi_hat((xi+2s)/a)
+             - sum_phi phi_hat(xi) phi_hat(xi+2s) - sum_psi psi_hat(xi) psi_hat(xi+2s)
+    for the shifts s != 0 that carry a nonzero product; every other shift
+    has residual 0.  Built from the fibers at xi and xi/a: the product for
+    shift k pairs entry 0 with entry k, and each entry's root is taken once."""
+    out: Dict[int, SqrtSum] = {}
+    for profiles, x, sign, step in ((phis, xi / a, 1, a), (phis, xi, -1, 1),
+                                    (psis, xi, -1, 1)):
+        for p in profiles:
+            fib = fiber(p, x)
+            if 0 not in fib or len(fib) == 1:
+                continue
+            root0 = SqrtSum.sqrt_of(fib[0]).scale(sign)
+            for k, r in fib.items():
+                if k:
+                    s = k * step
+                    out[s] = out.get(s, SqrtSum.zero()) + root0 * SqrtSum.sqrt_of(r)
+    return out
 
 
 def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
@@ -246,22 +330,17 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
         grid = family_grid(phi_fam.generator_set(), psi_fam.generator_set())
     grid = [as_fraction(x) for x in grid]
 
+    residuals = [_split_residuals(phis, psis, a, xi) for xi in grid]
     recorded = len(report.checks)
     bad = 0
     for s in range(-s_window, s_window + 1):
         if s == 0:
             continue
-        lattice = (s % a == 0)
-        for xi in grid:
-            rhs = _pair_sum(psis, xi, xi + 2 * s)
-            if lattice:
-                val = _pair_sum(phis, xi / Fraction(a), (xi + 2 * s) / Fraction(a)) \
-                    - _pair_sum(phis, xi, xi + 2 * s) - rhs
-                name = f"lattice_shift_split[s={s}]"
-            else:
-                val = -(_pair_sum(phis, xi, xi + 2 * s)) - rhs
-                name = f"off_lattice_split[s={s}]"
-            if not val.is_zero():
+        name = (f"lattice_shift_split[s={s}]" if s % a == 0
+                else f"off_lattice_split[s={s}]")
+        for xi, by_shift in zip(grid, residuals):
+            val = by_shift.get(s)
+            if val is not None and not val.is_zero():
                 check = _verdict_check(name, val, xi, {"s": s})
                 report.add(check)
                 if check.status == "fail":
@@ -305,8 +384,7 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
         a = abs(phi_fam.dilation)
         lo, hi = phi_fam.generator_set().support_hull()
         radius = max(abs(lo), abs(hi), Fraction(1))
-        exits = [next(j for j in count() if abs(xi) * a ** j > radius)
-                 for xi in grid if xi != 0]
+        exits = [_exit_index(xi, a, radius) for xi in grid if xi != 0]
         outward = Check("outward_decay", "pass", detail=(
             f"scaling square sum is identically 0 beyond the support hull; exit "
             f"index <= {max(exits, default=0)} on the grid (0 itself is the "
@@ -362,6 +440,11 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
         "one-sided limits at 0 both equal 1 (exact)")))
     if grid is None:
         grid = family_grid(phi_fam.generator_set())
+    # inside (-clearance, clearance) phi_sq is 1 + alpha x on each side, so
+    # the differences along an orbit there shrink by 1/a per step at a > 0
+    # and by 1/a^2 per two steps at a < 0: their signs repeat with period 2.
+    # Two steps past the entry into that region show every sign to come.
+    clearance = nbhd[2]
     violations = walked = 0
     for xi in grid:
         xi = as_fraction(xi)
@@ -369,8 +452,14 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
             continue
         walked += 1
         prev = None
+        stop = 64
         for j in range(64):
-            val = phi_sq.eval(xi / Fraction(a) ** j)
+            x = xi / Fraction(a) ** j
+            if stop == 64 and abs(x) < clearance:
+                stop = j + 2
+            if j > stop:
+                break
+            val = phi_sq.eval(x)
             if prev is not None and val < prev:
                 report.add(Check("orbit_monotone", "fail",
                                  {"xi": xi, "j": j, "value": val,

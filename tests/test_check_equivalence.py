@@ -1,0 +1,291 @@
+"""The grid checks against the direct evaluations they replace.
+
+`check_split` reads every shift from the fibers of a grid point,
+`norm_sum` telescopes the scale sum to its end terms, and `orbit_monotone`
+stops two steps after the orbit enters the lines through (0, 1).  Each test
+here runs the plain per-shift, per-scale or 64-step loop next to the checker
+and asks for the same report, witness for witness.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import framesmith.frametest as frametest
+from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
+                                     build_family, example_by_name,
+                                     random_admissible_spec)
+from framesmith.frametest import TestSignal, frame_energy, per_scale_energy_exact
+from framesmith.intervals import IntervalSet
+from framesmith.piecewise import PiecewiseLinear, SqrtProfile, _square_sum
+from framesmith.rationals import as_fraction
+from framesmith.trace import fiber, pair_sum
+from framesmith.verification import (Check, VerificationReport, _EMPTY_GRID,
+                                     _TelescopedScaleSum, _verdict_check,
+                                     check_density, check_ntf_multiwavelet,
+                                     check_split, family_grid)
+
+EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+DILATIONS = (2, 3, -2, -3, 4)
+
+
+def _families():
+    out = {}
+    for name in EXAMPLES:
+        for a in DILATIONS:
+            try:
+                out[f"{name}@{a}"] = build_family(
+                    SpectralSpec(example_by_name(name).sigma, a))
+            except ValueError:  # journe is not admissible at |a| = 3
+                pass
+    for seed in range(4):
+        for a in (2, 3):
+            spec = random_admissible_spec(random.Random(7000 + 10 * seed + a), a)
+            out[f"random{seed}@{a}"] = build_family(spec)
+    return out
+
+
+FAMILIES = _families()
+
+
+def reference_shifted_splits(phi_fam, psi_fam, grid):
+    """The shift-by-shift loop over pair_sum: the report rows after the
+    s = 0 and s-window rows of check_split."""
+    a = psi_fam.dilation
+    phis = phi_fam.generator_set().profiles
+    psis = psi_fam.generator_set().profiles
+    lo1, hi1 = phi_fam.generator_set().support_hull()
+    lo2, hi2 = psi_fam.generator_set().support_hull()
+    radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or F(1)
+    s_window = int(radius) * abs(a) + 1
+    rows = []
+    bad = 0
+    for s in range(-s_window, s_window + 1):
+        if s == 0:
+            continue
+        for xi in grid:
+            rhs = pair_sum(psis, xi, xi + 2 * s)
+            if s % a == 0:
+                val = pair_sum(phis, xi / F(a), (xi + 2 * s) / F(a)) \
+                    - pair_sum(phis, xi, xi + 2 * s) - rhs
+                name = f"lattice_shift_split[s={s}]"
+            else:
+                val = -(pair_sum(phis, xi, xi + 2 * s)) - rhs
+                name = f"off_lattice_split[s={s}]"
+            if not val.is_zero():
+                check = _verdict_check(name, val, xi, {"s": s})
+                rows.append(check)
+                bad += check.status == "fail"
+                if bad >= 5:
+                    return rows
+    if rows:
+        return rows
+    if any(grid):
+        return [Check("shifted_splits", "pass", detail=(
+            f"all shifts 0 < |s| <= {s_window} verified over {len(grid)} grid points"))]
+    return [Check("shifted_splits", "uncertain", detail=_EMPTY_GRID)]
+
+
+def assert_split_matches_reference(phi_fam, psi_fam, grid):
+    report = check_split(phi_fam, psi_fam, grid)
+    expected = VerificationReport(report.checks[:2] + reference_shifted_splits(
+        phi_fam, psi_fam, grid))
+    assert report.to_jsonable() == expected.to_jsonable()
+    return report
+
+
+class TestSplitFromFibers:
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_matches_pair_sum_loop(self, key):
+        scaling, wavelets = FAMILIES[key]
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        assert_split_matches_reference(scaling, wavelets, grid)
+
+    @pytest.mark.parametrize("a", [2, -3])
+    def test_cutoff_at_five_fails(self, a):
+        # a wavelet on [1, 4) repeats residues: every point near 1 fails
+        scaling, wavelets = FAMILIES[f"shannon@{a}"]
+        layer = IntervalSet.of((1, 4))
+        bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
+                              wavelets.sigma, a)
+        grid = family_grid(scaling.generator_set(), bogus.generator_set())
+        report = assert_split_matches_reference(scaling, bogus, grid)
+        assert sum(c.status == "fail" for c in report.checks[2:]) == 5
+
+    def test_irrational_residuals(self):
+        # doubling one wavelet square leaves sqrt(2) multiples in every pair
+        scaling, wavelets = FAMILIES["pwl:a=3/4,b=5/4@2"]
+        psis = (wavelets.psis[0].scale_amplitude_sq(2),) + wavelets.psis[1:]
+        bogus = WaveletFamily(psis, wavelets.partition, wavelets.sigma, 2)
+        grid = family_grid(scaling.generator_set(), bogus.generator_set())
+        report = assert_split_matches_reference(scaling, bogus, grid)
+        assert report.status == "fail"
+
+
+    @pytest.mark.parametrize("a", [2, 3, -2])
+    def test_products_from_several_profiles_add_up(self, a):
+        # two wavelets that repeat residues: each shift sums both products,
+        # and the second is a sqrt(linear) profile with irrational roots
+        scaling, wavelets = FAMILIES[f"shannon@{a}"]
+        layer = IntervalSet.of((F(1, 3), 4))
+        ramp = PiecewiseLinear.of((F(1, 3), 4, F(1, 5), F(1, 7)))
+        psis = (SqrtProfile.indicator(layer), SqrtProfile.from_square(ramp))
+        bogus = WaveletFamily(psis, (layer, layer), wavelets.sigma, a)
+        grid = [F(2, 5), F(-3, 7), F(11, 9), F(1, 2)]
+        report = assert_split_matches_reference(scaling, bogus, grid)
+        assert report.status == "fail"
+
+    @pytest.mark.parametrize("a", [2, 3, -2])
+    def test_coarse_products_on_lattice_shifts(self, a):
+        # scaling profiles that repeat residues: the lattice shifts s = a*k
+        # pair phi_hat(xi/a) with phi_hat(xi/a + 2k)
+        scaling, wavelets = FAMILIES[f"shannon@{a}"]
+        ramp = PiecewiseLinear.of((F(-1, 2), 3, F(1, 6), F(1, 2)))
+        phis = {0: SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))),
+                1: SqrtProfile.from_square(ramp)}
+        bogus = ScalingFamily(phis, _square_sum(phis.values()), a)
+        grid = [F(1, 2), F(-1, 3), F(3, 4), F(7, 5)]
+        report = assert_split_matches_reference(bogus, wavelets, grid)
+        assert any(c.name.startswith("lattice_shift_split") for c in report.checks)
+
+    @pytest.mark.parametrize("key", ["pwl:a=3/4,b=5/4@-3", "random1@3"])
+    def test_fiber_entries_are_profile_values(self, key):
+        scaling, wavelets = FAMILIES[key]
+        for p in scaling.generator_set().profiles + wavelets.generator_set().profiles:
+            lo, hi = p.support().hull()
+            for xi in (F(1, 3), F(-5, 7), F(9, 4)):
+                ks = range(int((lo - xi) / 2) - 1, int((hi - xi) / 2) + 2)
+                expected = {k: p.value_sq(xi + 2 * k) for k in ks
+                            if p.value_sq(xi + 2 * k)}
+                assert fiber(p, xi) == expected
+
+
+def loop_partial(family, xi, J, Jout):
+    square_sum = _square_sum(family.psis)
+    return sum((square_sum.eval(xi * F(family.dilation) ** j)
+                for j in range(-J, Jout + 1)), F(0))
+
+
+class TestTelescopedNormSum:
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_partial_equals_scale_loop(self, key):
+        wavelets = FAMILIES[key][1]
+        a = wavelets.dilation
+        assert _square_sum(wavelets.psis) == wavelets.gain()
+        sums = _TelescopedScaleSum(wavelets.sigma, a)
+        rng = random.Random(key)
+        points = family_grid(wavelets.generator_set())[::7]
+        # orbits through every breakpoint of sigma, jumps included
+        points += [b * F(a) ** m for b in wavelets.sigma.breakpoints() if b
+                   for m in (-3, -1, 0, 1, 2)]
+        for xi in points:
+            J, Jout = rng.randint(0, 12), rng.randint(0, 4)
+            assert sums.partial(xi, J, Jout) == loop_partial(wavelets, xi, J, Jout)
+
+    def test_negative_dilation_jump_keeps_loop_bytes(self):
+        # -1/2 * (-2)^j hits the jumps of sigma = chi_[-1,1) at -1 and 1
+        wavelets = FAMILIES["shannon@-2"][1]
+        xi = F(-1, 2)
+        J, Jout = 0, 3  # the depths norm_sum picks at this point
+        assert loop_partial(wavelets, xi, J, Jout) == 2
+        assert _TelescopedScaleSum(wavelets.sigma, -2).partial(xi, J, Jout) == 2
+        report = check_ntf_multiwavelet(wavelets, grid=[xi])
+        assert report.checks[-1].to_jsonable() == {
+            "name": "norm_sum", "status": "fail",
+            "witness": {"xi": "-1/2", "partial_sum": "2", "allowed_tail": "0"}}
+
+    def test_untelescoped_family_still_loops(self):
+        # a corrupted square sum no longer equals the gain
+        wavelets = FAMILIES["pwl:a=1/2,b=1/2@2"][1]
+        psis = (wavelets.psis[0].scale_amplitude_sq(F(9, 4)),) + wavelets.psis[1:]
+        bogus = WaveletFamily(psis, wavelets.partition, wavelets.sigma, 2)
+        report = check_ntf_multiwavelet(bogus)
+        names = [(c.name, c.status) for c in report.checks]
+        assert ("scale_sum_telescopes", "fail") in names
+        assert ("norm_sum", "fail") in names
+
+
+def full_walk(phi_sq, a, xi):
+    """The 64-step orbit walk: the first (j, value, previous) with a
+    decrease, or None."""
+    prev = None
+    for j in range(64):
+        val = phi_sq.eval(xi / F(a) ** j)
+        if prev is not None and val < prev:
+            return (j, val, prev)
+        if val == 1 and prev == 1:
+            return None
+        prev = val
+    return None
+
+
+def orbit_witnesses(report):
+    return [(int(c.witness["j"]), as_fraction(c.witness["value"]),
+             as_fraction(c.witness["previous"]))
+            for c in report.checks if c.name == "orbit_monotone" and c.witness]
+
+
+def _single_window(square: PiecewiseLinear, a: int) -> ScalingFamily:
+    return ScalingFamily({0: SqrtProfile.from_square(square)}, square, a)
+
+
+class TestShortOrbitWalk:
+    @pytest.mark.parametrize("a", [2, -3])
+    def test_planted_deep_decrease(self, a):
+        # 1 - |x|/2 on [-1, 1) with a dip to 1/4 on [d, 3d), d = 3^-20
+        d = F(1, 3 ** 20)
+        line_r, line_l = (F(-1, 2), F(1)), (F(1, 2), F(1))
+        square = PiecewiseLinear.of((-1, 0, *line_l), (0, d, *line_r),
+                                    (d, 3 * d, 0, F(1, 4)), (3 * d, 1, *line_r))
+        fam = _single_window(square, a)
+        grid = [F(3, 4), F(-2, 3), F(1, 5), F(-7, 9), F(5, 7)]
+        expected = [w for w in (full_walk(square, a, xi) for xi in grid) if w]
+        assert expected, "the dip must be reached by some orbit"
+        assert max(j for j, _, _ in expected) > 12
+        assert orbit_witnesses(check_density(fam, grid))[:3] == expected[:3]
+
+    def test_second_step_after_entry_decides(self):
+        # a = -3: 1 - x on [0, 1), 1 on [-1, 0); the orbit of 1/2 rises on
+        # its first step inside and falls on its second
+        square = PiecewiseLinear.of((-1, 0, 0, 1), (0, 1, -1, 1))
+        fam = _single_window(square, -3)
+        xi = F(1, 2)
+        assert full_walk(square, -3, xi) == (2, F(17, 18), F(1))
+        assert orbit_witnesses(check_density(fam, [xi])) == [(2, F(17, 18), F(1))]
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_builtins_match_full_walk(self, key):
+        scaling = FAMILIES[key][0]
+        phi_sq = _square_sum(scaling.phis.values())
+        grid = family_grid(scaling.generator_set())
+        expected = [w for w in (full_walk(phi_sq, scaling.dilation, xi)
+                                for xi in grid) if w]
+        report = check_density(scaling, grid)
+        assert report.checks[0].status == "pass"  # inward_limit_one
+        assert orbit_witnesses(report) == expected[:3]
+
+
+def test_frame_tail_skips_only_zero_scales(monkeypatch):
+    """The out-of-range scales that frame_energy leaves out carry exactly 0
+    energy, so the tail estimate is the full 80-scale sum."""
+    wavelets = FAMILIES["shannon@2"][1]
+    f = TestSignal.tent(-1, 1)
+    tail_js = list(range(-8 - 40, -8)) + list(range(9, 49))
+    skipped = [(j, psi) for j in tail_js for psi in wavelets.psis
+               if not frametest._meets(f, psi, 2, j)]
+    assert len(skipped) == 40  # every scale above the range
+    assert all(per_scale_energy_exact(f, psi, 2, j) == 0 for j, psi in skipped)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return per_scale_energy_exact(*args)
+
+    monkeypatch.setattr(frametest, "per_scale_energy_exact", counted)
+    report = frame_energy(f, wavelets, j_min=-8, j_max=8)
+    assert len(calls) == len(tail_js) * len(wavelets.psis) - len(skipped)
+    full = sum(float(per_scale_energy_exact(f, psi, 2, j))
+               for j in tail_js for psi in wavelets.psis)
+    k_tails = sum(s.k_tail for s in report.scales)
+    assert report.tail_estimate == pytest.approx(full + k_tails, rel=1e-12, abs=0)
