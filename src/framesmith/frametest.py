@@ -3,9 +3,29 @@
 Coefficients <f, D^j T_k psi> are computed in the Fourier domain:
     (1/2) |a|^{-j/2} int f_hat(u) psi_hat(a^{-j} u) e^{i pi k a^{-j} u} du
 (pi units: the real frequency is u*pi, which contributes the 1/2 and puts pi
-into the phase).  The k-sweep per scale is vectorized through the quadrature
-engine; truncation is justified by explicit numeric tail sums plus the exact
-per-scale energy integral used as the out-of-range estimate.
+into the phase).  The k sweep per scale runs in blocks of consecutive k, each
+passed to one QuadPlan.integrate call as a FreqRun, whose phases come from
+angle addition (see quadrature).  The sweep of a scale stops where the block
+energy and its extrapolated remainder fall below the target.
+
+The scales outside the j range enter the verdict through their exact
+energies E_j = sum_k |<f, D^j T_k psi>|^2 = (1/2) int f_hat(u)^2 S(u/t) du,
+S = |psi_hat|^2, t = a^j (per_scale_energy_exact).  Scales whose dilated
+support misses f_hat add exactly 0 and are skipped.  Deep scales take a
+closed form, with the half-line moments M_m^rho = int_{rho v > 0} v^m S(v) dv
+and F_m^rho = int_{rho u > 0} u^m f_hat(u)^2 du computed once per (f, psi):
+
+* inward, once |t| * max|supp S| is at most the distance from 0 to the
+  nearest nonzero breakpoint of f_hat, f_hat is a line alpha_s u + beta_s on
+  each side s of 0 over the support of S(./t), and
+  E_j = (1/2) |t| sum_rho (beta^2 M_0 + 2 alpha beta t M_1 + alpha^2 t^2 M_2)
+  with the line of side s = sign(t) * rho and the moments of side rho;
+* outward, once max|supp f_hat| / |t| is at most the distance from 0 to the
+  nearest nonzero breakpoint of S, S is a line gamma_s v + eta_s there, and
+  E_j = (1/2) sum_rho (eta F_0 + (gamma / t) F_1), again with s = sign(t) rho.
+
+Both give the same exact Fraction as the integral; the scales between the
+two windows are integrated.
 """
 
 from __future__ import annotations
@@ -20,8 +40,9 @@ import numpy as np
 
 from .construction import WaveletFamily
 from .intervals import IntervalSet
-from .piecewise import PiecewiseLinear, SqrtProfile, integrate_product
-from .quadrature import Factor, QuadPlan, oscillatory_integrals
+from .piecewise import (PiecewiseLinear, SqrtProfile, _linear_product,
+                        integrate_product)
+from .quadrature import Factor, FreqRun, QuadPlan, oscillatory_integrals
 from .rationals import as_fraction, format_ratio
 
 _SIGNAL_RE = re.compile(r"^(tent|chi):\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\)$")
@@ -115,6 +136,85 @@ def per_scale_energy_exact(f: TestSignal, psi: SqrtProfile, a: int, j: int
     return integrate_product([f.hat, f.hat, _scaled_square(psi, a, j)]) / 2
 
 
+def _reach(g: PiecewiseLinear) -> Fraction:
+    """max |x| over the support of g."""
+    return max(abs(x) for x in g.breakpoints())
+
+
+def _lines_at_zero(g: PiecewiseLinear
+                   ) -> Tuple[Fraction, Dict[int, Tuple[Fraction, Fraction]]]:
+    """(clearance, lines): g(x) = alpha x + beta with (alpha, beta) =
+    lines[s] for 0 < s x < clearance, the distance from 0 to the nearest
+    nonzero breakpoint of g."""
+    clear = min(abs(x) for x in g.breakpoints() if x)
+    lines = {}
+    for side in (1, -1):
+        piece = g._piece_at(side * clear / 2)
+        lines[side] = (piece[2], piece[3]) if piece else (Fraction(0), Fraction(0))
+    return clear, lines
+
+
+def _half_line_moments(factors: List[PiecewiseLinear], degree: int
+                       ) -> Dict[int, List[Fraction]]:
+    """{rho: [int_{rho x > 0} x^m prod(factors) dx for m = 0..degree]}, exact."""
+    reach = _reach(factors[0])
+    out = {}
+    for rho in (1, -1):
+        lo, hi = sorted((0, rho * reach))
+        one, x = PiecewiseLinear.of((lo, hi, 0, 1)), PiecewiseLinear.of((lo, hi, 1, 0))
+        out[rho] = [integrate_product(factors + [one] + [x] * m)
+                    for m in range(degree + 1)]
+    return out
+
+
+class _DeepScales:
+    """per_scale_energy_exact, E_j = (1/2) int f_hat(u)^2 S(u/t) du with
+    S = |psi_hat|^2 and t = a^j, in closed form at the scales where one
+    factor is a line on each side of 0 over the support of the other; None
+    at the scales between (see the module docstring)."""
+
+    def __init__(self, f: TestSignal, psi: SqrtProfile, a: int):
+        self.a = a
+        self.f_hat, self.square = f.hat, psi.square
+        self.f_clear, self.f_lines = _lines_at_zero(f.hat)
+        self.s_clear, self.s_lines = _lines_at_zero(psi.square)
+        self.f_reach, self.s_reach = _reach(f.hat), _reach(psi.square)
+        self._polys: Dict[bool, Dict[int, List[Fraction]]] = {}
+
+    def energy(self, j: int) -> Fraction | None:
+        t = Fraction(self.a) ** j
+        sign = 1 if t > 0 else -1
+        if abs(t) * self.s_reach <= self.f_clear:
+            c0, c1, c2 = self._poly(True, sign)
+            return abs(t) * (c0 + t * (c1 + t * c2)) / 2
+        if self.f_reach <= abs(t) * self.s_clear:
+            c0, c1 = self._poly(False, sign)
+            return (c0 + c1 / t) / 2
+        return None
+
+    def _poly(self, inward: bool, sign: int) -> List[Fraction]:
+        """Coefficients of 2 E_j / |t| in powers of t (inward: the lines of
+        f_hat, squared, against the moments of S) or of 2 E_j in powers of
+        1/t (outward: the lines of S against the moments of f_hat^2) for t of
+        the given sign; the line on the side sign * rho meets the moments on
+        the side rho."""
+        if inward not in self._polys:
+            if inward:
+                degree, lines, factors = 2, self.f_lines, [self.square]
+            else:
+                degree, lines, factors = 1, self.s_lines, [self.f_hat, self.f_hat]
+            moments = _half_line_moments(factors, degree)
+            self._polys[inward] = {}
+            for side in (1, -1):
+                total = [Fraction(0)] * (degree + 1)
+                for rho, rho_moments in moments.items():
+                    poly = _linear_product([lines[side * rho]] * degree)
+                    for m in range(degree + 1):
+                        total[m] += poly[m] * rho_moments[m]
+                self._polys[inward][side] = total
+        return self._polys[inward][sign]
+
+
 @dataclass
 class ScaleEnergy:
     j: int
@@ -159,8 +259,10 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     conservative extrapolated remainder drop below the target fraction of
     ||f||^2; the remainder and the exact per-scale energies outside the j
     range are reported as tail_estimate.  Exhausting k_budget first marks the
-    report inconclusive.
+    report inconclusive.  An empty range (j_min > j_max) raises ValueError.
     """
+    if j_min > j_max:
+        raise ValueError(f"empty scale range {j_min}..{j_max} (j_min > j_max)")
     norm2 = f.norm2()
     if norm2 == 0:
         raise ValueError("zero test signal")
@@ -182,7 +284,7 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
         block = _K_BLOCK
         while True:
             ks = np.arange(k_hi + 1, k_hi + 1 + block)
-            vals = amplitude * plan.integrate(ks * freq_unit)
+            vals = amplitude * plan.integrate(FreqRun(k_hi + 1, block, freq_unit))
             # real factors: coeff(-k) = conj(coeff(k)), so fold negative k in
             weights = np.where(ks == 0, 1.0, 2.0)
             block_energy = float(np.sum(weights * np.abs(vals) ** 2))
@@ -207,10 +309,16 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     report.scales.extend(scales[j] for j in range(j_min, j_max + 1))
     # exact per-scale energies outside the computed j range (tail estimate);
     # a scale whose dilated support misses f_hat adds exactly 0
+    deep: Dict[int, _DeepScales] = {}   # built for the psi that meet f_hat
     for j in list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41)):
-        for psi in family.psis:
+        for i, psi in enumerate(family.psis):
             if _meets(f, psi, a, j):
-                report.tail_estimate += float(per_scale_energy_exact(f, psi, a, j))
+                if i not in deep:
+                    deep[i] = _DeepScales(f, psi, a)
+                energy = deep[i].energy(j)
+                if energy is None:
+                    energy = per_scale_energy_exact(f, psi, a, j)
+                report.tail_estimate += float(energy)
     report.ratio = total / norm2f
     return report
 

@@ -25,6 +25,14 @@ of Iserles & Norsett (Proc. R. Soc. A 2005): the work per cell does not grow
 with the frequency, so a sweep over K frequencies costs O(cells * K), and a
 plan serves every frequency.
 
+The moments need the end phases e^{i c x} at each cell end x.  Cells that
+share an end share its phases.  Scattered frequencies (an array) take one
+exponential per frequency and end.  A k-sweep block is passed as a FreqRun,
+the frequencies (k0 + m) * unit for m < n; with m = 64 q + r its phase is
+e^{i k0 unit x} * e^{i 64 q unit x} * e^{i r unit x} (angle addition), so a
+block costs about n / 64 + 64 exponentials per end instead of n.  Both forms
+round the argument k * unit * x, so they agree to a few ulps of it.
+
 Only a cell with two varying roots -- reached by the single-frequency
 semi-orthogonality witness -- falls back to Gauss-Legendre panels, graded
 geometrically toward a vanishing radicand (the O(h^{3/2}) convergence of
@@ -34,6 +42,7 @@ in length against the largest frequency the plan was built for.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +60,7 @@ _GRADE_DEPTH = 30           # sqrt-endpoint geometric grading levels
 _SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
 _FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
 _FRESNEL_INF = math.sqrt(math.pi / 2) * (1 + 1j)   # int_0^inf t^{-1/2} e^{it} dt
+_RUN_STRIDE = 64            # fine-table length of the angle-addition phases
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,32 @@ def _moments(nu: float, degree: int, s0: float, s1: float, length: float,
     return out
 
 
+@dataclass(frozen=True)
+class FreqRun:
+    """The frequencies (k0 + m) * unit, m = 0..n-1: one block of a k sweep."""
+
+    k0: int
+    n: int
+    unit: float
+
+    def __len__(self) -> int:
+        return self.n
+
+    def freqs(self) -> np.ndarray:
+        return np.arange(self.k0, self.k0 + self.n) * self.unit
+
+    def phases(self, x: float) -> np.ndarray:
+        """e^{i f x} for every frequency f of the run, by angle addition:
+        with m = _RUN_STRIDE * q + r the phase is e^{i k0 unit x} times
+        e^{i _RUN_STRIDE q unit x} times e^{i r unit x}, so one run costs
+        n / _RUN_STRIDE + _RUN_STRIDE + 1 exponentials instead of n."""
+        coarse = np.exp(1j * (np.arange(-(-self.n // _RUN_STRIDE))
+                              * (_RUN_STRIDE * self.unit)) * x)
+        fine = np.exp(1j * (np.arange(_RUN_STRIDE) * self.unit) * x)
+        coarse *= cmath.exp(1j * (self.k0 * self.unit) * x)
+        return np.outer(coarse, fine).ravel()[:self.n]
+
+
 class _Cell(NamedTuple):
     """A closed-form cell: scale * sum_m coeffs[m] * e^{i c u0} *
     J_{m+nu}(sign * c) over [s0, s1], where u0 = ends[k] - sign * s_k is the
@@ -219,11 +255,12 @@ class _Cell(NamedTuple):
     scale: float
     coeffs: np.ndarray
 
-    def integrate(self, freqs: np.ndarray) -> np.ndarray:
+    def integrate(self, freqs: np.ndarray, e0: np.ndarray, e1: np.ndarray
+                  ) -> np.ndarray:
+        """The cell integral at each frequency, given the end phases
+        e_k = e^{i freqs ends[k]}."""
         mom = _moments(self.nu, len(self.coeffs) - 1, self.s0, self.s1,
-                       self.length, self.sign * freqs,
-                       np.exp(1j * freqs * self.ends[0]),
-                       np.exp(1j * freqs * self.ends[1]))
+                       self.length, self.sign * freqs, e0, e1)
         return self.scale * (self.coeffs @ mom)
 
 
@@ -337,11 +374,22 @@ class QuadPlan:
         self.nodes = np.concatenate(nodes_parts) if nodes_parts else np.empty(0)
         self.wb = np.concatenate(wb_parts) if wb_parts else np.empty(0)
 
-    def integrate(self, freqs: np.ndarray) -> np.ndarray:
-        freqs = np.asarray(freqs, dtype=float)
+    def integrate(self, freqs) -> np.ndarray:
+        """The integral at each frequency of freqs, an array or a FreqRun.
+        Cells that share an end share its phases."""
+        if isinstance(freqs, FreqRun):
+            phases, freqs = freqs.phases, freqs.freqs()
+        else:
+            freqs = np.asarray(freqs, dtype=float)
+
+            def phases(x):
+                return np.exp(1j * freqs * x)
         out = np.zeros(len(freqs), dtype=complex)
+        known: dict = {}
         for cell in self.closed:
-            out += cell.integrate(freqs)
+            e0, e1 = (known[x] if x in known else phases(x) for x in cell.ends)
+            known = dict(zip(cell.ends, (e0, e1)))
+            out += cell.integrate(freqs, e0, e1)
         if len(self.nodes) and len(freqs):
             if np.max(np.abs(freqs)) > self.c_max:
                 raise ValueError(f"frequency beyond the plan's c_max {self.c_max}")

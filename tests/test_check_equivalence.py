@@ -268,7 +268,8 @@ class TestShortOrbitWalk:
 
 def test_frame_tail_skips_only_zero_scales(monkeypatch):
     """The out-of-range scales that frame_energy leaves out carry exactly 0
-    energy, so the tail estimate is the full 80-scale sum."""
+    energy, so the tail estimate is the full 80-scale sum.  Every other tail
+    scale gets its energy once, in closed form or by integration."""
     wavelets = FAMILIES["shannon@2"][1]
     f = TestSignal.tent(-1, 1)
     tail_js = list(range(-8 - 40, -8)) + list(range(9, 49))
@@ -276,15 +277,23 @@ def test_frame_tail_skips_only_zero_scales(monkeypatch):
                if not frametest._meets(f, psi, 2, j)]
     assert len(skipped) == 40  # every scale above the range
     assert all(per_scale_energy_exact(f, psi, 2, j) == 0 for j, psi in skipped)
-    calls = []
+    reached = []  # scales given an energy, in closed form or by integration
+    closed_form = frametest._DeepScales.energy
+
+    def counted_closed(self, j):
+        energy = closed_form(self, j)
+        if energy is not None:
+            reached.append(j)
+        return energy
 
     def counted(*args):
-        calls.append(args[3])
+        reached.append(args[3])
         return per_scale_energy_exact(*args)
 
+    monkeypatch.setattr(frametest._DeepScales, "energy", counted_closed)
     monkeypatch.setattr(frametest, "per_scale_energy_exact", counted)
     report = frame_energy(f, wavelets, j_min=-8, j_max=8)
-    assert len(calls) == len(tail_js) * len(wavelets.psis) - len(skipped)
+    assert len(reached) == len(tail_js) * len(wavelets.psis) - len(skipped)
     full = sum(float(per_scale_energy_exact(f, psi, 2, j))
                for j in tail_js for psi in wavelets.psis)
     k_tails = sum(s.k_tail for s in report.scales)

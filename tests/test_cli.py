@@ -175,6 +175,17 @@ class TestExitCodes:
             digest_of({"t": 1}))))
         assert run("frame-test", "--family", out, "--jmin", -4, "--jmax", 4) == 1
 
+    @pytest.mark.parametrize("jmax", [-1, -2])
+    def test_frame_test_inverted_range_is_two(self, tmp_path, capsys, jmax):
+        # -1 would sweep nothing; -2 would count scale -1 twice in the tail
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", "shannon", "--a", 4, "--out", fam) == 0
+        capsys.readouterr()
+        assert run("frame-test", "--family", fam, "--signal", "tent:[-1,1)",
+                   "--jmin", 0, "--jmax", jmax, "--out", energy) == 2
+        assert f"empty scale range 0..{jmax}" in capsys.readouterr().err
+        assert not energy.exists()
+
     def test_waveletset_classify(self, tmp_path):
         seeds = tmp_path / "seed.json"
         seeds.write_text(dumps_canonical(

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from framesmith.construction import WaveletFamily, build_family, example_pwl, \
-    example_shannon
-from framesmith.frametest import (TestSignal, coefficient,
+from framesmith.construction import SpectralSpec, WaveletFamily, build_family, \
+    example_by_name, example_pwl, example_shannon
+from framesmith.frametest import (TestSignal, _DeepScales, coefficient,
                                   coefficients_for_scale, frame_energy,
                                   per_scale_energy_exact, cross_inner_product)
+from framesmith.piecewise import PiecewiseLinear, SqrtProfile
 from framesmith.quadrature import Factor, riemann_oracle
 
 
@@ -121,6 +122,21 @@ class TestFrameEnergy:
         assert wide.ratio >= narrow.ratio - 1e-12
         assert all(s.computed >= 0 for s in wide.scales)
 
+    @pytest.mark.parametrize("j_max", [-1, -2])
+    def test_inverted_scale_range_rejected(self, shannon, j_max):
+        with pytest.raises(ValueError, match=f"empty scale range 0..{j_max}"):
+            frame_energy(TestSignal.tent(-1, 1), shannon[1], j_min=0, j_max=j_max)
+
+    def test_zero_wavelet_adds_nothing(self, shannon):
+        wavelets = shannon[1]
+        padded = WaveletFamily(
+            wavelets.psis + (SqrtProfile.from_square(PiecewiseLinear.zero()),),
+            wavelets.partition, wavelets.sigma, wavelets.dilation)
+        tent = TestSignal.tent(-1, 1)
+        plain = frame_energy(tent, wavelets, j_min=-2, j_max=2)
+        rep = frame_energy(tent, padded, j_min=-2, j_max=2)
+        assert (rep.ratio, rep.tail_estimate) == (plain.ratio, plain.tail_estimate)
+
     def test_budget_exhaustion_is_inconclusive(self, shannon):
         f = TestSignal.indicator(1, 2)
         rep = frame_energy(f, shannon[1], j_min=0, j_max=0,
@@ -159,6 +175,39 @@ class TestFrameEnergy:
         a_rep = frame_energy(tent, worked_half[1], j_min=-9, j_max=5)
         b_rep = frame_energy(squeezed, worked_half[1], j_min=-10, j_max=4)
         assert abs(a_rep.ratio - b_rep.ratio) < 2e-4
+
+
+DEEP_SIGNALS = ("tent:[-1,1)", "chi:[0,1)", "chi:[-1/2,3/2)", "tent:[-1/3,5/7)",
+                "tent:[1,2)", "chi:[-3,-1/5)", "tent:[-5/4,0)")
+# every scale up to 10 from 0 (both window edges), then two deep ones per side
+DEEP_JS = list(range(-10, 11)) + [-48, -47, 47, 48]
+
+
+@pytest.mark.parametrize("name", ["shannon", "journe", "pwl:a=1/2,b=1/2",
+                                  "pwl:a=3/4,b=5/4", "pwl:a=1,b=3",
+                                  "pwl:a=1/3,b=2/7"])
+def test_deep_scale_closed_form_is_exact(name):
+    """The closed-form energies of the inward and outward windows equal the
+    integrated ones as Fractions, at both signs of the dilation."""
+    routes = {"inward": 0, "outward": 0, "integrated": 0}
+    for a in (2, 3, -2, -3, 4):
+        try:
+            wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))[1]
+        except ValueError:
+            continue  # journe at |a| = 3 and pwl:a=1,b=3 at -2 are refused
+        for signal in DEEP_SIGNALS:
+            f = TestSignal.parse(signal)
+            for psi in wavelets.psis:
+                closed = _DeepScales(f, psi, a)
+                for j in DEEP_JS:
+                    energy = closed.energy(j)
+                    if energy is None:
+                        routes["integrated"] += 1
+                        continue
+                    inward = abs(F(a) ** j) * closed.s_reach <= closed.f_clear
+                    routes["inward" if inward else "outward"] += 1
+                    assert energy == per_scale_energy_exact(f, psi, a, j), (a, signal, j)
+    assert all(routes.values()), routes
 
 
 def test_cross_inner_product_shannon_orthogonal(shannon):

@@ -6,9 +6,10 @@ import pytest
 
 from framesmith.piecewise import PiecewiseLinear
 from framesmith.quadrature import (_FRESNEL_INF, _GL_ORDER, _PHASE_PER_PANEL,
-                                   _SERIES_PHASE, Factor, QuadPlan, _cells,
-                                   _fresnel_tail, _gl_nodes, _graded_panels,
-                                   oscillatory_integrals, riemann_oracle)
+                                   _SERIES_PHASE, Factor, FreqRun, QuadPlan,
+                                   _cells, _fresnel_tail, _gl_nodes,
+                                   _graded_panels, oscillatory_integrals,
+                                   riemann_oracle)
 
 
 def _gl_reference(factors, c):
@@ -106,6 +107,58 @@ class TestClosedFormCells:
         assert abs(val - riemann_oracle(factors, 30.0)) < 1e-6
         with pytest.raises(ValueError, match="c_max"):
             plan.integrate(np.array([31.0]))
+
+
+def _sweep_integrand():
+    """A frame-test integrand: a tent times the root of a profile square
+    with four pieces, so that neighbouring cells share their ends."""
+    tent = PiecewiseLinear.of((F(-1, 3), F(1, 5), F(15, 8), F(5, 8)),
+                              (F(1, 5), F(5, 7), F(-35, 18), F(25, 18)))
+    square = PiecewiseLinear.of((-1, F(-1, 2), 2, 2), (F(-1, 2), 0, 0, 1),
+                                (0, F(1, 2), 0, 1), (F(1, 2), 1, -2, 2))
+    return [Factor(tent), Factor(square, is_sqrt=True)]
+
+
+def _polynomial_integrand():
+    """A tent against an indicator profile: no root varies."""
+    tent = PiecewiseLinear.of((-1, 0, 1, 1), (0, 1, -1, 1))
+    return [Factor(tent), Factor(PiecewiseLinear.of((F(-1, 2), 2, 0, 1)), is_sqrt=True)]
+
+
+class TestFreqRun:
+    @pytest.mark.parametrize("k0, n, unit", [
+        (0, 1, math.pi), (0, 64, math.pi / 3), (5, 333, -math.pi * 4),
+        (1 << 20, 1000, math.pi / 2), ((1 << 20) - 7, 16384, -math.pi / 9)])
+    def test_phases_by_angle_addition(self, k0, n, unit):
+        run = FreqRun(k0, n, unit)
+        assert len(run) == n
+        freqs = run.freqs()
+        assert np.array_equal(freqs, np.arange(k0, k0 + n) * unit)
+        for x in (0.0, 0.75, -1.3, 2.0 / 7):
+            # both sides round the phase argument k * unit * x
+            slack = 16 * 2.0 ** -52 * (abs(k0 + n) * abs(unit * x) + 1)
+            assert np.max(np.abs(run.phases(x) - np.exp(1j * freqs * x))) <= slack
+
+    @pytest.mark.parametrize("integrand", [_sweep_integrand, _polynomial_integrand])
+    @pytest.mark.parametrize("k0, n, sign", [
+        (0, 64, 1), (0, 100, -1), (1000, 333, 1), (1 << 20, 1000, -1),
+        ((1 << 20) - 7, 16384, 1)])
+    def test_run_agrees_with_array_path(self, integrand, k0, n, sign):
+        plan = QuadPlan(integrand())
+        # the integrand is >= 0, so its value at frequency 0 bounds all others
+        top = abs(plan.integrate(np.array([0.0]))[0])
+        run = FreqRun(k0, n, sign * math.pi * F(3, 4))
+        got = plan.integrate(run)
+        assert len(got) == n
+        assert np.max(np.abs(got - plan.integrate(run.freqs()))) <= 1e-13 * top
+
+    @pytest.mark.parametrize("integrand", [_sweep_integrand, _polynomial_integrand])
+    def test_run_matches_riemann(self, integrand):
+        factors = integrand()
+        unit = -math.pi / 2
+        got = QuadPlan(factors).integrate(FreqRun(3, 5, unit))
+        for m, val in enumerate(got):
+            assert abs(val - riemann_oracle(factors, (3 + m) * unit)) < 1e-6
 
 
 def test_fresnel_against_scipy():
