@@ -113,8 +113,20 @@ def coefficients_for_scale(f: TestSignal, psi: SqrtProfile, a: int, j: int,
 
 
 def _meets(f: TestSignal, psi: SqrtProfile, a: int, j: int) -> bool:
-    """Whether the support of psi_hat(a^{-j} .) meets that of f_hat."""
-    return not f.hat.support().intersect(psi.domain.scale(Fraction(a) ** j)).is_empty()
+    """Whether the support of psi_hat(a^{-j} .) meets that of f_hat in
+    positive measure.  The pieces are compared only when the hulls overlap."""
+    pieces = f.hat.pieces
+    if not pieces:
+        return False
+    t = Fraction(a) ** j
+    lo, hi = sorted(x * t for x in psi.domain.hull())
+    if max(lo, pieces[0][0]) >= min(hi, pieces[-1][1]):
+        return False
+    for dlo, dhi in psi.domain.pieces:
+        dlo, dhi = sorted((dlo * t, dhi * t))
+        if any(max(dlo, plo) < min(dhi, phi) for plo, phi, _, _ in pieces):
+            return True
+    return False
 
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
@@ -278,7 +290,6 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     for j, psi in active:
         scale = scales[j]
         factors, freq_unit, amplitude = _scale_factors(f, psi, a, j)
-        # one root factor: every cell is closed form, valid at every frequency
         plan = QuadPlan(factors)
         k_hi = -1
         block = _K_BLOCK
@@ -322,12 +333,3 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     report.ratio = total / norm2f
     return report
 
-
-def cross_inner_product(psi: SqrtProfile, psi_other: SqrtProfile, a: int,
-                        scale_gap: int, k: int) -> complex:
-    """<psi, D^{scale_gap} T_k psi_other> via the same Fourier quadrature."""
-    sq_other = psi_other.square.compose_scale(Fraction(a) ** (-scale_gap))
-    factors = [Factor(psi.square, is_sqrt=True), Factor(sq_other, is_sqrt=True)]
-    freq = math.pi * float(Fraction(a) ** (-scale_gap)) * k
-    val = oscillatory_integrals(factors, np.array([freq]))[0]
-    return 0.5 * abs(float(Fraction(a) ** scale_gap)) ** -0.5 * complex(val)

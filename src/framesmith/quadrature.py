@@ -1,5 +1,5 @@
-"""Oscillatory quadrature of products of piecewise-linear and square-root
-factors against e^{i c u}, vectorized over many frequencies at once.
+"""Closed-form oscillatory quadrature of products of piecewise-linear and
+square-root factors against e^{i c u}, vectorized over many frequencies.
 
 The joint support is cut at every factor breakpoint.  On each cell the plain
 factors multiply to an exact polynomial P(u), and each root factor
@@ -33,11 +33,9 @@ e^{i k0 unit x} * e^{i 64 q unit x} * e^{i r unit x} (angle addition), so a
 block costs about n / 64 + 64 exponentials per end instead of n.  Both forms
 round the argument k * unit * x, so they agree to a few ulps of it.
 
-Only a cell with two varying roots -- reached by the single-frequency
-semi-orthogonality witness -- falls back to Gauss-Legendre panels, graded
-geometrically toward a vanishing radicand (the O(h^{3/2}) convergence of
-Gauss panels at a square-root singularity is rescued by grading) and capped
-in length against the largest frequency the plan was built for.
+Every cell is integrated in closed form.  A cell where two root factors
+vary has none of the two forms above and raises ValueError; no caller
+builds one.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +51,6 @@ import numpy as np
 from .intervals import IntervalSet
 from .piecewise import PiecewiseLinear, _linear_product
 
-_GL_ORDER = 24
-_PHASE_PER_PANEL = 16.0     # |c|*length per panel; GL-24 resolves this to ~1e-13
-_GRADE_DEPTH = 30           # sqrt-endpoint geometric grading levels
 _SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
 _FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
 _FRESNEL_INF = math.sqrt(math.pi / 2) * (1 + 1j)   # int_0^inf t^{-1/2} e^{it} dt
@@ -72,25 +66,6 @@ class Factor:
 
     def support(self) -> IntervalSet:
         return self.pwl.support()
-
-    def sqrt_zeros(self) -> List[Fraction]:
-        if not self.is_sqrt:
-            return []
-        out = []
-        for lo, hi, a, b in self.pwl.pieces:
-            if a == 0:
-                continue
-            if a * lo + b == 0:
-                out.append(lo)
-            if a * hi + b == 0:
-                out.append(hi)
-        return out
-
-
-@lru_cache(maxsize=4)
-def _gl_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def _cells(factors: Sequence[Factor]) -> List[Tuple[Fraction, Fraction]]:
@@ -264,12 +239,9 @@ class _Cell(NamedTuple):
         return self.scale * (self.coeffs @ mom)
 
 
-_GRADED = object()
-
-
 def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
-    """The integrand on [lo, hi] as a _Cell; None where it vanishes, _GRADED
-    where two or more root factors vary."""
+    """The integrand on [lo, hi] as a _Cell; None where it vanishes.
+    Raises ValueError where two or more root factors vary."""
     lines = []
     roots = []
     scale_sq = Fraction(1)
@@ -287,7 +259,7 @@ def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
         else:
             scale_sq *= b
     if len(roots) > 1:
-        return _GRADED
+        raise ValueError(f"two root factors vary on [{lo}, {hi}): no closed form")
     if roots:
         alpha, beta = roots[0]
         origin = -beta / alpha
@@ -314,65 +286,24 @@ def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
                  math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]))
 
 
-def _graded_panels(lo: float, hi: float, sing_lo: bool, sing_hi: bool,
-                   max_len: float) -> List[Tuple[float, float]]:
-    """Split [lo, hi] with geometric grading toward singular endpoints and a
-    hard cap on panel length for oscillation resolution."""
-    points = [lo, hi]
-    length = hi - lo
-    if sing_lo:
-        points.extend(lo + length * 0.5 ** d for d in range(1, _GRADE_DEPTH))
-    if sing_hi:
-        points.extend(hi - length * 0.5 ** d for d in range(1, _GRADE_DEPTH))
-    points = sorted(set(points))
-    panels = []
-    for a, b in zip(points, points[1:]):
-        n = max(1, int(math.ceil((b - a) / max_len)))
-        step = (b - a) / n
-        panels.extend((a + i * step, a + (i + 1) * step) for i in range(n))
-    return panels
-
-
 class QuadPlan:
-    """Reusable integration plan for one integrand.
+    """Reusable closed-form integration plan for one integrand.
 
     Building the plan does the exact support/breakpoint splitting once and
     keeps each closed-form cell; integrate() then evaluates the moments for
-    every requested frequency.  Cells with two varying roots get graded
-    Gauss-Legendre nodes whose panel lengths are capped against c_max; a plan
-    holding such nodes refuses frequencies above c_max.
+    every requested frequency.  A cell where two root factors vary raises
+    ValueError.
     """
 
-    def __init__(self, factors: Sequence[Factor], c_max: float = 1.0):
-        self.c_max = max(c_max, 1.0)
-        self.closed: List[_Cell] = []
-        nodes_parts: List[np.ndarray] = []
-        wb_parts: List[np.ndarray] = []
-        if factors:
-            sqrt_zero_pts = {float(z) for f in factors for z in f.sqrt_zeros()}
-            xs, ws = _gl_nodes(_GL_ORDER)
-            for lo, hi in _cells(factors):
-                cell = _closed_cell(factors, lo, hi)
-                if cell is not _GRADED:
-                    if cell is not None:
-                        self.closed.append(cell)
-                    continue
-                flo, fhi = float(lo), float(hi)
-                max_len = max((fhi - flo) * 2 ** (1 - _GRADE_DEPTH),
-                              _PHASE_PER_PANEL / self.c_max)
-                panels = _graded_panels(flo, fhi, flo in sqrt_zero_pts,
-                                        fhi in sqrt_zero_pts, max_len)
-                nodes = np.concatenate(
-                    [(0.5 * (b - a)) * xs + 0.5 * (a + b) for a, b in panels])
-                weights = np.concatenate([(0.5 * (b - a)) * ws for a, b in panels])
-                base = np.ones_like(nodes)
-                for f in factors:
-                    vals = f.pwl.eval_float(nodes)
-                    base *= np.sqrt(np.maximum(vals, 0.0)) if f.is_sqrt else vals
-                nodes_parts.append(nodes)
-                wb_parts.append(weights * base)
-        self.nodes = np.concatenate(nodes_parts) if nodes_parts else np.empty(0)
-        self.wb = np.concatenate(wb_parts) if wb_parts else np.empty(0)
+    # always empty: bench/tracer.py reads it until the benchmark refresh of
+    # ROADMAP item 6
+    nodes = np.empty(0)
+
+    def __init__(self, factors: Sequence[Factor]):
+        cells = _cells(factors) if factors else []
+        self.closed: List[_Cell] = [
+            cell for cell in (_closed_cell(factors, lo, hi) for lo, hi in cells)
+            if cell is not None]
 
     def integrate(self, freqs) -> np.ndarray:
         """The integral at each frequency of freqs, an array or a FreqRun.
@@ -390,21 +321,13 @@ class QuadPlan:
             e0, e1 = (known[x] if x in known else phases(x) for x in cell.ends)
             known = dict(zip(cell.ends, (e0, e1)))
             out += cell.integrate(freqs, e0, e1)
-        if len(self.nodes) and len(freqs):
-            if np.max(np.abs(freqs)) > self.c_max:
-                raise ValueError(f"frequency beyond the plan's c_max {self.c_max}")
-            out += np.exp(1j * np.outer(freqs, self.nodes)) @ self.wb
         return out
 
 
 def oscillatory_integrals(factors: Sequence[Factor], freqs: np.ndarray
                           ) -> np.ndarray:
     """integral prod_f factor(u) * e^{i c u} du for each frequency c in freqs."""
-    freqs = np.asarray(freqs, dtype=float)
-    if not len(freqs) or not factors:
-        return np.zeros(len(freqs), dtype=complex)
-    plan = QuadPlan(factors, float(np.max(np.abs(freqs))))
-    return plan.integrate(freqs)
+    return QuadPlan(factors).integrate(freqs)
 
 
 def riemann_oracle(factors: Sequence[Factor], c: float, n: int = 100_000

@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from framesmith.cli import main
 from framesmith.construction import (ScalingFamily, SpectralSpec,
@@ -10,7 +12,7 @@ from framesmith.construction import (ScalingFamily, SpectralSpec,
                                      build_scaling, build_wavelets)
 from framesmith.serialize import (ParseError, digest_of, dumps_canonical,
                                   family_from_jsonable, family_to_jsonable,
-                                  loads_json, sets_to_jsonable)
+                                  loads_json, pwl_to_jsonable, sets_to_jsonable)
 from framesmith.intervals import IntervalSet
 from framesmith.verification import check_ntf_multiwavelet, family_grid
 
@@ -279,3 +281,66 @@ class TestDeterminism:
             files.append((fam.read_bytes(), rep.read_bytes()))
         assert files[0] == files[1]
         assert codes[0] == codes[1] == 1
+
+
+# -- fuzzing: mutated input files exit 0, 1 or 2 and never raise ---------------
+
+_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?|[\[\]{}:,]|true|false|null')
+_REPLACEMENTS = [b'"0"', b'"-1"', b'"1/0"', b'"1/3"', b'"-5/2"', b'"x"', b'""',
+                 b'0', b'-2', b'3', b'2.5', b'1e400', b'null', b'true', b'[]',
+                 b'{}', b'[[]]', b'"version"', b'"piece"', b',', b':', b'[', b'}', b'']
+
+
+@st.composite
+def _mutated(draw, seed: bytes) -> bytes:
+    """The seed bytes after one to three byte edits or JSON-token swaps."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            spans = [m.span() for m in _TOKEN.finditer(bytes(data))]
+            lo, hi = draw(st.sampled_from(spans))
+            data[lo:hi] = draw(st.sampled_from(_REPLACEMENTS))
+        else:
+            at = draw(st.integers(0, len(data) - 1))
+            op = draw(st.sampled_from(("flip", "insert", "delete")))
+            byte = draw(st.integers(0, 255))
+            if op == "flip":
+                data[at] = byte
+            elif op == "insert":
+                data.insert(at, byte)
+            else:
+                del data[at]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    fam = root / "seed_family.json"
+    assert run("construct", "--example", "pwl:a=1/2,b=1/2", "--out", fam) == 0
+    sigma = dumps_canonical({"sigma": pwl_to_jsonable(example_pwl(F(1, 2), F(1, 2)).sigma),
+                             "dilation": 2})
+    return root, fam.read_bytes(), sigma.encode()
+
+
+_FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzz:
+    @_FUZZ
+    @given(data=st.data())
+    def test_mutated_family_file(self, fuzz_seeds, data):
+        root, family, _ = fuzz_seeds
+        path = root / "family.json"
+        path.write_bytes(data.draw(_mutated(family)))
+        assert run("check", "--family", path, "--suite", "semiorth",
+                   "--out", root / "report.json") in (0, 1, 2)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_mutated_sigma_file(self, fuzz_seeds, data):
+        root, _, sigma = fuzz_seeds
+        path = root / "sigma.json"
+        path.write_bytes(data.draw(_mutated(sigma)))
+        assert run("construct", "--sigma", path, "--out", root / "fam.json") in (0, 1, 2)

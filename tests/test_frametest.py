@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framesmith.construction import SpectralSpec, WaveletFamily, build_family, \
     example_by_name, example_pwl, example_shannon
-from framesmith.frametest import (TestSignal, _DeepScales, coefficient,
+from framesmith.frametest import (TestSignal, _DeepScales, _meets, coefficient,
                                   coefficients_for_scale, frame_energy,
-                                  per_scale_energy_exact, cross_inner_product)
+                                  per_scale_energy_exact)
+from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile
 from framesmith.quadrature import Factor, riemann_oracle
 
@@ -210,13 +212,21 @@ def test_deep_scale_closed_form_is_exact(name):
     assert all(routes.values()), routes
 
 
-def test_cross_inner_product_shannon_orthogonal(shannon):
-    psi = shannon[1].psis[0]
-    for k in range(-3, 4):
-        assert abs(cross_inner_product(psi, psi, 2, 1, k)) < 1e-9
+
+_QUARTERS = st.integers(-12, 12).map(lambda n: F(n, 4))
 
 
-def test_cross_inner_product_overlap_nonzero(worked_half):
-    eta = worked_half[1].psis[0]
-    vals = [abs(cross_inner_product(eta, eta, 2, 1, k)) for k in range(-4, 5)]
-    assert max(vals) > 1e-2
+@given(st.lists(st.tuples(_QUARTERS, _QUARTERS), max_size=3),
+       st.tuples(_QUARTERS, _QUARTERS), st.booleans(),
+       st.sampled_from([2, 3, -2, -3]), st.integers(-2, 2))
+@settings(max_examples=300, deadline=None)
+def test_meets_is_support_intersection(domain, ends, tent, a, j):
+    """The hull test decides exactly as the intersection of the supports,
+    touching half-open ends included."""
+    lo, hi = sorted(ends)
+    if lo == hi:
+        hi += 1
+    f = TestSignal.tent(lo, hi) if tent else TestSignal.indicator(lo, hi)
+    psi = SqrtProfile.indicator(IntervalSet.of(*((l, h) for l, h in domain if l < h)))
+    exact = f.hat.support().intersect(psi.domain.scale(F(a) ** j))
+    assert _meets(f, psi, a, j) == (not exact.is_empty())

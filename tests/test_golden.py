@@ -2,15 +2,12 @@
 
 Pins the sha256 of the construct family JSON, the all-suites check report
 and the auto-grid trace CSV of the built-in examples at a = 2, 3, -2, 4 and
--3, plus the wavelet-set family and tiling report of the Journe set.  These outputs are exact: every
-number in them is a rational or the float of a rational.  The one exception
-is the semi-orthogonality witness `max_cross_inner`, which comes out of the
-numpy quadrature; it is rounded to 9 significant digits before hashing so
-the digests do not depend on the numpy build.
+-3, plus the wavelet-set family and tiling report of the Journe set.  These
+outputs are exact with no exception: every number in them is a rational or
+the float of a rational, so the digests do not depend on the numpy build.
 """
 
 import hashlib
-import re
 
 import pytest
 
@@ -24,14 +21,8 @@ REFUSED = [("journe", 3), ("journe", -3)]
 CASES = [(ex, a) for ex in EXAMPLES for a in (2, 3, -2, 4, -3)
          if (ex, a) not in REFUSED]
 
-_NUMPY_FLOAT = re.compile(rb'("max_cross_inner": ")([^"]+)(")')
-
-
 def _digest(path) -> str:
-    data = _NUMPY_FLOAT.sub(
-        lambda m: m.group(1) + format(float(m.group(2)), ".9g").encode() + m.group(3),
-        path.read_bytes())
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _family_outputs(tmp_path, *construct_args):
@@ -78,37 +69,37 @@ GOLDEN = {
     'pwl:a=1/2,b=1/2@2': (
         'f2d950a0072c56e796beab44d10e1c3d3f5a77d9ab590ce23e93db24ff65af9f',
         1,
-        '630db21246b7f20741ff61b0487bfcae9ddf42da1d7c8f420e209ac81363d06c',
+        'ecd1143ed046324a9c397bbbf151181be625a2243c81f03560c8f2fcb77ec6c9',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=1/2,b=1/2@3': (
         '380b4657e9c468fb000d615de5c531937541d2be893c815136e44b5b81f49f06',
         1,
-        '9e552683ad70a476cf6f30373387c59d5210e493ce73400111267fb66afc729b',
+        'e8e412c289416118112cda75bcf51edb24f10f0779f4601732331b47e1973ead',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=1/2,b=1/2@-2': (
         'e7bb75796f5a461d965f81c55059ed5f22d028ee76e88d3764b281d5e49247b5',
         1,
-        '630db21246b7f20741ff61b0487bfcae9ddf42da1d7c8f420e209ac81363d06c',
+        'ecd1143ed046324a9c397bbbf151181be625a2243c81f03560c8f2fcb77ec6c9',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=3/4,b=5/4@2': (
         'b013ce9ddde6e5500bace3b164614d79b72517317d5ee408b233f9287fa0453f',
         1,
-        '5b2a80205cec5118bc4d28aeae610171b997f90b5d69aedebb05b74c326ec6e2',
+        'dd58bf4d5c10e9b9760751cf1a7d05ad6ae3fdc526a70139f76f481f59c1b33f',
         '226479a08ee1fc56935f8599ea5cda755c0619176ae5ec634ba3df0397e052fa',
     ),
     'pwl:a=3/4,b=5/4@3': (
         'd3f2f1a54d1c1cc2cd079d297aa181415b646c6b753783e7fd9e2a34ebea75ed',
         1,
-        '1c5793388bfc4dce6aacb32fda1f11dd04056d17dc35a1261c283d85d234d20c',
+        '3100fa6c0834801a5223c3a146481d38d0a9cebab4dbed821f162f446be360d1',
         '95400f875449ce2413ceea6d546757e1d4d43a3f1c8d45329f56dbd74f418628',
     ),
     'pwl:a=3/4,b=5/4@-2': (
         '6f77b5595fd9cd5e25762fb24d86382139148108b2fc39fe19ac790b2b33a838',
         1,
-        'f98cc3b9f125cfcb2640722d073a71892a12b471ba9886fd8a01dbf018a0b6d6',
+        '089fd87d7bb0f0f01770c8644deebc2878d2f99b27f103d338bdb79ec6c6269c',
         '3c94b532fd1b62b80677a8e68d758e8c249187619195e3d2ad26ec2758f62978',
     ),
     'shannon@4': (
@@ -132,31 +123,31 @@ GOLDEN = {
     'pwl:a=1/2,b=1/2@4': (
         '5e0817fb064c04412309eb9e00aaf2f0b12c519fccf501ceb544b68b5fc1206a',
         1,
-        'e4c706c276a397fc01327bc1a56639765f214ff81a4202f4f52efd6bde586cfe',
+        '7e93e99ca0dc2669632ae8c615377772abdbbac0839fe593d77ca6fa5324ba35',
         '8a9e08559367873830818e618f12726efb71cced48c49e2bccbec13f4d60162b',
     ),
     'pwl:a=1/2,b=1/2@-3': (
         '70913fc2997fa0bbc13b582f0dd6210df6256c78dc0fb9d8dd7a46a1a92cbf9f',
         1,
-        '9e552683ad70a476cf6f30373387c59d5210e493ce73400111267fb66afc729b',
+        'e8e412c289416118112cda75bcf51edb24f10f0779f4601732331b47e1973ead',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=3/4,b=5/4@4': (
         '15bee835df74c061bd8d28a2cfdb402ad56301f7befac95bb1fc7cde76f207ab',
         1,
-        '8b35e76675b987d3abffcec59bf173c37c669ae856f4f2e635fb70adbef38e21',
+        '6c5ffac3187473711d198308268b66f90aea82705a94d4879bd1e3481f3a311c',
         '1e3e7a98bbd0f2805e378a19d49a7e7edbbbae4833fb3e159733c6352fbb5153',
     ),
     'pwl:a=3/4,b=5/4@-3': (
         '7cf3ac340898352d6766497c4e2d55af799fa670eeb1f74cad628f4c66c48d24',
         1,
-        'c491d23e267034922cfd2a4c9f8f628edba525e03f16e4d200ffe8fdd7b36832',
+        '52f323d8f0da3756643ba2485860844acf5361db19b2a988856496172749d181',
         '7a2dd6b591f1036080c65511e99e1a6e89ad241c53190e4d57ee2197a152fac9',
     ),
     'pwl:a=2,b=2@2 windows': (
         '454adfbd71c6b17597f7168ebf8869c9e87952fabc7152c946f464a68616b94a',
         1,
-        '8ccf9dec35c882084d9f1c91f941cc3a3997fa487c9b313293a5a85468869ca5',
+        '511cba4318a0b934ae23cd4d20b6445015a7b20062ad41d799d6651ef8c43a9d',
         '974ba1b3f8c47513b3d1d4cfbee316ba47bb3197d81064c605f0ca32e51fdf53',
     ),
     'journe waveletset': (

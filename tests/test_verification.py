@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,11 +12,12 @@ from framesmith.construction import (JOURNE_WAVELET_SET, ScalingFamily,
                                      waveletset_sigma)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
+from framesmith.quadrature import Factor, riemann_oracle
 from framesmith.trace import grid_of_size
 from framesmith.verification import (check_density, check_ntf_multiwavelet,
                                      check_semiorthogonal, check_split,
                                      check_suites, check_wavelet_set_tiling,
-                                     family_grid)
+                                     cross_energy, family_grid)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +215,30 @@ class TestSemiOrthogonality:
         report = check_semiorthogonal(worked_half[1])
         assert report.status == "fail"
         row = next(c for c in report.checks if c.status == "fail")
-        assert row.witness["max_cross_inner"] > 1e-3
+        assert row.witness["cross_energy"] == F(1, 16)
+
+    def test_cross_energy_zero_for_shannon(self, shannon):
+        psi = shannon[1].psis[0]
+        assert cross_energy(psi, psi, 2, 1) == 0
+
+    def test_cross_energy_bounds_truncated_coefficient_sum(self):
+        # Bessel: the |k| <= 16 part of sum_k |<psi, D^gap T_k psi'>|^2, each
+        # coefficient a midpoint Riemann sum, lies just below the exact value
+        for spec in (example_pwl(F(1, 2), F(1, 2)), example_pwl(F(3, 4), F(5, 4))):
+            family = build_family(spec)[1]
+            row = next(c for c in check_semiorthogonal(family).checks
+                       if c.status == "fail")
+            psi = family.psis[row.witness["psi"]]
+            other = family.psis[row.witness["psi_other"]]
+            t = F(family.dilation) ** -row.witness["scale_gap"]
+            factors = [Factor(psi.square, is_sqrt=True),
+                       Factor(other.square.compose_scale(t), is_sqrt=True)]
+            amplitude = 0.5 * math.sqrt(abs(t))
+            partial = sum(abs(amplitude * riemann_oracle(
+                factors, math.pi * float(t) * k, n=20000)) ** 2
+                for k in range(-16, 17))
+            exact = row.witness["cross_energy"]
+            assert exact - 5e-4 <= partial <= exact, (spec, exact - partial)
 
     def test_empty_family_trivially_passes(self, shannon):
         empty = WaveletFamily((), (), shannon[1].sigma, 2)
