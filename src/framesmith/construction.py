@@ -371,13 +371,15 @@ def example_by_name(name: str) -> SpectralSpec:
 
 def random_admissible_spec(rng: random.Random, dilation: int | None = None
                            ) -> SpectralSpec:
-    """Random radially nonincreasing tent-like profile for a dilation a >= 2
-    (2 or 3 when not given), admissible by construction: a xi lies on the
-    same side of 0 as xi and |a xi| >= |xi|, so sigma(a xi) <= sigma(xi).
-    For a < 0, a xi lands on the independently drawn other side, so such
-    dilations are refused with ValueError."""
-    if dilation is not None and dilation < 2:
-        raise ValueError("random_admissible_spec draws profiles for a >= 2 only")
+    """Random radially nonincreasing tent-like profile for a dilation with
+    |a| >= 2 (2 or 3 when not given), admissible by construction.  For
+    a >= 2 the two sides are drawn independently: a xi lies on the same side
+    of 0 as xi and |a xi| >= |xi|, so sigma(a xi) <= sigma(xi).  For a <= -2
+    a xi lands on the other side, so the profile is even (the right side
+    mirrored) and sigma(a xi) = sigma(|a| xi) <= sigma(xi).  |a| < 2 raises
+    ValueError and draws nothing."""
+    if dilation is not None and abs(dilation) < 2:
+        raise ValueError("random_admissible_spec draws profiles for |a| >= 2 only")
     a = dilation if dilation is not None else rng.choice((2, 3))
 
     def one_side() -> List[Tuple[Fraction, Fraction]]:
@@ -399,7 +401,8 @@ def random_admissible_spec(rng: random.Random, dilation: int | None = None
             prev_x, prev_v = x, v
         return pieces
 
-    right = side_pieces(one_side(), +1)
-    left = side_pieces(one_side(), -1)
+    right_knots = one_side()
+    right = side_pieces(right_knots, +1)
+    left = side_pieces(one_side() if a > 0 else right_knots, -1)
     sigma = PiecewiseLinear(tuple(left + right))
     return SpectralSpec(sigma, a)

@@ -112,13 +112,12 @@ def coefficients_for_scale(f: TestSignal, psi: SqrtProfile, a: int, j: int,
     return amplitude * vals
 
 
-def _meets(f: TestSignal, psi: SqrtProfile, a: int, j: int) -> bool:
-    """Whether the support of psi_hat(a^{-j} .) meets that of f_hat in
-    positive measure.  The pieces are compared only when the hulls overlap."""
+def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
+    """Whether the support of psi_hat(./t) meets that of f_hat in positive
+    measure (t = a^j).  The pieces are compared only when the hulls overlap."""
     pieces = f.hat.pieces
     if not pieces:
         return False
-    t = Fraction(a) ** j
     lo, hi = sorted(x * t for x in psi.domain.hull())
     if max(lo, pieces[0][0]) >= min(hi, pieces[-1][1]):
         return False
@@ -132,7 +131,7 @@ def _meets(f: TestSignal, psi: SqrtProfile, a: int, j: int) -> bool:
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
                 ) -> complex:
     """Single affine-system coefficient; exact 0 when supports miss."""
-    if not _meets(f, psi, a, j):
+    if not _meets(f, psi, Fraction(a) ** j):
         return 0.0 + 0.0j
     return complex(coefficients_for_scale(f, psi, a, j, np.array([k]))[0])
 
@@ -185,16 +184,15 @@ class _DeepScales:
     factor is a line on each side of 0 over the support of the other; None
     at the scales between (see the module docstring)."""
 
-    def __init__(self, f: TestSignal, psi: SqrtProfile, a: int):
-        self.a = a
+    def __init__(self, f: TestSignal, psi: SqrtProfile):
         self.f_hat, self.square = f.hat, psi.square
         self.f_clear, self.f_lines = _lines_at_zero(f.hat)
         self.s_clear, self.s_lines = _lines_at_zero(psi.square)
         self.f_reach, self.s_reach = _reach(f.hat), _reach(psi.square)
         self._polys: Dict[bool, Dict[int, List[Fraction]]] = {}
 
-    def energy(self, j: int) -> Fraction | None:
-        t = Fraction(self.a) ** j
+    def energy(self, t: Fraction) -> Fraction | None:
+        """E_j at t = a^j; None between the windows."""
         sign = 1 if t > 0 else -1
         if abs(t) * self.s_reach <= self.f_clear:
             c0, c1, c2 = self._poly(True, sign)
@@ -283,7 +281,7 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     report = EnergyReport(0.0, 0.0, norm2)
     total = 0.0
     active = [(j, psi) for j in range(j_min, j_max + 1) for psi in family.psis
-              if _meets(f, psi, a, j)]
+              if _meets(f, psi, Fraction(a) ** j)]
     # per-scale tail contract: each (j, psi) sweep stops below this energy
     per_target = k_tail_target * norm2f
     scales: Dict[int, ScaleEnergy] = {j: ScaleEnergy(j) for j in range(j_min, j_max + 1)}
@@ -294,14 +292,15 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
         k_hi = -1
         block = _K_BLOCK
         while True:
-            ks = np.arange(k_hi + 1, k_hi + 1 + block)
-            vals = amplitude * plan.integrate(FreqRun(k_hi + 1, block, freq_unit))
+            vals = plan.integrate(FreqRun(k_hi + 1, block, freq_unit))
             # real factors: coeff(-k) = conj(coeff(k)), so fold negative k in
-            weights = np.where(ks == 0, 1.0, 2.0)
-            block_energy = float(np.sum(weights * np.abs(vals) ** 2))
+            power = 2 * np.vdot(vals, vals).real
+            if k_hi < 0:
+                power -= abs(vals[0]) ** 2
+            block_energy = float(amplitude ** 2 * power)
             scale.computed += block_energy
             total += block_energy
-            k_hi = int(ks[-1])
+            k_hi += block
             scale.k_used = max(scale.k_used, k_hi)
             # remainder if |coeff|^2 decays no slower than 1/k^2 from here
             tail_est = block_energy * k_hi / block
@@ -322,11 +321,12 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     # a scale whose dilated support misses f_hat adds exactly 0
     deep: Dict[int, _DeepScales] = {}   # built for the psi that meet f_hat
     for j in list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41)):
+        t = Fraction(a) ** j
         for i, psi in enumerate(family.psis):
-            if _meets(f, psi, a, j):
+            if _meets(f, psi, t):
                 if i not in deep:
-                    deep[i] = _DeepScales(f, psi, a)
-                energy = deep[i].energy(j)
+                    deep[i] = _DeepScales(f, psi)
+                energy = deep[i].energy(t)
                 if energy is None:
                     energy = per_scale_energy_exact(f, psi, a, j)
                 report.tail_estimate += float(energy)

@@ -11,8 +11,11 @@ sqrt(alpha*u + beta) is either constant there or varies.
 * One varying root.  u0 = -beta/alpha is the exact zero of the radicand and
   s = |u - u0|, so the root is sqrt(|alpha| s) and the cell integral is
   sqrt|alpha| e^{i c u0} * sum_m q_m J_{m+1/2}(+-c), where q_m are the exact
-  coefficients of P(u0 +- s) and the sign is that of alpha.  Every frame-test
-  integrand (a linear signal times one root profile) is of this kind.
+  coefficients of P(u0 +- s) and the sign is that of alpha.
+
+A frame-test integrand (a linear signal times one root profile) has cells of
+the first kind where the profile square is flat, which is every cell of the
+indicator families, and of the second kind where it slopes.
 
 Both are closed forms in the moments J_p(w) = int_{s0}^{s1} s^p e^{i w s} ds,
 p = m + nu with nu in {0, 1/2}, which one routine computes: the power series
@@ -25,12 +28,32 @@ of Iserles & Norsett (Proc. R. Soc. A 2005): the work per cell does not grow
 with the frequency, so a sweep over K frequencies costs O(cells * K), and a
 plan serves every frequency.
 
+Break form.  For the polynomial cells (nu = 0) the recurrence unrolls to
+int_l^h P e^{icu} du = sum_n (-1)^n [P^(n) e^{icu}]_l^h / (ic)^{n+1}, and
+summed over the cells the ends they share merge:
+
+    sum_x e^{icx} sum_n B_n(x) / (ic)^{n+1},
+    B_n(x) = (-1)^n (P^(n)(x-) - P^(n)(x+)),
+
+the jumps of the integrand (root factor included) and its derivatives at the
+breakpoints.  The plan computes each B_n exactly, as a rational per root
+factor, and rounds it once.  Where |c| * ell_min > _SERIES_PHASE, ell_min the
+shortest polynomial cell, every polynomial cell would take the recurrence, so
+there the break form is an exact rearrangement of the cell sum and replaces
+it; 1/(ic) = -i/c keeps the powers real.  Below that line (the head, a few
+frequencies next to 0) and on the rooted cells the moments are summed cell
+by cell: a rooted cell's end terms carry a Fresnel tail per end and
+frequency, so they have no such form.
+
 The moments need the end phases e^{i c x} at each cell end x.  Cells that
 share an end share its phases.  Scattered frequencies (an array) take one
-exponential per frequency and end.  A k-sweep block is passed as a FreqRun,
-the frequencies (k0 + m) * unit for m < n; with m = 64 q + r its phase is
+exponential per frequency and end, and the break form is one product with
+exp(i outer(x, c)).  A k-sweep block is passed as a FreqRun, the
+frequencies (k0 + m) * unit for m < n; with m = 64 q + r its phase is
 e^{i k0 unit x} * e^{i 64 q unit x} * e^{i r unit x} (angle addition), so a
-block costs about n / 64 + 64 exponentials per end instead of n.  Both forms
+block costs about n / 64 + 64 exponentials per end instead of n, and the
+break form of a block is (coarse * diag(B_n e^{i k0 unit x})) @ fine, one
+small matmul per B_n with no phase array of length n per end.  Both forms
 round the argument k * unit * x, so they agree to a few ulps of it.
 
 Every cell is integrated in closed form.  A cell where two root factors
@@ -40,11 +63,10 @@ builds one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -204,22 +226,30 @@ class FreqRun:
     def freqs(self) -> np.ndarray:
         return np.arange(self.k0, self.k0 + self.n) * self.unit
 
+    def tables(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lead, coarse, fine) with e^{i f x_j} = lead[j] * coarse[q, j] *
+        fine[j, r] for the frequency f of m = _RUN_STRIDE * q + r (angle
+        addition): lead = e^{i k0 unit x}, coarse = e^{i _RUN_STRIDE q unit x}
+        and fine = e^{i r unit x}, so n / _RUN_STRIDE + _RUN_STRIDE + 1
+        exponentials per x instead of n."""
+        coarse = np.exp(1j * np.multiply.outer(
+            np.arange(-(-self.n // _RUN_STRIDE)) * (_RUN_STRIDE * self.unit), xs))
+        fine = np.exp(1j * np.multiply.outer(xs, np.arange(_RUN_STRIDE) * self.unit))
+        lead = np.exp(1j * (self.k0 * self.unit) * xs)
+        return lead, coarse, fine
+
     def phases(self, x: float) -> np.ndarray:
-        """e^{i f x} for every frequency f of the run, by angle addition:
-        with m = _RUN_STRIDE * q + r the phase is e^{i k0 unit x} times
-        e^{i _RUN_STRIDE q unit x} times e^{i r unit x}, so one run costs
-        n / _RUN_STRIDE + _RUN_STRIDE + 1 exponentials instead of n."""
-        coarse = np.exp(1j * (np.arange(-(-self.n // _RUN_STRIDE))
-                              * (_RUN_STRIDE * self.unit)) * x)
-        fine = np.exp(1j * (np.arange(_RUN_STRIDE) * self.unit) * x)
-        coarse *= cmath.exp(1j * (self.k0 * self.unit) * x)
-        return np.outer(coarse, fine).ravel()[:self.n]
+        """e^{i f x} for every frequency f of the run, from tables()."""
+        lead, coarse, fine = self.tables(np.array([x]))
+        return np.outer(coarse[:, 0] * lead[0], fine[0]).ravel()[:self.n]
 
 
 class _Cell(NamedTuple):
     """A closed-form cell: scale * sum_m coeffs[m] * e^{i c u0} *
     J_{m+nu}(sign * c) over [s0, s1], where u0 = ends[k] - sign * s_k is the
-    zero of the radicand (nu = 1/2) or the cell's left end (nu = 0)."""
+    zero of the radicand (nu = 1/2) or the cell's left end (nu = 0).  A
+    polynomial cell (nu = 0) also keeps poly = (lo, hi, scale^2, exact
+    coeffs) for the break terms; a rooted one has poly None."""
 
     sign: int
     s0: float
@@ -229,6 +259,7 @@ class _Cell(NamedTuple):
     nu: float
     scale: float
     coeffs: np.ndarray
+    poly: Tuple[Fraction, Fraction, Fraction, List[Fraction]] | None
 
     def integrate(self, freqs: np.ndarray, e0: np.ndarray, e1: np.ndarray
                   ) -> np.ndarray:
@@ -283,15 +314,68 @@ def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
     s0, s1 = (sign * (u - origin) for u in ends)
     return _Cell(sign, float(s0), float(s1), float(s1 - s0),
                  (float(ends[0]), float(ends[1])), nu,
-                 math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]))
+                 math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]),
+                 None if roots else (lo, hi, scale_sq, coeffs))
+
+
+def _break_terms(cells: Sequence[_Cell]) -> Tuple[np.ndarray, np.ndarray]:
+    """(xs, jumps) of the polynomial cells: their distinct ends x_j and
+    jumps[n, j] = B_n(x_j) = (-1)^n (P^(n)(x_j-) - P^(n)(x_j+)), where P is
+    the integrand (root factor included) and 0 outside the cells.  Each B_n
+    is summed exactly per root factor, then rounded; ends where every B_n
+    vanishes, and rows above the last nonzero one, are dropped."""
+    exact: Dict[Fraction, Dict[Tuple[int, Fraction], Fraction]] = {}
+    for cell in cells:
+        lo, hi, scale_sq, coeffs = cell.poly
+        length = hi - lo
+        for n in range(len(coeffs)):
+            # P^(n) at both ends from the coefficients of P(lo + s)
+            at_lo = math.factorial(n) * coeffs[n]
+            at_hi = sum(coeffs[m] * math.perm(m, n) * length ** (m - n)
+                        for m in range(n, len(coeffs)))
+            sign = -1 if n % 2 else 1
+            for x, value in ((hi, sign * at_hi), (lo, -sign * at_lo)):
+                terms = exact.setdefault(x, {})
+                terms[n, scale_sq] = terms.get((n, scale_sq), 0) + value
+    xs = sorted(x for x, terms in exact.items() if any(terms.values()))
+    degree = max((n for x in xs for (n, _), v in exact[x].items() if v), default=0)
+    jumps = np.zeros((degree + 1, len(xs)))
+    for j, x in enumerate(xs):
+        for (n, scale_sq), value in exact[x].items():
+            if value:
+                jumps[n, j] += float(value) * math.sqrt(float(scale_sq))
+    return np.array([float(x) for x in xs]), jumps
+
+
+def _cell_sum(cells: Sequence[_Cell], freqs: np.ndarray, phases=None
+              ) -> np.ndarray:
+    """The sum of the cells' integrals at each frequency, phases(x) giving
+    e^{i freqs x} (one exponential each when not given); cells that share
+    an end share its phases."""
+    if phases is None:
+        def phases(x):
+            return np.exp(1j * freqs * x)
+    out = np.zeros(len(freqs), dtype=complex)
+    known: dict = {}
+    for cell in cells:
+        e0, e1 = (known[x] if x in known else phases(x) for x in cell.ends)
+        known = dict(zip(cell.ends, (e0, e1)))
+        out += cell.integrate(freqs, e0, e1)
+    return out
 
 
 class QuadPlan:
     """Reusable closed-form integration plan for one integrand.
 
     Building the plan does the exact support/breakpoint splitting once and
-    keeps each closed-form cell; integrate() then evaluates the moments for
-    every requested frequency.  A cell where two root factors vary raises
+    keeps each closed-form cell, plus the break terms of the polynomial
+    (nu = 0) cells.  integrate() sums the rooted (nu = 1/2) cells one by one
+    from their moments.  The polynomial cells enter through the break form
+    at every frequency c with |c| * ell_min > _SERIES_PHASE, ell_min the
+    length of the shortest polynomial cell: there each of them would take
+    the upward recurrence, and the break sum is an exact rearrangement of
+    those cell sums.  At the head frequencies below that line they are
+    summed cell by cell too.  A cell where two root factors vary raises
     ValueError.
     """
 
@@ -304,24 +388,48 @@ class QuadPlan:
         self.closed: List[_Cell] = [
             cell for cell in (_closed_cell(factors, lo, hi) for lo, hi in cells)
             if cell is not None]
+        self._rooted = [cell for cell in self.closed if cell.poly is None]
+        self._polys = [cell for cell in self.closed if cell.poly is not None]
+        self._ell_min = min((cell.length for cell in self._polys), default=math.inf)
+        self._xs, jumps = _break_terms(self._polys)
+        self._weights = jumps * (-1j) ** np.arange(1, len(jumps) + 1)[:, None]
 
     def integrate(self, freqs) -> np.ndarray:
-        """The integral at each frequency of freqs, an array or a FreqRun.
-        Cells that share an end share its phases."""
-        if isinstance(freqs, FreqRun):
-            phases, freqs = freqs.phases, freqs.freqs()
+        """The integral at each frequency of freqs, an array or a FreqRun."""
+        run = freqs if isinstance(freqs, FreqRun) else None
+        if run is not None:
+            freqs = run.freqs()
+            out = _cell_sum(self._rooted, freqs, run.phases)
         else:
             freqs = np.asarray(freqs, dtype=float)
-
-            def phases(x):
-                return np.exp(1j * freqs * x)
-        out = np.zeros(len(freqs), dtype=complex)
-        known: dict = {}
-        for cell in self.closed:
-            e0, e1 = (known[x] if x in known else phases(x) for x in cell.ends)
-            known = dict(zip(cell.ends, (e0, e1)))
-            out += cell.integrate(freqs, e0, e1)
+            out = _cell_sum(self._rooted, freqs)
+        if not self._polys:
+            return out
+        head = np.abs(freqs) * self._ell_min <= _SERIES_PHASE
+        if not head.all():
+            out += self._break_sum(freqs, run, head)
+        if head.any():
+            out[head] += _cell_sum(self._polys, freqs[head])
         return out
+
+    def _break_sum(self, freqs: np.ndarray, run: FreqRun | None,
+                   head: np.ndarray) -> np.ndarray:
+        """sum_x e^{icx} sum_n B_n(x) (-i/c)^{n+1}, the polynomial cells'
+        integral, at each frequency c of freqs; 0 at the head.  The factors
+        (-i)^{n+1} sit in self._weights, so the powers of 1/c are real.  For a
+        FreqRun the sums over x are one matmul of the angle-addition tables
+        per B_n."""
+        if run is not None:
+            lead, coarse, fine = run.tables(self._xs)
+            weighted = (self._weights * lead)[:, None, :] * coarse
+            sums = (weighted @ fine).reshape(len(self._weights), -1)[:, :run.n]
+        else:
+            sums = self._weights @ np.exp(1j * np.multiply.outer(self._xs, freqs))
+        inv = np.divide(1.0, freqs, out=np.zeros(len(freqs)), where=~head)
+        acc = sums[-1]
+        for row in sums[-2::-1]:
+            acc = row + inv * acc
+        return inv * acc
 
 
 def oscillatory_integrals(factors: Sequence[Factor], freqs: np.ndarray

@@ -274,16 +274,16 @@ def test_frame_tail_skips_only_zero_scales(monkeypatch):
     f = TestSignal.tent(-1, 1)
     tail_js = list(range(-8 - 40, -8)) + list(range(9, 49))
     skipped = [(j, psi) for j in tail_js for psi in wavelets.psis
-               if not frametest._meets(f, psi, 2, j)]
+               if not frametest._meets(f, psi, F(2) ** j)]
     assert len(skipped) == 40  # every scale above the range
     assert all(per_scale_energy_exact(f, psi, 2, j) == 0 for j, psi in skipped)
     reached = []  # scales given an energy, in closed form or by integration
     closed_form = frametest._DeepScales.energy
 
-    def counted_closed(self, j):
-        energy = closed_form(self, j)
+    def counted_closed(self, t):
+        energy = closed_form(self, t)
         if energy is not None:
-            reached.append(j)
+            reached.append(t)
         return energy
 
     def counted(*args):

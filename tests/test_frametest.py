@@ -179,6 +179,25 @@ class TestFrameEnergy:
         assert abs(a_rep.ratio - b_rep.ratio) < 2e-4
 
 
+# per-scale k_used, j = -8..8, of the default tent:[-1,1) run
+PINNED_K_USED = {
+    ("journe", 2): [191, 191, 191, 447, 4031, 32703, 81855, 98239, 81855] + [0] * 8,
+    ("journe", -2): [191, 191, 191, 447, 4031, 32703, 81855, 98239, 81855] + [0] * 8,
+    ("shannon", 4): [191, 191, 191, 191, 191, 191, 447, 32703] + [0] * 9,
+}
+
+
+@pytest.mark.parametrize("name, a", sorted(PINNED_K_USED))
+def test_default_range_k_used_pinned(name, a):
+    """The k sweep stops at the same k on every scale: the break form of the
+    polynomial cells changes no stopping decision."""
+    wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))[1]
+    rep = frame_energy(TestSignal.tent(-1, 1), wavelets)
+    assert [s.j for s in rep.scales] == list(range(-8, 9))
+    assert [s.k_used for s in rep.scales] == PINNED_K_USED[name, a]
+    assert not rep.inconclusive
+
+
 DEEP_SIGNALS = ("tent:[-1,1)", "chi:[0,1)", "chi:[-1/2,3/2)", "tent:[-1/3,5/7)",
                 "tent:[1,2)", "chi:[-3,-1/5)", "tent:[-5/4,0)")
 # every scale up to 10 from 0 (both window edges), then two deep ones per side
@@ -200,9 +219,9 @@ def test_deep_scale_closed_form_is_exact(name):
         for signal in DEEP_SIGNALS:
             f = TestSignal.parse(signal)
             for psi in wavelets.psis:
-                closed = _DeepScales(f, psi, a)
+                closed = _DeepScales(f, psi)
                 for j in DEEP_JS:
-                    energy = closed.energy(j)
+                    energy = closed.energy(F(a) ** j)
                     if energy is None:
                         routes["integrated"] += 1
                         continue
@@ -229,4 +248,4 @@ def test_meets_is_support_intersection(domain, ends, tent, a, j):
     f = TestSignal.tent(lo, hi) if tent else TestSignal.indicator(lo, hi)
     psi = SqrtProfile.indicator(IntervalSet.of(*((l, h) for l, h in domain if l < h)))
     exact = f.hat.support().intersect(psi.domain.scale(F(a) ** j))
-    assert _meets(f, psi, a, j) == (not exact.is_empty())
+    assert _meets(f, psi, F(a) ** j) == (not exact.is_empty())

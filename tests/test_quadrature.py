@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from framesmith import quadrature
 from framesmith.piecewise import PiecewiseLinear
 from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, Factor, FreqRun,
                                    QuadPlan, _fresnel_tail, riemann_oracle)
@@ -188,6 +189,121 @@ class TestFreqRun:
         got = QuadPlan(factors).integrate(FreqRun(3, 5, unit))
         for m, val in enumerate(got):
             assert abs(val - riemann_oracle(factors, (3 + m) * unit)) < 1e-6
+
+
+def _gap_integrand():
+    """Degree 0: an indicator with a gap against two constant roots, sqrt 2
+    and 3/2, so the break terms sum two roots at the shared end 0."""
+    steps = PiecewiseLinear.of((-1, F(1, 3), 0, 2), (F(1, 2), 2, 0, F(-1, 2)))
+    roots = PiecewiseLinear.of((-2, 0, 0, F(9, 4)), (0, 3, 0, 2))
+    return [Factor(steps), Factor(roots, is_sqrt=True)]
+
+
+def _uneven_integrand():
+    """Degree 1: a tent with a kink at 1/5 against a step profile cut at
+    1/9: cells 7/9, 4/45 and 1/10 long."""
+    tent = PiecewiseLinear.of((F(-2, 3), F(1, 5), F(15, 13), F(10, 13)),
+                              (F(1, 5), 1, F(-5, 4), F(5, 4)))
+    roots = PiecewiseLinear.of((-1, F(1, 9), 0, 1), (F(1, 9), F(3, 10), 0, 3))
+    return [Factor(tent), Factor(roots, is_sqrt=True)]
+
+
+def _quadratic_integrand():
+    """Degree 2: a tent times a ramp times a constant root."""
+    tent = PiecewiseLinear.of((-1, 0, 1, 1), (0, 1, -1, 1))
+    ramp = PiecewiseLinear.of((F(-1, 2), 1, F(1, 2), 2))
+    const = PiecewiseLinear.of((-1, 1, 0, F(9, 4)))
+    return [Factor(tent), Factor(ramp), Factor(const, is_sqrt=True)]
+
+
+BREAK_INTEGRANDS = [_gap_integrand, _uneven_integrand, _quadratic_integrand,
+                    _sweep_integrand]
+
+
+def _per_cell(plan, freqs):
+    """Every cell integrated on its own from its moments: no break form."""
+    total = np.zeros(len(freqs), dtype=complex)
+    for cell in plan.closed:
+        e0, e1 = (np.exp(1j * freqs * x) for x in cell.ends)
+        total += cell.integrate(freqs, e0, e1)
+    return total
+
+
+def _edge(plan):
+    """The break-form threshold |c| = _SERIES_PHASE / (shortest polynomial cell)."""
+    return _SERIES_PHASE / min(cell.length for cell in plan.closed if not cell.nu)
+
+
+class TestBreakForm:
+    def test_integrands(self):
+        # degrees 0, 1, 2 over polynomial cells only, then a mixed plan
+        for integrand, degree in zip(BREAK_INTEGRANDS, (0, 1, 2)):
+            plan = QuadPlan(integrand())
+            assert all(cell.nu == 0 for cell in plan.closed)
+            assert max(np.flatnonzero(cell.coeffs)[-1] for cell in plan.closed) == degree
+        lengths = {cell.length for cell in QuadPlan(_uneven_integrand()).closed}
+        assert len(lengths) == len(QuadPlan(_uneven_integrand()).closed)
+        assert {cell.nu for cell in QuadPlan(_sweep_integrand()).closed} == {0, 0.5}
+
+    @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("where", ["below", "at", "above"])
+    def test_matches_per_cell_sum(self, integrand, sign, where):
+        plan = QuadPlan(integrand())
+        unit = sign * math.pi * F(3, 8)
+        edge = int(_edge(plan) / abs(unit))   # the last k of the head
+        k0 = {"below": 0, "at": edge, "above": 40 * edge + 1001}[where]
+        run = FreqRun(k0, 300, unit)
+        freqs = run.freqs()
+        want = _per_cell(plan, freqs)
+        # 1e-13 of max |integral|, which the window from k = 0 attains
+        bound = 1e-13 * np.max(np.abs(_per_cell(plan, FreqRun(0, 300, unit).freqs())))
+        assert np.max(np.abs(plan.integrate(run) - want)) <= bound
+        assert np.max(np.abs(plan.integrate(freqs) - want)) <= bound
+        # scattered: every other frequency of the run, in reverse order
+        assert np.max(np.abs(plan.integrate(freqs[::-2]) - want[::-2])) <= bound
+
+    def test_per_cell_moments_serve_only_the_head(self, monkeypatch):
+        plan = QuadPlan(_sweep_integrand())
+        shortest = min(cell.length for cell in plan.closed if not cell.nu)
+        polynomial = []
+        moments = quadrature._moments
+
+        def spy(nu, degree, s0, s1, length, w, e0, e1):
+            if not nu:
+                polynomial.append(np.abs(w) * shortest)
+            return moments(nu, degree, s0, s1, length, w, e0, e1)
+
+        monkeypatch.setattr(quadrature, "_moments", spy)
+        run = FreqRun(0, 4096, math.pi / 3)
+        head = np.sort(np.abs(run.freqs()) * shortest)
+        head = head[head <= _SERIES_PHASE]
+        assert 0 < len(head) < len(run)
+        plan.integrate(run)
+        plan.integrate(run.freqs()[::-1])
+        # each polynomial cell sees exactly the head, once per call
+        assert len(polynomial) == 2 * sum(not cell.nu for cell in plan.closed)
+        assert all(np.array_equal(np.sort(phase), head) for phase in polynomial)
+
+    @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
+    def test_matches_graded_gauss(self, integrand):
+        factors = integrand()
+        edge = _edge(QuadPlan(factors))
+        cs = [0.0, 0.5 * edge, 0.999 * edge, 1.001 * edge, -1.001 * edge,
+              3 * edge, -7.5 * edge, 900.0]
+        got = QuadPlan(factors).integrate(np.array(cs))
+        want = np.array([_gl_reference(factors, c) for c in cs])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
+    def test_run_across_the_edge_matches_riemann(self, integrand):
+        factors = integrand()
+        unit = -math.pi / 2
+        k0 = int(_edge(QuadPlan(factors)) / abs(unit)) - 2
+        got = QuadPlan(factors).integrate(FreqRun(k0, 5, unit))
+        for m, val in enumerate(got):
+            # the midpoint rule is O(1/n) across the jumps inside a support piece
+            assert abs(val - riemann_oracle(factors, (k0 + m) * unit, 400_000)) < 1e-6
 
 
 def test_fresnel_against_scipy():

@@ -257,6 +257,17 @@ class TestSoundnessChain:
             assert reports["sufficiency"].status == "pass"
             assert check_ntf_multiwavelet(wavelets, grid=grid).status == "pass"
 
+    @pytest.mark.parametrize("a", [-2, -3])
+    def test_random_admissible_negative_dilation(self, a):
+        for seed in range(8):
+            scaling, wavelets = build_family(random_admissible_spec(random.Random(seed), a))
+            scaling.validate()
+            wavelets.validate()
+            reports = check_suites(scaling, wavelets,
+                                   ["ntf", "split", "decay", "sufficiency", "density"])
+            assert {name: r.status for name, r in reports.items()} == dict.fromkeys(
+                reports, "pass"), (a, seed)
+
     def test_orthonormal_seed_round_trip(self):
         seed = IntervalSet.of((-1, 1))
         assert classify_waveletset_seed(seed, 2).verdict == "orthonormal"
