@@ -73,8 +73,7 @@ def admissibility_check(spec: SpectralSpec) -> AdmissibilityReport:
         "nonnegative_integrable", neg is None, neg,
         "sigma >= 0 and bounded support (piecewise linear is integrable)"))
 
-    diff = sigma - sigma.compose_scale(a)
-    wit = diff.first_negative_witness()
+    wit = sigma.dilation_rise(a)
     conds.append(Condition(
         "dilation_monotone", wit is None, wit,
         "sigma(a*xi) <= sigma(xi) everywhere"))

@@ -192,15 +192,25 @@ class PiecewiseLinear:
 
     def first_negative_witness(self) -> Fraction | None:
         """A point where the function is negative, or None.  Linearity on each
-        piece means checking the two endpoint values (limits) suffices."""
+        piece means checking the two endpoint values (limits) suffices.
+
+        The point is the middle of the open stretch of the piece where the
+        line is negative, never a breakpoint, so it stays a witness for any
+        function that equals this one away from finitely many points."""
         for lo, hi, a, b in self.pieces:
-            if a * lo + b < 0:
-                return lo
-            if a * hi + b < 0:
-                # negative on (root, hi) where root is the interior zero
-                root = -b / a
-                return (root + hi) / 2
+            at_lo, at_hi = a * lo + b, a * hi + b
+            if at_lo < 0 and at_hi < 0:
+                return (lo + hi) / 2
+            if at_lo < 0 or at_hi < 0:
+                root = -b / a  # the line crosses 0 inside [lo, hi]
+                return (lo + root) / 2 if at_lo < 0 else (root + hi) / 2
         return None
+
+    def dilation_rise(self, c) -> Fraction | None:
+        """A point x with f(c x) > f(x), or None when f(c x) <= f(x) for all
+        x (for almost all x at c < 0, where `compose_scale` moves the ends
+        of the pieces it reflects)."""
+        return (self - self.compose_scale(c)).first_negative_witness()
 
     def max_value(self) -> Fraction:
         """Exact maximum (attained at a piece endpoint or 0 outside)."""

@@ -1,9 +1,9 @@
 """Checkers for the characterization identities of NTF wavelet families.
 
-Every "pass" in exact mode is backed by rational identities or an explicit
-tail bound; nothing is accepted silently through floating point.  Fails carry
-a witness (grid point, shift, sides); interval-arithmetic indeterminacy
-surfaces as "uncertain" instead of being coerced either way.
+Every "pass" is backed by rational identities or an explicit tail bound;
+nothing is accepted silently through floating point.  Fails carry a witness
+(grid point, shift, sides); interval-arithmetic indeterminacy surfaces as
+"uncertain" instead of being coerced either way.
 
 `check_suites` runs the SUITES on one grid.  decay = the split identities +
 outward decay of the scaling square sum; sufficiency = local finiteness +
@@ -15,15 +15,17 @@ The grid checks evaluate each value once:
   xi and of the phi profiles at xi/a, one exact root per entry; the value at
   shift s pairs entry 0 with entry s (entry s/a at xi/a on lattice shifts).
 - norm sum: when the wavelet square sum equals the gain sigma(./a) - sigma,
-  the partial scale sum telescopes to its two end terms, plus the jumps of
-  sigma on the orbit where a < 0 (see `_TelescopedScaleSum`).
-- orbit monotonicity: near 0 the scaling square sum is a line through
-  (0, 1) on each side, so the walk stops two steps into that region.
+  the partial scale sum telescopes to its two end terms, values of sigma.
+  (The loop over the scales would count a jump of sigma on the orbit at
+  a < 0, where `compose_scale` moves the piece ends: a measure-zero set.)
+
+Orbit monotonicity and outward decay need no grid: the first is the exact
+piecewise-linear inequality sum|phi|^2(a x) <= sum|phi|^2(x), the second
+follows from the support hull, both for all xi.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
@@ -129,54 +131,24 @@ def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
 # -- NTF multiwavelet characterization ----------------------------------------
 
 
-class _TelescopedScaleSum:
-    """sum_{j=-J}^{Jout} g(a^j xi) for the gain g = coarse - sigma, where
-    coarse = sigma o (1/a) as a PiecewiseLinear, from the two end terms:
-
-        coarse(a^{-J} xi) - sigma(a^{Jout} xi)
-            + sum_{-J <= m < Jout} (coarse(a^{m+1} xi) - sigma(a^m xi)).
-
-    The bracket is coarse(a b) - sigma(b) at b = a^m xi.  For a > 0 it is
-    identically 0.  For a < 0, compose_scale keeps pieces [l, r), so coarse
-    takes the left limit of sigma and the bracket is the jump of sigma at b;
-    only the breakpoints of sigma with a jump can contribute."""
-
-    def __init__(self, sigma: PiecewiseLinear, a: int):
-        self.sigma, self.a = sigma, Fraction(a)
-        self.coarse = sigma.compose_scale(1 / self.a)
-        self.jumps = {}
-        for b in sigma.breakpoints():
-            delta = self.coarse.eval(self.a * b) - sigma.eval(b)
-            if delta:
-                self.jumps[b] = delta
-
-    def partial(self, xi: Fraction, J: int, Jout: int) -> Fraction:
-        a = self.a
-        total = self.coarse.eval(xi * a ** -J) - self.sigma.eval(xi * a ** Jout)
-        for b, delta in self.jumps.items():
-            q = b / xi
-            if q:
-                m = round((math.log(abs(q.numerator)) - math.log(q.denominator))
-                          / math.log(abs(a)))
-                if -J <= m < Jout and a ** m == q:
-                    total += delta
-        return total
-
-
-def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
+def check_ntf_multiwavelet(family: WaveletFamily,
                            grid: Iterable | None = None) -> VerificationReport:
     """Norm-sum (sum over all scales of |psi_hat|^2 equals 1) and shifted
     orthogonality (vanishing cross terms for shifts outside the dilation
-    lattice), certified per grid point.
+    lattice).
 
-    Exact mode uses the family's spectral profile: the scale sum telescopes,
-    the outward tail is identically 0 (bounded support) and the inward tail
-    is bounded by slope * |a^{-J-1} xi| inside the support piece at 0.
-    Numeric mode sums the squares directly and certifies the inward tail
-    geometrically from the slope of the square sum at 0.
+    Shifted orthogonality holds for all xi from the supports alone.  The
+    norm sum is certified per grid point from the family's spectral
+    profile: when the square sum equals the gain sigma(./a) - sigma, the
+    partial sum over -J <= j <= Jout telescopes to
+    sigma(a^{-J-1} xi) - sigma(a^Jout xi); the outward tail is identically
+    0 (bounded support) and the inward tail is bounded by
+    slope * |a^{-J-1} xi| inside the support pieces at 0.  A family whose
+    square sum does not telescope has its partial sum added scale by scale.
     """
     report = VerificationReport()
     a = family.dilation
+    sigma = family.sigma
     psi_gen = family.generator_set()
 
     # shifted orthogonality: supports injective mod 2pi kill every term
@@ -192,42 +164,30 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
                              {"residue": cell[0], "multiplicity": cell[2]}))
 
     square_sum = _square_sum(family.psis)
-    telescopes = False
-
-    if mode == "exact":
-        gain = family.gain()
-        telescopes = square_sum == gain
-        if telescopes:
-            report.add(Check("scale_sum_telescopes", "pass", detail=(
-                "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
-                "piecewise-linear identity")))
-        else:
-            diff = square_sum - gain
-            wit = diff.support().hull()[0]
-            report.add(Check("scale_sum_telescopes", "fail",
-                             {"xi": wit, "difference": diff.eval(wit)}))
-        nbhd = family.sigma.zero_neighborhood()
-        if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
-            report.add(Check("norm_sum", "fail", {"xi": Fraction(0)},
-                             detail="sigma does not tend to 1 at 0"))
-            return report
-        _, _, clearance, slope = nbhd
+    gain = family.gain()
+    telescopes = square_sum == gain
+    if telescopes:
+        report.add(Check("scale_sum_telescopes", "pass", detail=(
+            "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
+            "piecewise-linear identity")))
     else:
-        nbhd = square_sum.zero_neighborhood()
-        if nbhd is not None and (nbhd[0] != 0 or nbhd[1] != 0):
-            report.add(Check("norm_sum", "fail", {"xi": Fraction(0)}, detail=(
-                "square sum does not vanish at 0; the scale series diverges")))
-            return report
-        clearance = nbhd[2] if nbhd is not None else Fraction(1)
-        slope = nbhd[3] if nbhd is not None else Fraction(0)
+        diff = square_sum - gain
+        wit = diff.support().hull()[0]
+        report.add(Check("scale_sum_telescopes", "fail",
+                         {"xi": wit, "difference": diff.eval(wit)}))
+    nbhd = sigma.zero_neighborhood()
+    if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
+        report.add(Check("norm_sum", "fail", {"xi": Fraction(0)},
+                         detail="sigma does not tend to 1 at 0"))
+        return report
+    _, _, clearance, slope = nbhd
 
     if grid is None:
         grid = family_grid(psi_gen)
     lo, hi = psi_gen.support_hull()
     radius = max(abs(lo), abs(hi), Fraction(1))
 
-    if telescopes:
-        scale_sum = _TelescopedScaleSum(family.sigma, a)
+    scale = Fraction(a)
     worst_tail = Fraction(0)
     failures = checked = 0
     for xi in grid:
@@ -235,24 +195,18 @@ def check_ntf_multiwavelet(family: WaveletFamily, mode: str = "exact",
         if xi == 0:
             continue
         checked += 1
-        # inward depth J: a^{-J-1}|xi| inside the 0-clearance and tail small
-        depth = abs(xi) / clearance
-        if slope:
-            depth = max(depth, slope * abs(xi) / TAIL_TARGET)
+        # inward depth J: a^{-J-1} xi strictly inside the 0-clearance, where
+        # sigma is 1 + alpha x on each side, and the tail below the target
+        depth = max(abs(xi) // clearance + 1, slope * abs(xi) / TAIL_TARGET)
         J = max(_first_power(abs(a), depth) - 1, 0)
         Jout = _exit_index(xi, a, radius)
         if telescopes:
-            partial = scale_sum.partial(xi, J, Jout)
+            partial = (sigma.eval(xi / scale ** (J + 1))
+                       - sigma.eval(xi * scale ** Jout))
         else:
-            partial = Fraction(0)
-            for j in range(-J, Jout + 1):
-                partial += square_sum.eval(xi * Fraction(a) ** j)
-        if mode == "exact":
-            tail = slope * abs(xi) / abs(a) ** (J + 1)
-        else:
-            # geometric series of the linear bound under repeated division
-            tail = slope * abs(xi) / abs(a) ** (J + 1) * \
-                Fraction(abs(a), abs(a) - 1)
+            partial = sum((square_sum.eval(xi * scale ** j)
+                           for j in range(-J, Jout + 1)), Fraction(0))
+        tail = slope * abs(xi) / abs(a) ** (J + 1)
         worst_tail = max(worst_tail, tail)
         if abs(1 - partial) > tail:
             failures += 1
@@ -362,7 +316,9 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
                  ) -> Dict[str, VerificationReport]:
     """Run the named suites (from SUITES) on one grid; {name: report}.
 
-    The split identities run at most once per call, and the NTF
+    The grid serves the norm sum and the shifted splits only: outward
+    decay, density and semi-orthogonality are decided for all xi.  The
+    split identities run at most once per call, and the NTF
     characterization once per sigma: the sufficiency meta check takes sigma
     from the scaling squares, not from the family, and reuses the ntf
     suite's report when the two agree."""
@@ -380,15 +336,12 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
 
     @cache
     def decay() -> VerificationReport:
-        # the scaling square sum is identically 0 once a^j xi leaves the hull
-        a = abs(phi_fam.dilation)
         lo, hi = phi_fam.generator_set().support_hull()
-        radius = max(abs(lo), abs(hi), Fraction(1))
-        exits = [_exit_index(xi, a, radius) for xi in grid if xi != 0]
         outward = Check("outward_decay", "pass", detail=(
-            f"scaling square sum is identically 0 beyond the support hull; exit "
-            f"index <= {max(exits, default=0)} on the grid (0 itself is the "
-            f"measure-zero dilation fixed point, excluded)"))
+            f"scaling square sum is identically 0 outside the support hull "
+            f"[{lo}, {hi}), so for all xi != 0 it vanishes at a^j xi for all "
+            f"large j (0 itself is the measure-zero dilation fixed point, "
+            f"excluded)"))
         return VerificationReport(split().checks + [outward])
 
     def sufficiency() -> VerificationReport:
@@ -417,15 +370,19 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
 
     suites = {"ntf": lambda: ntf(psi_fam.sigma), "split": split,
               "decay": decay, "sufficiency": sufficiency,
-              "density": lambda: check_density(phi_fam, grid),
+              "density": lambda: check_density(phi_fam),
               "semiorth": lambda: check_semiorthogonal(psi_fam)}
     return {n: suites[n]() for n in dict.fromkeys(names)}
 
 
-def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
-                  ) -> VerificationReport:
-    """Union density of the dilates: inward limit of the scaling square sum
-    is 1, plus exact monotonicity of the sum along contraction orbits."""
+def check_density(phi_fam: ScalingFamily) -> VerificationReport:
+    """Union density of the dilates: the inward limit of the scaling square
+    sum is 1, and the sum is nondecreasing along every contraction orbit
+    xi, xi/a, xi/a^2, ...  Both are decided exactly, with no grid:
+    monotonicity is the piecewise-linear inequality
+    sum|phi|^2(a x) <= sum|phi|^2(x), the condition `admissibility_check`
+    puts on sigma (`dilation_rise`; at a < 0 it holds up to the finitely
+    many points where `compose_scale` moves the ends of reflected pieces)."""
     report = VerificationReport()
     phi_sq = _square_sum(phi_fam.phis.values())
     a = phi_fam.dilation
@@ -438,44 +395,17 @@ def check_density(phi_fam: ScalingFamily, grid: Iterable | None = None
         return report
     report.add(Check("inward_limit_one", "pass", detail=(
         "one-sided limits at 0 both equal 1 (exact)")))
-    if grid is None:
-        grid = family_grid(phi_fam.generator_set())
-    # inside (-clearance, clearance) phi_sq is 1 + alpha x on each side, so
-    # the differences along an orbit there shrink by 1/a per step at a > 0
-    # and by 1/a^2 per two steps at a < 0: their signs repeat with period 2.
-    # Two steps past the entry into that region show every sign to come.
-    clearance = nbhd[2]
-    violations = walked = 0
-    for xi in grid:
-        xi = as_fraction(xi)
-        if xi == 0:
-            continue
-        walked += 1
-        prev = None
-        stop = 64
-        for j in range(64):
-            x = xi / Fraction(a) ** j
-            if stop == 64 and abs(x) < clearance:
-                stop = j + 2
-            if j > stop:
-                break
-            val = phi_sq.eval(x)
-            if prev is not None and val < prev:
-                report.add(Check("orbit_monotone", "fail",
-                                 {"xi": xi, "j": j, "value": val,
-                                  "previous": prev}))
-                violations += 1
-                break
-            if val == 1 and prev == 1:
-                break
-            prev = val
-        if violations >= 3:
-            break
-    if walked == 0:
-        report.add(Check("orbit_monotone", "uncertain", detail=_EMPTY_GRID))
-    elif violations == 0:
+    x = phi_sq.dilation_rise(a)
+    if x is None:
         report.add(Check("orbit_monotone", "pass", detail=(
-            "square sum nondecreasing along every sampled contraction orbit")))
+            "square sum nondecreasing along every contraction orbit for all "
+            "xi: sum|phi|^2(xi/a) >= sum|phi|^2(xi) as an exact "
+            "piecewise-linear inequality")))
+    else:
+        # the orbit of a*x falls on its first step, from a*x to x
+        report.add(Check("orbit_monotone", "fail",
+                         {"xi": a * x, "j": 1, "value": phi_sq.eval(x),
+                          "previous": phi_sq.eval(a * x)}))
     return report
 
 

@@ -1,16 +1,19 @@
 """The grid checks against the direct evaluations they replace.
 
-`check_split` reads every shift from the fibers of a grid point,
-`norm_sum` telescopes the scale sum to its end terms, and `orbit_monotone`
-stops two steps after the orbit enters the lines through (0, 1).  Each test
-here runs the plain per-shift, per-scale or 64-step loop next to the checker
-and asks for the same report, witness for witness.
+`check_split` reads every shift from the fibers of a grid point, `norm_sum`
+telescopes the scale sum to two values of sigma, and `orbit_monotone` is
+one exact piecewise-linear inequality instead of a walk along sampled
+orbits.  Each test here runs the plain per-shift loop, per-scale loop or
+64-step walk next to the checker and asks for the same verdict: witness for
+witness for the splits, and away from the measure-zero orbits that meet a
+jump of sigma for the scale sum and the walk at a < 0.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framesmith.frametest as frametest
 from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
@@ -22,9 +25,9 @@ from framesmith.piecewise import PiecewiseLinear, SqrtProfile, _square_sum
 from framesmith.rationals import as_fraction
 from framesmith.trace import fiber, pair_sum
 from framesmith.verification import (Check, VerificationReport, _EMPTY_GRID,
-                                     _TelescopedScaleSum, _verdict_check,
-                                     check_density, check_ntf_multiwavelet,
-                                     check_split, family_grid)
+                                     _verdict_check, check_density,
+                                     check_ntf_multiwavelet, check_split,
+                                     check_suites, family_grid)
 
 EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 DILATIONS = (2, 3, -2, -3, 4)
@@ -167,33 +170,69 @@ def loop_partial(family, xi, J, Jout):
                 for j in range(-J, Jout + 1)), F(0))
 
 
+def jumps(f: PiecewiseLinear) -> set:
+    return {b for b in f.breakpoints() if f.eval_left(b) != f.eval(b)}
+
+
+def orbit_meets(points: set, a: int, xi, js) -> bool:
+    return any(xi * F(a) ** j in points for j in js)
+
+
 class TestTelescopedNormSum:
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_partial_equals_scale_loop(self, key):
+        # norm_sum's partial sum is sigma(a^{-J-1} xi) - sigma(a^Jout xi).
+        # At a < 0 the gain, built by compose_scale with [l, r) pieces, takes
+        # the left limit of sigma: the loop then differs where the orbit
+        # meets a jump of sigma, a measure-zero set of xi.
         wavelets = FAMILIES[key][1]
-        a = wavelets.dilation
+        a, sigma = wavelets.dilation, wavelets.sigma
         assert _square_sum(wavelets.psis) == wavelets.gain()
-        sums = _TelescopedScaleSum(wavelets.sigma, a)
         rng = random.Random(key)
-        points = family_grid(wavelets.generator_set())[::7]
+        grid = family_grid(wavelets.generator_set())[::7]
         # orbits through every breakpoint of sigma, jumps included
-        points += [b * F(a) ** m for b in wavelets.sigma.breakpoints() if b
-                   for m in (-3, -1, 0, 1, 2)]
+        points = grid + [b * F(a) ** m for b in sigma.breakpoints() if b
+                         for m in (-3, -1, 0, 1, 2)]
+        compared = 0
         for xi in points:
             J, Jout = rng.randint(0, 12), rng.randint(0, 4)
-            assert sums.partial(xi, J, Jout) == loop_partial(wavelets, xi, J, Jout)
+            if a < 0 and orbit_meets(jumps(sigma), a, xi, range(-J - 1, Jout)):
+                continue
+            compared += 1
+            telescoped = (sigma.eval(xi / F(a) ** (J + 1))
+                          - sigma.eval(xi * F(a) ** Jout))
+            assert telescoped == loop_partial(wavelets, xi, J, Jout)
+        assert compared >= len(grid)
+        assert check_ntf_multiwavelet(wavelets, grid=points).status == "pass"
 
     def test_negative_dilation_jump_keeps_loop_bytes(self):
-        # -1/2 * (-2)^j hits the jumps of sigma = chi_[-1,1) at -1 and 1
+        # -1/2 * (-2)^j hits the jumps of sigma = chi_[-1,1) at -1 and 1: the
+        # loop counts psi there twice, the telescoped sum takes sigma's values
         wavelets = FAMILIES["shannon@-2"][1]
         xi = F(-1, 2)
         J, Jout = 0, 3  # the depths norm_sum picks at this point
         assert loop_partial(wavelets, xi, J, Jout) == 2
-        assert _TelescopedScaleSum(wavelets.sigma, -2).partial(xi, J, Jout) == 2
         report = check_ntf_multiwavelet(wavelets, grid=[xi])
         assert report.checks[-1].to_jsonable() == {
-            "name": "norm_sum", "status": "fail",
-            "witness": {"xi": "-1/2", "partial_sum": "2", "allowed_tail": "0"}}
+            "name": "norm_sum", "status": "pass", "tail_bound": "0",
+            "detail": "all grid points within the certified tail"}
+
+    @pytest.mark.parametrize("a", [2, 3, -2, -3])
+    def test_orbit_through_the_clearance_edge(self, a):
+        # |xi| = |a|^n: the orbit meets the ends of sigma = chi_[-1,1), where
+        # the inward end term must already lie strictly inside (-1, 1)
+        wavelets = FAMILIES[f"shannon@{a}"][1]
+        grid = [F(s * abs(a) ** n) for s in (1, -1) for n in range(3)]
+        assert check_ntf_multiwavelet(wavelets, grid=grid).status == "pass"
+
+    @pytest.mark.parametrize("a", [-2, -3])
+    def test_negative_dilation_passes_every_grid_seed(self, a):
+        scaling, wavelets = FAMILIES[f"shannon@{a}"]
+        gens = scaling.generator_set(), wavelets.generator_set()
+        for seed in range(400):
+            grid = family_grid(*gens, seed=seed)
+            report = check_suites(scaling, wavelets, ["ntf"], grid)["ntf"]
+            assert report.status == "pass", (seed, report.to_jsonable())
 
     def test_untelescoped_family_still_loops(self):
         # a corrupted square sum no longer equals the gain
@@ -220,14 +259,34 @@ def full_walk(phi_sq, a, xi):
     return None
 
 
-def orbit_witnesses(report):
-    return [(int(c.witness["j"]), as_fraction(c.witness["value"]),
-             as_fraction(c.witness["previous"]))
-            for c in report.checks if c.name == "orbit_monotone" and c.witness]
+def orbit_monotone(report):
+    return next(c for c in report.checks if c.name == "orbit_monotone")
 
 
 def _single_window(square: PiecewiseLinear, a: int) -> ScalingFamily:
     return ScalingFamily({0: SqrtProfile.from_square(square)}, square, a)
+
+
+def assert_agrees_with_walk(square: PiecewiseLinear, a: int, grid) -> str:
+    """The exact check against the 64-step walk from each grid point: a dip
+    the walk finds makes the check fail, and a fail witness is a one-step
+    decrease the walk finds too.  At a < 0 the walk may also see a dip at
+    the single point whose orbit meets jumps of the square on two
+    consecutive steps (compose_scale moves the ends of reflected pieces),
+    so those orbits are left out."""
+    row = orbit_monotone(check_density(_single_window(square, a)))
+    if row.status == "fail":
+        w = {k: as_fraction(v) for k, v in row.witness.items()}
+        assert w["j"] == 1 and w["value"] < w["previous"]
+        assert full_walk(square, a, w["xi"]) == (1, w["value"], w["previous"])
+    else:
+        assert row.status == "pass" and "for all xi" in row.detail
+    if a < 0:
+        steps = jumps(square)
+        grid = [xi for xi in grid if not orbit_meets(steps, a, xi, range(0, -65, -1))]
+    if any(full_walk(square, a, xi) for xi in grid):
+        assert row.status == "fail"
+    return row.status
 
 
 class TestShortOrbitWalk:
@@ -238,32 +297,59 @@ class TestShortOrbitWalk:
         line_r, line_l = (F(-1, 2), F(1)), (F(1, 2), F(1))
         square = PiecewiseLinear.of((-1, 0, *line_l), (0, d, *line_r),
                                     (d, 3 * d, 0, F(1, 4)), (3 * d, 1, *line_r))
-        fam = _single_window(square, a)
         grid = [F(3, 4), F(-2, 3), F(1, 5), F(-7, 9), F(5, 7)]
-        expected = [w for w in (full_walk(square, a, xi) for xi in grid) if w]
-        assert expected, "the dip must be reached by some orbit"
-        assert max(j for j, _, _ in expected) > 12
-        assert orbit_witnesses(check_density(fam, grid))[:3] == expected[:3]
+        walks = [w for w in (full_walk(square, a, xi) for xi in grid) if w]
+        assert walks, "the dip must be reached by some orbit"
+        assert max(j for j, _, _ in walks) > 12
+        assert assert_agrees_with_walk(square, a, grid) == "fail"
 
     def test_second_step_after_entry_decides(self):
         # a = -3: 1 - x on [0, 1), 1 on [-1, 0); the orbit of 1/2 rises on
         # its first step inside and falls on its second
         square = PiecewiseLinear.of((-1, 0, 0, 1), (0, 1, -1, 1))
-        fam = _single_window(square, -3)
         xi = F(1, 2)
         assert full_walk(square, -3, xi) == (2, F(17, 18), F(1))
-        assert orbit_witnesses(check_density(fam, [xi])) == [(2, F(17, 18), F(1))]
+        assert assert_agrees_with_walk(square, -3, [xi]) == "fail"
 
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_builtins_match_full_walk(self, key):
         scaling = FAMILIES[key][0]
         phi_sq = _square_sum(scaling.phis.values())
         grid = family_grid(scaling.generator_set())
-        expected = [w for w in (full_walk(phi_sq, scaling.dilation, xi)
-                                for xi in grid) if w]
-        report = check_density(scaling, grid)
-        assert report.checks[0].status == "pass"  # inward_limit_one
-        assert orbit_witnesses(report) == expected[:3]
+        assert check_density(scaling).checks[0].status == "pass"  # inward_limit_one
+        assert assert_agrees_with_walk(phi_sq, scaling.dilation, grid) == "pass"
+
+
+_EDGES = st.lists(st.fractions(F(1, 12), F(2), max_denominator=12),
+                  min_size=1, max_size=4, unique=True).map(sorted)
+_VALUES = st.fractions(0, F(3, 2), max_denominator=6)
+
+
+@st.composite
+def squares_with_limit_one(draw):
+    """A nonnegative piecewise-linear square on a bounded set with both
+    one-sided limits 1 at 0; every piece may jump at either end."""
+    pieces = []
+    for side in (1, -1):
+        ends = [F(0)] + draw(_EDGES)
+        start = F(1)
+        for near, far in zip(ends, ends[1:]):
+            stop = draw(_VALUES)
+            slope = (stop - start) / (far - near) * side
+            lo, hi = sorted((side * near, side * far))
+            pieces.append((lo, hi, slope, start - slope * side * near))
+            start = draw(_VALUES)
+    return PiecewiseLinear.of(*pieces)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(squares_with_limit_one(), st.sampled_from([2, 3, -2, -3]))
+def test_exact_orbit_check_agrees_with_walk(square, a):
+    fam = _single_window(square, a)
+    assert check_density(fam).checks[0].status == "pass"
+    grid = family_grid(fam.generator_set())[::3]
+    grid += [b * F(a) ** m for b in square.breakpoints() if b for m in (-1, 0, 1)]
+    assert_agrees_with_walk(square, a, grid)
 
 
 def test_frame_tail_skips_only_zero_scales(monkeypatch):

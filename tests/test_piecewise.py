@@ -62,6 +62,20 @@ def test_nonneg_matches_breakpoint_scan_oracle():
             if a * hi + b < 0:
                 bad = True
         assert f.nonneg() == (not bad)
+        witness = f.first_negative_witness()
+        if witness is not None:
+            assert f.eval(witness) < 0 and witness not in f.breakpoints()
+
+
+def test_dilation_rise_witness_is_a_true_rise():
+    # f(-2x) > f(x) exactly on (-1/2, -1/4].  compose_scale(-2) reflects
+    # [1/2, 1) to [-1/2, -1/4), so the difference is negative from its
+    # breakpoint -1/2 on, where f(-2x) = f(1) = 0 is no rise.
+    f = PiecewiseLinear.of((F(-1, 2), F(1, 2), 0, 1), (F(1, 2), 1, 0, 2))
+    x = f.dilation_rise(-2)
+    assert F(-1, 2) < x <= F(-1, 4) and f.eval(-2 * x) > f.eval(x)
+    assert tent(1, 1).dilation_rise(2) is None
+    assert tent(1, 1).dilation_rise(-3) is None
 
 
 def test_addition_exact_at_random_rationals():
