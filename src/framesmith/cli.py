@@ -76,6 +76,10 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     scaling, wavelets = _load_family(args.family)
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not names:
+        print(f"check: no suite given (choose from {','.join(SUITES)})",
+              file=sys.stderr)
+        return 2
     for n in names:
         if n not in SUITES:
             print(f"check: unknown suite {n!r} (choose from {','.join(SUITES)})",

@@ -22,6 +22,12 @@ from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
 from .rationals import as_fraction
 
 
+def require_dilation(a: int) -> None:
+    """Raise ValueError unless the integer dilation has |a| >= 2."""
+    if abs(a) < 2:
+        raise ValueError("dilation must satisfy |a| >= 2")
+
+
 @dataclass(frozen=True)
 class SpectralSpec:
     """A candidate spectral profile with its integer dilation (|a| >= 2)."""
@@ -30,8 +36,7 @@ class SpectralSpec:
     dilation: int = 2
 
     def __post_init__(self):
-        if abs(self.dilation) < 2:
-            raise ValueError("dilation must satisfy |a| >= 2")
+        require_dilation(self.dilation)
 
     def two_scale_gain(self) -> PiecewiseLinear:
         """sigma(xi/a) - sigma(xi): the mass the next scale adds."""
@@ -255,6 +260,7 @@ def waveletset_closure(E: IntervalSet, a: int, budget: int = 64) -> IntervalSet:
     monotone map agrees with the true union up to {0}, so a verified
     candidate is exact almost everywhere.
     """
+    require_dilation(a)
     inv = Fraction(1, a)
     step = lambda X: E.union(X).scale(inv)
     U = IntervalSet.empty()
@@ -301,6 +307,7 @@ def classify_waveletset_seed(E: IntervalSet, a: int) -> SeedClassification:
     identically 1 gives an orthonormal wavelet set, bounded multiplicity a
     normalized-tight-frame family.
     """
+    require_dilation(a)
     if E.is_empty():
         return SeedClassification("not_admissible", "empty seed")
     stray = E.difference(E.dilate(a))

@@ -10,22 +10,13 @@ energy and its extrapolated remainder fall below the target.
 
 The scales outside the j range enter the verdict through their exact
 energies E_j = sum_k |<f, D^j T_k psi>|^2 = (1/2) int f_hat(u)^2 S(u/t) du,
-S = |psi_hat|^2, t = a^j (per_scale_energy_exact).  Scales whose dilated
-support misses f_hat add exactly 0 and are skipped.  Deep scales take a
-closed form, with the half-line moments M_m^rho = int_{rho v > 0} v^m S(v) dv
-and F_m^rho = int_{rho u > 0} u^m f_hat(u)^2 du computed once per (f, psi):
-
-* inward, once |t| * max|supp S| is at most the distance from 0 to the
-  nearest nonzero breakpoint of f_hat, f_hat is a line alpha_s u + beta_s on
-  each side s of 0 over the support of S(./t), and
-  E_j = (1/2) |t| sum_rho (beta^2 M_0 + 2 alpha beta t M_1 + alpha^2 t^2 M_2)
-  with the line of side s = sign(t) * rho and the moments of side rho;
-* outward, once max|supp f_hat| / |t| is at most the distance from 0 to the
-  nearest nonzero breakpoint of S, S is a line gamma_s v + eta_s there, and
-  E_j = (1/2) sum_rho (eta F_0 + (gamma / t) F_1), again with s = sign(t) rho.
-
-Both give the same exact Fraction as the integral; the scales between the
-two windows are integrated.
+S = |psi_hat|^2, t = a^j (per_scale_energy_exact).  Summed over psi these
+telescope: the wavelet squares add up to the gain sigma(./a) - sigma, so the
+scales j_min..j_max carry sigma(u/a^(j_max+1)) - sigma(u/a^j_min), and all of
+Z carries L(u), the one-sided limit of sigma at 0 on the side of u (sigma has
+bounded support, and at a < 0 both limits agree because the gain is >= 0 on
+both sides of 0).  Every scale outside the range, however deep, is therefore
+one exact integral (out_of_range_energy).
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ import numpy as np
 
 from .construction import WaveletFamily
 from .intervals import IntervalSet
-from .piecewise import (PiecewiseLinear, SqrtProfile, _linear_product,
+from .piecewise import (PiecewiseLinear, SqrtProfile, _square_sum,
                         integrate_product)
 from .quadrature import Factor, FreqRun, QuadPlan, oscillatory_integrals
 from .rationals import as_fraction, format_ratio
@@ -114,18 +105,10 @@ def coefficients_for_scale(f: TestSignal, psi: SqrtProfile, a: int, j: int,
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
     """Whether the support of psi_hat(./t) meets that of f_hat in positive
-    measure (t = a^j).  The pieces are compared only when the hulls overlap."""
-    pieces = f.hat.pieces
-    if not pieces:
-        return False
-    lo, hi = sorted(x * t for x in psi.domain.hull())
-    if max(lo, pieces[0][0]) >= min(hi, pieces[-1][1]):
-        return False
-    for dlo, dhi in psi.domain.pieces:
-        dlo, dhi = sorted((dlo * t, dhi * t))
-        if any(max(dlo, plo) < min(dhi, phi) for plo, phi, _, _ in pieces):
-            return True
-    return False
+    measure (t = a^j), piece against piece."""
+    scaled = (sorted((lo * t, hi * t)) for lo, hi in psi.domain.pieces)
+    return any(max(dlo, plo) < min(dhi, phi)
+               for dlo, dhi in scaled for plo, phi, _, _ in f.hat.pieces)
 
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
@@ -142,87 +125,28 @@ def per_scale_energy_exact(f: TestSignal, psi: SqrtProfile, a: int, j: int
     (1/2) int |f_hat(u)|^2 |psi_hat|^2(a^{-j} u) du, exact.
 
     Valid because the profile's support is injective mod 2 pi, making the
-    modulates an orthonormal family on it (used as an oracle and for
-    out-of-range tail estimates, never as the measured energy)."""
+    modulates an orthonormal family on it (used as an oracle and as the
+    premise of out_of_range_energy, never as the measured energy)."""
     return integrate_product([f.hat, f.hat, _scaled_square(psi, a, j)]) / 2
 
 
-def _reach(g: PiecewiseLinear) -> Fraction:
-    """max |x| over the support of g."""
-    return max(abs(x) for x in g.breakpoints())
-
-
-def _lines_at_zero(g: PiecewiseLinear
-                   ) -> Tuple[Fraction, Dict[int, Tuple[Fraction, Fraction]]]:
-    """(clearance, lines): g(x) = alpha x + beta with (alpha, beta) =
-    lines[s] for 0 < s x < clearance, the distance from 0 to the nearest
-    nonzero breakpoint of g."""
-    clear = min(abs(x) for x in g.breakpoints() if x)
-    lines = {}
-    for side in (1, -1):
-        piece = g._piece_at(side * clear / 2)
-        lines[side] = (piece[2], piece[3]) if piece else (Fraction(0), Fraction(0))
-    return clear, lines
-
-
-def _half_line_moments(factors: List[PiecewiseLinear], degree: int
-                       ) -> Dict[int, List[Fraction]]:
-    """{rho: [int_{rho x > 0} x^m prod(factors) dx for m = 0..degree]}, exact."""
-    reach = _reach(factors[0])
-    out = {}
-    for rho in (1, -1):
-        lo, hi = sorted((0, rho * reach))
-        one, x = PiecewiseLinear.of((lo, hi, 0, 1)), PiecewiseLinear.of((lo, hi, 1, 0))
-        out[rho] = [integrate_product(factors + [one] + [x] * m)
-                    for m in range(degree + 1)]
-    return out
-
-
-class _DeepScales:
-    """per_scale_energy_exact, E_j = (1/2) int f_hat(u)^2 S(u/t) du with
-    S = |psi_hat|^2 and t = a^j, in closed form at the scales where one
-    factor is a line on each side of 0 over the support of the other; None
-    at the scales between (see the module docstring)."""
-
-    def __init__(self, f: TestSignal, psi: SqrtProfile):
-        self.f_hat, self.square = f.hat, psi.square
-        self.f_clear, self.f_lines = _lines_at_zero(f.hat)
-        self.s_clear, self.s_lines = _lines_at_zero(psi.square)
-        self.f_reach, self.s_reach = _reach(f.hat), _reach(psi.square)
-        self._polys: Dict[bool, Dict[int, List[Fraction]]] = {}
-
-    def energy(self, t: Fraction) -> Fraction | None:
-        """E_j at t = a^j; None between the windows."""
-        sign = 1 if t > 0 else -1
-        if abs(t) * self.s_reach <= self.f_clear:
-            c0, c1, c2 = self._poly(True, sign)
-            return abs(t) * (c0 + t * (c1 + t * c2)) / 2
-        if self.f_reach <= abs(t) * self.s_clear:
-            c0, c1 = self._poly(False, sign)
-            return (c0 + c1 / t) / 2
-        return None
-
-    def _poly(self, inward: bool, sign: int) -> List[Fraction]:
-        """Coefficients of 2 E_j / |t| in powers of t (inward: the lines of
-        f_hat, squared, against the moments of S) or of 2 E_j in powers of
-        1/t (outward: the lines of S against the moments of f_hat^2) for t of
-        the given sign; the line on the side sign * rho meets the moments on
-        the side rho."""
-        if inward not in self._polys:
-            if inward:
-                degree, lines, factors = 2, self.f_lines, [self.square]
-            else:
-                degree, lines, factors = 1, self.s_lines, [self.f_hat, self.f_hat]
-            moments = _half_line_moments(factors, degree)
-            self._polys[inward] = {}
-            for side in (1, -1):
-                total = [Fraction(0)] * (degree + 1)
-                for rho, rho_moments in moments.items():
-                    poly = _linear_product([lines[side * rho]] * degree)
-                    for m in range(degree + 1):
-                        total[m] += poly[m] * rho_moments[m]
-                self._polys[inward][side] = total
-        return self._polys[inward][sign]
+def out_of_range_energy(f: TestSignal, family: WaveletFamily,
+                        j_min: int, j_max: int) -> Fraction:
+    """per_scale_energy_exact summed over every psi and every scale j outside
+    j_min..j_max, exact: (1/2) int f_hat(u)^2 [sigma(u/a^j_min) + L(u)
+    - sigma(u/a^(j_max+1))] du, L(u) the limit of sigma at 0 from the side
+    of u (see the module docstring).  Raises ValueError when the wavelet
+    squares do not telescope to the gain."""
+    if _square_sum(family.psis) != family.gain():
+        raise ValueError("wavelet squares do not telescope to the gain "
+                         "sigma(./a) - sigma")
+    sigma, a = family.sigma, Fraction(family.dilation)
+    reach = max((abs(x) for x in f.hat.breakpoints()), default=0)
+    limit = PiecewiseLinear.of((-reach, 0, 0, sigma.eval_left(0)),
+                               (0, reach, 0, sigma.eval(0)))
+    weight = (sigma.compose_scale(a ** -j_min) + limit
+              - sigma.compose_scale(a ** -(j_max + 1)))
+    return integrate_product([f.hat, f.hat, weight]) / 2
 
 
 @dataclass
@@ -267,15 +191,18 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
 
     Per (psi, j) the k sweep grows in blocks until the block energy and a
     conservative extrapolated remainder drop below the target fraction of
-    ||f||^2; the remainder and the exact per-scale energies outside the j
-    range are reported as tail_estimate.  Exhausting k_budget first marks the
-    report inconclusive.  An empty range (j_min > j_max) raises ValueError.
+    ||f||^2; the remainders plus the exact energy of every scale outside the
+    j range (out_of_range_energy, rounded once) are reported as
+    tail_estimate.  Exhausting k_budget first marks the report inconclusive.
+    An empty range (j_min > j_max), a zero signal, or wavelet squares that do
+    not telescope to the gain raise ValueError.
     """
     if j_min > j_max:
         raise ValueError(f"empty scale range {j_min}..{j_max} (j_min > j_max)")
     norm2 = f.norm2()
     if norm2 == 0:
         raise ValueError("zero test signal")
+    outside = out_of_range_energy(f, family, j_min, j_max)
     norm2f = float(norm2)
     a = family.dilation
     report = EnergyReport(0.0, 0.0, norm2)
@@ -304,32 +231,18 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
             scale.k_used = max(scale.k_used, k_hi)
             # remainder if |coeff|^2 decays no slower than 1/k^2 from here
             tail_est = block_energy * k_hi / block
-            if block_energy < per_target and tail_est < per_target:
-                scale.k_tail += tail_est
-                report.tail_estimate += tail_est
-                break
-            if 2 * k_hi >= k_budget:
-                report.inconclusive = True
-                report.detail += (f"k budget exhausted at scale {j} "
-                                  f"(tail estimate {tail_est:.3g});")
+            converged = block_energy < per_target and tail_est < per_target
+            if converged or 2 * k_hi >= k_budget:
+                if not converged:
+                    report.inconclusive = True
+                    report.detail += (f"k budget exhausted at scale {j} "
+                                      f"(tail estimate {tail_est:.3g});")
                 scale.k_tail += tail_est
                 report.tail_estimate += tail_est
                 break
             block = min(block * 2, 16384)
     report.scales.extend(scales[j] for j in range(j_min, j_max + 1))
-    # exact per-scale energies outside the computed j range (tail estimate);
-    # a scale whose dilated support misses f_hat adds exactly 0
-    deep: Dict[int, _DeepScales] = {}   # built for the psi that meet f_hat
-    for j in list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41)):
-        t = Fraction(a) ** j
-        for i, psi in enumerate(family.psis):
-            if _meets(f, psi, t):
-                if i not in deep:
-                    deep[i] = _DeepScales(f, psi)
-                energy = deep[i].energy(t)
-                if energy is None:
-                    energy = per_scale_energy_exact(f, psi, a, j)
-                report.tail_estimate += float(energy)
+    report.tail_estimate += float(outside)
     report.ratio = total / norm2f
     return report
 

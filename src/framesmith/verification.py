@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence as Seq
 
-from .construction import ScalingFamily, WaveletFamily
+from .construction import ScalingFamily, WaveletFamily, require_dilation
 from .folding import per_multiplicity
 from .intervals import IntervalSet, overlay_counts, union_all
 from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
@@ -417,9 +417,14 @@ def check_wavelet_set_tiling(E_list: Seq[IntervalSet], a: int,
                              j_range: int = 24) -> VerificationReport:
     """Mutual disjointness, translation injectivity, and exact dilation
     tiling of the line on [-W, W] minus the (-eps, eps) hole,
-    eps = W |a|^{-j_range}."""
-    report = VerificationReport()
+    eps = W |a|^{-j_range}.  Raises ValueError for |a| < 2, j_range < 1
+    or W <= 0, where the tiling would hold vacuously."""
+    require_dilation(a)
     window = as_fraction(window)
+    if j_range < 1 or window <= 0:
+        raise ValueError(f"need j_range >= 1 and window > 0, got {j_range} "
+                         f"and {format_ratio(window)}")
+    report = VerificationReport()
     for i, Ei in enumerate(E_list):
         for i2 in range(i + 1, len(E_list)):
             overlap = Ei.intersect(E_list[i2])

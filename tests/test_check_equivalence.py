@@ -6,7 +6,9 @@ one exact piecewise-linear inequality instead of a walk along sampled
 orbits.  Each test here runs the plain per-shift loop, per-scale loop or
 64-step walk next to the checker and asks for the same verdict: witness for
 witness for the splits, and away from the measure-zero orbits that meet a
-jump of sigma for the scale sum and the walk at a < 0.
+jump of sigma for the scale sum and the walk at a < 0.  The frame test's
+out-of-range energy telescopes the same way; it is held against the
+80-scale sum of per-scale energies that it replaces.
 """
 
 import random
@@ -15,11 +17,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import framesmith.frametest as frametest
 from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
                                      build_family, example_by_name,
                                      random_admissible_spec)
-from framesmith.frametest import TestSignal, frame_energy, per_scale_energy_exact
+from framesmith.frametest import TestSignal, out_of_range_energy, per_scale_energy_exact
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile, _square_sum
 from framesmith.rationals import as_fraction
@@ -352,35 +353,18 @@ def test_exact_orbit_check_agrees_with_walk(square, a):
     assert_agrees_with_walk(square, a, grid)
 
 
-def test_frame_tail_skips_only_zero_scales(monkeypatch):
-    """The out-of-range scales that frame_energy leaves out carry exactly 0
-    energy, so the tail estimate is the full 80-scale sum.  Every other tail
-    scale gets its energy once, in closed form or by integration."""
-    wavelets = FAMILIES["shannon@2"][1]
-    f = TestSignal.tent(-1, 1)
-    tail_js = list(range(-8 - 40, -8)) + list(range(9, 49))
-    skipped = [(j, psi) for j in tail_js for psi in wavelets.psis
-               if not frametest._meets(f, psi, F(2) ** j)]
-    assert len(skipped) == 40  # every scale above the range
-    assert all(per_scale_energy_exact(f, psi, 2, j) == 0 for j, psi in skipped)
-    reached = []  # scales given an energy, in closed form or by integration
-    closed_form = frametest._DeepScales.energy
-
-    def counted_closed(self, t):
-        energy = closed_form(self, t)
-        if energy is not None:
-            reached.append(t)
-        return energy
-
-    def counted(*args):
-        reached.append(args[3])
-        return per_scale_energy_exact(*args)
-
-    monkeypatch.setattr(frametest._DeepScales, "energy", counted_closed)
-    monkeypatch.setattr(frametest, "per_scale_energy_exact", counted)
-    report = frame_energy(f, wavelets, j_min=-8, j_max=8)
-    assert len(reached) == len(tail_js) * len(wavelets.psis) - len(skipped)
-    full = sum(float(per_scale_energy_exact(f, psi, 2, j))
+@pytest.mark.parametrize("key", sorted(k for k in FAMILIES if not k.startswith("random")))
+@pytest.mark.parametrize("signal, j_min, j_max", [("tent:[-1,1)", -8, 8),
+                                                  ("chi:[-3,-1/5)", 1, 4)])
+def test_frame_tail_covers_the_80_scale_sum(key, signal, j_min, j_max):
+    """The exact out-of-range energy against the 80-scale sum it replaces:
+    it adds the scales past 40 on either side, which are >= 0 and below
+    1e-10 ||f||^2 together."""
+    wavelets = FAMILIES[key][1]
+    a = wavelets.dilation
+    f = TestSignal.parse(signal)
+    tail_js = list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41))
+    loop = sum(per_scale_energy_exact(f, psi, a, j)
                for j in tail_js for psi in wavelets.psis)
-    k_tails = sum(s.k_tail for s in report.scales)
-    assert report.tail_estimate == pytest.approx(full + k_tails, rel=1e-12, abs=0)
+    tail = out_of_range_energy(f, wavelets, j_min, j_max)
+    assert 0 <= tail - loop <= F(1, 10 ** 10) * f.norm2()

@@ -197,6 +197,31 @@ class TestExitCodes:
         bad.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((0, 1))])))
         assert run("waveletset", "--E", bad, "--a", 2, "--classify") == 1
 
+    @pytest.mark.parametrize("suite", [",", "", " , "])
+    def test_empty_suite_list_is_two(self, family_file, capsys, suite):
+        capsys.readouterr()
+        assert run("check", "--family", family_file, "--suite", suite) == 2
+        err = capsys.readouterr().err
+        assert "no suite given" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check-waveletset", "--a", 0), ("check-waveletset", "--a", 1),
+        ("check-waveletset", "--a", -1), ("check-waveletset", "--jrange", 0),
+        ("check-waveletset", "--jrange", -1), ("check-waveletset", "--window", 0),
+        ("check-waveletset", "--window", -5), ("waveletset", "--a", 0),
+        ("waveletset", "--a", 1), ("waveletset", "--classify", "--a", 0),
+        ("waveletset", "--classify", "--a", 1),
+        ("waveletset", "--classify", "--a", -1)])
+    def test_degenerate_waveletset_input_is_two(self, tmp_path, capsys, argv):
+        # on E = [0, 1) each of these used to pass vacuously, report a
+        # multiplicity-0 family or divide by zero
+        sets = tmp_path / "E.json"
+        sets.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((0, 1))])))
+        capsys.readouterr()
+        assert run(argv[0], "--E", sets, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestOutputs:
     def test_sample_row_count(self, family_file, tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from framesmith.construction import SpectralSpec, WaveletFamily, build_family, \
     example_by_name, example_pwl, example_shannon
-from framesmith.frametest import (TestSignal, _DeepScales, _meets, coefficient,
+from framesmith.frametest import (TestSignal, _meets, coefficient,
                                   coefficients_for_scale, frame_energy,
-                                  per_scale_energy_exact)
+                                  out_of_range_energy, per_scale_energy_exact)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile
 from framesmith.quadrature import Factor, riemann_oracle
@@ -104,13 +104,25 @@ class TestFrameEnergy:
         assert abs(rep.ratio - 1.0) <= 3e-3
 
     def test_halved_profile_quarters_energy(self, worked_half):
+        # the consistent family: quartered squares telescope to sigma/4
         wavelets = worked_half[1]
         halved = WaveletFamily(
             tuple(p.scale_amplitude_sq(F(1, 4)) for p in wavelets.psis),
-            wavelets.partition, wavelets.sigma, wavelets.dilation)
+            wavelets.partition, wavelets.sigma.scale_value(F(1, 4)),
+            wavelets.dilation)
         tent = TestSignal.tent(-1, 1)
         rep = frame_energy(tent, halved, j_min=-14, j_max=8)
         assert abs(rep.ratio - 0.25) <= 2e-3
+        assert abs(rep.ratio + rep.tail_estimate / float(rep.norm2) - 0.25) <= 1e-5
+
+    def test_squares_off_the_gain_rejected(self, worked_half):
+        # quartered squares with sigma kept: the tail identity does not hold
+        wavelets = worked_half[1]
+        quartered = WaveletFamily(
+            tuple(p.scale_amplitude_sq(F(1, 4)) for p in wavelets.psis),
+            wavelets.partition, wavelets.sigma, wavelets.dilation)
+        with pytest.raises(ValueError, match="telescope"):
+            frame_energy(TestSignal.tent(-1, 1), quartered, j_min=-2, j_max=2)
 
     def test_zero_signal_rejected(self, shannon):
         zero = TestSignal(TestSignal.tent(-1, 1).hat.scale_value(0))
@@ -198,38 +210,31 @@ def test_default_range_k_used_pinned(name, a):
     assert not rep.inconclusive
 
 
-DEEP_SIGNALS = ("tent:[-1,1)", "chi:[0,1)", "chi:[-1/2,3/2)", "tent:[-1/3,5/7)",
-                "tent:[1,2)", "chi:[-3,-1/5)", "tent:[-5/4,0)")
-# every scale up to 10 from 0 (both window edges), then two deep ones per side
-DEEP_JS = list(range(-10, 11)) + [-48, -47, 47, 48]
+IDENTITY_SIGNALS = ("tent:[-1,1)", "chi:[1,2)", "tent:[-1/3,5/7)", "chi:[-3,-1/5)")
+IDENTITY_RANGES = ((-8, 8), (1, 4), (0, 0))
 
 
 @pytest.mark.parametrize("name", ["shannon", "journe", "pwl:a=1/2,b=1/2",
-                                  "pwl:a=3/4,b=5/4", "pwl:a=1,b=3",
-                                  "pwl:a=1/3,b=2/7"])
-def test_deep_scale_closed_form_is_exact(name):
-    """The closed-form energies of the inward and outward windows equal the
-    integrated ones as Fractions, at both signs of the dilation."""
-    routes = {"inward": 0, "outward": 0, "integrated": 0}
-    for a in (2, 3, -2, -3, 4):
+                                  "pwl:a=3/4,b=5/4"])
+def test_out_of_range_energy_completes_the_norm(name):
+    """The exact tail plus the exact energies of the scales in range is
+    ||f||^2 as a Fraction: the Parseval identity for f, over all of Z."""
+    built = 0
+    for a in (2, 3, -2, 4, -3):
         try:
             wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))[1]
         except ValueError:
-            continue  # journe at |a| = 3 and pwl:a=1,b=3 at -2 are refused
-        for signal in DEEP_SIGNALS:
+            continue  # journe at |a| = 3 is refused
+        built += 1
+        for signal in IDENTITY_SIGNALS:
             f = TestSignal.parse(signal)
-            for psi in wavelets.psis:
-                closed = _DeepScales(f, psi)
-                for j in DEEP_JS:
-                    energy = closed.energy(F(a) ** j)
-                    if energy is None:
-                        routes["integrated"] += 1
-                        continue
-                    inward = abs(F(a) ** j) * closed.s_reach <= closed.f_clear
-                    routes["inward" if inward else "outward"] += 1
-                    assert energy == per_scale_energy_exact(f, psi, a, j), (a, signal, j)
-    assert all(routes.values()), routes
-
+            for j_min, j_max in IDENTITY_RANGES:
+                in_range = sum(per_scale_energy_exact(f, psi, a, j)
+                               for j in range(j_min, j_max + 1)
+                               for psi in wavelets.psis)
+                tail = out_of_range_energy(f, wavelets, j_min, j_max)
+                assert tail + in_range == f.norm2(), (a, signal, j_min, j_max)
+    assert built >= 3
 
 
 _QUARTERS = st.integers(-12, 12).map(lambda n: F(n, 4))
@@ -240,8 +245,8 @@ _QUARTERS = st.integers(-12, 12).map(lambda n: F(n, 4))
        st.sampled_from([2, 3, -2, -3]), st.integers(-2, 2))
 @settings(max_examples=300, deadline=None)
 def test_meets_is_support_intersection(domain, ends, tent, a, j):
-    """The hull test decides exactly as the intersection of the supports,
-    touching half-open ends included."""
+    """The piece-by-piece test decides exactly as the intersection of the
+    supports, touching half-open ends included."""
     lo, hi = sorted(ends)
     if lo == hi:
         hi += 1
