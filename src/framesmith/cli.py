@@ -9,6 +9,7 @@ so reruns with the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -157,6 +158,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_frame_test(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     scaling, wavelets = _load_family(args.family)
     signal = TestSignal.parse(args.signal)
     report = frame_energy(signal, wavelets, j_min=args.jmin, j_max=args.jmax,

@@ -258,9 +258,12 @@ def waveletset_closure(E: IntervalSet, a: int, budget: int = 64) -> IntervalSet:
     Iterates U <- (E union U)/a and tests candidate fixpoints, including the
     candidates with the gap at 0 closed.  Any bounded fixpoint of the
     monotone map agrees with the true union up to {0}, so a verified
-    candidate is exact almost everywhere.
+    candidate is exact almost everywhere.  Raises ValueError for a budget
+    below 1.
     """
     require_dilation(a)
+    if budget < 1:
+        raise ValueError(f"closure budget must be >= 1, got {budget}")
     inv = Fraction(1, a)
     step = lambda X: E.union(X).scale(inv)
     U = IntervalSet.empty()

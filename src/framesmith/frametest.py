@@ -3,7 +3,11 @@
 Coefficients <f, D^j T_k psi> are computed in the Fourier domain:
     (1/2) |a|^{-j/2} int f_hat(u) psi_hat(a^{-j} u) e^{i pi k a^{-j} u} du
 (pi units: the real frequency is u*pi, which contributes the 1/2 and puts pi
-into the phase).  The k sweep per scale runs in blocks of consecutive k, each
+into the phase).  Per scale one QuadPlan holds the integrand
+f_hat(u) * sqrt(|psi_hat|^2(a^{-j} u)), with the signal line and the scaled
+profile square as its two pieces.  The integrand is real, so
+<f, D^j T_(-k) psi> is the conjugate of <f, D^j T_k psi> and only k >= 0 is
+integrated.  The k sweep per scale runs in blocks of consecutive k, each
 passed to one QuadPlan.integrate call as a FreqRun, whose phases come from
 angle addition (see quadrature).  The sweep of a scale stops where the block
 energy and its extrapolated remainder fall below the target.
@@ -33,7 +37,7 @@ from .construction import WaveletFamily
 from .intervals import IntervalSet
 from .piecewise import (PiecewiseLinear, SqrtProfile, _square_sum,
                         integrate_product)
-from .quadrature import Factor, FreqRun, QuadPlan, oscillatory_integrals
+from .quadrature import FreqRun, QuadPlan
 from .rationals import as_fraction, format_ratio
 
 _SIGNAL_RE = re.compile(r"^(tent|chi):\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\)$")
@@ -85,22 +89,13 @@ def _scaled_square(psi: SqrtProfile, a: int, j: int) -> PiecewiseLinear:
     return psi.square.compose_scale(Fraction(a) ** (-j))
 
 
-def _scale_factors(f: TestSignal, psi: SqrtProfile, a: int, j: int
-                   ) -> Tuple[List[Factor], float, float]:
-    """Integrand factors, frequency unit, and amplitude for one scale."""
-    factors = [Factor(f.hat, is_sqrt=False),
-               Factor(_scaled_square(psi, a, j), is_sqrt=True)]
+def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int
+                ) -> Tuple[QuadPlan, float, float]:
+    """Quadrature plan, frequency unit, and amplitude for one scale."""
+    plan = QuadPlan(f.hat, _scaled_square(psi, a, j))
     freq_unit = math.pi * float(Fraction(a) ** (-j))
     amplitude = 0.5 * abs(float(Fraction(a) ** j)) ** -0.5
-    return factors, freq_unit, amplitude
-
-
-def coefficients_for_scale(f: TestSignal, psi: SqrtProfile, a: int, j: int,
-                           ks: np.ndarray) -> np.ndarray:
-    """<f, D^j T_k psi> for every k in ks (complex array)."""
-    factors, freq_unit, amplitude = _scale_factors(f, psi, a, j)
-    vals = oscillatory_integrals(factors, np.asarray(ks, dtype=float) * freq_unit)
-    return amplitude * vals
+    return plan, freq_unit, amplitude
 
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
@@ -113,10 +108,12 @@ def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
                 ) -> complex:
-    """Single affine-system coefficient; exact 0 when supports miss."""
+    """<f, D^j T_k psi>; exact 0 when supports miss."""
     if not _meets(f, psi, Fraction(a) ** j):
         return 0.0 + 0.0j
-    return complex(coefficients_for_scale(f, psi, a, j, np.array([k]))[0])
+    plan, freq_unit, amplitude = _scale_plan(f, psi, a, j)
+    value = complex(amplitude * plan.integrate(FreqRun(abs(k), 1, freq_unit))[0])
+    return value.conjugate() if k < 0 else value
 
 
 def per_scale_energy_exact(f: TestSignal, psi: SqrtProfile, a: int, j: int
@@ -194,11 +191,16 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     ||f||^2; the remainders plus the exact energy of every scale outside the
     j range (out_of_range_energy, rounded once) are reported as
     tail_estimate.  Exhausting k_budget first marks the report inconclusive.
-    An empty range (j_min > j_max), a zero signal, or wavelet squares that do
-    not telescope to the gain raise ValueError.
+    An empty range (j_min > j_max), a k_tail_target that is not finite and
+    > 0, a k_budget below 1, a zero signal, or wavelet squares that do not
+    telescope to the gain raise ValueError.
     """
     if j_min > j_max:
         raise ValueError(f"empty scale range {j_min}..{j_max} (j_min > j_max)")
+    if not (math.isfinite(k_tail_target) and k_tail_target > 0):
+        raise ValueError(f"k_tail_target must be finite and > 0, got {k_tail_target}")
+    if k_budget < 1:
+        raise ValueError(f"k_budget must be >= 1, got {k_budget}")
     norm2 = f.norm2()
     if norm2 == 0:
         raise ValueError("zero test signal")
@@ -214,13 +216,12 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     scales: Dict[int, ScaleEnergy] = {j: ScaleEnergy(j) for j in range(j_min, j_max + 1)}
     for j, psi in active:
         scale = scales[j]
-        factors, freq_unit, amplitude = _scale_factors(f, psi, a, j)
-        plan = QuadPlan(factors)
+        plan, freq_unit, amplitude = _scale_plan(f, psi, a, j)
         k_hi = -1
         block = _K_BLOCK
         while True:
             vals = plan.integrate(FreqRun(k_hi + 1, block, freq_unit))
-            # real factors: coeff(-k) = conj(coeff(k)), so fold negative k in
+            # real integrand: coeff(-k) = conj(coeff(k)), so fold negative k in
             power = 2 * np.vdot(vals, vals).real
             if k_hi < 0:
                 power -= abs(vals[0]) ** 2

@@ -1,21 +1,20 @@
-"""Closed-form oscillatory quadrature of products of piecewise-linear and
-square-root factors against e^{i c u}, vectorized over many frequencies.
+"""Closed-form quadrature of the frame-test integrand
+line(u) * sqrt(max(square(u), 0)) * e^{i c u} over a run of frequencies c.
 
-The joint support is cut at every factor breakpoint.  On each cell the plain
-factors multiply to an exact polynomial P(u), and each root factor
-sqrt(alpha*u + beta) is either constant there or varies.
+The joint support of the line and the square is cut at the breakpoints of
+both.  On each cell the line is a polynomial P(u) of degree 1, and the root
+sqrt(alpha*u + beta) of the square is either constant there or varies.
 
-* No varying root.  With s = u - lo the cell integral is
+* Constant root.  With s = u - lo the cell integral is
   e^{i c lo} * sum_m q_m J_m(c) over [0, hi - lo], where q_m are the exact
   coefficients of P(lo + s).
-* One varying root.  u0 = -beta/alpha is the exact zero of the radicand and
+* Varying root.  u0 = -beta/alpha is the exact zero of the radicand and
   s = |u - u0|, so the root is sqrt(|alpha| s) and the cell integral is
   sqrt|alpha| e^{i c u0} * sum_m q_m J_{m+1/2}(+-c), where q_m are the exact
   coefficients of P(u0 +- s) and the sign is that of alpha.
 
-A frame-test integrand (a linear signal times one root profile) has cells of
-the first kind where the profile square is flat, which is every cell of the
-indicator families, and of the second kind where it slopes.
+Cells of the first kind lie where the profile square is flat, which is
+every cell of the indicator families, and of the second kind where it slopes.
 
 Both are closed forms in the moments J_p(w) = int_{s0}^{s1} s^p e^{i w s} ds,
 p = m + nu with nu in {0, 1/2}, which one routine computes: the power series
@@ -35,30 +34,26 @@ summed over the cells the ends they share merge:
     sum_x e^{icx} sum_n B_n(x) / (ic)^{n+1},
     B_n(x) = (-1)^n (P^(n)(x-) - P^(n)(x+)),
 
-the jumps of the integrand (root factor included) and its derivatives at the
-breakpoints.  The plan computes each B_n exactly, as a rational per root
-factor, and rounds it once.  Where |c| * ell_min > _SERIES_PHASE, ell_min the
-shortest polynomial cell, every polynomial cell would take the recurrence, so
-there the break form is an exact rearrangement of the cell sum and replaces
-it; 1/(ic) = -i/c keeps the powers real.  Below that line (the head, a few
-frequencies next to 0) and on the rooted cells the moments are summed cell
-by cell: a rooted cell's end terms carry a Fresnel tail per end and
-frequency, so they have no such form.
+the jumps of the integrand (root included) and its derivatives at the
+breakpoints.  The plan computes each B_n exactly, as a rational per value of
+the constant root, and rounds it once.  Where |c| * ell_min > _SERIES_PHASE,
+ell_min the shortest polynomial cell, every polynomial cell would take the
+recurrence, so there the break form is an exact rearrangement of the cell
+sum and replaces it; 1/(ic) = -i/c keeps the powers real.  Below that line
+(the head, a few frequencies next to 0) and on the rooted cells the moments
+are summed cell by cell: a rooted cell's end terms carry a Fresnel tail per
+end and frequency, so they have no such form.
 
-The moments need the end phases e^{i c x} at each cell end x.  Cells that
-share an end share its phases.  Scattered frequencies (an array) take one
-exponential per frequency and end, and the break form is one product with
-exp(i outer(x, c)).  A k-sweep block is passed as a FreqRun, the
-frequencies (k0 + m) * unit for m < n; with m = 64 q + r its phase is
-e^{i k0 unit x} * e^{i 64 q unit x} * e^{i r unit x} (angle addition), so a
-block costs about n / 64 + 64 exponentials per end instead of n, and the
-break form of a block is (coarse * diag(B_n e^{i k0 unit x})) @ fine, one
-small matmul per B_n with no phase array of length n per end.  Both forms
-round the argument k * unit * x, so they agree to a few ulps of it.
-
-Every cell is integrated in closed form.  A cell where two root factors
-vary has none of the two forms above and raises ValueError; no caller
-builds one.
+The frequencies are a FreqRun, (k0 + m) * unit for m < n with k0 >= 0: one
+block of a k sweep.  |c| grows along the run, so its head is the prefix
+FreqRun(k0, n_head, unit).  The moments need the end phases e^{i c x} at each
+cell end x, and cells that share an end share its phases.  With
+m = 64 q + r the phase is e^{i k0 unit x} * e^{i 64 q unit x} *
+e^{i r unit x} (angle addition), so a run costs about n / 64 + 64
+exponentials per end instead of n, and its break form is
+(coarse * diag(B_n e^{i k0 unit x})) @ fine, one small matmul per B_n with
+no phase array of length n per end.  The tables round the argument
+k * unit * x, so they agree with e^{i c x} to a few ulps of it.
 """
 
 from __future__ import annotations
@@ -70,8 +65,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet
-from .piecewise import PiecewiseLinear, _linear_product
+from .piecewise import PiecewiseLinear
 
 _SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
 _FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
@@ -79,27 +73,11 @@ _FRESNEL_INF = math.sqrt(math.pi / 2) * (1 + 1j)   # int_0^inf t^{-1/2} e^{it} d
 _RUN_STRIDE = 64            # fine-table length of the angle-addition phases
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor of the integrand: pwl(u) itself, or sqrt(max(pwl(u), 0))."""
-
-    pwl: PiecewiseLinear
-    is_sqrt: bool = False
-
-    def support(self) -> IntervalSet:
-        return self.pwl.support()
-
-
-def _cells(factors: Sequence[Factor]) -> List[Tuple[Fraction, Fraction]]:
+def _cells(line: PiecewiseLinear, square: PiecewiseLinear
+           ) -> List[Tuple[Fraction, Fraction]]:
     """Common refinement cells of the joint support."""
-    support = factors[0].support()
-    for f in factors[1:]:
-        support = support.intersect(f.support())
-    if support.is_empty():
-        return []
-    cuts: set[Fraction] = set()
-    for f in factors:
-        cuts.update(f.pwl.breakpoints())
+    support = line.support().intersect(square.support())
+    cuts = set(line.breakpoints()) | set(square.breakpoints())
     cells = []
     for lo, hi in support.pieces:
         inner = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
@@ -214,11 +192,17 @@ def _moments(nu: float, degree: int, s0: float, s1: float, length: float,
 
 @dataclass(frozen=True)
 class FreqRun:
-    """The frequencies (k0 + m) * unit, m = 0..n-1: one block of a k sweep."""
+    """The frequencies (k0 + m) * unit, m = 0..n-1: one block of a k sweep.
+    k0 >= 0, so |frequency| grows along the run."""
 
     k0: int
     n: int
     unit: float
+
+    def __post_init__(self):
+        if self.k0 < 0 or self.n < 1:
+            raise ValueError(f"a frequency run needs k0 >= 0 and n >= 1, "
+                             f"got k0 = {self.k0}, n = {self.n}")
 
     def __len__(self) -> int:
         return self.n
@@ -270,29 +254,15 @@ class _Cell(NamedTuple):
         return self.scale * (self.coeffs @ mom)
 
 
-def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
-    """The integrand on [lo, hi] as a _Cell; None where it vanishes.
-    Raises ValueError where two or more root factors vary."""
-    lines = []
-    roots = []
-    scale_sq = Fraction(1)
-    for f in factors:
-        piece = f.pwl._piece_at(lo)
-        if piece is None:
-            return None
-        a, b = piece[2], piece[3]
-        if not f.is_sqrt:
-            lines.append((a, b))
-        elif a != 0:
-            roots.append((a, b))
-        elif b <= 0:
-            return None
-        else:
-            scale_sq *= b
-    if len(roots) > 1:
-        raise ValueError(f"two root factors vary on [{lo}, {hi}): no closed form")
-    if roots:
-        alpha, beta = roots[0]
+def _closed_cell(line: PiecewiseLinear, square: PiecewiseLinear,
+                 lo: Fraction, hi: Fraction):
+    """The integrand on [lo, hi] as a _Cell; None where it vanishes."""
+    piece, root = line._piece_at(lo), square._piece_at(lo)
+    if piece is None or root is None:
+        return None
+    a, b = piece[2], piece[3]
+    alpha, beta = root[2], root[3]
+    if alpha:
         origin = -beta / alpha
         sign = 1 if alpha > 0 else -1
         # the radicand alpha * (u - origin) is >= 0 where sign*(u - origin) >= 0
@@ -302,12 +272,13 @@ def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
             hi = min(hi, origin)
         if lo >= hi:
             return None
-        scale_sq *= abs(alpha)
-        nu = 0.5
+        scale_sq, nu = abs(alpha), 0.5
+    elif beta <= 0:
+        return None
     else:
-        origin, sign, nu = lo, 1, 0.0
+        origin, sign, nu, scale_sq = lo, 1, 0.0, beta
     # P(origin + sign*s), exact
-    coeffs = _linear_product((sign * a, a * origin + b) for a, b in lines)
+    coeffs = [a * origin + b, sign * a]
     if not any(coeffs):
         return None
     ends = (lo, hi) if sign > 0 else (hi, lo)
@@ -315,14 +286,14 @@ def _closed_cell(factors: Sequence[Factor], lo: Fraction, hi: Fraction):
     return _Cell(sign, float(s0), float(s1), float(s1 - s0),
                  (float(ends[0]), float(ends[1])), nu,
                  math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]),
-                 None if roots else (lo, hi, scale_sq, coeffs))
+                 None if alpha else (lo, hi, scale_sq, coeffs))
 
 
 def _break_terms(cells: Sequence[_Cell]) -> Tuple[np.ndarray, np.ndarray]:
     """(xs, jumps) of the polynomial cells: their distinct ends x_j and
     jumps[n, j] = B_n(x_j) = (-1)^n (P^(n)(x_j-) - P^(n)(x_j+)), where P is
-    the integrand (root factor included) and 0 outside the cells.  Each B_n
-    is summed exactly per root factor, then rounded; ends where every B_n
+    the integrand (root included) and 0 outside the cells.  Each B_n is
+    summed exactly per value of the root, then rounded; ends where every B_n
     vanishes, and rows above the last nonzero one, are dropped."""
     exact: Dict[Fraction, Dict[Tuple[int, Fraction], Fraction]] = {}
     for cell in cells:
@@ -347,25 +318,22 @@ def _break_terms(cells: Sequence[_Cell]) -> Tuple[np.ndarray, np.ndarray]:
     return np.array([float(x) for x in xs]), jumps
 
 
-def _cell_sum(cells: Sequence[_Cell], freqs: np.ndarray, phases=None
-              ) -> np.ndarray:
-    """The sum of the cells' integrals at each frequency, phases(x) giving
-    e^{i freqs x} (one exponential each when not given); cells that share
-    an end share its phases."""
-    if phases is None:
-        def phases(x):
-            return np.exp(1j * freqs * x)
+def _cell_sum(cells: Sequence[_Cell], run: FreqRun) -> np.ndarray:
+    """The sum of the cells' integrals at each frequency of the run; cells
+    that share an end share its phases."""
+    freqs = run.freqs()
     out = np.zeros(len(freqs), dtype=complex)
     known: dict = {}
     for cell in cells:
-        e0, e1 = (known[x] if x in known else phases(x) for x in cell.ends)
+        e0, e1 = (known[x] if x in known else run.phases(x) for x in cell.ends)
         known = dict(zip(cell.ends, (e0, e1)))
         out += cell.integrate(freqs, e0, e1)
     return out
 
 
 class QuadPlan:
-    """Reusable closed-form integration plan for one integrand.
+    """Reusable closed-form plan for line(u) * sqrt(max(square(u), 0)) *
+    e^{i c u}, integrated over a FreqRun of frequencies c.
 
     Building the plan does the exact support/breakpoint splitting once and
     keeps each closed-form cell, plus the break terms of the polynomial
@@ -374,19 +342,18 @@ class QuadPlan:
     at every frequency c with |c| * ell_min > _SERIES_PHASE, ell_min the
     length of the shortest polynomial cell: there each of them would take
     the upward recurrence, and the break sum is an exact rearrangement of
-    those cell sums.  At the head frequencies below that line they are
-    summed cell by cell too.  A cell where two root factors vary raises
-    ValueError.
+    those cell sums.  The head frequencies below that line form a prefix of
+    the run (k0 >= 0), where they are summed cell by cell too.
     """
 
     # always empty: bench/tracer.py reads it until the benchmark refresh of
-    # ROADMAP item 6
+    # ROADMAP item 1
     nodes = np.empty(0)
 
-    def __init__(self, factors: Sequence[Factor]):
-        cells = _cells(factors) if factors else []
+    def __init__(self, line: PiecewiseLinear, square: PiecewiseLinear):
         self.closed: List[_Cell] = [
-            cell for cell in (_closed_cell(factors, lo, hi) for lo, hi in cells)
+            cell for cell in (_closed_cell(line, square, lo, hi)
+                              for lo, hi in _cells(line, square))
             if cell is not None]
         self._rooted = [cell for cell in self.closed if cell.poly is None]
         self._polys = [cell for cell in self.closed if cell.poly is not None]
@@ -394,63 +361,32 @@ class QuadPlan:
         self._xs, jumps = _break_terms(self._polys)
         self._weights = jumps * (-1j) ** np.arange(1, len(jumps) + 1)[:, None]
 
-    def integrate(self, freqs) -> np.ndarray:
-        """The integral at each frequency of freqs, an array or a FreqRun."""
-        run = freqs if isinstance(freqs, FreqRun) else None
-        if run is not None:
-            freqs = run.freqs()
-            out = _cell_sum(self._rooted, freqs, run.phases)
-        else:
-            freqs = np.asarray(freqs, dtype=float)
-            out = _cell_sum(self._rooted, freqs)
+    def integrate(self, run: FreqRun) -> np.ndarray:
+        """The integral at each frequency of the run."""
+        out = _cell_sum(self._rooted, run)
         if not self._polys:
             return out
-        head = np.abs(freqs) * self._ell_min <= _SERIES_PHASE
-        if not head.all():
-            out += self._break_sum(freqs, run, head)
-        if head.any():
-            out[head] += _cell_sum(self._polys, freqs[head])
+        freqs = run.freqs()
+        n_head = int(np.count_nonzero(np.abs(freqs) * self._ell_min <= _SERIES_PHASE))
+        if n_head < run.n:
+            out += self._break_sum(run, freqs, n_head)
+        if n_head:
+            out[:n_head] += _cell_sum(self._polys, FreqRun(run.k0, n_head, run.unit))
         return out
 
-    def _break_sum(self, freqs: np.ndarray, run: FreqRun | None,
-                   head: np.ndarray) -> np.ndarray:
+    def _break_sum(self, run: FreqRun, freqs: np.ndarray, n_head: int
+                   ) -> np.ndarray:
         """sum_x e^{icx} sum_n B_n(x) (-i/c)^{n+1}, the polynomial cells'
-        integral, at each frequency c of freqs; 0 at the head.  The factors
-        (-i)^{n+1} sit in self._weights, so the powers of 1/c are real.  For a
-        FreqRun the sums over x are one matmul of the angle-addition tables
-        per B_n."""
-        if run is not None:
-            lead, coarse, fine = run.tables(self._xs)
-            weighted = (self._weights * lead)[:, None, :] * coarse
-            sums = (weighted @ fine).reshape(len(self._weights), -1)[:, :run.n]
-        else:
-            sums = self._weights @ np.exp(1j * np.multiply.outer(self._xs, freqs))
-        inv = np.divide(1.0, freqs, out=np.zeros(len(freqs)), where=~head)
+        integral, at each frequency c of the run; 0 at the head, its first
+        n_head frequencies.  The factors (-i)^{n+1} sit in self._weights, so
+        the powers of 1/c are real, and the sums over x are one matmul of
+        the angle-addition tables per B_n."""
+        lead, coarse, fine = run.tables(self._xs)
+        weighted = (self._weights * lead)[:, None, :] * coarse
+        sums = (weighted @ fine).reshape(len(self._weights), -1)[:, :run.n]
+        inv = np.zeros(run.n)
+        inv[n_head:] = 1.0 / freqs[n_head:]
         acc = sums[-1]
         for row in sums[-2::-1]:
             acc = row + inv * acc
         return inv * acc
-
-
-def oscillatory_integrals(factors: Sequence[Factor], freqs: np.ndarray
-                          ) -> np.ndarray:
-    """integral prod_f factor(u) * e^{i c u} du for each frequency c in freqs."""
-    return QuadPlan(factors).integrate(freqs)
-
-
-def riemann_oracle(factors: Sequence[Factor], c: float, n: int = 100_000
-                   ) -> complex:
-    """Brute-force midpoint Riemann sum over the joint support (test oracle)."""
-    support = factors[0].support()
-    for f in factors[1:]:
-        support = support.intersect(f.support())
-    total = 0.0 + 0.0j
-    for lo, hi in support.pieces:
-        flo, fhi = float(lo), float(hi)
-        xs = np.linspace(flo, fhi, n, endpoint=False) + (fhi - flo) / (2 * n)
-        base = np.ones_like(xs)
-        for f in factors:
-            vals = f.pwl.eval_float(xs)
-            base *= np.sqrt(np.maximum(vals, 0.0)) if f.is_sqrt else vals
-        total += np.sum(base * np.exp(1j * c * xs)) * (fhi - flo) / n
-    return total

@@ -188,6 +188,25 @@ class TestExitCodes:
         assert f"empty scale range 0..{jmax}" in capsys.readouterr().err
         assert not energy.exists()
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--tol", "nan", "--tol"), ("--tol", -1, "--tol"), ("--tol", 0, "--tol"),
+        ("--tol", "inf", "--tol"), ("--ktail", "inf", "k_tail_target"),
+        ("--ktail", 0, "k_tail_target"), ("--ktail", -1, "k_tail_target"),
+        ("--ktail", "nan", "k_tail_target"), ("--kbudget", 0, "k_budget"),
+        ("--kbudget", -5, "k_budget")])
+    def test_frame_test_degenerate_option_is_two(self, tmp_path, capsys, option,
+                                                 value, name):
+        # each used to fail a correct family, sweep to the k budget first,
+        # or be accepted
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", "shannon", "--out", fam) == 0
+        capsys.readouterr()
+        assert run("frame-test", "--family", fam, "--signal", "chi:[1,2)",
+                   "--jmin", 0, "--jmax", 0, option, value, "--out", energy) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert not energy.exists()
+
     def test_waveletset_classify(self, tmp_path):
         seeds = tmp_path / "seed.json"
         seeds.write_text(dumps_canonical(
@@ -211,7 +230,8 @@ class TestExitCodes:
         ("check-waveletset", "--window", -5), ("waveletset", "--a", 0),
         ("waveletset", "--a", 1), ("waveletset", "--classify", "--a", 0),
         ("waveletset", "--classify", "--a", 1),
-        ("waveletset", "--classify", "--a", -1)])
+        ("waveletset", "--classify", "--a", -1), ("waveletset", "--budget", 0),
+        ("waveletset", "--budget", -3)])
     def test_degenerate_waveletset_input_is_two(self, tmp_path, capsys, argv):
         # on E = [0, 1) each of these used to pass vacuously, report a
         # multiplicity-0 family or divide by zero

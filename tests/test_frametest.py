@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from framesmith.construction import SpectralSpec, WaveletFamily, build_family, \
     example_by_name, example_pwl, example_shannon
-from framesmith.frametest import (TestSignal, _meets, coefficient,
-                                  coefficients_for_scale, frame_energy,
+from framesmith.frametest import (TestSignal, _meets, coefficient, frame_energy,
                                   out_of_range_energy, per_scale_energy_exact)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile
-from framesmith.quadrature import Factor, riemann_oracle
+from oracles import riemann_oracle
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +52,10 @@ class TestCoefficient:
     def test_against_brute_force_riemann(self, worked_half):
         eta = worked_half[1].psis[0]
         tent = TestSignal.tent(-1, 1)
-        factors = [Factor(tent.hat), Factor(eta.square, is_sqrt=True)]
-        for j, k in ((0, 0), (0, 3), (0, 11), (-1, 4)):
+        for j, k in ((0, 0), (0, 3), (0, 11), (-1, 4), (0, -3), (-1, -4)):
             sq = eta.square.compose_scale(F(2) ** (-j))
-            fac = [Factor(tent.hat), Factor(sq, is_sqrt=True)]
             oracle = 0.5 * (2.0 ** (-j / 2)) * riemann_oracle(
-                fac, math.pi * k * 2.0 ** (-j))
+                [(tent.hat, False), (sq, True)], math.pi * k * 2.0 ** (-j))
             got = coefficient(tent, eta, j, k)
             assert abs(got - oracle) < 1e-6
 
@@ -72,15 +69,24 @@ class TestCoefficient:
             got = coefficient(f, shannon[1].psis[0], 0, k)
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("j, k", [(0, 1), (0, 7), (-1, 4), (2, 3), (-3, 250)])
+    def test_negative_k_is_conjugate(self, worked_half, j, k):
+        # the integrand f_hat * sqrt(|psi_hat|^2) is real
+        eta = worked_half[1].psis[0]
+        tent = TestSignal.tent(-1, 1)
+        got = coefficient(tent, eta, j, -k)
+        assert got != 0 and got == coefficient(tent, eta, j, k).conjugate()
+
 
 class TestPerScaleEnergy:
     def test_matches_k_sum(self, worked_half):
         eta = worked_half[1].psis[0]
         tent = TestSignal.tent(-1, 1)
         exact = float(per_scale_energy_exact(tent, eta, 2, 0))
-        ks = np.arange(-800, 801)
-        vals = coefficients_for_scale(tent, eta, 2, 0, ks)
-        assert abs(exact - float(np.sum(np.abs(vals) ** 2))) < 1e-6
+        vals = np.array([coefficient(tent, eta, 0, k) for k in range(801)])
+        # k and -k carry the same energy (conjugate symmetry)
+        total = 2 * np.sum(np.abs(vals) ** 2) - abs(vals[0]) ** 2
+        assert abs(exact - total) < 1e-6
 
     def test_shannon_geometry(self, shannon):
         f = TestSignal.indicator(1, 2)

@@ -6,69 +6,27 @@ import pytest
 
 from framesmith import quadrature
 from framesmith.piecewise import PiecewiseLinear
-from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, Factor, FreqRun,
-                                   QuadPlan, _fresnel_tail, riemann_oracle)
-
-# Independent oracle: graded Gauss-Legendre panels.  Gauss panels converge
-# only as O(h^{3/2}) at a square-root singularity; geometric grading toward a
-# vanishing radicand rescues that, and capping the panel length against |c|
-# resolves the oscillation.
-_GL_ORDER = 24
-_PHASE_PER_PANEL = 16.0     # |c| * length per panel; GL-24 resolves this to ~1e-13
-_GRADE_DEPTH = 30           # geometric grading levels toward a singular end
+from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, FreqRun, QuadPlan,
+                                   _fresnel_tail)
+from oracles import gl_reference, riemann_oracle
 
 
-def radicand_zeros(factor):
-    """The piece ends where a root factor's varying radicand vanishes."""
-    if not factor.is_sqrt:
-        return []
-    return [x for lo, hi, a, b in factor.pwl.pieces if a
-            for x in (lo, hi) if a * x + b == 0]
+def _factors(integrand):
+    """The oracle factors of line * sqrt(max(square, 0))."""
+    line, square = integrand
+    return [(line, False), (square, True)]
 
 
-def _graded_panels(lo, hi, sing_lo, sing_hi, max_len):
-    """Split [lo, hi] with geometric grading toward singular ends and a cap
-    on panel length."""
-    length = hi - lo
-    points = {lo, hi}
-    if sing_lo:
-        points.update(lo + length * 0.5 ** d for d in range(1, _GRADE_DEPTH))
-    if sing_hi:
-        points.update(hi - length * 0.5 ** d for d in range(1, _GRADE_DEPTH))
-    points = sorted(points)
-    panels = []
-    for a, b in zip(points, points[1:]):
-        n = max(1, math.ceil((b - a) / max_len))
-        step = (b - a) / n
-        panels.extend((a + i * step, a + (i + 1) * step) for i in range(n))
-    return panels
-
-
-def _gl_reference(factors, c):
-    """Graded Gauss-Legendre panels between consecutive breakpoints of the
-    factors, refined for |c|."""
-    zeros = {float(z) for f in factors for z in radicand_zeros(f)}
-    cuts = sorted({float(x) for f in factors for x in f.pwl.breakpoints()})
-    xs, ws = np.polynomial.legendre.leggauss(_GL_ORDER)
-    total = 0j
-    for lo, hi in zip(cuts, cuts[1:]):
-        max_len = max((hi - lo) * 2.0 ** (1 - _GRADE_DEPTH),
-                      _PHASE_PER_PANEL / max(abs(c), 1.0))
-        for a, b in _graded_panels(lo, hi, lo in zeros, hi in zeros, max_len):
-            nodes = 0.5 * (b - a) * xs + 0.5 * (a + b)
-            base = np.ones_like(nodes)
-            for f in factors:
-                vals = f.pwl.eval_float(nodes)
-                base *= np.sqrt(np.maximum(vals, 0.0)) if f.is_sqrt else vals
-            total += np.sum(0.5 * (b - a) * ws * base * np.exp(1j * c * nodes))
-    return total
+def _at(plan, cs):
+    """The plan at each single frequency c, as the run FreqRun(1, 1, c)."""
+    return np.array([plan.integrate(FreqRun(1, 1, c))[0] for c in cs])
 
 
 def _root_cell(lo, hi, alpha, beta):
     """(3/2 - u/3) * sqrt(alpha u + beta) on [lo, hi): one varying root."""
     line = PiecewiseLinear.of((lo, hi, F(-1, 3), F(3, 2)))
-    root = PiecewiseLinear.of((lo, hi, alpha, beta))
-    return [Factor(line), Factor(root, is_sqrt=True)]
+    square = PiecewiseLinear.of((lo, hi, alpha, beta))
+    return line, square
 
 
 # (lo, hi, alpha, beta): radicand zero at the left end, at the right end
@@ -77,9 +35,9 @@ ROOT_CELLS = [(0, 2, 1, 0), (0, 2, -3, 6), (F(1, 2), F(5, 2), 2, 5),
               (-1, 1, F(-1, 2), F(7, 3))]
 
 
-def _frequencies(factors):
+def _frequencies(integrand):
     """0, both sides of the series switch |c| s1 = _SERIES_PHASE, larger."""
-    cell = QuadPlan(factors).closed[0]
+    cell = QuadPlan(*integrand).closed[0]
     edge = _SERIES_PHASE / cell.s1
     cs = [0.0, 0.3 * edge, 0.999 * edge, 1.001 * edge, 7.3, 181.0]
     return cs + [-c for c in cs[1:]]
@@ -88,55 +46,42 @@ def _frequencies(factors):
 class TestClosedFormCells:
     @pytest.mark.parametrize("cell", ROOT_CELLS)
     def test_root_cell_matches_graded_gauss(self, cell):
-        factors = _root_cell(*cell)
-        plan = QuadPlan(factors)
+        integrand = _root_cell(*cell)
+        plan = QuadPlan(*integrand)
         assert len(plan.closed) == 1
-        cs = _frequencies(factors)
-        got = plan.integrate(np.array(cs))
-        for c, val in zip(cs, got):
-            assert abs(val - _gl_reference(factors, c)) < 1e-13
+        cs = _frequencies(integrand)
+        for c, val in zip(cs, _at(plan, cs)):
+            assert abs(val - gl_reference(_factors(integrand), c)) < 1e-13
 
     @pytest.mark.parametrize("cell", ROOT_CELLS)
     def test_root_cell_matches_riemann(self, cell):
-        factors = _root_cell(*cell)
-        cs = _frequencies(factors)
-        got = QuadPlan(factors).integrate(np.array(cs))
-        for c, val in zip(cs, got):
-            assert abs(val - riemann_oracle(factors, c)) < 1e-6
+        integrand = _root_cell(*cell)
+        cs = _frequencies(integrand)
+        for c, val in zip(cs, _at(QuadPlan(*integrand), cs)):
+            assert abs(val - riemann_oracle(_factors(integrand), c)) < 1e-6
 
     def test_radicand_negative_part_clipped(self):
         # sqrt(max(u - 1, 0)) on [0, 2): only [1, 2) contributes
-        factors = _root_cell(0, 2, 1, -1)
-        for c in (0.0, 1.5, -40.0):
-            val = QuadPlan(factors).integrate(np.array([c]))[0]
-            assert abs(val - riemann_oracle(factors, c)) < 1e-6
+        integrand = _root_cell(0, 2, 1, -1)
+        cs = (0.0, 1.5, -40.0)
+        for c, val in zip(cs, _at(QuadPlan(*integrand), cs)):
+            assert abs(val - riemann_oracle(_factors(integrand), c)) < 1e-6
 
     def test_polynomial_cell_matches_graded_gauss(self):
-        # no varying root: a constant root times a product of two lines
+        # no varying root: a tent times a constant root
         tent = PiecewiseLinear.of((-1, 0, 1, 1), (0, 1, -1, 1))
-        ramp = PiecewiseLinear.of((-1, 1, F(1, 2), 2))
         const = PiecewiseLinear.of((-1, 1, 0, F(9, 4)))
-        factors = [Factor(tent), Factor(ramp), Factor(const, is_sqrt=True)]
         cs = [0.0, 0.5, 1.999, 2.001, -3.0, 57.0, -900.0]
-        got = QuadPlan(factors).integrate(np.array(cs))
-        for c, val in zip(cs, got):
-            assert abs(val - _gl_reference(factors, c)) < 1e-13
+        for c, val in zip(cs, _at(QuadPlan(tent, const), cs)):
+            assert abs(val - gl_reference(_factors((tent, const)), c)) < 1e-13
 
     @pytest.mark.parametrize("cell", ROOT_CELLS[:2])
     def test_plan_serves_high_frequencies(self, cell):
         # a plan built without a frequency bound stays exact far out
-        factors = _root_cell(*cell)
+        integrand = _root_cell(*cell)
         cs = [1000.0, 10000.5, -30000.25]
-        got = QuadPlan(factors).integrate(np.array(cs))
-        for c, val in zip(cs, got):
-            assert abs(val - _gl_reference(factors, c)) < 1e-13
-
-    def test_two_varying_roots_raise(self):
-        up = PiecewiseLinear.of((0, 1, 1, 0))
-        down = PiecewiseLinear.of((0, 1, -1, 1))
-        factors = [Factor(up, is_sqrt=True), Factor(down, is_sqrt=True)]
-        with pytest.raises(ValueError, match="two root factors vary"):
-            QuadPlan(factors)
+        for c, val in zip(cs, _at(QuadPlan(*integrand), cs)):
+            assert abs(val - gl_reference(_factors(integrand), c)) < 1e-13
 
 
 def _sweep_integrand():
@@ -146,13 +91,13 @@ def _sweep_integrand():
                               (F(1, 5), F(5, 7), F(-35, 18), F(25, 18)))
     square = PiecewiseLinear.of((-1, F(-1, 2), 2, 2), (F(-1, 2), 0, 0, 1),
                                 (0, F(1, 2), 0, 1), (F(1, 2), 1, -2, 2))
-    return [Factor(tent), Factor(square, is_sqrt=True)]
+    return tent, square
 
 
 def _polynomial_integrand():
     """A tent against an indicator profile: no root varies."""
     tent = PiecewiseLinear.of((-1, 0, 1, 1), (0, 1, -1, 1))
-    return [Factor(tent), Factor(PiecewiseLinear.of((F(-1, 2), 2, 0, 1)), is_sqrt=True)]
+    return tent, PiecewiseLinear.of((F(-1, 2), 2, 0, 1))
 
 
 class TestFreqRun:
@@ -169,26 +114,19 @@ class TestFreqRun:
             slack = 16 * 2.0 ** -52 * (abs(k0 + n) * abs(unit * x) + 1)
             assert np.max(np.abs(run.phases(x) - np.exp(1j * freqs * x))) <= slack
 
-    @pytest.mark.parametrize("integrand", [_sweep_integrand, _polynomial_integrand])
-    @pytest.mark.parametrize("k0, n, sign", [
-        (0, 64, 1), (0, 100, -1), (1000, 333, 1), (1 << 20, 1000, -1),
-        ((1 << 20) - 7, 16384, 1)])
-    def test_run_agrees_with_array_path(self, integrand, k0, n, sign):
-        plan = QuadPlan(integrand())
-        # the integrand is >= 0, so its value at frequency 0 bounds all others
-        top = abs(plan.integrate(np.array([0.0]))[0])
-        run = FreqRun(k0, n, sign * math.pi * F(3, 4))
-        got = plan.integrate(run)
-        assert len(got) == n
-        assert np.max(np.abs(got - plan.integrate(run.freqs()))) <= 1e-13 * top
+    @pytest.mark.parametrize("k0, n", [(-1, 4), (0, 0), (3, -2)])
+    def test_negative_start_or_empty_run_raises(self, k0, n):
+        # the head of a run is its prefix only when |frequency| grows along it
+        with pytest.raises(ValueError, match="k0 >= 0 and n >= 1"):
+            FreqRun(k0, n, math.pi / 2)
 
     @pytest.mark.parametrize("integrand", [_sweep_integrand, _polynomial_integrand])
     def test_run_matches_riemann(self, integrand):
-        factors = integrand()
         unit = -math.pi / 2
-        got = QuadPlan(factors).integrate(FreqRun(3, 5, unit))
+        got = QuadPlan(*integrand()).integrate(FreqRun(3, 5, unit))
+        assert len(got) == 5
         for m, val in enumerate(got):
-            assert abs(val - riemann_oracle(factors, (3 + m) * unit)) < 1e-6
+            assert abs(val - riemann_oracle(_factors(integrand()), (3 + m) * unit)) < 1e-6
 
 
 def _gap_integrand():
@@ -196,7 +134,7 @@ def _gap_integrand():
     and 3/2, so the break terms sum two roots at the shared end 0."""
     steps = PiecewiseLinear.of((-1, F(1, 3), 0, 2), (F(1, 2), 2, 0, F(-1, 2)))
     roots = PiecewiseLinear.of((-2, 0, 0, F(9, 4)), (0, 3, 0, 2))
-    return [Factor(steps), Factor(roots, is_sqrt=True)]
+    return steps, roots
 
 
 def _uneven_integrand():
@@ -205,18 +143,17 @@ def _uneven_integrand():
     tent = PiecewiseLinear.of((F(-2, 3), F(1, 5), F(15, 13), F(10, 13)),
                               (F(1, 5), 1, F(-5, 4), F(5, 4)))
     roots = PiecewiseLinear.of((-1, F(1, 9), 0, 1), (F(1, 9), F(3, 10), 0, 3))
-    return [Factor(tent), Factor(roots, is_sqrt=True)]
+    return tent, roots
 
 
-def _quadratic_integrand():
-    """Degree 2: a tent times a ramp times a constant root."""
-    tent = PiecewiseLinear.of((-1, 0, 1, 1), (0, 1, -1, 1))
-    ramp = PiecewiseLinear.of((F(-1, 2), 1, F(1, 2), 2))
-    const = PiecewiseLinear.of((-1, 1, 0, F(9, 4)))
-    return [Factor(tent), Factor(ramp), Factor(const, is_sqrt=True)]
+def _ramp_integrand():
+    """Degree 1: a ramp with a kink at 0 that is nonzero at both ends,
+    against a constant root, so B_0 jumps at both ends and B_1 at all three."""
+    ramp = PiecewiseLinear.of((F(-1, 2), 0, 1, 2), (0, 1, F(1, 2), 2))
+    return ramp, PiecewiseLinear.of((-1, 1, 0, F(9, 4)))
 
 
-BREAK_INTEGRANDS = [_gap_integrand, _uneven_integrand, _quadratic_integrand,
+BREAK_INTEGRANDS = [_gap_integrand, _uneven_integrand, _ramp_integrand,
                     _sweep_integrand]
 
 
@@ -236,20 +173,20 @@ def _edge(plan):
 
 class TestBreakForm:
     def test_integrands(self):
-        # degrees 0, 1, 2 over polynomial cells only, then a mixed plan
-        for integrand, degree in zip(BREAK_INTEGRANDS, (0, 1, 2)):
-            plan = QuadPlan(integrand())
+        # degrees 0, 1, 1 over polynomial cells only, then a mixed plan
+        for integrand, degree in zip(BREAK_INTEGRANDS, (0, 1, 1)):
+            plan = QuadPlan(*integrand())
             assert all(cell.nu == 0 for cell in plan.closed)
             assert max(np.flatnonzero(cell.coeffs)[-1] for cell in plan.closed) == degree
-        lengths = {cell.length for cell in QuadPlan(_uneven_integrand()).closed}
-        assert len(lengths) == len(QuadPlan(_uneven_integrand()).closed)
-        assert {cell.nu for cell in QuadPlan(_sweep_integrand()).closed} == {0, 0.5}
+        lengths = {cell.length for cell in QuadPlan(*_uneven_integrand()).closed}
+        assert len(lengths) == len(QuadPlan(*_uneven_integrand()).closed)
+        assert {cell.nu for cell in QuadPlan(*_sweep_integrand()).closed} == {0, 0.5}
 
     @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("where", ["below", "at", "above"])
     def test_matches_per_cell_sum(self, integrand, sign, where):
-        plan = QuadPlan(integrand())
+        plan = QuadPlan(*integrand())
         unit = sign * math.pi * F(3, 8)
         edge = int(_edge(plan) / abs(unit))   # the last k of the head
         k0 = {"below": 0, "at": edge, "above": 40 * edge + 1001}[where]
@@ -259,12 +196,9 @@ class TestBreakForm:
         # 1e-13 of max |integral|, which the window from k = 0 attains
         bound = 1e-13 * np.max(np.abs(_per_cell(plan, FreqRun(0, 300, unit).freqs())))
         assert np.max(np.abs(plan.integrate(run) - want)) <= bound
-        assert np.max(np.abs(plan.integrate(freqs) - want)) <= bound
-        # scattered: every other frequency of the run, in reverse order
-        assert np.max(np.abs(plan.integrate(freqs[::-2]) - want[::-2])) <= bound
 
     def test_per_cell_moments_serve_only_the_head(self, monkeypatch):
-        plan = QuadPlan(_sweep_integrand())
+        plan = QuadPlan(*_sweep_integrand())
         shortest = min(cell.length for cell in plan.closed if not cell.nu)
         polynomial = []
         moments = quadrature._moments
@@ -280,29 +214,29 @@ class TestBreakForm:
         head = head[head <= _SERIES_PHASE]
         assert 0 < len(head) < len(run)
         plan.integrate(run)
-        plan.integrate(run.freqs()[::-1])
-        # each polynomial cell sees exactly the head, once per call
-        assert len(polynomial) == 2 * sum(not cell.nu for cell in plan.closed)
+        # each polynomial cell sees exactly the head, once
+        assert len(polynomial) == sum(not cell.nu for cell in plan.closed)
         assert all(np.array_equal(np.sort(phase), head) for phase in polynomial)
 
     @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
     def test_matches_graded_gauss(self, integrand):
-        factors = integrand()
-        edge = _edge(QuadPlan(factors))
+        plan = QuadPlan(*integrand())
+        edge = _edge(plan)
         cs = [0.0, 0.5 * edge, 0.999 * edge, 1.001 * edge, -1.001 * edge,
               3 * edge, -7.5 * edge, 900.0]
-        got = QuadPlan(factors).integrate(np.array(cs))
-        want = np.array([_gl_reference(factors, c) for c in cs])
+        got = _at(plan, cs)
+        want = np.array([gl_reference(_factors(integrand()), c) for c in cs])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
     def test_run_across_the_edge_matches_riemann(self, integrand):
-        factors = integrand()
+        plan = QuadPlan(*integrand())
         unit = -math.pi / 2
-        k0 = int(_edge(QuadPlan(factors)) / abs(unit)) - 2
-        got = QuadPlan(factors).integrate(FreqRun(k0, 5, unit))
+        k0 = int(_edge(plan) / abs(unit)) - 2
+        got = plan.integrate(FreqRun(k0, 5, unit))
         for m, val in enumerate(got):
             # the midpoint rule is O(1/n) across the jumps inside a support piece
+            factors = _factors(integrand())
             assert abs(val - riemann_oracle(factors, (k0 + m) * unit, 400_000)) < 1e-6
 
 

@@ -12,12 +12,12 @@ from framesmith.construction import (JOURNE_WAVELET_SET, ScalingFamily,
                                      waveletset_sigma)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
-from framesmith.quadrature import Factor, riemann_oracle
 from framesmith.trace import grid_of_size
 from framesmith.verification import (check_density, check_ntf_multiwavelet,
                                      check_semiorthogonal, check_split,
                                      check_suites, check_wavelet_set_tiling,
                                      cross_energy, family_grid)
+from oracles import riemann_oracle
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +208,7 @@ class TestSemiOrthogonality:
             psi = family.psis[row.witness["psi"]]
             other = family.psis[row.witness["psi_other"]]
             t = F(family.dilation) ** -row.witness["scale_gap"]
-            factors = [Factor(psi.square, is_sqrt=True),
-                       Factor(other.square.compose_scale(t), is_sqrt=True)]
+            factors = [(psi.square, True), (other.square.compose_scale(t), True)]
             amplitude = 0.5 * math.sqrt(abs(t))
             partial = sum(abs(amplitude * riemann_oracle(
                 factors, math.pi * float(t) * k, n=20000)) ** 2
