@@ -136,6 +136,14 @@ def cmd_waveletset(args) -> int:
     return 0
 
 
+def _grid_size(text) -> int:
+    """A --grid point count; below 1 the CSV would hold only its header."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"--grid must be >= 1, got {n}")
+    return n
+
+
 def cmd_trace(args) -> int:
     scaling, wavelets = _load_family(args.family)
     f = Sequence.parse(args.f)
@@ -143,7 +151,7 @@ def cmd_trace(args) -> int:
     if args.grid == "auto":
         grid = family_grid(gen, wavelets.generator_set(), seed=args.seed)
     else:
-        n = int(args.grid)
+        n = _grid_size(args.grid)
         lo, hi = _nonempty_hull(gen.support_hull())
         grid = [lo + (hi - lo) * Fraction(i, n) for i in range(n)]
     lines = ["xi,spectral,dim,tau_f"]
@@ -184,7 +192,7 @@ def cmd_frame_test(args) -> int:
 def cmd_sample(args) -> int:
     scaling, wavelets = _load_family(args.family)
     hull_lo, hull_hi = _nonempty_hull(wavelets.generator_set().support_hull())
-    n = int(args.grid)
+    n = _grid_size(args.grid)
     header = ["xi"] + [f"psi_hat_{i}" for i in range(len(wavelets.psis))] + ["sigma"]
     lines = [",".join(header)]
     for i in range(n):

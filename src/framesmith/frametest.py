@@ -91,11 +91,15 @@ def _scaled_square(psi: SqrtProfile, a: int, j: int) -> PiecewiseLinear:
 
 def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int
                 ) -> Tuple[QuadPlan, float, float]:
-    """Quadrature plan, frequency unit, and amplitude for one scale."""
-    plan = QuadPlan(f.hat, _scaled_square(psi, a, j))
-    freq_unit = math.pi * float(Fraction(a) ** (-j))
-    amplitude = 0.5 * abs(float(Fraction(a) ** j)) ** -0.5
-    return plan, freq_unit, amplitude
+    """Quadrature plan, frequency unit, and amplitude for one scale.  Raises
+    ValueError when a^j or a^-j does not fit a float."""
+    try:
+        freq_unit = math.pi * float(Fraction(a) ** (-j))
+        amplitude = 0.5 * abs(float(Fraction(a) ** j)) ** -0.5
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"scale j = {j} is out of float range at a = {a} "
+                         f"(|a|^j overflows or underflows a float)") from None
+    return QuadPlan(f.hat, _scaled_square(psi, a, j)), freq_unit, amplitude
 
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:

@@ -10,7 +10,15 @@ The dilated space D_a V is handled through its genuine generator set: the
 |a| fractionally-translated dilates of each generator, whose Fourier
 transforms carry unit phases e^{-i d xi / a}.  Those traces are enclosed with
 rational-argument cos/sin intervals, keeping the coset-sum identity check
-independent of the identity itself.
+independent of the identity itself.  Each term's magnitude enclosure is
+taken once per profile; only its phase is evaluated per translate.
+
+The NTF generator test uses the expansion
+sum_phi |sqrt(r_0) + alpha sqrt(r_l)|^2
+  = sum r_0 + |alpha|^2 sum r_l + 2 Re(alpha) sum sqrt(r_0 r_l)
+over the fiber radicands r_k, so each fiber and each root is computed once
+per grid point.  Both give the same SqrtSums and the same interval endpoints
+as evaluating every term where it is used.
 """
 
 from __future__ import annotations
@@ -184,7 +192,10 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
                   bits: int | None = None) -> FInterval:
     """tau_{D_a V, f}(xi) from the genuine NTF generator of the dilated
     space: the |a| fractional translates of each dilated generator, with
-    Fourier phases e^{-i d (.)/a}.  Certified enclosure."""
+    Fourier phases e^{-i d (.)/a}.  Certified enclosure.
+
+    Per profile, each term (argument, f(k), magnitude enclosure) is taken
+    once; only the phase depends on the translate d."""
     xi = as_fraction(xi)
     a = gen.dilation
     bits = precision_bits() if bits is None else bits
@@ -192,26 +203,37 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     total = FInterval.ZERO
     for p in gen.profiles:
         # xi + 2k must land in a*domain
-        ks = [k for lo, hi in p.support().scale(a).pieces
-              for k in _shifts(xi, lo, hi)]
-        for d in range(abs(a)):
-            acc = CInterval.point(0)
-            for k in ks:
-                arg = (xi + 2 * k) / a
-                r = p.value_sq(arg)
-                if not r:
-                    continue
+        terms = []
+        for lo, hi in p.support().scale(a).pieces:
+            for k in _shifts(xi, lo, hi):
                 v = f.entries.get(k)
                 if v is None:
                     continue
-                mag = SqrtSum.sqrt_of(r * inv_a).enclosure(bits)
-                phase = CInterval.unit_phase(Fraction(d) * arg, bits)
-                term = phase.scale_interval(mag)
-                acc = acc + CInterval(
-                    term.re.scale(v.re) - term.im.scale(v.im),
-                    term.re.scale(v.im) + term.im.scale(v.re))
+                arg = (xi + 2 * k) / a
+                r = p.value_sq(arg)
+                if r:
+                    terms.append((arg, v, SqrtSum.sqrt_of(r * inv_a).enclosure(bits)))
+        if not terms:
+            continue
+        for d in range(abs(a)):
+            acc = CInterval.point(0)
+            for arg, v, mag in terms:
+                term = CInterval.unit_phase(d * arg, bits).scale_interval(mag)
+                acc = acc + _times(term, v)
             total = total + acc.abs2()
     return total
+
+
+def _times(z: CInterval, v: CRat) -> CInterval:
+    """z * v for a Gaussian rational v.  A zero part of v contributes the
+    exact interval [0, 0], which leaves every endpoint of the sum unchanged,
+    so its products are skipped."""
+    if not v.im:
+        return CInterval(z.re.scale(v.re), z.im.scale(v.re))
+    if not v.re:
+        return CInterval(-z.im.scale(v.im), z.re.scale(v.im))
+    return CInterval(z.re.scale(v.re) - z.im.scale(v.im),
+                     z.re.scale(v.im) + z.im.scale(v.re))
 
 
 def dilation_coset_sum(gen: GeneratorSet, f: Sequence, xi) -> SqrtSum:
@@ -268,29 +290,58 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     """Check sum_phi |phi_hat(xi) + conj(alpha) phi_hat(xi+2l)|^2 against the
     restricted trace at delta_0 + alpha*delta_l computed from the reference
     generator set of the same space, for alpha in {0, 1, i} and 0 < |l| <= L.
-    The profiles are real, so the left side is that trace for `gen`."""
+    The profiles are real, so the left side is that trace for `gen`.
+
+    Both sides come from the expansion
+    sum_phi |sqrt(r_0) + alpha sqrt(r_l)|^2
+      = sum r_0 + |alpha|^2 sum r_l + 2 Re(alpha) sum sqrt(r_0) sqrt(r_l),
+    r_k the radicands of the fiber at xi, with the same exact SqrtSum terms
+    as the restricted trace of each row: per xi the fibers and the roots of
+    entry 0 are taken once, per l one rational sum and one cross sum.  The
+    rows are equal to those of the direct form, which builds the sequence
+    and its fiber inner products for every (xi, l, alpha)."""
     bits = precision_bits() if bits is None else bits
     lo1, hi1 = gen.support_hull()
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
     l_window = int(radius) + 1
+    alphas = [(alpha, alpha.abs2(), 2 * alpha.re) for alpha in ALPHAS]
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
-        fibers = [fiber(p, xi) for p in gen.profiles]
-        ref_fibers = [fiber(p, xi) for p in reference.profiles]
+        sums, cross = _fiber_sums(gen, xi)
+        ref_sums, ref_cross = _fiber_sums(reference, xi)
+        r0 = sums.get(0, 0) - ref_sums.get(0, 0)
         for l in range(-l_window, l_window + 1):
             if l == 0:
                 continue
-            for alpha in ALPHAS:
-                f = Sequence.delta(0) + Sequence.delta(l, alpha)
-                lhs, rhs = (sum((fiber_inner(f, fib).abs2() for fib in fibs),
-                                SqrtSum.zero()) for fibs in (fibers, ref_fibers))
-                diff = lhs - rhs
+            rl = sums.get(l, 0) - ref_sums.get(l, 0)
+            root_l = cross.get(l, SqrtSum.zero()) - ref_cross.get(l, SqrtSum.zero())
+            for alpha, norm2, twice_re in alphas:
+                diff = SqrtSum.rational(r0 + norm2 * rl) + root_l.scale(twice_re)
                 rows.append(GeneratorTestRow(
                     xi, l, alpha, _zero_status(diff, bits),
                     abs(float(diff.enclosure(bits).mid()))))
     return rows
+
+
+def _fiber_sums(gen: GeneratorSet, xi: Fraction
+                ) -> Tuple[Dict[int, Fraction], Dict[int, SqrtSum]]:
+    """Per shift k, over the fibers of gen at xi: the sum of the radicands
+    r_k, and the sum of sqrt(r_0) * sqrt(r_k) for k != 0, exact."""
+    sums: Dict[int, Fraction] = {}
+    cross: Dict[int, SqrtSum] = {}
+    for p in gen.profiles:
+        fib = fiber(p, xi)
+        for k, r in fib.items():
+            sums[k] = sums.get(k, 0) + r
+        if 0 not in fib:
+            continue
+        root0 = SqrtSum.sqrt_of(fib[0])
+        for k, r in fib.items():
+            if k:
+                cross[k] = cross.get(k, SqrtSum.zero()) + root0 * SqrtSum.sqrt_of(r)
+    return sums, cross
 
 
 # -- scaling/wavelet series identity ----------------------------------------

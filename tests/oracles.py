@@ -1,13 +1,27 @@
-"""Independent quadrature oracles for products of piecewise-linear factors.
+"""Independent oracles for the quadrature and trace modules.
 
-A factor is a pair (pwl, is_sqrt): pwl(u) itself, or sqrt(max(pwl(u), 0)).
-Both oracles integrate prod factor(u) * e^{i c u} du by sampling, with no
-closed form, so they check the quadrature module from outside.
+Quadrature: a factor is a pair (pwl, is_sqrt): pwl(u) itself, or
+sqrt(max(pwl(u), 0)).  Both quadrature oracles integrate
+prod factor(u) * e^{i c u} du by sampling, with no closed form, so they check
+the quadrature module from outside.
+
+Trace: the direct forms of the dilated trace and of the NTF generator test,
+which recompute every magnitude, root and fiber inner product where it is
+used.  The library computes each once; its results must be equal to these,
+down to each Fraction endpoint.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from framesmith.folding import _shifts
+from framesmith.numeric import CInterval, FInterval, precision_bits
+from framesmith.rationals import as_fraction
+from framesmith.roots import SqrtSum, _zero_status
+from framesmith.sequences import Sequence
+from framesmith.trace import (ALPHAS, GeneratorTestRow, fiber, fiber_inner)
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
 # a square-root singularity; geometric grading toward a vanishing radicand
@@ -80,3 +94,61 @@ def gl_reference(factors, c: float) -> complex:
             total += np.sum(0.5 * (b - a) * ws * _values(factors, nodes)
                             * np.exp(1j * c * nodes))
     return total
+
+
+def dilated_trace_direct(gen, f, xi, bits=None) -> FInterval:
+    """tau_{D_a V, f}(xi) with every term recomputed for each of the |a|
+    fractional translates d."""
+    xi = as_fraction(xi)
+    a = gen.dilation
+    bits = precision_bits() if bits is None else bits
+    inv_a = Fraction(1, abs(a))
+    total = FInterval.ZERO
+    for p in gen.profiles:
+        ks = [k for lo, hi in p.support().scale(a).pieces
+              for k in _shifts(xi, lo, hi)]
+        for d in range(abs(a)):
+            acc = CInterval.point(0)
+            for k in ks:
+                arg = (xi + 2 * k) / a
+                r = p.value_sq(arg)
+                if not r:
+                    continue
+                v = f.entries.get(k)
+                if v is None:
+                    continue
+                mag = SqrtSum.sqrt_of(r * inv_a).enclosure(bits)
+                phase = CInterval.unit_phase(Fraction(d) * arg, bits)
+                term = phase.scale_interval(mag)
+                acc = acc + CInterval(
+                    term.re.scale(v.re) - term.im.scale(v.im),
+                    term.re.scale(v.im) + term.im.scale(v.re))
+            total = total + acc.abs2()
+    return total
+
+
+def ntf_generator_test_direct(gen, reference, grid, bits=None):
+    """The NTF generator test from the restricted trace at
+    delta_0 + alpha*delta_l, one fiber inner product per fiber and row."""
+    bits = precision_bits() if bits is None else bits
+    lo1, hi1 = gen.support_hull()
+    lo2, hi2 = reference.support_hull()
+    radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
+    l_window = int(radius) + 1
+    rows = []
+    for xi in grid:
+        xi = as_fraction(xi)
+        fibers = [fiber(p, xi) for p in gen.profiles]
+        ref_fibers = [fiber(p, xi) for p in reference.profiles]
+        for l in range(-l_window, l_window + 1):
+            if l == 0:
+                continue
+            for alpha in ALPHAS:
+                f = Sequence.delta(0) + Sequence.delta(l, alpha)
+                lhs, rhs = (sum((fiber_inner(f, fib).abs2() for fib in fibs),
+                                SqrtSum.zero()) for fibs in (fibers, ref_fibers))
+                diff = lhs - rhs
+                rows.append(GeneratorTestRow(
+                    xi, l, alpha, _zero_status(diff, bits),
+                    abs(float(diff.enclosure(bits).mid()))))
+    return rows

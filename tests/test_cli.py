@@ -207,6 +207,43 @@ class TestExitCodes:
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not energy.exists()
 
+    @pytest.mark.parametrize("command, grid", [
+        ("trace", 0), ("trace", -3), ("sample", 0), ("sample", -1)])
+    def test_grid_below_one_is_two(self, family_file, tmp_path, capsys,
+                                   command, grid):
+        # each used to write a header-only CSV and exit 0
+        csv = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(command, "--family", family_file, "--grid", grid,
+                   "--out", csv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--grid" in err
+        assert "Traceback" not in err
+        assert not csv.exists()
+
+    def test_trace_grid_auto_and_one_still_run(self, family_file, tmp_path):
+        auto, one = tmp_path / "auto.csv", tmp_path / "one.csv"
+        assert run("trace", "--family", family_file, "--out", auto) == 0
+        assert len(auto.read_text().strip().split("\n")) > 2
+        assert run("trace", "--family", family_file, "--grid", 1,
+                   "--out", one) == 0
+        assert len(one.read_text().strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("jmin, jmax, scale", [
+        (-1100, -1090, -1100), (-1030, -1030, -1030)])
+    def test_frame_test_scale_beyond_float_range_is_two(self, tmp_path, capsys,
+                                                        jmin, jmax, scale):
+        # a^j past the float range used to raise an uncaught OverflowError
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", "shannon", "--out", fam) == 0
+        capsys.readouterr()
+        assert run("frame-test", "--family", fam, "--jmin", jmin,
+                   "--jmax", jmax, "--out", energy) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"scale j = {scale}" in err
+        assert "Traceback" not in err
+        assert not energy.exists()
+
     def test_waveletset_classify(self, tmp_path):
         seeds = tmp_path / "seed.json"
         seeds.write_text(dumps_canonical(

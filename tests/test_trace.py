@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import (SpectralSpec, build_family, example_pwl,
+from framesmith.construction import (SpectralSpec, build_family, build_wavelets,
+                                    example_by_name, example_pwl,
                                     example_shannon)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
@@ -16,8 +17,13 @@ from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               restricted_trace, series_identity_check,
                               spectral_function, trace_split_check)
 
+from oracles import dilated_trace_direct, ntf_generator_test_direct
+
 TWO_POW_40 = F(1, 2 ** 40)
 DILATIONS = (2, -2, 3, -3, 4)
+BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+# the sequences of the trace-identity benchmark
+SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2")
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +200,64 @@ class TestGeneratorConsistency:
         grid = grid_of_size((F(-1), F(2)), 15)
         rows = ntf_generator_test(whole, bigger, grid)
         assert any(r.verdict == "fail" for r in rows)
+
+
+class TestGeneratorIndependence:
+    """The greedy and windows partitions of one sigma generate the same
+    wavelet space, so the trace must not depend on which is used."""
+
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_greedy_and_windows_partitions_agree(self, a):
+        spec = SpectralSpec(example_by_name("pwl:a=3/4,b=5/4").sigma, a)
+        greedy = build_wavelets(spec, "greedy").generator_set()
+        windows = build_wavelets(spec, "windows")
+        grid = grid_of_size(greedy.support_hull(), 8,
+                            exclude=greedy.breakpoints())
+        rows = ntf_generator_test(greedy, windows.generator_set(), grid)
+        assert rows and all(r.verdict == "pass" for r in rows)
+        # halving one profile's square leaves the space of the other set
+        halved = GeneratorSet((windows.psis[0].scale_amplitude_sq(F(1, 2)),)
+                              + windows.psis[1:], a)
+        rows = ntf_generator_test(greedy, halved, grid)
+        assert any(r.verdict == "fail" for r in rows)
+        assert all(r.residual > 0 for r in rows if r.verdict == "fail")
+
+
+def _builtin_cases():
+    for name in BUILTINS:
+        for a in DILATIONS:
+            if (name, a) not in (("journe", 3), ("journe", -3)):  # closure fails
+                yield name, a
+
+
+class TestOracleEquality:
+    """dilated_trace and ntf_generator_test compute each magnitude, fiber and
+    root once; their results are equal to the direct forms in oracles.py,
+    down to each Fraction endpoint and float residual."""
+
+    @pytest.mark.parametrize("name, a", list(_builtin_cases()))
+    def test_equal_to_direct_forms(self, name, a):
+        scaling, wavelets = build_family(
+            SpectralSpec(example_by_name(name).sigma, a))
+        phi, psi = scaling.generator_set(), wavelets.generator_set()
+        # one profile sqrt(gain): its fibers hold several entries, so the
+        # cross terms sqrt(r_0) sqrt(r_l) are compared as well
+        merged = GeneratorSet((SqrtProfile.from_square(wavelets.gain()),), a)
+        hull = (min(phi.support_hull()[0], psi.support_hull()[0]),
+                max(phi.support_hull()[1], psi.support_hull()[1]))
+        grid = grid_of_size(hull, 3, exclude=phi.breakpoints() + psi.breakpoints())
+        for bits in (64, 128):
+            for text in SEQUENCES:
+                f = Sequence.parse(text)
+                for gen in (phi, psi):
+                    for xi in grid:
+                        assert dilated_trace(gen, f, xi, bits) == \
+                            dilated_trace_direct(gen, f, xi, bits)
+            for gen, ref in ((phi, phi), (merged, psi), (psi, phi)):
+                rows = ntf_generator_test(gen, ref, grid, bits)
+                assert rows == ntf_generator_test_direct(gen, ref, grid, bits)
+            # psi and phi span different spaces: failing rows are compared too
+            assert any(r.verdict == "fail" and r.residual > 0 for r in rows)
 
 
 class TestSeriesIdentity:
