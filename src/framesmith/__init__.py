@@ -32,6 +32,7 @@ from .trace import (
     dilation_trace_check,
     dimension_function,
     fiber,
+    gram_row,
     ntf_generator_test,
     operator_trace,
     restricted_trace,

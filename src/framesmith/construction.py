@@ -372,7 +372,11 @@ def example_by_name(name: str) -> SpectralSpec:
         params = {}
         for item in name[4:].split(","):
             key, _, value = item.partition("=")
-            params[key.strip()] = as_fraction(value.strip())
+            key = key.strip()
+            if key not in ("a", "b") or key in params:
+                raise ValueError(f"{'duplicate' if key in params else 'unknown'} "
+                                 f"key {key!r} in {name!r} (the keys are a and b)")
+            params[key] = as_fraction(value.strip())
         return example_pwl(params.get("a", Fraction(1, 2)),
                            params.get("b", Fraction(1, 2)))
     raise ValueError(f"unknown example {name!r}")

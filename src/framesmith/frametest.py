@@ -89,16 +89,21 @@ def _scaled_square(psi: SqrtProfile, a: int, j: int) -> PiecewiseLinear:
     return psi.square.compose_scale(Fraction(a) ** (-j))
 
 
-def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int
+def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int, k_max: int
                 ) -> Tuple[QuadPlan, float, float]:
-    """Quadrature plan, frequency unit, and amplitude for one scale.  Raises
-    ValueError when a^j or a^-j does not fit a float."""
+    """Quadrature plan, frequency unit, and amplitude for one scale swept up
+    to k_max.  Raises ValueError when a^j, a^-j or the largest phase
+    k_max * unit * u over the signal does not fit a float."""
     try:
         freq_unit = math.pi * float(Fraction(a) ** (-j))
         amplitude = 0.5 * abs(float(Fraction(a) ** j)) ** -0.5
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"scale j = {j} is out of float range at a = {a} "
                          f"(|a|^j overflows or underflows a float)") from None
+    reach = max((abs(float(u)) for u in f.hat.breakpoints()), default=0.0)
+    if not math.isfinite(abs(freq_unit) * k_max * reach):
+        raise ValueError(f"scale j = {j} is out of float range at a = {a} "
+                         f"(the sweep phase at k = {k_max} overflows a float)")
     return QuadPlan(f.hat, _scaled_square(psi, a, j)), freq_unit, amplitude
 
 
@@ -115,7 +120,7 @@ def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
     """<f, D^j T_k psi>; exact 0 when supports miss."""
     if not _meets(f, psi, Fraction(a) ** j):
         return 0.0 + 0.0j
-    plan, freq_unit, amplitude = _scale_plan(f, psi, a, j)
+    plan, freq_unit, amplitude = _scale_plan(f, psi, a, j, abs(k))
     value = complex(amplitude * plan.integrate(FreqRun(abs(k), 1, freq_unit))[0])
     return value.conjugate() if k < 0 else value
 
@@ -220,7 +225,8 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     scales: Dict[int, ScaleEnergy] = {j: ScaleEnergy(j) for j in range(j_min, j_max + 1)}
     for j, psi in active:
         scale = scales[j]
-        plan, freq_unit, amplitude = _scale_plan(f, psi, a, j)
+        # the sweep ends at the first block end past k_budget / 2, below this k
+        plan, freq_unit, amplitude = _scale_plan(f, psi, a, j, k_budget + _K_BLOCK)
         k_hi = -1
         block = _K_BLOCK
         while True:

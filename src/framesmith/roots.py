@@ -169,19 +169,3 @@ def _zero_status(value: SqrtSum, bits: int | None = None) -> str:
     return {"zero": "pass", "uncertain": "uncertain"}.get(
         value.sign_verdict(bits), "fail")
 
-
-@dataclass(frozen=True)
-class CSqrtSum:
-    """Complex value with exact SqrtSum real and imaginary parts."""
-
-    re: SqrtSum
-    im: SqrtSum
-
-    def __add__(self, other: "CSqrtSum") -> "CSqrtSum":
-        return CSqrtSum(self.re + other.re, self.im + other.im)
-
-    def abs2(self) -> SqrtSum:
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()

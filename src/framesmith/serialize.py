@@ -162,7 +162,7 @@ def sets_to_jsonable(sets: List[IntervalSet]) -> list:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def digest_of(obj) -> str:

@@ -2,9 +2,12 @@
 
 Fibers T_per(phi)(xi) = (phi_hat(xi + 2k))_k are finitely supported because
 profiles have bounded support; their entries are exact square roots
-(k -> radicand).  Restricted and operator traces are computed from any
-claimed NTF generator by the quadratic-form formulas; values are exact
-SqrtSums, compared through outward-rounded intervals.
+(k -> radicand).  Each local trace is a quadratic form of the fiber Gramian
+G(xi)[k, l] = sum_phi phi_hat(xi + 2k) phi_hat(xi + 2l) (Bownik, J. Funct.
+Anal. 177, 2000): tau_{V,f} = sum_phi |<f, T_per phi>|^2 = <G f, f> and
+tau_{V,T} = trace(T G).  The traces, the NTF generator test, the series
+identity and the split checks all read G from `gram_row`, as exact SqrtSums
+compared through outward-rounded intervals.
 
 The dilated space D_a V is handled through its genuine generator set: the
 |a| fractionally-translated dilates of each generator, whose Fourier
@@ -12,13 +15,6 @@ transforms carry unit phases e^{-i d xi / a}.  Those traces are enclosed with
 rational-argument cos/sin intervals, keeping the coset-sum identity check
 independent of the identity itself.  Each term's magnitude enclosure is
 taken once per profile; only its phase is evaluated per translate.
-
-The NTF generator test uses the expansion
-sum_phi |sqrt(r_0) + alpha sqrt(r_l)|^2
-  = sum r_0 + |alpha|^2 sum r_l + 2 Re(alpha) sum sqrt(r_0 r_l)
-over the fiber radicands r_k, so each fiber and each root is computed once
-per grid point.  Both give the same SqrtSums and the same interval endpoints
-as evaluating every term where it is used.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from .folding import _shifts
 from .numeric import CInterval, FInterval, precision_bits
 from .piecewise import GeneratorSet, SqrtProfile
 from .rationals import as_fraction
-from .roots import CSqrtSum, SqrtSum, _zero_status
+from .roots import SqrtSum, _zero_status
 from .sequences import CRat, Sequence, coset_op_adj
 
 Fiber = Dict[int, Fraction]  # k -> radicand of the (nonnegative) entry
@@ -50,25 +46,45 @@ def fiber(profile: SqrtProfile, xi) -> Fiber:
     return out
 
 
-def fiber_inner(f: Sequence, fib: Fiber) -> CSqrtSum:
-    """<f | fiber> = sum_k f(k) * sqrt(r_k), split into exact re/im parts."""
-    re = SqrtSum.zero()
-    im = SqrtSum.zero()
-    for k, v in f.entries.items():
-        r = fib.get(k)
-        if r is None:
+def gram_row(fibers: Iterable[Fiber], k: int) -> Dict[int, SqrtSum]:
+    """Row k of the fiber Gramian: l -> G[k, l] = sum over the fibers of
+    sqrt(r_k) sqrt(r_l), for the l that the fibers holding k hold (every
+    other entry is 0).  Each product is one exact root sqrt(r_k r_l), the
+    diagonal entry the rational sum of the r_k."""
+    row: Dict[int, SqrtSum] = {}
+    for fib in fibers:
+        rk = fib.get(k)
+        if rk is None:
             continue
-        root = SqrtSum.sqrt_of(r)
-        re = re + root.scale(v.re)
-        im = im + root.scale(v.im)
-    return CSqrtSum(re, im)
+        for l, rl in fib.items():
+            g = SqrtSum.rational(rk) if l == k else SqrtSum.sqrt_of(rk * rl)
+            row[l] = row[l] + g if l in row else g
+    return row
+
+
+def gram_diagonal(fibers: Iterable[Fiber]) -> Dict[int, Fraction]:
+    """k -> G[k, k], the sum of the radicands r_k over the fibers."""
+    diag: Dict[int, Fraction] = {}
+    for fib in fibers:
+        for k, r in fib.items():
+            diag[k] = diag.get(k, 0) + r
+    return diag
+
+
+def _fibers(gen: GeneratorSet, xi) -> List[Fiber]:
+    return [fiber(p, xi) for p in gen.profiles]
 
 
 def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> SqrtSum:
-    """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2, exact."""
+    """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2
+    = sum_{k,l in supp f} Re(f(k) conj f(l)) G[k, l], exact."""
+    fibers = _fibers(gen, xi)
     total = SqrtSum.zero()
-    for p in gen.profiles:
-        total = total + fiber_inner(f, fiber(p, xi)).abs2()
+    for k, fk in f.entries.items():
+        for l, g in gram_row(fibers, k).items():
+            fl = f.entries.get(l)
+            if fl is not None:
+                total = total + g.scale(fk.re * fl.re + fk.im * fl.im)
     return total
 
 
@@ -79,10 +95,7 @@ def spectral_function(gen: GeneratorSet, xi) -> Fraction:
 
 def dimension_function(gen: GeneratorSet, xi) -> Fraction:
     """Trace of the fiber Gramian: sum_phi ||T_per phi(xi)||^2."""
-    total = Fraction(0)
-    for p in gen.profiles:
-        total += sum(fiber(p, xi).values(), Fraction(0))
-    return total
+    return sum(gram_diagonal(_fibers(gen, xi)).values(), Fraction(0))
 
 
 # -- finite positive operators ---------------------------------------------
@@ -158,30 +171,24 @@ class WindowOperator:
 
 
 def operator_trace(gen: GeneratorSet, op: WindowOperator, xi) -> SqrtSum:
-    """tau_{V,T}(xi) = sum_phi <T w | w> with w = T_per phi(xi)."""
+    """tau_{V,T}(xi) = sum_phi <T w | w> with w = T_per phi(xi): the window
+    block sum_{i,j} T_ij G[k_i, k_j], plus G[k, k] outside the window under
+    identity padding."""
     witness = op.psd_witness()
     if witness is not None:
         raise ValueError(f"operator not positive semidefinite; witness {witness}")
+    fibers = _fibers(gen, xi)
     n = len(op.rows)
     total = SqrtSum.zero()
-    for p in gen.profiles:
-        fib = fiber(p, xi)
-        roots = {k: SqrtSum.sqrt_of(r) for k, r in fib.items()}
-        for i in range(n):
-            ki = op.offset + i
-            if ki not in roots:
-                continue
-            for j in range(n):
-                kj = op.offset + j
-                if kj not in roots:
-                    continue
-                c = op.rows[i][j]
-                if c:
-                    total = total + (roots[ki] * roots[kj]).scale(c)
-        if op.pad == "identity":
-            for k, r in fib.items():
-                if not op.offset <= k < op.offset + n:
-                    total = total + SqrtSum.rational(r)
+    for i, row in enumerate(op.rows):
+        for k, g in gram_row(fibers, op.offset + i).items():
+            j = k - op.offset
+            if 0 <= j < n and row[j]:
+                total = total + g.scale(row[j])
+    if op.pad == "identity":
+        for k, r in gram_diagonal(fibers).items():
+            if not op.offset <= k < op.offset + n:
+                total = total + SqrtSum.rational(r)
     return total
 
 
@@ -293,55 +300,36 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     The profiles are real, so the left side is that trace for `gen`.
 
     Both sides come from the expansion
-    sum_phi |sqrt(r_0) + alpha sqrt(r_l)|^2
-      = sum r_0 + |alpha|^2 sum r_l + 2 Re(alpha) sum sqrt(r_0) sqrt(r_l),
-    r_k the radicands of the fiber at xi, with the same exact SqrtSum terms
-    as the restricted trace of each row: per xi the fibers and the roots of
-    entry 0 are taken once, per l one rational sum and one cross sum.  The
-    rows are equal to those of the direct form, which builds the sequence
-    and its fiber inner products for every (xi, l, alpha)."""
+    sum_phi |sqrt(r_0) + alpha sqrt(r_l)|^2 = G[0, 0] + |alpha|^2 G[l, l]
+      + 2 Re(alpha) G[0, l],
+    G the fiber Gramian at xi: per xi its row 0 and its diagonal are taken
+    once.  The rows are equal to those of the direct form, which builds the
+    sequence and its fiber inner products for every (xi, l, alpha)."""
     bits = precision_bits() if bits is None else bits
     lo1, hi1 = gen.support_hull()
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
     l_window = int(radius) + 1
     alphas = [(alpha, alpha.abs2(), 2 * alpha.re) for alpha in ALPHAS]
+    zero = SqrtSum.zero()
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
-        sums, cross = _fiber_sums(gen, xi)
-        ref_sums, ref_cross = _fiber_sums(reference, xi)
-        r0 = sums.get(0, 0) - ref_sums.get(0, 0)
+        fibers, ref_fibers = _fibers(gen, xi), _fibers(reference, xi)
+        diag, ref_diag = gram_diagonal(fibers), gram_diagonal(ref_fibers)
+        row, ref_row = gram_row(fibers, 0), gram_row(ref_fibers, 0)
+        r0 = diag.get(0, 0) - ref_diag.get(0, 0)
         for l in range(-l_window, l_window + 1):
             if l == 0:
                 continue
-            rl = sums.get(l, 0) - ref_sums.get(l, 0)
-            root_l = cross.get(l, SqrtSum.zero()) - ref_cross.get(l, SqrtSum.zero())
+            rl = diag.get(l, 0) - ref_diag.get(l, 0)
+            root_l = row.get(l, zero) - ref_row.get(l, zero)
             for alpha, norm2, twice_re in alphas:
                 diff = SqrtSum.rational(r0 + norm2 * rl) + root_l.scale(twice_re)
                 rows.append(GeneratorTestRow(
                     xi, l, alpha, _zero_status(diff, bits),
                     abs(float(diff.enclosure(bits).mid()))))
     return rows
-
-
-def _fiber_sums(gen: GeneratorSet, xi: Fraction
-                ) -> Tuple[Dict[int, Fraction], Dict[int, SqrtSum]]:
-    """Per shift k, over the fibers of gen at xi: the sum of the radicands
-    r_k, and the sum of sqrt(r_0) * sqrt(r_k) for k != 0, exact."""
-    sums: Dict[int, Fraction] = {}
-    cross: Dict[int, SqrtSum] = {}
-    for p in gen.profiles:
-        fib = fiber(p, xi)
-        for k, r in fib.items():
-            sums[k] = sums.get(k, 0) + r
-        if 0 not in fib:
-            continue
-        root0 = SqrtSum.sqrt_of(fib[0])
-        for k, r in fib.items():
-            if k:
-                cross[k] = cross.get(k, SqrtSum.zero()) + root0 * SqrtSum.sqrt_of(r)
-    return sums, cross
 
 
 # -- scaling/wavelet series identity ----------------------------------------
@@ -357,29 +345,18 @@ class SeriesRow:
         return _zero_status(self.residual, bits)
 
 
-def pair_sum(profiles: Seq[SqrtProfile], x, y) -> SqrtSum:
-    """sum_p p_hat(x) * p_hat(y), exact."""
-    total = SqrtSum.zero()
-    for p in profiles:
-        rx = p.value_sq(x)
-        if not rx:
-            continue
-        ry = p.value_sq(y)
-        if not ry:
-            continue
-        total = total + SqrtSum.sqrt_of(rx) * SqrtSum.sqrt_of(ry)
-    return total
-
-
 def series_identity_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
                           s: int, grid: Iterable) -> List[SeriesRow]:
     """Residual of
     sum_{j>=1} sum_psi psi_hat(a^j xi) conj(psi_hat(a^j (xi+2s)))
       = sum_phi phi_hat(xi) conj(phi_hat(xi+2s)),
-    exact: bounded supports make the j-sum finite."""
+    exact: bounded supports make the j-sum finite.  Each term is an entry of
+    row 0 of a fiber Gramian: sum_psi psi_hat(x) psi_hat(x + 2m) = G(x)[0, m]
+    with x = a^j xi and m = a^j s."""
     a = psi_gen.dilation
     lo, hi = psi_gen.support_hull()
     radius = max(abs(lo), abs(hi))
+    zero = SqrtSum.zero()
     rows: List[SeriesRow] = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -392,9 +369,9 @@ def series_identity_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
                      (xi + 2 * s != 0 and abs(y) <= radius)
             if not inside:
                 break
-            left = left + pair_sum(psi_gen.profiles, x, y)
+            left = left + gram_row(_fibers(psi_gen, x), 0).get(a ** j * s, zero)
             j += 1
-        right = pair_sum(phi_gen.profiles, xi, xi + 2 * s)
+        right = gram_row(_fibers(phi_gen, xi), 0).get(s, zero)
         rows.append(SeriesRow(xi, s, left - right))
     return rows
 

@@ -11,9 +11,10 @@ split + outward decay + inward limit 1 + (when those hold) the NTF
 characterization as a meta check.
 
 The grid checks evaluate each value once:
-- shifted splits: per grid point, the fibers of the psi and phi profiles at
-  xi and of the phi profiles at xi/a, one exact root per entry; the value at
-  shift s pairs entry 0 with entry s (entry s/a at xi/a on lattice shifts).
+- shifted splits: per grid point, row 0 of the fiber Gramian (see trace) of
+  the phi profiles at xi/a and of the phi and psi profiles at xi; the
+  residual at shift s is entry s/a of the first (on lattice shifts) minus
+  entry s of the second, visited only for the shifts the fibers hold.
 - norm sum: when the wavelet square sum equals the gain sigma(./a) - sigma,
   the partial scale sum telescopes to its two end terms, values of sigma.
   (The loop over the scales would count a jump of sigma on the orbit at
@@ -38,7 +39,7 @@ from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
                         integrate_product)
 from .rationals import as_fraction, format_ratio
 from .roots import SqrtSum, _zero_status
-from .trace import default_grid, fiber
+from .trace import default_grid, fiber, gram_row
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
@@ -228,28 +229,6 @@ def check_ntf_multiwavelet(family: WaveletFamily,
 # -- wavelet-from-scaling equations -------------------------------------------
 
 
-def _split_residuals(phis: Seq[SqrtProfile], psis: Seq[SqrtProfile], a: int,
-                     xi: Fraction) -> Dict[int, SqrtSum]:
-    """s -> [a | s] sum_phi phi_hat(xi/a) phi_hat((xi+2s)/a)
-             - sum_phi phi_hat(xi) phi_hat(xi+2s) - sum_psi psi_hat(xi) psi_hat(xi+2s)
-    for the shifts s != 0 that carry a nonzero product; every other shift
-    has residual 0.  Built from the fibers at xi and xi/a: the product for
-    shift k pairs entry 0 with entry k, and each entry's root is taken once."""
-    out: Dict[int, SqrtSum] = {}
-    for profiles, x, sign, step in ((phis, xi / a, 1, a), (phis, xi, -1, 1),
-                                    (psis, xi, -1, 1)):
-        for p in profiles:
-            fib = fiber(p, x)
-            if 0 not in fib or len(fib) == 1:
-                continue
-            root0 = SqrtSum.sqrt_of(fib[0]).scale(sign)
-            for k, r in fib.items():
-                if k:
-                    s = k * step
-                    out[s] = out.get(s, SqrtSum.zero()) + root0 * SqrtSum.sqrt_of(r)
-    return out
-
-
 def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
                 grid: Iterable | None = None) -> VerificationReport:
     """The two bilinear identities tying a scaling family to the wavelets of
@@ -284,7 +263,16 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
         grid = family_grid(phi_fam.generator_set(), psi_fam.generator_set())
     grid = [as_fraction(x) for x in grid]
 
-    residuals = [_split_residuals(phis, psis, a, xi) for xi in grid]
+    # per xi, s -> [a | s] G_phi(xi/a)[0, s/a] - G_{phi, psi}(xi)[0, s] for
+    # the shifts s != 0 that the fibers hold; every other residual is 0
+    residuals = []
+    for xi in grid:
+        coarse = gram_row([fiber(p, xi / a) for p in phis], 0)
+        by_shift = {a * k: g for k, g in coarse.items() if k}
+        for s, g in gram_row([fiber(p, xi) for p in (*phis, *psis)], 0).items():
+            if s:
+                by_shift[s] = by_shift[s] - g if s in by_shift else -g
+        residuals.append(by_shift)
     recorded = len(report.checks)
     bad = 0
     for s in range(-s_window, s_window + 1):

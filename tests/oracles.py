@@ -5,10 +5,12 @@ sqrt(max(pwl(u), 0)).  Both quadrature oracles integrate
 prod factor(u) * e^{i c u} du by sampling, with no closed form, so they check
 the quadrature module from outside.
 
-Trace: the direct forms of the dilated trace and of the NTF generator test,
-which recompute every magnitude, root and fiber inner product where it is
-used.  The library computes each once; its results must be equal to these,
-down to each Fraction endpoint.
+Trace: the direct forms of the restricted, operator and dilated traces, of
+the pairing sum_p p_hat(x) p_hat(y) and of the NTF generator test, which
+recompute every magnitude, root and fiber inner product where it is used.
+The library reads them all from one fiber-Gramian row and computes each
+value once; its results must be equal to these, down to each SqrtSum term
+and Fraction endpoint.
 """
 
 import math
@@ -21,7 +23,7 @@ from framesmith.numeric import CInterval, FInterval, precision_bits
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum, _zero_status
 from framesmith.sequences import Sequence
-from framesmith.trace import (ALPHAS, GeneratorTestRow, fiber, fiber_inner)
+from framesmith.trace import ALPHAS, GeneratorTestRow, fiber
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
 # a square-root singularity; geometric grading toward a vanishing radicand
@@ -96,6 +98,58 @@ def gl_reference(factors, c: float) -> complex:
     return total
 
 
+def fiber_inner_abs2(f, fib) -> SqrtSum:
+    """|<f | fiber>|^2 from the exact real and imaginary parts of
+    <f | fiber> = sum_k f(k) sqrt(r_k)."""
+    re = im = SqrtSum.zero()
+    for k, v in f.entries.items():
+        r = fib.get(k)
+        if r is None:
+            continue
+        root = SqrtSum.sqrt_of(r)
+        re = re + root.scale(v.re)
+        im = im + root.scale(v.im)
+    return re * re + im * im
+
+
+def restricted_trace_direct(gen, f, xi) -> SqrtSum:
+    """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2, one inner product
+    per fiber."""
+    return sum((fiber_inner_abs2(f, fiber(p, xi)) for p in gen.profiles),
+               SqrtSum.zero())
+
+
+def operator_trace_direct(gen, op, xi) -> SqrtSum:
+    """sum_phi <T w | w> with w = T_per phi(xi), one product of roots per
+    window entry, plus the fiber entries outside the window under identity
+    padding."""
+    n = len(op.rows)
+    total = SqrtSum.zero()
+    for p in gen.profiles:
+        fib = fiber(p, xi)
+        roots = {k: SqrtSum.sqrt_of(r) for k, r in fib.items()}
+        for i in range(n):
+            for j in range(n):
+                ki, kj = op.offset + i, op.offset + j
+                if ki in roots and kj in roots and op.rows[i][j]:
+                    total = total + (roots[ki] * roots[kj]).scale(op.rows[i][j])
+        if op.pad == "identity":
+            for k, r in fib.items():
+                if not op.offset <= k < op.offset + n:
+                    total = total + SqrtSum.rational(r)
+    return total
+
+
+def pair_sum(profiles, x, y) -> SqrtSum:
+    """sum_p p_hat(x) * p_hat(y), exact, from the profile values."""
+    total = SqrtSum.zero()
+    for p in profiles:
+        rx, ry = p.value_sq(x), p.value_sq(y)
+        if rx and ry:
+            total = total + SqrtSum.sqrt_of(rx) * SqrtSum.sqrt_of(ry)
+    return total
+
+
 def dilated_trace_direct(gen, f, xi, bits=None) -> FInterval:
     """tau_{D_a V, f}(xi) with every term recomputed for each of the |a|
     fractional translates d."""
@@ -145,7 +199,7 @@ def ntf_generator_test_direct(gen, reference, grid, bits=None):
                 continue
             for alpha in ALPHAS:
                 f = Sequence.delta(0) + Sequence.delta(l, alpha)
-                lhs, rhs = (sum((fiber_inner(f, fib).abs2() for fib in fibs),
+                lhs, rhs = (sum((fiber_inner_abs2(f, fib) for fib in fibs),
                                 SqrtSum.zero()) for fibs in (fibers, ref_fibers))
                 diff = lhs - rhs
                 rows.append(GeneratorTestRow(

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -243,6 +244,45 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"scale j = {scale}" in err
         assert "Traceback" not in err
         assert not energy.exists()
+
+    def test_frame_test_phase_beyond_float_range_is_two(self, tmp_path, capsys):
+        # a^-j fits a float here, but the k sweep's phases did not: numpy
+        # warned, the ratio read NaN and the report was not valid JSON
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", "shannon", "--out", fam) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("frame-test", "--family", fam, "--jmin=-1020",
+                       "--jmax=-1018", "--out", energy) == 2
+        assert not caught
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "scale j = -1020" in err
+        assert "nan" not in (out + err).lower() and "Traceback" not in err
+        assert not energy.exists()
+        # scales whose whole sweep fits a float still run
+        assert run("frame-test", "--family", fam, "--jmin=-1000",
+                   "--jmax=-999", "--out", energy) == 0
+        assert json.loads(energy.read_text())["ratio"] == 0.0
+
+    def test_non_finite_float_is_not_written(self):
+        with pytest.raises(ValueError):
+            dumps_canonical({"ratio": float("nan")})
+
+    @pytest.mark.parametrize("example, message", [
+        ("pwl:A=3/4,B=5/4", "unknown key 'A'"), ("pwl:A=1", "unknown key 'A'"),
+        ("pwl:a=1/2,c=1", "unknown key 'c'"),
+        ("pwl:a=1/2,a=3/4", "duplicate key 'a'")])
+    def test_unknown_or_repeated_pwl_key_is_two(self, tmp_path, capsys,
+                                                example, message):
+        # each used to build a family from the default or the last value
+        out = tmp_path / "fam.json"
+        capsys.readouterr()
+        assert run("construct", "--example", example, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_waveletset_classify(self, tmp_path):
         seeds = tmp_path / "seed.json"

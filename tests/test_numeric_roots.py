@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from framesmith.numeric import (CInterval, FInterval, cos_pi, pi_enclosure,
                                 precision_bits, sin_pi, sqrt_enclosure)
-from framesmith.roots import CSqrtSum, SqrtSum, _split_square
+from framesmith.roots import SqrtSum, _split_square
 
 
 def test_precision_env_override(monkeypatch):
@@ -169,9 +169,3 @@ class TestSqrtSum:
         assert _split_square(1) == (1, 1)
         assert _split_square(2 * 3 * 5 * 7) == (1, 210)
 
-
-def test_complex_sqrt_sum_abs2():
-    v = CSqrtSum(SqrtSum.sqrt_of(2), SqrtSum.sqrt_of(3))
-    assert v.abs2().rational_value() == 5
-    w = CSqrtSum(-v.im, v.re)  # i * v
-    assert w.abs2().rational_value() == 5

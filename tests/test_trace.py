@@ -7,23 +7,48 @@ from framesmith.construction import (SpectralSpec, build_family, build_wavelets,
                                     example_by_name, example_pwl,
                                     example_shannon)
 from framesmith.intervals import IntervalSet
-from framesmith.piecewise import SqrtProfile
+from framesmith.piecewise import PiecewiseLinear, SqrtProfile
 from framesmith.roots import SqrtSum
 from framesmith.sequences import CRat, Sequence, coset_op, coset_op_adj
 from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               dilated_trace, dilation_coset_sum,
                               dilation_trace_check, dimension_function, fiber,
-                              grid_of_size, ntf_generator_test, operator_trace,
+                              gram_row, grid_of_size, ntf_generator_test, operator_trace,
                               restricted_trace, series_identity_check,
                               spectral_function, trace_split_check)
 
-from oracles import dilated_trace_direct, ntf_generator_test_direct
+from oracles import (dilated_trace_direct, ntf_generator_test_direct,
+                     operator_trace_direct, pair_sum, restricted_trace_direct)
 
 TWO_POW_40 = F(1, 2 ** 40)
 DILATIONS = (2, -2, 3, -3, 4)
 BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 # the sequences of the trace-identity benchmark
 SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2")
+# window operators: identity-padded, zero-padded, and a PSD tridiagonal block
+OPERATORS = (WindowOperator.identity(-1, 3), WindowOperator.of(0, [[1]]),
+             WindowOperator.of(-2, [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
+                                    [0, 0, 1, 2]]),
+             WindowOperator.of(-1, [[1, 1, 0], [1, 3, 1], [0, 1, 1]], "identity"))
+
+
+def _rank_one(f: Sequence) -> WindowOperator:
+    """The window f f^T for a real sequence f, over its hull."""
+    lo, hi = min(f.entries), max(f.entries)
+    vals = [f.entries[k].re if k in f.entries else F(0) for k in range(lo, hi + 1)]
+    return WindowOperator.of(lo, [[u * v for v in vals] for u in vals])
+
+
+def _multi_entry_gen(a):
+    """The wavelet profiles of pwl:a=3/4,b=5/4 next to sqrt of their gain,
+    and grid points where fibers hold several entries.  (A wavelet support
+    is injective mod 2, so each wavelet fiber holds one entry; the gain
+    profile overlaps its own translates.)"""
+    _, wavelets = build_family(SpectralSpec(example_by_name("pwl:a=3/4,b=5/4").sigma, a))
+    gen = GeneratorSet((SqrtProfile.from_square(wavelets.gain()),) + wavelets.psis, a)
+    grid = grid_of_size(gen.support_hull(), 12, exclude=gen.breakpoints())
+    assert sum(len(fiber(p, xi)) > 1 for p in gen.profiles for xi in grid) >= 6
+    return gen, grid
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +137,33 @@ class TestOperatorTrace:
     def test_psd_accepts_gram_matrix(self):
         T = WindowOperator.of(0, [[2, 1], [1, 1]])
         assert T.psd_witness() is None
+
+
+    @pytest.mark.parametrize("a", DILATIONS)
+    @pytest.mark.parametrize("text", ("1@0,1@1", "1/2@-1,-3@2", "1@0,-2/3@1,1@2"))
+    def test_rank_one_window_is_restricted_trace(self, a, text):
+        # for real f, <f f^T w, w> = <f, w>^2, so the two traces agree term
+        # for term on multi-entry fibers
+        gen, grid = _multi_entry_gen(a)
+        f = Sequence.parse(text)
+        op = _rank_one(f)
+        assert op.psd_witness() is None
+        for xi in grid:
+            assert operator_trace(gen, op, xi) == restricted_trace(gen, f, xi)
+
+
+class TestGramRow:
+    def test_entries(self):
+        wide = SqrtProfile.indicator(IntervalSet.of((-1, 3)))
+        ramp = SqrtProfile.from_square(PiecewiseLinear.of((F(-1), F(5), F(1, 5), F(1))))
+        fibers = [fiber(p, F(1, 2)) for p in (wide, ramp)]
+        row = gram_row(fibers, 0)
+        # ramp entries 0, 1, 2 have radicands 11/10, 3/2, 19/10
+        assert row[0] == SqrtSum.rational(1 + F(11, 10))
+        assert row[1] == SqrtSum.rational(1) + SqrtSum.sqrt_of(F(11, 10) * F(3, 2))
+        assert row[2] == SqrtSum.sqrt_of(F(11, 10) * F(19, 10))
+        assert set(row) == {0, 1, 2}
+        assert gram_row(fibers, 5) == {}
 
 
 class TestCosetOperators:
@@ -235,6 +287,18 @@ class TestOracleEquality:
     root once; their results are equal to the direct forms in oracles.py,
     down to each Fraction endpoint and float residual."""
 
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_traces_equal_to_direct_forms_on_multi_entry_fibers(self, a):
+        gen, grid = _multi_entry_gen(a)
+        for xi in grid:
+            for text in SEQUENCES:
+                f = Sequence.parse(text)
+                assert restricted_trace(gen, f, xi) == \
+                    restricted_trace_direct(gen, f, xi)
+            for op in OPERATORS:
+                assert operator_trace(gen, op, xi) == \
+                    operator_trace_direct(gen, op, xi)
+
     @pytest.mark.parametrize("name, a", list(_builtin_cases()))
     def test_equal_to_direct_forms(self, name, a):
         scaling, wavelets = build_family(
@@ -253,6 +317,10 @@ class TestOracleEquality:
                     for xi in grid:
                         assert dilated_trace(gen, f, xi, bits) == \
                             dilated_trace_direct(gen, f, xi, bits)
+                for gen in (phi, psi, merged):
+                    for xi in grid:
+                        assert restricted_trace(gen, f, xi) == \
+                            restricted_trace_direct(gen, f, xi)
             for gen, ref in ((phi, phi), (merged, psi), (psi, phi)):
                 rows = ntf_generator_test(gen, ref, grid, bits)
                 assert rows == ntf_generator_test_direct(gen, ref, grid, bits)
@@ -261,6 +329,27 @@ class TestOracleEquality:
 
 
 class TestSeriesIdentity:
+    @pytest.mark.parametrize("name, a", list(_builtin_cases()))
+    def test_equal_to_pair_sums(self, name, a):
+        # the residual read from Gramian rows is the pairing sum of each
+        # scale; sqrt(gain) joins the wavelets so that the pairs at shifts
+        # s != 0 do not all vanish
+        scaling, wavelets = build_family(
+            SpectralSpec(example_by_name(name).sigma, a))
+        phi = scaling.generator_set()
+        psi = GeneratorSet((SqrtProfile.from_square(wavelets.gain()),)
+                           + wavelets.psis, a)
+        grid = grid_of_size(psi.support_hull(), 4,
+                            exclude=phi.breakpoints() + psi.breakpoints())
+        for s in (0, 1, -2):
+            for row in series_identity_check(phi, psi, s, grid):
+                # the grid points lie in the psi hull, so a^79 xi is far
+                # outside it and every later scale pairs zeros
+                xi = row.xi
+                left = sum((pair_sum(psi.profiles, a ** j * xi, a ** j * (xi + 2 * s))
+                            for j in range(1, 80)), SqrtSum.zero())
+                assert row.residual == left - pair_sum(phi.profiles, xi, xi + 2 * s)
+
     def test_shannon_point(self, shannon):
         phi, psi = shannon[0].generator_set(), shannon[1].generator_set()
         rows = series_identity_check(phi, psi, 0, [F(1, 2)])
