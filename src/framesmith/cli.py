@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "split identities + outward decay, sufficiency = local "
                         "finiteness + split + outward decay + inward limit 1 "
                         "+ the NTF check as a meta check")
-    k.add_argument("--seed", type=int, default=GRID_SEED)
+    k.add_argument("--seed", type=int, default=GRID_SEED,
+                   help="seed of the norm-sum grid; every other check holds "
+                        "for all xi")
     k.add_argument("--out")
     k.set_defaults(func=cmd_check)
 

@@ -12,30 +12,18 @@ where irrationals enter, and there the endpoints are dyadic:
   (cos and sin are monotone there).  This is the fixed-point ball technique
   of Arb (F. Johansson, IEEE Trans. Computers 2017).
 
-The working precision defaults to 64 fractional bits and is overridden by
-the FRAMESMITH_PRECISION environment variable.
+The working precision is an argument of every enclosure, 64 fractional bits
+by default; sign decisions refine it themselves (see `roots`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 DEFAULT_BITS = 64
-
-
-def precision_bits() -> int:
-    raw = os.environ.get("FRAMESMITH_PRECISION", "")
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = DEFAULT_BITS
-    if not raw:
-        bits = DEFAULT_BITS
-    return max(8, min(bits, 4096))
 
 
 @dataclass(frozen=True)
@@ -104,14 +92,13 @@ class FInterval:
 FInterval.ZERO = FInterval(Fraction(0), Fraction(0))
 
 
-def sqrt_enclosure(q, bits: int | None = None) -> FInterval:
+def sqrt_enclosure(q, bits: int = DEFAULT_BITS) -> FInterval:
     """Rigorous enclosure of sqrt(q) for rational q >= 0, width <= 2^-bits."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("sqrt of negative rational")
     if q == 0:
         return FInterval.ZERO
-    bits = precision_bits() if bits is None else bits
     p, d = q.numerator, q.denominator
     # sqrt(p/d) = sqrt(p*d)/d; floor integer sqrt at scale 2^bits
     n = p * d
@@ -123,7 +110,7 @@ def sqrt_enclosure(q, bits: int | None = None) -> FInterval:
 
 
 @lru_cache(maxsize=8)
-def _pi_enclosure(bits: int) -> FInterval:
+def pi_enclosure(bits: int = DEFAULT_BITS) -> FInterval:
     """Machin: pi = 16*atan(1/5) - 4*atan(1/239), alternating-series bounds."""
     def atan_inv_bounds(n: int, terms: int) -> tuple[Fraction, Fraction]:
         total = Fraction(0)
@@ -144,10 +131,6 @@ def _pi_enclosure(bits: int) -> FInterval:
     lo5, hi5 = atan_inv_bounds(5, t5)
     lo239, hi239 = atan_inv_bounds(239, t239)
     return FInterval(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239)
-
-
-def pi_enclosure(bits: int | None = None) -> FInterval:
-    return _pi_enclosure(precision_bits() if bits is None else bits)
 
 
 def _series(x: int, odd: bool, prec: int) -> tuple[int, int]:
@@ -177,10 +160,9 @@ def _series(x: int, odd: bool, prec: int) -> tuple[int, int]:
             lo, hi = lo + t_lo, hi + t_hi
 
 
-def cos_pi(q, bits: int | None = None) -> FInterval:
+def cos_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
     """Enclosure of cos(q*pi) for rational q, with dyadic endpoints."""
     q = Fraction(q)
-    bits = precision_bits() if bits is None else bits
     # reduce mod 2 into [-1, 1]
     q -= 2 * ((q + 1) // 2)
     half = Fraction(1, 2)
@@ -200,7 +182,7 @@ def cos_pi(q, bits: int | None = None) -> FInterval:
     if odd:
         q = half - q
     prec = bits + 32
-    pi = _pi_enclosure(prec)
+    pi = pi_enclosure(prec)
     pi_lo = (pi.lo.numerator << prec) // pi.lo.denominator
     pi_hi = -((-pi.hi.numerator << prec) // pi.hi.denominator)
     n, d = q.numerator, q.denominator
@@ -218,7 +200,7 @@ def cos_pi(q, bits: int | None = None) -> FInterval:
     return FInterval(Fraction(lo, one), Fraction(hi, one))
 
 
-def sin_pi(q, bits: int | None = None) -> FInterval:
+def sin_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
     """Enclosure of sin(q*pi) = cos((q - 1/2)*pi)."""
     return cos_pi(Fraction(q) - Fraction(1, 2), bits)
 
@@ -235,7 +217,7 @@ class CInterval:
         return CInterval(FInterval.point(re), FInterval.point(im))
 
     @staticmethod
-    def unit_phase(q, bits: int | None = None) -> "CInterval":
+    def unit_phase(q, bits: int = DEFAULT_BITS) -> "CInterval":
         """Enclosure of e^{i*pi*q} for rational q."""
         return CInterval(cos_pi(q, bits), sin_pi(q, bits))
 

@@ -4,8 +4,9 @@ Fiber values of square-root profiles are +sqrt(rational); inner products and
 traces are therefore sums sum_i c_i * sqrt(r_i).  Radicands are canonicalized
 to positive integers with square factors (small primes, plus a perfect-square
 check) pulled into the coefficient, so structurally equal values cancel
-exactly.  Anything left ambiguous is decided by outward-rounded intervals,
-and indistinguishable-from-zero survives as an explicit "uncertain" verdict.
+exactly.  Anything left ambiguous is decided by outward-rounded intervals
+whose precision doubles until the sign separates; a value still straddling
+zero at MAX_BITS survives as an explicit "uncertain" verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict
 
-from .numeric import FInterval, sqrt_enclosure
+from .numeric import DEFAULT_BITS, FInterval, sqrt_enclosure
+
+MAX_BITS = 4096
 
 
 @lru_cache(maxsize=1)
@@ -130,7 +133,7 @@ class SqrtSum:
             raise ValueError("value carries irrational square roots")
         return self.terms.get(1, Fraction(0))
 
-    def enclosure(self, bits: int | None = None) -> FInterval:
+    def enclosure(self, bits: int = DEFAULT_BITS) -> FInterval:
         total = FInterval.ZERO
         for r in sorted(self.terms):
             c = self.terms[r]
@@ -143,16 +146,19 @@ class SqrtSum:
     def __float__(self) -> float:
         return float(self.enclosure().mid())
 
-    def sign_verdict(self, bits: int | None = None) -> str:
-        """'zero' (exact), 'positive'/'negative' (certified), or 'uncertain'."""
+    def sign_verdict(self, bits: int = DEFAULT_BITS) -> str:
+        """'zero' (exact), 'positive'/'negative' (certified), or 'uncertain'.
+        The enclosure starts at `bits` and doubles its precision until the
+        sign separates; 'uncertain' means it still straddles 0 at MAX_BITS."""
         if not self.terms:
             return "zero"
         enc = self.enclosure(bits)
+        while enc.lo <= 0 <= enc.hi and bits < MAX_BITS:
+            bits = min(2 * bits, MAX_BITS)
+            enc = self.enclosure(bits)
         if enc.definitely_positive():
             return "positive"
-        if enc.definitely_negative():
-            return "negative"
-        return "uncertain"
+        return "negative" if enc.definitely_negative() else "uncertain"
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -163,7 +169,7 @@ class SqrtSum:
         return f"SqrtSum({body})"
 
 
-def _zero_status(value: SqrtSum, bits: int | None = None) -> str:
+def _zero_status(value: SqrtSum, bits: int = DEFAULT_BITS) -> str:
     """Check status of a value that should vanish: 'pass' when it is exactly
     zero, 'fail' when its sign is certified, 'uncertain' otherwise."""
     return {"zero": "pass", "uncertain": "uncertain"}.get(

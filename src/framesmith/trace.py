@@ -5,9 +5,9 @@ profiles have bounded support; their entries are exact square roots
 (k -> radicand).  Each local trace is a quadratic form of the fiber Gramian
 G(xi)[k, l] = sum_phi phi_hat(xi + 2k) phi_hat(xi + 2l) (Bownik, J. Funct.
 Anal. 177, 2000): tau_{V,f} = sum_phi |<f, T_per phi>|^2 = <G f, f> and
-tau_{V,T} = trace(T G).  The traces, the NTF generator test, the series
-identity and the split checks all read G from `gram_row`, as exact SqrtSums
-compared through outward-rounded intervals.
+tau_{V,T} = trace(T G).  The traces, the NTF generator test and the series
+identity all read G from `gram_row`, as exact SqrtSums compared through
+outward-rounded intervals.
 
 The dilated space D_a V is handled through its genuine generator set: the
 |a| fractionally-translated dilates of each generator, whose Fourier
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
 from .folding import _shifts
-from .numeric import CInterval, FInterval, precision_bits
+from .numeric import DEFAULT_BITS, CInterval, FInterval
 from .piecewise import GeneratorSet, SqrtProfile
 from .rationals import as_fraction
 from .roots import SqrtSum, _zero_status
@@ -196,7 +196,7 @@ def operator_trace(gen: GeneratorSet, op: WindowOperator, xi) -> SqrtSum:
 
 
 def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
-                  bits: int | None = None) -> FInterval:
+                  bits: int = DEFAULT_BITS) -> FInterval:
     """tau_{D_a V, f}(xi) from the genuine NTF generator of the dilated
     space: the |a| fractional translates of each dilated generator, with
     Fourier phases e^{-i d (.)/a}.  Certified enclosure.
@@ -205,7 +205,6 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     once; only the phase depends on the translate d."""
     xi = as_fraction(xi)
     a = gen.dilation
-    bits = precision_bits() if bits is None else bits
     inv_a = Fraction(1, abs(a))
     total = FInterval.ZERO
     for p in gen.profiles:
@@ -264,9 +263,8 @@ class GridRow:
 
 
 def dilation_trace_check(gen: GeneratorSet, f: Sequence, grid: Iterable,
-                         bits: int | None = None) -> List[GridRow]:
+                         bits: int = DEFAULT_BITS) -> List[GridRow]:
     """Certified |tau_{D_aV,f}(xi) - sum_d tau_{V,D_d*f}((xi+2d)/a)| per point."""
-    bits = precision_bits() if bits is None else bits
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -292,7 +290,7 @@ class GeneratorTestRow:
 
 
 def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
-                       grid: Iterable, bits: int | None = None
+                       grid: Iterable, bits: int = DEFAULT_BITS
                        ) -> List[GeneratorTestRow]:
     """Check sum_phi |phi_hat(xi) + conj(alpha) phi_hat(xi+2l)|^2 against the
     restricted trace at delta_0 + alpha*delta_l computed from the reference
@@ -305,7 +303,6 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     G the fiber Gramian at xi: per xi its row 0 and its diagonal are taken
     once.  The rows are equal to those of the direct form, which builds the
     sequence and its fiber inner products for every (xi, l, alpha)."""
-    bits = precision_bits() if bits is None else bits
     lo1, hi1 = gen.support_hull()
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
@@ -341,7 +338,7 @@ class SeriesRow:
     s: int
     residual: SqrtSum
 
-    def verdict(self, bits: int | None = None) -> str:
+    def verdict(self, bits: int = DEFAULT_BITS) -> str:
         return _zero_status(self.residual, bits)
 
 
@@ -388,10 +385,9 @@ class SplitRow:
 
 def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
                       f: Sequence, grid: Iterable,
-                      bits: int | None = None) -> List[SplitRow]:
+                      bits: int = DEFAULT_BITS) -> List[SplitRow]:
     """tau_{V_1,f} = tau_{V_0,f} + tau_{W_0,f} and tau_{V_0,f} <= tau_{V_1,f},
     with the left side computed from the dilated scaling generator set."""
-    bits = precision_bits() if bits is None else bits
     rows = []
     for xi in grid:
         xi = as_fraction(xi)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from framesmith.folding import _shifts
-from framesmith.numeric import CInterval, FInterval, precision_bits
+from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum, _zero_status
 from framesmith.sequences import Sequence
@@ -150,12 +150,11 @@ def pair_sum(profiles, x, y) -> SqrtSum:
     return total
 
 
-def dilated_trace_direct(gen, f, xi, bits=None) -> FInterval:
+def dilated_trace_direct(gen, f, xi, bits=DEFAULT_BITS) -> FInterval:
     """tau_{D_a V, f}(xi) with every term recomputed for each of the |a|
     fractional translates d."""
     xi = as_fraction(xi)
     a = gen.dilation
-    bits = precision_bits() if bits is None else bits
     inv_a = Fraction(1, abs(a))
     total = FInterval.ZERO
     for p in gen.profiles:
@@ -181,10 +180,9 @@ def dilated_trace_direct(gen, f, xi, bits=None) -> FInterval:
     return total
 
 
-def ntf_generator_test_direct(gen, reference, grid, bits=None):
+def ntf_generator_test_direct(gen, reference, grid, bits=DEFAULT_BITS):
     """The NTF generator test from the restricted trace at
     delta_0 + alpha*delta_l, one fiber inner product per fiber and row."""
-    bits = precision_bits() if bits is None else bits
     lo1, hi1 = gen.support_hull()
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)

@@ -1,17 +1,19 @@
-"""The grid checks against the direct evaluations they replace.
+"""The checks against the direct evaluations they replace.
 
-`check_split` reads every shift from the fibers of a grid point, `norm_sum`
+`check_split` decides the shifted splits from the supports, `norm_sum`
 telescopes the scale sum to two values of sigma, and `orbit_monotone` is
 one exact piecewise-linear inequality instead of a walk along sampled
 orbits.  Each test here runs the plain per-shift loop, per-scale loop or
-64-step walk next to the checker and asks for the same verdict: witness for
-witness for the splits, and away from the measure-zero orbits that meet a
-jump of sigma for the scale sum and the walk at a < 0.  The frame test's
-out-of-range energy telescopes the same way; it is held against the
-80-scale sum of per-scale energies that it replaces.
+64-step walk next to the checker and asks for the same verdict: no shifted
+residual on any grid point wherever the splits pass for all xi, and away
+from the measure-zero orbits that meet a jump of sigma for the scale sum
+and the walk at a < 0.  The frame test's out-of-range energy telescopes the
+same way; it is held against the 80-scale sum of per-scale energies that
+it replaces.
 """
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,10 +27,8 @@ from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile, _square_sum
 from framesmith.rationals import as_fraction
 from framesmith.trace import fiber
-from framesmith.verification import (Check, VerificationReport, _EMPTY_GRID,
-                                     _verdict_check, check_density,
-                                     check_ntf_multiwavelet, check_split,
-                                     check_suites, family_grid)
+from framesmith.verification import (check_density, check_ntf_multiwavelet,
+                                     check_split, check_suites, family_grid)
 
 from oracles import pair_sum
 
@@ -55,9 +55,10 @@ def _families():
 FAMILIES = _families()
 
 
-def reference_shifted_splits(phi_fam, psi_fam, grid):
-    """The shift-by-shift loop over pair_sum: the report rows after the
-    s = 0 and s-window rows of check_split."""
+def shifted_split_residuals(phi_fam, psi_fam, grid):
+    """The shift-by-shift loop over pair_sum: (s, xi) for every nonzero
+    residual of the split at shift s != 0 inside the supports' shift
+    window."""
     a = psi_fam.dilation
     phis = phi_fam.generator_set().profiles
     psis = psi_fam.generator_set().profiles
@@ -65,95 +66,88 @@ def reference_shifted_splits(phi_fam, psi_fam, grid):
     lo2, hi2 = psi_fam.generator_set().support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or F(1)
     s_window = int(radius) * abs(a) + 1
-    rows = []
-    bad = 0
+    found = []
     for s in range(-s_window, s_window + 1):
         if s == 0:
             continue
         for xi in grid:
-            rhs = pair_sum(psis, xi, xi + 2 * s)
+            val = -pair_sum(phis, xi, xi + 2 * s) - pair_sum(psis, xi, xi + 2 * s)
             if s % a == 0:
-                val = pair_sum(phis, xi / F(a), (xi + 2 * s) / F(a)) \
-                    - pair_sum(phis, xi, xi + 2 * s) - rhs
-                name = f"lattice_shift_split[s={s}]"
-            else:
-                val = -(pair_sum(phis, xi, xi + 2 * s)) - rhs
-                name = f"off_lattice_split[s={s}]"
+                val = val + pair_sum(phis, xi / F(a), (xi + 2 * s) / F(a))
             if not val.is_zero():
-                check = _verdict_check(name, val, xi, {"s": s})
-                rows.append(check)
-                bad += check.status == "fail"
-                if bad >= 5:
-                    return rows
-    if rows:
-        return rows
-    if any(grid):
-        return [Check("shifted_splits", "pass", detail=(
-            f"all shifts 0 < |s| <= {s_window} verified over {len(grid)} grid points"))]
-    return [Check("shifted_splits", "uncertain", detail=_EMPTY_GRID)]
+                found.append((s, xi))
+    return found
 
 
-def assert_split_matches_reference(phi_fam, psi_fam, grid):
-    report = check_split(phi_fam, psi_fam, grid)
-    expected = VerificationReport(report.checks[:2] + reference_shifted_splits(
-        phi_fam, psi_fam, grid))
-    assert report.to_jsonable() == expected.to_jsonable()
-    return report
+def split_rows(report):
+    return [(c.name, c.status) for c in report.checks]
 
 
-class TestSplitFromFibers:
+def _repeating_wavelets(a):
+    # a wavelet on [1, 4) repeats residues: psi(xi) psi(xi + 2) = 1 near 1
+    scaling, wavelets = FAMILIES[f"shannon@{a}"]
+    layer = IntervalSet.of((1, 4))
+    return scaling, WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
+                                  wavelets.sigma, a)
+
+
+def _two_repeating_wavelets(a):
+    # the second is a sqrt(linear) profile with irrational roots
+    scaling, wavelets = FAMILIES[f"shannon@{a}"]
+    layer = IntervalSet.of((F(1, 3), 4))
+    ramp = PiecewiseLinear.of((F(1, 3), 4, F(1, 5), F(1, 7)))
+    psis = (SqrtProfile.indicator(layer), SqrtProfile.from_square(ramp))
+    return scaling, WaveletFamily(psis, (layer, layer), wavelets.sigma, a)
+
+
+def _repeating_scaling(a):
+    # the lattice shifts s = a*k pair phi_hat(xi/a) with phi_hat(xi/a + 2k)
+    scaling, wavelets = FAMILIES[f"shannon@{a}"]
+    ramp = PiecewiseLinear.of((F(-1, 2), 3, F(1, 6), F(1, 2)))
+    phis = {0: SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))),
+            1: SqrtProfile.from_square(ramp)}
+    return ScalingFamily(phis, _square_sum(phis.values()), a), wavelets
+
+
+REPEATING = [(_repeating_wavelets, a, "psi[0]") for a in (2, -3)] + \
+    [(_two_repeating_wavelets, a, "psi[0]") for a in (2, 3, -2)] + \
+    [(_repeating_scaling, a, "phi[0]") for a in (2, 3, -2)]
+
+
+class TestSplitFromSupports:
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_matches_pair_sum_loop(self, key):
         scaling, wavelets = FAMILIES[key]
+        scaling.validate()
+        wavelets.validate()
         grid = family_grid(scaling.generator_set(), wavelets.generator_set())
-        assert_split_matches_reference(scaling, wavelets, grid)
+        assert shifted_split_residuals(scaling, wavelets, grid) == []
+        report = check_split(scaling, wavelets)
+        assert split_rows(report) == [("two_scale_split[s=0]", "pass"),
+                                      ("shifted_splits", "pass")]
+        assert "for all xi" in report.checks[1].detail
 
-    @pytest.mark.parametrize("a", [2, -3])
-    def test_cutoff_at_five_fails(self, a):
-        # a wavelet on [1, 4) repeats residues: every point near 1 fails
-        scaling, wavelets = FAMILIES[f"shannon@{a}"]
-        layer = IntervalSet.of((1, 4))
-        bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
-                              wavelets.sigma, a)
-        grid = family_grid(scaling.generator_set(), bogus.generator_set())
-        report = assert_split_matches_reference(scaling, bogus, grid)
-        assert sum(c.status == "fail" for c in report.checks[2:]) == 5
+    @pytest.mark.parametrize("build, a, name", REPEATING,
+                             ids=[f"{b.__name__}@{a}" for b, a, _ in REPEATING])
+    def test_repeated_residue_raises(self, build, a, name):
+        # the loop sees the shifted residuals that the premise rules out
+        scaling, wavelets = build(a)
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        assert shifted_split_residuals(scaling, wavelets, grid)
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} meets the residue cell"):
+            check_split(scaling, wavelets)
 
     def test_irrational_residuals(self):
-        # doubling one wavelet square leaves sqrt(2) multiples in every pair
+        # doubling one wavelet square breaks the split at s = 0 only
         scaling, wavelets = FAMILIES["pwl:a=3/4,b=5/4@2"]
         psis = (wavelets.psis[0].scale_amplitude_sq(2),) + wavelets.psis[1:]
         bogus = WaveletFamily(psis, wavelets.partition, wavelets.sigma, 2)
         grid = family_grid(scaling.generator_set(), bogus.generator_set())
-        report = assert_split_matches_reference(scaling, bogus, grid)
+        assert shifted_split_residuals(scaling, bogus, grid) == []
+        report = check_split(scaling, bogus)
+        assert split_rows(report) == [("two_scale_split[s=0]", "fail"),
+                                      ("shifted_splits", "pass")]
         assert report.status == "fail"
-
-
-    @pytest.mark.parametrize("a", [2, 3, -2])
-    def test_products_from_several_profiles_add_up(self, a):
-        # two wavelets that repeat residues: each shift sums both products,
-        # and the second is a sqrt(linear) profile with irrational roots
-        scaling, wavelets = FAMILIES[f"shannon@{a}"]
-        layer = IntervalSet.of((F(1, 3), 4))
-        ramp = PiecewiseLinear.of((F(1, 3), 4, F(1, 5), F(1, 7)))
-        psis = (SqrtProfile.indicator(layer), SqrtProfile.from_square(ramp))
-        bogus = WaveletFamily(psis, (layer, layer), wavelets.sigma, a)
-        grid = [F(2, 5), F(-3, 7), F(11, 9), F(1, 2)]
-        report = assert_split_matches_reference(scaling, bogus, grid)
-        assert report.status == "fail"
-
-    @pytest.mark.parametrize("a", [2, 3, -2])
-    def test_coarse_products_on_lattice_shifts(self, a):
-        # scaling profiles that repeat residues: the lattice shifts s = a*k
-        # pair phi_hat(xi/a) with phi_hat(xi/a + 2k)
-        scaling, wavelets = FAMILIES[f"shannon@{a}"]
-        ramp = PiecewiseLinear.of((F(-1, 2), 3, F(1, 6), F(1, 2)))
-        phis = {0: SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))),
-                1: SqrtProfile.from_square(ramp)}
-        bogus = ScalingFamily(phis, _square_sum(phis.values()), a)
-        grid = [F(1, 2), F(-1, 3), F(3, 4), F(7, 5)]
-        report = assert_split_matches_reference(bogus, wavelets, grid)
-        assert any(c.name.startswith("lattice_shift_split") for c in report.checks)
 
     @pytest.mark.parametrize("key", ["pwl:a=3/4,b=5/4@-3", "random1@3"])
     def test_fiber_entries_are_profile_values(self, key):

@@ -71,7 +71,7 @@ class TestRoundTrip:
         grid = family_grid(scaling.generator_set(), wavelets.generator_set())
         report = VerificationReport()
         report.merge(check_ntf_multiwavelet(wavelets, grid=grid), "ntf:")
-        report.merge(check_split(scaling, wavelets, grid), "split:")
+        report.merge(check_split(scaling, wavelets), "split:")
         payload = report.to_jsonable()
         payload["suite"] = ["ntf", "split"]
         assert dumps_canonical(payload).encode() == rep_file.read_bytes()

@@ -39,115 +39,115 @@ GOLDEN = {
     'shannon@2': (
         'd95131e076e01bba437661c13ab385d26d426ba4dfd97514e1ae3a412ebee98d',
         0,
-        '27614c28421baee6e54df1a0a9d5ca904a2bb52836a3a49ee0bb9fe0d6b7f28f',
+        '44d91ede542f06a840d5d960652a3a17ad28961bf0160744f0fa21e598c9a489',
         '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
     ),
     'shannon@3': (
         '9f521dfa1ff887426708726eb0b05b988b11de4908721d354762a80f0a8c107a',
         0,
-        'd9f7dead724cbcf909c0099a484cdc8830ea6d811ae70e24fc0882516cc35c0f',
+        '50fc20dd395cae0a7996ca264bd83bd01230e8b079b009cbe3700de894497e0b',
         '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
     ),
     'shannon@-2': (
         '9341af3c4563e45d693d2fc65a5789d63aaae56d920ef47bfabd3628032663e9',
         0,
-        '27614c28421baee6e54df1a0a9d5ca904a2bb52836a3a49ee0bb9fe0d6b7f28f',
+        '44d91ede542f06a840d5d960652a3a17ad28961bf0160744f0fa21e598c9a489',
         '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
     ),
     'journe@2': (
         'ba14adddd77933a9b95130746604157181100565e23fd6776768837be684880f',
         0,
-        '11d750f3cf12f6acbeb100015cd1301af8a1132824d98701c78a46cb66a5a943',
+        '872eb2767e34c2f52382062bc659cfaa3263745ad7a611a1f923da9c3467c2e9',
         '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
     ),
     'journe@-2': (
         'a50f1e4b6c7224e3f881eacbbff79cef0423dd3269578b41b1ead95523218b4c',
         0,
-        '11d750f3cf12f6acbeb100015cd1301af8a1132824d98701c78a46cb66a5a943',
+        '872eb2767e34c2f52382062bc659cfaa3263745ad7a611a1f923da9c3467c2e9',
         '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
     ),
     'pwl:a=1/2,b=1/2@2': (
         'f2d950a0072c56e796beab44d10e1c3d3f5a77d9ab590ce23e93db24ff65af9f',
         1,
-        'bda30e81b521f7a63744492de6e6d15fd018f05c9ed3c62e3bbe32b08df09eb3',
+        '90377f9048ade4079af58c314dff3f13979722be6dec7d8f68b698cca09cdb94',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=1/2,b=1/2@3': (
         '380b4657e9c468fb000d615de5c531937541d2be893c815136e44b5b81f49f06',
         1,
-        '575caeb0502f2aab5844b01c961bc85f2d9de42eb6621edf191d0fc6f700547e',
+        'c5507cd9c8ff75c6b614e59c11ad5f50bcb10770fa84a82c0d62d70892dc2e4b',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=1/2,b=1/2@-2': (
         'e7bb75796f5a461d965f81c55059ed5f22d028ee76e88d3764b281d5e49247b5',
         1,
-        'bda30e81b521f7a63744492de6e6d15fd018f05c9ed3c62e3bbe32b08df09eb3',
+        '90377f9048ade4079af58c314dff3f13979722be6dec7d8f68b698cca09cdb94',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=3/4,b=5/4@2': (
         'b013ce9ddde6e5500bace3b164614d79b72517317d5ee408b233f9287fa0453f',
         1,
-        '7281c8bc28f34e64c535d8b1be3a0b5176c30e4fd2ac5223fd2af6c3e4857c2d',
+        'bc7d633c2ca182a9864b1e2bbed233ca42cfd9374a545215475c9fe63380b4bd',
         '226479a08ee1fc56935f8599ea5cda755c0619176ae5ec634ba3df0397e052fa',
     ),
     'pwl:a=3/4,b=5/4@3': (
         'd3f2f1a54d1c1cc2cd079d297aa181415b646c6b753783e7fd9e2a34ebea75ed',
         1,
-        '822ca152f535da41a282aa383d711ebbe91ab7ef1b7c279aa0338031b6b6aeb9',
+        '5a1535dbd6878da3b81cbf4d1aca7d870bda2045d991d8aad790f26b5c74991d',
         '95400f875449ce2413ceea6d546757e1d4d43a3f1c8d45329f56dbd74f418628',
     ),
     'pwl:a=3/4,b=5/4@-2': (
         '6f77b5595fd9cd5e25762fb24d86382139148108b2fc39fe19ac790b2b33a838',
         1,
-        '9a0bf4d94c7208c0c713c5d9eaa03dddd20f2e56bf39b32b67080087e0a5974b',
+        'c11822b62dfddf544777cfbe1d8fa028f7ec71d6b6a9264cd93edee421c56d91',
         '3c94b532fd1b62b80677a8e68d758e8c249187619195e3d2ad26ec2758f62978',
     ),
     'shannon@4': (
         '858206647e92f2a9828844e7becb82ae29ce2e1d8a4cd630f7b96b824134ac48',
         0,
-        'd76ac3cd6f528695d0ffaee9eee2e912a6300a72ca0cf0f95149733b5a3ad9dd',
+        'b4873bd7751e1b69183a6591bc1307c6fb9e654914f27a6da1f6973b89094fb4',
         'a5590151be760028ba86bba8613a938271a9e011d7cd0770a187be6222d49b82',
     ),
     'shannon@-3': (
         '5b6ac7eabcd3404faf7369798d0ef5e1fb9ca75e8bd3736e8c959ac7dc21653d',
         0,
-        'd9f7dead724cbcf909c0099a484cdc8830ea6d811ae70e24fc0882516cc35c0f',
+        '50fc20dd395cae0a7996ca264bd83bd01230e8b079b009cbe3700de894497e0b',
         '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
     ),
     'journe@4': (
         'e9b2327369e81852c6b4e3c01d6adb46eb1e72e32e7c15b9827c150cdbd2ed4a',
         0,
-        '2b3156dea12079818afc20f921c48f3fd5f2ff9afedd651085a53ce00f9b350c',
+        '4d4042a735fc4073cd74a091e8ce782f44845c1980deb8489088bd9e68615460',
         'c37c1623f1b5020df5111a28abe8e4fb19510d80cdee98d285e97fed083c2417',
     ),
     'pwl:a=1/2,b=1/2@4': (
         '5e0817fb064c04412309eb9e00aaf2f0b12c519fccf501ceb544b68b5fc1206a',
         1,
-        '467223726c595808eeebaa6349f4a90d3faabaaf61e04b33ec9f6c8960582df0',
+        'e4bca05ae67cadd871ad601e071176ec6d6194bb43eb62bdb6e244d684d8ba3c',
         '8a9e08559367873830818e618f12726efb71cced48c49e2bccbec13f4d60162b',
     ),
     'pwl:a=1/2,b=1/2@-3': (
         '70913fc2997fa0bbc13b582f0dd6210df6256c78dc0fb9d8dd7a46a1a92cbf9f',
         1,
-        '575caeb0502f2aab5844b01c961bc85f2d9de42eb6621edf191d0fc6f700547e',
+        'c5507cd9c8ff75c6b614e59c11ad5f50bcb10770fa84a82c0d62d70892dc2e4b',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=3/4,b=5/4@4': (
         '15bee835df74c061bd8d28a2cfdb402ad56301f7befac95bb1fc7cde76f207ab',
         1,
-        'ef70d23a37679bb88d328ce7b58c7dbd3ebbf9d011126c8394c5c94d746a7bf7',
+        '12eabb4150ac2aa1d2e5fb2bf8ee975e205f1ba85cede49328fb165362e4ec96',
         '1e3e7a98bbd0f2805e378a19d49a7e7edbbbae4833fb3e159733c6352fbb5153',
     ),
     'pwl:a=3/4,b=5/4@-3': (
         '7cf3ac340898352d6766497c4e2d55af799fa670eeb1f74cad628f4c66c48d24',
         1,
-        '93bf437c84e8a7b3dd50a524d9b81fc1a7bcdc2ff51e8e783d28dac56ee54d5d',
+        '298f48597c52d302902d477e7259425e1c57dbdc8b04cb49a423563571278967',
         '7a2dd6b591f1036080c65511e99e1a6e89ad241c53190e4d57ee2197a152fac9',
     ),
     'pwl:a=2,b=2@2 windows': (
         '454adfbd71c6b17597f7168ebf8869c9e87952fabc7152c946f464a68616b94a',
         1,
-        '9812a9797facf2a54bd17246aaeee0fb45ea226278ecaeeb7ef6bae50cfc4036',
+        '527ed5baf9dea16a026a8570bb47f746eb826f7d56855e8d412a03a853a3998e',
         '974ba1b3f8c47513b3d1d4cfbee316ba47bb3197d81064c605f0ca32e51fdf53',
     ),
     'journe waveletset': (

@@ -5,20 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesmith.numeric import (CInterval, FInterval, cos_pi, pi_enclosure,
-                                precision_bits, sin_pi, sqrt_enclosure)
-from framesmith.roots import SqrtSum, _split_square
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.delenv("FRAMESMITH_PRECISION", raising=False)
-    assert precision_bits() == 64
-    monkeypatch.setenv("FRAMESMITH_PRECISION", "96")
-    assert precision_bits() == 96
+from framesmith.numeric import (DEFAULT_BITS, CInterval, FInterval, cos_pi,
+                                pi_enclosure, sin_pi, sqrt_enclosure)
+from framesmith.roots import MAX_BITS, SqrtSum, _split_square
 
 
 def test_pi_enclosure_tight_and_correct():
     pi = pi_enclosure(64)
+    assert pi is pi_enclosure(64)  # cached per precision
     assert float(pi.width()) < 2 ** -64
     # the enclosure is far tighter than the double of math.pi
     assert abs(float(pi.mid()) - math.pi) < 1e-15
@@ -162,6 +156,31 @@ class TestSqrtSum:
         hidden = SqrtSum.sqrt_of(p * p * 4219)
         plain = SqrtSum.sqrt_of(4219).scale(p)
         assert (hidden - plain).sign_verdict() == "uncertain"
+
+    def test_verdict_refines_past_the_starting_precision(self):
+        # sqrt(2^140 + 1) - 2^70 is about 2^-71, inside a 64-bit enclosure
+        gap = SqrtSum.sqrt_of(2 ** 140 + 1) - SqrtSum.rational(2 ** 70)
+        enc = gap.enclosure(DEFAULT_BITS)
+        assert enc.lo <= 0 <= enc.hi
+        assert gap.sign_verdict() == "positive"
+        assert (-gap).sign_verdict() == "negative"
+
+    def test_precision_doubles_up_to_the_cap(self, monkeypatch):
+        asked = []
+        enclosure = SqrtSum.enclosure
+
+        def spy(self, bits=DEFAULT_BITS):
+            asked.append(bits)
+            return enclosure(self, bits)
+
+        monkeypatch.setattr(SqrtSum, "enclosure", spy)
+        p = 4099
+        hidden = SqrtSum.sqrt_of(p * p * 4219) - SqrtSum.sqrt_of(4219).scale(p)
+        assert hidden.sign_verdict(48) == "uncertain"
+        assert asked == [48, 96, 192, 384, 768, 1536, 3072, MAX_BITS]
+        asked.clear()
+        assert SqrtSum.sqrt_of(2).sign_verdict() == "positive"
+        assert asked == [DEFAULT_BITS]
 
     def test_split_square(self):
         assert _split_square(8) == (2, 2)

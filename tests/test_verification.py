@@ -109,22 +109,13 @@ class TestSplitChecks:
         assert any(c.name == "inward_limit_one" and c.status == "fail"
                    for c in report.checks)
 
-    def test_shift_failures_suppress_shifted_splits_pass(self, shannon):
+    def test_repeated_residue_raises_naming_the_wavelet(self, shannon):
         layer = IntervalSet.of((1, 4))
         bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
                               shannon[1].sigma, 2)
-        report = check_split(shannon[0], bogus, grid=[F(5, 4), F(3, 2)])
-        names = [c.name for c in report.checks if c.status == "fail"]
-        assert names.count("off_lattice_split[s=1]") == 2
-        assert not any(c.name == "shifted_splits" for c in report.checks)
-
-    def test_grid_without_nonzero_point_is_uncertain(self, worked_half):
-        for grid in ([], [F(0)]):
-            report = check_split(*worked_half, grid=grid)
-            row = next(c for c in report.checks if c.name == "shifted_splits")
-            assert row.status == "uncertain"
-            assert "no point other than 0" in row.detail
-            assert report.status == "uncertain"
+        with pytest.raises(ValueError, match=r"psi\[0\] meets the residue "
+                                             r"cell \[-1, 0\) 2 times mod 2"):
+            check_split(shannon[0], bogus)
 
     def test_empty_wavelets_fail_zero_shift(self, shannon):
         empty = WaveletFamily((), (), shannon[1].sigma, 2)
