@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 from .intervals import IntervalSet
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
-from .folding import FoldedMultiplicity, layered_partition, per_multiplicity
+from .folding import (FoldedMultiplicity, fold_dilation, layered_partition,
+                      per_multiplicity)
 from .construction import (
     AdmissibilityReport,
     ScalingFamily,

@@ -20,7 +20,6 @@ from .construction import (SpectralSpec, build_family,
                            waveletset_sigma, ClosureDidNotStabilize)
 from .frametest import TestSignal, frame_energy
 from .intervals import union_all
-from .rationals import as_fraction
 from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
                         family_from_jsonable, family_to_jsonable,
@@ -103,8 +102,7 @@ def cmd_check(args) -> int:
 def cmd_check_waveletset(args) -> int:
     obj = loads_json(Path(args.E).read_text(encoding="utf-8"), args.E)
     sets = sets_from_jsonable(obj)
-    report = check_wavelet_set_tiling(sets, args.a, as_fraction(args.window),
-                                      args.jrange)
+    report = check_wavelet_set_tiling(sets, args.a)
     if args.out:
         _write(args.out, dumps_canonical(report.to_jsonable()))
     print(f"check-waveletset: {report.status}")
@@ -120,7 +118,7 @@ def cmd_waveletset(args) -> int:
         print(f"{cls.verdict}: {cls.reason}")
         return 0 if cls.verdict != "not_admissible" else 1
     try:
-        sigma = waveletset_sigma(union, args.a, args.budget)
+        sigma = waveletset_sigma(union, args.a)
     except ClosureDidNotStabilize as e:
         print(f"waveletset: {e}", file=sys.stderr)
         return 1
@@ -240,21 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out")
     k.set_defaults(func=cmd_check)
 
-    w = sub.add_parser("check-waveletset", help="tiling checks for wavelet sets")
+    w = sub.add_parser("check-waveletset", help=(
+        "tiling checks for wavelet sets, the dilation tiling for all xi != 0"))
     w.add_argument("--E", required=True, help="JSON interval set(s)")
     w.add_argument("--a", type=int, default=2)
-    w.add_argument("--window", default="64", help="half-width W (pi units)")
-    w.add_argument("--jrange", type=int, default=24)
     w.add_argument("--out")
     w.set_defaults(func=cmd_check_waveletset)
 
-    ws = sub.add_parser("waveletset", help="build sigma = chi_E family from a "
-                                           "wavelet set, or classify a seed")
+    ws = sub.add_parser("waveletset", help=(
+        "build the sigma = chi_U family, U the union of E/a^j over j >= 1 "
+        "(exit 1 when U is not a finite union), or classify a seed"))
     ws.add_argument("--E", required=True, help="JSON interval set(s)")
     ws.add_argument("--a", type=int, default=2)
     ws.add_argument("--classify", action="store_true",
                     help="treat E as the sigma-support seed and classify it")
-    ws.add_argument("--budget", type=int, default=64)
     ws.add_argument("--out")
     ws.set_defaults(func=cmd_waveletset)
 

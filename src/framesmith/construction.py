@@ -6,7 +6,8 @@ phi_k = sqrt(sigma) on the translated fundamental windows and wavelet
 profiles psi_i with |psi_i|^2 = sigma(./a) - sigma on the layers of a
 partition of that difference's support, each layer injective mod 2pi.
 The wavelet-set pipeline runs the same construction from sigma = chi_E where
-E is the exact fixpoint closure of a seed set under division by a.
+E is the union of the contracted copies of a seed set, read exactly off its
+dilation fold.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .folding import _windows, layered_partition, per_multiplicity
+from .folding import _windows, fold_dilation, layered_partition, per_multiplicity
 from .intervals import IntervalSet
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
 from .rationals import as_fraction
@@ -226,73 +227,51 @@ def build_family(spec: SpectralSpec, partition: str = "greedy"
 
 
 class ClosureDidNotStabilize(RuntimeError):
-    """Raised when the union of contracted copies keeps spawning pieces near 0."""
+    """Raised when the union of contracted copies has infinitely many pieces."""
 
-    def __init__(self, partial: IntervalSet, budget: int):
+    def __init__(self, cell: Tuple[Fraction, Fraction]):
         super().__init__(
-            f"union of contracted copies did not stabilize within {budget} "
-            f"iterations (non-terminating near 0); partial union has "
-            f"{len(partial.pieces)} pieces")
-        self.partial = partial
+            f"union of contracted copies has infinitely many pieces near 0: "
+            f"no dilate of E reaches the annulus cell [{cell[0]},{cell[1]})")
+        self.cell = cell
 
 
-def _zero_fills(U: IntervalSet, side: int) -> List[IntervalSet]:
-    """Candidates closing the gap at 0: fill [0, lo) up to each positive
-    piece start (side +1) or [hi, 0) down from each negative piece end
-    (side -1), swallowing any smaller fragments in between."""
-    fills: List[IntervalSet] = []
-    if side > 0:
-        for lo, _ in U.pieces:
-            if lo > 0:
-                fills.append(IntervalSet.of((0, lo)))
-    else:
-        for _, hi in U.pieces:
-            if hi < 0:
-                fills.append(IntervalSet.of((hi, 0)))
-    return fills
-
-
-def waveletset_closure(E: IntervalSet, a: int, budget: int = 64) -> IntervalSet:
+def waveletset_closure(E: IntervalSet, a: int) -> IntervalSet:
     """Exact union of E/a^j over j >= 1, up to the measure-zero point {0}.
 
-    Iterates U <- (E union U)/a and tests candidate fixpoints, including the
-    candidates with the gap at 0 closed.  Any bounded fixpoint of the
-    monotone map agrees with the true union up to {0}, so a verified
-    candidate is exact almost everywhere.  Raises ValueError for a budget
-    below 1.
+    Read off the dilation fold of E: a cell c of the annulus whose largest
+    scale inside E is M contributes a^m c for every m <= M - 1.  The union
+    is finite iff on each orbit side (each side of 0 for a > 0, both for
+    a < 0) every cell meets E or none does; otherwise ClosureDidNotStabilize
+    names a cell that no dilate of E reaches.
     """
     require_dilation(a)
-    if budget < 1:
-        raise ValueError(f"closure budget must be >= 1, got {budget}")
-    inv = Fraction(1, a)
-    step = lambda X: E.union(X).scale(inv)
-    U = IntervalSet.empty()
-    for _ in range(budget):
-        U = step(U)
-        for cand in _closure_candidates(U):
-            if step(cand) == cand:
-                return cand
-    raise ClosureDidNotStabilize(U, budget)
+    r, cells = fold_dilation([E], a)
+    sides = [cells] if a < 0 else \
+        [[c for c in cells if c[0] < 0], [c for c in cells if c[0] > 0]]
+    pieces = []
+    for side in sides:
+        if not any(js for _, _, (js,) in side):
+            continue
+        for lo, hi, (js,) in side:
+            if not js:
+                raise ClosureDidNotStabilize((lo, hi))
+        # every shell a^k A with k <= inner lies in the union
+        inner = min(js[-1] for _, _, (js,) in side) - 1
+        edge = r * Fraction(abs(a)) ** (inner + 1)
+        pieces.append((-edge if side[0][0] < 0 else Fraction(0),
+                       edge if side[-1][0] > 0 else Fraction(0)))
+        for lo, hi, (js,) in side:
+            for k in range(inner + 1, js[-1]):
+                c = Fraction(a) ** k
+                pieces.append((lo * c, hi * c) if c > 0 else (hi * c, lo * c))
+    return IntervalSet(tuple(pieces))
 
 
-def _closure_candidates(U: IntervalSet) -> List[IntervalSet]:
-    pos = [IntervalSet.empty()] + _zero_fills(U, +1)
-    neg = [IntervalSet.empty()] + _zero_fills(U, -1)
-    out: List[IntervalSet] = []
-    seen: set = set()
-    for p in pos:
-        for q in neg:
-            cand = U.union(p).union(q)
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
-
-
-def waveletset_sigma(E: IntervalSet, a: int, budget: int = 64) -> PiecewiseLinear:
+def waveletset_sigma(E: IntervalSet, a: int) -> PiecewiseLinear:
     """Spectral profile chi of the closure of the wavelet set E (Fourier
     supports of the target family) under contraction by a."""
-    return PiecewiseLinear.indicator(waveletset_closure(E, a, budget))
+    return PiecewiseLinear.indicator(waveletset_closure(E, a))
 
 
 @dataclass(frozen=True)

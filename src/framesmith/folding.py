@@ -1,18 +1,25 @@
-"""Folding into the fundamental domain [-pi, pi) and layered partitions.
+"""Folding onto the fundamental domains of translation and of dilation.
 
-The fundamental domain is [-1, 1) in pi units and the translation lattice is
-the even integers.  per_multiplicity counts, exactly and piecewise,
-how many points of a bounded interval set are congruent to each residue;
+Translation: the fundamental domain is [-1, 1) in pi units and the lattice
+is the even integers.  per_multiplicity counts, exactly and piecewise, how
+many points of a bounded interval set are congruent to each residue;
 layered_partition peels the set into layers K_1..K_p that are each injective
 modulo the lattice, assigning congruent representatives to layers in
 ascending position order (deterministic).
+
+Dilation: the annulus A = {r <= |xi| < |a| r} is a fundamental domain of
+xi -> a xi for either sign of a (an odd power of a negative a swaps the two
+sides).  fold_dilation cuts A into cells and lists, per cell and per set,
+the scales j with a^j cell inside the set, so it sees the whole orbit of
+every xi != 0.  Both folds run on the one endpoint sweep
+`intervals._overlay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .intervals import IntervalSet, _overlay
 from .rationals import as_fraction
@@ -90,3 +97,51 @@ def layered_partition(K: IntervalSet) -> List[IntervalSet]:
                 layers.append([])
             layers[i].append((clo + 2 * k, chi + 2 * k))
     return [IntervalSet(tuple(pieces)) for pieces in layers]
+
+
+# -- dilation ------------------------------------------------------------------
+
+# The lowest scale listed.  With r the least nonzero |endpoint|, the shells
+# a^j A, j <= -1, lie in (-r, r), where each set is constant on each side of
+# 0: below -1 the scales of a cell repeat with period 2 (1 for a > 0), and
+# two periods suffice to read the least gap between two scale lists.
+DILATION_FLOOR = -4
+
+
+def fold_dilation(sets: Sequence[IntervalSet], a: int
+                  ) -> Tuple[Fraction, List[Tuple[Fraction, Fraction, tuple]]]:
+    """(r, cells): cells (lo, hi, scales) partition the annulus
+    A = {r <= |xi| < |a| r}, negative side first, r the least nonzero
+    |endpoint| of the sets (1 if none); scales[i] lists the j >=
+    DILATION_FLOOR with a^j [lo, hi) inside sets[i], up to measure zero.
+    Each piece is cut at the shells a^j A it meets, from DILATION_FLOOR up
+    when it reaches 0, and each cut is mapped back by a^-j; one sweep
+    overlays the cuts, each weighted by the bit of its (i, j), on A itself,
+    weighted 1, which keeps the cells with no scale."""
+    m = abs(a)
+    r = min((abs(x) for s in sets for piece in s.pieces for x in piece if x),
+            default=Fraction(1))
+    bits: dict[Tuple[int, int], int] = {}
+    pairs, weights = [(-m * r, -r), (r, m * r)], [1, 1]
+    for i, s in enumerate(sets):
+        for lo, hi in s.pieces:
+            # the piece's part on each side of 0, as |xi| in [inner, outer)
+            for sign, inner, outer in ((-1, max(-hi, 0), -lo), (1, max(lo, 0), hi)):
+                j = 0 if inner else DILATION_FLOOR
+                shell = r * Fraction(m) ** j  # shell j: shell <= |xi| < m*shell
+                while m * shell <= inner:
+                    j, shell = j + 1, m * shell
+                c = sign * Fraction(a) ** -j  # maps shell j back to A
+                while shell < outer:
+                    cut = (max(inner, shell) * c, min(outer, m * shell) * c)
+                    pairs.append(cut if c > 0 else cut[::-1])
+                    weights.append(2 << bits.setdefault((i, j), len(bits)))
+                    j, shell, c = j + 1, m * shell, c / a
+    cells = []
+    for lo, hi, mask in _overlay(pairs, weights):
+        scales = [[] for _ in sets]
+        for (i, j), bit in bits.items():
+            if mask >> (bit + 1) & 1:
+                scales[i].append(j)
+        cells.append((lo, hi, tuple(tuple(sorted(js)) for js in scales)))
+    return r, cells

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .rationals import as_fraction
@@ -139,20 +141,24 @@ def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:
     return IntervalSet(tuple(pieces))
 
 
-def _overlay(pairs: Iterable[Tuple[Fraction, Fraction]]
+def _overlay(pairs: Iterable[Tuple[Fraction, Fraction]],
+             weights: Iterable[int] | None = None
              ) -> list[Tuple[Fraction, Fraction, int]]:
-    """(lo, hi, count) cells, count >= 1, of the multiplicity of a family of
-    nonempty [lo, hi) intervals: exact sweep over their endpoints."""
+    """(lo, hi, value) cells, value != 0, of a family of nonempty [lo, hi)
+    intervals: exact sweep over their endpoints.  The value of a cell is the
+    sum of the weights of the intervals covering it, so with the default
+    weight 1 it is the multiplicity, and with distinct powers of 2 on
+    intervals that may overlap it is the bitmask of those covering it."""
     events: list[Tuple[Fraction, int]] = []
-    for lo, hi in pairs:
-        events.append((lo, 1))
-        events.append((hi, -1))
-    events.sort(key=lambda e: (e[0], -e[1]))
+    for (lo, hi), w in zip(pairs, repeat(1) if weights is None else weights):
+        events.append((lo, w))
+        events.append((hi, -w))
+    events.sort(key=itemgetter(0))
     out: list[Tuple[Fraction, Fraction, int]] = []
     count = 0
     prev: Fraction | None = None
     for x, delta in events:
-        if prev is not None and count > 0 and x > prev:
+        if count and x > prev:
             if out and out[-1][2] == count and out[-1][1] == prev:
                 out[-1] = (out[-1][0], x, count)
             else:
@@ -160,11 +166,3 @@ def _overlay(pairs: Iterable[Tuple[Fraction, Fraction]]
         count += delta
         prev = x
     return out
-
-
-def overlay_counts(sets: Sequence[IntervalSet]) -> list[Tuple[Fraction, Fraction, int]]:
-    """Piecewise-constant multiplicity of a family of interval sets.
-
-    Returns (lo, hi, count) cells with count >= 1, sorted, non-overlapping.
-    """
-    return _overlay(piece for s in sets for piece in s.pieces)

@@ -48,8 +48,11 @@ def intervalset_from_jsonable(obj, where: str = "intervals") -> IntervalSet:
     for i, pair in enumerate(obj):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}[{i}]: expected [lo, hi]")
-        pairs.append((_ratio_in(pair[0], f"{where}[{i}].lo"),
-                      _ratio_in(pair[1], f"{where}[{i}].hi")))
+        lo = _ratio_in(pair[0], f"{where}[{i}].lo")
+        hi = _ratio_in(pair[1], f"{where}[{i}].hi")
+        if lo >= hi:
+            raise ParseError(f"{where}[{i}]: expected lo < hi")
+        pairs.append((lo, hi))
     return IntervalSet.of(*pairs)
 
 
@@ -72,6 +75,8 @@ def pwl_from_jsonable(obj, where: str = "pwl") -> PiecewiseLinear:
             raise ParseError(f"{loc}.piece: expected [lo, hi]")
         lo = _ratio_in(piece[0], f"{loc}.piece.lo")
         hi = _ratio_in(piece[1], f"{loc}.piece.hi")
+        if lo >= hi:
+            raise ParseError(f"{loc}.piece: expected lo < hi")
         alpha = _ratio_in(item.get("alpha", 0), f"{loc}.alpha")
         beta = _ratio_in(item.get("beta", 0), f"{loc}.beta")
         pieces.append((lo, hi, alpha, beta))

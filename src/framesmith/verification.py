@@ -19,6 +19,9 @@ an exact piecewise-linear inequality, outward decay follows from the
 support hull, and the shifted splits and shifted orthogonality from
 supports that meet each residue class mod 2 at most once, whose fibers
 hold a single entry, so every cross term vanishes identically.
+
+The wavelet-set tiling and the scale gaps of semi-orthogonality are read
+off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence as Seq
 
 from .construction import ScalingFamily, WaveletFamily, require_dilation
-from .folding import per_multiplicity
-from .intervals import IntervalSet, overlay_counts, union_all
+from .folding import fold_dilation, per_multiplicity
+from .intervals import IntervalSet, union_all
 from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
                         integrate_product)
 from .rationals import as_fraction, format_ratio
@@ -354,18 +358,14 @@ def check_density(phi_fam: ScalingFamily) -> VerificationReport:
 # -- wavelet-set tiling --------------------------------------------------------
 
 
-def check_wavelet_set_tiling(E_list: Seq[IntervalSet], a: int,
-                             window: Fraction = Fraction(64),
-                             j_range: int = 24) -> VerificationReport:
+def check_wavelet_set_tiling(E_list: Seq[IntervalSet], a: int
+                             ) -> VerificationReport:
     """Mutual disjointness, translation injectivity, and exact dilation
-    tiling of the line on [-W, W] minus the (-eps, eps) hole,
-    eps = W |a|^{-j_range}.  Raises ValueError for |a| < 2, j_range < 1
-    or W <= 0, where the tiling would hold vacuously."""
+    tiling of the line, for all xi != 0: the union folded onto the annulus
+    {r <= |xi| < |a| r} (`fold_dilation`) must have exactly one scale on
+    every cell.  A union meeting every neighbourhood of 0 fails there, where
+    infinitely many of its dilates overlap.  Raises ValueError for |a| < 2."""
     require_dilation(a)
-    window = as_fraction(window)
-    if j_range < 1 or window <= 0:
-        raise ValueError(f"need j_range >= 1 and window > 0, got {j_range} "
-                         f"and {format_ratio(window)}")
     report = VerificationReport()
     for i, Ei in enumerate(E_list):
         for i2 in range(i + 1, len(E_list)):
@@ -387,64 +387,33 @@ def check_wavelet_set_tiling(E_list: Seq[IntervalSet], a: int,
                               "multiplicity": cell[2]}))
 
     union = union_all(list(E_list))
-    field_set = IntervalSet.of((-window, window))
-    eps = window / Fraction(abs(a)) ** j_range
-    hole = IntervalSet.of((-eps, eps))
-    target = field_set.difference(hole)
-    dilates = []
-    for j in range(-j_range, j_range + 1):
-        img = union.scale(Fraction(a) ** j).intersect(field_set)
-        if img:
-            dilates.append(img)
-    cells = overlay_counts(dilates)
-    over = [(lo, hi, c) for lo, hi, c in cells if c >= 2]
-    covered = IntervalSet(tuple((lo, hi) for lo, hi, c in cells if c >= 1))
-    gaps = target.difference(covered)
+    if any(lo <= 0 <= hi for lo, hi in union.pieces):
+        report.add(Check("dilation_tiling", "fail", {"xi": Fraction(0)}, detail=(
+            "the union meets every neighbourhood of 0, so infinitely many "
+            "dilates overlap as xi -> 0")))
+        return report
+    r, cells = fold_dilation([union], a)
+    over = next(((lo, hi, len(js)) for lo, hi, (js,) in cells if len(js) >= 2), None)
+    gap = next(((lo, hi) for lo, hi, (js,) in cells if not js), None)
     if over:
-        lo, hi, c = over[0]
+        lo, hi, c = over
         report.add(Check("dilation_tiling", "fail",
                          {"overlap_lo": lo, "overlap_hi": hi, "count": c},
-                         detail="doubly covered interval"))
-    elif gaps:
-        lo, hi = gaps.pieces[0]
-        report.add(Check("dilation_tiling", "fail",
-                         {"gap_lo": lo, "gap_hi": hi},
-                         detail="uncovered interval inside the test window"))
+                         detail="doubly covered interval of the annulus"))
+    elif gap:
+        lo, hi = gap
+        report.add(Check("dilation_tiling", "fail", {"gap_lo": lo, "gap_hi": hi},
+                         detail="interval of the annulus that no dilate covers"))
     else:
         report.add(Check("dilation_tiling", "pass", detail=(
-            f"multiplicity exactly 1 on [-{window}, {window}] minus the "
-            f"central hole of measure {float(2 * eps):.3g} (reported, by "
-            f"construction of the finite dilation range)")))
+            f"exactly one dilate on every cell of the annulus "
+            f"{format_ratio(r)} <= |xi| < {format_ratio(abs(a) * r)}, a fundamental "
+            f"domain of xi -> {a} xi, so the dilates tile the line for all "
+            f"xi != 0")))
     return report
 
 
 # -- semi-orthogonality ---------------------------------------------------------
-
-
-def _delta_bound(support: IntervalSet, reach: Fraction, a: int) -> int:
-    """Scale gaps beyond this cannot create a new overlap with a set inside
-    [-reach, reach]: each piece's governing extent has swept past the hull.
-    For a piece clear of 0 that is its inner edge; for a 0-adjacent piece the
-    smaller side extent governs (its dilates nest outward, so once it has
-    swept the hull any overlap would already have been seen)."""
-    rmin = None
-    for lo, hi in support.pieces:
-        if lo > 0:
-            d = lo
-        elif hi <= 0:
-            d = -hi
-        else:
-            sides = [x for x in (hi, -lo) if x > 0]
-            d = min(sides)
-        rmin = d if rmin is None else min(rmin, d)
-    if rmin is None or reach <= 0:
-        return 1
-    bound = 1
-    v = rmin
-    while v <= reach and bound < 200:
-        v *= abs(a)
-        bound += 1
-    return bound + 1
 
 
 def cross_energy(psi: SqrtProfile, psi_other: SqrtProfile, a: int,
@@ -464,9 +433,11 @@ def check_semiorthogonal(family: WaveletFamily) -> VerificationReport:
     """Certify via exact support algebra: scales j < j' are orthogonal iff
     support(psi) and a^{Delta} support(psi') intersect in measure zero for all
     Delta >= 1 (profiles are nonnegative, so a positive-measure overlap is
-    conclusive failure).  The fail witness is the exact cross-scale energy
-    of the first overlapping pair, a positive rational (`cross_energy`,
-    whose premise is that each profile's support is injective mod 2)."""
+    conclusive failure).  The overlapping Delta are the differences m - m'
+    >= 1 of scales of psi and psi' on one cell of the supports' dilation
+    fold.  The fail witness is the exact cross-scale energy of the first
+    pair at its least Delta, a positive rational (`cross_energy`, whose
+    premise is that each profile's support is injective mod 2)."""
     report = VerificationReport()
     a = family.dilation
     psis = family.psis
@@ -474,28 +445,20 @@ def check_semiorthogonal(family: WaveletFamily) -> VerificationReport:
         report.add(Check("semi_orthogonal", "pass",
                          detail="empty family is trivially semi-orthogonal"))
         return report
-    overlap_found = None
-    for i, p in enumerate(psis):
-        lo_p, hi_p = p.support().hull()
-        reach = max(abs(lo_p), abs(hi_p))
-        for i2, q in enumerate(psis):
-            for delta in range(1, _delta_bound(q.support(), reach, a) + 1):
-                scaled = q.support().scale(Fraction(a) ** delta)
-                ov = p.support().intersect(scaled)
-                if ov and ov.measure() > 0:
-                    overlap_found = (i, i2, delta, ov)
-                    break
-            if overlap_found:
-                break
-        if overlap_found:
-            break
+    supports = [p.support() for p in psis]
+    _, cells = fold_dilation(supports, a)
+    gaps = ((i, i2, min((m - m2 for _, _, js in cells for m in js[i]
+                         for m2 in js[i2] if m > m2), default=None))
+            for i, i2 in product(range(len(psis)), repeat=2))
+    overlap_found = next((g for g in gaps if g[2] is not None), None)
     if overlap_found is None:
         report.add(Check("semi_orthogonal", "pass", detail=(
             "supports of all dilate pairs are disjoint up to measure zero; "
             "for nonnegative profiles this certifies orthogonality between "
             "scales")))
         return report
-    i, i2, delta, ov = overlap_found
+    i, i2, delta = overlap_found
+    ov = supports[i].intersect(supports[i2].scale(Fraction(a) ** delta))
     report.add(Check("semi_orthogonal", "fail",
                      {"psi": i, "psi_other": i2, "scale_gap": delta,
                       "overlap_lo": ov.pieces[0][0], "overlap_hi": ov.pieces[0][1],

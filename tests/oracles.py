@@ -1,4 +1,4 @@
-"""Independent oracles for the quadrature and trace modules.
+"""Independent oracles for the quadrature, trace and wavelet-set checks.
 
 Quadrature: a factor is a pair (pwl, is_sqrt): pwl(u) itself, or
 sqrt(max(pwl(u), 0)).  Both quadrature oracles integrate
@@ -11,6 +11,13 @@ recompute every magnitude, root and fiber inner product where it is used.
 The library reads them all from one fiber-Gramian row and computes each
 value once; its results must be equal to these, down to each SqrtSum term
 and Fraction endpoint.
+
+Wavelet sets: the windowed dilation overlay, the scale-gap loop and the
+membership test that the dilation fold replaces.  Each looks at finitely
+many scales only: the overlay at |j| <= j_range inside [-W, W] minus a
+central hole, the loop at gaps up to a bound read off the hulls, and the
+membership test at j <= 40, so they agree with the fold on sets whose
+scales sit well inside those ranges.
 """
 
 import math
@@ -19,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from framesmith.folding import _shifts
+from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum, _zero_status
@@ -204,3 +212,59 @@ def ntf_generator_test_direct(gen, reference, grid, bits=DEFAULT_BITS):
                     xi, l, alpha, _zero_status(diff, bits),
                     abs(float(diff.enclosure(bits).mid()))))
     return rows
+
+
+def tiling_oracle(E, a, window=Fraction(64), j_range=24) -> bool:
+    """Whether the dilates a^j E, |j| <= j_range, cover [-W, W] minus the
+    hole (-eps, eps), eps = W |a|^-j_range, exactly once."""
+    field_set = IntervalSet.of((-window, window))
+    eps = window / Fraction(abs(a)) ** j_range
+    target = field_set.difference(IntervalSet.of((-eps, eps)))
+    dilates = [img for j in range(-j_range, j_range + 1)
+               if (img := E.scale(Fraction(a) ** j).intersect(field_set))]
+    cells = _overlay(piece for img in dilates for piece in img.pieces)
+    covered = IntervalSet(tuple((lo, hi) for lo, hi, _ in cells))
+    return all(c == 1 for _, _, c in cells) and not target.difference(covered)
+
+
+def _delta_bound(support, reach, a) -> int:
+    """Scale gaps beyond this cannot create a new overlap with a set inside
+    [-reach, reach]: each piece's governing extent has swept past the hull
+    (the smaller side extent for a 0-adjacent piece), capped at 200."""
+    rmin = None
+    for lo, hi in support.pieces:
+        if lo > 0:
+            d = lo
+        elif hi <= 0:
+            d = -hi
+        else:
+            d = min(x for x in (hi, -lo) if x > 0)
+        rmin = d if rmin is None else min(rmin, d)
+    if rmin is None or reach <= 0:
+        return 1
+    bound = 1
+    v = rmin
+    while v <= reach and bound < 200:
+        v *= abs(a)
+        bound += 1
+    return bound + 1
+
+
+def semiorth_oracle(supports, a):
+    """(i, i2, delta, overlap) of the first pair of supports, in the order
+    (i, i2), with supports[i] and a^delta supports[i2] overlapping on
+    positive measure, at its least delta up to `_delta_bound`; or None."""
+    for i, p in enumerate(supports):
+        lo_p, hi_p = p.hull()
+        reach = max(abs(lo_p), abs(hi_p))
+        for i2, q in enumerate(supports):
+            for delta in range(1, _delta_bound(q, reach, a) + 1):
+                ov = p.intersect(q.scale(Fraction(a) ** delta))
+                if ov:
+                    return i, i2, delta, ov
+    return None
+
+
+def closure_member(E, a, xi, depth=40) -> bool:
+    """Whether a^j xi lies in E for some 1 <= j <= depth."""
+    return any(E.contains(xi * Fraction(a) ** j) for j in range(1, depth + 1))

@@ -132,6 +132,25 @@ class TestValidationRefusal:
         assert run(*argv) == 2
         assert f"parse error: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,text,where", [
+        ("check-waveletset", '[[["-2","-1"],["2","1"]]]', "sets[0][1]"),
+        ("waveletset", '[[["-2","-1"],["1","1"]]]', "sets[0][1]"),
+        ("construct", '{"sigma": [{"piece": ["1","-1"], "alpha": "0", "beta": "1"}]}',
+         "sigma[0].piece"),
+    ], ids=["reversed_set_piece", "empty_set_piece", "reversed_sigma_piece"])
+    def test_reversed_or_empty_piece_exits_2_with_location(self, tmp_path, capsys,
+                                                          command, text, where):
+        # such a piece used to be dropped without a word, so the command
+        # judged a set or a sigma other than the one written
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = ["construct", "--sigma", path, "--out", tmp_path / "o.json"] \
+            if command == "construct" else [command, "--E", path]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert f"parse error: {where}: expected lo < hi" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestExitCodes:
     def test_pass_is_zero(self, family_file):
@@ -293,6 +312,16 @@ class TestExitCodes:
         bad.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((0, 1))])))
         assert run("waveletset", "--E", bad, "--a", 2, "--classify") == 1
 
+    def test_waveletset_closure_with_infinitely_many_pieces_is_one(self, tmp_path,
+                                                                   capsys):
+        # at a = -3 odd powers of [1, 2) land on the negative side, where
+        # [-3, -1) is never reached
+        sets = tmp_path / "E.json"
+        sets.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((1, 2))])))
+        capsys.readouterr()
+        assert run("waveletset", "--E", sets, "--a", -3) == 1
+        assert "annulus cell [-3,-1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", [",", "", " , "])
     def test_empty_suite_list_is_two(self, family_file, capsys, suite):
         capsys.readouterr()
@@ -302,13 +331,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("check-waveletset", "--a", 0), ("check-waveletset", "--a", 1),
-        ("check-waveletset", "--a", -1), ("check-waveletset", "--jrange", 0),
-        ("check-waveletset", "--jrange", -1), ("check-waveletset", "--window", 0),
-        ("check-waveletset", "--window", -5), ("waveletset", "--a", 0),
+        ("check-waveletset", "--a", -1), ("waveletset", "--a", 0),
         ("waveletset", "--a", 1), ("waveletset", "--classify", "--a", 0),
         ("waveletset", "--classify", "--a", 1),
-        ("waveletset", "--classify", "--a", -1), ("waveletset", "--budget", 0),
-        ("waveletset", "--budget", -3)])
+        ("waveletset", "--classify", "--a", -1)])
     def test_degenerate_waveletset_input_is_two(self, tmp_path, capsys, argv):
         # on E = [0, 1) each of these used to pass vacuously, report a
         # multiplicity-0 family or divide by zero
@@ -352,8 +378,7 @@ class TestOutputs:
         sets.write_text(dumps_canonical(
             sets_to_jsonable([IntervalSet.of((-2, -1), (1, 2))])))
         rep = tmp_path / "rep.json"
-        assert run("check-waveletset", "--E", sets, "--a", 2,
-                   "--window", 64, "--jrange", 24, "--out", rep) == 0
+        assert run("check-waveletset", "--E", sets, "--a", 2, "--out", rep) == 0
         pert = tmp_path / "pert.json"
         pert.write_text(dumps_canonical(
             sets_to_jsonable([IntervalSet.of((-2, -1), (1, F(21, 10)))])))

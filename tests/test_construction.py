@@ -147,13 +147,7 @@ class TestWaveletSetPipeline:
     def test_non_stabilizing_seed_raises(self):
         # contracted copies of [1, 3/2) never merge: gaps persist near 0
         with pytest.raises(ClosureDidNotStabilize, match="near 0"):
-            waveletset_sigma(IntervalSet.of((1, F(3, 2))), 2, budget=24)
-
-    @pytest.mark.parametrize("budget", [0, -3])
-    def test_budget_below_one_raises(self, budget):
-        # not a non-termination: no iteration was allowed at all
-        with pytest.raises(ValueError, match="budget must be >= 1"):
-            waveletset_closure(IntervalSet.of((-2, -1), (1, 2)), 2, budget)
+            waveletset_sigma(IntervalSet.of((1, F(3, 2))), 2)
 
     def test_empty_set(self):
         assert waveletset_closure(IntervalSet.empty(), 2) == IntervalSet.empty()

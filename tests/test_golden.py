@@ -152,7 +152,7 @@ GOLDEN = {
     ),
     'journe waveletset': (
         '8ee11175c5cd78264c4d4f2be44861c9662ee267e927dbbfed72cba1c2d7396d',
-        '6081d0019233b6010ad2b37f7dd038d9fe0b710fe3a355a2fdbd3cfdf880a740',
+        '061471c0aa7a564c83f15f201de24801e85923f2d1e85918d8017ebbd6ff3314',
     ),
 }
 

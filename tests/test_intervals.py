@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesmith.intervals import IntervalSet, overlay_counts, union_all
+from framesmith.intervals import IntervalSet, _overlay, union_all
 
 
 def test_adjacent_pieces_merge():
@@ -70,8 +70,10 @@ def test_measure_laws(A, B):
 
 
 def test_overlay_counts():
-    cells = overlay_counts([IntervalSet.of((0, 2)), IntervalSet.of((1, 3))])
-    assert cells == [(F(0), F(1), 1), (F(1), F(2), 2), (F(2), F(3), 1)]
+    pairs = [(F(0), F(2)), (F(1), F(3))]
+    assert _overlay(pairs) == [(F(0), F(1), 1), (F(1), F(2), 2), (F(2), F(3), 1)]
+    # distinct powers of 2 as weights: the value is the bitmask of the cover
+    assert _overlay(pairs, [1, 2]) == [(F(0), F(1), 1), (F(1), F(2), 3), (F(2), F(3), 2)]
 
 
 def test_union_all_and_hull():

@@ -145,31 +145,30 @@ class TestDensity:
 
 class TestWaveletSetTiling:
     def test_shannon_set(self):
-        report = check_wavelet_set_tiling(
-            [IntervalSet.of((-2, -1), (1, 2))], 2, F(64), 24)
+        report = check_wavelet_set_tiling([IntervalSet.of((-2, -1), (1, 2))], 2)
         assert report.status == "pass"
 
     def test_journe_set(self):
-        report = check_wavelet_set_tiling([JOURNE_WAVELET_SET], 2, F(64), 24)
+        report = check_wavelet_set_tiling([JOURNE_WAVELET_SET], 2)
         assert report.status == "pass"
 
     def test_perturbed_shannon_fails_exactly(self):
         report = check_wavelet_set_tiling(
-            [IntervalSet.of((-2, -1), (1, F(21, 10)))], 2, F(64), 24)
+            [IntervalSet.of((-2, -1), (1, F(21, 10)))], 2)
         assert report.status == "fail"
         fails = [c for c in report.checks if c.status == "fail"]
         assert fails and all(c.witness for c in fails)
 
     def test_mutual_overlap_detected(self):
         report = check_wavelet_set_tiling(
-            [IntervalSet.of((1, 2)), IntervalSet.of((F(3, 2), 3))], 2, F(8), 8)
+            [IntervalSet.of((1, 2)), IntervalSet.of((F(3, 2), 3))], 2)
         assert any(c.name == "mutual_disjoint" and c.status == "fail"
                    for c in report.checks)
 
     def test_multi_piece_orthonormal_split(self):
         # splitting the Shannon wavelet set into its two pieces still tiles
         report = check_wavelet_set_tiling(
-            [IntervalSet.of((-2, -1)), IntervalSet.of((1, 2))], 2, F(32), 20)
+            [IntervalSet.of((-2, -1)), IntervalSet.of((1, 2))], 2)
         assert report.status == "pass"
 
 
@@ -240,4 +239,4 @@ class TestSoundnessChain:
         assert classify_waveletset_seed(seed, 2).verdict == "orthonormal"
         fam = build_wavelets(SpectralSpec(waveletset_sigma(seed, 2), 2))
         sets = [p.support() for p in fam.psis]
-        assert check_wavelet_set_tiling(sets, 2, F(32), 20).status == "pass"
+        assert check_wavelet_set_tiling(sets, 2).status == "pass"
