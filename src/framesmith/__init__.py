@@ -14,7 +14,6 @@ from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from .folding import (FoldedMultiplicity, fold_dilation, layered_partition,
                       per_multiplicity)
 from .construction import (
-    AdmissibilityReport,
     ScalingFamily,
     SpectralSpec,
     WaveletFamily,

@@ -1,7 +1,8 @@
 """Command-line front end: construct -> check -> trace -> frame-test.
 
-Exit codes: 0 all pass, 1 any fail, 2 any uncertain/inconclusive (parse and
-validation errors also exit 2 after printing the location/invariant).
+Exit codes: 0 all pass, 1 any fail (a broken paper equation included), 2 any
+uncertain/inconclusive; parse errors and broken structural premises of a
+family file also exit 2 after printing the location or the premise.
 All randomness is seeded (default 0x5EED); outputs are canonical JSON / CSV,
 so reruns with the same inputs are byte-identical.
 """

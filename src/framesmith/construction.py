@@ -13,14 +13,14 @@ dilation fold.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .folding import _windows, fold_dilation, layered_partition, per_multiplicity
 from .intervals import IntervalSet
-from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
-from .rationals import as_fraction
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
+from .rationals import as_fraction, format_ratio
 
 
 def require_dilation(a: int) -> None:
@@ -45,82 +45,88 @@ class SpectralSpec:
 
 
 @dataclass(frozen=True)
-class Condition:
+class Check:
+    """One named verdict of a report, with its exact witness when it fails;
+    `admissibility_check` and every `verification` suite report in these."""
+
     name: str
-    passed: bool
-    witness: Optional[Fraction] = None
+    status: str  # pass | fail | uncertain
+    witness: Optional[dict] = None
+    tail_bound: Optional[Fraction] = None
     detail: str = ""
 
+    def to_jsonable(self) -> dict:
+        out: dict = {"name": self.name, "status": self.status}
+        if self.witness is not None:
+            out["witness"] = {k: str(v) for k, v in self.witness.items()}
+        if self.tail_bound is not None:
+            out["tail_bound"] = format_ratio(self.tail_bound)
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    conditions: Tuple[Condition, ...]
+
+@dataclass
+class VerificationReport:
+    checks: List[Check] = field(default_factory=list)
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
+    def status(self) -> str:
+        worst = "pass"
+        for c in self.checks:
+            if c.status == "fail":
+                return "fail"
+            if c.status == "uncertain":
+                worst = "uncertain"
+        return worst
 
-    def first_failure(self) -> Optional[Condition]:
-        for c in self.conditions:
-            if not c.passed:
-                return c
-        return None
+    def add(self, *checks: Check) -> None:
+        self.checks.extend(checks)
+
+    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
+
+    def to_jsonable(self) -> dict:
+        return {"status": self.status,
+                "checks": [c.to_jsonable() for c in self.checks]}
 
 
-def admissibility_check(spec: SpectralSpec) -> AdmissibilityReport:
-    """Exact check of the five spectral-profile conditions.  The two limit
-    conditions are decided structurally: bounded support makes the outward
-    limit 0, and the inward limit is the pair of one-sided limits at 0."""
+def admissibility_check(spec: SpectralSpec) -> VerificationReport:
+    """Exact check of the three spectral-profile conditions that can fail:
+    sigma >= 0, sigma(a xi) <= sigma(xi), and one-sided limits 1 at 0.
+    Integrability, bounded folding and the outward limit 0 all follow from
+    the bounded support of a piecewise-linear sigma."""
     sigma, a = spec.sigma, spec.dilation
-    conds: List[Condition] = []
+    report = VerificationReport()
 
-    neg = sigma.first_negative_witness()
-    conds.append(Condition(
-        "nonnegative_integrable", neg is None, neg,
-        "sigma >= 0 and bounded support (piecewise linear is integrable)"))
+    def condition(name: str, witness: Optional[Fraction], detail: str) -> None:
+        report.add(Check(name, "pass" if witness is None else "fail",
+                         None if witness is None else {"xi": witness}, detail=detail))
 
-    wit = sigma.dilation_rise(a)
-    conds.append(Condition(
-        "dilation_monotone", wit is None, wit,
-        "sigma(a*xi) <= sigma(xi) everywhere"))
-
-    gain = spec.two_scale_gain()
-    K = gain.support()
-    p = per_multiplicity(K).max_value()
-    conds.append(Condition(
-        "bounded_folding", True, None,
-        f"gain support folds with multiplicity p = {p} (bounded set)"))
-
+    condition("nonnegative_integrable", sigma.first_negative_witness(),
+              "sigma >= 0 and bounded support (piecewise linear is integrable)")
+    condition("dilation_monotone", sigma.dilation_rise(a),
+              "sigma(a*xi) <= sigma(xi) everywhere")
     nbhd = sigma.zero_neighborhood()
     if nbhd is None:
-        conds.append(Condition(
-            "unit_limit_inward", False, Fraction(0),
-            "support does not reach 0; both one-sided limits are 0"))
+        condition("unit_limit_inward", Fraction(0),
+                  "support does not reach 0; both one-sided limits are 0")
     else:
         left, right, _, _ = nbhd
         ok = left == 1 and right == 1
-        side = "left" if left != 1 else "right"
-        bad = left if left != 1 else right
-        conds.append(Condition(
-            "unit_limit_inward", ok, None if ok else Fraction(0),
-            "one-sided limits at 0 are both 1" if ok
-            else f"{side} limit at 0 is {bad}"))
-
-    conds.append(Condition(
-        "vanishing_outward", True, None,
-        "bounded support forces sigma(a^J xi) = 0 for large J at every xi != 0"))
-
-    return AdmissibilityReport(tuple(conds))
+        side, bad = ("left", left) if left != 1 else ("right", right)
+        condition("unit_limit_inward", None if ok else Fraction(0),
+                  "one-sided limits at 0 are both 1" if ok
+                  else f"{side} limit at 0 is {bad}")
+    return report
 
 
 def require_admissible(spec: SpectralSpec) -> None:
-    report = admissibility_check(spec)
-    if not report.passed:
-        bad = report.first_failure()
+    bad = next((c for c in admissibility_check(spec).checks if c.status != "pass"), None)
+    if bad is not None:
         raise ValueError(
-            f"spectral profile not admissible: {bad.name} fails"
-            + (f" at xi = {bad.witness}" if bad.witness is not None else "")
-            + (f" ({bad.detail})" if bad.detail else ""))
+            f"spectral profile not admissible: {bad.name} fails at xi = "
+            f"{bad.witness['xi']} ({bad.detail})")
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,13 @@ class ScalingFamily:
                             self.dilation)
 
     def validate(self) -> None:
+        """The structural premise: each phi_k lies inside its window (so each
+        meets every residue class mod 2 at most once).  Whether the squares
+        sum to sigma is the paper's claim, which `check` decides."""
         for k, phi in self.phis.items():
             window = IntervalSet.of((2 * k - 1, 2 * k + 1))
             if phi.support().difference(window):
                 raise ValueError(f"scaling profile {k} leaks outside its window")
-        if _square_sum(self.phis.values()) != self.sigma:
-            raise ValueError("scaling squares do not sum to sigma")
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,9 @@ class WaveletFamily:
         return SpectralSpec(self.sigma, self.dilation).two_scale_gain()
 
     def validate(self) -> None:
+        """The structural premises: one layer per psi, each psi inside its
+        layer, and every layer injective mod 2.  Whether the squares
+        telescope to the gain is the paper's claim, which `check` decides."""
         if len(self.psis) != len(self.partition):
             raise ValueError("wavelet/partition length mismatch")
         for psi, layer in zip(self.psis, self.partition):
@@ -167,8 +177,6 @@ class WaveletFamily:
                 raise ValueError("wavelet support leaks outside its layer")
             if per_multiplicity(layer).max_value() > 1:
                 raise ValueError("partition layer not injective mod 2pi")
-        if _square_sum(self.psis) != self.gain():
-            raise ValueError("wavelet squares do not telescope to the gain")
 
 
 def build_scaling(spec: SpectralSpec, check: bool = True) -> ScalingFamily:

@@ -40,14 +40,15 @@ def _shifts(xi: Fraction, lo: Fraction, hi: Fraction) -> range:
                  -((n * hi.denominator - hi.numerator * d) // (2 * d * hi.denominator)))
 
 
+def _chunk(lo: Fraction, hi: Fraction, k: int) -> Chunk:
+    """The part of [lo, hi) in the window [2k - 1, 2k + 1), moved by -2k."""
+    return (max(lo, Fraction(2 * k - 1)) - 2 * k, min(hi, Fraction(2 * k + 1)) - 2 * k, k)
+
+
 def fold_chunks(K: IntervalSet) -> List[Chunk]:
     """Split K at odd integers and map each chunk into [-1, 1) by an even
     translation; returns (residue_lo, residue_hi, k) with chunk = cell + 2k."""
-    out: List[Chunk] = []
-    for lo, hi in K.pieces:
-        for k in _windows(lo, hi):
-            out.append((max(lo, Fraction(2 * k - 1)) - 2 * k,
-                        min(hi, Fraction(2 * k + 1)) - 2 * k, k))
+    out = [_chunk(lo, hi, k) for lo, hi in K.pieces for k in _windows(lo, hi)]
     out.sort()
     return out
 
@@ -78,8 +79,19 @@ class FoldedMultiplicity:
 
 
 def per_multiplicity(K: IntervalSet) -> FoldedMultiplicity:
-    """Exact periodization multiplicity of chi_K on the fundamental domain."""
-    return FoldedMultiplicity(tuple(_overlay((lo, hi) for lo, hi, _ in fold_chunks(K))))
+    """Exact periodization multiplicity of chi_K on the fundamental domain.
+    A piece adds its first and last chunks and, weighted by their count, the
+    full windows between them, so its length costs nothing."""
+    pairs, weights = [], []
+    for lo, hi in K.pieces:
+        ks = _windows(lo, hi)
+        for k in {ks[0], ks[-1]}:
+            pairs.append(_chunk(lo, hi, k)[:2])
+            weights.append(1)
+        if len(ks) > 2:
+            pairs.append((Fraction(-1), Fraction(1)))
+            weights.append(len(ks) - 2)
+    return FoldedMultiplicity(tuple(_overlay(pairs, weights)))
 
 
 def layered_partition(K: IntervalSet) -> List[IntervalSet]:

@@ -2,8 +2,11 @@
 
 Rationals are serialized as "num/den" strings (pi units) so no float ever
 contaminates an exact value; canonical dumps are sorted and newline-terminated
-so identical objects produce byte-identical files.  Loading a family re-checks
-the family invariants and refuses inconsistent files, naming the invariant.
+so identical objects produce byte-identical files.  Loading a family checks
+its structural premises (`validate`: each profile inside its window or layer,
+every layer injective mod 2, squares >= 0) and refuses a file that breaks
+one, naming it.  The paper's equations between the squares and sigma are
+left to `check`, which judges them with an exact witness.
 """
 
 from __future__ import annotations

@@ -5,6 +5,16 @@ nothing is accepted silently through floating point.  Fails carry a witness
 (grid point, residue, sides); a grid that holds no point to check surfaces
 as "uncertain" instead of being coerced either way.
 
+The paper's two equations are judged here and nowhere else; the family
+loader (`validate`) checks only the structural premises, so a file that
+breaks an equation reaches `check` and fails with an exact witness.
+`scale_sum_telescopes` decides sum|psi_i|^2 = sigma(./a) - sigma.  Once
+that holds, `two_scale_split[s=0]` holds iff sum|phi_k|^2 = sigma almost
+everywhere: the difference of the two is then dilation-invariant with
+bounded support, so it is 0.  The report types `Check` and
+`VerificationReport` live in `construction`, whose `admissibility_check`
+returns one too.
+
 `check_suites` runs the SUITES on one grid.  decay = the split identities +
 outward decay of the scaling square sum; sufficiency = local finiteness +
 split + outward decay + inward limit 1 + (when those hold) the NTF
@@ -26,13 +36,14 @@ off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence as Seq
+from typing import Dict, Iterable, List, Sequence as Seq
 
-from .construction import ScalingFamily, WaveletFamily, require_dilation
+from .construction import (Check, ScalingFamily, VerificationReport, WaveletFamily,
+                           require_dilation)
 from .folding import fold_dilation, per_multiplicity
 from .intervals import IntervalSet, union_all
 from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
@@ -43,50 +54,6 @@ from .trace import default_grid
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
 _EMPTY_GRID = "the grid holds no point other than 0, so nothing was checked"
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str  # pass | fail | uncertain
-    witness: Optional[dict] = None
-    tail_bound: Optional[Fraction] = None
-    detail: str = ""
-
-    def to_jsonable(self) -> dict:
-        out: dict = {"name": self.name, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in self.witness.items()}
-        if self.tail_bound is not None:
-            out["tail_bound"] = format_ratio(self.tail_bound)
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
-class VerificationReport:
-    checks: List[Check] = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        worst = "pass"
-        for c in self.checks:
-            if c.status == "fail":
-                return "fail"
-            if c.status == "uncertain":
-                worst = "uncertain"
-        return worst
-
-    def add(self, *checks: Check) -> None:
-        self.checks.extend(checks)
-
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
-
-    def to_jsonable(self) -> dict:
-        return {"status": self.status,
-                "checks": [c.to_jsonable() for c in self.checks]}
 
 
 def _first_power(base: int, bound: Fraction) -> int:
@@ -107,6 +74,21 @@ def _repeated_residue(support: IntervalSet):
     """The first residue cell (lo, hi, multiplicity) that the set meets at
     least twice mod 2, or None when it is injective mod 2."""
     return next((c for c in per_multiplicity(support).cells if c[2] >= 2), None)
+
+
+def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
+              detail: str) -> Check:
+    """The row of the exact piecewise-linear identity lhs = rhs.  A fail's
+    witness lies inside the first piece where the two differ, off its
+    breakpoints and off the zero of its line, with the exact difference."""
+    diff = lhs - rhs
+    if diff.is_zero():
+        return Check(name, "pass", detail=detail)
+    lo, hi, _, _ = diff.pieces[0]
+    xi = (lo + hi) / 2
+    if not diff.eval(xi):
+        xi = (lo + xi) / 2
+    return Check(name, "fail", {"xi": xi, "difference": diff.eval(xi)})
 
 
 def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
@@ -155,17 +137,11 @@ def check_ntf_multiwavelet(family: WaveletFamily,
                              {"residue": cell[0], "multiplicity": cell[2]}))
 
     square_sum = _square_sum(family.psis)
-    gain = family.gain()
-    telescopes = square_sum == gain
-    if telescopes:
-        report.add(Check("scale_sum_telescopes", "pass", detail=(
-            "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
-            "piecewise-linear identity")))
-    else:
-        diff = square_sum - gain
-        wit = diff.support().hull()[0]
-        report.add(Check("scale_sum_telescopes", "fail",
-                         {"xi": wit, "difference": diff.eval(wit)}))
+    row = _identity("scale_sum_telescopes", square_sum, family.gain(), (
+        "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
+        "piecewise-linear identity"))
+    report.add(row)
+    telescopes = row.status == "pass"
     nbhd = sigma.zero_neighborhood()
     if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
         report.add(Check("norm_sum", "fail", {"xi": Fraction(0)},
@@ -241,15 +217,9 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
     phi_sq = _square_sum(phi_fam.phis.values())
     psi_sq = _square_sum(psi_fam.psis)
     lhs = phi_sq.compose_scale(Fraction(1, psi_fam.dilation)) - phi_sq
-    if lhs == psi_sq:
-        report.add(Check("two_scale_split[s=0]", "pass", detail=(
-            "sum|phi|^2(xi/a) - sum|phi|^2 equals sum|psi|^2 as an exact "
-            "piecewise-linear identity")))
-    else:
-        diff = lhs - psi_sq
-        wit = diff.support().hull()[0]
-        report.add(Check("two_scale_split[s=0]", "fail",
-                         {"xi": wit, "difference": diff.eval(wit)}))
+    report.add(_identity("two_scale_split[s=0]", lhs, psi_sq, (
+        "sum|phi|^2(xi/a) - sum|phi|^2 equals sum|psi|^2 as an exact "
+        "piecewise-linear identity")))
     report.add(Check("shifted_splits", "pass", detail=(
         "every phi and psi support meets each residue class mod 2 at most "
         "once, so each fiber has a single entry and every cross term "

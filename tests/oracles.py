@@ -12,6 +12,10 @@ The library reads them all from one fiber-Gramian row and computes each
 value once; its results must be equal to these, down to each SqrtSum term
 and Fraction endpoint.
 
+Translation fold: the chunk-by-chunk overlay, one cell per window a piece
+meets, that `per_multiplicity` replaces by one weighted pair for the full
+windows inside each piece.
+
 Wavelet sets: the windowed dilation overlay, the scale-gap loop and the
 membership test that the dilation fold replaces.  Each looks at finitely
 many scales only: the overlay at |j| <= j_range inside [-W, W] minus a
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from framesmith.folding import _shifts
+from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.rationals import as_fraction
@@ -212,6 +216,12 @@ def ntf_generator_test_direct(gen, reference, grid, bits=DEFAULT_BITS):
                     xi, l, alpha, _zero_status(diff, bits),
                     abs(float(diff.enclosure(bits).mid()))))
     return rows
+
+
+def per_multiplicity_chunks(K) -> FoldedMultiplicity:
+    """The multiplicity of chi_K on [-1, 1) from one overlay pair per chunk
+    of K in a window [2k - 1, 2k + 1)."""
+    return FoldedMultiplicity(tuple(_overlay((lo, hi) for lo, hi, _ in fold_chunks(K))))
 
 
 def tiling_oracle(E, a, window=Fraction(64), j_range=24) -> bool:

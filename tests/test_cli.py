@@ -15,6 +15,7 @@ from framesmith.serialize import (ParseError, digest_of, dumps_canonical,
                                   family_from_jsonable, family_to_jsonable,
                                   loads_json, pwl_to_jsonable, sets_to_jsonable)
 from framesmith.intervals import IntervalSet
+from framesmith.rationals import format_ratio
 from framesmith.verification import check_ntf_multiwavelet, family_grid
 
 
@@ -84,14 +85,52 @@ class TestRoundTrip:
         assert dumps_canonical(again) == family_file.read_text()
 
 
+def _scale_square(profile: dict, c) -> None:
+    """Multiply the square of a profile in a family file by c, exactly."""
+    for piece in profile["square"]:
+        for key in ("alpha", "beta"):
+            piece[key] = format_ratio(F(piece[key]) * c)
+
+
+def _tampered(family_file, tmp_path, mutate) -> Path:
+    obj = loads_json(family_file.read_text())
+    mutate(obj)
+    out = tmp_path / "tampered.json"
+    out.write_text(dumps_canonical(obj))
+    return out
+
+
+def _x10(obj) -> None:
+    _scale_square(obj["psis"][0], 10)
+
+
+def _family(path):
+    return family_from_jsonable(loads_json(path.read_text()))
+
+
 class TestValidationRefusal:
-    def test_tampered_wavelet_rejected(self, family_file):
-        obj = loads_json(family_file.read_text())
-        # scale one wavelet square: breaks the telescoping invariant
-        for piece in obj["psis"][0]["square"]:
-            piece["beta"] = piece["beta"] + "0"  # x10 keeps it rational
-        with pytest.raises(ParseError, match="invariant"):
-            family_from_jsonable(obj)
+    def test_tampered_wavelet_loads(self, family_file, tmp_path):
+        # a broken telescoping equation is the paper's claim, judged by
+        # check; only the structural premises are refused at load
+        tampered = _family(_tampered(family_file, tmp_path, _x10))[1]
+        original = _family(family_file)[1]
+        assert tampered.psis[0].square == original.psis[0].square.scale_value(10)
+
+    @pytest.mark.parametrize("mutate,premise", [
+        (lambda o: o["partition"].__setitem__(0, [["-1", "3"]]),
+         "partition layer not injective mod 2pi"),
+        (lambda o: o.update(phis={"1": o["phis"]["0"]}),
+         "scaling profile 1 leaks outside its window"),
+        (lambda o: _scale_square(o["psis"][0], -1), "square negative at"),
+    ], ids=["layer_not_injective", "phi_outside_window", "negative_square"])
+    def test_broken_premise_exits_2(self, family_file, tmp_path, capsys,
+                                    mutate, premise):
+        path = _tampered(family_file, tmp_path, mutate)
+        capsys.readouterr()
+        assert run("check", "--family", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and premise in err
+        assert "Traceback" not in err
 
     def test_malformed_rational_rejected(self, family_file):
         obj = loads_json(family_file.read_text())
@@ -150,6 +189,43 @@ class TestValidationRefusal:
         assert run(*argv) == 2
         assert f"parse error: {where}: expected lo < hi" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+
+class TestPaperEquations:
+    """Files that keep the premises but break an equation reach check."""
+
+    def test_scaled_wavelet_fails_telescoping(self, family_file, tmp_path):
+        path, rep = _tampered(family_file, tmp_path, _x10), tmp_path / "r.json"
+        assert run("check", "--family", path, "--out", rep) == 1
+        checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        row = checks["ntf:scale_sum_telescopes"]
+        assert row["status"] == "fail"
+        # the witness is exact: the difference is 9 |psi_0|^2 there, not 0
+        psi0 = _family(family_file)[1].psis[0]
+        xi, diff = F(row["witness"]["xi"]), F(row["witness"]["difference"])
+        assert diff == 9 * psi0.value_sq(xi) != 0
+
+    def test_halved_scaling_square_fails_split(self, family_file, tmp_path):
+        path = _tampered(family_file, tmp_path,
+                         lambda o: _scale_square(o["phis"]["0"], F(1, 2)))
+        rep = tmp_path / "r.json"
+        assert run("check", "--family", path, "--out", rep) == 1
+        status = {c["name"]: c["status"]
+                  for c in json.loads(rep.read_text())["checks"]}
+        assert status["ntf:scale_sum_telescopes"] == "pass"
+        assert status["split:two_scale_split[s=0]"] == "fail"
+
+    def test_frame_test_names_the_telescoping_premise(self, family_file,
+                                                      tmp_path, capsys):
+        path = _tampered(family_file, tmp_path, _x10)
+        capsys.readouterr()
+        assert run("frame-test", "--family", path) == 2
+        err = capsys.readouterr().err
+        assert "do not telescope to the gain" in err and "Traceback" not in err
+
+    def test_trace_reads_the_scaling_side_only(self, family_file, tmp_path):
+        path = _tampered(family_file, tmp_path, _x10)
+        assert run("trace", "--family", path, "--out", tmp_path / "t.csv") == 0
 
 
 class TestExitCodes:
@@ -384,6 +460,16 @@ class TestOutputs:
             sets_to_jsonable([IntervalSet.of((-2, -1), (1, F(21, 10)))])))
         assert run("check-waveletset", "--E", pert, "--a", 2) == 1
 
+    def test_check_waveletset_long_piece(self, tmp_path):
+        # [1, 2^40) meets 2^39 windows; its fold must not walk them
+        sets, rep = tmp_path / "long.json", tmp_path / "rep.json"
+        sets.write_text('[[["1","1099511627776"]]]\n')
+        assert run("check-waveletset", "--E", sets, "--out", rep) == 1
+        row = json.loads(rep.read_text())["checks"][1]
+        assert row == {"name": "translation_injective[0]", "status": "fail",
+                       "witness": {"residue_lo": "-1", "residue_hi": "0",
+                                   "multiplicity": str(2 ** 39)}}
+
 
 class TestSuites:
     def test_section_independent_of_suite_list(self, family_file, tmp_path):
@@ -481,7 +567,7 @@ class TestFuzz:
         root, family, _ = fuzz_seeds
         path = root / "family.json"
         path.write_bytes(data.draw(_mutated(family)))
-        assert run("check", "--family", path, "--suite", "semiorth",
+        assert run("check", "--family", path,
                    "--out", root / "report.json") in (0, 1, 2)
 
     @_FUZZ

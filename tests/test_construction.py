@@ -20,27 +20,42 @@ from framesmith.piecewise import PiecewiseLinear
 class TestAdmissibility:
     def test_worked_tent_passes_for_various_widths(self):
         for A, B in ((F(1, 2), F(1, 2)), (1, 1), (2, 2), (F(1, 3), F(5, 2))):
-            assert admissibility_check(example_pwl(A, B)).passed
+            assert admissibility_check(example_pwl(A, B)).status == "pass"
 
     def test_shannon_passes(self):
-        assert admissibility_check(example_shannon()).passed
+        assert admissibility_check(example_shannon()).status == "pass"
 
     def test_shifted_indicator_fails_limit_condition(self):
         spec = SpectralSpec(PiecewiseLinear.indicator(IntervalSet.of((1, 2))), 2)
         report = admissibility_check(spec)
-        assert not report.passed
-        limit_row = next(c for c in report.conditions
+        assert report.status == "fail"
+        limit_row = next(c for c in report.checks
                          if c.name == "unit_limit_inward")
-        assert not limit_row.passed
-        assert limit_row.witness == 0
+        assert limit_row.status == "fail"
+        assert limit_row.witness == {"xi": 0}
         # the right limit at 0 is 0, not 1
         assert "0" in limit_row.detail
+
+    @pytest.mark.parametrize("spec, message", [
+        (example_journe().sigma, "dilation_monotone fails at xi = -5/7 "
+         "(sigma(a*xi) <= sigma(xi) everywhere)"),
+        (PiecewiseLinear.zero(), "unit_limit_inward "
+         "fails at xi = 0 (support does not reach 0; both one-sided limits are 0)"),
+        (PiecewiseLinear.of((-1, 0, 0, 1), (0, 1, 0, F(1, 2))), "unit_limit_inward "
+         "fails at xi = 0 (right limit at 0 is 1/2)"),
+        (PiecewiseLinear.of((-1, 1, 0, -1)), "nonnegative_integrable fails at "
+         "xi = 0 (sigma >= 0 and bounded support (piecewise linear is integrable))"),
+    ], ids=["journe@3", "zero", "right_limit", "negative"])
+    def test_refusal_names_the_first_failing_condition(self, spec, message):
+        with pytest.raises(ValueError) as err:
+            build_family(SpectralSpec(spec, 3))
+        assert str(err.value) == "spectral profile not admissible: " + message
 
     def test_derived_bound_sigma_at_most_one(self):
         rng = random.Random(4)
         for _ in range(25):
             spec = random_admissible_spec(rng)
-            assert admissibility_check(spec).passed
+            assert admissibility_check(spec).status == "pass"
             assert spec.sigma.max_value() <= 1
 
 

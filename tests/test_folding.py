@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from framesmith.folding import fold_chunks, layered_partition, per_multiplicity
 from framesmith.intervals import IntervalSet, union_all
 
+from oracles import per_multiplicity_chunks
+
 
 def brute_force_count(K: IntervalSet, xi: F, k_span: int = 40) -> int:
     """Oracle: count congruent representatives by trying every even shift."""
@@ -92,3 +94,21 @@ def test_fold_chunks_cover_and_translate_back():
 def test_empty_set():
     assert layered_partition(IntervalSet.empty()) == []
     assert per_multiplicity(IntervalSet.empty()).max_value() == 0
+
+
+def test_weighted_windows_match_chunk_overlay():
+    rng = random.Random(31)
+    for _ in range(3000):
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            lo = F(rng.randint(-80, 60), rng.choice((1, 2, 3, 4, 8)))
+            pieces.append((lo, lo + F(rng.randint(1, 120), rng.choice((1, 2, 4, 5)))))
+        K = IntervalSet.of(*pieces)
+        assert per_multiplicity(K) == per_multiplicity_chunks(K), K
+
+
+def test_long_piece_folds_without_walking_its_windows():
+    # [1, 2^40) meets 2^39 windows; the interior ones enter as one weighted pair
+    m = per_multiplicity(IntervalSet.of((1, 2 ** 40)))
+    assert m.cells == ((F(-1), F(0), 2 ** 39), (F(0), F(1), 2 ** 39 - 1))
+    assert m.integral() == 2 ** 40 - 1

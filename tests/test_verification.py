@@ -138,7 +138,7 @@ class TestDensity:
         from framesmith.piecewise import PiecewiseLinear
         spec = SpectralSpec(
             PiecewiseLinear.indicator(IntervalSet.of((F(-1, 4), F(1, 4)))), 2)
-        assert admissibility_check(spec).passed
+        assert admissibility_check(spec).status == "pass"
         fam = build_scaling(spec)
         assert check_density(fam).status == "pass"
 
