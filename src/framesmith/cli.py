@@ -65,8 +65,7 @@ def cmd_construct(args) -> int:
     else:
         print("construct: need --example or --sigma", file=sys.stderr)
         return 2
-    scaling = build_family(spec, partition=args.partition)
-    scaling, wavelets = scaling
+    scaling, wavelets = build_family(spec, partition=args.partition)
     payload = family_to_jsonable(scaling, wavelets, digest_of(source))
     _write(args.out, dumps_canonical(payload))
     print(f"family with {len(wavelets.psis)} wavelet profile(s) and "
@@ -76,7 +75,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     scaling, wavelets = _load_family(args.family)
-    names = [s.strip() for s in args.suite.split(",") if s.strip()]
+    names = list(dict.fromkeys(s.strip() for s in args.suite.split(",") if s.strip()))
     if not names:
         print(f"check: no suite given (choose from {','.join(SUITES)})",
               file=sys.stderr)
@@ -229,10 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="run verification suites on a family file")
     k.add_argument("--family", required=True)
     k.add_argument("--suite", default=",".join(SUITES),
-                   help=f"comma list from {','.join(SUITES)}; decay = the "
-                        "split identities + outward decay, sufficiency = local "
-                        "finiteness + split + outward decay + inward limit 1 "
-                        "+ the NTF check as a meta check")
+                   help=f"comma list from {','.join(SUITES)}, each run once; "
+                        "decay = the split identities + outward decay, density "
+                        "= the three admissibility conditions on the scaling "
+                        "square sum, sufficiency = local finiteness + split + "
+                        "outward decay + density's inward limit 1 + the NTF "
+                        "check as a meta check")
     k.add_argument("--seed", type=int, default=GRID_SEED,
                    help="seed of the norm-sum grid; every other check holds "
                         "for all xi")
@@ -251,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 1 when U is not a finite union), or classify a seed"))
     ws.add_argument("--E", required=True, help="JSON interval set(s)")
     ws.add_argument("--a", type=int, default=2)
-    ws.add_argument("--classify", action="store_true",
-                    help="treat E as the sigma-support seed and classify it")
-    ws.add_argument("--out")
+    only = ws.add_mutually_exclusive_group()
+    only.add_argument("--classify", action="store_true",
+                      help="treat E as the sigma-support seed and classify it "
+                           "(writes no file, so not with --out)")
+    only.add_argument("--out")
     ws.set_defaults(func=cmd_waveletset)
 
     t = sub.add_parser("trace", help="CSV of spectral/dimension/restricted trace")

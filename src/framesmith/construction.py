@@ -121,20 +121,26 @@ def admissibility_check(spec: SpectralSpec) -> VerificationReport:
     return report
 
 
+def _refusal(report: VerificationReport) -> Optional[str]:
+    """The refusal naming the report's first failing condition, or None."""
+    bad = next((c for c in report.checks if c.status != "pass"), None)
+    return None if bad is None else (
+        f"spectral profile not admissible: {bad.name} fails at xi = "
+        f"{bad.witness['xi']} ({bad.detail})")
+
+
 def require_admissible(spec: SpectralSpec) -> None:
-    bad = next((c for c in admissibility_check(spec).checks if c.status != "pass"), None)
-    if bad is not None:
-        raise ValueError(
-            f"spectral profile not admissible: {bad.name} fails at xi = "
-            f"{bad.witness['xi']} ({bad.detail})")
+    refusal = _refusal(admissibility_check(spec))
+    if refusal is not None:
+        raise ValueError(refusal)
 
 
 @dataclass(frozen=True)
 class ScalingFamily:
-    """phi_k = sqrt(sigma) on the window [-1, 1) + 2k, finitely many nonzero."""
+    """phi_k = sqrt(sigma) on the window [-1, 1) + 2k, finitely many nonzero;
+    the scaling side's spectral function is their square sum."""
 
     phis: Dict[int, SqrtProfile]
-    sigma: PiecewiseLinear
     dilation: int
 
     def generator_set(self) -> GeneratorSet:
@@ -179,9 +185,9 @@ class WaveletFamily:
                 raise ValueError("partition layer not injective mod 2pi")
 
 
-def build_scaling(spec: SpectralSpec, check: bool = True) -> ScalingFamily:
-    if check:
-        require_admissible(spec)
+def build_scaling(spec: SpectralSpec) -> ScalingFamily:
+    """sqrt(sigma) on each window sigma meets, for any sigma: refusing an
+    inadmissible one is `build_family`'s."""
     phis: Dict[int, SqrtProfile] = {}
     for k in _windows(*spec.sigma.support().hull()):
         window = IntervalSet.of((2 * k - 1, 2 * k + 1))
@@ -189,16 +195,14 @@ def build_scaling(spec: SpectralSpec, check: bool = True) -> ScalingFamily:
         if sq.is_zero():
             continue
         phis[k] = SqrtProfile(sq, window)
-    return ScalingFamily(phis, spec.sigma, spec.dilation)
+    return ScalingFamily(phis, spec.dilation)
 
 
-def build_wavelets(spec: SpectralSpec, partition: str = "greedy",
-                   check: bool = True) -> WaveletFamily:
+def build_wavelets(spec: SpectralSpec, partition: str = "greedy") -> WaveletFamily:
     """Layer the two-scale gain and take square roots.  partition="greedy"
     peels multiplicity layers; "windows" intersects with the translated
-    fundamental windows (may produce more layers than the minimum p)."""
-    if check:
-        require_admissible(spec)
+    fundamental windows (may produce more layers than the minimum p).
+    Like `build_scaling`, it leaves admissibility to `build_family`."""
     gain = spec.two_scale_gain()
     K = gain.support()
     if partition == "greedy":
@@ -226,9 +230,10 @@ def build_wavelets(spec: SpectralSpec, partition: str = "greedy",
 
 def build_family(spec: SpectralSpec, partition: str = "greedy"
                  ) -> Tuple[ScalingFamily, WaveletFamily]:
+    """Both families of an admissible spec; ValueError naming the first
+    failing condition otherwise."""
     require_admissible(spec)
-    return (build_scaling(spec, check=False),
-            build_wavelets(spec, partition, check=False))
+    return build_scaling(spec), build_wavelets(spec, partition)
 
 
 # -- wavelet-set pipeline ----------------------------------------------------
@@ -292,25 +297,18 @@ class SeedClassification:
 def classify_waveletset_seed(E: IntervalSet, a: int) -> SeedClassification:
     """Classify sigma = chi_E as a wavelet-set seed, exactly.
 
-    Requires E bounded (structural), E inside its own dilate, a punctured
-    neighborhood of 0, and then reads the folding multiplicity of aE \\ E:
+    Not admissible iff `admissibility_check` fails on chi_E (E inside its
+    own dilate aE, a punctured neighborhood of 0 inside E), with
+    `require_admissible`'s refusal as the reason.  Otherwise the folding
+    multiplicity of the two-scale gain's support aE \\ E decides:
     identically 1 gives an orthonormal wavelet set, bounded multiplicity a
     normalized-tight-frame family.
     """
-    require_dilation(a)
-    if E.is_empty():
-        return SeedClassification("not_admissible", "empty seed")
-    stray = E.difference(E.dilate(a))
-    if stray:
-        lo, hi = stray.pieces[0]
-        return SeedClassification(
-            "not_admissible",
-            f"seed not contained in its dilate: [{lo},{hi}) sticks out")
-    if not any(lo < 0 < hi for lo, hi in E.pieces):
-        return SeedClassification(
-            "not_admissible", "no punctured neighborhood of 0 inside the seed")
-    W = E.dilate(a).difference(E)
-    mult = per_multiplicity(W)
+    spec = SpectralSpec(PiecewiseLinear.indicator(E), a)
+    refusal = _refusal(admissibility_check(spec))
+    if refusal is not None:
+        return SeedClassification("not_admissible", refusal)
+    mult = per_multiplicity(spec.two_scale_gain().support())
     p = mult.max_value()
     covered = sum(((hi - lo) for lo, hi, c in mult.cells if c == 1), Fraction(0))
     if p <= 1 and covered == 2:

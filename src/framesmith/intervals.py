@@ -119,10 +119,6 @@ class IntervalSet:
             return IntervalSet(tuple((lo * c, hi * c) for lo, hi in self.pieces))
         return IntervalSet(tuple((hi * c, lo * c) for lo, hi in self.pieces))
 
-    def dilate(self, a: int) -> "IntervalSet":
-        """Image under multiplication by the integer dilation a."""
-        return self.scale(Fraction(a))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.pieces == other.pieces
 

@@ -185,11 +185,6 @@ class PiecewiseLinear:
                     out.append((l, h, a, b))
         return PiecewiseLinear(tuple(out))
 
-    def nonneg(self) -> bool:
-        """Exact: a piecewise-linear function is >= 0 iff it is >= 0 at every
-        piece endpoint (outside pieces it is 0)."""
-        return self.first_negative_witness() is None
-
     def first_negative_witness(self) -> Fraction | None:
         """A point where the function is negative, or None.  Linearity on each
         piece means checking the two endpoint values (limits) suffices.

@@ -146,7 +146,7 @@ def family_from_jsonable(obj) -> Tuple[ScalingFamily, WaveletFamily]:
         except ValueError:
             raise ParseError(f"family.phis[{key!r}]: key must be an integer") from None
         phis[k] = profile_from_jsonable(val, f"family.phis[{key}]")
-    scaling = ScalingFamily(phis, sigma, a)
+    scaling = ScalingFamily(phis, a)
     wavelets = WaveletFamily(psis, partition, sigma, a)
     try:
         scaling.validate()

@@ -14,7 +14,9 @@ The dilated space D_a V is handled through its genuine generator set: the
 transforms carry unit phases e^{-i d xi / a}.  Those traces are enclosed with
 rational-argument cos/sin intervals, keeping the coset-sum identity check
 independent of the identity itself.  Each term's magnitude enclosure is
-taken once per profile; only its phase is evaluated per translate.
+taken once per profile; only its phase is evaluated per translate.  The
+additivity check reads tau_{V_1} off the exact coset sum instead, so each
+point's dilated trace is enclosed once, by the coset-sum check.
 """
 
 from __future__ import annotations
@@ -387,16 +389,16 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
                       f: Sequence, grid: Iterable,
                       bits: int = DEFAULT_BITS) -> List[SplitRow]:
     """tau_{V_1,f} = tau_{V_0,f} + tau_{W_0,f} and tau_{V_0,f} <= tau_{V_1,f},
-    with the left side computed from the dilated scaling generator set."""
+    with tau_{V_1,f} the exact coset sum of the dilation formula: the
+    filter-free sum_d tau_{V_0,D_d* f}((xi + 2d)/a) = tau_{V_0,f} + tau_{W_0,f},
+    exact on both sides (`dilation_trace_check` ties the coset sum to the
+    genuine dilated generator set)."""
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
-        v1 = dilated_trace(phi_gen, f, xi, bits)
-        v0 = restricted_trace(phi_gen, f, xi).enclosure(bits)
-        w0 = restricted_trace(psi_gen, f, xi).enclosure(bits)
-        gap = (v1 - v0 - w0).sup_abs()
-        margin = (v1 - v0).lo
-        rows.append(SplitRow(xi, gap, margin))
+        rise = dilation_coset_sum(phi_gen, f, xi) - restricted_trace(phi_gen, f, xi)
+        gap = (rise - restricted_trace(psi_gen, f, xi)).enclosure(bits).sup_abs()
+        rows.append(SplitRow(xi, gap, rise.enclosure(bits).lo))
     return rows
 
 

@@ -16,16 +16,18 @@ bounded support, so it is 0.  The report types `Check` and
 returns one too.
 
 `check_suites` runs the SUITES on one grid.  decay = the split identities +
-outward decay of the scaling square sum; sufficiency = local finiteness +
-split + outward decay + inward limit 1 + (when those hold) the NTF
-characterization as a meta check.
+outward decay of the scaling square sum; density = the three conditions of
+`admissibility_check` on that square sum, the scaling side's spectral
+function; sufficiency = local finiteness + split + outward decay +
+density's inward limit 1 + (when those hold) the NTF characterization as a
+meta check.
 
 The grid serves the norm sum alone: when the wavelet square sum equals the
 gain sigma(./a) - sigma, the partial scale sum telescopes to its two end
 terms, values of sigma.  (The loop over the scales would count a jump of
 sigma on the orbit at a < 0, where `compose_scale` moves the piece ends: a
-measure-zero set.)  Everything else holds for all xi: orbit monotonicity is
-an exact piecewise-linear inequality, outward decay follows from the
+measure-zero set.)  Everything else holds for all xi: dilation monotonicity
+is an exact piecewise-linear inequality, outward decay follows from the
 support hull, and the shifted splits and shifted orthogonality from
 supports that meet each residue class mod 2 at most once, whose fibers
 hold a single entry, so every cross term vanishes identically.
@@ -42,8 +44,8 @@ from functools import cache
 from itertools import product
 from typing import Dict, Iterable, List, Sequence as Seq
 
-from .construction import (Check, ScalingFamily, VerificationReport, WaveletFamily,
-                           require_dilation)
+from .construction import (Check, ScalingFamily, SpectralSpec, VerificationReport,
+                           WaveletFamily, admissibility_check, require_dilation)
 from .folding import fold_dilation, per_multiplicity
 from .intervals import IntervalSet, union_all
 from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
@@ -234,8 +236,9 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
 
     The grid serves the norm sum only: the split identities, outward decay,
     density and semi-orthogonality are decided for all xi.  The split
-    identities run at most once per call, and the NTF characterization once
-    per sigma: the sufficiency meta check takes sigma from the scaling
+    identities and density run at most once per call (sufficiency takes its
+    inward-limit row from density's report), and the NTF characterization
+    once per sigma: the sufficiency meta check takes sigma from the scaling
     squares, not from the family, and reuses the ntf suite's report when
     the two agree."""
     if grid is None:
@@ -249,6 +252,10 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     @cache
     def split() -> VerificationReport:
         return check_split(phi_fam, psi_fam)
+
+    @cache
+    def density() -> VerificationReport:
+        return check_density(phi_fam)
 
     @cache
     def decay() -> VerificationReport:
@@ -265,16 +272,7 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
         report = VerificationReport([Check("local_finiteness", "pass", detail=(
             f"finitely many scaling profiles; square sum bounded by "
             f"{phi_sq.max_value()}"))] + decay().checks)
-        nbhd = phi_sq.zero_neighborhood()
-        if nbhd is None:
-            report.add(Check("inward_limit_one", "fail", {"xi": Fraction(0)},
-                             detail="scaling square sum vanishes near 0"))
-        elif nbhd[:2] == (1, 1):
-            report.add(Check("inward_limit_one", "pass", detail=(
-                "both one-sided limits of the scaling square sum at 0 are 1")))
-        else:
-            report.add(Check("inward_limit_one", "fail",
-                             {"xi": Fraction(0), "left": nbhd[0], "right": nbhd[1]}))
+        report.add(next(c for c in density().checks if c.name == "unit_limit_inward"))
         if report.status == "pass":
             sub = ntf(phi_sq)
             if sub.status == "pass":
@@ -286,43 +284,18 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
 
     suites = {"ntf": lambda: ntf(psi_fam.sigma), "split": split,
               "decay": decay, "sufficiency": sufficiency,
-              "density": lambda: check_density(phi_fam),
+              "density": density,
               "semiorth": lambda: check_semiorthogonal(psi_fam)}
     return {n: suites[n]() for n in dict.fromkeys(names)}
 
 
 def check_density(phi_fam: ScalingFamily) -> VerificationReport:
-    """Union density of the dilates: the inward limit of the scaling square
-    sum is 1, and the sum is nondecreasing along every contraction orbit
-    xi, xi/a, xi/a^2, ...  Both are decided exactly, with no grid:
-    monotonicity is the piecewise-linear inequality
-    sum|phi|^2(a x) <= sum|phi|^2(x), the condition `admissibility_check`
-    puts on sigma (`dilation_rise`; at a < 0 it holds up to the finitely
-    many points where `compose_scale` moves the ends of reflected pieces)."""
-    report = VerificationReport()
+    """Union density of the dilates: `admissibility_check` on the scaling
+    square sum, the spectral function of V_0, decides its inward limit 1 and
+    sum|phi|^2(a x) <= sum|phi|^2(x), monotonicity along every contraction
+    orbit, exactly and with no grid."""
     phi_sq = _square_sum(phi_fam.phis.values())
-    a = phi_fam.dilation
-    nbhd = phi_sq.zero_neighborhood()
-    if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
-        wit = {"xi": Fraction(0)}
-        if nbhd is not None:
-            wit.update({"left": nbhd[0], "right": nbhd[1]})
-        report.add(Check("inward_limit_one", "fail", wit))
-        return report
-    report.add(Check("inward_limit_one", "pass", detail=(
-        "one-sided limits at 0 both equal 1 (exact)")))
-    x = phi_sq.dilation_rise(a)
-    if x is None:
-        report.add(Check("orbit_monotone", "pass", detail=(
-            "square sum nondecreasing along every contraction orbit for all "
-            "xi: sum|phi|^2(xi/a) >= sum|phi|^2(xi) as an exact "
-            "piecewise-linear inequality")))
-    else:
-        # the orbit of a*x falls on its first step, from a*x to x
-        report.add(Check("orbit_monotone", "fail",
-                         {"xi": a * x, "j": 1, "value": phi_sq.eval(x),
-                          "previous": phi_sq.eval(a * x)}))
-    return report
+    return admissibility_check(SpectralSpec(phi_sq, phi_fam.dilation))
 
 
 # -- wavelet-set tiling --------------------------------------------------------

@@ -17,7 +17,9 @@ meets, that `per_multiplicity` replaces by one weighted pair for the full
 windows inside each piece.
 
 Wavelet sets: the windowed dilation overlay, the scale-gap loop and the
-membership test that the dilation fold replaces.  Each looks at finitely
+membership test that the dilation fold replaces, and the seed classifier
+with its own containment and straddle tests in place of the admissibility
+check on chi_E.  Each looks at finitely
 many scales only: the overlay at |j| <= j_range inside [-W, W] minus a
 central hole, the loop at gaps up to a bound read off the hulls, and the
 membership test at j <= 40, so they agree with the fold on sets whose
@@ -29,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks
+from framesmith.construction import SeedClassification, require_dilation
+from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.rationals import as_fraction
@@ -278,3 +281,30 @@ def semiorth_oracle(supports, a):
 def closure_member(E, a, xi, depth=40) -> bool:
     """Whether a^j xi lies in E for some 1 <= j <= depth."""
     return any(E.contains(xi * Fraction(a) ** j) for j in range(1, depth + 1))
+
+
+def classify_oracle(E, a) -> SeedClassification:
+    """The seed classifier that tests E inside aE and a piece of E
+    straddling 0 itself, then folds aE minus E."""
+    require_dilation(a)
+    if E.is_empty():
+        return SeedClassification("not_admissible", "empty seed")
+    stray = E.difference(E.scale(a))
+    if stray:
+        lo, hi = stray.pieces[0]
+        return SeedClassification(
+            "not_admissible",
+            f"seed not contained in its dilate: [{lo},{hi}) sticks out")
+    if not any(lo < 0 < hi for lo, hi in E.pieces):
+        return SeedClassification(
+            "not_admissible", "no punctured neighborhood of 0 inside the seed")
+    mult = per_multiplicity(E.scale(a).difference(E))
+    p = mult.max_value()
+    covered = sum(((hi - lo) for lo, hi, c in mult.cells if c == 1), Fraction(0))
+    if p <= 1 and covered == 2:
+        return SeedClassification(
+            "orthonormal", "fold of aE minus E covers the fundamental domain "
+            "exactly once", p)
+    return SeedClassification(
+        "ntf", f"fold of aE minus E has multiplicity up to {p} "
+        f"and covers measure {covered} of 2", p)

@@ -1,9 +1,9 @@
 """The checks against the direct evaluations they replace.
 
 `check_split` decides the shifted splits from the supports, `norm_sum`
-telescopes the scale sum to two values of sigma, and `orbit_monotone` is
-one exact piecewise-linear inequality instead of a walk along sampled
-orbits.  Each test here runs the plain per-shift loop, per-scale loop or
+telescopes the scale sum to two values of sigma, and density's
+`dilation_monotone` is one exact piecewise-linear inequality instead of a
+walk along sampled orbits.  Each test here runs the plain per-shift loop, per-scale loop or
 64-step walk next to the checker and asks for the same verdict: no shifted
 residual on any grid point wherever the splits pass for all xi, and away
 from the measure-zero orbits that meet a jump of sigma for the scale sum
@@ -106,7 +106,7 @@ def _repeating_scaling(a):
     ramp = PiecewiseLinear.of((F(-1, 2), 3, F(1, 6), F(1, 2)))
     phis = {0: SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))),
             1: SqrtProfile.from_square(ramp)}
-    return ScalingFamily(phis, _square_sum(phis.values()), a), wavelets
+    return ScalingFamily(phis, a), wavelets
 
 
 REPEATING = [(_repeating_wavelets, a, "psi[0]") for a in (2, -3)] + \
@@ -256,34 +256,34 @@ def full_walk(phi_sq, a, xi):
     return None
 
 
-def orbit_monotone(report):
-    return next(c for c in report.checks if c.name == "orbit_monotone")
+def row(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 def _single_window(square: PiecewiseLinear, a: int) -> ScalingFamily:
-    return ScalingFamily({0: SqrtProfile.from_square(square)}, square, a)
+    return ScalingFamily({0: SqrtProfile.from_square(square)}, a)
 
 
 def assert_agrees_with_walk(square: PiecewiseLinear, a: int, grid) -> str:
     """The exact check against the 64-step walk from each grid point: a dip
-    the walk finds makes the check fail, and a fail witness is a one-step
-    decrease the walk finds too.  At a < 0 the walk may also see a dip at
+    the walk finds makes the check fail, and a fail witness x (a point with
+    square(a x) > square(x)) is a one-step decrease of the walk from a x.  At a < 0 the walk may also see a dip at
     the single point whose orbit meets jumps of the square on two
     consecutive steps (compose_scale moves the ends of reflected pieces),
     so those orbits are left out."""
-    row = orbit_monotone(check_density(_single_window(square, a)))
-    if row.status == "fail":
-        w = {k: as_fraction(v) for k, v in row.witness.items()}
-        assert w["j"] == 1 and w["value"] < w["previous"]
-        assert full_walk(square, a, w["xi"]) == (1, w["value"], w["previous"])
+    monotone = row(check_density(_single_window(square, a)), "dilation_monotone")
+    if monotone.status == "fail":
+        x = as_fraction(monotone.witness["xi"])
+        assert square.eval(x) < square.eval(a * x)
+        assert full_walk(square, a, a * x) == (1, square.eval(x), square.eval(a * x))
     else:
-        assert row.status == "pass" and "for all xi" in row.detail
+        assert monotone.status == "pass" and "everywhere" in monotone.detail
     if a < 0:
         steps = jumps(square)
         grid = [xi for xi in grid if not orbit_meets(steps, a, xi, range(0, -65, -1))]
     if any(full_walk(square, a, xi) for xi in grid):
-        assert row.status == "fail"
-    return row.status
+        assert monotone.status == "fail"
+    return monotone.status
 
 
 class TestShortOrbitWalk:
@@ -313,7 +313,7 @@ class TestShortOrbitWalk:
         scaling = FAMILIES[key][0]
         phi_sq = _square_sum(scaling.phis.values())
         grid = family_grid(scaling.generator_set())
-        assert check_density(scaling).checks[0].status == "pass"  # inward_limit_one
+        assert row(check_density(scaling), "unit_limit_inward").status == "pass"
         assert assert_agrees_with_walk(phi_sq, scaling.dilation, grid) == "pass"
 
 
@@ -343,7 +343,7 @@ def squares_with_limit_one(draw):
 @given(squares_with_limit_one(), st.sampled_from([2, 3, -2, -3]))
 def test_exact_orbit_check_agrees_with_walk(square, a):
     fam = _single_window(square, a)
-    assert check_density(fam).checks[0].status == "pass"
+    assert row(check_density(fam), "unit_limit_inward").status == "pass"
     grid = family_grid(fam.generator_set())[::3]
     grid += [b * F(a) ** m for b in square.breakpoints() if b for m in (-1, 0, 1)]
     assert_agrees_with_walk(square, a, grid)

@@ -237,8 +237,8 @@ class TestExitCodes:
         # loads fine, fails the sufficiency/density checks
         spec = example_pwl(F(1, 2), F(1, 2))
         halved = SpectralSpec(spec.sigma.scale_value(F(1, 2)), 2)
-        scaling = build_scaling(halved, check=False)
-        wavelets = build_wavelets(halved, check=False)
+        scaling = build_scaling(halved)
+        wavelets = build_wavelets(halved)
         out = tmp_path / "halved.json"
         out.write_text(dumps_canonical(
             family_to_jsonable(scaling, wavelets, digest_of({"t": 1}))))
@@ -269,7 +269,7 @@ class TestExitCodes:
         halved = SpectralSpec(spec.sigma.scale_value(F(1, 2)), 2)
         out = tmp_path / "halved.json"
         out.write_text(dumps_canonical(family_to_jsonable(
-            build_scaling(halved, check=False), build_wavelets(halved, check=False),
+            build_scaling(halved), build_wavelets(halved),
             digest_of({"t": 1}))))
         assert run("frame-test", "--family", out, "--jmin", -4, "--jmax", 4) == 1
 
@@ -388,6 +388,29 @@ class TestExitCodes:
         bad.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((0, 1))])))
         assert run("waveletset", "--E", bad, "--a", 2, "--classify") == 1
 
+    def test_classify_refuses_out(self, tmp_path, capsys):
+        # --classify writes no family, so an --out beside it would be ignored
+        seeds = tmp_path / "seed.json"
+        seeds.write_text(dumps_canonical(sets_to_jsonable([IntervalSet.of((-1, 1))])))
+        out = tmp_path / "fam.json"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run("waveletset", "--E", seeds, "--classify", "--out", out)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_suite_runs_once(self, family_file, tmp_path, capsys):
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        capsys.readouterr()
+        assert run("check", "--family", family_file, "--suite", "density",
+                   "--out", once) == 0
+        assert run("check", "--family", family_file, "--suite", "density,density",
+                   "--out", twice) == 0
+        assert once.read_bytes() == twice.read_bytes()
+        assert capsys.readouterr().out == "check: pass (3 checks)\n" * 2
+
     def test_waveletset_closure_with_infinitely_many_pieces_is_one(self, tmp_path,
                                                                    capsys):
         # at a = -3 odd powers of [1, 2) land on the negative side, where
@@ -483,19 +506,21 @@ class TestSuites:
             rep = tmp_path / f"{suites}.json"
             run("check", "--family", family_file, "--suite", suites, "--out", rep)
             checks = loads_json(rep.read_text())["checks"]
-            expected = [c for n in suites.split(",") for c in whole[n]]
+            # a repeated suite is run and reported once
+            expected = [c for n in dict.fromkeys(suites.split(",")) for c in whole[n]]
             assert dumps_canonical(checks) == dumps_canonical(expected)
 
     def test_shared_checks_run_once(self, family_file, monkeypatch):
         import framesmith.verification as v
-        calls = {"check_split": 0, "check_ntf_multiwavelet": 0}
+        calls = {"check_split": 0, "check_ntf_multiwavelet": 0, "check_density": 0}
         for name in calls:
             def counted(*args, _fn=getattr(v, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(v, name, counted)
         run("check", "--family", family_file)
-        assert calls == {"check_split": 1, "check_ntf_multiwavelet": 1}
+        assert calls == {"check_split": 1, "check_ntf_multiwavelet": 1,
+                         "check_density": 1}
 
 
 class TestDeterminism:

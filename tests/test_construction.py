@@ -16,6 +16,8 @@ from framesmith.folding import per_multiplicity
 from framesmith.intervals import IntervalSet, union_all
 from framesmith.piecewise import PiecewiseLinear
 
+from oracles import classify_oracle
+
 
 class TestAdmissibility:
     def test_worked_tent_passes_for_various_widths(self):
@@ -62,9 +64,10 @@ class TestAdmissibility:
 class TestScaling:
     def test_wide_tent_single_window(self):
         # support (-1, 1) fits inside the fundamental window
-        fam = build_scaling(example_pwl(1, 1))
+        spec = example_pwl(1, 1)
+        fam = build_scaling(spec)
         assert sorted(fam.phis) == [0]
-        assert fam.phis[0].abs2() == fam.sigma
+        assert fam.phis[0].abs2() == spec.sigma
 
     def test_tent_spanning_three_windows(self):
         # sigma = 1 - |xi|/2 on (-2, 2)
@@ -129,7 +132,7 @@ class TestWavelets:
     def test_build_rejects_inadmissible(self):
         bad = SpectralSpec(PiecewiseLinear.indicator(IntervalSet.of((1, 2))), 2)
         with pytest.raises(ValueError, match="not admissible"):
-            build_wavelets(bad)
+            build_family(bad)
 
 
 class TestWaveletSetPipeline:
@@ -187,7 +190,8 @@ class TestSeedClassification:
     def test_one_sided_seed_rejected(self):
         cls = classify_waveletset_seed(IntervalSet.of((0, 1)), 2)
         assert cls.verdict == "not_admissible"
-        assert "neighborhood of 0" in cls.reason
+        assert cls.reason == ("spectral profile not admissible: unit_limit_inward "
+                              "fails at xi = 0 (left limit at 0 is 0)")
 
     def test_non_expanding_seed_rejected(self):
         cls = classify_waveletset_seed(IntervalSet.of((-1, 0), (F(1, 4), 1)), 2)
@@ -196,6 +200,27 @@ class TestSeedClassification:
     def test_orthonormal_seed_maximal_multiplicity_one(self):
         cls = classify_waveletset_seed(IntervalSet.of((-1, 1)), 2)
         assert cls.fold_max == 1
+
+    @pytest.mark.parametrize("a", [2, 3, -2, -3, 4])
+    def test_agrees_with_containment_and_straddle_tests(self, a):
+        # 240 seeded unions of up to three pieces per dilation: the verdict
+        # from admissibility_check on chi_E is the one of the classifier's
+        # own E-inside-aE and straddle tests, and so is an admissible seed's
+        # fold of the gain's support
+        rng = random.Random(18 + a)
+        verdicts = set()
+        for _ in range(240):
+            ends = [F(rng.randint(-24, 24), 8) for _ in range(2 * rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                ends[:2] = [F(-rng.randint(1, 24), 8), F(rng.randint(1, 24), 8)]
+            E = union_all([IntervalSet.of((min(lo, hi), max(lo, hi)))
+                           for lo, hi in zip(ends[::2], ends[1::2]) if lo != hi])
+            got, want = classify_waveletset_seed(E, a), classify_oracle(E, a)
+            assert got.verdict == want.verdict, (E, a, got, want)
+            if got.verdict != "not_admissible":
+                assert got == want
+            verdicts.add(got.verdict)
+        assert {"not_admissible", "ntf"} <= verdicts
 
 
 class TestExamples:

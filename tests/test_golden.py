@@ -39,115 +39,115 @@ GOLDEN = {
     'shannon@2': (
         'd95131e076e01bba437661c13ab385d26d426ba4dfd97514e1ae3a412ebee98d',
         0,
-        '44d91ede542f06a840d5d960652a3a17ad28961bf0160744f0fa21e598c9a489',
+        '91f9167f277a09b4703bbc2dcaa31a37a687bde16a004efa3a2746efd7955d36',
         '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
     ),
     'shannon@3': (
         '9f521dfa1ff887426708726eb0b05b988b11de4908721d354762a80f0a8c107a',
         0,
-        '50fc20dd395cae0a7996ca264bd83bd01230e8b079b009cbe3700de894497e0b',
+        '42e2fef840acb5c8c22b4618adf0fe90d82bf62da87fed3b74b5ad1579ec3b54',
         '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
     ),
     'shannon@-2': (
         '9341af3c4563e45d693d2fc65a5789d63aaae56d920ef47bfabd3628032663e9',
         0,
-        '44d91ede542f06a840d5d960652a3a17ad28961bf0160744f0fa21e598c9a489',
+        '91f9167f277a09b4703bbc2dcaa31a37a687bde16a004efa3a2746efd7955d36',
         '72e9e1002ed7bfd414e207c8834156c2ffdd34a86cd76e868da9ab786a873168',
     ),
     'journe@2': (
         'ba14adddd77933a9b95130746604157181100565e23fd6776768837be684880f',
         0,
-        '872eb2767e34c2f52382062bc659cfaa3263745ad7a611a1f923da9c3467c2e9',
+        '6aaf5e014bcf937239114e22b56554e5b8f839bdc42c14521ebb124d67d420bf',
         '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
     ),
     'journe@-2': (
         'a50f1e4b6c7224e3f881eacbbff79cef0423dd3269578b41b1ead95523218b4c',
         0,
-        '872eb2767e34c2f52382062bc659cfaa3263745ad7a611a1f923da9c3467c2e9',
+        '6aaf5e014bcf937239114e22b56554e5b8f839bdc42c14521ebb124d67d420bf',
         '68d71708a3f11ff00113b3d36223ed6f3b01faf47e309140317e30e3d2b6194e',
     ),
     'pwl:a=1/2,b=1/2@2': (
         'f2d950a0072c56e796beab44d10e1c3d3f5a77d9ab590ce23e93db24ff65af9f',
         1,
-        '90377f9048ade4079af58c314dff3f13979722be6dec7d8f68b698cca09cdb94',
+        'fa683fb5217235b7dcfa97c1e5f9e6d77ea267745f7588f50cdaf01996211170',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=1/2,b=1/2@3': (
         '380b4657e9c468fb000d615de5c531937541d2be893c815136e44b5b81f49f06',
         1,
-        'c5507cd9c8ff75c6b614e59c11ad5f50bcb10770fa84a82c0d62d70892dc2e4b',
+        '3c8b0aa84e1fd7d1cf98c03761f981f179537f71f231f21788b6f7a2118f0df0',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=1/2,b=1/2@-2': (
         'e7bb75796f5a461d965f81c55059ed5f22d028ee76e88d3764b281d5e49247b5',
         1,
-        '90377f9048ade4079af58c314dff3f13979722be6dec7d8f68b698cca09cdb94',
+        'fa683fb5217235b7dcfa97c1e5f9e6d77ea267745f7588f50cdaf01996211170',
         '427c2e22d7bb391cc0bad34210ab58220c0c3f5de1618f145190726002763c45',
     ),
     'pwl:a=3/4,b=5/4@2': (
         'b013ce9ddde6e5500bace3b164614d79b72517317d5ee408b233f9287fa0453f',
         1,
-        'bc7d633c2ca182a9864b1e2bbed233ca42cfd9374a545215475c9fe63380b4bd',
+        '030b1debaeec88fdde8d72fac74f4d54fb6e30d1582aa1ebcf7a8764771b2236',
         '226479a08ee1fc56935f8599ea5cda755c0619176ae5ec634ba3df0397e052fa',
     ),
     'pwl:a=3/4,b=5/4@3': (
         'd3f2f1a54d1c1cc2cd079d297aa181415b646c6b753783e7fd9e2a34ebea75ed',
         1,
-        '5a1535dbd6878da3b81cbf4d1aca7d870bda2045d991d8aad790f26b5c74991d',
+        '6efe5725cc89c618970f1e09d6aca80c99ad8d0468203237b343e221e6cbfcb2',
         '95400f875449ce2413ceea6d546757e1d4d43a3f1c8d45329f56dbd74f418628',
     ),
     'pwl:a=3/4,b=5/4@-2': (
         '6f77b5595fd9cd5e25762fb24d86382139148108b2fc39fe19ac790b2b33a838',
         1,
-        'c11822b62dfddf544777cfbe1d8fa028f7ec71d6b6a9264cd93edee421c56d91',
+        '8d243a278988e0b5c54c957038d1b85852f3174bc70eb93069598cbb8d85135a',
         '3c94b532fd1b62b80677a8e68d758e8c249187619195e3d2ad26ec2758f62978',
     ),
     'shannon@4': (
         '858206647e92f2a9828844e7becb82ae29ce2e1d8a4cd630f7b96b824134ac48',
         0,
-        'b4873bd7751e1b69183a6591bc1307c6fb9e654914f27a6da1f6973b89094fb4',
+        '4ce2aedb29e302b85687af16f5b8a71c1715cd7f5d4a7a189abaccd30c7329a5',
         'a5590151be760028ba86bba8613a938271a9e011d7cd0770a187be6222d49b82',
     ),
     'shannon@-3': (
         '5b6ac7eabcd3404faf7369798d0ef5e1fb9ca75e8bd3736e8c959ac7dc21653d',
         0,
-        '50fc20dd395cae0a7996ca264bd83bd01230e8b079b009cbe3700de894497e0b',
+        '42e2fef840acb5c8c22b4618adf0fe90d82bf62da87fed3b74b5ad1579ec3b54',
         '22f486b9675cfe6f0f42d71ca840499af6889b5e7cb1986a0bca7beb894fa2ac',
     ),
     'journe@4': (
         'e9b2327369e81852c6b4e3c01d6adb46eb1e72e32e7c15b9827c150cdbd2ed4a',
         0,
-        '4d4042a735fc4073cd74a091e8ce782f44845c1980deb8489088bd9e68615460',
+        '85b32d4093db4f89b859533db75da096f9db95d8dd8f42b3c41d0e218cf83cee',
         'c37c1623f1b5020df5111a28abe8e4fb19510d80cdee98d285e97fed083c2417',
     ),
     'pwl:a=1/2,b=1/2@4': (
         '5e0817fb064c04412309eb9e00aaf2f0b12c519fccf501ceb544b68b5fc1206a',
         1,
-        'e4bca05ae67cadd871ad601e071176ec6d6194bb43eb62bdb6e244d684d8ba3c',
+        'b547a60e7707f331610f07aacfe9a100b7896bef3dbd38246c773f492acd8ec1',
         '8a9e08559367873830818e618f12726efb71cced48c49e2bccbec13f4d60162b',
     ),
     'pwl:a=1/2,b=1/2@-3': (
         '70913fc2997fa0bbc13b582f0dd6210df6256c78dc0fb9d8dd7a46a1a92cbf9f',
         1,
-        'c5507cd9c8ff75c6b614e59c11ad5f50bcb10770fa84a82c0d62d70892dc2e4b',
+        '3c8b0aa84e1fd7d1cf98c03761f981f179537f71f231f21788b6f7a2118f0df0',
         '9d6247138366f34c8013bb27b10a3977292a4e52b3991869333a6c674152524a',
     ),
     'pwl:a=3/4,b=5/4@4': (
         '15bee835df74c061bd8d28a2cfdb402ad56301f7befac95bb1fc7cde76f207ab',
         1,
-        '12eabb4150ac2aa1d2e5fb2bf8ee975e205f1ba85cede49328fb165362e4ec96',
+        '382ee0b5bb278796e1de9dfef84c5f22078e2ff53a081ffea60b760b5e5b500e',
         '1e3e7a98bbd0f2805e378a19d49a7e7edbbbae4833fb3e159733c6352fbb5153',
     ),
     'pwl:a=3/4,b=5/4@-3': (
         '7cf3ac340898352d6766497c4e2d55af799fa670eeb1f74cad628f4c66c48d24',
         1,
-        '298f48597c52d302902d477e7259425e1c57dbdc8b04cb49a423563571278967',
+        '21b1847a03020d1e7f736c209208ffc2ad4d188601a8065ff0223187c2a4cb8c',
         '7a2dd6b591f1036080c65511e99e1a6e89ad241c53190e4d57ee2197a152fac9',
     ),
     'pwl:a=2,b=2@2 windows': (
         '454adfbd71c6b17597f7168ebf8869c9e87952fabc7152c946f464a68616b94a',
         1,
-        '527ed5baf9dea16a026a8570bb47f746eb826f7d56855e8d412a03a853a3998e',
+        '778b5dfb7eec6ec63cf6adf6d27fa2337644e461af1a56c726af70f049f2a38c',
         '974ba1b3f8c47513b3d1d4cfbee316ba47bb3197d81064c605f0ca32e51fdf53',
     ),
     'journe waveletset': (

@@ -11,8 +11,8 @@ def test_adjacent_pieces_merge():
     assert IntervalSet.of((-1, 0), (0, 1)) == IntervalSet.of((-1, 1))
 
 
-def test_dilate_and_measure():
-    assert IntervalSet.of((1, 2)).dilate(2) == IntervalSet.of((2, 4))
+def test_scale_and_measure():
+    assert IntervalSet.of((1, 2)).scale(2) == IntervalSet.of((2, 4))
     assert IntervalSet.of((F(-1, 2), F(3, 4))).measure() == F(5, 4)
 
 
@@ -27,7 +27,7 @@ def test_canonical_form_unique_under_permutation():
 
 
 def test_negative_dilation_flips():
-    s = IntervalSet.of((1, 2), (3, 4)).dilate(-2)
+    s = IntervalSet.of((1, 2), (3, 4)).scale(-2)
     assert s == IntervalSet.of((-4, -2), (-8, -6))
     assert s.measure() == 4
 
@@ -64,7 +64,7 @@ def test_measure_laws(A, B):
     assert A.union(B).measure() + A.intersect(B).measure() \
         == A.measure() + B.measure()
     assert A.translate(2).measure() == A.measure()
-    assert A.dilate(3).measure() == 3 * A.measure()
+    assert A.scale(3).measure() == 3 * A.measure()
     if A.intersect(B).is_empty():
         assert A.union(B).measure() == A.measure() + B.measure()
 

@@ -33,10 +33,10 @@ def test_one_sided_limits():
 def test_nonneg_examples():
     sigma = tent(1, 1)
     diff = sigma - sigma.compose_scale(2)
-    assert diff.nonneg()
+    assert diff.first_negative_witness() is None
     ramp = PiecewiseLinear.of((-1, 1, 1, 0))
-    assert not ramp.nonneg()
-    assert PiecewiseLinear.zero().nonneg()
+    assert ramp.first_negative_witness() is not None
+    assert PiecewiseLinear.zero().first_negative_witness() is None
 
 
 def test_nonneg_matches_breakpoint_scan_oracle():
@@ -60,8 +60,8 @@ def test_nonneg_matches_breakpoint_scan_oracle():
                     bad = True
             if a * hi + b < 0:
                 bad = True
-        assert f.nonneg() == (not bad)
         witness = f.first_negative_witness()
+        assert (witness is None) == (not bad)
         if witness is not None:
             assert f.eval(witness) < 0 and witness not in f.breakpoints()
 

@@ -23,6 +23,9 @@ from oracles import (dilated_trace_direct, ntf_generator_test_direct,
 TWO_POW_40 = F(1, 2 ** 40)
 DILATIONS = (2, -2, 3, -3, 4)
 BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+# journe is not admissible at |a| = 3
+ADMISSIBLE = [(n, a) for n in BUILTINS for a in DILATIONS
+              if not (n == "journe" and abs(a) == 3)]
 # the sequences of the trace-identity benchmark
 SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2")
 # window operators: identity-padded, zero-padded, and a PSD tridiagonal block
@@ -209,7 +212,7 @@ class TestDilationFormula:
         for xi in (F(1, 2), F(3, 2), F(-5, 4)):
             lhs = dilated_trace(gen, Sequence.delta(0), xi)
             # chi_[-2,2): sigma(xi/2)
-            expected = shannon[0].sigma.eval(xi / 2)
+            expected = shannon[1].sigma.eval(xi / 2)
             assert lhs.lo <= expected <= lhs.hi
             rhs = dilation_coset_sum(gen, Sequence.delta(0), xi)
             assert rhs.rational_value() == expected
@@ -382,6 +385,27 @@ class TestTraceSplit:
             rows = trace_split_check(phi, psi, f, grid)
             assert max(r.additivity_gap for r in rows) < TWO_POW_40
             assert min(r.monotone_margin for r in rows) > -TWO_POW_40
+
+    @pytest.mark.parametrize("name, a", ADMISSIBLE, ids=[f"{n}@{a}" for n, a in ADMISSIBLE])
+    def test_filter_free_gap_is_exactly_zero(self, name, a):
+        # the coset sum and both restricted traces are exact SqrtSums whose
+        # roots cancel term by term
+        scaling, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        phi, psi = scaling.generator_set(), wavelets.generator_set()
+        grid = grid_of_size(phi.support_hull(), 9, exclude=phi.breakpoints())
+        for text in SEQUENCES:
+            rows = trace_split_check(phi, psi, Sequence.parse(text), grid)
+            assert [r.additivity_gap for r in rows] == [0] * len(grid)
+            assert min(r.monotone_margin for r in rows) >= 0
+
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_scaled_wavelet_opens_the_gap(self, a):
+        scaling, wavelets = build_family(example_pwl(F(1, 2), F(1, 2), a))
+        phi = scaling.generator_set()
+        psis = (wavelets.psis[0].scale_amplitude_sq(F(10201, 10000)),) + wavelets.psis[1:]
+        grid = grid_of_size(psis[0].support().hull(), 9, exclude=phi.breakpoints())
+        rows = trace_split_check(phi, GeneratorSet(psis, a), Sequence.delta(0), grid)
+        assert max(r.additivity_gap for r in rows) > 0
 
 
 def test_default_grid_excludes_breakpoints_and_zero():

@@ -103,11 +103,15 @@ class TestSplitChecks:
         scaling, wavelets = worked_half
         halved = ScalingFamily(
             {k: p.scale_amplitude_sq(F(1, 2)) for k, p in scaling.phis.items()},
-            scaling.sigma.scale_value(F(1, 2)), scaling.dilation)
-        report = check_suites(halved, wavelets, ["sufficiency"])["sufficiency"]
-        assert report.status == "fail"
-        assert any(c.name == "inward_limit_one" and c.status == "fail"
-                   for c in report.checks)
+            scaling.dilation)
+        reports = check_suites(halved, wavelets, ["sufficiency", "density"])
+        assert reports["sufficiency"].status == "fail"
+        limit = next(c for c in reports["sufficiency"].checks
+                     if c.name == "unit_limit_inward")
+        assert limit.status == "fail" and limit.detail == "left limit at 0 is 1/2"
+        # one row, decided once: sufficiency reads it off density's report
+        assert limit is next(c for c in reports["density"].checks
+                             if c.name == "unit_limit_inward")
 
     def test_repeated_residue_raises_naming_the_wavelet(self, shannon):
         layer = IntervalSet.of((1, 4))
@@ -141,6 +145,22 @@ class TestDensity:
         assert admissibility_check(spec).status == "pass"
         fam = build_scaling(spec)
         assert check_density(fam).status == "pass"
+
+    @pytest.mark.parametrize("a", [2, 3, -2, -3, 4])
+    def test_is_admissibility_of_the_square_sum(self, a):
+        # built-ins (journe included where it is refused) and random specs:
+        # the same rows as admissibility_check on sigma, witnesses too
+        from framesmith.construction import (admissibility_check, build_scaling,
+                                             example_by_name)
+        specs = [SpectralSpec(example_by_name(name).sigma, a) for name in
+                 ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")]
+        rng = random.Random(1800 + a)
+        specs += [random_admissible_spec(rng, a) for _ in range(5)]
+        for spec in specs:
+            report = check_density(build_scaling(spec))
+            assert [c.name for c in report.checks] == [
+                "nonnegative_integrable", "dilation_monotone", "unit_limit_inward"]
+            assert report.checks == admissibility_check(spec).checks
 
 
 class TestWaveletSetTiling:
