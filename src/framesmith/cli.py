@@ -147,7 +147,7 @@ def cmd_trace(args) -> int:
     f = Sequence.parse(args.f)
     gen = scaling.generator_set()
     if args.grid == "auto":
-        grid = family_grid(gen, wavelets.generator_set(), seed=args.seed)
+        grid = family_grid(gen, wavelets.generator_set())
     else:
         n = _grid_size(args.grid)
         lo, hi = _nonempty_hull(gen.support_hull())
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--family", required=True)
     t.add_argument("--f", default="1@0", help='sequence, e.g. "1@0,1@1" or "i@2"')
     t.add_argument("--grid", default="auto", help='"auto" or a point count')
-    t.add_argument("--seed", type=int, default=GRID_SEED)
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_trace)
 

@@ -190,11 +190,10 @@ def build_scaling(spec: SpectralSpec) -> ScalingFamily:
     inadmissible one is `build_family`'s."""
     phis: Dict[int, SqrtProfile] = {}
     for k in _windows(*spec.sigma.support().hull()):
-        window = IntervalSet.of((2 * k - 1, 2 * k + 1))
-        sq = spec.sigma.restrict(window)
-        if sq.is_zero():
-            continue
-        phis[k] = SqrtProfile(sq, window)
+        # a profile restricts its square to its domain
+        phi = SqrtProfile(spec.sigma, IntervalSet.of((2 * k - 1, 2 * k + 1)))
+        if not phi.square.is_zero():
+            phis[k] = phi
     return ScalingFamily(phis, spec.dilation)
 
 
@@ -218,11 +217,10 @@ def build_wavelets(spec: SpectralSpec, partition: str = "greedy") -> WaveletFami
     psis: List[SqrtProfile] = []
     kept: List[IntervalSet] = []
     for layer in layers:
-        sq = gain.restrict(layer)
-        if sq.is_zero():
-            continue
-        psis.append(SqrtProfile(sq, layer))
-        kept.append(layer)
+        psi = SqrtProfile(gain, layer)
+        if not psi.square.is_zero():
+            psis.append(psi)
+            kept.append(layer)
     fam = WaveletFamily(tuple(psis), tuple(kept), spec.sigma, spec.dilation)
     fam.validate()
     return fam

@@ -11,8 +11,8 @@ Dilation: the annulus A = {r <= |xi| < |a| r} is a fundamental domain of
 xi -> a xi for either sign of a (an odd power of a negative a swaps the two
 sides).  fold_dilation cuts A into cells and lists, per cell and per set,
 the scales j with a^j cell inside the set, so it sees the whole orbit of
-every xi != 0.  Both folds run on the one endpoint sweep
-`intervals._overlay`.
+every xi != 0.  per_multiplicity, layered_partition and fold_dilation all
+run on the one endpoint sweep `intervals._overlay`.
 """
 
 from __future__ import annotations
@@ -96,18 +96,18 @@ def per_multiplicity(K: IntervalSet) -> FoldedMultiplicity:
 
 def layered_partition(K: IntervalSet) -> List[IntervalSet]:
     """Partition K into layers K_1..K_p, pairwise disjoint with union K, each
-    injective mod 2pi, K_i congruent to {multiplicity >= i} up to measure 0."""
+    injective mod 2pi, K_i congruent to {multiplicity >= i} up to measure 0.
+    The chunks of one window k are disjoint, so weighted by the bit of k
+    their overlay lists the windows over each cell; the i-th goes to K_i."""
     chunks = fold_chunks(K)
-    if not chunks:
-        return []
-    boundaries = sorted({x for lo, hi, _ in chunks for x in (lo, hi)})
+    ks = sorted({k for _, _, k in chunks})
     layers: list[list[tuple[Fraction, Fraction]]] = []
-    for clo, chi in zip(boundaries, boundaries[1:]):
-        ks = sorted(k for lo, hi, k in chunks if lo <= clo and chi <= hi)
-        for i, k in enumerate(ks):
-            while len(layers) <= i:
-                layers.append([])
-            layers[i].append((clo + 2 * k, chi + 2 * k))
+    for lo, hi, mask in _overlay([c[:2] for c in chunks],
+                                 [1 << ks.index(c[2]) for c in chunks]):
+        covering = [k for n, k in enumerate(ks) if mask >> n & 1]
+        layers.extend([] for _ in range(len(covering) - len(layers)))
+        for layer, k in zip(layers, covering):
+            layer.append((lo + 2 * k, hi + 2 * k))
     return [IntervalSet(tuple(pieces)) for pieces in layers]
 
 

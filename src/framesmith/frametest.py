@@ -109,10 +109,8 @@ def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int, k_max: int
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
     """Whether the support of psi_hat(./t) meets that of f_hat in positive
-    measure (t = a^j), piece against piece."""
-    scaled = (sorted((lo * t, hi * t)) for lo, hi in psi.domain.pieces)
-    return any(max(dlo, plo) < min(dhi, phi)
-               for dlo, dhi in scaled for plo, phi, _, _ in f.hat.pieces)
+    measure (t = a^j)."""
+    return bool(f.hat.support().intersect(psi.domain.scale(t)))
 
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2

@@ -4,7 +4,8 @@ An IntervalSet is a sorted tuple of pairwise disjoint pieces [l, r) with
 rational endpoints (in pi units).  Adjacent pieces are merged, so equal sets
 have identical representations and byte-identical serializations.  All set
 algebra is exact; boundary points follow the half-open convention, so
-partitions have no double counting.
+partitions have no double counting.  Intersection and difference run on the
+one endpoint sweep `_overlay`, with self weighted 1 and the other set 2.
 """
 
 from __future__ import annotations
@@ -78,32 +79,17 @@ class IntervalSet:
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.pieces + other.pieces)
 
+    def _cover(self, other: "IntervalSet", value: int) -> "IntervalSet":
+        """The cells of value `value` in the overlay of self and other."""
+        cells = _overlay(self.pieces + other.pieces,
+                         [1] * len(self.pieces) + [2] * len(other.pieces))
+        return IntervalSet(tuple((lo, hi) for lo, hi, v in cells if v == value))
+
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for alo, ahi in self.pieces:
-            for blo, bhi in other.pieces:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalSet(tuple(out))
+        return self._cover(other, 3)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for lo, hi in self.pieces:
-            cur = lo
-            for blo, bhi in other.pieces:
-                if bhi <= cur:
-                    continue
-                if blo >= hi:
-                    break
-                if blo > cur:
-                    out.append((cur, min(blo, hi)))
-                cur = max(cur, bhi)
-                if cur >= hi:
-                    break
-            if cur < hi:
-                out.append((cur, hi))
-        return IntervalSet(tuple(out))
+        return self._cover(other, 1)
 
     def translate(self, t) -> "IntervalSet":
         t = as_fraction(t)

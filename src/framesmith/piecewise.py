@@ -5,6 +5,10 @@ affine map alpha*x + beta with rational coefficients; the function is 0
 outside its pieces.  Canonical form (sorted pieces, zero pieces dropped,
 touching pieces with the same line merged) makes equality of canonical
 objects coincide with pointwise equality away from a finite breakpoint set.
+Whatever takes several functions at once (sums, differences, restriction to
+an IntervalSet, the integral of a product, square sums) runs on the one
+forward sweep over their common refinement, `refine`; only point
+evaluation looks a piece up.
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square
@@ -18,7 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,35 @@ def _canonical_pieces(pieces: Iterable[Piece]) -> Tuple[Piece, ...]:
         else:
             merged.append(p)
     return tuple(merged)
+
+
+def refine(fns: Sequence) -> Iterator[Tuple[Fraction, Fraction, list]]:
+    """(lo, hi, pieces) over the common refinement of the functions' pieces,
+    left to right: pieces[n] is the piece of fns[n] holding [lo, hi), or
+    None.  A PiecewiseLinear and an IntervalSet walk alike, one pointer each:
+    both have sorted, disjoint half-open pieces that start with their ends."""
+    lists = [f.pieces for f in fns]
+    at = [0] * len(lists)
+    lo = min((ps[0][0] for ps in lists if ps), default=None)
+    while lo is not None:
+        pieces, hi = [], None
+        for ps, i in zip(lists, at):
+            p = ps[i] if i < len(ps) else None
+            if p is not None:
+                if lo < p[0]:
+                    end, p = p[0], None
+                else:
+                    end = p[1]
+                if hi is None or end < hi:
+                    hi = end
+            pieces.append(p)
+        if hi is None:
+            return
+        yield lo, hi, pieces
+        for n, p in enumerate(pieces):
+            if p is not None and p[1] == hi:
+                at[n] += 1
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -70,20 +103,14 @@ class PiecewiseLinear:
 
     # -- evaluation -----------------------------------------------------
 
-    def _piece_at(self, x: Fraction) -> Piece | None:
+    def eval(self, x) -> Fraction:
+        x = as_fraction(x)
         i = bisect.bisect_right(self._los, x) - 1
         if i >= 0:
             lo, hi, a, b = self.pieces[i]
             if lo <= x < hi:
-                return self.pieces[i]
-        return None
-
-    def eval(self, x) -> Fraction:
-        x = as_fraction(x)
-        p = self._piece_at(x)
-        if p is None:
-            return Fraction(0)
-        return p[2] * x + p[3]
+                return a * x + b
+        return Fraction(0)
 
     def eval_left(self, x) -> Fraction:
         """One-sided limit from below at x (exact)."""
@@ -118,7 +145,7 @@ class PiecewiseLinear:
             if not pts or pts[-1] != lo:
                 pts.append(lo)
             pts.append(hi)
-        return sorted(set(pts))
+        return pts
 
     def support(self) -> IntervalSet:
         """Essential support: the pieces carrying a not-identically-zero line
@@ -130,23 +157,11 @@ class PiecewiseLinear:
 
     # -- algebra --------------------------------------------------------
 
-    def _combine(self, other: "PiecewiseLinear", f) -> "PiecewiseLinear":
-        cuts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        out: list[Piece] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            p = self._piece_at(lo)
-            q = other._piece_at(lo)
-            a1, b1 = (p[2], p[3]) if p else (Fraction(0), Fraction(0))
-            a2, b2 = (q[2], q[3]) if q else (Fraction(0), Fraction(0))
-            a, b = f(a1, b1, a2, b2)
-            out.append((lo, hi, a, b))
-        return PiecewiseLinear(tuple(out))
-
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self._combine(other, lambda a1, b1, a2, b2: (a1 + a2, b1 + b2))
+        return _sum([self, other])
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self._combine(other, lambda a1, b1, a2, b2: (a1 - a2, b1 - b2))
+        return _sum([self, -other])
 
     def __neg__(self) -> "PiecewiseLinear":
         return self.scale_value(-1)
@@ -177,13 +192,9 @@ class PiecewiseLinear:
             (lo - t, hi - t, a, a * t + b) for lo, hi, a, b in self.pieces))
 
     def restrict(self, where: IntervalSet) -> "PiecewiseLinear":
-        out = []
-        for lo, hi, a, b in self.pieces:
-            for wlo, whi in where.pieces:
-                l, h = max(lo, wlo), min(hi, whi)
-                if l < h:
-                    out.append((l, h, a, b))
-        return PiecewiseLinear(tuple(out))
+        return PiecewiseLinear(tuple((lo, hi, p[2], p[3])
+                                     for lo, hi, (p, w) in refine([self, where])
+                                     if p and w))
 
     def first_negative_witness(self) -> Fraction | None:
         """A point where the function is negative, or None.  Linearity on each
@@ -266,15 +277,8 @@ def _linear_product(lines: Iterable[Tuple[Fraction, Fraction]]) -> list[Fraction
 
 def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
     """Exact integral of a product of piecewise-linear functions."""
-    if not factors:
-        return Fraction(0)
-    cuts: set[Fraction] = set()
-    for f in factors:
-        cuts.update(f.breakpoints())
-    cuts_sorted = sorted(cuts)
     total = Fraction(0)
-    for lo, hi in zip(cuts_sorted, cuts_sorted[1:]):
-        pieces = [f._piece_at(lo) for f in factors]
+    for lo, hi, pieces in refine(factors):
         if None in pieces:
             continue
         poly = _linear_product((p[2], p[3]) for p in pieces)
@@ -335,12 +339,16 @@ class SqrtProfile:
         return all(a == 0 and b == 1 for _, _, a, b in self.square.pieces)
 
 
+def _sum(fns: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
+    """The pointwise sum, in one pass over the common refinement."""
+    return PiecewiseLinear(tuple(
+        (lo, hi, sum(p[2] for p in pieces if p), sum(p[3] for p in pieces if p))
+        for lo, hi, pieces in refine(fns)))
+
+
 def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:
     """sum of |profile|^2 over the profiles, exact."""
-    total = PiecewiseLinear.zero()
-    for p in profiles:
-        total = total + p.abs2()
-    return total
+    return _sum([p.square for p in profiles])
 
 
 @dataclass(frozen=True)
@@ -355,7 +363,5 @@ class GeneratorSet:
         return union_all([p.support() for p in self.profiles]).hull()
 
     def breakpoints(self) -> List[Fraction]:
-        pts: set[Fraction] = set()
-        for p in self.profiles:
-            pts.update(p.square.breakpoints())
-        return sorted(pts)
+        cells = list(refine([p.square for p in self.profiles]))
+        return [lo for lo, _, _ in cells] + [hi for _, hi, _ in cells[-1:]]

@@ -1,8 +1,9 @@
 """Closed-form quadrature of the frame-test integrand
 line(u) * sqrt(max(square(u), 0)) * e^{i c u} over a run of frequencies c.
 
-The joint support of the line and the square is cut at the breakpoints of
-both.  On each cell the line is a polynomial P(u) of degree 1, and the root
+A plan walks the common refinement of the line and the square once
+(`piecewise.refine`) and keeps the cells where both have a piece.  On each
+cell the line is a polynomial P(u) of degree 1, and the root
 sqrt(alpha*u + beta) of the square is either constant there or varies.
 
 * Constant root.  With s = u - lo the cell integral is
@@ -65,24 +66,12 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .piecewise import PiecewiseLinear
+from .piecewise import Piece, PiecewiseLinear, refine
 
 _SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
 _FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
 _FRESNEL_INF = math.sqrt(math.pi / 2) * (1 + 1j)   # int_0^inf t^{-1/2} e^{it} dt
 _RUN_STRIDE = 64            # fine-table length of the angle-addition phases
-
-
-def _cells(line: PiecewiseLinear, square: PiecewiseLinear
-           ) -> List[Tuple[Fraction, Fraction]]:
-    """Common refinement cells of the joint support."""
-    support = line.support().intersect(square.support())
-    cuts = set(line.breakpoints()) | set(square.breakpoints())
-    cells = []
-    for lo, hi in support.pieces:
-        inner = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
-        cells.extend(zip(inner, inner[1:]))
-    return cells
 
 
 # -- moments int_{s0}^{s1} s^{m+nu} e^{iws} ds ---------------------------------
@@ -254,12 +243,9 @@ class _Cell(NamedTuple):
         return self.scale * (self.coeffs @ mom)
 
 
-def _closed_cell(line: PiecewiseLinear, square: PiecewiseLinear,
-                 lo: Fraction, hi: Fraction):
-    """The integrand on [lo, hi] as a _Cell; None where it vanishes."""
-    piece, root = line._piece_at(lo), square._piece_at(lo)
-    if piece is None or root is None:
-        return None
+def _closed_cell(piece: Piece, root: Piece, lo: Fraction, hi: Fraction):
+    """The integrand on [lo, hi] from the line's piece and the square's piece
+    root there, as a _Cell; None where it vanishes."""
     a, b = piece[2], piece[3]
     alpha, beta = root[2], root[3]
     if alpha:
@@ -352,9 +338,8 @@ class QuadPlan:
 
     def __init__(self, line: PiecewiseLinear, square: PiecewiseLinear):
         self.closed: List[_Cell] = [
-            cell for cell in (_closed_cell(line, square, lo, hi)
-                              for lo, hi in _cells(line, square))
-            if cell is not None]
+            cell for lo, hi, (piece, root) in refine([line, square])
+            if piece and root and (cell := _closed_cell(piece, root, lo, hi))]
         self._rooted = [cell for cell in self.closed if cell.poly is None]
         self._polys = [cell for cell in self.closed if cell.poly is not None]
         self._ell_min = min((cell.length for cell in self._polys), default=math.inf)

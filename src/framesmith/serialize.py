@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -30,7 +31,7 @@ class ParseError(ValueError):
 
 
 def _ratio_in(x, where: str) -> Fraction:
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -141,10 +142,11 @@ def family_from_jsonable(obj) -> Tuple[ScalingFamily, WaveletFamily]:
                  for i, x in enumerate(obj.get("psis", [])))
     phis: Dict[int, SqrtProfile] = {}
     for key, val in obj.get("phis", {}).items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise ParseError(f"family.phis[{key!r}]: key must be an integer") from None
+        # only the canonical spelling, so no two keys name one window
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ParseError(f"family.phis[{key!r}]: key must be an integer "
+                             f"written without leading zeros or separators")
+        k = int(key)
         phis[k] = profile_from_jsonable(val, f"family.phis[{key}]")
     scaling = ScalingFamily(phis, a)
     wavelets = WaveletFamily(psis, partition, sigma, a)

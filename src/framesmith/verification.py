@@ -122,6 +122,12 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     slope * |a^{-J-1} xi| inside the support pieces at 0.  A family whose
     square sum does not telescope has its partial sum added scale by scale.
     """
+    return _ntf_report(family, _square_sum(family.psis), grid)
+
+
+def _ntf_report(family: WaveletFamily, square_sum: PiecewiseLinear,
+                grid: Iterable | None) -> VerificationReport:
+    """`check_ntf_multiwavelet` given the wavelet square sum."""
     report = VerificationReport()
     a = family.dilation
     sigma = family.sigma
@@ -138,7 +144,6 @@ def check_ntf_multiwavelet(family: WaveletFamily,
             report.add(Check(f"shift_orthogonality[{i}]", "fail",
                              {"residue": cell[0], "multiplicity": cell[2]}))
 
-    square_sum = _square_sum(family.psis)
     row = _identity("scale_sum_telescopes", square_sum, family.gain(), (
         "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
         "piecewise-linear identity"))
@@ -206,6 +211,14 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
     every support meets each residue class mod 2 at most once.  That is the
     premise: a profile repeating a residue raises ValueError (the family
     `validate` methods rule it out)."""
+    return _split_report(phi_fam, psi_fam, _square_sum(phi_fam.phis.values()),
+                         _square_sum(psi_fam.psis))
+
+
+def _split_report(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
+                  phi_sq: PiecewiseLinear, psi_sq: PiecewiseLinear
+                  ) -> VerificationReport:
+    """`check_split` given the scaling and wavelet square sums."""
     named = [(f"phi[{k}]", p) for k, p in sorted(phi_fam.phis.items())] + \
         [(f"psi[{i}]", p) for i, p in enumerate(psi_fam.psis)]
     for name, profile in named:
@@ -216,8 +229,6 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
                              f"supports injective mod 2")
 
     report = VerificationReport()
-    phi_sq = _square_sum(phi_fam.phis.values())
-    psi_sq = _square_sum(psi_fam.psis)
     lhs = phi_sq.compose_scale(Fraction(1, psi_fam.dilation)) - phi_sq
     report.add(_identity("two_scale_split[s=0]", lhs, psi_sq, (
         "sum|phi|^2(xi/a) - sum|phi|^2 equals sum|psi|^2 as an exact "
@@ -240,22 +251,30 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     inward-limit row from density's report), and the NTF characterization
     once per sigma: the sufficiency meta check takes sigma from the scaling
     squares, not from the family, and reuses the ntf suite's report when
-    the two agree."""
+    the two agree.  Each family's square sum is built once and shared."""
     if grid is None:
         grid = family_grid(phi_fam.generator_set(), psi_fam.generator_set())
     grid = [as_fraction(x) for x in grid]
 
     @cache
+    def phi_sq() -> PiecewiseLinear:
+        return _square_sum(phi_fam.phis.values())
+
+    @cache
+    def psi_sq() -> PiecewiseLinear:
+        return _square_sum(psi_fam.psis)
+
+    @cache
     def ntf(sigma: PiecewiseLinear) -> VerificationReport:
-        return check_ntf_multiwavelet(replace(psi_fam, sigma=sigma), grid=grid)
+        return _ntf_report(replace(psi_fam, sigma=sigma), psi_sq(), grid)
 
     @cache
     def split() -> VerificationReport:
-        return check_split(phi_fam, psi_fam)
+        return _split_report(phi_fam, psi_fam, phi_sq(), psi_sq())
 
     @cache
     def density() -> VerificationReport:
-        return check_density(phi_fam)
+        return admissibility_check(SpectralSpec(phi_sq(), phi_fam.dilation))
 
     @cache
     def decay() -> VerificationReport:
@@ -268,13 +287,12 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
         return VerificationReport(split().checks + [outward])
 
     def sufficiency() -> VerificationReport:
-        phi_sq = _square_sum(phi_fam.phis.values())
         report = VerificationReport([Check("local_finiteness", "pass", detail=(
             f"finitely many scaling profiles; square sum bounded by "
-            f"{phi_sq.max_value()}"))] + decay().checks)
+            f"{phi_sq().max_value()}"))] + decay().checks)
         report.add(next(c for c in density().checks if c.name == "unit_limit_inward"))
         if report.status == "pass":
-            sub = ntf(phi_sq)
+            sub = ntf(phi_sq())
             if sub.status == "pass":
                 report.add(Check("meta_ntf_follows", "pass", detail=(
                     "hypotheses hold and the NTF characterization passes too")))
@@ -294,8 +312,8 @@ def check_density(phi_fam: ScalingFamily) -> VerificationReport:
     square sum, the spectral function of V_0, decides its inward limit 1 and
     sum|phi|^2(a x) <= sum|phi|^2(x), monotonicity along every contraction
     orbit, exactly and with no grid."""
-    phi_sq = _square_sum(phi_fam.phis.values())
-    return admissibility_check(SpectralSpec(phi_sq, phi_fam.dilation))
+    return admissibility_check(SpectralSpec(_square_sum(phi_fam.phis.values()),
+                                            phi_fam.dilation))
 
 
 # -- wavelet-set tiling --------------------------------------------------------

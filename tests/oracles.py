@@ -14,7 +14,14 @@ and Fraction endpoint.
 
 Translation fold: the chunk-by-chunk overlay, one cell per window a piece
 meets, that `per_multiplicity` replaces by one weighted pair for the full
-windows inside each piece.
+windows inside each piece, and the boundary-by-chunk loop that
+`layered_partition` replaces by a bitmask overlay.
+
+Refinement: the loops that `piecewise.refine` and `intervals._overlay`
+replace -- the cut-and-look-up sum, the piece-by-piece restriction and
+intersection, the merge difference, the cut loop of product integrals and
+of the quadrature cells.  Each rebuilds the breakpoint set and finds the
+pieces of a cell by bisection.
 
 Wavelet sets: the windowed dilation overlay, the scale-gap loop and the
 membership test that the dilation fold replaces, and the seed classifier
@@ -26,6 +33,7 @@ membership test at j <= 40, so they agree with the fold on sets whose
 scales sit well inside those ranges.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -35,6 +43,8 @@ from framesmith.construction import SeedClassification, require_dilation
 from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
+from framesmith.piecewise import PiecewiseLinear, _linear_product
+from framesmith.quadrature import _closed_cell
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum, _zero_status
 from framesmith.sequences import Sequence
@@ -225,6 +235,128 @@ def per_multiplicity_chunks(K) -> FoldedMultiplicity:
     """The multiplicity of chi_K on [-1, 1) from one overlay pair per chunk
     of K in a window [2k - 1, 2k + 1)."""
     return FoldedMultiplicity(tuple(_overlay((lo, hi) for lo, hi, _ in fold_chunks(K))))
+
+
+def layered_partition_oracle(K):
+    """The layers of K from every boundary cell of its chunks: the i-th
+    smallest window k whose chunk covers a cell goes to layer i."""
+    chunks = fold_chunks(K)
+    boundaries = sorted({x for lo, hi, _ in chunks for x in (lo, hi)})
+    layers = []
+    for clo, chi in zip(boundaries, boundaries[1:]):
+        ks = sorted(k for lo, hi, k in chunks if lo <= clo and chi <= hi)
+        for i, k in enumerate(ks):
+            while len(layers) <= i:
+                layers.append([])
+            layers[i].append((clo + 2 * k, chi + 2 * k))
+    return [IntervalSet(tuple(pieces)) for pieces in layers]
+
+
+# -- refinement ----------------------------------------------------------------
+
+
+def piece_at(f, x):
+    """The piece of f holding x, or None, by bisection on the piece starts."""
+    i = bisect.bisect_right([p[0] for p in f.pieces], x) - 1
+    if i >= 0 and f.pieces[i][0] <= x < f.pieces[i][1]:
+        return f.pieces[i]
+    return None
+
+
+def _cuts(*fns):
+    return sorted(set().union(*(f.breakpoints() for f in fns)))
+
+
+def combine_oracle(f, g, op):
+    """f op g (op on the coefficients, e.g. operator.add) on every cell
+    between consecutive breakpoints of the two."""
+    cuts = _cuts(f, g)
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        p, q = piece_at(f, lo), piece_at(g, lo)
+        a1, b1 = (p[2], p[3]) if p else (Fraction(0), Fraction(0))
+        a2, b2 = (q[2], q[3]) if q else (Fraction(0), Fraction(0))
+        out.append((lo, hi, op(a1, a2), op(b1, b2)))
+    return PiecewiseLinear(tuple(out))
+
+
+def restrict_oracle(f, where):
+    """f on each overlap of one of its pieces with one piece of where."""
+    out = []
+    for lo, hi, a, b in f.pieces:
+        for wlo, whi in where.pieces:
+            l, h = max(lo, wlo), min(hi, whi)
+            if l < h:
+                out.append((l, h, a, b))
+    return PiecewiseLinear(tuple(out))
+
+
+def intersect_oracle(A, B):
+    """Each overlap of a piece of A with a piece of B."""
+    out = []
+    for alo, ahi in A.pieces:
+        for blo, bhi in B.pieces:
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo < hi:
+                out.append((lo, hi))
+    return IntervalSet(tuple(out))
+
+
+def difference_oracle(A, B):
+    """A minus B by one cursor per piece of A, merged against B."""
+    out = []
+    for lo, hi in A.pieces:
+        cur = lo
+        for blo, bhi in B.pieces:
+            if bhi <= cur:
+                continue
+            if blo >= hi:
+                break
+            if blo > cur:
+                out.append((cur, min(blo, hi)))
+            cur = max(cur, bhi)
+            if cur >= hi:
+                break
+        if cur < hi:
+            out.append((cur, hi))
+    return IntervalSet(tuple(out))
+
+
+def integrate_product_oracle(factors):
+    """The exact integral of the product, cell by cell between consecutive
+    breakpoints of all factors."""
+    if not factors:
+        return Fraction(0)
+    cuts = _cuts(*factors)
+    total = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        pieces = [piece_at(f, lo) for f in factors]
+        if None in pieces:
+            continue
+        poly = _linear_product((p[2], p[3]) for p in pieces)
+        for i, c in enumerate(poly):
+            total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+    return total
+
+
+def quad_cells_oracle(line, square):
+    """The cells of the joint support of line and square, cut at the
+    breakpoints of both."""
+    support = line.support().intersect(square.support())
+    cuts = set(line.breakpoints()) | set(square.breakpoints())
+    cells = []
+    for lo, hi in support.pieces:
+        inner = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
+        cells.extend(zip(inner, inner[1:]))
+    return cells
+
+
+def closed_cells_oracle(line, square):
+    """A QuadPlan's closed-form cells from `quad_cells_oracle`, the pieces of
+    each cell looked up at its left end."""
+    cells = (_closed_cell(piece_at(line, lo), piece_at(square, lo), lo, hi)
+             for lo, hi in quad_cells_oracle(line, square))
+    return [cell for cell in cells if cell is not None]
 
 
 def tiling_oracle(E, a, window=Fraction(64), j_range=24) -> bool:

@@ -151,8 +151,17 @@ class TestValidationRefusal:
         ("family", lambda o: o.update(partition=None), "family.partition"),
         ("family", lambda o: o.update(psis=None), "family.psis"),
         ("sigma", lambda o: o.update(dilation=[2]), "dilation"),
+        # each used to load: "00" replaced window 0, "0_0" read as 0, and
+        # JSON booleans as the rationals 0 and 1
+        ("family", lambda o: o["phis"].update({"00": o["phis"]["0"]}),
+         "family.phis['00']"),
+        ("family", lambda o: o.update(phis={"0_0": o["phis"]["0"]}),
+         "family.phis['0_0']"),
+        ("family", lambda o: o["psis"][0]["square"][0].update(alpha=False, beta=True),
+         "family.psis[0].square[0].alpha"),
     ], ids=["short_piece", "scalar_piece", "phis_list", "partition_null",
-            "psis_null", "sigma_dilation_list"])
+            "psis_null", "sigma_dilation_list", "phis_key_leading_zero",
+            "phis_key_separator", "boolean_coefficients"])
     def test_malformed_file_exits_2_with_location(self, family_file, tmp_path,
                                                   capsys, kind, mutate, where):
         if kind == "family":
@@ -512,15 +521,17 @@ class TestSuites:
 
     def test_shared_checks_run_once(self, family_file, monkeypatch):
         import framesmith.verification as v
-        calls = {"check_split": 0, "check_ntf_multiwavelet": 0, "check_density": 0}
+        # the split, NTF and density reports, and each family's square sum
+        calls = {"_split_report": 0, "_ntf_report": 0, "admissibility_check": 0,
+                 "_square_sum": 0}
         for name in calls:
             def counted(*args, _fn=getattr(v, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(v, name, counted)
         run("check", "--family", family_file)
-        assert calls == {"check_split": 1, "check_ntf_multiwavelet": 1,
-                         "check_density": 1}
+        assert calls == {"_split_report": 1, "_ntf_report": 1,
+                         "admissibility_check": 1, "_square_sum": 2}
 
 
 class TestDeterminism:
