@@ -29,15 +29,14 @@ from .construction import (
 from .sequences import CRat, Sequence, coset_op, coset_op_adj
 from .trace import (
     WindowOperator,
+    diagonal_traces,
     dilation_trace_check,
-    dimension_function,
     fiber,
     gram_row,
     ntf_generator_test,
     operator_trace,
     restricted_trace,
     series_identity_check,
-    spectral_function,
     trace_split_check,
 )
 from .verification import (

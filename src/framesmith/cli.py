@@ -25,8 +25,7 @@ from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
                         family_from_jsonable, family_to_jsonable,
                         loads_json, pwl_from_jsonable, sets_from_jsonable)
-from .trace import (GRID_SEED, _nonempty_hull, dimension_function,
-                    restricted_trace, spectral_function)
+from .trace import GRID_SEED, _nonempty_hull, diagonal_traces
 from .verification import (SUITES, VerificationReport, check_suites,
                            check_wavelet_set_tiling, family_grid)
 
@@ -134,6 +133,16 @@ def cmd_waveletset(args) -> int:
     return 0
 
 
+def _even_grid(hull, n: int) -> list:
+    """The n points lo + (hi - lo) i / n, 0 <= i < n, of the hull (of [-1, 1)
+    when it is empty), each one integer over the denominator of the first."""
+    lo, hi = _nonempty_hull(hull)
+    den = lo.denominator * hi.denominator * n
+    start = lo.numerator * hi.denominator * n
+    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    return [Fraction(start + step * i, den) for i in range(n)]
+
+
 def _grid_size(text) -> int:
     """A --grid point count; below 1 the CSV would hold only its header."""
     n = int(text)
@@ -149,15 +158,10 @@ def cmd_trace(args) -> int:
     if args.grid == "auto":
         grid = family_grid(gen, wavelets.generator_set())
     else:
-        n = _grid_size(args.grid)
-        lo, hi = _nonempty_hull(gen.support_hull())
-        grid = [lo + (hi - lo) * Fraction(i, n) for i in range(n)]
+        grid = _even_grid(gen.support_hull(), _grid_size(args.grid))
     lines = ["xi,spectral,dim,tau_f"]
-    for xi in grid:
-        spectral = float(spectral_function(gen, xi))
-        dim = float(dimension_function(gen, xi))
-        tau = float(restricted_trace(gen, f, xi).enclosure().mid())
-        lines.append(f"{float(xi)!r},{spectral!r},{dim!r},{tau!r}")
+    for row in zip(grid, *diagonal_traces(gen, f, grid)):
+        lines.append(",".join(repr(float(v)) for v in row))
     _write(args.out, "\n".join(lines) + "\n")
     print(f"trace: {len(grid)} rows -> {args.out}")
     return 0
@@ -189,19 +193,17 @@ def cmd_frame_test(args) -> int:
 
 def cmd_sample(args) -> int:
     scaling, wavelets = _load_family(args.family)
-    hull_lo, hull_hi = _nonempty_hull(wavelets.generator_set().support_hull())
-    n = _grid_size(args.grid)
+    grid = _even_grid(wavelets.generator_set().support_hull(), _grid_size(args.grid))
     header = ["xi"] + [f"psi_hat_{i}" for i in range(len(wavelets.psis))] + ["sigma"]
     lines = [",".join(header)]
-    for i in range(n):
-        xi = hull_lo + (hull_hi - hull_lo) * Fraction(i, n)
+    for xi in grid:
         row = [repr(float(xi))]
         for psi in wavelets.psis:
             row.append(repr(float(psi.value_sq(xi)) ** 0.5))
         row.append(repr(float(wavelets.sigma.eval(xi))))
         lines.append(",".join(row))
     _write(args.out, "\n".join(lines) + "\n")
-    print(f"sample: {n} rows -> {args.out}")
+    print(f"sample: {len(grid)} rows -> {args.out}")
     return 0
 
 

@@ -94,6 +94,16 @@ def per_multiplicity(K: IntervalSet) -> FoldedMultiplicity:
     return FoldedMultiplicity(tuple(_overlay(pairs, weights)))
 
 
+def _repeated_residue(K: IntervalSet):
+    """The first residue cell (lo, hi, multiplicity) that K meets at least
+    twice mod 2, or None when K is injective mod 2 (at once when its hull is
+    no longer than 2: two of its points then differ by less than 2)."""
+    lo, hi = K.hull()
+    if hi - lo <= 2:
+        return None
+    return next((c for c in per_multiplicity(K).cells if c[2] >= 2), None)
+
+
 def layered_partition(K: IntervalSet) -> List[IntervalSet]:
     """Partition K into layers K_1..K_p, pairwise disjoint with union K, each
     injective mod 2pi, K_i congruent to {multiplicity >= i} up to measure 0.

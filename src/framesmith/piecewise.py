@@ -8,7 +8,8 @@ objects coincide with pointwise equality away from a finite breakpoint set.
 Whatever takes several functions at once (sums, differences, restriction to
 an IntervalSet, the integral of a product, square sums) runs on the one
 forward sweep over their common refinement, `refine`; only point
-evaluation looks a piece up.
+evaluation looks a piece up, and evaluation at sorted points walks the
+pieces forward once (`eval_sorted`).
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square
@@ -111,6 +112,29 @@ class PiecewiseLinear:
             if lo <= x < hi:
                 return a * x + b
         return Fraction(0)
+
+    def eval_sorted(self, xs: Sequence[Fraction]) -> List[Fraction]:
+        """eval at each of the ascending points xs, on one forward walk over
+        the pieces.  Comparisons and values are taken on the numerators and
+        (positive) denominators, so each value costs one reduced Fraction."""
+        ints = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                 a.numerator, a.denominator, b.numerator, b.denominator)
+                for lo, hi, a, b in self.pieces]
+        out: List[Fraction] = []
+        i, pn, pd = 0, None, 1
+        for x in xs:
+            xn, xd = x.numerator, x.denominator
+            if pn is not None and xn * pd < pn * xd:
+                raise ValueError(f"points not ascending: {x} after {Fraction(pn, pd)}")
+            pn, pd = xn, xd
+            while i < len(ints) and ints[i][2] * xd <= xn * ints[i][3]:
+                i += 1
+            if i < len(ints) and ints[i][0] * xd <= xn * ints[i][1]:
+                _, _, _, _, an, ad, bn, bd = ints[i]
+                out.append(Fraction(an * xn * bd + bn * ad * xd, ad * xd * bd))
+            else:
+                out.append(Fraction(0))
+        return out
 
     def eval_left(self, x) -> Fraction:
         """One-sided limit from below at x (exact)."""

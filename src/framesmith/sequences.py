@@ -11,7 +11,9 @@ from typing import Dict
 
 from .rationals import format_ratio, parse_ratio
 
-_IMAG_RE = re.compile(r"^\s*([+-]?)\s*((?:\d+(?:/\d+)?)?)\s*[ij]\s*$")
+_IMAG_RE = re.compile(r"^\s*([+-]?)\s*((?:\d+(?:/\d+)?)?)\s*[ij]\s*$", re.ASCII)
+_REAL_RE = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-].*)?$", re.ASCII)
+_INDEX_RE = re.compile(r"\s*([+-]?[0-9]+)\s*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class CRat:
             mag = parse_ratio(m.group(2)) if m.group(2) else Fraction(1)
             return CRat(Fraction(0), -mag if m.group(1) == "-" else mag)
         # split a trailing imaginary part off a leading real part
-        body = re.match(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-].*)?$", t)
+        body = _REAL_RE.match(t)
         if body:
             real = parse_ratio(body.group(1))
             if body.group(2) is None:
@@ -104,7 +106,11 @@ class Sequence:
             coeff_text, _, k_text = part.rpartition("@")
             if not coeff_text:
                 raise ValueError(f"expected coeff@index, got {part!r}")
-            k = int(k_text)
+            index = _INDEX_RE.fullmatch(k_text)
+            if not index:
+                raise ValueError(f"index must be an integer in ASCII digits, "
+                                 f"got {part!r}")
+            k = int(index.group(1))
             c = CRat.parse(coeff_text)
             entries[k] = entries.get(k, CRAT_ZERO) + c
         return Sequence(entries)

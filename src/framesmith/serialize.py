@@ -2,7 +2,8 @@
 
 Rationals are serialized as "num/den" strings (pi units) so no float ever
 contaminates an exact value; canonical dumps are sorted and newline-terminated
-so identical objects produce byte-identical files.  Loading a family checks
+so identical objects produce byte-identical files.  Every JSON input is
+refused when one object names a key twice.  Loading a family checks
 its structural premises (`validate`: each profile inside its window or layer,
 every layer injective mod 2, squares >= 0) and refuses a file that breaks
 one, naming it.  The paper's equations between the squares and sigma are
@@ -181,7 +182,17 @@ def digest_of(obj) -> str:
 
 
 def loads_json(text: str, where: str = "input"):
+    """Parse JSON text, refusing an object that names one key twice (plain
+    `json.loads` would keep the last value and drop the others unseen)."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{where}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ParseError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None

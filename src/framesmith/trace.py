@@ -9,6 +9,15 @@ tau_{V,T} = trace(T G).  The traces, the NTF generator test and the series
 identity all read G from `gram_row`, as exact SqrtSums compared through
 outward-rounded intervals.
 
+The `trace` CSV needs no fiber: its premise is that every profile's support
+meets each residue class mod 2 at most once (as in every family the loader
+accepts), so each fiber holds one entry and G(xi) is diagonal,
+G[k, k] = S(xi + 2k) with S = sum_phi |phi_hat|^2.  Its columns are then the
+piecewise-linear S, the periodization sum_k S(. + 2k) (the dimension
+function) and tau_{V,f} = sum_{k in supp f} |f(k)|^2 S(. + 2k), built once
+and read on one forward walk over the sorted grid (`diagonal_traces`, which
+raises ValueError when the premise fails).
+
 The dilated space D_a V is handled through its genuine generator set: the
 |a| fractionally-translated dilates of each generator, whose Fourier
 transforms carry unit phases e^{-i d xi / a}.  Those traces are enclosed with
@@ -21,14 +30,15 @@ point's dilated trace is enclosed once, by the coset-sum check.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
-from .folding import _shifts
+from .folding import _repeated_residue, _shifts
 from .numeric import DEFAULT_BITS, CInterval, FInterval
-from .piecewise import GeneratorSet, SqrtProfile
+from .piecewise import GeneratorSet, SqrtProfile, _square_sum, _sum
 from .rationals import as_fraction
 from .roots import SqrtSum, _zero_status
 from .sequences import CRat, Sequence, coset_op_adj
@@ -90,14 +100,35 @@ def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> SqrtSum:
     return total
 
 
-def spectral_function(gen: GeneratorSet, xi) -> Fraction:
-    """tau at delta_0: sum_phi |phi_hat(xi)|^2 (always rational)."""
-    return sum((p.value_sq(xi) for p in gen.profiles), Fraction(0))
+def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
+                    ) -> Tuple[List[Fraction], List[Fraction], List[Fraction]]:
+    """The columns of the trace CSV at the ascending grid points, exact: the
+    spectral function sum_phi |phi_hat|^2, the dimension function (the trace
+    of G) and tau_{V,f}.
 
-
-def dimension_function(gen: GeneratorSet, xi) -> Fraction:
-    """Trace of the fiber Gramian: sum_phi ||T_per phi(xi)||^2."""
-    return sum(gram_diagonal(_fibers(gen, xi)).values(), Fraction(0))
+    Premise: every profile's support meets each residue class mod 2 at most
+    once, so each fiber holds a single entry and G(xi) is diagonal with
+    G[k, k] = S(xi + 2k), S = sum_phi |phi_hat|^2.  The three columns are then
+    S, the periodization sum_k S(. + 2k) and sum_{k in supp f} |f(k)|^2
+    S(. + 2k), piecewise linear, each read on one forward walk over the grid.
+    A profile that repeats a residue raises ValueError naming it."""
+    for i, p in enumerate(gen.profiles):
+        cell = _repeated_residue(p.support())
+        if cell is not None:
+            raise ValueError(f"profile {i} meets the residue cell [{cell[0]}, "
+                             f"{cell[1]}) {cell[2]} times mod 2; the trace CSV "
+                             f"needs supports injective mod 2")
+    square = _square_sum(gen.profiles)
+    ks = range(0)
+    if grid and square.pieces:
+        # the k with S(xi + 2k) != 0 for some xi in [grid[0], grid[-1]]
+        ks = range(math.ceil((square.pieces[0][0] - grid[-1]) / 2),
+                   math.ceil((square.pieces[-1][1] - grid[0]) / 2))
+    periodized = _sum([square.compose_shift(2 * k) for k in ks])
+    weighted = _sum([square.compose_shift(2 * k).scale_value(v.abs2())
+                     for k, v in f.entries.items()])
+    return (square.eval_sorted(grid), periodized.eval_sorted(grid),
+            weighted.eval_sorted(grid))
 
 
 # -- finite positive operators ---------------------------------------------
@@ -419,29 +450,39 @@ def default_grid(breakpoints: Seq[Fraction], hull: Tuple[Fraction, Fraction],
                  n_random: int = 97, seed: int = GRID_SEED,
                  exclude: Iterable[Fraction] = ()) -> List[Fraction]:
     """Midpoints of every breakpoint gap plus seeded pseudo-random rationals
-    in the hull; 0 and all breakpoints are excluded (measure-zero points)."""
-    pts = sorted(set(breakpoints))
-    banned = set(pts) | {Fraction(0)} | {as_fraction(e) for e in exclude}
-    grid: list[Fraction] = []
-    for lo, hi in zip(pts, pts[1:]):
-        mid = (lo + hi) / 2
-        if mid not in banned:
-            grid.append(mid)
-    lo, hi = _nonempty_hull(hull)
+    in the hull; 0 and all breakpoints are excluded (measure-zero points).
+
+    Every value is an integer over one denominator: D, the lcm of the
+    breakpoint, hull and excluded denominators times 2 * _GRID_DEN, makes
+    each midpoint and each draw lo + span * r / _GRID_DEN one as well."""
+    lo, hi = (as_fraction(x) for x in _nonempty_hull(hull))
+    breaks = [as_fraction(x) for x in breakpoints]
+    excluded = [as_fraction(x) for x in exclude]
+    den = math.lcm(lo.denominator, hi.denominator,
+                   *(x.denominator for x in breaks + excluded)) * 2 * _GRID_DEN
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    pts = sorted({scaled(x) for x in breaks})
+    banned = set(pts) | {0} | {scaled(x) for x in excluded}
+    grid = [mid for mid in ((p + q) // 2 for p, q in zip(pts, pts[1:]))
+            if mid not in banned]
+    lo_n = scaled(lo)
+    step = (scaled(hi) - lo_n) // _GRID_DEN
     rng = random.Random(seed)
-    span = hi - lo
     taken = banned | set(grid)
     tries = 0
     added = 0
     while added < n_random and tries < 50 * n_random:
         tries += 1
-        q = lo + span * Fraction(rng.randrange(1, _GRID_DEN), _GRID_DEN)
+        q = lo_n + step * rng.randrange(1, _GRID_DEN)
         if q in taken:
             continue
         taken.add(q)
         grid.append(q)
         added += 1
-    return sorted(set(grid))
+    return [Fraction(q, den) for q in sorted(grid)]
 
 
 def grid_of_size(hull: Tuple[Fraction, Fraction], n: int,

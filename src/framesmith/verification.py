@@ -26,11 +26,15 @@ The grid serves the norm sum alone: when the wavelet square sum equals the
 gain sigma(./a) - sigma, the partial scale sum telescopes to its two end
 terms, values of sigma.  (The loop over the scales would count a jump of
 sigma on the orbit at a < 0, where `compose_scale` moves the piece ends: a
-measure-zero set.)  Everything else holds for all xi: dilation monotonicity
-is an exact piecewise-linear inequality, outward decay follows from the
-support hull, and the shifted splits and shifted orthogonality from
-supports that meet each residue class mod 2 at most once, whose fibers
-hold a single entry, so every cross term vanishes identically.
+measure-zero set.)  The grid loop is exact integer arithmetic: the depths J
+and Jout come from ceilings taken on the numerators and one table of the
+powers of |a|, and xi / a^(J+1), xi a^Jout and the tail bound are each one
+Fraction of integers, equal to the Fraction-power forms.  Everything else
+holds for all xi: dilation monotonicity is an exact piecewise-linear
+inequality, outward decay follows from the support hull, and the shifted
+splits and shifted orthogonality from supports that meet each residue class
+mod 2 at most once, whose fibers hold a single entry, so every cross term
+vanishes identically.
 
 The wavelet-set tiling and the scale gaps of semi-orthogonality are read
 off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
@@ -38,6 +42,7 @@ off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -46,7 +51,7 @@ from typing import Dict, Iterable, List, Sequence as Seq
 
 from .construction import (Check, ScalingFamily, SpectralSpec, VerificationReport,
                            WaveletFamily, admissibility_check, require_dilation)
-from .folding import fold_dilation, per_multiplicity
+from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
 from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
                         integrate_product)
@@ -58,24 +63,29 @@ SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
 _EMPTY_GRID = "the grid holds no point other than 0, so nothing was checked"
 
 
-def _first_power(base: int, bound: Fraction) -> int:
-    """The least n >= 0 with base**n >= bound, for an integer base >= 2."""
-    target = -(-bound.numerator // bound.denominator)
-    n, power = 0, 1
-    while power < target:
-        n, power = n + 1, power * base
-    return n
+class _Powers:
+    """The powers |a|^n, n >= 0, of one dilation a, tabled as they are
+    needed."""
 
+    def __init__(self, a: int):
+        self.a = a
+        self.base = abs(a)
+        self.table = [1]
 
-def _exit_index(xi: Fraction, a: int, radius: Fraction) -> int:
-    """The least j >= 0 with |a^j xi| > radius, for xi != 0."""
-    return _first_power(abs(a), Fraction(radius // abs(xi) + 1))
+    def __getitem__(self, n: int) -> int:
+        while len(self.table) <= n:
+            self.table.append(self.table[-1] * self.base)
+        return self.table[n]
 
+    def first(self, target: int) -> int:
+        """The least n >= 0 with |a|^n >= target."""
+        while self.table[-1] < target:
+            self.table.append(self.table[-1] * self.base)
+        return bisect.bisect_left(self.table, target)
 
-def _repeated_residue(support: IntervalSet):
-    """The first residue cell (lo, hi, multiplicity) that the set meets at
-    least twice mod 2, or None when it is injective mod 2."""
-    return next((c for c in per_multiplicity(support).cells if c[2] >= 2), None)
+    def signed(self, n: int) -> int:
+        """a^n itself."""
+        return self[n] if self.a > 0 or n % 2 == 0 else -self[n]
 
 
 def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
@@ -162,6 +172,10 @@ def _ntf_report(family: WaveletFamily, square_sum: PiecewiseLinear,
     radius = max(abs(lo), abs(hi), Fraction(1))
 
     scale = Fraction(a)
+    powers = _Powers(a)
+    c_num, c_den = clearance.numerator, clearance.denominator
+    s_num, s_den = slope.numerator, slope.denominator
+    t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
     worst_tail = Fraction(0)
     failures = checked = 0
     for xi in grid:
@@ -169,18 +183,23 @@ def _ntf_report(family: WaveletFamily, square_sum: PiecewiseLinear,
         if xi == 0:
             continue
         checked += 1
+        n, d = xi.numerator, xi.denominator
+        size = abs(n)  # |xi| = size / d
         # inward depth J: a^{-J-1} xi strictly inside the 0-clearance, where
-        # sigma is 1 + alpha x on each side, and the tail below the target
-        depth = max(abs(xi) // clearance + 1, slope * abs(xi) / TAIL_TARGET)
-        J = max(_first_power(abs(a), depth) - 1, 0)
-        Jout = _exit_index(xi, a, radius)
+        # sigma is 1 + alpha x on each side, and the tail below the target;
+        # |a|^(J+1) >= max(|xi| // clearance + 1, slope |xi| / TAIL_TARGET)
+        near = size * c_den // (d * c_num) + 1
+        far = -(-size * s_num * t_den // (d * s_den * t_num))
+        J = max(powers.first(max(near, far)) - 1, 0)
+        # outward depth Jout: the least j >= 0 with |a^j xi| > radius
+        Jout = powers.first(radius.numerator * d // (radius.denominator * size) + 1)
         if telescopes:
-            partial = (sigma.eval(xi / scale ** (J + 1))
-                       - sigma.eval(xi * scale ** Jout))
+            partial = (sigma.eval(Fraction(n, d * powers.signed(J + 1)))
+                       - sigma.eval(Fraction(n * powers.signed(Jout), d)))
         else:
             partial = sum((square_sum.eval(xi * scale ** j)
                            for j in range(-J, Jout + 1)), Fraction(0))
-        tail = slope * abs(xi) / abs(a) ** (J + 1)
+        tail = Fraction(s_num * size, s_den * d * powers[J + 1])
         worst_tail = max(worst_tail, tail)
         if abs(1 - partial) > tail:
             failures += 1

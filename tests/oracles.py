@@ -12,6 +12,13 @@ The library reads them all from one fiber-Gramian row and computes each
 value once; its results must be equal to these, down to each SqrtSum term
 and Fraction endpoint.
 
+Trace CSV: the spectral and dimension functions point by point, from the
+profile values and the fibers, which the CSV reads off the diagonal Gramian
+on one walk over the grid.
+
+Grid and norm sum: the verification grid and the norm-sum loop on
+Fractions, which the library runs on integers over common denominators.
+
 Translation fold: the chunk-by-chunk overlay, one cell per window a piece
 meets, that `per_multiplicity` replaces by one weighted pair for the full
 windows inside each piece, and the boundary-by-chunk loop that
@@ -35,20 +42,23 @@ scales sit well inside those ranges.
 
 import bisect
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from framesmith.construction import SeedClassification, require_dilation
+from framesmith.construction import Check, SeedClassification, require_dilation
 from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
-from framesmith.piecewise import PiecewiseLinear, _linear_product
+from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum
 from framesmith.quadrature import _closed_cell
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum, _zero_status
 from framesmith.sequences import Sequence
-from framesmith.trace import ALPHAS, GeneratorTestRow, fiber
+from framesmith.trace import (ALPHAS, GRID_SEED, _GRID_DEN, GeneratorTestRow,
+                              _nonempty_hull, fiber, gram_diagonal)
+from framesmith.verification import _EMPTY_GRID, TAIL_TARGET
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
 # a square-root singularity; geometric grading toward a vanishing radicand
@@ -121,6 +131,18 @@ def gl_reference(factors, c: float) -> complex:
             total += np.sum(0.5 * (b - a) * ws * _values(factors, nodes)
                             * np.exp(1j * c * nodes))
     return total
+
+
+def spectral_function(gen, xi) -> Fraction:
+    """tau at delta_0: sum_phi |phi_hat(xi)|^2, one profile value at a time."""
+    return sum((p.value_sq(xi) for p in gen.profiles), Fraction(0))
+
+
+def dimension_function(gen, xi) -> Fraction:
+    """Trace of the fiber Gramian: sum_phi ||T_per phi(xi)||^2, from the
+    fibers, for any generator set."""
+    return sum(gram_diagonal([fiber(p, xi) for p in gen.profiles]).values(),
+               Fraction(0))
 
 
 def fiber_inner_abs2(f, fib) -> SqrtSum:
@@ -228,6 +250,92 @@ def ntf_generator_test_direct(gen, reference, grid, bits=DEFAULT_BITS):
                 rows.append(GeneratorTestRow(
                     xi, l, alpha, _zero_status(diff, bits),
                     abs(float(diff.enclosure(bits).mid()))))
+    return rows
+
+
+# -- grid and norm sum over Fractions --------------------------------------------
+
+
+def default_grid_fractions(breakpoints, hull, n_random=97, seed=GRID_SEED,
+                           exclude=()):
+    """The verification grid with every midpoint, draw and set test on
+    Fractions."""
+    pts = sorted(set(breakpoints))
+    banned = set(pts) | {Fraction(0)} | {as_fraction(e) for e in exclude}
+    grid = []
+    for lo, hi in zip(pts, pts[1:]):
+        mid = (lo + hi) / 2
+        if mid not in banned:
+            grid.append(mid)
+    lo, hi = _nonempty_hull(hull)
+    rng = random.Random(seed)
+    span = hi - lo
+    taken = banned | set(grid)
+    tries = added = 0
+    while added < n_random and tries < 50 * n_random:
+        tries += 1
+        q = lo + span * Fraction(rng.randrange(1, _GRID_DEN), _GRID_DEN)
+        if q in taken:
+            continue
+        taken.add(q)
+        grid.append(q)
+        added += 1
+    return sorted(set(grid))
+
+
+def _first_power(base, bound) -> int:
+    """The least n >= 0 with base**n >= bound, by repeated multiplication."""
+    target = -(-bound.numerator // bound.denominator)
+    n, power = 0, 1
+    while power < target:
+        n, power = n + 1, power * base
+    return n
+
+
+def norm_sum_oracle(family, grid, telescopes) -> list:
+    """The norm_sum rows of `check_ntf_multiwavelet`, with J, Jout, the
+    sigma arguments and the tail on Fractions and Fraction powers."""
+    a, sigma = family.dilation, family.sigma
+    nbhd = sigma.zero_neighborhood()
+    if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
+        return [Check("norm_sum", "fail", {"xi": Fraction(0)},
+                      detail="sigma does not tend to 1 at 0")]
+    _, _, clearance, slope = nbhd
+    square_sum = _square_sum(family.psis)
+    lo, hi = family.generator_set().support_hull()
+    radius = max(abs(lo), abs(hi), Fraction(1))
+    scale = Fraction(a)
+    rows, worst_tail, failures, checked = [], Fraction(0), 0, 0
+    for xi in grid:
+        xi = as_fraction(xi)
+        if xi == 0:
+            continue
+        checked += 1
+        depth = max(abs(xi) // clearance + 1, slope * abs(xi) / TAIL_TARGET)
+        J = max(_first_power(abs(a), depth) - 1, 0)
+        Jout = _first_power(abs(a), Fraction(radius // abs(xi) + 1))
+        if telescopes:
+            partial = (sigma.eval(xi / scale ** (J + 1))
+                       - sigma.eval(xi * scale ** Jout))
+        else:
+            partial = sum((square_sum.eval(xi * scale ** j)
+                           for j in range(-J, Jout + 1)), Fraction(0))
+        tail = slope * abs(xi) / abs(a) ** (J + 1)
+        worst_tail = max(worst_tail, tail)
+        if abs(1 - partial) > tail:
+            failures += 1
+            if failures <= 3:
+                rows.append(Check("norm_sum", "fail",
+                                  {"xi": xi, "partial_sum": partial,
+                                   "allowed_tail": tail}))
+    if checked == 0:
+        rows.append(Check("norm_sum", "uncertain", detail=_EMPTY_GRID))
+    elif failures == 0:
+        rows.append(Check("norm_sum", "pass", tail_bound=worst_tail,
+                          detail="all grid points within the certified tail"))
+    elif failures > 3:
+        rows.append(Check("norm_sum", "fail",
+                          detail=f"{failures} grid points outside the tail bound"))
     return rows
 
 

@@ -200,6 +200,95 @@ class TestValidationRefusal:
         assert not (tmp_path / "o.json").exists()
 
 
+class TestStrictInput:
+    """Input that used to load as something other than what it says."""
+
+    @pytest.mark.parametrize("halved_first", [True, False],
+                             ids=["halved_first", "halved_last"])
+    def test_duplicate_phis_key_exits_2(self, family_file, tmp_path, capsys,
+                                        halved_first):
+        # plain json.loads kept the last "0": halved first, the file loaded
+        # the real profile and passed density; halved last, the halved one
+        obj = loads_json(family_file.read_text())
+        real = obj["phis"]["0"]
+        halved = json.loads(json.dumps(real))
+        _scale_square(halved, F(1, 2))
+        entries = (halved, real) if halved_first else (real, halved)
+        obj["phis"] = {}
+        text = dumps_canonical(obj).replace('"phis": {}', '"phis": {' + ", ".join(
+            f'"0": {json.dumps(e)}' for e in entries) + "}")
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run("check", "--family", path, "--suite", "density") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "duplicate key '0'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("construct", '{"sigma": [{"piece": ["-1", "1"], "beta": "1"}], '
+                      '"dilation": 2, "dilation": 3}', "dilation"),
+        ("construct", '{"sigma": [{"piece": ["-1", "1"], "beta": "1", "beta": "1/2"}]}',
+         "beta"),
+        ("check-waveletset", '{"E": [["1", "2"]], "E": [["-2", "-1"]]}', "E"),
+    ], ids=["sigma_dilation", "sigma_piece_beta", "sets_object"])
+    def test_duplicate_key_in_sigma_or_sets_file_exits_2(self, tmp_path, capsys,
+                                                         command, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = ["construct", "--sigma", path, "--out", tmp_path / "o.json"] \
+            if command == "construct" else [command, "--E", path]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"parse error: {path}: duplicate key {key!r}" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("f_text,shown", [
+        ("1@1_0", "'1@1_0'"),                  # used to read index 10
+        ("1@\u0663", "'1@\u0663'"),            # Arabic-Indic three, used to read 3
+        ("1@0,2@-\u0663", "'2@-\u0663'"),
+        ("\u0661/\u0662@0", "'\u0661/\u0662'"),  # used to read 1/2
+        ("\u0661i@1", "'\u0661i'"),
+    ], ids=["underscore_index", "arabic_index", "negative_arabic_index",
+            "arabic_ratio_coeff", "arabic_imaginary_coeff"])
+    def test_non_ascii_numeral_in_sequence_exits_2(self, family_file, tmp_path,
+                                                   capsys, f_text, shown):
+        csv = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run("trace", "--family", family_file, "--f", f_text,
+                   "--out", csv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+        assert "Traceback" not in err
+        assert not csv.exists()
+
+    def test_ascii_index_with_sign_and_spaces_still_parses(self, family_file,
+                                                           tmp_path):
+        one, other = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("trace", "--family", family_file, "--f", "1@ +1 ,i@-2",
+                   "--grid", 8, "--out", one) == 0
+        assert run("trace", "--family", family_file, "--f", "1@1,i@-2",
+                   "--grid", 8, "--out", other) == 0
+        assert one.read_bytes() == other.read_bytes()
+
+    @pytest.mark.parametrize("mutate,where,text", [
+        (lambda o: o["phis"]["0"]["domain"][0].__setitem__(1, "\u0661/\u0662"),
+         "family.phis[0].domain[0].hi", "'\u0661/\u0662'"),
+        (lambda o: o["sigma"][0].update(alpha="\uff12"), "family.sigma[0].alpha",
+         "'\uff12'"),
+    ], ids=["arabic_ratio", "fullwidth_digit"])
+    def test_non_ascii_numeral_in_family_file_exits_2(self, family_file, tmp_path,
+                                                      capsys, mutate, where, text):
+        # each used to load as the ASCII value
+        path = _tampered(family_file, tmp_path, mutate)
+        capsys.readouterr()
+        assert run("check", "--family", path) == 2
+        err = capsys.readouterr().err
+        assert f"parse error: {where}: not a rational: {text}" in err
+        assert "Traceback" not in err
+
+
 class TestPaperEquations:
     """Files that keep the premises but break an equation reach check."""
 

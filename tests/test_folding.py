@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
 
-from framesmith.folding import fold_chunks, layered_partition, per_multiplicity
+from framesmith.folding import (_repeated_residue, fold_chunks, layered_partition,
+                               per_multiplicity)
 from framesmith.intervals import IntervalSet, union_all
 
 from oracles import per_multiplicity_chunks
@@ -112,3 +113,17 @@ def test_long_piece_folds_without_walking_its_windows():
     m = per_multiplicity(IntervalSet.of((1, 2 ** 40)))
     assert m.cells == ((F(-1), F(0), 2 ** 39), (F(0), F(1), 2 ** 39 - 1))
     assert m.integral() == 2 ** 40 - 1
+
+
+def test_repeated_residue_matches_the_fold():
+    # a hull no longer than 2 answers at once; the fold decides the rest
+    rng = random.Random(31)
+    for _ in range(300):
+        start = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 8)))
+        ends = sorted({start + F(rng.randint(0, 36), 12) for _ in range(rng.randint(2, 6))})
+        K = IntervalSet.of(*zip(ends[::2], ends[1::2]))
+        expected = next((c for c in per_multiplicity(K).cells if c[2] >= 2), None)
+        assert _repeated_residue(K) == expected
+    assert _repeated_residue(IntervalSet.of((-1, 1))) is None
+    assert _repeated_residue(IntervalSet.of((-1, F(1, 2)), (F(3, 4), F(11, 10)))) \
+        == (F(-1), F(-9, 10), 2)

@@ -12,13 +12,14 @@ from framesmith.roots import SqrtSum
 from framesmith.sequences import CRat, Sequence, coset_op, coset_op_adj
 from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               dilated_trace, dilation_coset_sum,
-                              dilation_trace_check, dimension_function, fiber,
-                              gram_row, grid_of_size, ntf_generator_test, operator_trace,
+                              dilation_trace_check, fiber, gram_row,
+                              grid_of_size, ntf_generator_test, operator_trace,
                               restricted_trace, series_identity_check,
-                              spectral_function, trace_split_check)
+                              trace_split_check)
 
-from oracles import (dilated_trace_direct, ntf_generator_test_direct,
-                     operator_trace_direct, pair_sum, restricted_trace_direct)
+from oracles import (dilated_trace_direct, dimension_function,
+                     ntf_generator_test_direct, operator_trace_direct, pair_sum,
+                     restricted_trace_direct, spectral_function)
 
 TWO_POW_40 = F(1, 2 ** 40)
 DILATIONS = (2, -2, 3, -3, 4)

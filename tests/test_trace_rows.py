@@ -1,0 +1,267 @@
+"""The exact-integer paths of certify against their per-point oracles: the
+trace CSV read off the diagonal Gramian, the integer verification grid and
+the integer norm-sum loop."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from framesmith.cli import main
+from framesmith.construction import (SpectralSpec, build_family, example_by_name,
+                                     random_admissible_spec)
+from framesmith.intervals import IntervalSet
+from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
+from framesmith.sequences import Sequence
+from framesmith.serialize import (digest_of, dumps_canonical, family_from_jsonable,
+                                  family_to_jsonable, loads_json)
+from framesmith.trace import default_grid, diagonal_traces, restricted_trace
+from framesmith.verification import (TAIL_TARGET, _Powers, check_ntf_multiwavelet,
+                                     family_grid)
+
+from oracles import (default_grid_fractions, dimension_function, norm_sum_oracle,
+                     spectral_function)
+
+DILATIONS = (2, 3, -2, -3, 4)
+BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+# journe is not admissible at |a| = 3
+ADMISSIBLE = [(n, a) for n in BUILTINS for a in DILATIONS
+              if not (n == "journe" and abs(a) == 3)]
+# complex, repeated and far indices
+SEQUENCES = ("1@0", "1@0,i@1,-1/2@-1", "3@5,-2@-7", "1/2@-1,-i@2,1@2,1/2-i@-1")
+RANDOM = [(seed, (2, 3, -2, -3, 4)[seed % 5]) for seed in range(10)]
+
+
+def _random_spec(seed, a):
+    return random_admissible_spec(random.Random(seed), a)
+
+
+def _family_file(tmp_path, spec, partition):
+    scaling, wavelets = build_family(spec, partition=partition)
+    path = tmp_path / f"fam-{partition}.json"
+    path.write_text(dumps_canonical(family_to_jsonable(scaling, wavelets,
+                                                       digest_of("test"))))
+    return path
+
+
+def _fraction_family_grid(*gens, seed=0x5EED):
+    """`family_grid` from the Fraction loop."""
+    breaks = sorted({x for g in gens for x in g.breakpoints()})
+    ends = [x for g in gens for x in g.support_hull()]
+    return default_grid_fractions(breaks, (min(ends), max(ends)), seed=seed)
+
+
+def _oracle_lines(path, f_text, grid_arg):
+    """The CSV rows from the per-point oracles, on the grid built with
+    Fraction arithmetic."""
+    scaling, wavelets = family_from_jsonable(loads_json(path.read_text()))
+    gen = scaling.generator_set()
+    if grid_arg == "auto":
+        grid = _fraction_family_grid(gen, wavelets.generator_set())
+    else:
+        n = int(grid_arg)
+        lo, hi = gen.support_hull()
+        grid = [lo + (hi - lo) * F(i, n) for i in range(n)]
+    f = Sequence.parse(f_text)
+    lines = ["xi,spectral,dim,tau_f"]
+    for xi in grid:
+        tau = restricted_trace(gen, f, xi).enclosure().mid()
+        lines.append(",".join(repr(float(v)) for v in (
+            xi, spectral_function(gen, xi), dimension_function(gen, xi), tau)))
+    return lines
+
+
+def _assert_csv_matches(tmp_path, spec, partition, cases):
+    path = _family_file(tmp_path, spec, partition)
+    csv = tmp_path / "trace.csv"
+    for f_text, grid_arg in cases:
+        assert main(["trace", "--family", str(path), "--f", f_text,
+                     "--grid", grid_arg, "--out", str(csv)]) == 0
+        assert csv.read_text().splitlines() == _oracle_lines(path, f_text, grid_arg)
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("partition", ("greedy", "windows"))
+    @pytest.mark.parametrize("name,a", ADMISSIBLE)
+    def test_builtins_match_the_oracles(self, tmp_path, name, a, partition):
+        spec = SpectralSpec(example_by_name(name).sigma, a)
+        # 16 points hit 0 and the breakpoints at multiples of 1/8 of the hull
+        grids = ("auto", "16") if partition == "greedy" else ("37", "16")
+        cases = [(SEQUENCES[(i + len(name) + a) % len(SEQUENCES)], g)
+                 for i, g in enumerate(grids)]
+        _assert_csv_matches(tmp_path, spec, partition, cases)
+
+    @pytest.mark.parametrize("seed,a", RANDOM)
+    def test_random_specs_match_the_oracles(self, tmp_path, seed, a):
+        partition = ("greedy", "windows")[seed % 2]
+        cases = [(SEQUENCES[seed % len(SEQUENCES)], "auto"),
+                 (SEQUENCES[(seed + 1) % len(SEQUENCES)], "29")]
+        _assert_csv_matches(tmp_path, _random_spec(seed, a), partition, cases)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_columns_are_exact(self, name):
+        # the grid ends at 3, an even distance from shannon's support end -1
+        scaling, _ = build_family(example_by_name(name))
+        gen = scaling.generator_set()
+        grid = [F(i, 8) for i in range(-24, 25)]
+        f = Sequence.parse("1@0,i@1,-1/2@-1,3@5,1@-2")
+        spectral, dim, tau = diagonal_traces(gen, f, grid)
+        assert spectral == [spectral_function(gen, xi) for xi in grid]
+        assert dim == [dimension_function(gen, xi) for xi in grid]
+        assert tau == [restricted_trace(gen, f, xi).rational_value() for xi in grid]
+
+    @pytest.mark.parametrize("profile", [
+        SqrtProfile.indicator(IntervalSet.of((-1, 3))),
+        SqrtProfile.from_square(build_family(example_by_name("pwl:a=3/4,b=5/4"))[1].gain()),
+    ], ids=["indicator_-1_3", "sqrt_gain"])
+    def test_non_injective_profile_raises(self, profile):
+        gen = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 1))), profile))
+        with pytest.raises(ValueError, match="profile 1 meets the residue cell"):
+            diagonal_traces(gen, Sequence.parse("1@0"), [F(1, 2)])
+
+    def test_unsorted_grid_raises(self):
+        gen = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 1))),))
+        with pytest.raises(ValueError, match="not ascending"):
+            diagonal_traces(gen, Sequence.parse("1@0"), [F(1, 2), F(1, 3)])
+
+
+class TestEvalSorted:
+    def test_matches_eval_at_breakpoints_and_between(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            f = _random_spec(rng.randrange(1000), 2).sigma.compose_shift(
+                F(rng.randint(-8, 8), 3))
+            cuts = f.breakpoints()
+            xs = sorted(set(cuts + [(p + q) / 2 for p, q in zip(cuts, cuts[1:])]
+                            + [F(rng.randint(-400, 400), 60) for _ in range(30)]
+                            + [F(0), cuts[0] - 1, cuts[-1] + 1]))
+            assert f.eval_sorted(xs) == [f.eval(x) for x in xs]
+
+    def test_repeated_points_and_ints(self):
+        f = PiecewiseLinear.of((-1, 0, 1, 1), (0, 2, -1, 1))
+        xs = [-2, -1, -1, F(-1, 2), 0, 0, 1, 2, 3]
+        assert f.eval_sorted(xs) == [f.eval(x) for x in xs]
+        assert PiecewiseLinear.zero().eval_sorted(xs) == [0] * len(xs)
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("seed", (0x5EED, 1, 2, 3, 77))
+    def test_matches_the_fraction_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            breaks = [F(rng.randint(-300, 300), rng.choice((1, 2, 3, 7, 9, 16, 27)))
+                      for _ in range(rng.randint(0, 30))]
+            lo = F(rng.randint(-40, 0), rng.choice((1, 3, 4, 5)))
+            hull = (lo, lo + F(rng.randint(0, 40), rng.choice((1, 2, 7))))
+            # breakpoints, gap midpoints and the first draws of the seed
+            pts = sorted(set(breaks))
+            first = random.Random(seed)
+            exclude = rng.sample(breaks, min(3, len(breaks))) + \
+                [(p + q) / 2 for p, q in zip(pts[:3], pts[1:4])] + \
+                [hull[0] + (hull[1] - hull[0]) * F(first.randrange(1, 5040), 5040)
+                 for _ in range(3)] + [F(rng.randint(-50, 50), 11)]
+            n = rng.choice((0, 5, 97, 400))
+            got = default_grid(breaks, hull, n_random=n, seed=seed, exclude=exclude)
+            assert got == default_grid_fractions(breaks, hull, n_random=n, seed=seed,
+                                                 exclude=exclude)
+
+    def test_family_grids_match(self):
+        for name, a in ADMISSIBLE:
+            scaling, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+            gens = (scaling.generator_set(), wavelets.generator_set())
+            for seed in (0x5EED, 2):
+                assert family_grid(*gens, seed=seed) == \
+                    _fraction_family_grid(*gens, seed=seed)
+
+
+def _scaled_psis(wavelets, c):
+    return replace(wavelets, psis=tuple(p.scale_amplitude_sq(c) for p in wavelets.psis))
+
+
+class TestNormSum:
+    def _assert_same(self, wavelets, grid):
+        report = check_ntf_multiwavelet(wavelets, grid=grid)
+        rows = {c.name: c for c in report.checks}
+        telescopes = rows["scale_sum_telescopes"].status == "pass"
+        got = [c for c in report.checks if c.name == "norm_sum"]
+        assert got == norm_sum_oracle(wavelets, grid, telescopes)
+        return got
+
+    @pytest.mark.parametrize("name,a", ADMISSIBLE)
+    def test_builtins_match_the_fraction_loop(self, name, a):
+        scaling, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        assert [c.status for c in self._assert_same(wavelets, grid)] == ["pass"]
+
+    @pytest.mark.parametrize("seed,a", RANDOM)
+    def test_random_specs_match_the_fraction_loop(self, seed, a):
+        _, wavelets = build_family(_random_spec(seed, a))
+        for grid_seed in (0x5EED, seed):
+            self._assert_same(wavelets, family_grid(wavelets.generator_set(),
+                                                    seed=grid_seed))
+
+    @pytest.mark.parametrize("c", (F(1, 2), 10), ids=["halved", "x10"])
+    @pytest.mark.parametrize("name,a", [("shannon", -2), ("pwl:a=3/4,b=5/4", 3),
+                                        ("journe", 2)])
+    def test_non_telescoping_fails_match(self, name, a, c):
+        _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        tampered = _scaled_psis(wavelets, c)
+        got = self._assert_same(tampered, family_grid(tampered.generator_set()))
+        assert got[0].status == "fail" and "partial_sum" in got[0].witness
+
+    def _judged_by_shannon(self, pieces):
+        """The wavelets of the sigma `pieces` at a = 2 judged against
+        shannon's sigma, whose gain their squares do not telescope to."""
+        _, wavelets = build_family(SpectralSpec(PiecewiseLinear.of(*pieces), 2))
+        mixed = replace(wavelets, sigma=example_by_name("shannon").sigma)
+        return self._assert_same(mixed, family_grid(mixed.generator_set()))
+
+    def test_non_telescoping_pass_matches(self):
+        # 1 on shannon's support and 1/2 beyond it: the scale sum is still 1
+        got = self._judged_by_shannon([(-2, -1, 0, "1/2"), (-1, 1, 0, 1),
+                                       (1, 2, 0, "1/2")])
+        assert [c.status for c in got] == ["pass"]
+
+    def test_halved_sigma_fails_match(self):
+        # halved on shannon's support away from 0: a^(-J-1) xi lands there
+        got = self._judged_by_shannon([(-1, "-1/2", 0, "1/2"), ("-1/2", "1/2", 0, 1),
+                                       ("1/2", 1, 0, "1/2")])
+        assert [c.status for c in got] == ["fail"] * 4
+        assert got[0].witness["partial_sum"] == F(1, 2)
+        # halved at 0 it stops before the loop, with the same row
+        _, wavelets = build_family(example_by_name("shannon"))
+        half = replace(wavelets, sigma=wavelets.sigma.scale_value(F(1, 2)))
+        got = self._assert_same(half, family_grid(half.generator_set()))
+        assert got[0].witness == {"xi": F(0)}
+
+    @pytest.mark.parametrize("name,a", [("shannon", 2), ("journe", -2),
+                                        ("pwl:a=1/2,b=1/2", 3),
+                                        ("pwl:a=3/4,b=5/4", -3)])
+    def test_depth_boundaries_match(self, name, a):
+        # points where |xi| / clearance, slope |xi| / TAIL_TARGET or
+        # radius / |xi| sits on, just under or just over a power of |a|
+        _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        _, _, clearance, slope = wavelets.sigma.zero_neighborhood()
+        lo, hi = wavelets.generator_set().support_hull()
+        radius = max(abs(lo), abs(hi), F(1))
+        grid = set()
+        for n in range(40):
+            for q in (abs(a) ** n - F(1, 3), F(abs(a) ** n), abs(a) ** n + F(1, 3)):
+                points = [q * clearance, radius / q]
+                if slope:
+                    points.append(q * TAIL_TARGET / slope)
+                grid.update(s * x for x in points if x <= 2 * radius for s in (1, -1))
+        for c in (1, F(1, 2), 10):
+            self._assert_same(_scaled_psis(wavelets, c), sorted(grid))
+
+    def test_signed_powers(self):
+        for a in (2, -2, 3, -3, 4):
+            powers = _Powers(a)
+            assert [powers.signed(n) for n in range(9)] == [a ** n for n in range(9)]
+            assert [powers.first(t) for t in range(1, 80)] == \
+                [min(n for n in range(9) if abs(a) ** n >= t) for t in range(1, 80)]
+
+    def test_empty_grid_matches(self):
+        _, wavelets = build_family(example_by_name("shannon"))
+        assert [c.status for c in self._assert_same(wavelets, [F(0)])] == ["uncertain"]
