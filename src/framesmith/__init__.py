@@ -31,8 +31,6 @@ from .trace import (
     WindowOperator,
     diagonal_traces,
     dilation_trace_check,
-    fiber,
-    gram_row,
     ntf_generator_test,
     operator_trace,
     restricted_trace,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -143,9 +144,22 @@ def _even_grid(hull, n: int) -> list:
     return [Fraction(start + step * i, den) for i in range(n)]
 
 
-def _grid_size(text) -> int:
+def _integer(text: str) -> int:
+    """argparse type of the integer options: an optional sign and ASCII
+    digits, as for the indices of a sequence (int() also reads the digits of
+    other scripts, '_' separators and surrounding spaces)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _grid_option(text: str):
+    """argparse type of trace --grid: "auto" or an integer."""
+    return text if text == "auto" else _integer(text)
+
+
+def _grid_size(n: int) -> int:
     """A --grid point count; below 1 the CSV would hold only its header."""
-    n = int(text)
     if n < 1:
         raise ValueError(f"--grid must be >= 1, got {n}")
     return n
@@ -220,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a family from a spectral profile")
     c.add_argument("--sigma", help="JSON file: {sigma: <pwl>, dilation: a}")
     c.add_argument("--example", help="built-in: shannon | journe | pwl:a=1/2,b=1/2")
-    c.add_argument("--a", type=int, default=None, help="integer dilation, |a| >= 2")
+    c.add_argument("--a", type=_integer, default=None, help="integer dilation, |a| >= 2")
     c.add_argument("--partition", choices=("greedy", "windows"), default="greedy",
                    help="layer rule: greedy multiplicity peeling (default) or "
                         "fundamental-window intersection")
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "square sum, sufficiency = local finiteness + split + "
                         "outward decay + density's inward limit 1 + the NTF "
                         "check as a meta check")
-    k.add_argument("--seed", type=int, default=GRID_SEED,
+    k.add_argument("--seed", type=_integer, default=GRID_SEED,
                    help="seed of the norm-sum grid; every other check holds "
                         "for all xi")
     k.add_argument("--out")
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("check-waveletset", help=(
         "tiling checks for wavelet sets, the dilation tiling for all xi != 0"))
     w.add_argument("--E", required=True, help="JSON interval set(s)")
-    w.add_argument("--a", type=int, default=2)
+    w.add_argument("--a", type=_integer, default=2)
     w.add_argument("--out")
     w.set_defaults(func=cmd_check_waveletset)
 
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "build the sigma = chi_U family, U the union of E/a^j over j >= 1 "
         "(exit 1 when U is not a finite union), or classify a seed"))
     ws.add_argument("--E", required=True, help="JSON interval set(s)")
-    ws.add_argument("--a", type=int, default=2)
+    ws.add_argument("--a", type=_integer, default=2)
     only = ws.add_mutually_exclusive_group()
     only.add_argument("--classify", action="store_true",
                       help="treat E as the sigma-support seed and classify it "
@@ -264,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="CSV of spectral/dimension/restricted trace")
     t.add_argument("--family", required=True)
     t.add_argument("--f", default="1@0", help='sequence, e.g. "1@0,1@1" or "i@2"')
-    t.add_argument("--grid", default="auto", help='"auto" or a point count')
+    t.add_argument("--grid", type=_grid_option, default="auto",
+                   help='"auto" or a point count')
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_trace)
 
@@ -272,19 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--family", required=True)
     ft.add_argument("--signal", default="tent:[-1,1)",
                     help="tent:[lo,hi) or chi:[lo,hi)")
-    ft.add_argument("--jmin", type=int, default=-8)
-    ft.add_argument("--jmax", type=int, default=8)
+    ft.add_argument("--jmin", type=_integer, default=-8)
+    ft.add_argument("--jmax", type=_integer, default=8)
     ft.add_argument("--tol", type=float, default=3e-3,
                     help="bound on |ratio + tail estimate/||f||^2 - 1|")
     ft.add_argument("--ktail", type=float, default=1e-6,
                     help="per-scale k-truncation target (fraction of ||f||^2)")
-    ft.add_argument("--kbudget", type=int, default=1 << 21)
+    ft.add_argument("--kbudget", type=_integer, default=1 << 21)
     ft.add_argument("--out")
     ft.set_defaults(func=cmd_frame_test)
 
     s = sub.add_parser("sample", help="CSV samples of the profiles for plotting")
     s.add_argument("--family", required=True)
-    s.add_argument("--grid", type=int, default=1024)
+    s.add_argument("--grid", type=_integer, default=1024)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)
     return p

@@ -12,10 +12,10 @@ evaluation looks a piece up, and evaluation at sorted points walks the
 pieces forward once (`eval_sorted`).
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
-root is never expanded; everything downstream works with the exact square
-and with (sign, radicand) fiber values.  A GeneratorSet is a tuple of
-profiles read as the Fourier transforms of the generators of a
-shift-invariant space.
+root is never expanded; everything downstream works with the exact square,
+and roots are taken only where a value is enclosed (the dilated trace) or
+integrated (quadrature).  A GeneratorSet is a tuple of profiles read as the
+Fourier transforms of the generators of a shift-invariant space.
 """
 
 from __future__ import annotations
@@ -378,7 +378,10 @@ def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:
 @dataclass(frozen=True)
 class GeneratorSet:
     """Profiles interpreted as Fourier transforms of the generators of a
-    shift-invariant space; assumed (not verified) to form an NTF generator."""
+    shift-invariant space.  The local traces (`trace`) check that each
+    support meets every residue class mod 2 at most once, so that the fiber
+    Gramian is diagonal; that the profiles form an NTF generator is not
+    checked."""
 
     profiles: Tuple[SqrtProfile, ...]
     dilation: int = 2

@@ -168,10 +168,3 @@ class SqrtSum:
             for r, c in sorted(self.terms.items()))
         return f"SqrtSum({body})"
 
-
-def _zero_status(value: SqrtSum, bits: int = DEFAULT_BITS) -> str:
-    """Check status of a value that should vanish: 'pass' when it is exactly
-    zero, 'fail' when its sign is certified, 'uncertain' otherwise."""
-    return {"zero": "pass", "uncertain": "uncertain"}.get(
-        value.sign_verdict(bits), "fail")
-

@@ -5,12 +5,14 @@ sqrt(max(pwl(u), 0)).  Both quadrature oracles integrate
 prod factor(u) * e^{i c u} du by sampling, with no closed form, so they check
 the quadrature module from outside.
 
-Trace: the direct forms of the restricted, operator and dilated traces, of
-the pairing sum_p p_hat(x) p_hat(y) and of the NTF generator test, which
-recompute every magnitude, root and fiber inner product where it is used.
-The library reads them all from one fiber-Gramian row and computes each
-value once; its results must be equal to these, down to each SqrtSum term
-and Fraction endpoint.
+Trace: the fibers of a profile, and the direct forms of the restricted,
+operator and dilated traces, of the pairing sum_p p_hat(x) p_hat(y) and of
+the NTF generator test, which recompute every magnitude, root and fiber
+inner product where it is used, for any generator set.  The library reads
+the traces, the generator test and the series identity off the diagonal
+Gramian S(xi + 2k) of supports injective mod 2, and encloses each term of
+the dilated trace once; its results must be equal to these, down to each
+Fraction and Fraction endpoint.
 
 Trace CSV: the spectral and dimension functions point by point, from the
 profile values and the fibers, which the CSV reads off the diagonal Gramian
@@ -54,10 +56,10 @@ from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum
 from framesmith.quadrature import _closed_cell
 from framesmith.rationals import as_fraction
-from framesmith.roots import SqrtSum, _zero_status
+from framesmith.roots import SqrtSum
 from framesmith.sequences import Sequence
 from framesmith.trace import (ALPHAS, GRID_SEED, _GRID_DEN, GeneratorTestRow,
-                              _nonempty_hull, fiber, gram_diagonal)
+                              _nonempty_hull)
 from framesmith.verification import _EMPTY_GRID, TAIL_TARGET
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
@@ -131,6 +133,35 @@ def gl_reference(factors, c: float) -> complex:
             total += np.sum(0.5 * (b - a) * ws * _values(factors, nodes)
                             * np.exp(1j * c * nodes))
     return total
+
+
+def fiber(profile, xi) -> dict:
+    """Exact fiber of one profile at xi: k -> the radicand r of its nonzero
+    entry sqrt(r) = profile_hat(xi + 2k)."""
+    xi = as_fraction(xi)
+    out = {}
+    for lo, hi, alpha, beta in profile.square.pieces:
+        for k in _shifts(xi, lo, hi):
+            r = alpha * (xi + 2 * k) + beta
+            if r:
+                out[k] = r
+    return out
+
+
+def gram_diagonal(fibers) -> dict:
+    """k -> G[k, k], the sum of the radicands r_k over the fibers."""
+    diag = {}
+    for fib in fibers:
+        for k, r in fib.items():
+            diag[k] = diag.get(k, 0) + r
+    return diag
+
+
+def _zero_status(value: SqrtSum, bits: int = DEFAULT_BITS) -> str:
+    """Check status of a value that should vanish: 'pass' when it is exactly
+    zero, 'fail' when its sign is certified, 'uncertain' otherwise."""
+    return {"zero": "pass", "uncertain": "uncertain"}.get(
+        value.sign_verdict(bits), "fail")
 
 
 def spectral_function(gen, xi) -> Fraction:

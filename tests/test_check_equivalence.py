@@ -26,11 +26,10 @@ from framesmith.frametest import TestSignal, out_of_range_energy, per_scale_ener
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile, _square_sum
 from framesmith.rationals import as_fraction
-from framesmith.trace import fiber
 from framesmith.verification import (check_density, check_ntf_multiwavelet,
                                      check_split, check_suites, family_grid)
 
-from oracles import pair_sum
+from oracles import fiber, pair_sum
 
 EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 DILATIONS = (2, 3, -2, -3, 4)

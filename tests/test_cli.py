@@ -263,6 +263,27 @@ class TestStrictInput:
         assert "Traceback" not in err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("command,option,text", [
+        ("construct", "--a", "\u0663"),   # used to build the a = 3 family
+        ("trace", "--grid", "1_0"),            # used to write 10 rows
+        ("frame-test", "--kbudget", "1_0"),    # used to sweep with a budget of 10
+        ("check", "--seed", "\u0661"),    # used to run with seed 1
+    ], ids=["arabic_dilation", "underscore_grid", "underscore_kbudget",
+            "arabic_seed"])
+    def test_non_ascii_integer_option_exits_2(self, family_file, tmp_path, capsys,
+                                              command, option, text):
+        out = tmp_path / "out"
+        source = ["--example", "shannon"] if command == "construct" \
+            else ["--family", family_file]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run(command, *source, option, text, "--out", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid int value: {text!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ascii_index_with_sign_and_spaces_still_parses(self, family_file,
                                                            tmp_path):
         one, other = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,12 +16,12 @@ from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from framesmith.sequences import Sequence
 from framesmith.serialize import (digest_of, dumps_canonical, family_from_jsonable,
                                   family_to_jsonable, loads_json)
-from framesmith.trace import default_grid, diagonal_traces, restricted_trace
+from framesmith.trace import default_grid, diagonal_traces
 from framesmith.verification import (TAIL_TARGET, _Powers, check_ntf_multiwavelet,
                                      family_grid)
 
 from oracles import (default_grid_fractions, dimension_function, norm_sum_oracle,
-                     spectral_function)
+                     restricted_trace_direct, spectral_function)
 
 DILATIONS = (2, 3, -2, -3, 4)
 BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
@@ -66,7 +66,7 @@ def _oracle_lines(path, f_text, grid_arg):
     f = Sequence.parse(f_text)
     lines = ["xi,spectral,dim,tau_f"]
     for xi in grid:
-        tau = restricted_trace(gen, f, xi).enclosure().mid()
+        tau = restricted_trace_direct(gen, f, xi).enclosure().mid()
         lines.append(",".join(repr(float(v)) for v in (
             xi, spectral_function(gen, xi), dimension_function(gen, xi), tau)))
     return lines
@@ -109,7 +109,7 @@ class TestTraceCsv:
         spectral, dim, tau = diagonal_traces(gen, f, grid)
         assert spectral == [spectral_function(gen, xi) for xi in grid]
         assert dim == [dimension_function(gen, xi) for xi in grid]
-        assert tau == [restricted_trace(gen, f, xi).rational_value() for xi in grid]
+        assert tau == [restricted_trace_direct(gen, f, xi).rational_value() for xi in grid]
 
     @pytest.mark.parametrize("profile", [
         SqrtProfile.indicator(IntervalSet.of((-1, 3))),
