@@ -15,9 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .folding import _windows, fold_dilation, layered_partition, per_multiplicity
+from .folding import (_repeated_residue, _windows, fold_dilation, layered_partition,
+                      per_multiplicity)
 from .intervals import IntervalSet
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from .rationals import as_fraction, format_ratio
@@ -144,6 +146,12 @@ class ScalingFamily:
     dilation: int
 
     def generator_set(self) -> GeneratorSet:
+        """The profiles in window order; the same set on every call, so its
+        `spectral` is built once per family."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> GeneratorSet:
         return GeneratorSet(tuple(self.phis[k] for k in sorted(self.phis)),
                             self.dilation)
 
@@ -167,6 +175,12 @@ class WaveletFamily:
     dilation: int
 
     def generator_set(self) -> GeneratorSet:
+        """The same set on every call, so its `spectral` is built once per
+        family."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> GeneratorSet:
         return GeneratorSet(self.psis, self.dilation)
 
     def gain(self) -> PiecewiseLinear:
@@ -181,7 +195,7 @@ class WaveletFamily:
         for psi, layer in zip(self.psis, self.partition):
             if psi.support().difference(layer):
                 raise ValueError("wavelet support leaks outside its layer")
-            if per_multiplicity(layer).max_value() > 1:
+            if _repeated_residue(layer) is not None:
                 raise ValueError("partition layer not injective mod 2pi")
 
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .construction import WaveletFamily
 from .intervals import IntervalSet
-from .piecewise import (PiecewiseLinear, SqrtProfile, _square_sum,
-                        integrate_product)
+from .piecewise import PiecewiseLinear, SqrtProfile, integrate_product
 from .quadrature import FreqRun, QuadPlan
 from .rationals import as_fraction, format_ratio
 
@@ -128,9 +127,10 @@ def per_scale_energy_exact(f: TestSignal, psi: SqrtProfile, a: int, j: int
     """sum_k |<f, D^j T_k psi>|^2 in closed form:
     (1/2) int |f_hat(u)|^2 |psi_hat|^2(a^{-j} u) du, exact.
 
-    Valid because the profile's support is injective mod 2 pi, making the
-    modulates an orthonormal family on it (used as an oracle and as the
-    premise of out_of_range_energy, never as the measured energy)."""
+    Valid under the premise of `GeneratorSet` (the profile's support is
+    injective mod 2), which makes the modulates an orthonormal family on it
+    (used as an oracle and as the basis of out_of_range_energy, never as the
+    measured energy)."""
     return integrate_product([f.hat, f.hat, _scaled_square(psi, a, j)]) / 2
 
 
@@ -139,9 +139,10 @@ def out_of_range_energy(f: TestSignal, family: WaveletFamily,
     """per_scale_energy_exact summed over every psi and every scale j outside
     j_min..j_max, exact: (1/2) int f_hat(u)^2 [sigma(u/a^j_min) + L(u)
     - sigma(u/a^(j_max+1))] du, L(u) the limit of sigma at 0 from the side
-    of u (see the module docstring).  Raises ValueError when the wavelet
-    squares do not telescope to the gain."""
-    if _square_sum(family.psis) != family.gain():
+    of u (see the module docstring).  Raises ValueError when a support
+    breaks the premise of `GeneratorSet` (read through its `spectral`) or
+    the wavelet squares do not telescope to the gain."""
+    if family.generator_set().spectral != family.gain():
         raise ValueError("wavelet squares do not telescope to the gain "
                          "sigma(./a) - sigma")
     sigma, a = family.sigma, Fraction(family.dilation)

@@ -15,7 +15,8 @@ A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square,
 and roots are taken only where a value is enclosed (the dilated trace) or
 integrated (quadrature).  A GeneratorSet is a tuple of profiles read as the
-Fourier transforms of the generators of a shift-invariant space.
+Fourier transforms of the generators of a shift-invariant space; its
+`spectral` is the one sum of their squares, computed once per set.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .folding import _repeated_residue
 from .intervals import IntervalSet, union_all
 from .rationals import as_fraction
 
@@ -149,10 +152,6 @@ class PiecewiseLinear:
             i -= 1
         return Fraction(0)
 
-    def eval_right(self, x) -> Fraction:
-        """One-sided limit from above at x; equals eval() by half-openness."""
-        return self.eval(x)
-
     def eval_float(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation (for quadrature/CSV only)."""
         out = np.zeros_like(xs, dtype=float)
@@ -265,7 +264,7 @@ class PiecewiseLinear:
         Returns None when 0 is outside the support closure on both sides.
         """
         left = self.eval_left(0)
-        right = self.eval_right(0)
+        right = self.eval(0)  # the limit from above, by half-openness
         clearance = None
         slope = Fraction(0)
         for lo, hi, a, b in self.pieces:
@@ -313,13 +312,14 @@ def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
 
 @dataclass(frozen=True)
 class SqrtProfile:
-    """Nonnegative Fourier-domain profile sqrt(square) * chi_domain."""
+    """Nonnegative Fourier-domain profile sqrt(square) * chi_domain; the
+    domain defaults to the square's support."""
 
     square: PiecewiseLinear
-    domain: IntervalSet
+    domain: IntervalSet | None = None
 
     def __post_init__(self):
-        sq = self.square.restrict(self.domain)
+        sq = self.square if self.domain is None else self.square.restrict(self.domain)
         witness = sq.first_negative_witness()
         if witness is not None:
             raise ValueError(f"square negative at {witness}")
@@ -327,15 +327,8 @@ class SqrtProfile:
         object.__setattr__(self, "domain", sq.support())
 
     @staticmethod
-    def from_square(square: PiecewiseLinear, domain: IntervalSet | None = None) -> "SqrtProfile":
-        return SqrtProfile(square, domain if domain is not None else square.support())
-
-    @staticmethod
     def indicator(sets: IntervalSet) -> "SqrtProfile":
         return SqrtProfile(PiecewiseLinear.indicator(sets), sets)
-
-    def abs2(self) -> PiecewiseLinear:
-        return self.square
 
     def support(self) -> IntervalSet:
         return self.domain
@@ -378,13 +371,33 @@ def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:
 @dataclass(frozen=True)
 class GeneratorSet:
     """Profiles interpreted as Fourier transforms of the generators of a
-    shift-invariant space.  The local traces (`trace`) check that each
-    support meets every residue class mod 2 at most once, so that the fiber
-    Gramian is diagonal; that the profiles form an NTF generator is not
-    checked."""
+    shift-invariant space.
+
+    The premise of every exact formula downstream (the local traces in
+    `trace`, the `check` suites in `verification`, the exact energies in
+    `frametest`) is that each support meets every residue class mod 2 at
+    most once, as in every family the program builds or loads.  Each fiber
+    (phi_hat(xi + 2k))_k then holds one entry per profile, so the fiber
+    Gramian is diagonal: G(xi)[k, k] = S(xi + 2k) with S = `spectral`, and
+    every cross term vanishes (Bownik, J. Funct. Anal. 177, 2000).
+    `spectral` decides the premise; that the profiles form an NTF generator
+    is not checked."""
 
     profiles: Tuple[SqrtProfile, ...]
     dilation: int = 2
+
+    @cached_property
+    def spectral(self) -> PiecewiseLinear:
+        """S = sum_phi |phi_hat|^2, the diagonal of the fiber Gramian, built
+        once per set.  A support that repeats a residue mod 2 breaks the
+        premise and raises ValueError naming the profile."""
+        for i, p in enumerate(self.profiles):
+            cell = _repeated_residue(p.support())
+            if cell is not None:
+                raise ValueError(f"profile {i} meets the residue cell [{cell[0]}, "
+                                 f"{cell[1]}) {cell[2]} times mod 2; the diagonal "
+                                 f"fiber Gramian needs supports injective mod 2")
+        return _square_sum(self.profiles)
 
     def support_hull(self) -> Tuple[Fraction, Fraction]:
         return union_all([p.support() for p in self.profiles]).hull()

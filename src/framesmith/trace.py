@@ -3,12 +3,10 @@
 Each local trace is a quadratic form of the fiber Gramian
 G(xi)[k, l] = sum_phi phi_hat(xi + 2k) phi_hat(xi + 2l) (Bownik, J. Funct.
 Anal. 177, 2000): tau_{V,f} = <G f, f> and tau_{V,T} = trace(T G).  Every
-entry point takes as its premise that each profile's support meets each
-residue class mod 2 at most once, as in every family the program builds or
-loads, and raises ValueError naming the first profile that breaks it.  Each
-fiber (phi_hat(xi + 2k))_k then holds one entry, so G(xi) is diagonal,
-G[k, k] = S(xi + 2k) with S = sum_phi |phi_hat|^2 piecewise linear, and
-every trace is an exact Fraction read off S, built once per call:
+entry point reads G as diagonal, G[k, k] = S(xi + 2k) with
+S = `GeneratorSet.spectral`, piecewise linear; that property decides the
+premise (see `GeneratorSet`) and raises ValueError naming the first profile
+that breaks it.  Every trace is an exact Fraction read off S:
 - tau_{V,f} = sum_k |f(k)|^2 S(xi + 2k) and tau_{V,T} = sum_k T_kk S(xi + 2k);
 - the `trace` CSV: S, the periodization sum_k S(. + 2k) (the dimension
   function) and tau_{V,f}, each read on one forward walk over the sorted
@@ -36,25 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence as Seq, Tuple
 
-from .folding import _repeated_residue, _shifts
+from .folding import _shifts
 from .numeric import DEFAULT_BITS, CInterval, FInterval
-from .piecewise import GeneratorSet, PiecewiseLinear, _square_sum, _sum
+from .piecewise import GeneratorSet, PiecewiseLinear, _sum
 from .rationals import as_fraction
 from .roots import SqrtSum
 from .sequences import CRat, Sequence, coset_op_adj
-
-
-def _spectral(gen: GeneratorSet) -> PiecewiseLinear:
-    """S = sum_phi |phi_hat|^2, the diagonal of the fiber Gramian:
-    G(xi)[k, k] = S(xi + 2k), every other entry 0.  A profile whose support
-    meets a residue class mod 2 twice raises ValueError naming it."""
-    for i, p in enumerate(gen.profiles):
-        cell = _repeated_residue(p.support())
-        if cell is not None:
-            raise ValueError(f"profile {i} meets the residue cell [{cell[0]}, "
-                             f"{cell[1]}) {cell[2]} times mod 2; the trace CSV "
-                             f"needs supports injective mod 2")
-    return _square_sum(gen.profiles)
 
 
 def _tau(square: PiecewiseLinear, f: Sequence, xi: Fraction) -> Fraction:
@@ -66,7 +51,7 @@ def _tau(square: PiecewiseLinear, f: Sequence, xi: Fraction) -> Fraction:
 def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2 = <G f, f>
     = sum_k |f(k)|^2 S(xi + 2k), exact."""
-    return _tau(_spectral(gen), f, as_fraction(xi))
+    return _tau(gen.spectral, f, as_fraction(xi))
 
 
 def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
@@ -78,7 +63,7 @@ def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
     The three columns are S, the periodization sum_k S(. + 2k) and
     sum_{k in supp f} |f(k)|^2 S(. + 2k), piecewise linear, each read on one
     forward walk over the grid."""
-    square = _spectral(gen)
+    square = gen.spectral
     ks = range(0)
     if grid and square.pieces:
         # the k with S(xi + 2k) != 0 for some xi in [grid[0], grid[-1]]
@@ -170,7 +155,7 @@ def operator_trace(gen: GeneratorSet, op: WindowOperator, xi) -> Fraction:
     witness = op.psd_witness()
     if witness is not None:
         raise ValueError(f"operator not positive semidefinite; witness {witness}")
-    square = _spectral(gen)
+    square = gen.spectral
     xi = as_fraction(xi)
     n = len(op.rows)
     total = sum((op.rows[i][i] * square.eval(xi + 2 * (op.offset + i))
@@ -241,7 +226,7 @@ def _coset_sum(square: PiecewiseLinear, a: int, f: Sequence, xi: Fraction) -> Fr
 def dilation_coset_sum(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """Right side of the dilation formula:
     sum_d tau_{V, D_d* f}((xi + 2d)/a), exact."""
-    return _coset_sum(_spectral(gen), gen.dilation, f, as_fraction(xi))
+    return _coset_sum(gen.spectral, gen.dilation, f, as_fraction(xi))
 
 
 @dataclass(frozen=True)
@@ -254,7 +239,7 @@ def dilation_trace_check(gen: GeneratorSet, f: Sequence, grid: Iterable,
                          bits: int = DEFAULT_BITS) -> List[GridRow]:
     """Certified |tau_{D_aV,f}(xi) - sum_d tau_{V,D_d*f}((xi+2d)/a)| per point:
     the enclosure of `dilated_trace` at `bits` against the exact coset sum."""
-    square = _spectral(gen)
+    square = gen.spectral
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -296,7 +281,7 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
     l_window = int(radius) + 1
-    difference = _spectral(gen) - _spectral(reference)
+    difference = gen.spectral - reference.spectral
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -338,7 +323,7 @@ def series_identity_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     a = psi_gen.dilation
     lo, hi = psi_gen.support_hull()
     radius = max(abs(lo), abs(hi))
-    psi_square, phi_square = _spectral(psi_gen), _spectral(phi_gen)
+    psi_square, phi_square = psi_gen.spectral, phi_gen.spectral
     rows: List[SeriesRow] = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -372,7 +357,7 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     exact on both sides (`dilation_trace_check` ties the coset sum to the
     genuine dilated generator set).  `bits` is kept for callers and not
     used."""
-    phi_square, psi_square = _spectral(phi_gen), _spectral(psi_gen)
+    phi_square, psi_square = phi_gen.spectral, psi_gen.spectral
     rows = []
     for xi in grid:
         xi = as_fraction(xi)

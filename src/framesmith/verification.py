@@ -32,9 +32,11 @@ powers of |a|, and xi / a^(J+1), xi a^Jout and the tail bound are each one
 Fraction of integers, equal to the Fraction-power forms.  Everything else
 holds for all xi: dilation monotonicity is an exact piecewise-linear
 inequality, outward decay follows from the support hull, and the shifted
-splits and shifted orthogonality from supports that meet each residue class
-mod 2 at most once, whose fibers hold a single entry, so every cross term
-vanishes identically.
+splits and shifted orthogonality from the premise of `GeneratorSet`: each
+support meets every residue class mod 2 at most once, so every cross term
+vanishes identically.  Every square sum is the family's
+`generator_set().spectral`, which decides that premise and raises
+ValueError naming the profile that breaks it.
 
 The wavelet-set tiling and the scale gaps of semi-orthogonality are read
 off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
@@ -53,8 +55,7 @@ from .construction import (Check, ScalingFamily, SpectralSpec, VerificationRepor
                            WaveletFamily, admissibility_check, require_dilation)
 from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
-from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum,
-                        integrate_product)
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
 from .rationals import as_fraction, format_ratio
 from .trace import default_grid
 
@@ -131,28 +132,20 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     0 (bounded support) and the inward tail is bounded by
     slope * |a^{-J-1} xi| inside the support pieces at 0.  A family whose
     square sum does not telescope has its partial sum added scale by scale.
+    A support that repeats a residue mod 2 raises ValueError (the premise of
+    `GeneratorSet`).
     """
-    return _ntf_report(family, _square_sum(family.psis), grid)
-
-
-def _ntf_report(family: WaveletFamily, square_sum: PiecewiseLinear,
-                grid: Iterable | None) -> VerificationReport:
-    """`check_ntf_multiwavelet` given the wavelet square sum."""
     report = VerificationReport()
     a = family.dilation
     sigma = family.sigma
     psi_gen = family.generator_set()
+    square_sum = psi_gen.spectral
 
-    # shifted orthogonality: supports injective mod 2pi kill every term
-    for i, psi in enumerate(family.psis):
-        cell = _repeated_residue(psi.support())
-        if cell is None:
-            report.add(Check(f"shift_orthogonality[{i}]", "pass", detail=(
-                "support meets each residue class at most once, so every "
-                "cross term vanishes identically")))
-        else:
-            report.add(Check(f"shift_orthogonality[{i}]", "fail",
-                             {"residue": cell[0], "multiplicity": cell[2]}))
+    # shifted orthogonality: the premise kills every cross term
+    for i in range(len(family.psis)):
+        report.add(Check(f"shift_orthogonality[{i}]", "pass", detail=(
+            "support meets each residue class at most once, so every "
+            "cross term vanishes identically")))
 
     row = _identity("scale_sum_telescopes", square_sum, family.gain(), (
         "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
@@ -228,25 +221,10 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
     sum|phi|^2(xi/a) - sum|phi|^2 = sum|psi|^2.  Each entry [0, s], s != 0,
     sums products of one profile at two congruent points, which vanish when
     every support meets each residue class mod 2 at most once.  That is the
-    premise: a profile repeating a residue raises ValueError (the family
-    `validate` methods rule it out)."""
-    return _split_report(phi_fam, psi_fam, _square_sum(phi_fam.phis.values()),
-                         _square_sum(psi_fam.psis))
-
-
-def _split_report(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
-                  phi_sq: PiecewiseLinear, psi_sq: PiecewiseLinear
-                  ) -> VerificationReport:
-    """`check_split` given the scaling and wavelet square sums."""
-    named = [(f"phi[{k}]", p) for k, p in sorted(phi_fam.phis.items())] + \
-        [(f"psi[{i}]", p) for i, p in enumerate(psi_fam.psis)]
-    for name, profile in named:
-        cell = _repeated_residue(profile.support())
-        if cell is not None:
-            raise ValueError(f"{name} meets the residue cell [{cell[0]}, {cell[1]}) "
-                             f"{cell[2]} times mod 2; the shifted splits need "
-                             f"supports injective mod 2")
-
+    premise of `GeneratorSet`: a profile repeating a residue raises
+    ValueError (the family `validate` methods rule it out)."""
+    phi_sq = phi_fam.generator_set().spectral
+    psi_sq = psi_fam.generator_set().spectral
     report = VerificationReport()
     lhs = phi_sq.compose_scale(Fraction(1, psi_fam.dilation)) - phi_sq
     report.add(_identity("two_scale_split[s=0]", lhs, psi_sq, (
@@ -270,34 +248,29 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     inward-limit row from density's report), and the NTF characterization
     once per sigma: the sufficiency meta check takes sigma from the scaling
     squares, not from the family, and reuses the ntf suite's report when
-    the two agree.  Each family's square sum is built once and shared."""
+    the two agree.  Each family's square sum is its generator set's
+    `spectral`, built once."""
+    phi_gen = phi_fam.generator_set()
     if grid is None:
-        grid = family_grid(phi_fam.generator_set(), psi_fam.generator_set())
+        grid = family_grid(phi_gen, psi_fam.generator_set())
     grid = [as_fraction(x) for x in grid]
 
     @cache
-    def phi_sq() -> PiecewiseLinear:
-        return _square_sum(phi_fam.phis.values())
-
-    @cache
-    def psi_sq() -> PiecewiseLinear:
-        return _square_sum(psi_fam.psis)
-
-    @cache
     def ntf(sigma: PiecewiseLinear) -> VerificationReport:
-        return _ntf_report(replace(psi_fam, sigma=sigma), psi_sq(), grid)
+        family = psi_fam if sigma == psi_fam.sigma else replace(psi_fam, sigma=sigma)
+        return check_ntf_multiwavelet(family, grid)
 
     @cache
     def split() -> VerificationReport:
-        return _split_report(phi_fam, psi_fam, phi_sq(), psi_sq())
+        return check_split(phi_fam, psi_fam)
 
     @cache
     def density() -> VerificationReport:
-        return admissibility_check(SpectralSpec(phi_sq(), phi_fam.dilation))
+        return check_density(phi_fam)
 
     @cache
     def decay() -> VerificationReport:
-        lo, hi = phi_fam.generator_set().support_hull()
+        lo, hi = phi_gen.support_hull()
         outward = Check("outward_decay", "pass", detail=(
             f"scaling square sum is identically 0 outside the support hull "
             f"[{lo}, {hi}), so for all xi != 0 it vanishes at a^j xi for all "
@@ -308,10 +281,10 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     def sufficiency() -> VerificationReport:
         report = VerificationReport([Check("local_finiteness", "pass", detail=(
             f"finitely many scaling profiles; square sum bounded by "
-            f"{phi_sq().max_value()}"))] + decay().checks)
+            f"{phi_gen.spectral.max_value()}"))] + decay().checks)
         report.add(next(c for c in density().checks if c.name == "unit_limit_inward"))
         if report.status == "pass":
-            sub = ntf(phi_sq())
+            sub = ntf(phi_gen.spectral)
             if sub.status == "pass":
                 report.add(Check("meta_ntf_follows", "pass", detail=(
                     "hypotheses hold and the NTF characterization passes too")))
@@ -331,7 +304,7 @@ def check_density(phi_fam: ScalingFamily) -> VerificationReport:
     square sum, the spectral function of V_0, decides its inward limit 1 and
     sum|phi|^2(a x) <= sum|phi|^2(x), monotonicity along every contraction
     orbit, exactly and with no grid."""
-    return admissibility_check(SpectralSpec(_square_sum(phi_fam.phis.values()),
+    return admissibility_check(SpectralSpec(phi_fam.generator_set().spectral,
                                             phi_fam.dilation))
 
 
@@ -401,10 +374,10 @@ def cross_energy(psi: SqrtProfile, psi_other: SqrtProfile, a: int,
     """sum_k |<psi, D^scale_gap T_k psi_other>|^2
     = (1/2) int |psi_hat|^2(u) |psi_other_hat|^2(a^{-scale_gap} u) du, exact.
 
-    The identity holds because the support of each profile is injective
-    mod 2 (pi units; `WaveletFamily.validate` enforces it), so the modulates
-    e^{i pi k v} / sqrt(2) restricted to it form a Parseval frame -- the
-    premise of `frametest.per_scale_energy_exact`."""
+    The identity holds under the premise of `GeneratorSet` (each support
+    injective mod 2; `WaveletFamily.validate` enforces it), so the modulates
+    e^{i pi k v} / sqrt(2) restricted to it form a Parseval frame -- as in
+    `frametest.per_scale_energy_exact`."""
     dilated = psi_other.square.compose_scale(Fraction(a) ** -scale_gap)
     return integrate_product([psi.square, dilated]) / 2
 

@@ -630,18 +630,25 @@ class TestSuites:
             assert dumps_canonical(checks) == dumps_canonical(expected)
 
     def test_shared_checks_run_once(self, family_file, monkeypatch):
+        import framesmith.piecewise as pw
         import framesmith.verification as v
         # the split, NTF and density reports, and each family's square sum
-        calls = {"_split_report": 0, "_ntf_report": 0, "admissibility_check": 0,
-                 "_square_sum": 0}
+        calls = {"check_split": 0, "check_ntf_multiwavelet": 0,
+                 "admissibility_check": 0, "_square_sum": 0}
         for name in calls:
-            def counted(*args, _fn=getattr(v, name), _name=name, **kwargs):
+            module = pw if name == "_square_sum" else v
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(v, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        once = {"check_split": 1, "check_ntf_multiwavelet": 1,
+                "admissibility_check": 1, "_square_sum": 2}
         run("check", "--family", family_file)
-        assert calls == {"_split_report": 1, "_ntf_report": 1,
-                         "admissibility_check": 1, "_square_sum": 2}
+        assert calls == once
+        # the meta NTF check alone reuses the wavelet family and its sum
+        calls.update(dict.fromkeys(calls, 0))
+        run("check", "--family", family_file, "--suite", "sufficiency")
+        assert calls == once
 
 
 class TestDeterminism:

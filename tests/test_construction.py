@@ -67,7 +67,7 @@ class TestScaling:
         spec = example_pwl(1, 1)
         fam = build_scaling(spec)
         assert sorted(fam.phis) == [0]
-        assert fam.phis[0].abs2() == spec.sigma
+        assert fam.phis[0].square == spec.sigma
 
     def test_tent_spanning_three_windows(self):
         # sigma = 1 - |xi|/2 on (-2, 2)
@@ -107,7 +107,7 @@ class TestWavelets:
         for fam in (greedy, windows):
             total = PiecewiseLinear.zero()
             for psi in fam.psis:
-                total = total + psi.abs2()
+                total = total + psi.square
             assert total == gain
 
     def test_telescoping_identity_random_points(self):

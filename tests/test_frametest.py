@@ -150,7 +150,7 @@ class TestFrameEnergy:
     def test_zero_wavelet_adds_nothing(self, shannon):
         wavelets = shannon[1]
         padded = WaveletFamily(
-            wavelets.psis + (SqrtProfile.from_square(PiecewiseLinear.zero()),),
+            wavelets.psis + (SqrtProfile(PiecewiseLinear.zero()),),
             wavelets.partition, wavelets.sigma, wavelets.dilation)
         tent = TestSignal.tent(-1, 1)
         plain = frame_energy(tent, wavelets, j_min=-2, j_max=2)

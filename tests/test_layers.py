@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = ("rationals", "intervals", "piecewise", "folding", "construction",
+LAYERS = ("rationals", "intervals", "folding", "piecewise", "construction",
           "numeric", "roots", "sequences", "trace", "quadrature",
           "verification", "frametest", "serialize", "cli")
 

@@ -101,7 +101,7 @@ def test_piecewise_algebra_matches_oracles():
             assert fn.restrict(C) == restrict_oracle(fn, C), seed
         for factors in ([f, g], [f, g, h], [h, h], [g]):
             assert integrate_product(factors) == integrate_product_oracle(factors), seed
-        profiles = [SqrtProfile.from_square(sq) for sq in squares]
+        profiles = [SqrtProfile(sq) for sq in squares]
         pairwise = PiecewiseLinear.zero()
         for p in profiles:
             pairwise = combine_oracle(pairwise, p.square, operator.add)

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import (SpectralSpec, build_family, build_wavelets,
+from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
+                                    build_family, build_wavelets,
                                     example_by_name, example_pwl,
                                     example_shannon)
+from framesmith.frametest import TestSignal, out_of_range_energy
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
 from framesmith.roots import SqrtSum
@@ -16,6 +18,7 @@ from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               ntf_generator_test, operator_trace,
                               restricted_trace, series_identity_check,
                               trace_split_check)
+from framesmith.verification import check_ntf_multiwavelet, check_split
 
 from oracles import (dilated_trace_direct, dimension_function, fiber,
                      ntf_generator_test_direct, operator_trace_direct, pair_sum,
@@ -51,14 +54,21 @@ def _family(name, a, partition="greedy"):
 # and sqrt of the gain of pwl:a=3/4,b=5/4, which overlaps its own translates
 NON_INJECTIVE = {
     "indicator_-1_3": lambda: SqrtProfile.indicator(IntervalSet.of((-1, 3))),
-    "sqrt_gain": lambda: SqrtProfile.from_square(
-        _family("pwl:a=3/4,b=5/4", 2)[1].gain()),
+    "sqrt_gain": lambda: SqrtProfile(_family("pwl:a=3/4,b=5/4", 2)[1].gain()),
 }
 _CHI = SqrtProfile.indicator(IntervalSet.of((-1, 1)))
 _F = Sequence.parse("1@0,i@1")
 _XI = F(1, 3)
-# the entry points of trace.py on a good set g and a set b that breaks the
-# premise (diagonal_traces: tests/test_trace_rows.py)
+
+
+def _wavelets(gen: GeneratorSet) -> WaveletFamily:
+    """A wavelet family holding the profiles of gen, unvalidated."""
+    return WaveletFamily(gen.profiles, tuple(p.support() for p in gen.profiles),
+                         _CHI.square, gen.dilation)
+
+
+# the entry points of trace.py, verification and frametest on a good set g and
+# a set b that breaks the premise (diagonal_traces: tests/test_trace_rows.py)
 ENTRY_POINTS = {
     "restricted_trace": lambda g, b: restricted_trace(b, _F, _XI),
     "operator_trace": lambda g, b: operator_trace(b, WindowOperator.identity(-1, 3), _XI),
@@ -67,7 +77,13 @@ ENTRY_POINTS = {
     "trace_split_check": lambda g, b: trace_split_check(g, b, _F, [_XI]),
     "ntf_generator_test": lambda g, b: ntf_generator_test(g, b, [_XI]),
     "series_identity_check": lambda g, b: series_identity_check(g, b, 0, [_XI]),
+    "check_split": lambda g, b: check_split(ScalingFamily({0: _CHI}, 2), _wavelets(b)),
+    "check_ntf_multiwavelet": lambda g, b: check_ntf_multiwavelet(_wavelets(b), [_XI]),
+    "out_of_range_energy": lambda g, b: out_of_range_energy(
+        TestSignal.tent(-1, 1), _wavelets(b), -2, 2),
 }
+PREMISE = (r"profile 1 meets the residue cell \[.*\) \d+ times mod 2; the diagonal "
+           r"fiber Gramian needs supports injective mod 2")
 
 
 @pytest.mark.parametrize("profile", NON_INJECTIVE)
@@ -75,7 +91,7 @@ ENTRY_POINTS = {
 def test_non_injective_support_raises(entry, profile):
     good = GeneratorSet((_CHI,), 2)
     bad = GeneratorSet((_CHI, NON_INJECTIVE[profile]()), 2)
-    with pytest.raises(ValueError, match="profile 1 meets the residue cell"):
+    with pytest.raises(ValueError, match=PREMISE):
         ENTRY_POINTS[entry](good, bad)
 
 

@@ -113,11 +113,12 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("profile", [
         SqrtProfile.indicator(IntervalSet.of((-1, 3))),
-        SqrtProfile.from_square(build_family(example_by_name("pwl:a=3/4,b=5/4"))[1].gain()),
+        SqrtProfile(build_family(example_by_name("pwl:a=3/4,b=5/4"))[1].gain()),
     ], ids=["indicator_-1_3", "sqrt_gain"])
     def test_non_injective_profile_raises(self, profile):
         gen = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 1))), profile))
-        with pytest.raises(ValueError, match="profile 1 meets the residue cell"):
+        with pytest.raises(ValueError, match=r"profile 1 meets the residue cell .*; the "
+                                             r"diagonal fiber Gramian needs supports"):
             diagonal_traces(gen, Sequence.parse("1@0"), [F(1, 2)])
 
     def test_unsorted_grid_raises(self):

@@ -117,8 +117,9 @@ class TestSplitChecks:
         layer = IntervalSet.of((1, 4))
         bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
                               shannon[1].sigma, 2)
-        with pytest.raises(ValueError, match=r"psi\[0\] meets the residue "
-                                             r"cell \[-1, 0\) 2 times mod 2"):
+        with pytest.raises(ValueError, match=r"profile 0 meets the residue cell "
+                                             r"\[-1, 0\) 2 times mod 2; the diagonal "
+                                             r"fiber Gramian needs supports injective"):
             check_split(shannon[0], bogus)
 
     def test_empty_wavelets_fail_zero_shift(self, shannon):
