@@ -18,15 +18,24 @@ Cells of the first kind lie where the profile square is flat, which is
 every cell of the indicator families, and of the second kind where it slopes.
 
 Both are closed forms in the moments J_p(w) = int_{s0}^{s1} s^p e^{i w s} ds,
-p = m + nu with nu in {0, 1/2}, which one routine computes: the power series
-in i*w*s for |w|*s1 <= _SERIES_PHASE, and otherwise the upward recurrence
+p = m + nu with nu in {0, 1/2}: the power series in i*w*s for
+|w|*s1 <= _SERIES_PHASE, and otherwise the upward recurrence
 J_p = ([s^p e^{i w s}] - p J_{p-1}) / (i w) from a base integral that is
-elementary for nu = 0 and a Fresnel integral for nu = 1/2 (Abramowitz &
-Stegun 7.3), evaluated on numpy by its power series and the continued
-fraction of Numerical Recipes 6.8.  This is the moment (Filon-type) approach
-of Iserles & Norsett (Proc. R. Soc. A 2005): the work per cell does not grow
-with the frequency, so a sweep over K frequencies costs O(cells * K), and a
-plan serves every frequency.
+elementary for nu = 0 (J_{-1} enters with the weight p = 0) and a Fresnel
+integral for nu = 1/2 (Abramowitz & Stegun 7.3), evaluated on numpy by its
+power series and the continued fraction of Numerical Recipes 6.8.  This is
+the moment (Filon-type) approach of Iserles & Norsett (Proc. R. Soc. A
+2005): the work per cell does not grow with the frequency, so a sweep over K
+frequencies costs O(cells * K), and a plan serves every frequency.
+
+Batched passes.  The cells of one kind are integrated together, on arrays of
+shape cells x frequencies.  The series is one matrix product H @ P: the plan
+fixes H[cell, n] = sign^n scale sum_m q_m (s1^r - s0^r) / r, r = m + nu + n + 1,
+and P[n, c] = (i c)^n / n! is one cumulative product, with the term count
+that bounds every cell's series at |w| * s1 = _SERIES_PHASE.  The recurrence
+takes one pass per degree over the whole array, and every Fresnel tail of
+every cell end is one _fresnel_tail call.  No array has a cell, a term and a
+frequency axis at once, so a block costs O((cells + terms) * frequencies).
 
 Break form.  For the polynomial cells (nu = 0) the recurrence unrolls to
 int_l^h P e^{icu} du = sum_n (-1)^n [P^(n) e^{icu}]_l^h / (ic)^{n+1}, and
@@ -41,9 +50,10 @@ the constant root, and rounds it once.  Where |c| * ell_min > _SERIES_PHASE,
 ell_min the shortest polynomial cell, every polynomial cell would take the
 recurrence, so there the break form is an exact rearrangement of the cell
 sum and replaces it; 1/(ic) = -i/c keeps the powers real.  Below that line
-(the head, a few frequencies next to 0) and on the rooted cells the moments
-are summed cell by cell: a rooted cell's end terms carry a Fresnel tail per
-end and frequency, so they have no such form.
+(the head, a few frequencies next to 0) the polynomial cells take the
+batched moments, and so do the rooted cells at every frequency: a rooted
+cell's end terms carry a Fresnel tail per end and frequency, so they have no
+such form.
 
 The frequencies are a FreqRun, (k0 + m) * unit for m < n with k0 >= 0: one
 block of a k sweep.  |c| grows along the run, so its head is the prefix
@@ -78,8 +88,9 @@ _RUN_STRIDE = 64            # fine-table length of the angle-addition phases
 
 
 def _fresnel_tail(t: np.ndarray) -> np.ndarray:
-    """e^{-it} (G(t) - G(inf)) for t >= 0, where G(t) = int_0^t tau^{-1/2}
-    e^{i tau} dtau = sqrt(2 pi) (C(x) + i S(x)) at t = pi x^2 / 2."""
+    """e^{-it} (G(t) - G(inf)) for t >= 0 (any shape), where
+    G(t) = int_0^t tau^{-1/2} e^{i tau} dtau = sqrt(2 pi) (C(x) + i S(x)) at
+    t = pi x^2 / 2."""
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape, dtype=complex)
     small = t < _FRESNEL_SERIES
@@ -97,86 +108,61 @@ def _fresnel_tail(t: np.ndarray) -> np.ndarray:
         # continued fraction in modified Lentz form (Numerical Recipes 6.8):
         # e^{-it} (G(t) - G(inf)) = -2 sqrt(t) h with
         # h = 1/(1 - 2it -) 1*2/(5 - 2it -) 3*4/(9 - 2it -) ...
+        # on every entry until the slowest has converged; an entry's h stays
+        # as it was at its first factor within 3e-16 of 1
         tb = t[big]
         b = 1 - 2j * tb
         d = 1 / b
         h = d.copy()
         c = np.full(b.shape, 1e300, dtype=complex)
-        live = np.arange(len(tb))
+        delta = np.empty_like(b)
+        done = np.zeros(b.shape, dtype=bool)
         for n in range(1, 400, 2):
             a = -n * (n + 1.0)
-            b = b + 4
-            d = 1 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h[live] *= delta
-            going = np.abs(delta - 1) > 3e-16
-            if not going.any():
+            b += 4
+            d *= a
+            d += b
+            np.reciprocal(d, out=d)
+            np.divide(a, c, out=c)
+            c += b
+            np.multiply(c, d, out=delta)
+            delta[done] = 1
+            h *= delta
+            done |= np.abs(delta - 1) <= 3e-16
+            if done.all():
                 break
-            live, b, d, c = live[going], b[going], d[going], c[going]
         else:
             raise ArithmeticError("Fresnel continued fraction did not converge")
         out[big] = -2 * np.sqrt(tb) * h
     return out
 
 
-def _pow_diff(s0: float, s1: float, length: float, q: float) -> float:
+def _pow_diff(s0, s1, length, q):
     """s1^q - s0^q for 0 <= s0 < s1 = s0 + length, q > 0, without the
-    cancellation of the plain difference when s0 is close to s1."""
-    if s0 == 0:
-        return s1 ** q
-    return s0 ** q * math.expm1(q * math.log1p(length / s0))
+    cancellation of the plain difference when s0 is close to s1; numpy
+    arrays broadcast."""
+    base = np.where(s0 > 0, s0, 1.0)
+    return np.where(s0 > 0, base ** q * np.expm1(q * np.log1p(length / base)),
+                    s1 ** q)
 
 
-def _moments(nu: float, degree: int, s0: float, s1: float, length: float,
-             w: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """e^{i theta} J_{m+nu}(w), J_p(w) = int_{s0}^{s1} s^p e^{iws} ds, for
-    m = 0..degree and each w, 0 <= s0 < s1 = s0 + length, given the end
-    phases e_k = e^{i (theta + w s_k)}; array (degree + 1, len(w))."""
-    out = np.empty((degree + 1, len(w)), dtype=complex)
-    small = np.abs(w) * s1 <= _SERIES_PHASE
-    n_small = np.count_nonzero(small)
-    if n_small:
-        # sum_n (iw)^n / n! * (s1^{p+n+1} - s0^{p+n+1}) / (p+n+1)
-        ws = w[small]
-        acc = np.zeros((degree + 1, n_small), dtype=complex)
-        term = e0[small] * np.exp(-1j * ws * s0) if s0 else e0[small]
-        bound = s1 / length          # term bound relative to the moment
-        x = float(np.abs(ws).max()) * s1
-        n = 0
-        while True:
-            for m in range(degree + 1):
-                q = m + nu + n + 1
-                acc[m] += term * (_pow_diff(s0, s1, length, q) / q)
-            n += 1
-            bound *= x / n
-            if bound < 1e-17:
-                break
-            term = term * (1j * ws) / n
-        if n_small == len(w):
-            return acc
-        out[:, small] = acc
-    big = ~small if n_small else slice(None)
-    wb, e0, e1 = w[big], e0[big], e1[big]
-    iw = 1j * wb
-    if nu:
-        # J_{-1/2}(w) = |w|^{-1/2} (G(|w| s1) - G(|w| s0)), conjugated for w < 0
-        aw = np.abs(wb)
-        t0 = _fresnel_tail(aw * s0) if s0 else -_FRESNEL_INF
-        t1 = _fresnel_tail(aw * s1)
-        neg = wb < 0
-        moment = (e1 * np.where(neg, t1.conj(), t1)
-                  - e0 * np.where(neg, np.conj(t0), t0)) / np.sqrt(aw)
-        p = nu - 1
-    else:
-        moment = (e1 - e0) / iw
-        out[0, big] = moment
-        p = 0
-    for m in range(0 if nu else 1, degree + 1):
-        p += 1
-        moment = (s1 ** p * e1 - s0 ** p * e0 - p * moment) / iw
-        out[m, big] = moment
-    return out
+def _series_terms(s1: float, length: float) -> int:
+    """Terms of the moment series at |w| * s1 = _SERIES_PHASE: the first n
+    with (s1 / length) * _SERIES_PHASE^n / n! < 1e-17, a bound on the next
+    term relative to the moment."""
+    bound, n = s1 / length, 0
+    while bound >= 1e-17:
+        n += 1
+        bound *= _SERIES_PHASE / n
+    return n
+
+
+def _series_prefix(freqs: np.ndarray, length: float) -> int:
+    """How many frequencies c of a run have |c| * length <= _SERIES_PHASE:
+    a prefix, as |c| grows along the run."""
+    if abs(freqs[0]) * length > _SERIES_PHASE:
+        return 0
+    return int(np.count_nonzero(np.abs(freqs) * length <= _SERIES_PHASE))
 
 
 @dataclass(frozen=True)
@@ -211,11 +197,6 @@ class FreqRun:
         lead = np.exp(1j * (self.k0 * self.unit) * xs)
         return lead, coarse, fine
 
-    def phases(self, x: float) -> np.ndarray:
-        """e^{i f x} for every frequency f of the run, from tables()."""
-        lead, coarse, fine = self.tables(np.array([x]))
-        return np.outer(coarse[:, 0] * lead[0], fine[0]).ravel()[:self.n]
-
 
 class _Cell(NamedTuple):
     """A closed-form cell: scale * sum_m coeffs[m] * e^{i c u0} *
@@ -234,13 +215,86 @@ class _Cell(NamedTuple):
     coeffs: np.ndarray
     poly: Tuple[Fraction, Fraction, Fraction, List[Fraction]] | None
 
-    def integrate(self, freqs: np.ndarray, e0: np.ndarray, e1: np.ndarray
+
+class _Batch:
+    """The cells of one kind (one nu), integrated together over a run: the
+    sum over the cells of their integrals (see _Cell) at each frequency."""
+
+    def __init__(self, cells: Sequence[_Cell]):
+        self.nu = cells[0].nu
+        ends = np.array([cell.ends for cell in cells])
+        self.points, index = np.unique(ends, return_inverse=True)
+        self.first, self.second = index.reshape(ends.shape).T
+        self.sign = np.array([float(cell.sign) for cell in cells])
+        self.s0 = np.array([cell.s0 for cell in cells])
+        self.s1 = np.array([cell.s1 for cell in cells])
+        self.shifted = np.flatnonzero(self.s0)       # the cells with s0 > 0
+        # weights[m, cell] = scale * coeffs[m]; the end powers s_k^{m+nu}
+        self.weights = np.array([cell.scale * cell.coeffs for cell in cells]).T
+        p = np.arange(len(self.weights))[:, None] + self.nu
+        self.lower, self.upper = self.s0 ** p, self.s1 ** p
+        # series[cell, n] = sign^n sum_m weights[m] (s1^r - s0^r) / r,
+        # r = m + nu + n + 1
+        terms = max(_series_terms(cell.s1, cell.length) for cell in cells)
+        n = np.arange(terms)
+        r = p[:, :, None] + 1 + n
+        length = np.array([cell.length for cell in cells])[:, None]
+        diffs = _pow_diff(self.s0[:, None], self.s1[:, None], length, r) / r
+        self.series = (np.einsum("mi,min->in", self.weights, diffs)
+                       * self.sign[:, None] ** n).astype(complex)
+
+    def integrate(self, run: FreqRun, freqs: np.ndarray, inv: np.ndarray
                   ) -> np.ndarray:
-        """The cell integral at each frequency, given the end phases
-        e_k = e^{i freqs ends[k]}."""
-        mom = _moments(self.nu, len(self.coeffs) - 1, self.s0, self.s1,
-                       self.length, self.sign * freqs, e0, e1)
-        return self.scale * (self.coeffs @ mom)
+        """The cells' integral at each frequency c of the run, given
+        freqs = run.freqs() and inv = 1/c (0 at c = 0)."""
+        lead, coarse, fine = run.tables(self.points)
+        phases = ((lead[:, None] * coarse.T)[:, :, None] * fine[:, None, :]
+                  ).reshape(len(self.points), -1)[:, :run.n]
+        e0, e1 = phases[self.first], phases[self.second]
+        # the upward recurrence from J_{nu-1} (J_{-1} has the weight p = 0),
+        # with 1/(iw) = -i sign / c
+        step = np.multiply.outer(-1j * self.sign, inv)
+        moment = self._base(run, freqs, inv, e0, e1) if self.nu else 0
+        total = np.zeros(e0.shape, dtype=complex)
+        for m, weight in enumerate(self.weights):
+            p = m + self.nu
+            moment = (self.upper[m, :, None] * e1 - self.lower[m, :, None] * e0
+                      - p * moment) * step
+            total += weight[:, None] * moment
+        # the series where |w| * s1 <= _SERIES_PHASE, a prefix of the run
+        n_series = _series_prefix(freqs, self.s1.min())
+        if n_series:
+            near = freqs[:n_series]
+            powers = np.empty((self.series.shape[1], n_series), dtype=complex)
+            powers[0] = 1
+            powers[1:] = 1j * near / np.arange(1, len(powers))[:, None]
+            np.cumprod(powers, axis=0, out=powers)
+            # e^{i c u0} = e0 e^{-i w s0}
+            origin = e0[:, :n_series].copy()
+            shifted = self.shifted
+            origin[shifted] *= np.exp(np.multiply.outer(
+                -1j * self.sign[shifted] * self.s0[shifted], near))
+            small = np.multiply.outer(self.s1, np.abs(near)) <= _SERIES_PHASE
+            total[:, :n_series] = np.where(small, (self.series @ powers) * origin,
+                                           total[:, :n_series])
+        return total.sum(axis=0)
+
+    def _base(self, run: FreqRun, freqs: np.ndarray, inv: np.ndarray,
+              e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+        """e^{i c u0} J_{-1/2}(w) = |w|^{-1/2} (e1 tail(|w| s1) - e0 tail(|w| s0)),
+        conjugated where w = sign * c < 0, with one _fresnel_tail call for
+        every end; tail(0) = -G(inf)."""
+        absf = np.abs(freqs)
+        shifted = self.shifted
+        tails = _fresnel_tail(np.concatenate([
+            np.multiply.outer(self.s1, absf), np.multiply.outer(self.s0[shifted], absf)]))
+        flip = self.sign * run.unit < 0
+        rows = np.concatenate([flip, flip[shifted]])
+        tails[rows] = tails[rows].conj()
+        upper, lower = tails[:len(flip)], np.empty_like(e0)
+        lower[:] = np.where(flip, -_FRESNEL_INF.conjugate(), -_FRESNEL_INF)[:, None]
+        lower[shifted] = tails[len(flip):]
+        return (e1 * upper - e0 * lower) * np.sqrt(np.abs(inv))
 
 
 def _closed_cell(piece: Piece, root: Piece, lo: Fraction, hi: Fraction):
@@ -304,32 +358,21 @@ def _break_terms(cells: Sequence[_Cell]) -> Tuple[np.ndarray, np.ndarray]:
     return np.array([float(x) for x in xs]), jumps
 
 
-def _cell_sum(cells: Sequence[_Cell], run: FreqRun) -> np.ndarray:
-    """The sum of the cells' integrals at each frequency of the run; cells
-    that share an end share its phases."""
-    freqs = run.freqs()
-    out = np.zeros(len(freqs), dtype=complex)
-    known: dict = {}
-    for cell in cells:
-        e0, e1 = (known[x] if x in known else run.phases(x) for x in cell.ends)
-        known = dict(zip(cell.ends, (e0, e1)))
-        out += cell.integrate(freqs, e0, e1)
-    return out
-
-
 class QuadPlan:
     """Reusable closed-form plan for line(u) * sqrt(max(square(u), 0)) *
     e^{i c u}, integrated over a FreqRun of frequencies c.
 
     Building the plan does the exact support/breakpoint splitting once and
-    keeps each closed-form cell, plus the break terms of the polynomial
-    (nu = 0) cells.  integrate() sums the rooted (nu = 1/2) cells one by one
-    from their moments.  The polynomial cells enter through the break form
-    at every frequency c with |c| * ell_min > _SERIES_PHASE, ell_min the
-    length of the shortest polynomial cell: there each of them would take
-    the upward recurrence, and the break sum is an exact rearrangement of
-    those cell sums.  The head frequencies below that line form a prefix of
-    the run (k0 >= 0), where they are summed cell by cell too.
+    keeps each closed-form cell, one _Batch per kind of cell, and the break
+    terms of the polynomial (nu = 0) cells.  integrate() computes the run's
+    frequencies and their reciprocals once and takes a fixed number of
+    whole-array passes: the rooted (nu = 1/2) batch at every frequency, the
+    polynomial cells through the break form at every frequency c with
+    |c| * ell_min > _SERIES_PHASE (ell_min the length of the shortest
+    polynomial cell: there each of them would take the upward recurrence,
+    and the break sum is an exact rearrangement of those cell sums), and the
+    polynomial batch at the head frequencies below that line, a prefix of
+    the run (k0 >= 0).
     """
 
     # always empty: bench/tracer.py reads it until the benchmark refresh of
@@ -340,37 +383,39 @@ class QuadPlan:
         self.closed: List[_Cell] = [
             cell for lo, hi, (piece, root) in refine([line, square])
             if piece and root and (cell := _closed_cell(piece, root, lo, hi))]
-        self._rooted = [cell for cell in self.closed if cell.poly is None]
-        self._polys = [cell for cell in self.closed if cell.poly is not None]
-        self._ell_min = min((cell.length for cell in self._polys), default=math.inf)
-        self._xs, jumps = _break_terms(self._polys)
-        self._weights = jumps * (-1j) ** np.arange(1, len(jumps) + 1)[:, None]
+        rooted = [cell for cell in self.closed if cell.poly is None]
+        polys = [cell for cell in self.closed if cell.poly is not None]
+        self._rooted = _Batch(rooted) if rooted else None
+        self._polys = _Batch(polys) if polys else None
+        if polys:
+            self._ell_min = min(cell.length for cell in polys)
+            self._xs, jumps = _break_terms(polys)
+            self._weights = jumps * (-1j) ** np.arange(1, len(jumps) + 1)[:, None]
 
     def integrate(self, run: FreqRun) -> np.ndarray:
         """The integral at each frequency of the run."""
-        out = _cell_sum(self._rooted, run)
-        if not self._polys:
-            return out
         freqs = run.freqs()
-        n_head = int(np.count_nonzero(np.abs(freqs) * self._ell_min <= _SERIES_PHASE))
-        if n_head < run.n:
-            out += self._break_sum(run, freqs, n_head)
-        if n_head:
-            out[:n_head] += _cell_sum(self._polys, FreqRun(run.k0, n_head, run.unit))
+        inv = np.divide(1.0, freqs, out=np.zeros(run.n), where=freqs != 0)
+        out = (self._rooted.integrate(run, freqs, inv) if self._rooted
+               else np.zeros(run.n, dtype=complex))
+        if self._polys:
+            n_head = _series_prefix(freqs, self._ell_min)
+            if n_head < run.n:
+                out[n_head:] += self._break_sum(run, inv[n_head:])
+            if n_head:
+                out[:n_head] += self._polys.integrate(
+                    FreqRun(run.k0, n_head, run.unit), freqs[:n_head], inv[:n_head])
         return out
 
-    def _break_sum(self, run: FreqRun, freqs: np.ndarray, n_head: int
-                   ) -> np.ndarray:
+    def _break_sum(self, run: FreqRun, inv: np.ndarray) -> np.ndarray:
         """sum_x e^{icx} sum_n B_n(x) (-i/c)^{n+1}, the polynomial cells'
-        integral, at each frequency c of the run; 0 at the head, its first
-        n_head frequencies.  The factors (-i)^{n+1} sit in self._weights, so
-        the powers of 1/c are real, and the sums over x are one matmul of
-        the angle-addition tables per B_n."""
+        integral, at each frequency c of the run past its head, given inv,
+        the 1/c there.  The factors (-i)^{n+1} sit in self._weights, so the
+        powers of 1/c are real, and the sums over x are one matmul of the
+        angle-addition tables per B_n."""
         lead, coarse, fine = run.tables(self._xs)
         weighted = (self._weights * lead)[:, None, :] * coarse
-        sums = (weighted @ fine).reshape(len(self._weights), -1)[:, :run.n]
-        inv = np.zeros(run.n)
-        inv[n_head:] = 1.0 / freqs[n_head:]
+        sums = (weighted @ fine).reshape(len(self._weights), -1)[:, run.n - len(inv):run.n]
         acc = sums[-1]
         for row in sums[-2::-1]:
             acc = row + inv * acc

@@ -3,7 +3,9 @@
 Quadrature: a factor is a pair (pwl, is_sqrt): pwl(u) itself, or
 sqrt(max(pwl(u), 0)).  Both quadrature oracles integrate
 prod factor(u) * e^{i c u} du by sampling, with no closed form, so they check
-the quadrature module from outside.
+the quadrature module from outside.  The cell oracles integrate a plan's
+closed-form cells one by one from their moments, term by term, where the
+plan takes whole-array passes over all its cells of a kind.
 
 Trace: the fibers of a profile, and the direct forms of the restricted,
 operator and dilated traces, of the pairing sum_p p_hat(x) p_hat(y) and of
@@ -54,7 +56,8 @@ from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_mul
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum
-from framesmith.quadrature import _closed_cell
+from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, _closed_cell,
+                                   _fresnel_tail, _pow_diff)
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum
 from framesmith.sequences import Sequence
@@ -133,6 +136,88 @@ def gl_reference(factors, c: float) -> complex:
             total += np.sum(0.5 * (b - a) * ws * _values(factors, nodes)
                             * np.exp(1j * c * nodes))
     return total
+
+
+# -- quadrature cells one at a time ---------------------------------------------
+
+
+def moments_oracle(nu, degree, s0, s1, length, w, e0, e1):
+    """e^{i theta} J_{m+nu}(w), J_p(w) = int_{s0}^{s1} s^p e^{iws} ds, for
+    m = 0..degree and each w, 0 <= s0 < s1 = s0 + length, given the end
+    phases e_k = e^{i (theta + w s_k)}; array (degree + 1, len(w)).  One
+    cell: the power series term by term for |w| s1 <= _SERIES_PHASE, each
+    term bounded relative to the moment, else the upward recurrence from the
+    elementary (nu = 0) or Fresnel (nu = 1/2) base integral."""
+    out = np.empty((degree + 1, len(w)), dtype=complex)
+    small = np.abs(w) * s1 <= _SERIES_PHASE
+    n_small = np.count_nonzero(small)
+    if n_small:
+        # sum_n (iw)^n / n! * (s1^{p+n+1} - s0^{p+n+1}) / (p+n+1)
+        ws = w[small]
+        acc = np.zeros((degree + 1, n_small), dtype=complex)
+        term = e0[small] * np.exp(-1j * ws * s0) if s0 else e0[small]
+        bound = s1 / length          # term bound relative to the moment
+        x = float(np.abs(ws).max()) * s1
+        n = 0
+        while True:
+            for m in range(degree + 1):
+                q = m + nu + n + 1
+                acc[m] += term * (_pow_diff(s0, s1, length, q) / q)
+            n += 1
+            bound *= x / n
+            if bound < 1e-17:
+                break
+            term = term * (1j * ws) / n
+        out[:, small] = acc
+    big = ~small
+    wb, e0, e1 = w[big], e0[big], e1[big]
+    iw = 1j * wb
+    if nu:
+        # J_{-1/2}(w) = |w|^{-1/2} (G(|w| s1) - G(|w| s0)), conjugated for w < 0
+        aw = np.abs(wb)
+        t0 = _fresnel_tail(aw * s0) if s0 else -_FRESNEL_INF
+        t1 = _fresnel_tail(aw * s1)
+        neg = wb < 0
+        moment = (e1 * np.where(neg, t1.conj(), t1)
+                  - e0 * np.where(neg, np.conj(t0), t0)) / np.sqrt(aw)
+        p = nu - 1
+    else:
+        moment = (e1 - e0) / iw
+        out[0, big] = moment
+        p = 0
+    for m in range(0 if nu else 1, degree + 1):
+        p += 1
+        moment = (s1 ** p * e1 - s0 ** p * e0 - p * moment) / iw
+        out[m, big] = moment
+    return out
+
+
+def cell_sum_oracle(cells, freqs):
+    """The integrals of QuadPlan cells summed at each frequency, each cell
+    from its own moments, with its end phases e^{i c x} taken directly."""
+    out = np.zeros(len(freqs), dtype=complex)
+    for cell in cells:
+        e0, e1 = (np.exp(1j * freqs * x) for x in cell.ends)
+        mom = moments_oracle(cell.nu, len(cell.coeffs) - 1, cell.s0, cell.s1,
+                             cell.length, cell.sign * freqs, e0, e1)
+        out += cell.scale * (cell.coeffs @ mom)
+    return out
+
+
+def head_cells_oracle(plan, run):
+    """A QuadPlan's polynomial cells summed one by one at the head of a
+    FreqRun: its prefix of frequencies c with |c| * ell_min <= _SERIES_PHASE,
+    ell_min the length of the shortest polynomial cell."""
+    polys = [cell for cell in plan.closed if not cell.nu]
+    freqs = run.freqs()
+    ell_min = min((cell.length for cell in polys), default=math.inf)
+    return cell_sum_oracle(polys, freqs[np.abs(freqs) * ell_min <= _SERIES_PHASE])
+
+
+def rooted_cells_oracle(plan, run):
+    """A QuadPlan's rooted (nu = 1/2) cells summed one by one at each
+    frequency of a FreqRun."""
+    return cell_sum_oracle([cell for cell in plan.closed if cell.nu], run.freqs())
 
 
 def fiber(profile, xi) -> dict:

@@ -1,14 +1,17 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from framesmith import quadrature
+from framesmith.construction import SpectralSpec, build_family, example_by_name
+from framesmith.frametest import TestSignal, _scaled_square
 from framesmith.piecewise import PiecewiseLinear
-from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, FreqRun, QuadPlan,
-                                   _fresnel_tail)
-from oracles import gl_reference, riemann_oracle
+from framesmith.quadrature import (_FRESNEL_INF, _FRESNEL_SERIES, _SERIES_PHASE, FreqRun,
+                                   QuadPlan, _fresnel_tail)
+from oracles import (cell_sum_oracle, gl_reference, head_cells_oracle, riemann_oracle,
+                     rooted_cells_oracle)
 
 
 def _factors(integrand):
@@ -109,10 +112,13 @@ class TestFreqRun:
         assert len(run) == n
         freqs = run.freqs()
         assert np.array_equal(freqs, np.arange(k0, k0 + n) * unit)
-        for x in (0.0, 0.75, -1.3, 2.0 / 7):
+        xs = np.array([0.0, 0.75, -1.3, 2.0 / 7])
+        lead, coarse, fine = run.tables(xs)
+        for j, x in enumerate(xs):
+            phases = np.outer(coarse[:, j] * lead[j], fine[j]).ravel()[:n]
             # both sides round the phase argument k * unit * x
             slack = 16 * 2.0 ** -52 * (abs(k0 + n) * abs(unit * x) + 1)
-            assert np.max(np.abs(run.phases(x) - np.exp(1j * freqs * x))) <= slack
+            assert np.max(np.abs(phases - np.exp(1j * freqs * x))) <= slack
 
     @pytest.mark.parametrize("k0, n", [(-1, 4), (0, 0), (3, -2)])
     def test_negative_start_or_empty_run_raises(self, k0, n):
@@ -157,13 +163,22 @@ BREAK_INTEGRANDS = [_gap_integrand, _uneven_integrand, _ramp_integrand,
                     _sweep_integrand]
 
 
-def _per_cell(plan, freqs):
-    """Every cell integrated on its own from its moments: no break form."""
-    total = np.zeros(len(freqs), dtype=complex)
-    for cell in plan.closed:
-        e0, e1 = (np.exp(1j * freqs * x) for x in cell.ends)
-        total += cell.integrate(freqs, e0, e1)
-    return total
+def _family_squares(name, a, j):
+    """The scaled squares |psi_hat|^2(a^-j u) of a built-in family."""
+    _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+    return [_scaled_square(psi, a, j) for psi in wavelets.psis]
+
+
+def _shannon_minus_3(signal, j):
+    """A signal against the first shannon square at a = -3, scale j."""
+    def integrand():
+        return TestSignal.parse(signal).hat, _family_squares("shannon", -3, j)[0]
+    integrand.__name__ = f"shannon-3:{signal}:{j}"
+    return integrand
+
+
+SHANNON_MINUS_3 = [_shannon_minus_3("tent:[-1,1)", -1), _shannon_minus_3("tent:[-3/7,5/3)", -1),
+                   _shannon_minus_3("tent:[-3/7,5/3)", -2)]
 
 
 def _edge(plan):
@@ -192,31 +207,36 @@ class TestBreakForm:
         k0 = {"below": 0, "at": edge, "above": 40 * edge + 1001}[where]
         run = FreqRun(k0, 300, unit)
         freqs = run.freqs()
-        want = _per_cell(plan, freqs)
+        want = cell_sum_oracle(plan.closed, freqs)
         # 1e-13 of max |integral|, which the window from k = 0 attains
-        bound = 1e-13 * np.max(np.abs(_per_cell(plan, FreqRun(0, 300, unit).freqs())))
+        bound = 1e-13 * np.max(np.abs(cell_sum_oracle(plan.closed, FreqRun(0, 300, unit).freqs())))
         assert np.max(np.abs(plan.integrate(run) - want)) <= bound
 
-    def test_per_cell_moments_serve_only_the_head(self, monkeypatch):
-        plan = QuadPlan(*_sweep_integrand())
-        shortest = min(cell.length for cell in plan.closed if not cell.nu)
-        polynomial = []
-        moments = quadrature._moments
-
-        def spy(nu, degree, s0, s1, length, w, e0, e1):
-            if not nu:
-                polynomial.append(np.abs(w) * shortest)
-            return moments(nu, degree, s0, s1, length, w, e0, e1)
-
-        monkeypatch.setattr(quadrature, "_moments", spy)
-        run = FreqRun(0, 4096, math.pi / 3)
-        head = np.sort(np.abs(run.freqs()) * shortest)
-        head = head[head <= _SERIES_PHASE]
-        assert 0 < len(head) < len(run)
-        plan.integrate(run)
-        # each polynomial cell sees exactly the head, once
-        assert len(polynomial) == sum(not cell.nu for cell in plan.closed)
-        assert all(np.array_equal(np.sort(phase), head) for phase in polynomial)
+    @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS + SHANNON_MINUS_3)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("where", ["head", "past"])
+    def test_head_matches_cell_oracle(self, integrand, sign, where):
+        plan = QuadPlan(*integrand())
+        # a seeded unit, so the head ends at no special k
+        unit = sign * math.pi * random.Random(f"{integrand.__name__}{sign}").uniform(0.05, 0.2)
+        edge = int(_edge(plan) / abs(unit))   # the last k of the head
+        run = FreqRun({"head": 0, "past": edge + 1}[where], edge + 40, unit)
+        freqs = run.freqs()
+        head = head_cells_oracle(plan, run)
+        got = plan.integrate(run)
+        want = cell_sum_oracle(plan.closed, freqs)
+        # 1e-13 of the run's peak |integral|
+        bound = 1e-13 * np.max(np.abs(want))
+        if where == "head":
+            assert len(head) == edge + 1
+            # the longest cell takes the recurrence at the end of the head
+            lengths = [cell.length for cell in plan.closed if not cell.nu]
+            assert max(lengths) * abs(freqs[edge]) > _SERIES_PHASE or len(set(lengths)) == 1
+            rooted = cell_sum_oracle([c for c in plan.closed if c.nu], freqs[:edge + 1])
+            assert np.max(np.abs(got[:edge + 1] - head - rooted)) <= bound
+        else:
+            assert len(head) == 0
+        assert np.max(np.abs(got - want)) <= bound
 
     @pytest.mark.parametrize("integrand", BREAK_INTEGRANDS)
     def test_matches_graded_gauss(self, integrand):
@@ -240,11 +260,75 @@ class TestBreakForm:
             assert abs(val - riemann_oracle(factors, (k0 + m) * unit, 400_000)) < 1e-6
 
 
-def test_fresnel_against_scipy():
+def _batch_sum(batch, run):
+    """A plan's batch of cells at each frequency c of the run, 1/c as 0 at 0."""
+    freqs = run.freqs()
+    return batch.integrate(run, freqs, np.divide(1.0, freqs, out=np.zeros(run.n),
+                                                 where=freqs != 0))
+
+
+def _pwl_minus_3(j, index):
+    """tent:[-1,1) against the index-th square of pwl:a=3/4,b=5/4 at a = -3."""
+    def integrand():
+        return TestSignal.tent(-1, 1).hat, _family_squares("pwl:a=3/4,b=5/4", -3, j)[index]
+    integrand.__name__ = f"pwl-3:{j}:{index}"
+    return integrand
+
+
+ROOTED_INTEGRANDS = ([lambda cell=cell: _root_cell(*cell) for cell in ROOT_CELLS]
+                     + [_pwl_minus_3(-2, i) for i in range(3)] + [_pwl_minus_3(2, 1)])
+
+
+class TestRootedBatch:
+    def test_integrands(self):
+        # s0 = 0 and s0 > 0 on both signs of alpha; pwl at j = 2 has two cells
+        # that meet at the radicand zero
+        kinds = {(cell.s0 > 0, cell.sign) for integrand in ROOTED_INTEGRANDS
+                 for cell in QuadPlan(*integrand()).closed if cell.nu}
+        assert kinds == {(False, 1), (False, -1), (True, 1), (True, -1)}
+        assert len(QuadPlan(*_pwl_minus_3(-2, 1)()).closed) == 3
+
+    @pytest.mark.parametrize("integrand", ROOTED_INTEGRANDS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k0", [0, 37, 5000])
+    def test_matches_cell_oracle(self, integrand, sign, k0):
+        plan = QuadPlan(*integrand())
+        unit = sign * math.pi * 5 / 64
+        run = FreqRun(k0, 700, unit)
+        got = _batch_sum(plan._rooted, run)
+        # 1e-13 of max |integral|, which the window from k = 0 attains
+        bound = 1e-13 * np.max(np.abs(rooted_cells_oracle(plan, FreqRun(0, 700, unit))))
+        assert np.max(np.abs(got - rooted_cells_oracle(plan, run))) <= bound
+        if k0 == 0:
+            # the run crosses every cell's series switch |c| s1 = _SERIES_PHASE
+            s1 = [cell.s1 for cell in plan.closed if cell.nu]
+            assert abs(unit) * max(s1) <= _SERIES_PHASE < abs(unit) * 699 * min(s1)
+
+
+def _fresnel_errors(x):
+    """Max |error| of the real and imaginary parts of (C + iS)(x) from
+    _fresnel_tail at t = pi x^2 / 2, against scipy."""
     special = pytest.importorskip("scipy.special")
-    x = np.concatenate([np.linspace(0, 100, 20001), np.geomspace(1e-8, 100, 2000)])
     t = math.pi * x ** 2 / 2
     g = (_FRESNEL_INF + np.exp(1j * t) * _fresnel_tail(t)) / math.sqrt(2 * math.pi)
     s, c = special.fresnel(x)
-    assert np.max(np.abs(g.real - c)) <= 5e-14
-    assert np.max(np.abs(g.imag - s)) <= 5e-14
+    return np.max(np.abs(g.real - c)), np.max(np.abs(g.imag - s))
+
+
+def _band(lo, hi, n):
+    """x at n log-spaced phases t = pi x^2 / 2 from lo to hi."""
+    return np.sqrt(2 * np.geomspace(lo, hi, n) / math.pi)
+
+
+def test_fresnel_against_scipy():
+    x = np.concatenate([np.linspace(0, 100, 20001), np.geomspace(1e-8, 100, 2000)])
+    assert max(_fresnel_errors(x)) <= 5e-14
+    # 5,001 points on each band of t: the power series, the continued
+    # fraction where it converges slowest, and where it converges fast
+    for lo, hi, bound in [(1e-8, _FRESNEL_SERIES, 5e-15), (_FRESNEL_SERIES, 60, 5e-15),
+                          (60, 1e4, 5e-14)]:
+        assert max(_fresnel_errors(_band(lo, hi, 5001))) <= bound
+    # one call over both branches, shaped like a batch of cell ends: the
+    # continued fraction runs every entry until the slowest has converged
+    x = np.random.default_rng(5).permutation(_band(1e-8, 1e4, 3 * 5001))
+    assert max(_fresnel_errors(x.reshape(3, -1))) <= 5e-14
