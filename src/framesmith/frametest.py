@@ -108,8 +108,16 @@ def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int, k_max: int
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
     """Whether the support of psi_hat(./t) meets that of f_hat in positive
-    measure (t = a^j)."""
-    return bool(f.hat.support().intersect(psi.domain.scale(t)))
+    measure (t = a^j): whether a piece [lo, hi) of f_hat and a piece t [l, h)
+    of the scaled domain overlap, both ends compared as integer cross
+    products of numerators and (positive) denominators."""
+    tn, td = t.numerator, t.denominator
+    spans = []
+    for l, h in psi.domain.pieces:
+        ends = [(tn * l.numerator, td * l.denominator), (tn * h.numerator, td * h.denominator)]
+        spans.append(ends if tn > 0 else ends[::-1])
+    return any(lo.numerator * hd < hn * lo.denominator and ln * hi.denominator < hi.numerator * ld
+               for lo, hi, _, _ in f.hat.pieces for (ln, ld), (hn, hd) in spans)
 
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2
@@ -149,9 +157,10 @@ def out_of_range_energy(f: TestSignal, family: WaveletFamily,
     reach = max((abs(x) for x in f.hat.breakpoints()), default=0)
     limit = PiecewiseLinear.of((-reach, 0, 0, sigma.eval_left(0)),
                                (0, reach, 0, sigma.eval(0)))
-    weight = (sigma.compose_scale(a ** -j_min) + limit
-              - sigma.compose_scale(a ** -(j_max + 1)))
-    return integrate_product([f.hat, f.hat, weight]) / 2
+    energy = (integrate_product([f.hat, f.hat, sigma.compose_scale(a ** -j_min)])
+              + integrate_product([f.hat, f.hat, limit])
+              - integrate_product([f.hat, f.hat, sigma.compose_scale(a ** -(j_max + 1))]))
+    return energy / 2
 
 
 @dataclass

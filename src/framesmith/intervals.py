@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .rationals import as_fraction
+from .rationals import as_fraction, common_denominator
 
 
 def _canonicalize(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -130,21 +130,27 @@ def _overlay(pairs: Iterable[Tuple[Fraction, Fraction]],
     intervals: exact sweep over their endpoints.  The value of a cell is the
     sum of the weights of the intervals covering it, so with the default
     weight 1 it is the multiplicity, and with distinct powers of 2 on
-    intervals that may overlap it is the bitmask of those covering it."""
+    intervals that may overlap it is the bitmask of those covering it.
+    The sweep sorts and compares the endpoints as integers over their
+    common denominator; the sort is stable, so tied endpoints keep their
+    order, and the cells hold the endpoints as given."""
     events: list[Tuple[Fraction, int]] = []
     for (lo, hi), w in zip(pairs, repeat(1) if weights is None else weights):
         events.append((lo, w))
         events.append((hi, -w))
-    events.sort(key=itemgetter(0))
+    den = common_denominator(x for x, _ in events)
+    keyed = sorted(((x.numerator * (den // x.denominator), x, delta) for x, delta in events),
+                   key=itemgetter(0))
     out: list[Tuple[Fraction, Fraction, int]] = []
     count = 0
-    prev: Fraction | None = None
-    for x, delta in events:
-        if count and x > prev:
-            if out and out[-1][2] == count and out[-1][1] == prev:
+    prev = prev_key = end_key = None   # end_key: the key of out[-1]'s hi
+    for key, x, delta in keyed:
+        if count and key > prev_key:
+            if out and out[-1][2] == count and end_key == prev_key:
                 out[-1] = (out[-1][0], x, count)
             else:
                 out.append((prev, x, count))
+            end_key = key
         count += delta
-        prev = x
+        prev, prev_key = x, key
     return out

@@ -9,7 +9,12 @@ Whatever takes several functions at once (sums, differences, restriction to
 an IntervalSet, the integral of a product, square sums) runs on the one
 forward sweep over their common refinement, `refine`; only point
 evaluation looks a piece up, and evaluation at sorted points walks the
-pieces forward once (`eval_sorted`).
+pieces forward once (`eval_sorted`).  The integral of a product and the
+frame-test quadrature cells take that sweep on an integer grid
+(`_on_grid`): every breakpoint an integer over the functions' common
+denominator D, and every line an integer line over one denominator per
+function, so their exact sums are integer sums with one Fraction, or one
+int / int division, at the end.
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square,
@@ -22,16 +27,17 @@ Fourier transforms of the generators of a shift-invariant space; its
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .folding import _repeated_residue
 from .intervals import IntervalSet, union_all
-from .rationals import as_fraction
+from .rationals import as_fraction, common_denominator
 
 Piece = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, alpha, beta
 
@@ -285,12 +291,12 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({body})" if body else "PiecewiseLinear(0)"
 
 
-def _linear_product(lines: Iterable[Tuple[Fraction, Fraction]]) -> list[Fraction]:
+def _linear_product(lines: Iterable[Tuple[int, int]]) -> list[int]:
     """Monomial coefficients, constant term first, of the product of the
     lines alpha*x + beta given as (alpha, beta) pairs."""
-    poly = [Fraction(1)]
+    poly = [1]
     for a, b in lines:
-        new = [Fraction(0)] * (len(poly) + 1)
+        new = [0] * (len(poly) + 1)
         for i, c in enumerate(poly):
             new[i] += c * b
             new[i + 1] += c * a
@@ -298,16 +304,49 @@ def _linear_product(lines: Iterable[Tuple[Fraction, Fraction]]) -> list[Fraction
     return poly
 
 
+class _Grid(NamedTuple):
+    """A PiecewiseLinear on an integer grid x = X / den: pieces (LO, HI, A, B)
+    of integers with f(X / den) = (A X + B) / scale on [LO, HI).  `refine`
+    walks grids as it walks the functions: it only orders ends."""
+
+    pieces: List[Tuple[int, int, int, int]]
+    scale: int
+
+
+def _on_grid(fns: Sequence[PiecewiseLinear]) -> Tuple[int, List[_Grid]]:
+    """(den, grids): den the common denominator of the breakpoints of fns,
+    and each function on the grid x = X / den, with one coefficient
+    denominator per function: alpha X / den + beta = (A X + B) / scale for
+    A = alpha e, B = beta e den, scale = e den, e the common denominator of
+    the function's coefficients."""
+    den = common_denominator(x for f in fns for p in f.pieces for x in p[:2])
+    grids = []
+    for f in fns:
+        e = common_denominator(c for p in f.pieces for c in p[2:])
+        grids.append(_Grid([(lo.numerator * (den // lo.denominator),
+                             hi.numerator * (den // hi.denominator),
+                             a.numerator * (e // a.denominator),
+                             b.numerator * (e // b.denominator) * den)
+                            for lo, hi, a, b in f.pieces], e * den))
+    return den, grids
+
+
 def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
-    """Exact integral of a product of piecewise-linear functions."""
-    total = Fraction(0)
-    for lo, hi, pieces in refine(factors):
+    """Exact integral of a product of piecewise-linear functions: on the
+    integer grid of `_on_grid` each cell adds sum_i c_i (HI^(i+1) -
+    LO^(i+1)) w / (i + 1), c_i the coefficients of the product of the
+    integer lines and w = lcm(1..degree + 1), and one Fraction divides the
+    sum by w, den and every scale."""
+    den, grids = _on_grid(factors)
+    w = math.lcm(*range(1, len(factors) + 2))
+    total = 0
+    for lo, hi, pieces in refine(grids):
         if None in pieces:
             continue
         poly = _linear_product((p[2], p[3]) for p in pieces)
-        for i, c in enumerate(poly):
-            total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-    return total
+        total += sum(c * (w // (i + 1)) * (hi ** (i + 1) - lo ** (i + 1))
+                     for i, c in enumerate(poly))
+    return Fraction(total, w * den * math.prod(g.scale for g in grids))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ A plan walks the common refinement of the line and the square once
 (`piecewise.refine`) and keeps the cells where both have a piece.  On each
 cell the line is a polynomial P(u) of degree 1, and the root
 sqrt(alpha*u + beta) of the square is either constant there or varies.
+The walk runs on the integer grid u = X / D of `piecewise._on_grid`, D the
+common denominator of the breakpoints: ends, lines and radicands are
+integers there, with one denominator for the line and one for the square,
+so a cell's exact data (the radicand at its ends, the zero of the radicand,
+the coefficients below) are integer sums and products, and each float the
+cell keeps is one correctly rounded int / int division, the float of the
+same rational.
 
 * Constant root.  With s = u - lo the cell integral is
   e^{i c lo} * sum_m q_m J_m(c) over [0, hi - lo], where q_m are the exact
@@ -29,10 +36,15 @@ the moment (Filon-type) approach of Iserles & Norsett (Proc. R. Soc. A
 frequencies costs O(cells * K), and a plan serves every frequency.
 
 Batched passes.  The cells of one kind are integrated together, on arrays of
-shape cells x frequencies.  The series is one matrix product H @ P: the plan
-fixes H[cell, n] = sign^n scale sum_m q_m (s1^r - s0^r) / r, r = m + nu + n + 1,
-and P[n, c] = (i c)^n / n! is one cumulative product, with the term count
-that bounds every cell's series at |w| * s1 = _SERIES_PHASE.  The recurrence
+shape cells x frequencies.  The series is one matrix product H @ P in the
+dimensionless w * s: with s = sigma t, sigma = 2^e (e even) near the least
+s1 of the batch, the plan fixes H[cell, n] = sign^n scale sum_m q_m
+sigma^(p+1) (t1^r - t0^r) / r, p = m + nu, r = p + n + 1, and
+P[n, c] = (i c sigma)^n / n! is one cumulative product, with the term count
+that bounds every cell's series at |w| * s1 = _SERIES_PHASE.  Both factors
+stay near 1 however small the cells are (deep scales, where |c| reaches
+1e14, would overflow (i c)^n / n! and underflow s1^(n+1)), and each scaling
+by a power of 2 is exact.  The recurrence
 takes one pass per degree over the whole array, and every Fresnel tail of
 every cell end is one _fresnel_tail call.  No array has a cell, a term and a
 frequency axis at once, so a block costs O((cells + terms) * frequencies).
@@ -45,8 +57,9 @@ summed over the cells the ends they share merge:
     B_n(x) = (-1)^n (P^(n)(x-) - P^(n)(x+)),
 
 the jumps of the integrand (root included) and its derivatives at the
-breakpoints.  The plan computes each B_n exactly, as a rational per value of
-the constant root, and rounds it once.  Where |c| * ell_min > _SERIES_PHASE,
+breakpoints.  The plan sums each B_n exactly, per value of the constant
+root, as an integer over the line's denominator on the integer grid, and
+rounds it once by int / int division.  Where |c| * ell_min > _SERIES_PHASE,
 ell_min the shortest polynomial cell, every polynomial cell would take the
 recurrence, so there the break form is an exact rearrangement of the cell
 sum and replaces it; 1/(ic) = -i/c keeps the powers real.  Below that line
@@ -71,12 +84,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .piecewise import Piece, PiecewiseLinear, refine
+from .piecewise import PiecewiseLinear, _on_grid, refine
 
 _SERIES_PHASE = 2.0         # moment power series at or below this |w|*s1
 _FRESNEL_SERIES = 3.5       # Fresnel power series below this phase t = pi x^2 / 2
@@ -202,8 +214,10 @@ class _Cell(NamedTuple):
     """A closed-form cell: scale * sum_m coeffs[m] * e^{i c u0} *
     J_{m+nu}(sign * c) over [s0, s1], where u0 = ends[k] - sign * s_k is the
     zero of the radicand (nu = 1/2) or the cell's left end (nu = 0).  A
-    polynomial cell (nu = 0) also keeps poly = (lo, hi, scale^2, exact
-    coeffs) for the break terms; a rooted one has poly None."""
+    polynomial cell (nu = 0) also keeps, for the break terms, its exact
+    poly = (lo, hi, root, (a, b)) on the plan's integer grid: the ends
+    lo, hi, the numerator root of scale^2 and the line (a X + b)
+    (see _closed_cell); a rooted one has poly None."""
 
     sign: int
     s0: float
@@ -213,7 +227,7 @@ class _Cell(NamedTuple):
     nu: float
     scale: float
     coeffs: np.ndarray
-    poly: Tuple[Fraction, Fraction, Fraction, List[Fraction]] | None
+    poly: Tuple[int, int, int, Tuple[int, int]] | None
 
 
 class _Batch:
@@ -233,14 +247,23 @@ class _Batch:
         self.weights = np.array([cell.scale * cell.coeffs for cell in cells]).T
         p = np.arange(len(self.weights))[:, None] + self.nu
         self.lower, self.upper = self.s0 ** p, self.s1 ** p
-        # series[cell, n] = sign^n sum_m weights[m] (s1^r - s0^r) / r,
-        # r = m + nu + n + 1
+        # The series runs in the dimensionless w * s, on s = sigma t with
+        # sigma = 2^e near the least s1 and e even: (i c)^n / n! overflows
+        # and s1^(n+1) underflows at deep scales, while (i c sigma)^n / n!
+        # and t1^(n+1) stay near 1.  Then
+        # series[cell, n] = sign^n sum_m weights[m] sigma^(p+1) (t1^r - t0^r) / r,
+        # r = p + n + 1, p = m + nu, and e (p + 1) is an integer, so every
+        # scaling by sigma is exact.
+        e = 2 * round(math.log2(self.s1.min()) / 2)
+        self.sigma = math.ldexp(1.0, e)
         terms = max(_series_terms(cell.s1, cell.length) for cell in cells)
         n = np.arange(terms)
         r = p[:, :, None] + 1 + n
         length = np.array([cell.length for cell in cells])[:, None]
-        diffs = _pow_diff(self.s0[:, None], self.s1[:, None], length, r) / r
-        self.series = (np.einsum("mi,min->in", self.weights, diffs)
+        diffs = _pow_diff(self.s0[:, None] / self.sigma, self.s1[:, None] / self.sigma,
+                          length / self.sigma, r) / r
+        lift = np.ldexp(1.0, (e * (p + 1)).astype(int))
+        self.series = (np.einsum("mi,min->in", self.weights * lift, diffs)
                        * self.sign[:, None] ** n).astype(complex)
 
     def integrate(self, run: FreqRun, freqs: np.ndarray, inv: np.ndarray
@@ -267,7 +290,7 @@ class _Batch:
             near = freqs[:n_series]
             powers = np.empty((self.series.shape[1], n_series), dtype=complex)
             powers[0] = 1
-            powers[1:] = 1j * near / np.arange(1, len(powers))[:, None]
+            powers[1:] = 1j * (near * self.sigma) / np.arange(1, len(powers))[:, None]
             np.cumprod(powers, axis=0, out=powers)
             # e^{i c u0} = e0 e^{-i w s0}
             origin = e0[:, :n_series].copy()
@@ -297,65 +320,73 @@ class _Batch:
         return (e1 * upper - e0 * lower) * np.sqrt(np.abs(inv))
 
 
-def _closed_cell(piece: Piece, root: Piece, lo: Fraction, hi: Fraction):
-    """The integrand on [lo, hi] from the line's piece and the square's piece
-    root there, as a _Cell; None where it vanishes."""
-    a, b = piece[2], piece[3]
-    alpha, beta = root[2], root[3]
+def _closed_cell(piece, root, lo: int, hi: int, den: int, line_scale: int,
+                 root_scale: int):
+    """The integrand on [lo, hi] / den from the line's piece and the square's
+    piece root there, both on the integer grid x = X / den (see
+    `piecewise._on_grid`), as a _Cell; None where it vanishes.  Every float
+    is one int / int true division, correctly rounded."""
+    a, b = piece[2], piece[3]          # line(X / den) = (a X + b) / line_scale
+    alpha, beta = root[2], root[3]     # square(X / den) = (alpha X + beta) / root_scale
     if alpha:
-        origin = -beta / alpha
-        sign = 1 if alpha > 0 else -1
-        # the radicand alpha * (u - origin) is >= 0 where sign*(u - origin) >= 0
-        if sign > 0:
-            lo = max(lo, origin)
-        else:
-            hi = min(hi, origin)
-        if lo >= hi:
+        # the radicand alpha X + beta at the ends, clipped at its zero
+        # X0 = -beta / alpha; s = |X - X0| / den = radicand / (|alpha| den)
+        at_lo, at_hi = max(alpha * lo + beta, 0), max(alpha * hi + beta, 0)
+        if not (at_lo or at_hi):
             return None
-        scale_sq, nu = abs(alpha), 0.5
+        sign, nu, s_den = (1 if alpha > 0 else -1), 0.5, abs(alpha) * den
+        scale_sq = (s_den, root_scale)
+        # P(X0 + sign s) = (a X0 + b + sign a den s) / line_scale; every
+        # denominator is kept positive, so a zero is 0.0 as from a Fraction
+        coeffs = ((sign * (b * alpha - a * beta), abs(alpha) * line_scale),
+                  (sign * a * den, line_scale))
+        origin = (-sign * beta, s_den)
+        ends = [(lo, den) if at_lo else origin, (hi, den) if at_hi else origin]
+        s_ends = (at_lo, at_hi)
+        if sign < 0:
+            ends.reverse()
+            s_ends = s_ends[::-1]
     elif beta <= 0:
         return None
     else:
-        origin, sign, nu, scale_sq = lo, 1, 0.0, beta
-    # P(origin + sign*s), exact
-    coeffs = [a * origin + b, sign * a]
-    if not any(coeffs):
+        sign, nu, s_den, scale_sq = 1, 0.0, den, (beta, root_scale)
+        coeffs = ((a * lo + b, line_scale), (a * den, line_scale))
+        ends, s_ends = [(lo, den), (hi, den)], (0, hi - lo)
+    if not (coeffs[0][0] or coeffs[1][0]):
         return None
-    ends = (lo, hi) if sign > 0 else (hi, lo)
-    s0, s1 = (sign * (u - origin) for u in ends)
-    return _Cell(sign, float(s0), float(s1), float(s1 - s0),
-                 (float(ends[0]), float(ends[1])), nu,
-                 math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]),
-                 None if alpha else (lo, hi, scale_sq, coeffs))
+    s0, s1 = s_ends
+    return _Cell(sign, s0 / s_den, s1 / s_den, (s1 - s0) / s_den,
+                 tuple(n / d for n, d in ends), nu,
+                 math.sqrt(scale_sq[0] / scale_sq[1]),
+                 np.array([n / d for n, d in coeffs]),
+                 None if alpha else (lo, hi, beta, (a, b)))
 
 
-def _break_terms(cells: Sequence[_Cell]) -> Tuple[np.ndarray, np.ndarray]:
+def _break_terms(cells: Sequence[_Cell], den: int, line_scale: int, root_scale: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """(xs, jumps) of the polynomial cells: their distinct ends x_j and
     jumps[n, j] = B_n(x_j) = (-1)^n (P^(n)(x_j-) - P^(n)(x_j+)), where P is
-    the integrand (root included) and 0 outside the cells.  Each B_n is
-    summed exactly per value of the root, then rounded; ends where every B_n
-    vanishes, and rows above the last nonzero one, are dropped."""
-    exact: Dict[Fraction, Dict[Tuple[int, Fraction], Fraction]] = {}
+    the integrand (root included) and 0 outside the cells.  On the plan's
+    integer grid the line is (a X + b) / line_scale, so each B_n is an
+    integer over line_scale, summed exactly per value of the root and
+    rounded once; ends where every B_n vanishes, and rows above the last
+    nonzero one, are dropped."""
+    exact: Dict[int, Dict[Tuple[int, int], int]] = {}
     for cell in cells:
-        lo, hi, scale_sq, coeffs = cell.poly
-        length = hi - lo
-        for n in range(len(coeffs)):
-            # P^(n) at both ends from the coefficients of P(lo + s)
-            at_lo = math.factorial(n) * coeffs[n]
-            at_hi = sum(coeffs[m] * math.perm(m, n) * length ** (m - n)
-                        for m in range(n, len(coeffs)))
-            sign = -1 if n % 2 else 1
-            for x, value in ((hi, sign * at_hi), (lo, -sign * at_lo)):
+        lo, hi, root, (a, b) = cell.poly
+        # B_0: P(hi) at hi and -P(lo) at lo; B_1: -P' at hi and P' at lo
+        for n, at_lo, at_hi in ((0, a * lo + b, a * hi + b), (1, -a * den, -a * den)):
+            for x, value in ((hi, at_hi), (lo, -at_lo)):
                 terms = exact.setdefault(x, {})
-                terms[n, scale_sq] = terms.get((n, scale_sq), 0) + value
+                terms[n, root] = terms.get((n, root), 0) + value
     xs = sorted(x for x, terms in exact.items() if any(terms.values()))
     degree = max((n for x in xs for (n, _), v in exact[x].items() if v), default=0)
     jumps = np.zeros((degree + 1, len(xs)))
     for j, x in enumerate(xs):
-        for (n, scale_sq), value in exact[x].items():
+        for (n, root), value in exact[x].items():
             if value:
-                jumps[n, j] += float(value) * math.sqrt(float(scale_sq))
-    return np.array([float(x) for x in xs]), jumps
+                jumps[n, j] += value / line_scale * math.sqrt(root / root_scale)
+    return np.array([x / den for x in xs]), jumps
 
 
 class QuadPlan:
@@ -380,17 +411,19 @@ class QuadPlan:
     nodes = np.empty(0)
 
     def __init__(self, line: PiecewiseLinear, square: PiecewiseLinear):
+        den, grids = _on_grid([line, square])
+        scales = (den, grids[0].scale, grids[1].scale)
         self.closed: List[_Cell] = [
-            cell for lo, hi, (piece, root) in refine([line, square])
-            if piece and root and (cell := _closed_cell(piece, root, lo, hi))]
+            cell for lo, hi, (piece, root) in refine(grids)
+            if piece and root and (cell := _closed_cell(piece, root, lo, hi, *scales))]
         rooted = [cell for cell in self.closed if cell.poly is None]
         polys = [cell for cell in self.closed if cell.poly is not None]
         self._rooted = _Batch(rooted) if rooted else None
         self._polys = _Batch(polys) if polys else None
         if polys:
             self._ell_min = min(cell.length for cell in polys)
-            self._xs, jumps = _break_terms(polys)
-            self._weights = jumps * (-1j) ** np.arange(1, len(jumps) + 1)[:, None]
+            self._xs, self._jumps = _break_terms(polys, *scales)
+            self._weights = self._jumps * (-1j) ** np.arange(1, len(self._jumps) + 1)[:, None]
 
     def integrate(self, run: FreqRun) -> np.ndarray:
         """The integral at each frequency of the run."""

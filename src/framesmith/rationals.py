@@ -4,12 +4,17 @@ Every frequency in this package is a `fractions.Fraction` q denoting the
 real number q*pi.  In these units the 2*pi translation lattice is the even
 integers and dilation by an integer a is plain multiplication, so all
 breakpoints, translates and dilates of the objects built here stay rational.
+Sweeps over many such values (`intervals._overlay`, the integer grid of
+`piecewise`) put them on the integer multiples of 1/D, D their
+`common_denominator`, and compare and add integers there.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 _RATIO_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+))?\s*$", re.ASCII)
 
@@ -42,3 +47,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return parse_ratio(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
+
+
+def common_denominator(qs: Iterable[Fraction]) -> int:
+    """The least common multiple of the denominators of the rationals qs (1
+    for none): each q is the integer q.numerator * (D // q.denominator)
+    over D."""
+    return math.lcm(*{q.denominator for q in qs})

@@ -32,7 +32,9 @@ Refinement: the loops that `piecewise.refine` and `intervals._overlay`
 replace -- the cut-and-look-up sum, the piece-by-piece restriction and
 intersection, the merge difference, the cut loop of product integrals and
 of the quadrature cells.  Each rebuilds the breakpoint set and finds the
-pieces of a cell by bisection.
+pieces of a cell by bisection.  The library runs the sweeps on integers over
+common denominators; the Fraction forms of the endpoint sweep, the
+quadrature cell and the break terms are kept here.
 
 Wavelet sets: the windowed dilation overlay, the scale-gap loop and the
 membership test that the dilation fold replaces, and the seed classifier
@@ -48,6 +50,8 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,8 +60,7 @@ from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_mul
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum
-from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, _closed_cell,
-                                   _fresnel_tail, _pow_diff)
+from framesmith.quadrature import _FRESNEL_INF, _SERIES_PHASE, _Cell, _fresnel_tail, _pow_diff
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum
 from framesmith.sequences import Sequence
@@ -575,12 +578,102 @@ def quad_cells_oracle(line, square):
     return cells
 
 
+def closed_cell_oracle(piece, root, lo, hi):
+    """The integrand on [lo, hi] from the line's piece and the square's piece
+    root there, as a _Cell, on Fractions; None where it vanishes.  A
+    polynomial cell keeps poly = (lo, hi, scale^2, exact coeffs) for
+    `break_terms_oracle`."""
+    a, b = piece[2], piece[3]
+    alpha, beta = root[2], root[3]
+    if alpha:
+        origin = -beta / alpha
+        sign = 1 if alpha > 0 else -1
+        # the radicand alpha * (u - origin) is >= 0 where sign*(u - origin) >= 0
+        if sign > 0:
+            lo = max(lo, origin)
+        else:
+            hi = min(hi, origin)
+        if lo >= hi:
+            return None
+        scale_sq, nu = abs(alpha), 0.5
+    elif beta <= 0:
+        return None
+    else:
+        origin, sign, nu, scale_sq = lo, 1, 0.0, beta
+    # P(origin + sign*s), exact
+    coeffs = [a * origin + b, sign * a]
+    if not any(coeffs):
+        return None
+    ends = (lo, hi) if sign > 0 else (hi, lo)
+    s0, s1 = (sign * (u - origin) for u in ends)
+    return _Cell(sign, float(s0), float(s1), float(s1 - s0),
+                 (float(ends[0]), float(ends[1])), nu,
+                 math.sqrt(float(scale_sq)), np.array([float(c) for c in coeffs]),
+                 None if alpha else (lo, hi, scale_sq, coeffs))
+
+
 def closed_cells_oracle(line, square):
     """A QuadPlan's closed-form cells from `quad_cells_oracle`, the pieces of
     each cell looked up at its left end."""
-    cells = (_closed_cell(piece_at(line, lo), piece_at(square, lo), lo, hi)
+    cells = (closed_cell_oracle(piece_at(line, lo), piece_at(square, lo), lo, hi)
              for lo, hi in quad_cells_oracle(line, square))
     return [cell for cell in cells if cell is not None]
+
+
+def break_terms_oracle(cells):
+    """(xs, jumps) of the polynomial cells: their distinct ends x_j and
+    jumps[n, j] = B_n(x_j) = (-1)^n (P^(n)(x_j-) - P^(n)(x_j+)), where P is
+    the integrand (root included) and 0 outside the cells.  Each B_n is
+    summed as a Fraction per value of the root, then rounded; ends where
+    every B_n vanishes, and rows above the last nonzero one, are dropped.
+    The cells are those of `closed_cell_oracle`."""
+    exact = {}
+    for cell in cells:
+        lo, hi, scale_sq, coeffs = cell.poly
+        length = hi - lo
+        for n in range(len(coeffs)):
+            # P^(n) at both ends from the coefficients of P(lo + s)
+            at_lo = math.factorial(n) * coeffs[n]
+            at_hi = sum(coeffs[m] * math.perm(m, n) * length ** (m - n)
+                        for m in range(n, len(coeffs)))
+            sign = -1 if n % 2 else 1
+            for x, value in ((hi, sign * at_hi), (lo, -sign * at_lo)):
+                terms = exact.setdefault(x, {})
+                terms[n, scale_sq] = terms.get((n, scale_sq), 0) + value
+    xs = sorted(x for x, terms in exact.items() if any(terms.values()))
+    degree = max((n for x in xs for (n, _), v in exact[x].items() if v), default=0)
+    jumps = np.zeros((degree + 1, len(xs)))
+    for j, x in enumerate(xs):
+        for (n, scale_sq), value in exact[x].items():
+            if value:
+                jumps[n, j] += float(value) * math.sqrt(float(scale_sq))
+    return np.array([float(x) for x in xs]), jumps
+
+
+def overlay_oracle(pairs, weights=None):
+    """(lo, hi, value) cells, value != 0, of a family of nonempty [lo, hi)
+    intervals: exact sweep over their endpoints.  The value of a cell is the
+    sum of the weights of the intervals covering it, so with the default
+    weight 1 it is the multiplicity, and with distinct powers of 2 on
+    intervals that may overlap it is the bitmask of those covering it.
+    The sweep sorts and compares the Fraction endpoints themselves."""
+    events = []
+    for (lo, hi), w in zip(pairs, repeat(1) if weights is None else weights):
+        events.append((lo, w))
+        events.append((hi, -w))
+    events.sort(key=itemgetter(0))
+    out = []
+    count = 0
+    prev = None
+    for x, delta in events:
+        if count and x > prev:
+            if out and out[-1][2] == count and out[-1][1] == prev:
+                out[-1] = (out[-1][0], x, count)
+            else:
+                out.append((prev, x, count))
+        count += delta
+        prev = x
+    return out
 
 
 def tiling_oracle(E, a, window=Fraction(64), j_range=24) -> bool:

@@ -479,6 +479,20 @@ class TestExitCodes:
                    "--jmax=-999", "--out", energy) == 0
         assert json.loads(energy.read_text())["ratio"] == 0.0
 
+    @pytest.mark.parametrize("example, a, j", [
+        ("journe", 2, -50), ("pwl:a=1/2,b=1/2", -3, -35), ("pwl:a=3/4,b=5/4", 3, -27)])
+    def test_frame_test_deep_single_scale_passes(self, tmp_path, capsys, example, a, j):
+        # a Parseval family passes at a scale whose head series has |c| near 1e14
+        fam, energy = tmp_path / "fam.json", tmp_path / "e.json"
+        assert run("construct", "--example", example, "--a", a, "--out", fam) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("frame-test", "--family", fam, "--signal", "tent:[-1,1)",
+                       "--jmin", j, "--jmax", j, "--out", energy) == 0
+        assert "nan" not in capsys.readouterr().out.lower()
+        report = json.loads(energy.read_text())
+        assert report["within_tolerance"] and [s["j"] for s in report["scales"]] == [j]
+
     def test_non_finite_float_is_not_written(self):
         with pytest.raises(ValueError):
             dumps_canonical({"ratio": float("nan")})

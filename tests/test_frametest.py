@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -214,6 +216,36 @@ def test_default_range_k_used_pinned(name, a):
     assert [s.j for s in rep.scales] == list(range(-8, 9))
     assert [s.k_used for s in rep.scales] == PINNED_K_USED[name, a]
     assert not rep.inconclusive
+
+
+# The deepest scales a family meets a float at: from j = -45 at a = 2 and
+# j = -27 at a = -3 down, the head series of a rooted cell has |c| s1 <= 2
+# with |c| near 1e14, where (i c)^n / n! overflows a float and s1^(n+1)
+# underflows unless the series runs in the dimensionless w * s.
+DEEP_SCALES = {2: range(-45, -61, -1), -3: range(-27, -61, -1)}
+
+
+@pytest.mark.parametrize("a", sorted(DEEP_SCALES))
+def test_deep_single_scales_are_finite(a):
+    f = TestSignal.tent(-1, 1)
+    norm2 = float(f.norm2())
+    built = 0
+    for name in ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4"):
+        try:
+            wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))[1]
+        except ValueError:
+            continue  # journe is refused at |a| = 3
+        built += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for j in DEEP_SCALES[a]:
+                rep = frame_energy(f, wavelets, j_min=j, j_max=j)
+                (scale,) = rep.scales
+                assert math.isfinite(rep.ratio) and math.isfinite(rep.tail_estimate), (name, j)
+                json.dumps(rep.to_jsonable(), allow_nan=False)
+                exact = sum(per_scale_energy_exact(f, psi, a, j) for psi in wavelets.psis)
+                assert abs(scale.computed + scale.k_tail - float(exact)) <= 1e-6 * norm2, (name, j)
+    assert built >= 3
 
 
 IDENTITY_SIGNALS = ("tent:[-1,1)", "chi:[1,2)", "tent:[-1/3,5/7)", "chi:[-3,-1/5)")

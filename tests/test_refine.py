@@ -7,6 +7,9 @@ cells) and `intervals._overlay` sweeps the endpoints of interval sets
 (intersection, difference, layers).  Each result must be identical to the
 loop it replaced, kept in `oracles`, on seeded functions and sets whose
 pieces often touch at shared ends, and on their images under compose_scale.
+Product integrals, the endpoint sweep, the quadrature cells and their break
+terms run on integers over common denominators; each must equal its
+Fraction form, the floats of the cells and break terms bit for bit.
 """
 
 import operator
@@ -19,13 +22,14 @@ import pytest
 from framesmith.construction import build_family, example_by_name
 from framesmith.folding import layered_partition
 from framesmith.frametest import TestSignal, _scaled_square
-from framesmith.intervals import IntervalSet
+from framesmith.intervals import IntervalSet, _overlay
 from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _square_sum,
                                   integrate_product, refine)
 from framesmith.quadrature import QuadPlan
-from oracles import (closed_cells_oracle, combine_oracle, difference_oracle,
-                     integrate_product_oracle, intersect_oracle,
-                     layered_partition_oracle, piece_at, restrict_oracle)
+from oracles import (break_terms_oracle, closed_cells_oracle, combine_oracle,
+                     difference_oracle, integrate_product_oracle, intersect_oracle,
+                     layered_partition_oracle, overlay_oracle, piece_at,
+                     restrict_oracle)
 
 SEEDS = range(600)
 SCALES = (2, 3, -2, -3, 4)
@@ -117,27 +121,86 @@ def test_set_algebra_and_layers_match_oracles():
             assert layered_partition(K) == layered_partition_oracle(K), seed
 
 
-def _as_tuple(cell):
-    return cell._replace(coeffs=tuple(cell.coeffs))
+def test_integrate_product_matches_oracle_on_deep_grids():
+    """1 to 4 factors with gaps, each squeezed by 3^k, k <= 12, and some
+    shifted, so the breakpoint denominators reach 4 * 3^12."""
+    nonzero = 0
+    for seed in range(600):
+        rng = random.Random(f"deep{seed}")
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            f = random_pwl(rng).compose_scale(rng.choice([1, -1]) * 3 ** rng.randint(0, 12))
+            if rng.random() < 0.3:
+                f = f.compose_shift(F(rng.randint(-4, 4), 3 ** rng.randint(0, 12)))
+            factors.append(f)
+        got = integrate_product(factors)
+        assert got == integrate_product_oracle(factors), seed
+        nonzero += got != 0
+    assert nonzero >= 150
+
+
+def test_overlay_matches_fraction_sweep_on_tied_ends():
+    """The integer sweep against the Fraction one: ends drawn from a few
+    values over unlike denominators, so many intervals start or end
+    together, with unit, bitmask and arbitrary weights."""
+    for seed in range(400):
+        rng = random.Random(f"overlay{seed}")
+        ends = sorted({F(rng.randint(-9, 9), rng.choice([1, 2, 3, 6, 9 ** 5]))
+                       for _ in range(rng.randint(2, 6))})
+        if len(ends) < 2:
+            continue
+        pairs = []
+        for _ in range(rng.randint(1, 8)):
+            lo, hi = sorted(rng.sample(ends, 2))
+            pairs.append((lo, hi))
+        for weights in (None, [1 << n for n in range(len(pairs))],
+                        [rng.randint(-3, 3) or 1 for _ in pairs]):
+            got = _overlay(pairs, weights)
+            assert got == overlay_oracle(pairs, weights), seed
+            assert all(type(x) is F for cell in got for x in cell[:2])
+
+
+def _cell_fields(cell):
+    """A cell's float fields, and whether it keeps break-term data."""
+    return cell._replace(coeffs=tuple(cell.coeffs), poly=cell.poly is not None)
+
+
+def _signals(name):
+    rng = random.Random(f"signals:{name}")
+    seeded = [TestSignal.tent(F(rng.randint(-12, 0), rng.randint(1, 9)),
+                              F(rng.randint(1, 12), rng.randint(1, 9)))
+              for _ in range(2)]
+    return [TestSignal.parse("tent:[-1,1)"), TestSignal.parse("chi:[1,2)"),
+            TestSignal.indicator(F(-1, 3), 2)] + seeded
 
 
 @pytest.mark.parametrize("name", ["shannon", "journe", "pwl:a=1/2,b=1/2",
                                   "pwl:a=3/4,b=5/4"])
 def test_quadplan_cells_match_oracle_on_builtins(name):
-    signals = [TestSignal.tent(-1, 1), TestSignal.indicator(F(-1, 3), 2)]
-    built = cells = 0
+    """The plan's cells on the integer grid against the Fraction cells of
+    the cut loop, and its break terms bit for bit against the Fraction
+    sums, on every buildable a and j in -8..8."""
+    built = cells = breaks = 0
     for a in SCALES:
         try:
             _, wavelets = build_family(replace(example_by_name(name), dilation=a))
         except ValueError:
             continue   # journe is not admissible at every a
         built += 1
-        for f in signals:
+        for f in _signals(name):
             for psi in wavelets.psis:
-                for j in (-2, -1, 0, 1, 2):
+                for j in range(-8, 9):
                     square = _scaled_square(psi, a, j)
-                    got = [_as_tuple(c) for c in QuadPlan(f.hat, square).closed]
-                    want = [_as_tuple(c) for c in closed_cells_oracle(f.hat, square)]
-                    assert got == want, (a, f.label, j)
-                    cells += len(got)
-    assert built >= 3 and cells
+                    plan = QuadPlan(f.hat, square)
+                    want = closed_cells_oracle(f.hat, square)
+                    assert ([_cell_fields(c) for c in plan.closed]
+                            == [_cell_fields(c) for c in want]), (a, f.label, j)
+                    cells += len(want)
+                    polys = [c for c in want if c.poly is not None]
+                    if polys:
+                        xs, jumps = break_terms_oracle(polys)
+                        assert plan._xs.tobytes() == xs.tobytes(), (a, f.label, j)
+                        assert plan._jumps.tobytes() == jumps.tobytes(), (a, f.label, j)
+                        assert plan._jumps.shape == jumps.shape, (a, f.label, j)
+                        breaks += len(xs)
+    assert built >= 3 and cells and (breaks or name.startswith("pwl"))
