@@ -341,17 +341,16 @@ def _closed_cell(piece, root, lo: int, hi: int, den: int, line_scale: int,
         coeffs = ((sign * (b * alpha - a * beta), abs(alpha) * line_scale),
                   (sign * a * den, line_scale))
         origin = (-sign * beta, s_den)
-        ends = [(lo, den) if at_lo else origin, (hi, den) if at_hi else origin]
+        ends = ((lo, den) if at_lo else origin, (hi, den) if at_hi else origin)
         s_ends = (at_lo, at_hi)
         if sign < 0:
-            ends.reverse()
-            s_ends = s_ends[::-1]
+            ends, s_ends = ends[::-1], s_ends[::-1]
     elif beta <= 0:
         return None
     else:
         sign, nu, s_den, scale_sq = 1, 0.0, den, (beta, root_scale)
         coeffs = ((a * lo + b, line_scale), (a * den, line_scale))
-        ends, s_ends = [(lo, den), (hi, den)], (0, hi - lo)
+        ends, s_ends = ((lo, den), (hi, den)), (0, hi - lo)
     if not (coeffs[0][0] or coeffs[1][0]):
         return None
     s0, s1 = s_ends
