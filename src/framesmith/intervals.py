@@ -6,6 +6,9 @@ have identical representations and byte-identical serializations.  All set
 algebra is exact; boundary points follow the half-open convention, so
 partitions have no double counting.  Intersection and difference run on the
 one endpoint sweep `_overlay`, with self weighted 1 and the other set 2.
+Those two, `translate` and `scale` (which reverses the pieces for c < 0)
+keep the canonical form and build through `_trusted`; the constructor and
+`of` canonicalize what they are given.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ class IntervalSet:
     def __post_init__(self):
         object.__setattr__(self, "pieces", _canonicalize(self.pieces))
 
+    @classmethod
+    def _trusted(cls, pieces: Tuple[Tuple[Fraction, Fraction], ...]) -> "IntervalSet":
+        """The set of `pieces` taken as given: the constructor of the
+        internal producers whose output is canonical already (sorted,
+        nonempty pieces of Fractions that neither overlap nor touch)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "pieces", pieces)
+        return s
+
     def __bool__(self) -> bool:
         return bool(self.pieces)
 
@@ -80,10 +92,12 @@ class IntervalSet:
         return IntervalSet(self.pieces + other.pieces)
 
     def _cover(self, other: "IntervalSet", value: int) -> "IntervalSet":
-        """The cells of value `value` in the overlay of self and other."""
+        """The cells of value `value` in the overlay of self and other
+        (touching cells of the overlay differ in value, so they never
+        touch)."""
         cells = _overlay(self.pieces + other.pieces,
                          [1] * len(self.pieces) + [2] * len(other.pieces))
-        return IntervalSet(tuple((lo, hi) for lo, hi, v in cells if v == value))
+        return IntervalSet._trusted(tuple((lo, hi) for lo, hi, v in cells if v == value))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return self._cover(other, 3)
@@ -93,7 +107,7 @@ class IntervalSet:
 
     def translate(self, t) -> "IntervalSet":
         t = as_fraction(t)
-        return IntervalSet(tuple((lo + t, hi + t) for lo, hi in self.pieces))
+        return IntervalSet._trusted(tuple((lo + t, hi + t) for lo, hi in self.pieces))
 
     def scale(self, c) -> "IntervalSet":
         """Image {c*x : x in S}.  For c < 0 the half-open boundary flips;
@@ -102,8 +116,9 @@ class IntervalSet:
         if c == 0:
             raise ValueError("scale factor must be nonzero")
         if c > 0:
-            return IntervalSet(tuple((lo * c, hi * c) for lo, hi in self.pieces))
-        return IntervalSet(tuple((hi * c, lo * c) for lo, hi in self.pieces))
+            return IntervalSet._trusted(tuple((lo * c, hi * c) for lo, hi in self.pieces))
+        return IntervalSet._trusted(tuple((hi * c, lo * c)
+                                          for lo, hi in reversed(self.pieces)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.pieces == other.pieces

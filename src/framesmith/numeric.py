@@ -35,37 +35,46 @@ class FInterval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
+    @classmethod
+    def _ordered(cls, lo: Fraction, hi: Fraction) -> "FInterval":
+        """[lo, hi] for lo <= hi known to the caller: the arithmetic below
+        builds its results here and skips the comparison."""
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "lo", lo)
+        object.__setattr__(iv, "hi", hi)
+        return iv
+
     @staticmethod
     def point(x) -> "FInterval":
         x = Fraction(x)
         return FInterval(x, x)
 
     def __add__(self, other: "FInterval") -> "FInterval":
-        return FInterval(self.lo + other.lo, self.hi + other.hi)
+        return FInterval._ordered(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "FInterval") -> "FInterval":
-        return FInterval(self.lo - other.hi, self.hi - other.lo)
+        return FInterval._ordered(self.lo - other.hi, self.hi - other.lo)
 
     def __neg__(self) -> "FInterval":
-        return FInterval(-self.hi, -self.lo)
+        return FInterval._ordered(-self.hi, -self.lo)
 
     def __mul__(self, other: "FInterval") -> "FInterval":
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
-        return FInterval(min(cands), max(cands))
+        return FInterval._ordered(min(cands), max(cands))
 
     def scale(self, q) -> "FInterval":
         q = Fraction(q)
         if q >= 0:
-            return FInterval(self.lo * q, self.hi * q)
-        return FInterval(self.hi * q, self.lo * q)
+            return FInterval._ordered(self.lo * q, self.hi * q)
+        return FInterval._ordered(self.hi * q, self.lo * q)
 
     def square(self) -> "FInterval":
         if self.lo >= 0:
-            return FInterval(self.lo * self.lo, self.hi * self.hi)
+            return FInterval._ordered(self.lo * self.lo, self.hi * self.hi)
         if self.hi <= 0:
-            return FInterval(self.hi * self.hi, self.lo * self.lo)
-        return FInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+            return FInterval._ordered(self.hi * self.hi, self.lo * self.lo)
+        return FInterval._ordered(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
     def width(self) -> Fraction:
         return self.hi - self.lo

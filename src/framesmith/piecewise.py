@@ -5,16 +5,26 @@ affine map alpha*x + beta with rational coefficients; the function is 0
 outside its pieces.  Canonical form (sorted pieces, zero pieces dropped,
 touching pieces with the same line merged) makes equality of canonical
 objects coincide with pointwise equality away from a finite breakpoint set.
+The constructor puts whatever it is given in that form and refuses
+overlapping pieces; `of` and the loader go through it.  The internal
+producers whose output is canonical already -- `_sum`, `restrict`,
+`compose_shift`, `scale_value` and `compose_scale` -- build through
+`_trusted` instead, which takes the pieces as given: each keeps the pieces
+sorted and disjoint (a reflection reverses them), drops or never makes a
+zero line, and never gives two touching pieces one line.
 Whatever takes several functions at once (sums, differences, restriction to
 an IntervalSet, the integral of a product, square sums) runs on the one
 forward sweep over their common refinement, `refine`; only point
 evaluation looks a piece up, and evaluation at sorted points walks the
-pieces forward once (`eval_sorted`).  The integral of a product and the
-frame-test quadrature cells take that sweep on an integer grid
+pieces forward once (`eval_sorted`).  Sums, the integral of a product and
+the frame-test quadrature cells take that sweep on an integer grid
 (`_on_grid`): every breakpoint an integer over the functions' common
 denominator D, and every line an integer line over one denominator per
 function, so their exact sums are integer sums with one Fraction, or one
-int / int division, at the end.
+int / int division, at the end.  `_sum` adds each cell's lines over one lcm
+scale, drops zero cells and merges touching cells with equal integer lines
+before it builds one Fraction per coefficient; the norm-sum walk of
+`verification` looks sigma up on the same grid (`_integer_eval`).
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square,
@@ -31,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +103,21 @@ class PiecewiseLinear:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", _canonical_pieces(self.pieces))
-        object.__setattr__(self, "_los", [p[0] for p in self.pieces])
+
+    @classmethod
+    def _trusted(cls, pieces: Tuple[Piece, ...]) -> "PiecewiseLinear":
+        """The function of `pieces` taken as given: the constructor of the
+        internal producers whose output is canonical already (sorted,
+        disjoint and nonempty pieces of Fractions, no zero line, touching
+        pieces with distinct lines).  Everything from outside goes through
+        the checking constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "pieces", pieces)
+        return f
+
+    @cached_property
+    def _los(self) -> List[Fraction]:
+        return [p[0] for p in self.pieces]
 
     @staticmethod
     def of(*pieces) -> "PiecewiseLinear":
@@ -197,7 +221,9 @@ class PiecewiseLinear:
 
     def scale_value(self, c) -> "PiecewiseLinear":
         c = as_fraction(c)
-        return PiecewiseLinear(tuple(
+        if c == 0:
+            return PiecewiseLinear._trusted(())
+        return PiecewiseLinear._trusted(tuple(
             (lo, hi, a * c, b * c) for lo, hi, a, b in self.pieces))
 
     def compose_scale(self, c) -> "PiecewiseLinear":
@@ -205,25 +231,25 @@ class PiecewiseLinear:
         c = as_fraction(c)
         if c == 0:
             raise ValueError("scale factor must be nonzero")
-        out = []
-        for lo, hi, a, b in self.pieces:
-            if c > 0:
-                out.append((lo / c, hi / c, a * c, b))
-            else:
-                # half-open boundary flips; keep [l, r) (measure-zero shift)
-                out.append((hi / c, lo / c, a * c, b))
-        return PiecewiseLinear(tuple(out))
+        if c > 0:
+            return PiecewiseLinear._trusted(tuple(
+                (lo / c, hi / c, a * c, b) for lo, hi, a, b in self.pieces))
+        # half-open boundary flips; keep [l, r) (measure-zero shift)
+        return PiecewiseLinear._trusted(tuple(
+            (hi / c, lo / c, a * c, b) for lo, hi, a, b in reversed(self.pieces)))
 
     def compose_shift(self, t) -> "PiecewiseLinear":
         """g(x) = f(x + t)."""
         t = as_fraction(t)
-        return PiecewiseLinear(tuple(
+        return PiecewiseLinear._trusted(tuple(
             (lo - t, hi - t, a, a * t + b) for lo, hi, a, b in self.pieces))
 
     def restrict(self, where: IntervalSet) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((lo, hi, p[2], p[3])
-                                     for lo, hi, (p, w) in refine([self, where])
-                                     if p and w))
+        # a cell boundary between two kept cells is a piece end of self, as
+        # the set's pieces never touch, so the kept lines stay distinct
+        return PiecewiseLinear._trusted(tuple(
+            (lo, hi, p[2], p[3]) for lo, hi, (p, w) in refine([self, where])
+            if p and w))
 
     def first_negative_witness(self) -> Fraction | None:
         """A point where the function is negative, or None.  Linearity on each
@@ -331,6 +357,24 @@ def _on_grid(fns: Sequence[PiecewiseLinear]) -> Tuple[int, List[_Grid]]:
     return den, grids
 
 
+def _integer_eval(f: PiecewiseLinear) -> Tuple[int, Callable[[int, int], int]]:
+    """(s, value) with f(p / q) = value(p, q) / (s q) for integers p and q >
+    0, on the integer grid of `_on_grid`.  For the integer ends LO = lo den
+    and HI = hi den, lo <= p / q < hi holds iff LO <= floor(p den / q) < HI,
+    so the half-open piece lookup compares integers only."""
+    den, (grid,) = _on_grid([f])
+    los = [p[0] for p in grid.pieces]
+
+    def value(p: int, q: int) -> int:
+        x = p * den // q
+        i = bisect.bisect_right(los, x) - 1
+        if i < 0 or x >= grid.pieces[i][1]:
+            return 0
+        _, _, a, b = grid.pieces[i]
+        return a * p * den + b * q
+    return grid.scale, value
+
+
 def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
     """Exact integral of a product of piecewise-linear functions: on the
     integer grid of `_on_grid` each cell adds sum_i c_i (HI^(i+1) -
@@ -396,10 +440,36 @@ class SqrtProfile:
 
 
 def _sum(fns: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
-    """The pointwise sum, in one pass over the common refinement."""
-    return PiecewiseLinear(tuple(
-        (lo, hi, sum(p[2] for p in pieces if p), sum(p[3] for p in pieces if p))
-        for lo, hi, pieces in refine(fns)))
+    """The pointwise sum, in one pass over the common refinement of the
+    functions on the integer grid of `_on_grid`.  Each cell's lines are
+    summed as integers over L, the lcm of the functions' scales; zero cells
+    are dropped and touching cells with equal integer lines merged, so the
+    pieces are canonical.  Only then is one Fraction built per coefficient,
+    alpha = A den / L and beta = B / L, and the cells keep the given
+    Fraction endpoints."""
+    den, grids = _on_grid(fns)
+    top = math.lcm(*(g.scale for g in grids))
+    lifts = [top // g.scale for g in grids]
+    ends = {}
+    for f, g in zip(fns, grids):
+        for (lo, hi, _, _), (x, y, _, _) in zip(f.pieces, g.pieces):
+            ends[x], ends[y] = lo, hi
+    out: List[list] = []
+    for lo, hi, pieces in refine(grids):
+        a = b = 0
+        for p, m in zip(pieces, lifts):
+            if p is not None:
+                a += p[2] * m
+                b += p[3] * m
+        if not (a or b):
+            continue
+        if out and out[-1][1] == lo and out[-1][2] == a and out[-1][3] == b:
+            out[-1][1] = hi
+        else:
+            out.append([lo, hi, a, b])
+    return PiecewiseLinear._trusted(tuple(
+        (ends[lo], ends[hi], Fraction(a * den, top), Fraction(b, top))
+        for lo, hi, a, b in out))
 
 
 def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:

@@ -28,8 +28,11 @@ terms, values of sigma.  (The loop over the scales would count a jump of
 sigma on the orbit at a < 0, where `compose_scale` moves the piece ends: a
 measure-zero set.)  The grid loop is exact integer arithmetic: the depths J
 and Jout come from ceilings taken on the numerators and one table of the
-powers of |a|, and xi / a^(J+1), xi a^Jout and the tail bound are each one
-Fraction of integers, equal to the Fraction-power forms.  Everything else
+powers of |a|; sigma is read at xi / a^(J+1) and xi a^Jout as (numerator,
+positive denominator) pairs against its integer piece ends, the test
+|1 - partial sum| <= tail is one integer comparison, and the worst tail is
+kept as an integer pair.  A Fraction is built only for the reported tail
+bound and for each of the at most three fail witnesses.  Everything else
 holds for all xi: dilation monotonicity is an exact piecewise-linear
 inequality, outward decay follows from the support hull, and the shifted
 splits and shifted orthogonality from the premise of `GeneratorSet`: each
@@ -55,7 +58,8 @@ from .construction import (Check, ScalingFamily, SpectralSpec, VerificationRepor
                            WaveletFamily, admissibility_check, require_dilation)
 from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
-from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
+from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _integer_eval,
+                        integrate_product)
 from .rationals import as_fraction, format_ratio
 from .trace import default_grid
 
@@ -130,8 +134,13 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     partial sum over -J <= j <= Jout telescopes to
     sigma(a^{-J-1} xi) - sigma(a^Jout xi); the outward tail is identically
     0 (bounded support) and the inward tail is bounded by
-    slope * |a^{-J-1} xi| inside the support pieces at 0.  A family whose
-    square sum does not telescope has its partial sum added scale by scale.
+    slope * |a^{-J-1} xi| inside the support pieces at 0.  That walk runs on
+    integers: xi = n / d gives the two arguments as (+-n, d |a|^(J+1)), the
+    sign that of a^(J+1), and (n a^Jout, d), each looked up against sigma's
+    integer piece ends with the half-open convention of `eval`, and the
+    partial sum, the tail and their comparison stay integer numerators
+    over integer denominators.  A family whose square sum does not
+    telescope has its partial sum added scale by scale, on Fractions.
     A support that repeats a residue mod 2 raises ValueError (the premise of
     `GeneratorSet`).
     """
@@ -169,14 +178,15 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     c_num, c_den = clearance.numerator, clearance.denominator
     s_num, s_den = slope.numerator, slope.denominator
     t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
-    worst_tail = Fraction(0)
+    top, sigma_at = _integer_eval(sigma)
+    worst_n, worst_d = 0, 1  # the worst tail is s_num worst_n / (s_den worst_d)
     failures = checked = 0
     for xi in grid:
         xi = as_fraction(xi)
-        if xi == 0:
+        n, d = xi.numerator, xi.denominator
+        if n == 0:
             continue
         checked += 1
-        n, d = xi.numerator, xi.denominator
         size = abs(n)  # |xi| = size / d
         # inward depth J: a^{-J-1} xi strictly inside the 0-clearance, where
         # sigma is 1 + alpha x on each side, and the tail below the target;
@@ -186,24 +196,34 @@ def check_ntf_multiwavelet(family: WaveletFamily,
         J = max(powers.first(max(near, far)) - 1, 0)
         # outward depth Jout: the least j >= 0 with |a^j xi| > radius
         Jout = powers.first(radius.numerator * d // (radius.denominator * size) + 1)
+        inward = powers[J + 1]
+        # the partial sum is p_num / p_den, and the tail, slope |xi| / |a|^(J+1),
+        # is s_num size / (s_den d inward)
         if telescopes:
-            partial = (sigma.eval(Fraction(n, d * powers.signed(J + 1)))
-                       - sigma.eval(Fraction(n * powers.signed(Jout), d)))
+            # sigma(a^{-J-1} xi) - sigma(a^Jout xi), with the sign of a^(J+1)
+            # moved to the numerator: each value is sigma_at(p, q) / (top q)
+            p_num = (sigma_at(n if powers.signed(J + 1) > 0 else -n, d * inward)
+                     - sigma_at(n * powers.signed(Jout), d) * inward)
+            p_den = top * d * inward
         else:
             partial = sum((square_sum.eval(xi * scale ** j)
                            for j in range(-J, Jout + 1)), Fraction(0))
-        tail = Fraction(s_num * size, s_den * d * powers[J + 1])
-        worst_tail = max(worst_tail, tail)
-        if abs(1 - partial) > tail:
+            p_num, p_den = partial.numerator, partial.denominator
+        if size * worst_d > worst_n * d * inward:
+            worst_n, worst_d = size, d * inward
+        # |1 - partial| > tail, on integers
+        if abs(p_den - p_num) * s_den * d * inward > s_num * size * p_den:
             failures += 1
             if failures <= 3:
                 report.add(Check("norm_sum", "fail",
-                                 {"xi": xi, "partial_sum": partial,
-                                  "allowed_tail": tail}))
+                                 {"xi": xi, "partial_sum": Fraction(p_num, p_den),
+                                  "allowed_tail": Fraction(s_num * size,
+                                                           s_den * d * inward)}))
     if checked == 0:
         report.add(Check("norm_sum", "uncertain", detail=_EMPTY_GRID))
     elif failures == 0:
-        report.add(Check("norm_sum", "pass", tail_bound=worst_tail,
+        report.add(Check("norm_sum", "pass",
+                         tail_bound=Fraction(s_num * worst_n, s_den * worst_d),
                          detail=f"all grid points within the certified tail"))
     elif failures > 3:
         report.add(Check("norm_sum", "fail",

@@ -29,7 +29,8 @@ windows inside each piece, and the boundary-by-chunk loop that
 `layered_partition` replaces by a bitmask overlay.
 
 Refinement: the loops that `piecewise.refine` and `intervals._overlay`
-replace -- the cut-and-look-up sum, the piece-by-piece restriction and
+replace -- the cut-and-look-up sum, the Fraction sum on the sweep that the
+integer `_sum` replaces, the piece-by-piece restriction and
 intersection, the merge difference, the cut loop of product integrals and
 of the quadrature cells.  Each rebuilds the breakpoint set and finds the
 pieces of a cell by bisection.  The library runs the sweeps on integers over
@@ -59,7 +60,7 @@ from framesmith.construction import Check, SeedClassification, require_dilation
 from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
-from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum
+from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum, refine
 from framesmith.quadrature import _FRESNEL_INF, _SERIES_PHASE, _Cell, _fresnel_tail, _pow_diff
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum
@@ -505,6 +506,15 @@ def combine_oracle(f, g, op):
         a2, b2 = (q[2], q[3]) if q else (Fraction(0), Fraction(0))
         out.append((lo, hi, op(a1, a2), op(b1, b2)))
     return PiecewiseLinear(tuple(out))
+
+
+def sum_oracle(fns):
+    """The pointwise sum on the Fraction sweep: each cell's coefficients
+    added as Fractions, and the cells put in canonical form by the checking
+    constructor."""
+    return PiecewiseLinear(tuple(
+        (lo, hi, sum(p[2] for p in pieces if p), sum(p[3] for p in pieces if p))
+        for lo, hi, pieces in refine(fns)))
 
 
 def restrict_oracle(f, where):

@@ -159,9 +159,17 @@ class TestValidationRefusal:
          "family.phis['0_0']"),
         ("family", lambda o: o["psis"][0]["square"][0].update(alpha=False, beta=True),
          "family.psis[0].square[0].alpha"),
+        # the checking constructor refuses what the loader reads
+        ("family", lambda o: o["sigma"].append(o["sigma"][0]),
+         "family.sigma: overlapping pieces at"),
+        ("family", lambda o: o["psis"][0]["square"].append(o["psis"][0]["square"][-1]),
+         "family.psis[0].square: overlapping pieces at"),
+        ("family", lambda o: o["phis"]["0"]["square"].append(o["phis"]["0"]["square"][0]),
+         "family.phis[0].square: overlapping pieces at"),
     ], ids=["short_piece", "scalar_piece", "phis_list", "partition_null",
             "psis_null", "sigma_dilation_list", "phis_key_leading_zero",
-            "phis_key_separator", "boolean_coefficients"])
+            "phis_key_separator", "boolean_coefficients", "sigma_overlap",
+            "psi_square_overlap", "phi_square_overlap"])
     def test_malformed_file_exits_2_with_location(self, family_file, tmp_path,
                                                   capsys, kind, mutate, where):
         if kind == "family":
@@ -179,6 +187,23 @@ class TestValidationRefusal:
         capsys.readouterr()
         assert run(*argv) == 2
         assert f"parse error: {where}" in capsys.readouterr().err
+
+    def test_reversed_pieces_give_the_same_report(self, family_file, tmp_path):
+        # the loader puts every piece list in canonical order itself
+        def reverse(o):
+            for profile in o["psis"] + list(o["phis"].values()):
+                profile["square"].reverse()
+                profile["domain"].reverse()
+            o["sigma"].reverse()
+            for layer in o["partition"]:
+                layer.reverse()
+        path = _tampered(family_file, tmp_path, reverse)
+        assert path.read_text() != family_file.read_text()
+        reports = []
+        for i, fam in enumerate((family_file, path)):
+            out = tmp_path / f"report{i}.json"
+            reports.append((run("check", "--family", fam, "--out", out), out.read_bytes()))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command,text,where", [
         ("check-waveletset", '[[["-2","-1"],["2","1"]]]', "sets[0][1]"),

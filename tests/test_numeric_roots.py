@@ -112,6 +112,29 @@ def test_interval_arithmetic_basics():
     assert FInterval(F(-2), F(-1)).definitely_negative()
 
 
+def test_interval_operators_give_checked_intervals():
+    """The operators skip the order check of the constructor: their results
+    equal the checked intervals of the endpoint formulas, in every sign
+    case, and the constructor still refuses lo > hi."""
+    rng = random.Random(5)
+    ends = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(60)]
+    for x, y in zip(ends[0::2], ends[1::2]):
+        a = FInterval(min(x, y), max(x, y))
+        b = FInterval(min(-y, x / 3), max(-y, x / 3))
+        prods = [p * q for p in (a.lo, a.hi) for q in (b.lo, b.hi)]
+        squares = [a.lo * a.lo, a.hi * a.hi]
+        cases = [(a + b, (a.lo + b.lo, a.hi + b.hi)), (a - b, (a.lo - b.hi, a.hi - b.lo)),
+                 (-a, (-a.hi, -a.lo)), (a * b, (min(prods), max(prods))),
+                 (a.scale(x), tuple(sorted((a.lo * x, a.hi * x)))),
+                 (a.square(), (min(squares) if a.lo >= 0 or a.hi <= 0 else 0,
+                               max(squares)))]
+        for got, (lo, hi) in cases:
+            assert got == FInterval(lo, hi)
+            assert type(got.lo) is F and type(got.hi) is F
+    with pytest.raises(ValueError, match="empty interval"):
+        FInterval(F(2), F(1))
+
+
 def test_unit_phase_modulus_one():
     z = CInterval.unit_phase(F(2, 3))
     m = z.abs2()

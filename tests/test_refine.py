@@ -9,7 +9,9 @@ loop it replaced, kept in `oracles`, on seeded functions and sets whose
 pieces often touch at shared ends, and on their images under compose_scale.
 Product integrals, the endpoint sweep, the quadrature cells and their break
 terms run on integers over common denominators; each must equal its
-Fraction form, the floats of the cells and break terms bit for bit.
+Fraction form, the floats of the cells and break terms bit for bit.  The
+producers that build through the trusted constructors, which skip
+canonicalisation, must give pieces that are canonical already.
 """
 
 import operator
@@ -22,14 +24,14 @@ import pytest
 from framesmith.construction import build_family, example_by_name
 from framesmith.folding import layered_partition
 from framesmith.frametest import TestSignal, _scaled_square
-from framesmith.intervals import IntervalSet, _overlay
-from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _square_sum,
-                                  integrate_product, refine)
+from framesmith.intervals import IntervalSet, _canonicalize, _overlay
+from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _canonical_pieces,
+                                  _square_sum, _sum, integrate_product, refine)
 from framesmith.quadrature import QuadPlan
 from oracles import (break_terms_oracle, closed_cells_oracle, combine_oracle,
                      difference_oracle, integrate_product_oracle, intersect_oracle,
                      layered_partition_oracle, overlay_oracle, piece_at,
-                     restrict_oracle)
+                     restrict_oracle, sum_oracle)
 
 SEEDS = range(600)
 SCALES = (2, 3, -2, -3, 4)
@@ -158,6 +160,75 @@ def test_overlay_matches_fraction_sweep_on_tied_ends():
             got = _overlay(pairs, weights)
             assert got == overlay_oracle(pairs, weights), seed
             assert all(type(x) is F for cell in got for x in cell[:2])
+
+
+def _producer_cases(rng: random.Random):
+    """(name, trusted result, the raw pieces its producer built before) for
+    every trusted producer on one seeded draw.  The functions are squeezed
+    by 3^k, k <= 12, and shifted by n / 3^k, so breakpoint denominators
+    reach 4 * 3^12; scale factors include 0, a^(+-40) and c < 0; the sums
+    include f - f and f + (line - f), whose cells must merge into one
+    line; and the restrictions take sets whose pieces start and end at
+    piece ends of f."""
+    f, g = random_pwl(rng), random_pwl(rng)
+    if rng.random() < 0.5:
+        f = f.compose_scale(rng.choice([1, -1]) * 3 ** rng.randint(0, 12))
+    if rng.random() < 0.5:
+        g = g.compose_shift(F(rng.randint(-4, 4), 3 ** rng.randint(0, 12)))
+    a = rng.choice(SCALES)
+    for c in (0, -1, a, F(1, a), F(a) ** 40, F(a) ** -40,
+              F(rng.randint(-9, 9), rng.randint(1, 9))):
+        yield ("scale_value", f.scale_value(c),
+               [(lo, hi, al * c, be * c) for lo, hi, al, be in f.pieces])
+        if c:
+            c = F(c)
+            yield ("compose_scale", f.compose_scale(c),
+                   [(lo / c, hi / c, al * c, be) if c > 0 else (hi / c, lo / c, al * c, be)
+                    for lo, hi, al, be in f.pieces])
+    t = F(rng.randint(-9, 9), 3 ** rng.randint(0, 12))
+    yield ("compose_shift", f.compose_shift(t),
+           [(lo - t, hi - t, al, al * t + be) for lo, hi, al, be in f.pieces])
+    ends = f.breakpoints()
+    cuts = sorted(rng.sample(ends, min(len(ends), rng.randint(2, 4)))) if ends else []
+    for where in (IntervalSet(tuple(zip(cuts[::2], cuts[1::2]))), f.support(),
+                  random_set(rng)):
+        yield ("restrict", f.restrict(where),
+               [(lo, hi, p[2], p[3]) for lo, hi, (p, w) in refine([f, where]) if p and w])
+    hull = (min(ends, default=F(0)) - 1, max(ends, default=F(0)) + 1)
+    line = PiecewiseLinear(((hull[0], hull[1], F(rng.randint(-3, 3), 2), F(1, 3)),))
+    rest = sum_oracle([line, f.scale_value(-1)])
+    for fns in ([f, g], [f, f.scale_value(-1)], [f, rest], [f, g, rest, f],
+                [f.compose_scale(F(a) ** 40), g], [], [f]):
+        yield "_sum", _sum(fns), list(sum_oracle(fns).pieces)
+    assert f + rest == line and len(line.pieces) == 1
+    assert (f - f).is_zero()
+    A, B = random_set(rng), random_set(rng).translate(t)
+    for X, Y in ((A, B), (B, A), (A, A), (A, f.support())):
+        for value, result in ((3, X.intersect(Y)), (1, X.difference(Y))):
+            yield ("_cover", result, [(lo, hi) for lo, hi, v in _overlay(
+                X.pieces + Y.pieces, [1] * len(X.pieces) + [2] * len(Y.pieces))
+                if v == value])
+    yield "translate", A.translate(t), [(lo + t, hi + t) for lo, hi in A.pieces]
+    for c in (F(a) ** 40, F(a) ** -40, F(-1), F(1, a)):
+        yield ("scale", A.scale(c), [(lo * c, hi * c) if c > 0 else (hi * c, lo * c)
+                                     for lo, hi in A.pieces])
+
+
+def test_trusted_producers_are_canonical():
+    """Each producer that skips the checking constructor gives pieces that
+    are canonical already: equal to their own canonical form and to the
+    canonical form of the pieces it built before, all Fractions."""
+    counts = {}
+    for seed in range(300):
+        rng = random.Random(f"trusted{seed}")
+        for name, got, raw in _producer_cases(rng):
+            canonical = (_canonical_pieces if isinstance(got, PiecewiseLinear)
+                         else _canonicalize)
+            assert got.pieces == canonical(got.pieces) == canonical(raw), (seed, name)
+            assert got == type(got)(tuple(raw)), (seed, name)
+            assert all(type(x) is F for p in got.pieces for x in p), (seed, name)
+            counts[name] = counts.get(name, 0) + bool(got.pieces)
+    assert min(counts.values()) >= 100, counts
 
 
 def _cell_fields(cell):

@@ -12,7 +12,7 @@ from framesmith.cli import main
 from framesmith.construction import (SpectralSpec, build_family, example_by_name,
                                      random_admissible_spec)
 from framesmith.intervals import IntervalSet
-from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
+from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _integer_eval
 from framesmith.sequences import Sequence
 from framesmith.serialize import (digest_of, dumps_canonical, family_from_jsonable,
                                   family_to_jsonable, loads_json)
@@ -255,6 +255,42 @@ class TestNormSum:
                 grid.update(s * x for x in points if x <= 2 * radius for s in (1, -1))
         for c in (1, F(1, 2), 10):
             self._assert_same(_scaled_psis(wavelets, c), sorted(grid))
+
+    @pytest.mark.parametrize("a", (-2, -3, 4))
+    def test_breakpoint_orbits_match(self, a):
+        """Grid points on the dilation orbits of sigma's breakpoints, of the
+        psi hull ends and of the clearance: xi = b a^k, both signs.  The
+        walk's sigma arguments a^(-J-1) xi and a^Jout xi are points of these
+        orbits; the depths keep them off the breakpoints themselves (strictly
+        inside the clearance, strictly beyond the hull), so the half-open
+        lookup at the ends is tested on its own below."""
+        for name in BUILTINS:
+            try:
+                _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+            except ValueError:
+                continue   # journe is not admissible at |a| = 3
+            clearance = wavelets.sigma.zero_neighborhood()[2]
+            ends = (wavelets.sigma.breakpoints() + [clearance]
+                    + list(wavelets.generator_set().support_hull()))
+            grid = sorted({s * b * F(a) ** k for b in ends if b
+                           for k in range(-8, 9) for s in (1, -1)})
+            for c in (1, F(1, 2)):
+                self._assert_same(_scaled_psis(wavelets, c), grid)
+
+    @pytest.mark.parametrize("a", (-2, -3, 4))
+    def test_sigma_lookup_at_breakpoints(self, a):
+        """The integer lookup of the walk against `eval` at every breakpoint
+        of sigma and next to it, with p / q unreduced: each end belongs to
+        the piece on its right."""
+        sigmas = [example_by_name(n).sigma for n in BUILTINS]
+        sigmas += [_random_spec(seed, a).sigma for seed in range(4)]
+        for sigma in sigmas:
+            top, value = _integer_eval(sigma)
+            for b in sigma.breakpoints():
+                for x in (b, b - F(1, 7 * b.denominator), b + F(1, 7 * b.denominator)):
+                    for k in (1, 6):
+                        p, q = x.numerator * k, x.denominator * k
+                        assert F(value(p, q), top * q) == sigma.eval(x), (sigma, x)
 
     def test_signed_powers(self):
         for a in (2, -2, 3, -3, 4):
