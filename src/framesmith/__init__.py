@@ -46,6 +46,5 @@ from .verification import (
     check_suites,
     check_wavelet_set_tiling,
 )
-from .frametest import TestSignal, coefficient, frame_energy
 
 __all__ = [name for name in dir() if not name.startswith("_")]

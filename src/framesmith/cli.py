@@ -20,7 +20,6 @@ from . import __version__
 from .construction import (SpectralSpec, build_family,
                            classify_waveletset_seed, example_by_name,
                            waveletset_sigma, ClosureDidNotStabilize)
-from .frametest import TestSignal, frame_energy
 from .intervals import union_all
 from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
@@ -182,6 +181,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_frame_test(args) -> int:
+    from .frametest import TestSignal, frame_energy  # numpy loads with it, here only
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     scaling, wavelets = _load_family(args.family)

@@ -14,17 +14,18 @@ sorted and disjoint (a reflection reverses them), drops or never makes a
 zero line, and never gives two touching pieces one line.
 Whatever takes several functions at once (sums, differences, restriction to
 an IntervalSet, the integral of a product, square sums) runs on the one
-forward sweep over their common refinement, `refine`; only point
-evaluation looks a piece up, and evaluation at sorted points walks the
-pieces forward once (`eval_sorted`).  Sums, the integral of a product and
-the frame-test quadrature cells take that sweep on an integer grid
-(`_on_grid`): every breakpoint an integer over the functions' common
+forward sweep over their common refinement, `refine`.  Sums, the integral of
+a product and the frame-test quadrature cells take that sweep on an integer
+grid (`_on_grid`): every breakpoint an integer over the functions' common
 denominator D, and every line an integer line over one denominator per
 function, so their exact sums are integer sums with one Fraction, or one
 int / int division, at the end.  `_sum` adds each cell's lines over one lcm
 scale, drops zero cells and merges touching cells with equal integer lines
-before it builds one Fraction per coefficient; the norm-sum walk of
-`verification` looks sigma up on the same grid (`_integer_eval`).
+before it builds one Fraction per coefficient.  Each function keeps one
+cached integer form, `_form`: itself alone on that grid.  Every point read
+(`eval`, `eval_left`, and the norm-sum walk of `verification` through
+`_numerator`) looks the piece up on it with integers only and builds at
+most one Fraction.
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square,
@@ -41,9 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .folding import _repeated_residue
 from .intervals import IntervalSet, union_all
@@ -116,8 +115,11 @@ class PiecewiseLinear:
         return f
 
     @cached_property
-    def _los(self) -> List[Fraction]:
-        return [p[0] for p in self.pieces]
+    def _form(self) -> Tuple[int, List[int], "_Grid"]:
+        """(den, starts, grid): the function alone on the integer grid of
+        `_on_grid`, x = X / den, and the integer starts LO of its pieces."""
+        den, (grid,) = _on_grid([self])
+        return den, [p[0] for p in grid.pieces], grid
 
     @staticmethod
     def of(*pieces) -> "PiecewiseLinear":
@@ -137,58 +139,37 @@ class PiecewiseLinear:
 
     # -- evaluation -----------------------------------------------------
 
+    def _numerator(self, p: int, q: int) -> int:
+        """N with f(p / q) = N / (scale q), scale that of `_form`, for
+        integers p and q > 0, p / q not necessarily reduced.  For the integer
+        ends LO = lo den and HI = hi den, lo <= p / q < hi holds iff
+        LO <= floor(p den / q) < HI, so the half-open lookup compares
+        integers only."""
+        den, starts, grid = self._form
+        x = p * den // q
+        i = bisect.bisect_right(starts, x) - 1
+        if i < 0 or x >= grid.pieces[i][1]:
+            return 0
+        _, _, a, b = grid.pieces[i]
+        return a * p * den + b * q
+
     def eval(self, x) -> Fraction:
         x = as_fraction(x)
-        i = bisect.bisect_right(self._los, x) - 1
-        if i >= 0:
-            lo, hi, a, b = self.pieces[i]
-            if lo <= x < hi:
-                return a * x + b
-        return Fraction(0)
-
-    def eval_sorted(self, xs: Sequence[Fraction]) -> List[Fraction]:
-        """eval at each of the ascending points xs, on one forward walk over
-        the pieces.  Comparisons and values are taken on the numerators and
-        (positive) denominators, so each value costs one reduced Fraction."""
-        ints = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                 a.numerator, a.denominator, b.numerator, b.denominator)
-                for lo, hi, a, b in self.pieces]
-        out: List[Fraction] = []
-        i, pn, pd = 0, None, 1
-        for x in xs:
-            xn, xd = x.numerator, x.denominator
-            if pn is not None and xn * pd < pn * xd:
-                raise ValueError(f"points not ascending: {x} after {Fraction(pn, pd)}")
-            pn, pd = xn, xd
-            while i < len(ints) and ints[i][2] * xd <= xn * ints[i][3]:
-                i += 1
-            if i < len(ints) and ints[i][0] * xd <= xn * ints[i][1]:
-                _, _, _, _, an, ad, bn, bd = ints[i]
-                out.append(Fraction(an * xn * bd + bn * ad * xd, ad * xd * bd))
-            else:
-                out.append(Fraction(0))
-        return out
+        q = x.denominator
+        return Fraction(self._numerator(x.numerator, q), self._form[2].scale * q)
 
     def eval_left(self, x) -> Fraction:
-        """One-sided limit from below at x (exact)."""
+        """One-sided limit from below at x (exact): lo < x <= hi holds iff
+        LO < ceil(x den) <= HI."""
         x = as_fraction(x)
-        i = bisect.bisect_right(self._los, x) - 1
-        while i >= 0:
-            lo, hi, a, b = self.pieces[i]
-            if lo < x <= hi:
-                return a * x + b
-            if hi < x:
-                return Fraction(0)
-            i -= 1
-        return Fraction(0)
-
-    def eval_float(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation (for quadrature/CSV only)."""
-        out = np.zeros_like(xs, dtype=float)
-        for lo, hi, a, b in self.pieces:
-            m = (xs >= float(lo)) & (xs < float(hi))
-            out[m] = float(a) * xs[m] + float(b)
-        return out
+        p, q = x.numerator, x.denominator
+        den, starts, grid = self._form
+        up = -(-p * den // q)
+        i = bisect.bisect_left(starts, up) - 1
+        if i < 0 or up > grid.pieces[i][1]:
+            return Fraction(0)
+        _, _, a, b = grid.pieces[i]
+        return Fraction(a * p * den + b * q, grid.scale * q)
 
     # -- structure ------------------------------------------------------
 
@@ -355,24 +336,6 @@ def _on_grid(fns: Sequence[PiecewiseLinear]) -> Tuple[int, List[_Grid]]:
                              b.numerator * (e // b.denominator) * den)
                             for lo, hi, a, b in f.pieces], e * den))
     return den, grids
-
-
-def _integer_eval(f: PiecewiseLinear) -> Tuple[int, Callable[[int, int], int]]:
-    """(s, value) with f(p / q) = value(p, q) / (s q) for integers p and q >
-    0, on the integer grid of `_on_grid`.  For the integer ends LO = lo den
-    and HI = hi den, lo <= p / q < hi holds iff LO <= floor(p den / q) < HI,
-    so the half-open piece lookup compares integers only."""
-    den, (grid,) = _on_grid([f])
-    los = [p[0] for p in grid.pieces]
-
-    def value(p: int, q: int) -> int:
-        x = p * den // q
-        i = bisect.bisect_right(los, x) - 1
-        if i < 0 or x >= grid.pieces[i][1]:
-            return 0
-        _, _, a, b = grid.pieces[i]
-        return a * p * den + b * q
-    return grid.scale, value
 
 
 def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:

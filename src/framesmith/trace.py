@@ -9,8 +9,8 @@ premise (see `GeneratorSet`) and raises ValueError naming the first profile
 that breaks it.  Every trace is an exact Fraction read off S:
 - tau_{V,f} = sum_k |f(k)|^2 S(xi + 2k) and tau_{V,T} = sum_k T_kk S(xi + 2k);
 - the `trace` CSV: S, the periodization sum_k S(. + 2k) (the dimension
-  function) and tau_{V,f}, each read on one forward walk over the sorted
-  grid (`diagonal_traces`);
+  function) and tau_{V,f}, each a piecewise-linear function read at every
+  grid point (`diagonal_traces`);
 - two generator sets give equal traces exactly when their S agree (the NTF
   generator test);
 - the series identity is sum_{j>=1} S_psi(a^j xi) = S_phi(xi) at shift
@@ -56,24 +56,26 @@ def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
 
 def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
                     ) -> Tuple[List[Fraction], List[Fraction], List[Fraction]]:
-    """The columns of the trace CSV at the ascending grid points, exact: the
-    spectral function S = sum_phi |phi_hat|^2, the dimension function (the
-    trace of G) and tau_{V,f}.
+    """The columns of the trace CSV at the grid points, in their order,
+    exact: the spectral function S = sum_phi |phi_hat|^2, the dimension
+    function (the trace of G) and tau_{V,f}.
 
     The three columns are S, the periodization sum_k S(. + 2k) and
-    sum_{k in supp f} |f(k)|^2 S(. + 2k), piecewise linear, each read on one
-    forward walk over the grid."""
+    sum_{k in supp f} |f(k)|^2 S(. + 2k), piecewise linear, each read at
+    every grid point."""
     square = gen.spectral
     ks = range(0)
     if grid and square.pieces:
-        # the k with S(xi + 2k) != 0 for some xi in [grid[0], grid[-1]]
-        ks = range(math.ceil((square.pieces[0][0] - grid[-1]) / 2),
-                   math.ceil((square.pieces[-1][1] - grid[0]) / 2))
+        # every k with S(xi + 2k) != 0 for some xi in [lo, hi], the integers
+        # around the grid: more k add 0 at the grid points, and integer ends
+        # spare the Fraction comparisons of min(grid) and max(grid)
+        lo, hi = min(map(math.floor, grid)), max(map(math.ceil, grid))
+        ks = range(math.ceil((square.pieces[0][0] - hi) / 2),
+                   math.ceil((square.pieces[-1][1] - lo) / 2))
     periodized = _sum([square.compose_shift(2 * k) for k in ks])
     weighted = _sum([square.compose_shift(2 * k).scale_value(v.abs2())
                      for k, v in f.entries.items()])
-    return (square.eval_sorted(grid), periodized.eval_sorted(grid),
-            weighted.eval_sorted(grid))
+    return tuple([g.eval(xi) for xi in grid] for g in (square, periodized, weighted))
 
 
 # -- finite positive operators ---------------------------------------------

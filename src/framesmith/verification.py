@@ -58,8 +58,7 @@ from .construction import (Check, ScalingFamily, SpectralSpec, VerificationRepor
                            WaveletFamily, admissibility_check, require_dilation)
 from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
-from .piecewise import (GeneratorSet, PiecewiseLinear, SqrtProfile, _integer_eval,
-                        integrate_product)
+from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
 from .rationals import as_fraction, format_ratio
 from .trace import default_grid
 
@@ -178,7 +177,7 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     c_num, c_den = clearance.numerator, clearance.denominator
     s_num, s_den = slope.numerator, slope.denominator
     t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
-    top, sigma_at = _integer_eval(sigma)
+    top, sigma_at = sigma._form[2].scale, sigma._numerator
     worst_n, worst_d = 0, 1  # the worst tail is s_num worst_n / (s_den worst_d)
     failures = checked = 0
     for xi in grid:

@@ -17,8 +17,7 @@ the dilated trace once; its results must be equal to these, down to each
 Fraction and Fraction endpoint.
 
 Trace CSV: the spectral and dimension functions point by point, from the
-profile values and the fibers, which the CSV reads off the diagonal Gramian
-on one walk over the grid.
+profile values and the fibers, which the CSV reads off the diagonal Gramian.
 
 Grid and norm sum: the verification grid and the norm-sum loop on
 Fractions, which the library runs on integers over common denominators.
@@ -27,6 +26,10 @@ Translation fold: the chunk-by-chunk overlay, one cell per window a piece
 meets, that `per_multiplicity` replaces by one weighted pair for the full
 windows inside each piece, and the boundary-by-chunk loop that
 `layered_partition` replaces by a bitmask overlay.
+
+Point reads: the Fraction lookups by bisection on the piece starts, for the
+value and the limit from below, that `eval` and `eval_left` run on the
+integer form of a function.
 
 Refinement: the loops that `piecewise.refine` and `intervals._overlay`
 replace -- the cut-and-look-up sum, the Fraction sum on the sweep that the
@@ -82,7 +85,10 @@ def _values(factors, xs):
     """prod factor(xs), each factor a (pwl, is_sqrt) pair."""
     base = np.ones_like(xs)
     for pwl, is_sqrt in factors:
-        vals = pwl.eval_float(xs)
+        vals = np.zeros_like(xs)
+        for lo, hi, a, b in pwl.pieces:
+            m = (xs >= float(lo)) & (xs < float(hi))
+            vals[m] = float(a) * xs[m] + float(b)
         base *= np.sqrt(np.maximum(vals, 0.0)) if is_sqrt else vals
     return base
 
@@ -489,6 +495,29 @@ def piece_at(f, x):
     if i >= 0 and f.pieces[i][0] <= x < f.pieces[i][1]:
         return f.pieces[i]
     return None
+
+
+def eval_oracle(f, x) -> Fraction:
+    """f(x) from the Fraction line of the piece holding x: the lookup that
+    `eval` runs on the integer form."""
+    x = as_fraction(x)
+    p = piece_at(f, x)
+    return p[2] * x + p[3] if p else Fraction(0)
+
+
+def eval_left_oracle(f, x) -> Fraction:
+    """The limit of f from below at x, from the Fraction line of the piece
+    with lo < x <= hi, found by bisection and a step back."""
+    x = as_fraction(x)
+    i = bisect.bisect_right([p[0] for p in f.pieces], x) - 1
+    while i >= 0:
+        lo, hi, a, b = f.pieces[i]
+        if lo < x <= hi:
+            return a * x + b
+        if hi < x:
+            return Fraction(0)
+        i -= 1
+    return Fraction(0)
 
 
 def _cuts(*fns):

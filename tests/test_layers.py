@@ -7,6 +7,9 @@ the package metadata and is exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,17 @@ def test_imports_point_down(module):
 def test_verification_needs_no_quadrature():
     targets = {target for _, target in relative_imports("verification")}
     assert not targets & {"frametest", "quadrature"}
+
+
+def test_cli_loads_numpy_only_for_frame_test():
+    """Only the frame test's quadrature needs numpy: a fresh interpreter that
+    imports the CLI has not loaded it, and `frametest` still imports."""
+    code = ("import sys, framesmith.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded by framesmith.cli'\n"
+            "import framesmith.frametest\n"
+            "assert 'numpy' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from framesmith.construction import example_by_name, random_admissible_spec
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear, SqrtProfile, integrate_product
+from framesmith.rationals import format_ratio
+from oracles import eval_left_oracle, eval_oracle
 from oracles import radicand_zeros  # the Gauss-Legendre oracle's zero scan
 
 
@@ -27,6 +30,75 @@ def test_one_sided_limits():
     assert f.eval(1) == 3  # the limit from above, by half-openness
     assert f.eval_left(1) == 2
     assert f.eval_left(0) == 0
+
+
+def _random_pwl(rng):
+    """Up to 8 pieces with gaps, touching ends and mixed denominators."""
+    x = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12)))
+    pieces = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            x += F(rng.randint(1, 9), rng.choice((1, 4, 5)))
+        hi = x + F(rng.randint(1, 30), rng.choice((1, 2, 3, 8, 9)))
+        pieces.append((x, hi, F(rng.randint(-9, 9), rng.choice((1, 2, 5))),
+                       F(rng.randint(-9, 9), rng.choice((1, 3, 7)))))
+        x = hi
+    return PiecewiseLinear(tuple(pieces))
+
+
+class TestEval:
+    """`eval`, `eval_left` and the integer lookup `_numerator` on the
+    integer form, against the Fraction lookups of the oracles."""
+
+    @staticmethod
+    def _assert_reads(f, extra=()):
+        scale = f._form[2].scale
+        xs = [F(0), *extra]
+        for b in f.breakpoints():
+            step = F(1, 7 * b.denominator)
+            xs += [b - step, b, b + step]
+        xs += [(lo + hi) / 2 for lo, hi, _, _ in f.pieces]
+        for x in xs:
+            value = eval_oracle(f, x)
+            assert f.eval(x) == value, (f, x)
+            assert f.eval_left(x) == eval_left_oracle(f, x), (f, x)
+            assert f.eval(format_ratio(x)) == value, (f, x)
+            # p / q unreduced: each end belongs to the piece on its right
+            for k in (1, 6):
+                p, q = x.numerator * k, x.denominator * k
+                assert F(f._numerator(p, q), scale * q) == value, (f, x, k)
+
+    def test_random_functions(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            f = _random_pwl(rng)
+            self._assert_reads(f, [F(rng.randint(-900, 900), rng.randint(1, 40))
+                                   for _ in range(20)])
+
+    @pytest.mark.parametrize("a", (2, -2, 3, -3, 4))
+    def test_sigmas_and_their_dilates(self, a):
+        sigmas = [example_by_name(n).sigma for n in
+                  ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")]
+        sigmas += [random_admissible_spec(random.Random(seed), a).sigma
+                   for seed in range(4)]
+        for sigma in sigmas:
+            self._assert_reads(sigma)
+            for n in (40, -40):
+                self._assert_reads(sigma.compose_scale(F(a) ** n))
+
+    def test_zero_function(self):
+        zero = PiecewiseLinear.zero()
+        self._assert_reads(zero, [F(-3), F(5, 7)])
+        assert zero.eval("7/3") == zero.eval_left(0) == 0
+
+    def test_int_and_ratio_inputs(self):
+        f = PiecewiseLinear.of((-1, 0, 1, 1), (0, 2, -1, 1), (3, 4, "1/2", 0))
+        for x in range(-3, 6):
+            assert f.eval(x) == f.eval(str(x)) == eval_oracle(f, x), x
+            assert f.eval_left(x) == f.eval_left(str(x)) == eval_left_oracle(f, x), x
+        assert f.eval("-1/2") == f.eval(" -2 / 4 ") == F(1, 2)
+        assert f.eval_left("3/1") == 0 and f.eval("7/2") == F(7, 4)
+        assert f.eval_left("4") == 2 and f.eval(4) == 0
 
 
 def test_nonneg_examples():

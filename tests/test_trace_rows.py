@@ -12,7 +12,7 @@ from framesmith.cli import main
 from framesmith.construction import (SpectralSpec, build_family, example_by_name,
                                      random_admissible_spec)
 from framesmith.intervals import IntervalSet
-from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _integer_eval
+from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from framesmith.sequences import Sequence
 from framesmith.serialize import (digest_of, dumps_canonical, family_from_jsonable,
                                   family_to_jsonable, loads_json)
@@ -121,29 +121,22 @@ class TestTraceCsv:
                                              r"diagonal fiber Gramian needs supports"):
             diagonal_traces(gen, Sequence.parse("1@0"), [F(1, 2)])
 
-    def test_unsorted_grid_raises(self):
-        gen = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 1))),))
-        with pytest.raises(ValueError, match="not ascending"):
-            diagonal_traces(gen, Sequence.parse("1@0"), [F(1, 2), F(1, 3)])
-
-
-class TestEvalSorted:
-    def test_matches_eval_at_breakpoints_and_between(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            f = _random_spec(rng.randrange(1000), 2).sigma.compose_shift(
-                F(rng.randint(-8, 8), 3))
-            cuts = f.breakpoints()
-            xs = sorted(set(cuts + [(p + q) / 2 for p, q in zip(cuts, cuts[1:])]
-                            + [F(rng.randint(-400, 400), 60) for _ in range(30)]
-                            + [F(0), cuts[0] - 1, cuts[-1] + 1]))
-            assert f.eval_sorted(xs) == [f.eval(x) for x in xs]
-
-    def test_repeated_points_and_ints(self):
-        f = PiecewiseLinear.of((-1, 0, 1, 1), (0, 2, -1, 1))
-        xs = [-2, -1, -1, F(-1, 2), 0, 0, 1, 2, 3]
-        assert f.eval_sorted(xs) == [f.eval(x) for x in xs]
-        assert PiecewiseLinear.zero().eval_sorted(xs) == [0] * len(xs)
+    @pytest.mark.parametrize("name,a", [("shannon", -2), ("journe", 2),
+                                        ("pwl:a=3/4,b=5/4", 3)])
+    def test_shuffled_grid_reads_the_same_columns(self, name, a):
+        # the k range of the periodization spans min(grid) to max(grid),
+        # wherever in the grid they sit
+        scaling, _ = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        gen = scaling.generator_set()
+        f = Sequence.parse("1@0,i@1,-1/2@-1,3@5")
+        grid = [F(i, 8) for i in range(-40, 41)]
+        inner = grid[1:-1]
+        random.Random(len(name) + a).shuffle(inner)
+        shuffled = [grid[-1]] + inner + [grid[0]]
+        at = dict(zip(grid, zip(*diagonal_traces(gen, f, grid))))
+        got = diagonal_traces(gen, f, shuffled)
+        assert list(zip(*got)) == [at[xi] for xi in shuffled]
+        assert got[1] == [dimension_function(gen, xi) for xi in shuffled]
 
 
 class TestDefaultGrid:
@@ -263,7 +256,7 @@ class TestNormSum:
         walk's sigma arguments a^(-J-1) xi and a^Jout xi are points of these
         orbits; the depths keep them off the breakpoints themselves (strictly
         inside the clearance, strictly beyond the hull), so the half-open
-        lookup at the ends is tested on its own below."""
+        lookup at the ends is tested on its own (`test_piecewise.TestEval`)."""
         for name in BUILTINS:
             try:
                 _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
@@ -276,21 +269,6 @@ class TestNormSum:
                            for k in range(-8, 9) for s in (1, -1)})
             for c in (1, F(1, 2)):
                 self._assert_same(_scaled_psis(wavelets, c), grid)
-
-    @pytest.mark.parametrize("a", (-2, -3, 4))
-    def test_sigma_lookup_at_breakpoints(self, a):
-        """The integer lookup of the walk against `eval` at every breakpoint
-        of sigma and next to it, with p / q unreduced: each end belongs to
-        the piece on its right."""
-        sigmas = [example_by_name(n).sigma for n in BUILTINS]
-        sigmas += [_random_spec(seed, a).sigma for seed in range(4)]
-        for sigma in sigmas:
-            top, value = _integer_eval(sigma)
-            for b in sigma.breakpoints():
-                for x in (b, b - F(1, 7 * b.denominator), b + F(1, 7 * b.denominator)):
-                    for k in (1, 6):
-                        p, q = x.numerator * k, x.denominator * k
-                        assert F(value(p, q), top * q) == sigma.eval(x), (sigma, x)
 
     def test_signed_powers(self):
         for a in (2, -2, 3, -3, 4):
