@@ -5,11 +5,17 @@ uncertain/inconclusive; parse errors and broken structural premises of a
 family file also exit 2 after printing the location or the premise.
 All randomness is seeded (default 0x5EED); outputs are canonical JSON / CSV,
 so reruns with the same inputs are byte-identical.
+
+`main` may be called many times in one process. It parses through one
+parser, built on first use (not at import), and picks the subcommand's
+handler by name at each call, so a handler rebound on this module after the
+first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -44,12 +50,12 @@ def _exit_code(status: str) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.example:
+    if args.example is not None:
         spec = example_by_name(args.example)
         if args.a is not None:
             spec = SpectralSpec(spec.sigma, args.a)
         source = {"example": args.example, "dilation": spec.dilation}
-    elif args.sigma:
+    else:
         obj = loads_json(Path(args.sigma).read_text(encoding="utf-8"), args.sigma)
         if isinstance(obj, dict) and "sigma" in obj:
             sigma = pwl_from_jsonable(obj["sigma"], "sigma")
@@ -57,13 +63,10 @@ def cmd_construct(args) -> int:
         else:
             sigma = pwl_from_jsonable(obj, "sigma")
             dilation = args.a if args.a is not None else 2
-        if not isinstance(dilation, int):
+        if isinstance(dilation, bool) or not isinstance(dilation, int):
             raise ParseError("dilation: expected an integer")
         spec = SpectralSpec(sigma, dilation)
         source = {"sigma_file": obj, "dilation": dilation}
-    else:
-        print("construct: need --example or --sigma", file=sys.stderr)
-        return 2
     scaling, wavelets = build_family(spec, partition=args.partition)
     payload = family_to_jsonable(scaling, wavelets, digest_of(source))
     _write(args.out, dumps_canonical(payload))
@@ -221,7 +224,12 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every caller.
+    argparse makes a fresh namespace per parse and reads the output streams
+    and the terminal width only when it prints, so sharing keeps no state
+    between calls."""
     p = argparse.ArgumentParser(
         prog="framesmith",
         description=(
@@ -232,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a family from a spectral profile")
-    c.add_argument("--sigma", help="JSON file: {sigma: <pwl>, dilation: a}")
-    c.add_argument("--example", help="built-in: shannon | journe | pwl:a=1/2,b=1/2")
+    source = c.add_mutually_exclusive_group(required=True)
+    source.add_argument("--sigma", help="JSON file: {sigma: <pwl>, dilation: a}")
+    source.add_argument("--example", help="built-in: shannon | journe | pwl:a=1/2,b=1/2")
     c.add_argument("--a", type=_integer, default=None, help="integer dilation, |a| >= 2")
     c.add_argument("--partition", choices=("greedy", "windows"), default="greedy",
                    help="layer rule: greedy multiplicity peeling (default) or "
                         "fundamental-window intersection")
     c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_construct)
 
     k = sub.add_parser("check", help="run verification suites on a family file")
     k.add_argument("--family", required=True)
@@ -254,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the norm-sum grid; every other check holds "
                         "for all xi")
     k.add_argument("--out")
-    k.set_defaults(func=cmd_check)
 
     w = sub.add_parser("check-waveletset", help=(
         "tiling checks for wavelet sets, the dilation tiling for all xi != 0"))
     w.add_argument("--E", required=True, help="JSON interval set(s)")
     w.add_argument("--a", type=_integer, default=2)
     w.add_argument("--out")
-    w.set_defaults(func=cmd_check_waveletset)
 
     ws = sub.add_parser("waveletset", help=(
         "build the sigma = chi_U family, U the union of E/a^j over j >= 1 "
@@ -273,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="treat E as the sigma-support seed and classify it "
                            "(writes no file, so not with --out)")
     only.add_argument("--out")
-    ws.set_defaults(func=cmd_waveletset)
 
     t = sub.add_parser("trace", help="CSV of spectral/dimension/restricted trace")
     t.add_argument("--family", required=True)
@@ -281,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", type=_grid_option, default="auto",
                    help='"auto" or a point count')
     t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_trace)
 
     ft = sub.add_parser("frame-test", help="numerical Parseval energy check")
     ft.add_argument("--family", required=True)
@@ -295,20 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-scale k-truncation target (fraction of ||f||^2)")
     ft.add_argument("--kbudget", type=_integer, default=1 << 21)
     ft.add_argument("--out")
-    ft.set_defaults(func=cmd_frame_test)
 
     s = sub.add_parser("sample", help="CSV samples of the profiles for plotting")
     s.add_argument("--family", required=True)
     s.add_argument("--grid", type=_integer, default=1024)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_sample)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so a rebound cmd_* is the one that runs
+    handlers = {"construct": cmd_construct, "check": cmd_check,
+                "check-waveletset": cmd_check_waveletset,
+                "waveletset": cmd_waveletset, "trace": cmd_trace,
+                "frame-test": cmd_frame_test, "sample": cmd_sample}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

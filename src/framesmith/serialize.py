@@ -196,3 +196,5 @@ def loads_json(text: str, where: str = "input"):
         return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ParseError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{where}: arrays or objects nested too deeply") from None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import warnings
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from framesmith import cli
 from framesmith.cli import main
 from framesmith.construction import (ScalingFamily, SpectralSpec,
                                      WaveletFamily, build_family, example_pwl,
@@ -58,6 +60,25 @@ class TestConstruct:
         g = loads_json(out_g.read_text())
         w = loads_json(out_w.read_text())
         assert len(g["psis"]) == 4 and len(w["psis"]) == 5
+
+    @pytest.mark.parametrize("both,message", [
+        (True, "argument --sigma: not allowed with argument --example"),
+        (False, "one of the arguments --sigma --example is required"),
+    ], ids=["both", "neither"])
+    def test_exactly_one_source(self, tmp_path, capsys, both, message):
+        # with both, --sigma used to be ignored without a word
+        sigma_file = tmp_path / "sigma.json"
+        sigma_file.write_text(dumps_canonical(
+            {"sigma": pwl_to_jsonable(example_pwl(F(1, 2), F(1, 2)).sigma)}))
+        out = tmp_path / "fam.json"
+        source = ["--example", "shannon", "--sigma", sigma_file] if both else []
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run("construct", *source, "--out", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRoundTrip:
@@ -151,6 +172,8 @@ class TestValidationRefusal:
         ("family", lambda o: o.update(partition=None), "family.partition"),
         ("family", lambda o: o.update(psis=None), "family.psis"),
         ("sigma", lambda o: o.update(dilation=[2]), "dilation"),
+        # used to read as the integer 1 and fail |a| >= 2
+        ("sigma", lambda o: o.update(dilation=True), "dilation: expected an integer"),
         # each used to load: "00" replaced window 0, "0_0" read as 0, and
         # JSON booleans as the rationals 0 and 1
         ("family", lambda o: o["phis"].update({"00": o["phis"]["0"]}),
@@ -167,9 +190,9 @@ class TestValidationRefusal:
         ("family", lambda o: o["phis"]["0"]["square"].append(o["phis"]["0"]["square"][0]),
          "family.phis[0].square: overlapping pieces at"),
     ], ids=["short_piece", "scalar_piece", "phis_list", "partition_null",
-            "psis_null", "sigma_dilation_list", "phis_key_leading_zero",
-            "phis_key_separator", "boolean_coefficients", "sigma_overlap",
-            "psi_square_overlap", "phi_square_overlap"])
+            "psis_null", "sigma_dilation_list", "sigma_dilation_bool",
+            "phis_key_leading_zero", "phis_key_separator", "boolean_coefficients",
+            "sigma_overlap", "psi_square_overlap", "phi_square_overlap"])
     def test_malformed_file_exits_2_with_location(self, family_file, tmp_path,
                                                   capsys, kind, mutate, where):
         if kind == "family":
@@ -268,6 +291,19 @@ class TestStrictInput:
         err = capsys.readouterr().err
         assert f"parse error: {path}: duplicate key {key!r}" in err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command,option", [
+        ("check", "--family"), ("construct", "--sigma"), ("check-waveletset", "--E")])
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys, command, option):
+        # the JSON decoder used to escape as a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(command, option, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {path}: arrays or objects nested too deeply\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("f_text,shown", [
         ("1@1_0", "'1@1_0'"),                  # used to read index 10
@@ -706,6 +742,88 @@ class TestDeterminism:
             files.append((fam.read_bytes(), rep.read_bytes()))
         assert files[0] == files[1]
         assert codes[0] == codes[1] == 1
+
+
+class TestOneParser:
+    """`main` parses through one parser per process and dispatches at call
+    time; a freshly built parser is the reference for every output."""
+
+    @staticmethod
+    def _outcomes(commands, capsys):
+        """Exit code, stdout, stderr and output file bytes of each command,
+        run in order in this process; each output file is removed after."""
+        outcomes = []
+        capsys.readouterr()
+        for argv, out in commands:
+            try:
+                code = run(*argv)
+            except SystemExit as e:
+                code = ("exit", e.code)
+            written = None
+            if out is not None and out.exists():
+                written = out.read_bytes()
+                out.unlink()
+            outcomes.append((code, *capsys.readouterr(), written))
+        return outcomes
+
+    def test_main_builds_the_parser_once(self, family_file, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda *a, **k: built.append(1) or real(*a, **k))
+        cli.build_parser.cache_clear()
+        for seed in (1, 2, 3):
+            run("check", "--family", family_file, "--suite", "ntf", "--seed", seed)
+        assert len(built) == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_leave_no_state(self, family_file, tmp_path, capsys,
+                                           monkeypatch):
+        sets = tmp_path / "E.json"
+        sets.write_text(dumps_canonical(
+            sets_to_jsonable([IntervalSet.of((-2, -1), (1, 2))])))
+        out = tmp_path / "out"
+        commands = [
+            (["--version"], None),
+            (["check", "--family", family_file, "--suite", "ntf", "--seed", 7,
+              "--out", out], out),
+            (["check", "--family", family_file, "--suite", "ntf", "--out", out], out),
+            (["trace", "--family", family_file, "--grid", 8, "--out", out], out),
+            (["trace", "--family", family_file, "--out", out], out),
+            (["waveletset", "--E", sets, "--classify", "--out", out], out),
+            (["waveletset", "--E", sets, "--out", out], out),
+        ]
+        shared = self._outcomes(commands, capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self._outcomes([c], capsys)[0] for c in commands]
+        assert shared == fresh
+        # each later call differs from the one before it, so a leaked
+        # seed, grid or --classify would show
+        assert shared[1] != shared[2] and shared[3] != shared[4]
+        assert shared[5][0] == ("exit", 2) and shared[6][0] == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]],
+                             ids=["help", "check_help"])
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch, argv):
+        def printed(parser):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            return capsys.readouterr().out
+
+        cli.build_parser()   # built before COLUMNS is set
+        texts = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(printed(cli.build_parser()))
+            assert texts[-1] == printed(cli.build_parser.__wrapped__())
+        assert texts[0] != texts[1]
+
+    def test_rebound_handler_runs(self, family_file, monkeypatch):
+        assert run("check", "--family", family_file, "--suite", "ntf") == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.seed) or 7)
+        assert run("check", "--family", family_file, "--seed", 3) == 7
+        assert seen == [3]
 
 
 # -- fuzzing: mutated input files exit 0, 1 or 2 and never raise ---------------
