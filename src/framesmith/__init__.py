@@ -14,9 +14,8 @@ from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from .folding import (FoldedMultiplicity, fold_dilation, layered_partition,
                       per_multiplicity)
 from .construction import (
-    ScalingFamily,
+    LayeredFamily,
     SpectralSpec,
-    WaveletFamily,
     admissibility_check,
     build_family,
     build_scaling,

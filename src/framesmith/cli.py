@@ -70,8 +70,8 @@ def cmd_construct(args) -> int:
     scaling, wavelets = build_family(spec, partition=args.partition)
     payload = family_to_jsonable(scaling, wavelets, digest_of(source))
     _write(args.out, dumps_canonical(payload))
-    print(f"family with {len(wavelets.psis)} wavelet profile(s) and "
-          f"{len(scaling.phis)} scaling window(s) -> {args.out}")
+    print(f"family with {len(wavelets.profiles)} wavelet profile(s) and "
+          f"{len(scaling.profiles)} scaling window(s) -> {args.out}")
     return 0
 
 
@@ -131,7 +131,7 @@ def cmd_waveletset(args) -> int:
                                      digest_of({"E": [list(map(str, p)) for s in sets for p in s.pieces],
                                                 "dilation": args.a}))
         _write(args.out, dumps_canonical(payload))
-    print(f"wavelet-set family with {len(wavelets.psis)} profile(s)"
+    print(f"wavelet-set family with {len(wavelets.profiles)} profile(s)"
           + (f" -> {args.out}" if args.out else ""))
     return 0
 
@@ -211,11 +211,11 @@ def cmd_frame_test(args) -> int:
 def cmd_sample(args) -> int:
     scaling, wavelets = _load_family(args.family)
     grid = _even_grid(wavelets.generator_set().support_hull(), _grid_size(args.grid))
-    header = ["xi"] + [f"psi_hat_{i}" for i in range(len(wavelets.psis))] + ["sigma"]
+    header = ["xi"] + [f"psi_hat_{i}" for i in range(len(wavelets.profiles))] + ["sigma"]
     lines = [",".join(header)]
     for xi in grid:
         row = [repr(float(xi))]
-        for psi in wavelets.psis:
+        for psi in wavelets.profiles:
             row.append(repr(float(psi.value_sq(xi)) ** 0.5))
         row.append(repr(float(wavelets.sigma.eval(xi))))
         lines.append(",".join(row))

@@ -1,10 +1,12 @@
 """Construction of NTF wavelet families from admissible spectral profiles.
 
 The pipeline: an admissible sigma (nonnegative, bounded support, decreasing
-along dilation orbits, one-sided limits 1 at 0) yields scaling profiles
-phi_k = sqrt(sigma) on the translated fundamental windows and wavelet
-profiles psi_i with |psi_i|^2 = sigma(./a) - sigma on the layers of a
-partition of that difference's support, each layer injective mod 2pi.
+along dilation orbits, one-sided limits 1 at 0) yields two families of one
+shape, `LayeredFamily`: sqrt of a square on layers that are each injective
+mod 2pi.  The scaling profiles phi take sigma on the translated fundamental
+windows [2k - 1, 2k + 1) it meets; the wavelet profiles psi take the
+two-scale gain sigma(./a) - sigma on the layers of a partition of its
+support.
 The wavelet-set pipeline runs the same construction from sigma = chi_E where
 E is the union of the contracted copies of a seed set, read exactly off its
 dilation fold.
@@ -16,10 +18,10 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .folding import (_repeated_residue, _windows, fold_dilation, layered_partition,
-                      per_multiplicity)
+                      per_multiplicity, window)
 from .intervals import IntervalSet
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile
 from .rationals import as_fraction, format_ratio
@@ -138,41 +140,21 @@ def require_admissible(spec: SpectralSpec) -> None:
 
 
 @dataclass(frozen=True)
-class ScalingFamily:
-    """phi_k = sqrt(sigma) on the window [-1, 1) + 2k, finitely many nonzero;
-    the scaling side's spectral function is their square sum."""
+class LayeredFamily:
+    """Profiles sqrt(square) on layers that are each injective mod 2, the
+    shape of both generator families: the multiscaling functions phi
+    (square sigma, one layer per window [2k - 1, 2k + 1) it meets) and the
+    multiwavelets psi (square the two-scale gain, layers from a partition
+    rule)."""
 
-    phis: Dict[int, SqrtProfile]
-    dilation: int
-
-    def generator_set(self) -> GeneratorSet:
-        """The profiles in window order; the same set on every call, so its
-        `spectral` is built once per family."""
-        return self._generators
-
-    @cached_property
-    def _generators(self) -> GeneratorSet:
-        return GeneratorSet(tuple(self.phis[k] for k in sorted(self.phis)),
-                            self.dilation)
-
-    def validate(self) -> None:
-        """The structural premise: each phi_k lies inside its window (so each
-        meets every residue class mod 2 at most once).  Whether the squares
-        sum to sigma is the paper's claim, which `check` decides."""
-        for k, phi in self.phis.items():
-            window = IntervalSet.of((2 * k - 1, 2 * k + 1))
-            if phi.support().difference(window):
-                raise ValueError(f"scaling profile {k} leaks outside its window")
-
-
-@dataclass(frozen=True)
-class WaveletFamily:
-    """Wavelet profiles with |psi_i|^2 = two-scale gain on layer K_i."""
-
-    psis: Tuple[SqrtProfile, ...]
-    partition: Tuple[IntervalSet, ...]
+    profiles: Tuple[SqrtProfile, ...]
+    layers: Tuple[IntervalSet, ...]
     sigma: PiecewiseLinear
     dilation: int
+
+    # read-only names of `profiles`: bench/workloads.py reads them until the
+    # benchmark refresh of ROADMAP item 1
+    phis = psis = property(lambda self: self.profiles)
 
     def generator_set(self) -> GeneratorSet:
         """The same set on every call, so its `spectral` is built once per
@@ -181,37 +163,56 @@ class WaveletFamily:
 
     @cached_property
     def _generators(self) -> GeneratorSet:
-        return GeneratorSet(self.psis, self.dilation)
+        return GeneratorSet(self.profiles, self.dilation)
 
     def gain(self) -> PiecewiseLinear:
         return SpectralSpec(self.sigma, self.dilation).two_scale_gain()
 
-    def validate(self) -> None:
-        """The structural premises: one layer per psi, each psi inside its
-        layer, and every layer injective mod 2.  Whether the squares
-        telescope to the gain is the paper's claim, which `check` decides."""
-        if len(self.psis) != len(self.partition):
-            raise ValueError("wavelet/partition length mismatch")
-        for psi, layer in zip(self.psis, self.partition):
-            if psi.support().difference(layer):
-                raise ValueError("wavelet support leaks outside its layer")
-            if _repeated_residue(layer) is not None:
-                raise ValueError("partition layer not injective mod 2pi")
+    def validate(self, names: Optional[Sequence[str]] = None) -> None:
+        """The structural premises: one layer per profile, each profile
+        inside its layer, and every layer injective mod 2; an error names
+        layer i by names[i] ("layer i" by default).  Whether the squares sum
+        to sigma or telescope to the gain is the paper's claim, which
+        `check` decides."""
+        if len(self.profiles) != len(self.layers):
+            raise ValueError("profile/layer length mismatch")
+        for i, (profile, layer) in enumerate(zip(self.profiles, self.layers)):
+            if profile.support().difference(layer):
+                broken = "the profile leaks outside the layer {}"
+            elif _repeated_residue(layer) is not None:
+                broken = "the layer {} is not injective mod 2pi"
+            else:
+                continue
+            shown = " u ".join(f"[{format_ratio(lo)}, {format_ratio(hi)})"
+                               for lo, hi in layer.pieces)
+            name = f"layer {i}" if names is None else names[i]
+            raise ValueError(f"{name}: {broken.format(shown)}")
 
 
-def build_scaling(spec: SpectralSpec) -> ScalingFamily:
+def _layered(spec: SpectralSpec, square: PiecewiseLinear,
+             layers: Sequence[IntervalSet]) -> LayeredFamily:
+    """The validated family of sqrt(square) on each layer where it is not
+    zero."""
+    profiles: List[SqrtProfile] = []
+    kept: List[IntervalSet] = []
+    for layer in layers:
+        profile = SqrtProfile(square, layer)
+        if not profile.square.is_zero():
+            profiles.append(profile)
+            kept.append(layer)
+    fam = LayeredFamily(tuple(profiles), tuple(kept), spec.sigma, spec.dilation)
+    fam.validate()
+    return fam
+
+
+def build_scaling(spec: SpectralSpec) -> LayeredFamily:
     """sqrt(sigma) on each window sigma meets, for any sigma: refusing an
     inadmissible one is `build_family`'s."""
-    phis: Dict[int, SqrtProfile] = {}
-    for k in _windows(*spec.sigma.support().hull()):
-        # a profile restricts its square to its domain
-        phi = SqrtProfile(spec.sigma, IntervalSet.of((2 * k - 1, 2 * k + 1)))
-        if not phi.square.is_zero():
-            phis[k] = phi
-    return ScalingFamily(phis, spec.dilation)
+    return _layered(spec, spec.sigma,
+                    [window(k) for k in _windows(*spec.sigma.support().hull())])
 
 
-def build_wavelets(spec: SpectralSpec, partition: str = "greedy") -> WaveletFamily:
+def build_wavelets(spec: SpectralSpec, partition: str = "greedy") -> LayeredFamily:
     """Layer the two-scale gain and take square roots.  partition="greedy"
     peels multiplicity layers; "windows" intersects with the translated
     fundamental windows (may produce more layers than the minimum p).
@@ -221,29 +222,16 @@ def build_wavelets(spec: SpectralSpec, partition: str = "greedy") -> WaveletFami
     if partition == "greedy":
         layers = layered_partition(K)
     elif partition == "windows":
-        layers = []
-        for l in _windows(*K.hull()):
-            piece = K.intersect(IntervalSet.of((2 * l - 1, 2 * l + 1)))
-            if piece:
-                layers.append(piece)
+        layers = [K.intersect(window(k)) for k in _windows(*K.hull())]
     else:
         raise ValueError(f"unknown partition rule {partition!r}")
-    psis: List[SqrtProfile] = []
-    kept: List[IntervalSet] = []
-    for layer in layers:
-        psi = SqrtProfile(gain, layer)
-        if not psi.square.is_zero():
-            psis.append(psi)
-            kept.append(layer)
-    fam = WaveletFamily(tuple(psis), tuple(kept), spec.sigma, spec.dilation)
-    fam.validate()
-    return fam
+    return _layered(spec, gain, layers)
 
 
 def build_family(spec: SpectralSpec, partition: str = "greedy"
-                 ) -> Tuple[ScalingFamily, WaveletFamily]:
-    """Both families of an admissible spec; ValueError naming the first
-    failing condition otherwise."""
+                 ) -> Tuple[LayeredFamily, LayeredFamily]:
+    """Both families of an admissible spec, (phi, psi); ValueError naming
+    the first failing condition otherwise."""
     require_admissible(spec)
     return build_scaling(spec), build_wavelets(spec, partition)
 

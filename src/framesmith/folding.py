@@ -27,6 +27,11 @@ from .rationals import as_fraction
 Chunk = Tuple[Fraction, Fraction, int]  # residue cell [lo, hi) carried by shift 2k
 
 
+def window(k: int) -> IntervalSet:
+    """The translated fundamental window [2k - 1, 2k + 1)."""
+    return IntervalSet.of((2 * k - 1, 2 * k + 1))
+
+
 def _windows(lo: Fraction, hi: Fraction) -> range:
     """The k whose window [2k - 1, 2k + 1) meets the nonempty [lo, hi)."""
     return range((lo + 1) // 2, -((-1 - hi) // 2))

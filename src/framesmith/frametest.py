@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .construction import WaveletFamily
+from .construction import LayeredFamily
 from .intervals import IntervalSet
 from .piecewise import PiecewiseLinear, SqrtProfile, integrate_product
 from .quadrature import FreqRun, QuadPlan
@@ -142,7 +142,7 @@ def per_scale_energy_exact(f: TestSignal, psi: SqrtProfile, a: int, j: int
     return integrate_product([f.hat, f.hat, _scaled_square(psi, a, j)]) / 2
 
 
-def out_of_range_energy(f: TestSignal, family: WaveletFamily,
+def out_of_range_energy(f: TestSignal, family: LayeredFamily,
                         j_min: int, j_max: int) -> Fraction:
     """per_scale_energy_exact summed over every psi and every scale j outside
     j_min..j_max, exact: (1/2) int f_hat(u)^2 [sigma(u/a^j_min) + L(u)
@@ -197,7 +197,7 @@ class EnergyReport:
 _K_BLOCK = 64
 
 
-def frame_energy(f: TestSignal, family: WaveletFamily,
+def frame_energy(f: TestSignal, family: LayeredFamily,
                  j_min: int = -8, j_max: int = 8,
                  k_tail_target: float = 1e-6,
                  k_budget: int = 1 << 21) -> EnergyReport:
@@ -226,7 +226,7 @@ def frame_energy(f: TestSignal, family: WaveletFamily,
     a = family.dilation
     report = EnergyReport(0.0, 0.0, norm2)
     total = 0.0
-    active = [(j, psi) for j in range(j_min, j_max + 1) for psi in family.psis
+    active = [(j, psi) for j in range(j_min, j_max + 1) for psi in family.profiles
               if _meets(f, psi, Fraction(a) ** j)]
     # per-scale tail contract: each (j, psi) sweep stops below this energy
     per_target = k_tail_target * norm2f

@@ -383,21 +383,6 @@ class SqrtProfile:
         """|profile(x)|^2, exact."""
         return self.square.eval(x)
 
-    def scale_amplitude_sq(self, c) -> "SqrtProfile":
-        """Scale |profile|^2 by the rational c >= 0 (profile by sqrt(c))."""
-        c = as_fraction(c)
-        if c < 0:
-            raise ValueError("amplitude-square factor must be >= 0")
-        return SqrtProfile(self.square.scale_value(c), self.domain)
-
-    def dilate_fourier(self, a: int) -> "SqrtProfile":
-        """Fourier image of the L^2-normalized dilation:
-        new profile(x) = |a|^{-1/2} * profile(x/a)."""
-        if a == 0:
-            raise ValueError("dilation must be nonzero")
-        sq = self.square.compose_scale(Fraction(1, a)).scale_value(Fraction(1, abs(a)))
-        return SqrtProfile(sq, self.domain.scale(a))
-
     def is_indicator(self) -> bool:
         return all(a == 0 and b == 1 for _, _, a, b in self.square.pieces)
 

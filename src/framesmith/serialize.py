@@ -3,11 +3,13 @@
 Rationals are serialized as "num/den" strings (pi units) so no float ever
 contaminates an exact value; canonical dumps are sorted and newline-terminated
 so identical objects produce byte-identical files.  Every JSON input is
-refused when one object names a key twice.  Loading a family checks
-its structural premises (`validate`: each profile inside its window or layer,
-every layer injective mod 2, squares >= 0) and refuses a file that breaks
-one, naming it.  The paper's equations between the squares and sigma are
-left to `check`, which judges them with an exact witness.
+refused when one object names a key twice.  A phi is written under the key
+k of its layer, the window [2k - 1, 2k + 1), and loaded onto that window.
+Loading a family checks its structural premises (`LayeredFamily.validate`:
+each profile inside its layer, every layer injective mod 2, squares >= 0)
+and refuses a file that breaks one, naming its location.  The paper's
+equations between the squares and sigma are left to `check`, which judges
+them with an exact witness.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import __version__
-from .construction import ScalingFamily, WaveletFamily
+from .construction import LayeredFamily
+from .folding import _windows, window
 from .intervals import IntervalSet
 from .piecewise import PiecewiseLinear, SqrtProfile
 from .rationals import format_ratio, parse_ratio
@@ -107,23 +110,24 @@ def profile_from_jsonable(obj, where: str = "profile") -> SqrtProfile:
         raise ParseError(f"{where}: {e}") from None
 
 
-def family_to_jsonable(scaling: ScalingFamily, wavelets: WaveletFamily,
+def family_to_jsonable(scaling: LayeredFamily, wavelets: LayeredFamily,
                        input_digest: str) -> dict:
+    """The family file: each phi under the key k of its window layer
+    [2k - 1, 2k + 1), each psi with its layer."""
     return {
         "version": FORMAT_VERSION,
         "dilation": wavelets.dilation,
         "sigma": pwl_to_jsonable(wavelets.sigma),
-        "partition": [intervalset_to_jsonable(layer)
-                      for layer in wavelets.partition],
-        "psis": [profile_to_jsonable(p) for p in wavelets.psis],
-        "phis": {str(k): profile_to_jsonable(scaling.phis[k])
-                 for k in sorted(scaling.phis)},
+        "partition": [intervalset_to_jsonable(layer) for layer in wavelets.layers],
+        "psis": [profile_to_jsonable(p) for p in wavelets.profiles],
+        "phis": {str(_windows(*layer.hull())[0]): profile_to_jsonable(p)
+                 for p, layer in zip(scaling.profiles, scaling.layers)},
         "provenance": {"input_digest": input_digest,
                        "tool": f"framesmith {__version__}"},
     }
 
 
-def family_from_jsonable(obj) -> Tuple[ScalingFamily, WaveletFamily]:
+def family_from_jsonable(obj) -> Tuple[LayeredFamily, LayeredFamily]:
     if not isinstance(obj, dict):
         raise ParseError("family: expected an object")
     if obj.get("version") != FORMAT_VERSION:
@@ -141,19 +145,26 @@ def family_from_jsonable(obj) -> Tuple[ScalingFamily, WaveletFamily]:
                       for i, x in enumerate(obj.get("partition", [])))
     psis = tuple(profile_from_jsonable(x, f"family.psis[{i}]")
                  for i, x in enumerate(obj.get("psis", [])))
-    phis: Dict[int, SqrtProfile] = {}
+    phis: List[Tuple[int, SqrtProfile]] = []
     for key, val in obj.get("phis", {}).items():
         # only the canonical spelling, so no two keys name one window
         if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
             raise ParseError(f"family.phis[{key!r}]: key must be an integer "
                              f"written without leading zeros or separators")
-        k = int(key)
-        phis[k] = profile_from_jsonable(val, f"family.phis[{key}]")
-    scaling = ScalingFamily(phis, a)
-    wavelets = WaveletFamily(psis, partition, sigma, a)
+        try:
+            k = int(key)
+        except ValueError:  # more digits than int() reads
+            raise ParseError(f"family.phis: a key of {len(key)} characters is "
+                             f"too long to read as an integer") from None
+        phis.append((k, profile_from_jsonable(val, f"family.phis[{key}]")))
+    # numeric key order, the order of the windows ("10" sorts before "2")
+    phis.sort(key=lambda entry: entry[0])
+    scaling = LayeredFamily(tuple(p for _, p in phis),
+                            tuple(window(k) for k, _ in phis), sigma, a)
+    wavelets = LayeredFamily(psis, partition, sigma, a)
     try:
-        scaling.validate()
-        wavelets.validate()
+        scaling.validate([f"family.phis[{k}]" for k, _ in phis])
+        wavelets.validate([f"family.partition[{i}]" for i in range(len(partition))])
     except ValueError as e:
         raise ParseError(f"family invariant violated: {e}") from None
     return scaling, wavelets
@@ -194,7 +205,11 @@ def loads_json(text: str, where: str = "input"):
 
     try:
         return json.loads(text, object_pairs_hook=unique)
+    except ParseError:
+        raise
     except json.JSONDecodeError as e:
         raise ParseError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError(f"{where}: arrays or objects nested too deeply") from None
+    except ValueError as e:  # a number with more digits than int() reads
+        raise ParseError(f"{where}: {e}") from None

@@ -54,8 +54,8 @@ from functools import cache
 from itertools import product
 from typing import Dict, Iterable, List, Sequence as Seq
 
-from .construction import (Check, ScalingFamily, SpectralSpec, VerificationReport,
-                           WaveletFamily, admissibility_check, require_dilation)
+from .construction import (Check, LayeredFamily, SpectralSpec, VerificationReport,
+                           admissibility_check, require_dilation)
 from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
@@ -121,7 +121,7 @@ def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
 # -- NTF multiwavelet characterization ----------------------------------------
 
 
-def check_ntf_multiwavelet(family: WaveletFamily,
+def check_ntf_multiwavelet(family: LayeredFamily,
                            grid: Iterable | None = None) -> VerificationReport:
     """Norm-sum (sum over all scales of |psi_hat|^2 equals 1) and shifted
     orthogonality (vanishing cross terms for shifts outside the dilation
@@ -150,7 +150,7 @@ def check_ntf_multiwavelet(family: WaveletFamily,
     square_sum = psi_gen.spectral
 
     # shifted orthogonality: the premise kills every cross term
-    for i in range(len(family.psis)):
+    for i in range(len(family.profiles)):
         report.add(Check(f"shift_orthogonality[{i}]", "pass", detail=(
             "support meets each residue class at most once, so every "
             "cross term vanishes identically")))
@@ -233,7 +233,7 @@ def check_ntf_multiwavelet(family: WaveletFamily,
 # -- wavelet-from-scaling equations -------------------------------------------
 
 
-def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
+def check_split(phi_fam: LayeredFamily, psi_fam: LayeredFamily
                 ) -> VerificationReport:
     """The split G_{V_1}(xi) = G_{V_0}(xi) + G_{W_0}(xi) of fiber Gramians,
     for all xi.  Entry [0, 0] is the exact piecewise-linear identity
@@ -241,7 +241,7 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
     sums products of one profile at two congruent points, which vanish when
     every support meets each residue class mod 2 at most once.  That is the
     premise of `GeneratorSet`: a profile repeating a residue raises
-    ValueError (the family `validate` methods rule it out)."""
+    ValueError (`LayeredFamily.validate` rules it out)."""
     phi_sq = phi_fam.generator_set().spectral
     psi_sq = psi_fam.generator_set().spectral
     report = VerificationReport()
@@ -256,7 +256,7 @@ def check_split(phi_fam: ScalingFamily, psi_fam: WaveletFamily
     return report
 
 
-def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
+def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
                  names: Iterable[str], grid: Iterable | None = None
                  ) -> Dict[str, VerificationReport]:
     """Run the named suites (from SUITES) on one grid; {name: report}.
@@ -318,7 +318,7 @@ def check_suites(phi_fam: ScalingFamily, psi_fam: WaveletFamily,
     return {n: suites[n]() for n in dict.fromkeys(names)}
 
 
-def check_density(phi_fam: ScalingFamily) -> VerificationReport:
+def check_density(phi_fam: LayeredFamily) -> VerificationReport:
     """Union density of the dilates: `admissibility_check` on the scaling
     square sum, the spectral function of V_0, decides its inward limit 1 and
     sum|phi|^2(a x) <= sum|phi|^2(x), monotonicity along every contraction
@@ -394,14 +394,14 @@ def cross_energy(psi: SqrtProfile, psi_other: SqrtProfile, a: int,
     = (1/2) int |psi_hat|^2(u) |psi_other_hat|^2(a^{-scale_gap} u) du, exact.
 
     The identity holds under the premise of `GeneratorSet` (each support
-    injective mod 2; `WaveletFamily.validate` enforces it), so the modulates
+    injective mod 2; `LayeredFamily.validate` enforces it), so the modulates
     e^{i pi k v} / sqrt(2) restricted to it form a Parseval frame -- as in
     `frametest.per_scale_energy_exact`."""
     dilated = psi_other.square.compose_scale(Fraction(a) ** -scale_gap)
     return integrate_product([psi.square, dilated]) / 2
 
 
-def check_semiorthogonal(family: WaveletFamily) -> VerificationReport:
+def check_semiorthogonal(family: LayeredFamily) -> VerificationReport:
     """Certify via exact support algebra: scales j < j' are orthogonal iff
     support(psi) and a^{Delta} support(psi') intersect in measure zero for all
     Delta >= 1 (profiles are nonnegative, so a positive-measure overlap is
@@ -412,7 +412,7 @@ def check_semiorthogonal(family: WaveletFamily) -> VerificationReport:
     premise is that each profile's support is injective mod 2)."""
     report = VerificationReport()
     a = family.dilation
-    psis = family.psis
+    psis = family.profiles
     if not psis:
         report.add(Check("semi_orthogonal", "pass",
                          detail="empty family is trivially semi-orthogonal"))

@@ -427,7 +427,7 @@ def norm_sum_oracle(family, grid, telescopes) -> list:
         return [Check("norm_sum", "fail", {"xi": Fraction(0)},
                       detail="sigma does not tend to 1 at 0")]
     _, _, clearance, slope = nbhd
-    square_sum = _square_sum(family.psis)
+    square_sum = _square_sum(family.profiles)
     lo, hi = family.generator_set().support_hull()
     radius = max(abs(lo), abs(hi), Fraction(1))
     scale = Fraction(a)

@@ -13,14 +13,16 @@ it replaces.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
-                                     build_family, build_scaling, example_by_name,
+from framesmith.construction import (LayeredFamily, SpectralSpec, build_family,
+                                     build_scaling, example_by_name,
                                      random_admissible_spec)
+from framesmith.folding import window
 from framesmith.frametest import TestSignal, out_of_range_energy, per_scale_energy_exact
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
@@ -85,7 +87,7 @@ def _repeating_wavelets(a):
     # a wavelet on [1, 4) repeats residues: psi(xi) psi(xi + 2) = 1 near 1
     scaling, wavelets = FAMILIES[f"shannon@{a}"]
     layer = IntervalSet.of((1, 4))
-    return scaling, WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
+    return scaling, LayeredFamily((SqrtProfile.indicator(layer),), (layer,),
                                   wavelets.sigma, a)
 
 
@@ -95,16 +97,15 @@ def _two_repeating_wavelets(a):
     layer = IntervalSet.of((F(1, 3), 4))
     ramp = PiecewiseLinear.of((F(1, 3), 4, F(1, 5), F(1, 7)))
     psis = (SqrtProfile.indicator(layer), SqrtProfile(ramp))
-    return scaling, WaveletFamily(psis, (layer, layer), wavelets.sigma, a)
+    return scaling, LayeredFamily(psis, (layer, layer), wavelets.sigma, a)
 
 
 def _repeating_scaling(a):
     # the lattice shifts s = a*k pair phi_hat(xi/a) with phi_hat(xi/a + 2k)
     scaling, wavelets = FAMILIES[f"shannon@{a}"]
     ramp = PiecewiseLinear.of((F(-1, 2), 3, F(1, 6), F(1, 2)))
-    phis = {0: SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))),
-            1: SqrtProfile(ramp)}
-    return ScalingFamily(phis, a), wavelets
+    phis = (SqrtProfile.indicator(IntervalSet.of((F(-1, 2), 3))), SqrtProfile(ramp))
+    return replace(scaling, profiles=phis, layers=(window(0), window(1))), wavelets
 
 
 REPEATING = [(_repeating_wavelets, a) for a in (2, -3)] + \
@@ -140,8 +141,9 @@ class TestSplitFromSupports:
     def test_irrational_residuals(self):
         # doubling one wavelet square breaks the split at s = 0 only
         scaling, wavelets = FAMILIES["pwl:a=3/4,b=5/4@2"]
-        psis = (wavelets.psis[0].scale_amplitude_sq(2),) + wavelets.psis[1:]
-        bogus = WaveletFamily(psis, wavelets.partition, wavelets.sigma, 2)
+        psis = (SqrtProfile(wavelets.profiles[0].square.scale_value(2)),) \
+            + wavelets.profiles[1:]
+        bogus = replace(wavelets, profiles=psis)
         grid = family_grid(scaling.generator_set(), bogus.generator_set())
         assert shifted_split_residuals(scaling, bogus, grid) == []
         report = check_split(scaling, bogus)
@@ -162,7 +164,7 @@ class TestSplitFromSupports:
 
 
 def loop_partial(family, xi, J, Jout):
-    square_sum = _square_sum(family.psis)
+    square_sum = _square_sum(family.profiles)
     return sum((square_sum.eval(xi * F(family.dilation) ** j)
                 for j in range(-J, Jout + 1)), F(0))
 
@@ -184,7 +186,7 @@ class TestTelescopedNormSum:
         # meets a jump of sigma, a measure-zero set of xi.
         wavelets = FAMILIES[key][1]
         a, sigma = wavelets.dilation, wavelets.sigma
-        assert _square_sum(wavelets.psis) == wavelets.gain()
+        assert _square_sum(wavelets.profiles) == wavelets.gain()
         rng = random.Random(key)
         grid = family_grid(wavelets.generator_set())[::7]
         # orbits through every breakpoint of sigma, jumps included
@@ -234,8 +236,9 @@ class TestTelescopedNormSum:
     def test_untelescoped_family_still_loops(self):
         # a corrupted square sum no longer equals the gain
         wavelets = FAMILIES["pwl:a=1/2,b=1/2@2"][1]
-        psis = (wavelets.psis[0].scale_amplitude_sq(F(9, 4)),) + wavelets.psis[1:]
-        bogus = WaveletFamily(psis, wavelets.partition, wavelets.sigma, 2)
+        psis = (SqrtProfile(wavelets.profiles[0].square.scale_value(F(9, 4))),) \
+            + wavelets.profiles[1:]
+        bogus = replace(wavelets, profiles=psis)
         report = check_ntf_multiwavelet(bogus)
         names = [(c.name, c.status) for c in report.checks]
         assert ("scale_sum_telescopes", "fail") in names
@@ -260,7 +263,7 @@ def row(report, name):
     return next(c for c in report.checks if c.name == name)
 
 
-def _windowed(square: PiecewiseLinear, a: int) -> ScalingFamily:
+def _windowed(square: PiecewiseLinear, a: int) -> LayeredFamily:
     """The scaling family sqrt(square) on each window: its square sum is
     square, and each support is injective mod 2."""
     return build_scaling(SpectralSpec(square, a))
@@ -313,7 +316,7 @@ class TestShortOrbitWalk:
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_builtins_match_full_walk(self, key):
         scaling = FAMILIES[key][0]
-        phi_sq = _square_sum(scaling.phis.values())
+        phi_sq = _square_sum(scaling.profiles)
         grid = family_grid(scaling.generator_set())
         assert row(check_density(scaling), "unit_limit_inward").status == "pass"
         assert assert_agrees_with_walk(phi_sq, scaling.dilation, grid) == "pass"
@@ -362,6 +365,6 @@ def test_frame_tail_covers_the_80_scale_sum(key, signal, j_min, j_max):
     f = TestSignal.parse(signal)
     tail_js = list(range(j_min - 40, j_min)) + list(range(j_max + 1, j_max + 41))
     loop = sum(per_scale_energy_exact(f, psi, a, j)
-               for j in tail_js for psi in wavelets.psis)
+               for j in tail_js for psi in wavelets.profiles)
     tail = out_of_range_energy(f, wavelets, j_min, j_max)
     assert 0 <= tail - loop <= F(1, 10 ** 10) * f.norm2()

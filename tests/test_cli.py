@@ -1,7 +1,9 @@
 import argparse
 import json
 import re
+import sys
 import warnings
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,13 +12,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from framesmith import cli
 from framesmith.cli import main
-from framesmith.construction import (ScalingFamily, SpectralSpec,
-                                     WaveletFamily, build_family, example_pwl,
+from framesmith.construction import (LayeredFamily, SpectralSpec, build_family,
+                                     example_by_name, example_pwl,
                                      build_scaling, build_wavelets)
 from framesmith.serialize import (ParseError, digest_of, dumps_canonical,
                                   family_from_jsonable, family_to_jsonable,
                                   loads_json, pwl_to_jsonable, sets_to_jsonable)
 from framesmith.intervals import IntervalSet
+from framesmith.piecewise import PiecewiseLinear
 from framesmith.rationals import format_ratio
 from framesmith.verification import check_ntf_multiwavelet, family_grid
 
@@ -105,6 +108,34 @@ class TestRoundTrip:
                                    obj["provenance"]["input_digest"])
         assert dumps_canonical(again) == family_file.read_text()
 
+    @pytest.mark.parametrize("partition", ["greedy", "windows"])
+    @pytest.mark.parametrize("name,a", [
+        (name, a) for name in ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
+        for a in (2, 3, -2, -3, 4)
+        # sigma of journe is not dilation-monotone at |a| = 3
+        if (name, abs(a)) != ("journe", 3)])
+    def test_loaded_family_equals_built_family(self, name, a, partition):
+        # the loader puts each phi on the window of its key, the layer the
+        # builder gave it, and keeps the psi layers as written
+        built = build_family(SpectralSpec(example_by_name(name).sigma, a), partition)
+        digest = digest_of({"example": name, "dilation": a})
+        text = dumps_canonical(family_to_jsonable(*built, digest))
+        loaded = family_from_jsonable(loads_json(text))
+        for got, want in zip(loaded, built):
+            for field in fields(LayeredFamily):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert dumps_canonical(family_to_jsonable(*loaded, digest)) == text
+
+    def test_phis_load_in_numeric_key_order(self):
+        # "10" sorts before "2" as text; the profiles follow the windows
+        sigma = PiecewiseLinear.indicator(IntervalSet.of((-1, 1), (3, 5), (19, 21)))
+        scaling = build_scaling(SpectralSpec(sigma, 2))
+        wavelets = LayeredFamily((), (), sigma, 2)
+        assert [layer.hull()[0] for layer in scaling.layers] == [-1, 3, 19]
+        text = dumps_canonical(family_to_jsonable(scaling, wavelets, "sha256:0"))
+        assert list(loads_json(text)["phis"]) == ["0", "10", "2"]
+        assert family_from_jsonable(loads_json(text))[0] == scaling
+
 
 def _scale_square(profile: dict, c) -> None:
     """Multiply the square of a profile in a family file by c, exactly."""
@@ -135,13 +166,15 @@ class TestValidationRefusal:
         # check; only the structural premises are refused at load
         tampered = _family(_tampered(family_file, tmp_path, _x10))[1]
         original = _family(family_file)[1]
-        assert tampered.psis[0].square == original.psis[0].square.scale_value(10)
+        assert tampered.profiles[0].square == original.profiles[0].square.scale_value(10)
 
     @pytest.mark.parametrize("mutate,premise", [
         (lambda o: o["partition"].__setitem__(0, [["-1", "3"]]),
-         "partition layer not injective mod 2pi"),
+         "family invariant violated: family.partition[0]: the layer [-1, 3) "
+         "is not injective mod 2pi"),
         (lambda o: o.update(phis={"1": o["phis"]["0"]}),
-         "scaling profile 1 leaks outside its window"),
+         "family invariant violated: family.phis[1]: the profile leaks "
+         "outside the layer [1, 3)"),
         (lambda o: _scale_square(o["psis"][0], -1), "square negative at"),
     ], ids=["layer_not_injective", "phi_outside_window", "negative_square"])
     def test_broken_premise_exits_2(self, family_file, tmp_path, capsys,
@@ -305,6 +338,38 @@ class TestStrictInput:
         assert err == f"parse error: {path}: arrays or objects nested too deeply\n"
         assert not out.exists()
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    @pytest.mark.parametrize("command,option,text", [
+        ("check", "--family", '{"version": "framesmith/1", "dilation": %s}'),
+        ("construct", "--sigma", '{"sigma": [{"piece": ["-1", "1"], "beta": %s}]}'),
+        ("check-waveletset", "--E", '[["-1", %s]]'),
+    ], ids=["family_dilation", "sigma_beta", "sets_endpoint"])
+    def test_overlong_integer_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                      command, option, text):
+        # the decoder's digit limit used to escape as a bare ValueError that
+        # named no file
+        path = tmp_path / "long.json"
+        path.write_text(text % ("1" * (sys.get_int_max_str_digits() + 1)))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(command, option, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: Exceeds the limit")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    def test_overlong_phis_key_exits_2(self, family_file, tmp_path, capsys):
+        key = "1" * (sys.get_int_max_str_digits() + 1)
+        path = _tampered(family_file, tmp_path,
+                         lambda o: o.update(phis={key: o["phis"]["0"]}))
+        capsys.readouterr()
+        assert run("check", "--family", path) == 2
+        err = capsys.readouterr().err
+        assert err == (f"parse error: family.phis: a key of {len(key)} characters "
+                       f"is too long to read as an integer\n")
+
     @pytest.mark.parametrize("f_text,shown", [
         ("1@1_0", "'1@1_0'"),                  # used to read index 10
         ("1@\u0663", "'1@\u0663'"),            # Arabic-Indic three, used to read 3
@@ -381,7 +446,7 @@ class TestPaperEquations:
         row = checks["ntf:scale_sum_telescopes"]
         assert row["status"] == "fail"
         # the witness is exact: the difference is 9 |psi_0|^2 there, not 0
-        psi0 = _family(family_file)[1].psis[0]
+        psi0 = _family(family_file)[1].profiles[0]
         xi, diff = F(row["witness"]["xi"]), F(row["witness"]["difference"])
         assert diff == 9 * psi0.value_sq(xi) != 0
 
@@ -664,7 +729,7 @@ class TestOutputs:
         assert run("waveletset", "--E", sets, "--a", 2, "--out", fam) == 0
         obj = loads_json(fam.read_text())
         scaling, wavelets = family_from_jsonable(obj)
-        assert wavelets.psis[0].is_indicator()
+        assert wavelets.profiles[0].is_indicator()
 
     def test_check_waveletset_cli(self, tmp_path):
         sets = tmp_path / "ws.json"

@@ -5,14 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from framesmith.construction import (ClosureDidNotStabilize, JOURNE_WAVELET_SET,
-                                     SpectralSpec, WaveletFamily,
+                                     SpectralSpec,
                                      admissibility_check, build_family,
                                      build_scaling, build_wavelets,
                                      classify_waveletset_seed, example_by_name,
                                      example_journe, example_pwl,
                                      example_shannon, random_admissible_spec,
                                      waveletset_closure, waveletset_sigma)
-from framesmith.folding import per_multiplicity
+from framesmith.folding import per_multiplicity, window
 from framesmith.intervals import IntervalSet, union_all
 from framesmith.piecewise import PiecewiseLinear
 
@@ -66,32 +66,32 @@ class TestScaling:
         # support (-1, 1) fits inside the fundamental window
         spec = example_pwl(1, 1)
         fam = build_scaling(spec)
-        assert sorted(fam.phis) == [0]
-        assert fam.phis[0].square == spec.sigma
+        assert fam.layers == (window(0),)
+        assert fam.profiles[0].square == spec.sigma
 
     def test_tent_spanning_three_windows(self):
         # sigma = 1 - |xi|/2 on (-2, 2)
         fam = build_scaling(example_pwl(2, 2))
-        assert sorted(fam.phis) == [-1, 0, 1]
+        assert fam.layers == tuple(window(k) for k in (-1, 0, 1))
         fam.validate()
 
     def test_shannon_scaling(self):
         fam = build_scaling(example_shannon())
-        assert sorted(fam.phis) == [0]
-        assert fam.phis[0].is_indicator()
+        assert fam.layers == (window(0),)
+        assert fam.profiles[0].is_indicator()
 
 
 class TestWavelets:
     def test_shannon_single_annulus_wavelet(self):
         fam = build_wavelets(example_shannon())
-        assert len(fam.psis) == 1
-        assert fam.psis[0].support() == IntervalSet.of((-2, -1), (1, 2))
-        assert fam.psis[0].is_indicator()
+        assert len(fam.profiles) == 1
+        assert fam.profiles[0].support() == IntervalSet.of((-2, -1), (1, 2))
+        assert fam.profiles[0].is_indicator()
 
     def test_worked_half_width_yields_single_eta(self):
         fam = build_wavelets(example_pwl(F(1, 2), F(1, 2)))
-        assert len(fam.psis) == 1
-        eta = fam.psis[0]
+        assert len(fam.profiles) == 1
+        eta = fam.profiles[0]
         assert eta.support() == IntervalSet.of((-1, 1))
         assert eta.value_sq(F(-1, 2)) == F(1, 2)
         assert eta.value_sq(F(-1, 4)) == F(1, 4)
@@ -101,12 +101,12 @@ class TestWavelets:
         # translated fundamental windows
         greedy = build_wavelets(example_pwl(2, 2), "greedy")
         windows = build_wavelets(example_pwl(2, 2), "windows")
-        assert len(greedy.psis) == 4      # the folding multiplicity of (-4, 4)
-        assert len(windows.psis) == 5     # windows [2l-1, 2l+1) for l=-2..2
+        assert len(greedy.profiles) == 4      # the folding multiplicity of (-4, 4)
+        assert len(windows.profiles) == 5     # windows [2l-1, 2l+1) for l=-2..2
         gain = greedy.gain()
         for fam in (greedy, windows):
             total = PiecewiseLinear.zero()
-            for psi in fam.psis:
+            for psi in fam.profiles:
                 total = total + psi.square
             assert total == gain
 
@@ -118,7 +118,7 @@ class TestWavelets:
             a = spec.dilation
             for _ in range(200):
                 xi = F(rng.randint(-400, 400), rng.randint(1, 64))
-                total = sum((p.value_sq(xi) for p in fam.psis), F(0))
+                total = sum((p.value_sq(xi) for p in fam.profiles), F(0))
                 assert total + spec.sigma.eval(xi) == spec.sigma.eval(xi / a)
 
     def test_monotone_contraction_orbit(self):
@@ -174,8 +174,8 @@ class TestWaveletSetPipeline:
         for E in (IntervalSet.of((-2, -1), (1, 2)), JOURNE_WAVELET_SET):
             sigma = waveletset_sigma(E, 2)
             fam = build_wavelets(SpectralSpec(sigma, 2))
-            assert all(p.is_indicator() for p in fam.psis)
-            assert union_all([p.support() for p in fam.psis]) == E
+            assert all(p.is_indicator() for p in fam.profiles)
+            assert union_all([p.support() for p in fam.profiles]) == E
 
 
 class TestSeedClassification:
@@ -234,11 +234,11 @@ class TestExamples:
 
     def test_journe_example_family(self):
         scaling, wavelets = build_family(example_journe())
-        assert len(wavelets.psis) == 1
-        assert wavelets.psis[0].support() == JOURNE_WAVELET_SET
+        assert len(wavelets.profiles) == 1
+        assert wavelets.profiles[0].support() == JOURNE_WAVELET_SET
         # the scaling space needs several windows (dimension function is 2
         # on part of the fundamental domain for this classic example)
-        assert len(scaling.phis) >= 3
+        assert len(scaling.profiles) >= 3
 
     def test_random_spec_at_negative_dilation_is_even(self):
         # a <= -2 maps each side of 0 onto the other, so the right side is
@@ -272,6 +272,6 @@ class TestExamples:
             scaling, wavelets = build_family(spec)
             scaling.validate()
             wavelets.validate()
-            assert len(wavelets.partition) == len(wavelets.psis)
-            for layer in wavelets.partition:
+            assert len(wavelets.layers) == len(wavelets.profiles)
+            for layer in wavelets.layers:
                 assert per_multiplicity(layer).max_value() <= 1

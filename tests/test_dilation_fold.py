@@ -14,8 +14,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import (ClosureDidNotStabilize, SpectralSpec,
-                                     WaveletFamily, build_family,
+from framesmith.construction import (ClosureDidNotStabilize, LayeredFamily,
+                                     SpectralSpec, build_family,
                                      example_by_name, random_admissible_spec,
                                      waveletset_closure)
 from framesmith.folding import DILATION_FLOOR, fold_dilation
@@ -203,7 +203,7 @@ class TestSemiOrthogonality:
         witnesses = set()
         for fam in _semiorth_families():
             got = _witness(check_semiorthogonal(fam))
-            assert got == _oracle_witness([p.support() for p in fam.psis], fam.dilation)
+            assert got == _oracle_witness([p.support() for p in fam.profiles], fam.dilation)
             witnesses.add(got is None)
         assert witnesses == {True, False}
 
@@ -215,7 +215,7 @@ class TestSemiOrthogonality:
         fails = 0
         for n in range(SETS_PER_DILATION):
             supports = rng.sample(sets, rng.randint(1, 3))
-            fam = WaveletFamily(tuple(SqrtProfile.indicator(s) for s in supports),
+            fam = LayeredFamily(tuple(SqrtProfile.indicator(s) for s in supports),
                                 tuple(supports), PiecewiseLinear.zero(), a)
             got = _witness(check_semiorthogonal(fam))
             assert got == _oracle_witness(supports, a), (supports, a)

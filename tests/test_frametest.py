@@ -1,13 +1,14 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesmith.construction import SpectralSpec, WaveletFamily, build_family, \
+from framesmith.construction import SpectralSpec, build_family, \
     example_by_name, example_pwl, example_shannon
 from framesmith.frametest import (TestSignal, _meets, coefficient, frame_energy,
                                   out_of_range_energy, per_scale_energy_exact)
@@ -45,14 +46,14 @@ class TestSignals:
 class TestCoefficient:
     def test_shannon_dc_coefficient(self, shannon):
         f = TestSignal.indicator(1, 2)
-        assert coefficient(f, shannon[1].psis[0], 0, 0) == pytest.approx(0.5, abs=1e-12)
+        assert coefficient(f, shannon[1].profiles[0], 0, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_disjoint_supports_exact_zero(self, shannon):
         f = TestSignal.indicator(1, 2)
-        assert coefficient(f, shannon[1].psis[0], 5, 0) == 0
+        assert coefficient(f, shannon[1].profiles[0], 5, 0) == 0
 
     def test_against_brute_force_riemann(self, worked_half):
-        eta = worked_half[1].psis[0]
+        eta = worked_half[1].profiles[0]
         tent = TestSignal.tent(-1, 1)
         for j, k in ((0, 0), (0, 3), (0, 11), (-1, 4), (0, -3), (-1, -4)):
             sq = eta.square.compose_scale(F(2) ** (-j))
@@ -68,13 +69,13 @@ class TestCoefficient:
         for k in (1, 2, 5):
             want = (np.exp(2j * math.pi * k) - np.exp(1j * math.pi * k)) \
                 / (2j * math.pi * k)
-            got = coefficient(f, shannon[1].psis[0], 0, k)
+            got = coefficient(f, shannon[1].profiles[0], 0, k)
             assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("j, k", [(0, 1), (0, 7), (-1, 4), (2, 3), (-3, 250)])
     def test_negative_k_is_conjugate(self, worked_half, j, k):
         # the integrand f_hat * sqrt(|psi_hat|^2) is real
-        eta = worked_half[1].psis[0]
+        eta = worked_half[1].profiles[0]
         tent = TestSignal.tent(-1, 1)
         got = coefficient(tent, eta, j, -k)
         assert got != 0 and got == coefficient(tent, eta, j, k).conjugate()
@@ -82,7 +83,7 @@ class TestCoefficient:
 
 class TestPerScaleEnergy:
     def test_matches_k_sum(self, worked_half):
-        eta = worked_half[1].psis[0]
+        eta = worked_half[1].profiles[0]
         tent = TestSignal.tent(-1, 1)
         exact = float(per_scale_energy_exact(tent, eta, 2, 0))
         vals = np.array([coefficient(tent, eta, 0, k) for k in range(801)])
@@ -92,7 +93,7 @@ class TestPerScaleEnergy:
 
     def test_shannon_geometry(self, shannon):
         f = TestSignal.indicator(1, 2)
-        psi = shannon[1].psis[0]
+        psi = shannon[1].profiles[0]
         assert per_scale_energy_exact(f, psi, 2, 0) == F(1, 2)
         assert per_scale_energy_exact(f, psi, 2, 1) == 0
 
@@ -114,10 +115,11 @@ class TestFrameEnergy:
     def test_halved_profile_quarters_energy(self, worked_half):
         # the consistent family: quartered squares telescope to sigma/4
         wavelets = worked_half[1]
-        halved = WaveletFamily(
-            tuple(p.scale_amplitude_sq(F(1, 4)) for p in wavelets.psis),
-            wavelets.partition, wavelets.sigma.scale_value(F(1, 4)),
-            wavelets.dilation)
+        halved = replace(
+            wavelets,
+            profiles=tuple(SqrtProfile(p.square.scale_value(F(1, 4)))
+                           for p in wavelets.profiles),
+            sigma=wavelets.sigma.scale_value(F(1, 4)))
         tent = TestSignal.tent(-1, 1)
         rep = frame_energy(tent, halved, j_min=-14, j_max=8)
         assert abs(rep.ratio - 0.25) <= 2e-3
@@ -126,9 +128,8 @@ class TestFrameEnergy:
     def test_squares_off_the_gain_rejected(self, worked_half):
         # quartered squares with sigma kept: the tail identity does not hold
         wavelets = worked_half[1]
-        quartered = WaveletFamily(
-            tuple(p.scale_amplitude_sq(F(1, 4)) for p in wavelets.psis),
-            wavelets.partition, wavelets.sigma, wavelets.dilation)
+        quartered = replace(wavelets, profiles=tuple(
+            SqrtProfile(p.square.scale_value(F(1, 4))) for p in wavelets.profiles))
         with pytest.raises(ValueError, match="telescope"):
             frame_energy(TestSignal.tent(-1, 1), quartered, j_min=-2, j_max=2)
 
@@ -151,9 +152,8 @@ class TestFrameEnergy:
 
     def test_zero_wavelet_adds_nothing(self, shannon):
         wavelets = shannon[1]
-        padded = WaveletFamily(
-            wavelets.psis + (SqrtProfile(PiecewiseLinear.zero()),),
-            wavelets.partition, wavelets.sigma, wavelets.dilation)
+        padded = replace(
+            wavelets, profiles=wavelets.profiles + (SqrtProfile(PiecewiseLinear.zero()),))
         tent = TestSignal.tent(-1, 1)
         plain = frame_energy(tent, wavelets, j_min=-2, j_max=2)
         rep = frame_energy(tent, padded, j_min=-2, j_max=2)
@@ -175,7 +175,7 @@ class TestFrameEnergy:
         assert not rep.inconclusive
         for scale in rep.scales:
             exact = sum(per_scale_energy_exact(tent, psi, -2, scale.j)
-                        for psi in wavelets.psis)
+                        for psi in wavelets.profiles)
             assert abs(scale.computed - float(exact)) <= 1e-6
 
     def test_three_quarter_family_default_range(self):
@@ -187,7 +187,7 @@ class TestFrameEnergy:
         assert max(s.k_used for s in rep.scales) > 32000
         for scale in rep.scales:
             exact = sum(per_scale_energy_exact(tent, psi, 2, scale.j)
-                        for psi in wavelets.psis)
+                        for psi in wavelets.profiles)
             assert abs(scale.computed - float(exact)) <= 1e-6
 
     def test_scaling_covariance(self, worked_half):
@@ -243,7 +243,8 @@ def test_deep_single_scales_are_finite(a):
                 (scale,) = rep.scales
                 assert math.isfinite(rep.ratio) and math.isfinite(rep.tail_estimate), (name, j)
                 json.dumps(rep.to_jsonable(), allow_nan=False)
-                exact = sum(per_scale_energy_exact(f, psi, a, j) for psi in wavelets.psis)
+                exact = sum(per_scale_energy_exact(f, psi, a, j)
+                            for psi in wavelets.profiles)
                 assert abs(scale.computed + scale.k_tail - float(exact)) <= 1e-6 * norm2, (name, j)
     assert built >= 3
 
@@ -269,7 +270,7 @@ def test_out_of_range_energy_completes_the_norm(name):
             for j_min, j_max in IDENTITY_RANGES:
                 in_range = sum(per_scale_energy_exact(f, psi, a, j)
                                for j in range(j_min, j_max + 1)
-                               for psi in wavelets.psis)
+                               for psi in wavelets.profiles)
                 tail = out_of_range_energy(f, wavelets, j_min, j_max)
                 assert tail + in_range == f.norm2(), (a, signal, j_min, j_max)
     assert built >= 3

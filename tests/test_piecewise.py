@@ -221,14 +221,6 @@ class TestSqrtProfile:
             expected = sigma.eval(x) if dom.contains(x) else F(0)
             assert p.value_sq(x) == expected
 
-    def test_dilation_image(self):
-        p = SqrtProfile(tent(1, 1))
-        d = p.dilate_fourier(2)
-        # |D_2 p|^2 (x) = |p|^2(x/2) / 2
-        for x in (F(1, 2), F(-3, 4), F(3, 2), F(5)):
-            assert d.value_sq(x) == p.value_sq(x / 2) / 2
-        assert d.support() == IntervalSet.of((-2, 2))
-
     def test_sqrt_singularities(self):
         p = SqrtProfile(tent(1, 1))
         assert set(radicand_zeros(p.square)) == {F(-1), F(1)}

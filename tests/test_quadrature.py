@@ -166,7 +166,7 @@ BREAK_INTEGRANDS = [_gap_integrand, _uneven_integrand, _ramp_integrand,
 def _family_squares(name, a, j):
     """The scaled squares |psi_hat|^2(a^-j u) of a built-in family."""
     _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
-    return [_scaled_square(psi, a, j) for psi in wavelets.psis]
+    return [_scaled_square(psi, a, j) for psi in wavelets.profiles]
 
 
 def _shannon_minus_3(signal, j):

@@ -259,7 +259,7 @@ def test_quadplan_cells_match_oracle_on_builtins(name):
             continue   # journe is not admissible at every a
         built += 1
         for f in _signals(name):
-            for psi in wavelets.psis:
+            for psi in wavelets.profiles:
                 for j in range(-8, 9):
                     square = _scaled_square(psi, a, j)
                     plan = QuadPlan(f.hat, square)

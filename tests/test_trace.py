@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import (ScalingFamily, SpectralSpec, WaveletFamily,
+from framesmith.construction import (LayeredFamily, SpectralSpec,
                                     build_family, build_wavelets,
                                     example_by_name, example_pwl,
                                     example_shannon)
+from framesmith.folding import window
 from framesmith.frametest import TestSignal, out_of_range_energy
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import SqrtProfile
@@ -61,9 +62,9 @@ _F = Sequence.parse("1@0,i@1")
 _XI = F(1, 3)
 
 
-def _wavelets(gen: GeneratorSet) -> WaveletFamily:
+def _wavelets(gen: GeneratorSet) -> LayeredFamily:
     """A wavelet family holding the profiles of gen, unvalidated."""
-    return WaveletFamily(gen.profiles, tuple(p.support() for p in gen.profiles),
+    return LayeredFamily(gen.profiles, tuple(p.support() for p in gen.profiles),
                          _CHI.square, gen.dilation)
 
 
@@ -77,7 +78,8 @@ ENTRY_POINTS = {
     "trace_split_check": lambda g, b: trace_split_check(g, b, _F, [_XI]),
     "ntf_generator_test": lambda g, b: ntf_generator_test(g, b, [_XI]),
     "series_identity_check": lambda g, b: series_identity_check(g, b, 0, [_XI]),
-    "check_split": lambda g, b: check_split(ScalingFamily({0: _CHI}, 2), _wavelets(b)),
+    "check_split": lambda g, b: check_split(
+        LayeredFamily((_CHI,), (window(0),), _CHI.square, 2), _wavelets(b)),
     "check_ntf_multiwavelet": lambda g, b: check_ntf_multiwavelet(_wavelets(b), [_XI]),
     "out_of_range_energy": lambda g, b: out_of_range_energy(
         TestSignal.tent(-1, 1), _wavelets(b), -2, 2),
@@ -114,7 +116,7 @@ class TestFiber:
 
     def test_sqrt_entry(self, worked):
         scaling, _ = worked
-        fib = fiber(scaling.phis[0], F(1, 2))
+        fib = fiber(scaling.profiles[0], F(1, 2))
         assert fib == {0: F(1, 2)}  # value is sqrt(1/2), stored as radicand
 
     def test_wide_indicator_two_entries(self):
@@ -293,8 +295,9 @@ class TestGeneratorIndependence:
         rows = ntf_generator_test(greedy, windows.generator_set(), grid)
         assert rows and all(r.verdict == "pass" for r in rows)
         # halving one profile's square leaves the space of the other set
-        halved = GeneratorSet((windows.psis[0].scale_amplitude_sq(F(1, 2)),)
-                              + windows.psis[1:], a)
+        halved = GeneratorSet(
+            (SqrtProfile(windows.profiles[0].square.scale_value(F(1, 2))),)
+            + windows.profiles[1:], a)
         rows = ntf_generator_test(greedy, halved, grid)
         assert any(r.verdict == "fail" for r in rows)
         assert all(r.residual > 0 for r in rows if r.verdict == "fail")
@@ -377,7 +380,7 @@ class TestSeriesIdentity:
         breaks = phi.breakpoints() + psi.breakpoints()
         exclude = [b / F(a) ** j for b in breaks for j in range(40)]
         # points xi with a xi inside the support of psi_0, and seeded points
-        hits = [xi for lo, hi in wavelets.psis[0].support().pieces
+        hits = [xi for lo, hi in wavelets.profiles[0].support().pieces
                 for xi in grid_of_size(tuple(sorted((lo / a, hi / a))), 2,
                                        exclude=exclude)]
         grid = hits + grid_of_size(_hull(phi, psi), 24, exclude=exclude)
@@ -385,8 +388,9 @@ class TestSeriesIdentity:
         assert [r.residual for r in rows] == [0] * len(grid)
         assert {r.verdict() for r in rows} == {"pass"}
         # halving psi_0's square breaks the identity wherever psi_0 enters
-        halved = GeneratorSet((wavelets.psis[0].scale_amplitude_sq(F(1, 2)),)
-                              + wavelets.psis[1:], a)
+        halved = GeneratorSet(
+            (SqrtProfile(wavelets.profiles[0].square.scale_value(F(1, 2))),)
+            + wavelets.profiles[1:], a)
         rows = series_identity_check(phi, halved, 0, hits)
         assert all(isinstance(r.residual, F) and r.residual != 0
                    and r.verdict() == "fail" for r in rows)
@@ -439,7 +443,8 @@ class TestTraceSplit:
     def test_scaled_wavelet_opens_the_gap(self, a):
         scaling, wavelets = build_family(example_pwl(F(1, 2), F(1, 2), a))
         phi = scaling.generator_set()
-        psis = (wavelets.psis[0].scale_amplitude_sq(F(10201, 10000)),) + wavelets.psis[1:]
+        psis = (SqrtProfile(wavelets.profiles[0].square.scale_value(F(10201, 10000))),) \
+            + wavelets.profiles[1:]
         grid = grid_of_size(psis[0].support().hull(), 9, exclude=phi.breakpoints())
         rows = trace_split_check(phi, GeneratorSet(psis, a), Sequence.delta(0), grid)
         assert max(r.additivity_gap for r in rows) > 0

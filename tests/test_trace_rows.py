@@ -170,7 +170,8 @@ class TestDefaultGrid:
 
 
 def _scaled_psis(wavelets, c):
-    return replace(wavelets, psis=tuple(p.scale_amplitude_sq(c) for p in wavelets.psis))
+    return replace(wavelets, profiles=tuple(SqrtProfile(p.square.scale_value(c))
+                                            for p in wavelets.profiles))
 
 
 class TestNormSum:

@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from framesmith.construction import (JOURNE_WAVELET_SET, ScalingFamily,
-                                     SpectralSpec, WaveletFamily, build_family,
+from framesmith.construction import (JOURNE_WAVELET_SET, LayeredFamily,
+                                     SpectralSpec, build_family,
                                      build_wavelets, classify_waveletset_seed,
                                      example_journe, example_pwl,
                                      example_shannon, random_admissible_spec,
@@ -30,9 +31,10 @@ def worked_half():
     return build_family(example_pwl(F(1, 2), F(1, 2)))
 
 
-def corrupt(family: WaveletFamily, factor=F(10201, 10000)) -> WaveletFamily:
-    psis = (family.psis[0].scale_amplitude_sq(factor),) + family.psis[1:]
-    return WaveletFamily(psis, family.partition, family.sigma, family.dilation)
+def corrupt(family: LayeredFamily, factor=F(10201, 10000)) -> LayeredFamily:
+    psis = (SqrtProfile(family.profiles[0].square.scale_value(factor)),) \
+        + family.profiles[1:]
+    return replace(family, profiles=psis)
 
 
 class TestNtfCheck:
@@ -101,9 +103,8 @@ class TestSplitChecks:
 
     def test_halved_sigma_fails_inward_limit(self, worked_half):
         scaling, wavelets = worked_half
-        halved = ScalingFamily(
-            {k: p.scale_amplitude_sq(F(1, 2)) for k, p in scaling.phis.items()},
-            scaling.dilation)
+        halved = replace(scaling, profiles=tuple(
+            SqrtProfile(p.square.scale_value(F(1, 2))) for p in scaling.profiles))
         reports = check_suites(halved, wavelets, ["sufficiency", "density"])
         assert reports["sufficiency"].status == "fail"
         limit = next(c for c in reports["sufficiency"].checks
@@ -115,7 +116,7 @@ class TestSplitChecks:
 
     def test_repeated_residue_raises_naming_the_wavelet(self, shannon):
         layer = IntervalSet.of((1, 4))
-        bogus = WaveletFamily((SqrtProfile.indicator(layer),), (layer,),
+        bogus = LayeredFamily((SqrtProfile.indicator(layer),), (layer,),
                               shannon[1].sigma, 2)
         with pytest.raises(ValueError, match=r"profile 0 meets the residue cell "
                                              r"\[-1, 0\) 2 times mod 2; the diagonal "
@@ -123,7 +124,7 @@ class TestSplitChecks:
             check_split(shannon[0], bogus)
 
     def test_empty_wavelets_fail_zero_shift(self, shannon):
-        empty = WaveletFamily((), (), shannon[1].sigma, 2)
+        empty = LayeredFamily((), (), shannon[1].sigma, 2)
         report = check_split(shannon[0], empty)
         first = next(c for c in report.checks if c.status == "fail")
         assert first.name == "two_scale_split[s=0]"
@@ -206,7 +207,7 @@ class TestSemiOrthogonality:
         assert row.witness["cross_energy"] == F(1, 16)
 
     def test_cross_energy_zero_for_shannon(self, shannon):
-        psi = shannon[1].psis[0]
+        psi = shannon[1].profiles[0]
         assert cross_energy(psi, psi, 2, 1) == 0
 
     def test_cross_energy_bounds_truncated_coefficient_sum(self):
@@ -216,8 +217,8 @@ class TestSemiOrthogonality:
             family = build_family(spec)[1]
             row = next(c for c in check_semiorthogonal(family).checks
                        if c.status == "fail")
-            psi = family.psis[row.witness["psi"]]
-            other = family.psis[row.witness["psi_other"]]
+            psi = family.profiles[row.witness["psi"]]
+            other = family.profiles[row.witness["psi_other"]]
             t = F(family.dilation) ** -row.witness["scale_gap"]
             factors = [(psi.square, True), (other.square.compose_scale(t), True)]
             amplitude = 0.5 * math.sqrt(abs(t))
@@ -228,7 +229,7 @@ class TestSemiOrthogonality:
             assert exact - 5e-4 <= partial <= exact, (spec, exact - partial)
 
     def test_empty_family_trivially_passes(self, shannon):
-        empty = WaveletFamily((), (), shannon[1].sigma, 2)
+        empty = LayeredFamily((), (), shannon[1].sigma, 2)
         assert check_semiorthogonal(empty).status == "pass"
 
 
@@ -259,5 +260,5 @@ class TestSoundnessChain:
         seed = IntervalSet.of((-1, 1))
         assert classify_waveletset_seed(seed, 2).verdict == "orthonormal"
         fam = build_wavelets(SpectralSpec(waveletset_sigma(seed, 2), 2))
-        sets = [p.support() for p in fam.psis]
+        sets = [p.support() for p in fam.profiles]
         assert check_wavelet_set_tiling(sets, 2).status == "pass"
