@@ -27,6 +27,7 @@ from .construction import (SpectralSpec, build_family,
                            classify_waveletset_seed, example_by_name,
                            waveletset_sigma, ClosureDidNotStabilize)
 from .intervals import union_all
+from .rationals import TooManyDigits, parse_int
 from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
                         family_from_jsonable, family_to_jsonable,
@@ -49,9 +50,18 @@ def _exit_code(status: str) -> int:
     return {"pass": 0, "fail": 1}.get(status, 2)
 
 
+def _parse_option(option: str, parse, text: str):
+    """parse(text) for a string option; an integer in the text past the
+    digit limit is reported under the option's name."""
+    try:
+        return parse(text)
+    except TooManyDigits as e:
+        raise ValueError(f"{option}: {e}") from None
+
+
 def cmd_construct(args) -> int:
     if args.example is not None:
-        spec = example_by_name(args.example)
+        spec = _parse_option("--example", example_by_name, args.example)
         if args.a is not None:
             spec = SpectralSpec(spec.sigma, args.a)
         source = {"example": args.example, "dilation": spec.dilation}
@@ -149,10 +159,14 @@ def _even_grid(hull, n: int) -> list:
 def _integer(text: str) -> int:
     """argparse type of the integer options: an optional sign and ASCII
     digits, as for the indices of a sequence (int() also reads the digits of
-    other scripts, '_' separators and surrounding spaces)."""
+    other scripts, '_' separators and surrounding spaces).  An integer past
+    the digit limit is refused by its digit count, without its digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return parse_int(text)
+    except TooManyDigits as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _grid_option(text: str):
@@ -169,7 +183,7 @@ def _grid_size(n: int) -> int:
 
 def cmd_trace(args) -> int:
     scaling, wavelets = _load_family(args.family)
-    f = Sequence.parse(args.f)
+    f = _parse_option("--f", Sequence.parse, args.f)
     gen = scaling.generator_set()
     if args.grid == "auto":
         grid = family_grid(gen, wavelets.generator_set())
@@ -188,7 +202,7 @@ def cmd_frame_test(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     scaling, wavelets = _load_family(args.family)
-    signal = TestSignal.parse(args.signal)
+    signal = _parse_option("--signal", TestSignal.parse, args.signal)
     report = frame_energy(signal, wavelets, j_min=args.jmin, j_max=args.jmax,
                           k_tail_target=args.ktail, k_budget=args.kbudget)
     payload = report.to_jsonable()

@@ -1,16 +1,21 @@
 """Outward-rounded interval arithmetic on exact rational endpoints.
 
-Endpoints are Fractions, so +, -, * are rounding-free; widening happens only
-where irrationals enter, and there the endpoints are dyadic:
+Endpoints are Fractions, so sums, differences and rational scalings are
+rounding-free; widening happens only where irrationals enter, and there the
+endpoints are dyadic:
 
 - square roots: integer isqrt at 2^-bits;
 - cos/sin of rational multiples of pi: a fixed-point kernel on Python
-  integers at 2^-(bits+32).  The argument is reduced by symmetry to
-  [0, pi/4] and enclosed with pi bounds from Machin's formula; the
-  alternating Taylor series then runs with floored lower and ceiled upper
-  terms plus the Lagrange remainder, at both ends of the argument interval
-  (cos and sin are monotone there).  This is the fixed-point ball technique
-  of Arb (F. Johansson, IEEE Trans. Computers 2017).
+  integers at 2^-(bits+32).  The argument q = n/d is reduced on integers:
+  mod 2 and by symmetry into [0, 1/4] as a numerator over d or 2d, with the
+  exact points 0, +-1/2 and +-1 returned as exact bounds; it is then
+  enclosed with pi bounds from Machin's formula, and the alternating Taylor
+  series runs with floored lower and ceiled upper terms plus the Lagrange
+  remainder, at both ends of the argument interval (cos and sin are
+  monotone there).  `cos_pi` and `sin_pi` turn the kernel's two integers
+  into dyadic Fractions; `trace.dilated_trace` reads those back as
+  integers.  This is the fixed-point ball technique of Arb (F. Johansson,
+  IEEE Trans. Computers 2017).
 
 The working precision is an argument of every enclosure, 64 fractional bits
 by default; sign decisions refine it themselves (see `roots`).
@@ -37,8 +42,8 @@ class FInterval:
 
     @classmethod
     def _ordered(cls, lo: Fraction, hi: Fraction) -> "FInterval":
-        """[lo, hi] for lo <= hi known to the caller: the arithmetic below
-        builds its results here and skips the comparison."""
+        """[lo, hi] for lo <= hi known to the caller: the arithmetic and
+        the enclosures build their results here and skip the comparison."""
         iv = object.__new__(cls)
         object.__setattr__(iv, "lo", lo)
         object.__setattr__(iv, "hi", hi)
@@ -55,29 +60,11 @@ class FInterval:
     def __sub__(self, other: "FInterval") -> "FInterval":
         return FInterval._ordered(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "FInterval":
-        return FInterval._ordered(-self.hi, -self.lo)
-
-    def __mul__(self, other: "FInterval") -> "FInterval":
-        cands = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return FInterval._ordered(min(cands), max(cands))
-
     def scale(self, q) -> "FInterval":
         q = Fraction(q)
         if q >= 0:
             return FInterval._ordered(self.lo * q, self.hi * q)
         return FInterval._ordered(self.hi * q, self.lo * q)
-
-    def square(self) -> "FInterval":
-        if self.lo >= 0:
-            return FInterval._ordered(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return FInterval._ordered(self.hi * self.hi, self.lo * self.lo)
-        return FInterval._ordered(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -90,9 +77,6 @@ class FInterval:
 
     def definitely_negative(self) -> bool:
         return self.hi < 0
-
-    def __float__(self) -> float:
-        return float(self.mid())
 
     def __repr__(self) -> str:
         return f"FInterval({float(self.lo):.17g}, {float(self.hi):.17g})"
@@ -169,32 +153,39 @@ def _series(x: int, odd: bool, prec: int) -> tuple[int, int]:
             lo, hi = lo + t_lo, hi + t_hi
 
 
-def cos_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
-    """Enclosure of cos(q*pi) for rational q, with dyadic endpoints."""
-    q = Fraction(q)
-    # reduce mod 2 into [-1, 1]
-    q -= 2 * ((q + 1) // 2)
-    half = Fraction(1, 2)
-    if q == half or q == -half:
-        return FInterval.ZERO
-    if q == 0:
-        return FInterval.point(1)
-    if q == 1 or q == -1:
-        return FInterval.point(-1)
-    # cos(-x) = cos x and cos(pi - x) = -cos x bring q into (0, 1/2); above
-    # 1/4, cos(q pi) = sin((1/2 - q) pi), so the argument lies in [0, pi/4]
-    q = abs(q)
-    negate = q > half
-    if negate:
-        q = 1 - q
-    odd = q > half / 2
-    if odd:
-        q = half - q
-    prec = bits + 32
+@lru_cache(maxsize=8)
+def _pi_bounds(prec: int) -> tuple[int, int]:
+    """Integer bounds [lo, hi] on 2^prec * pi: the Machin enclosure at prec
+    bits, floored and ceiled."""
     pi = pi_enclosure(prec)
-    pi_lo = (pi.lo.numerator << prec) // pi.lo.denominator
-    pi_hi = -((-pi.hi.numerator << prec) // pi.hi.denominator)
-    n, d = q.numerator, q.denominator
+    return ((pi.lo.numerator << prec) // pi.lo.denominator,
+            -((-pi.hi.numerator << prec) // pi.hi.denominator))
+
+
+def _cos_pi_bounds(n: int, d: int, bits: int) -> tuple[int, int]:
+    """Integer bounds [lo, hi] on 2^(bits+32) * cos(pi n/d), d > 0.
+
+    The argument stays a numerator over d: it is reduced mod 2 into [-1, 1),
+    the exact points 0, +-1/2 and -1 give exact bounds, and the folds
+    cos(-x) = cos x, cos(pi - x) = -cos x and, above 1/4,
+    cos(q pi) = sin((1/2 - q) pi) bring it into [0, 1/4]."""
+    prec = bits + 32
+    one = 1 << prec
+    n -= 2 * d * ((n + d) // (2 * d))
+    n = abs(n)
+    if not n:
+        return one, one
+    if 2 * n == d:
+        return 0, 0
+    if n == d:
+        return -one, -one
+    negate = 2 * n > d
+    if negate:
+        n = d - n
+    odd = 4 * n > d
+    if odd:
+        n, d = d - 2 * n, 2 * d
+    pi_lo, pi_hi = _pi_bounds(prec)
     x_lo = n * pi_lo // d
     x_hi = -(-n * pi_hi // d)
     # on [0, pi/2] cos decreases and sin increases, both within [0, 1]
@@ -202,39 +193,27 @@ def cos_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
         lo, hi = _series(x_lo, True, prec)[0], _series(x_hi, True, prec)[1]
     else:
         lo, hi = _series(x_hi, False, prec)[0], _series(x_lo, False, prec)[1]
-    one = 1 << prec
     lo, hi = max(lo, 0), min(hi, one)
-    if negate:
-        lo, hi = -hi, -lo
-    return FInterval(Fraction(lo, one), Fraction(hi, one))
+    return (-hi, -lo) if negate else (lo, hi)
+
+
+def _dyadic(bounds: tuple[int, int], bits: int) -> FInterval:
+    """The interval of integer bounds at 2^-(bits+32)."""
+    one = 1 << (bits + 32)
+    return FInterval._ordered(Fraction(bounds[0], one), Fraction(bounds[1], one))
+
+
+def cos_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
+    """Enclosure of cos(q*pi) for rational q, with dyadic endpoints at
+    2^-(bits+32)."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return _dyadic(_cos_pi_bounds(q.numerator, q.denominator, bits), bits)
 
 
 def sin_pi(q, bits: int = DEFAULT_BITS) -> FInterval:
     """Enclosure of sin(q*pi) = cos((q - 1/2)*pi)."""
-    return cos_pi(Fraction(q) - Fraction(1, 2), bits)
-
-
-@dataclass(frozen=True)
-class CInterval:
-    """Rectangular complex interval."""
-
-    re: FInterval
-    im: FInterval
-
-    @staticmethod
-    def point(re, im=0) -> "CInterval":
-        return CInterval(FInterval.point(re), FInterval.point(im))
-
-    @staticmethod
-    def unit_phase(q, bits: int = DEFAULT_BITS) -> "CInterval":
-        """Enclosure of e^{i*pi*q} for rational q."""
-        return CInterval(cos_pi(q, bits), sin_pi(q, bits))
-
-    def __add__(self, other: "CInterval") -> "CInterval":
-        return CInterval(self.re + other.re, self.im + other.im)
-
-    def scale_interval(self, f: FInterval) -> "CInterval":
-        return CInterval(self.re * f, self.im * f)
-
-    def abs2(self) -> FInterval:
-        return self.re.square() + self.im.square()
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    return _dyadic(_cos_pi_bounds(2 * n - d, 2 * d, bits), bits)

@@ -13,10 +13,28 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
 _RATIO_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+))?\s*$", re.ASCII)
+
+
+class TooManyDigits(ValueError):
+    """An integer string past the interpreter's limit on integer string
+    conversion; the message gives the digit count, not the digits."""
+
+
+def parse_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits, the grammar the
+    callers have matched.  Past the limit of `sys.get_int_max_str_digits`
+    (where the interpreter has one) it raises TooManyDigits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = len(text) - (text[:1] in ("+", "-"))
+    if limit and digits > limit:
+        raise TooManyDigits(f"an integer of {digits} digits is past the limit "
+                            f"of {limit} digits for integer string conversion")
+    return int(text)
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -24,8 +42,8 @@ def parse_ratio(text: str) -> Fraction:
     m = _RATIO_RE.match(text)
     if not m:
         raise ValueError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_int(m.group(1))
+    den = parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-from .rationals import format_ratio, parse_ratio
+from .rationals import format_ratio, parse_int, parse_ratio
 
 _IMAG_RE = re.compile(r"^\s*([+-]?)\s*((?:\d+(?:/\d+)?)?)\s*[ij]\s*$", re.ASCII)
 _REAL_RE = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-].*)?$", re.ASCII)
@@ -110,7 +110,7 @@ class Sequence:
             if not index:
                 raise ValueError(f"index must be an integer in ASCII digits, "
                                  f"got {part!r}")
-            k = int(index.group(1))
+            k = parse_int(index.group(1))
             c = CRat.parse(coeff_text)
             entries[k] = entries.get(k, CRAT_ZERO) + c
         return Sequence(entries)

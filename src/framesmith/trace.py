@@ -21,9 +21,14 @@ formula.  It encloses tau_{D_a V, f} from the genuine generator set of the
 dilated space -- the |a| fractionally-translated dilates of each generator,
 whose Fourier transforms carry unit phases e^{-i d xi / a} -- with
 rational-argument cos/sin intervals, so the check against the exact coset
-sum stays independent of the identity itself.  Each term's magnitude
-enclosure is taken once per profile; only its phase is evaluated per
-translate.  The additivity check reads tau_{V_1} off the exact coset sum.
+sum stays independent of the identity itself.  Each term is taken once per
+profile as integers: its weights c f(k) over one denominator L per call and
+the bounds of its magnitude at 2^-bits; per translate only its phase is
+enclosed, and the outward products, sums and squares run on integers over
+2^(bits+32) 2^bits L, with one Fraction per endpoint at the end.  The exact
+checks take the weights |f(k)|^2 of f and of each coset sequence D_d* f
+once per check, not once per grid point.  The additivity check reads
+tau_{V_1} off the exact coset sum.
 """
 
 from __future__ import annotations
@@ -35,23 +40,34 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence as Seq, Tuple
 
 from .folding import _shifts
-from .numeric import DEFAULT_BITS, CInterval, FInterval
+from .numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from .piecewise import GeneratorSet, PiecewiseLinear, _sum
-from .rationals import as_fraction
+from .rationals import as_fraction, common_denominator
 from .roots import SqrtSum
 from .sequences import CRat, Sequence, coset_op_adj
 
 
-def _tau(square: PiecewiseLinear, f: Sequence, xi: Fraction) -> Fraction:
-    """sum_k |f(k)|^2 S(xi + 2k), S = square."""
-    return sum((v.abs2() * square.eval(xi + 2 * k) for k, v in f.entries.items()),
-               Fraction(0))
+def _weights(f: Sequence) -> List[Tuple[int, Fraction]]:
+    """The pairs (k, |f(k)|^2) over the support of f: a check takes them
+    once and reads S at each of its grid points."""
+    return [(k, v.abs2()) for k, v in f.entries.items()]
+
+
+def _coset_weights(a: int, f: Sequence) -> List[Tuple[int, List[Tuple[int, Fraction]]]]:
+    """The pairs (d, weights of D_d* f) for the cosets d = 0..|a|-1."""
+    return [(d, _weights(coset_op_adj(a, d, f))) for d in range(abs(a))]
+
+
+def _tau(square: PiecewiseLinear, weights: List[Tuple[int, Fraction]],
+         xi: Fraction) -> Fraction:
+    """sum_k |f(k)|^2 S(xi + 2k), S = square, from the weights of f."""
+    return sum((w * square.eval(xi + 2 * k) for k, w in weights), Fraction(0))
 
 
 def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2 = <G f, f>
     = sum_k |f(k)|^2 S(xi + 2k), exact."""
-    return _tau(gen.spectral, f, as_fraction(xi))
+    return _tau(gen.spectral, _weights(f), as_fraction(xi))
 
 
 def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
@@ -178,12 +194,19 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     space: the |a| fractional translates of each dilated generator, with
     Fourier phases e^{-i d (.)/a}.  Certified enclosure.
 
-    Per profile, each term (argument, f(k), magnitude enclosure) is taken
-    once; only the phase depends on the translate d."""
+    Per profile, each term is taken once: its argument, its weights
+    c f(k).re and c f(k).im, c the coefficient of
+    sqrt(r/|a|) = c sqrt(rad), and the integer bounds of sqrt(rad) at
+    2^-bits.  The weights of the call share one denominator L, so each
+    translate d sums its products with the phase enclosures
+    `cos_pi`/`sin_pi` (read back as integers at 2^-(bits+32)) on integers
+    over 2^(bits+32) 2^bits L, outward, and the result is built from two
+    integers at the end: endpoint for endpoint the interval arithmetic of
+    `dilated_trace_direct` in the tests' oracles."""
     xi = as_fraction(xi)
     a = gen.dilation
     inv_a = Fraction(1, abs(a))
-    total = FInterval.ZERO
+    per_profile = []
     for p in gen.profiles:
         # xi + 2k must land in a*domain
         terms = []
@@ -195,40 +218,79 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
                 arg = (xi + 2 * k) / a
                 r = p.value_sq(arg)
                 if r:
-                    terms.append((arg, v, SqrtSum.sqrt_of(r * inv_a).enclosure(bits)))
-        if not terms:
-            continue
+                    (rad, c), = SqrtSum.sqrt_of(r * inv_a).terms.items()
+                    m_lo = m_hi = 1 << bits
+                    if rad != 1:
+                        m_lo = math.isqrt(rad << 2 * bits)
+                        m_hi = m_lo + 1
+                    terms.append((arg, c * v.re, c * v.im, m_lo, m_hi))
+        if terms:
+            per_profile.append(terms)
+    den = common_denominator(w for terms in per_profile for t in terms for w in t[1:3])
+    one = 1 << (bits + 32)
+    lo = hi = 0
+    for terms in per_profile:
+        terms = [(arg, w_re.numerator * (den // w_re.denominator),
+                  w_im.numerator * (den // w_im.denominator), m_lo, m_hi)
+                 for arg, w_re, w_im, m_lo, m_hi in terms]
         for d in range(abs(a)):
-            acc = CInterval.point(0)
-            for arg, v, mag in terms:
-                term = CInterval.unit_phase(d * arg, bits).scale_interval(mag)
-                acc = acc + _times(term, v)
-            total = total + acc.abs2()
-    return total
+            re_lo = re_hi = im_lo = im_hi = 0
+            for arg, w_re, w_im, m_lo, m_hi in terms:
+                c, s = cos_pi(d * arg, bits), sin_pi(d * arg, bits)
+                # the phase times the magnitude [m_lo, m_hi], m_lo >= 0
+                c_lo = c.lo.numerator * (one // c.lo.denominator)
+                c_hi = c.hi.numerator * (one // c.hi.denominator)
+                s_lo = s.lo.numerator * (one // s.lo.denominator)
+                s_hi = s.hi.numerator * (one // s.hi.denominator)
+                x_lo = c_lo * (m_lo if c_lo >= 0 else m_hi)
+                x_hi = c_hi * (m_hi if c_hi >= 0 else m_lo)
+                y_lo = s_lo * (m_lo if s_lo >= 0 else m_hi)
+                y_hi = s_hi * (m_hi if s_hi >= 0 else m_lo)
+                # (x + iy) w: each part scaled by a weight, ends swapped
+                # where the weight is negative
+                if w_re >= 0:
+                    re_lo += x_lo * w_re
+                    re_hi += x_hi * w_re
+                    im_lo += y_lo * w_re
+                    im_hi += y_hi * w_re
+                else:
+                    re_lo += x_hi * w_re
+                    re_hi += x_lo * w_re
+                    im_lo += y_hi * w_re
+                    im_hi += y_lo * w_re
+                if w_im > 0:
+                    re_lo -= y_hi * w_im
+                    re_hi -= y_lo * w_im
+                    im_lo += x_lo * w_im
+                    im_hi += x_hi * w_im
+                elif w_im:
+                    re_lo -= y_lo * w_im
+                    re_hi -= y_hi * w_im
+                    im_lo += x_hi * w_im
+                    im_hi += x_lo * w_im
+            for part_lo, part_hi in ((re_lo, re_hi), (im_lo, im_hi)):
+                if part_lo >= 0:
+                    lo, hi = lo + part_lo * part_lo, hi + part_hi * part_hi
+                elif part_hi <= 0:
+                    lo, hi = lo + part_hi * part_hi, hi + part_lo * part_lo
+                else:
+                    hi += max(part_lo * part_lo, part_hi * part_hi)
+    scale = (den << (2 * bits + 32)) ** 2
+    return FInterval._ordered(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def _times(z: CInterval, v: CRat) -> CInterval:
-    """z * v for a Gaussian rational v.  A zero part of v contributes the
-    exact interval [0, 0], which leaves every endpoint of the sum unchanged,
-    so its products are skipped."""
-    if not v.im:
-        return CInterval(z.re.scale(v.re), z.im.scale(v.re))
-    if not v.re:
-        return CInterval(-z.im.scale(v.im), z.re.scale(v.im))
-    return CInterval(z.re.scale(v.re) - z.im.scale(v.im),
-                     z.re.scale(v.im) + z.im.scale(v.re))
-
-
-def _coset_sum(square: PiecewiseLinear, a: int, f: Sequence, xi: Fraction) -> Fraction:
-    """sum_d tau_{V, D_d* f}((xi + 2d)/a), with S = square."""
-    return sum((_tau(square, coset_op_adj(a, d, f), (xi + 2 * d) / Fraction(a))
-                for d in range(abs(a))), Fraction(0))
+def _coset_sum(square: PiecewiseLinear, a: int, cosets, xi: Fraction) -> Fraction:
+    """sum_d tau_{V, D_d* f}((xi + 2d)/a), with S = square, from
+    `_coset_weights(a, f)`."""
+    return sum((_tau(square, weights, (xi + 2 * d) / a) for d, weights in cosets),
+               Fraction(0))
 
 
 def dilation_coset_sum(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """Right side of the dilation formula:
     sum_d tau_{V, D_d* f}((xi + 2d)/a), exact."""
-    return _coset_sum(gen.spectral, gen.dilation, f, as_fraction(xi))
+    a = gen.dilation
+    return _coset_sum(gen.spectral, a, _coset_weights(a, f), as_fraction(xi))
 
 
 @dataclass(frozen=True)
@@ -241,12 +303,13 @@ def dilation_trace_check(gen: GeneratorSet, f: Sequence, grid: Iterable,
                          bits: int = DEFAULT_BITS) -> List[GridRow]:
     """Certified |tau_{D_aV,f}(xi) - sum_d tau_{V,D_d*f}((xi+2d)/a)| per point:
     the enclosure of `dilated_trace` at `bits` against the exact coset sum."""
-    square = gen.spectral
+    square, a = gen.spectral, gen.dilation
+    cosets = _coset_weights(a, f)
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
         lhs = dilated_trace(gen, f, xi, bits)
-        rhs = _coset_sum(square, gen.dilation, f, xi)
+        rhs = _coset_sum(square, a, cosets, xi)
         rows.append(GridRow(xi, (lhs - FInterval.point(rhs)).sup_abs()))
     return rows
 
@@ -284,6 +347,7 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
     l_window = int(radius) + 1
     difference = gen.spectral - reference.spectral
+    alphas = [(alpha, alpha.abs2()) for alpha in ALPHAS]
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -292,8 +356,8 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
             if l == 0:
                 continue
             dl = difference.eval(xi + 2 * l)
-            for alpha in ALPHAS:
-                diff = d0 + alpha.abs2() * dl
+            for alpha, weight in alphas:
+                diff = d0 + weight * dl
                 rows.append(GeneratorTestRow(xi, l, alpha, "fail" if diff else "pass",
                                              abs(float(diff))))
     return rows
@@ -360,11 +424,13 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     genuine dilated generator set).  `bits` is kept for callers and not
     used."""
     phi_square, psi_square = phi_gen.spectral, psi_gen.spectral
+    a = phi_gen.dilation
+    weights, cosets = _weights(f), _coset_weights(a, f)
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
-        rise = _coset_sum(phi_square, phi_gen.dilation, f, xi) - _tau(phi_square, f, xi)
-        rows.append(SplitRow(xi, abs(rise - _tau(psi_square, f, xi)), rise))
+        rise = _coset_sum(phi_square, a, cosets, xi) - _tau(phi_square, weights, xi)
+        rows.append(SplitRow(xi, abs(rise - _tau(psi_square, weights, xi)), rise))
     return rows
 
 

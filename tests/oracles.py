@@ -12,9 +12,11 @@ operator and dilated traces, of the pairing sum_p p_hat(x) p_hat(y) and of
 the NTF generator test, which recompute every magnitude, root and fiber
 inner product where it is used, for any generator set.  The library reads
 the traces, the generator test and the series identity off the diagonal
-Gramian S(xi + 2k) of supports injective mod 2, and encloses each term of
-the dilated trace once; its results must be equal to these, down to each
-Fraction and Fraction endpoint.
+Gramian S(xi + 2k) of supports injective mod 2, and sums the dilated trace
+on integers over one denominator from terms taken once; its results must be
+equal to these, down to each Fraction and Fraction endpoint.  The direct
+dilated trace runs on `CInterval`, rectangular complex intervals over
+`FInterval`, with the interval product and square kept here.
 
 Trace CSV: the spectral and dimension functions point by point, from the
 profile values and the fibers, which the CSV reads off the diagonal Gramian.
@@ -53,6 +55,7 @@ scales sit well inside those ranges.
 import bisect
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
@@ -62,7 +65,7 @@ import numpy as np
 from framesmith.construction import Check, SeedClassification, require_dilation
 from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
 from framesmith.intervals import IntervalSet, _overlay
-from framesmith.numeric import DEFAULT_BITS, CInterval, FInterval
+from framesmith.numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum, refine
 from framesmith.quadrature import _FRESNEL_INF, _SERIES_PHASE, _Cell, _fresnel_tail, _pow_diff
 from framesmith.rationals import as_fraction
@@ -321,6 +324,48 @@ def pair_sum(profiles, x, y) -> SqrtSum:
         if rx and ry:
             total = total + SqrtSum.sqrt_of(rx) * SqrtSum.sqrt_of(ry)
     return total
+
+
+def interval_mul(x: FInterval, y: FInterval) -> FInterval:
+    """The product interval: the least and largest of the four endpoint
+    products."""
+    cands = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return FInterval(min(cands), max(cands))
+
+
+def interval_square(x: FInterval) -> FInterval:
+    """{t^2 : t in x}, which starts at 0 when x straddles 0."""
+    if x.lo >= 0:
+        return FInterval(x.lo * x.lo, x.hi * x.hi)
+    if x.hi <= 0:
+        return FInterval(x.hi * x.hi, x.lo * x.lo)
+    return FInterval(Fraction(0), max(x.lo * x.lo, x.hi * x.hi))
+
+
+@dataclass(frozen=True)
+class CInterval:
+    """Rectangular complex interval."""
+
+    re: FInterval
+    im: FInterval
+
+    @staticmethod
+    def point(re, im=0) -> "CInterval":
+        return CInterval(FInterval.point(re), FInterval.point(im))
+
+    @staticmethod
+    def unit_phase(q, bits: int = DEFAULT_BITS) -> "CInterval":
+        """Enclosure of e^{i*pi*q} for rational q."""
+        return CInterval(cos_pi(q, bits), sin_pi(q, bits))
+
+    def __add__(self, other: "CInterval") -> "CInterval":
+        return CInterval(self.re + other.re, self.im + other.im)
+
+    def scale_interval(self, f: FInterval) -> "CInterval":
+        return CInterval(interval_mul(self.re, f), interval_mul(self.im, f))
+
+    def abs2(self) -> FInterval:
+        return interval_square(self.re) + interval_square(self.im)
 
 
 def dilated_trace_direct(gen, f, xi, bits=DEFAULT_BITS) -> FInterval:

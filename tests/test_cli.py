@@ -370,6 +370,45 @@ class TestStrictInput:
         assert err == (f"parse error: family.phis: a key of {len(key)} characters "
                        f"is too long to read as an integer\n")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    @pytest.mark.parametrize("command,option,template", [
+        ("trace", "--f", "1@%s"),
+        ("trace", "--f", "%s/3@0"),
+        ("construct", "--example", "pwl:a=1/%s"),
+        ("frame-test", "--signal", "tent:[-1,1/%s)"),
+    ], ids=["sequence_index", "sequence_coeff", "example_pwl", "signal_end"])
+    def test_overlong_integer_in_string_option_exits_2(self, family_file, tmp_path,
+                                                       capsys, command, option,
+                                                       template):
+        # the digit limit used to escape as a bare ValueError that named no
+        # option
+        n = sys.get_int_max_str_digits() + 1
+        out = tmp_path / "out"
+        source = [] if command == "construct" else ["--family", family_file]
+        capsys.readouterr()
+        assert run(command, *source, option, template % ("1" * n), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {option}: an integer of {n} digits is past the limit "
+                       f"of {n - 1} digits for integer string conversion\n")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    def test_overlong_integer_option_exits_2_without_echo(self, tmp_path, capsys):
+        # argparse used to echo all the digits of the refused value
+        n = sys.get_int_max_str_digits() + 1
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run("construct", "--example", "shannon", "--a", "-" + "1" * n, "--out", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --a: an integer of {n} digits is past the limit "
+                            f"of {n - 1} digits for integer string conversion\n")
+        assert "1" * 100 not in err and len(err) < 1000
+        assert not out.exists()
+
     @pytest.mark.parametrize("f_text,shown", [
         ("1@1_0", "'1@1_0'"),                  # used to read index 10
         ("1@\u0663", "'1@\u0663'"),            # Arabic-Indic three, used to read 3

@@ -5,15 +5,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framesmith.numeric import (DEFAULT_BITS, CInterval, FInterval, cos_pi,
+from framesmith.numeric import (DEFAULT_BITS, FInterval, _cos_pi_bounds, cos_pi,
                                 pi_enclosure, sin_pi, sqrt_enclosure)
 from framesmith.roots import MAX_BITS, SqrtSum, _split_square
+
+from oracles import CInterval, interval_mul, interval_square
 
 
 def test_pi_enclosure_tight_and_correct():
     pi = pi_enclosure(64)
     assert pi is pi_enclosure(64)  # cached per precision
-    assert float(pi.width()) < 2 ** -64
+    assert float(pi.hi - pi.lo) < 2 ** -64
     # the enclosure is far tighter than the double of math.pi
     assert abs(float(pi.mid()) - math.pi) < 1e-15
     # classic rational bounds
@@ -28,7 +30,7 @@ def test_sqrt_enclosure_contains_truth():
     for _ in range(300):
         q = F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 4))
         enc = sqrt_enclosure(q)
-        assert enc.width() <= F(1, 2 ** 64)
+        assert enc.hi - enc.lo <= F(1, 2 ** 64)
         assert enc.lo * enc.lo <= q <= enc.hi * enc.hi
     with pytest.raises(ValueError):
         sqrt_enclosure(-1)
@@ -39,7 +41,7 @@ def test_cos_sin_against_float_libm():
     for _ in range(300):
         q = F(rng.randint(-4000, 4000), rng.randint(1, 97))
         c, s = cos_pi(q), sin_pi(q)
-        assert float(c.width()) < 1e-18 and float(s.width()) < 1e-18
+        assert float(c.hi - c.lo) < 1e-18 and float(s.hi - s.lo) < 1e-18
         # containment up to libm's own rounding
         assert abs(float(c.mid()) - math.cos(math.pi * float(q))) < 1e-12
         assert abs(float(s.mid()) - math.sin(math.pi * float(q))) < 1e-12
@@ -56,7 +58,7 @@ def _cos_pi_oracle(q, bits):
     q = F(q)
     q -= 2 * ((q + 1) // 2)
     x = pi_enclosure(bits).scale(q)
-    xx = x.square()
+    xx = interval_square(x)
     m = xx.hi
     total = term = FInterval.point(1)
     mag = F(1)  # m^k/(2k)! alongside term index k
@@ -64,7 +66,7 @@ def _cos_pi_oracle(q, bits):
     k = 0
     while True:
         k += 1
-        term = (term * xx).scale(F(-1, (2 * k - 1) * (2 * k)))
+        term = interval_mul(term, xx).scale(F(-1, (2 * k - 1) * (2 * k)))
         total = total + term
         mag = mag * m / ((2 * k - 1) * (2 * k))
         rem = mag * m / ((2 * k + 1) * (2 * k + 2))
@@ -85,9 +87,48 @@ def test_cos_pi_encloses_reference_at_reduction_edges(q):
     ref = _cos_pi_oracle(q, bits + 40)
     got = cos_pi(q, bits)
     assert got.lo <= ref.lo and ref.hi <= got.hi
-    assert got.width() <= F(1, 2 ** (bits + 16))
+    assert got.hi - got.lo <= F(1, 2 ** (bits + 16))
     assert got.lo.denominator & (got.lo.denominator - 1) == 0  # dyadic
     assert got.hi.denominator & (got.hi.denominator - 1) == 0
+
+
+# (n, d, the reduced argument in [-1, 1)): unreduced fractions and
+# far-out arguments
+_UNREDUCED = [(3, 6, F(1, 2)), (-4, 4, F(-1)), (6, 4, F(-1, 2)),
+              (2 * 10 ** 6 + 1, 2, F(1, 2)), (-7, 14, F(-1, 2)),
+              (4 * 10 ** 6 + 1, 3, F(-1, 3)), (25, 15, F(-1, 3)), (-22, 12, F(1, 6)),
+              (10 ** 40 + 3, 4, F(3, 4)), (-9, 12, F(-3, 4))]
+
+
+@pytest.mark.parametrize("n, d, reduced", _UNREDUCED, ids=lambda v: str(v))
+@pytest.mark.parametrize("bits", (64, 128))
+def test_cos_pi_reduces_on_integers(n, d, reduced, bits):
+    # the kernel reads n/d as it is given: any numerator over any positive
+    # denominator gives the bounds of the reduced argument
+    bounds = _cos_pi_bounds(n, d, bits)
+    assert bounds == _cos_pi_bounds(reduced.numerator, reduced.denominator, bits)
+    assert _cos_pi_bounds(n * 7, d * 7, bits) == bounds
+    one = 1 << (bits + 32)
+    got = cos_pi(F(n, d), bits)
+    assert got == cos_pi(reduced, bits) == FInterval(F(bounds[0], one), F(bounds[1], one))
+    assert type(got.lo) is F and type(got.hi) is F
+    ref = _cos_pi_oracle(reduced, bits + 40)
+    if 2 * reduced == int(2 * reduced):   # 0, +-1/2, +-1: exact
+        assert got.lo == got.hi and ref.lo <= got.lo <= ref.hi
+    else:
+        assert got.lo <= ref.lo and ref.hi <= got.hi
+
+
+def test_exact_points_are_exact_intervals():
+    for bits in (64, 128, 256):
+        for q, value in ((0, 1), (F(1, 2), 0), (F(-1, 2), 0), (1, -1), (-1, -1),
+                         (4, 1), (F(-7, 2), 0), (-3, -1)):
+            assert cos_pi(q, bits) == FInterval.point(value)
+            assert sin_pi(F(1, 2) - F(q), bits) == FInterval.point(value)
+        one = 1 << (bits + 32)
+        for n, d, value in ((0, 5, 1), (2, 4, 0), (-3, 6, 0), (7, 7, -1), (-5, 5, -1),
+                            (12, 6, 1)):
+            assert _cos_pi_bounds(n, d, bits) == (value * one, value * one)
 
 
 @given(st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 6),
@@ -95,9 +136,10 @@ def test_cos_pi_encloses_reference_at_reduction_edges(q):
 @settings(max_examples=150, deadline=None)
 def test_trig_identities_hold_on_enclosures(q, bits):
     c, s = cos_pi(q, bits), sin_pi(q, bits)
-    one = c.square() + s.square()
+    one = interval_square(c) + interval_square(s)
     assert one.lo <= 1 <= one.hi
-    double, direct = c.square().scale(2) - FInterval.point(1), cos_pi(2 * q, bits)
+    double = interval_square(c).scale(2) - FInterval.point(1)
+    direct = cos_pi(2 * q, bits)
     assert double.lo <= direct.hi and direct.lo <= double.hi
 
 
@@ -105,9 +147,8 @@ def test_interval_arithmetic_basics():
     a = FInterval(F(1), F(2))
     b = FInterval(F(-1), F(3))
     assert (a + b).lo == 0 and (a + b).hi == 5
-    assert (a * b).lo == -2 and (a * b).hi == 6
-    assert b.square().lo == 0 and b.square().hi == 9
-    assert (-a).hi == -1
+    assert (a - b).lo == -2 and (a - b).hi == 3
+    assert b.scale(-2).lo == -6 and b.scale(-2).hi == 2
     assert a.definitely_positive() and not b.definitely_positive()
     assert FInterval(F(-2), F(-1)).definitely_negative()
 
@@ -121,13 +162,8 @@ def test_interval_operators_give_checked_intervals():
     for x, y in zip(ends[0::2], ends[1::2]):
         a = FInterval(min(x, y), max(x, y))
         b = FInterval(min(-y, x / 3), max(-y, x / 3))
-        prods = [p * q for p in (a.lo, a.hi) for q in (b.lo, b.hi)]
-        squares = [a.lo * a.lo, a.hi * a.hi]
         cases = [(a + b, (a.lo + b.lo, a.hi + b.hi)), (a - b, (a.lo - b.hi, a.hi - b.lo)),
-                 (-a, (-a.hi, -a.lo)), (a * b, (min(prods), max(prods))),
-                 (a.scale(x), tuple(sorted((a.lo * x, a.hi * x)))),
-                 (a.square(), (min(squares) if a.lo >= 0 or a.hi <= 0 else 0,
-                               max(squares)))]
+                 (a.scale(x), tuple(sorted((a.lo * x, a.hi * x))))]
         for got, (lo, hi) in cases:
             assert got == FInterval(lo, hi)
             assert type(got.lo) is F and type(got.hi) is F
@@ -139,7 +175,7 @@ def test_unit_phase_modulus_one():
     z = CInterval.unit_phase(F(2, 3))
     m = z.abs2()
     assert m.lo <= 1 <= m.hi
-    assert float(m.width()) < 1e-17
+    assert float(m.hi - m.lo) < 1e-17
 
 
 class TestSqrtSum:

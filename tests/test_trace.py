@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from framesmith import trace
 from framesmith.construction import (LayeredFamily, SpectralSpec,
                                     build_family, build_wavelets,
                                     example_by_name, example_pwl,
@@ -10,6 +11,7 @@ from framesmith.construction import (LayeredFamily, SpectralSpec,
 from framesmith.folding import window
 from framesmith.frametest import TestSignal, out_of_range_energy
 from framesmith.intervals import IntervalSet
+from framesmith.numeric import FInterval
 from framesmith.piecewise import SqrtProfile
 from framesmith.roots import SqrtSum
 from framesmith.sequences import CRat, Sequence, coset_op, coset_op_adj
@@ -31,8 +33,10 @@ BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 # journe is not admissible at |a| = 3
 ADMISSIBLE = [(n, a) for n in BUILTINS for a in DILATIONS
               if not (n == "journe" and abs(a) == 3)]
-# the sequences of the trace-identity benchmark
-SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2")
+# the sequences of the trace-identity benchmark, and one whose weights have
+# coprime denominators (the dilated trace sums over their lcm)
+SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2",
+             "1/3@0,2/7i@1,-5/11@-1")
 # window operators: identity-padded, zero-padded, and a PSD tridiagonal block
 OPERATORS = (WindowOperator.identity(-1, 3), WindowOperator.of(0, [[1]]),
              WindowOperator.of(-2, [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
@@ -247,6 +251,42 @@ class TestDilationFormula:
         assert dilated_trace(gen, zero, F(1, 3)).hi == 0
         assert dilation_coset_sum(gen, zero, F(1, 3)) == 0
 
+    @pytest.mark.parametrize("bits", (64, 128))
+    def test_no_term_is_exactly_zero(self, shannon, bits):
+        # the zero sequence, and a sequence whose indices meet no profile
+        # at xi, leave no term: the interval [0, 0] of Fractions
+        gen = shannon[0].generator_set()
+        for f in (Sequence({}), Sequence.parse("1@40,-i@-40")):
+            got = dilated_trace(gen, f, F(1, 3), bits)
+            assert got == FInterval.ZERO
+            assert type(got.lo) is F and type(got.hi) is F
+
+    @pytest.mark.parametrize("a", (3, -3, 4))
+    def test_parts_straddling_zero_match_direct(self, a):
+        # three equal weights at the translate d = 1 carry the phases
+        # 1, w, w^2 (w^3 = 1) times a common one, whose true sum is 0: the
+        # enclosures of the real and imaginary parts straddle 0 unevenly
+        gen = build_family(SpectralSpec(example_shannon().sigma, a))[0].generator_set()
+        f = Sequence.parse("1@0,1@1,1@2")
+        for xi in (F(-7, 3), F(-5, 3), F(-13, 7)):
+            assert dilated_trace(gen, f, xi) == dilated_trace_direct(gen, f, xi)
+
+    def test_phases_go_through_cos_pi_and_sin_pi(self, monkeypatch):
+        # the benchmark's tracer counts the phase enclosures at the names
+        # trace.cos_pi and trace.sin_pi
+        calls = {"cos_pi": 0, "sin_pi": 0}
+        for name in calls:
+            inner = getattr(trace, name)
+
+            def spy(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(trace, name, spy)
+        gen = _family("journe", -2)[0].generator_set()
+        f = Sequence.parse("1@0,i@1,-1/2@-1")
+        assert dilated_trace(gen, f, F(1, 3)) == dilated_trace_direct(gen, f, F(1, 3))
+        assert calls["cos_pi"] > 0 and calls["sin_pi"] > 0
+
     @pytest.mark.parametrize("a", DILATIONS)
     def test_discrepancy_below_2_pow_40(self, a):
         f = Sequence.delta(0) + Sequence.delta(1, CRat.of(0, 1))
@@ -336,7 +376,7 @@ class TestOracleEquality:
                 for op in OPERATORS:
                     assert operator_trace(gen, op, xi) == \
                         operator_trace_direct(gen, op, xi).rational_value()
-        for bits in (64, 128):
+        for bits in (64, 128, 256):
             for text in SEQUENCES:
                 f = Sequence.parse(text)
                 for gen in (phi, psi):
