@@ -23,9 +23,11 @@ int / int division, at the end.  `_sum` adds each cell's lines over one lcm
 scale, drops zero cells and merges touching cells with equal integer lines
 before it builds one Fraction per coefficient.  Each function keeps one
 cached integer form, `_form`: itself alone on that grid.  Every point read
-(`eval`, `eval_left`, and the norm-sum walk of `verification` through
-`_numerator`) looks the piece up on it with integers only and builds at
-most one Fraction.
+(`eval`, `eval_left`, and through `_numerator` the norm-sum walk of
+`verification` and the exact trace identities of `trace`) looks the piece
+up on it with integers only and builds at most one Fraction; `_numerator`
+builds none, so a reader sums integer numerators over one denominator
+`_scale` q.
 
 A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
 root is never expanded; everything downstream works with the exact square,
@@ -121,6 +123,11 @@ class PiecewiseLinear:
         den, (grid,) = _on_grid([self])
         return den, [p[0] for p in grid.pieces], grid
 
+    @property
+    def _scale(self) -> int:
+        """The scale of `_form`: f(p / q) = `_numerator(p, q)` / (_scale q)."""
+        return self._form[2].scale
+
     @staticmethod
     def of(*pieces) -> "PiecewiseLinear":
         """Build from (lo, hi, alpha, beta) tuples of ints/Fractions/strings."""
@@ -140,11 +147,10 @@ class PiecewiseLinear:
     # -- evaluation -----------------------------------------------------
 
     def _numerator(self, p: int, q: int) -> int:
-        """N with f(p / q) = N / (scale q), scale that of `_form`, for
-        integers p and q > 0, p / q not necessarily reduced.  For the integer
-        ends LO = lo den and HI = hi den, lo <= p / q < hi holds iff
-        LO <= floor(p den / q) < HI, so the half-open lookup compares
-        integers only."""
+        """N with f(p / q) = N / (`_scale` q), for integers p and q > 0,
+        p / q not necessarily reduced.  For the integer ends LO = lo den and
+        HI = hi den, lo <= p / q < hi holds iff LO <= floor(p den / q) < HI,
+        so the half-open lookup compares integers only."""
         den, starts, grid = self._form
         x = p * den // q
         i = bisect.bisect_right(starts, x) - 1
@@ -455,6 +461,12 @@ class GeneratorSet:
                                  f"{cell[1]}) {cell[2]} times mod 2; the diagonal "
                                  f"fiber Gramian needs supports injective mod 2")
         return _square_sum(self.profiles)
+
+    @cached_property
+    def dilated_supports(self) -> Tuple[IntervalSet, ...]:
+        """a supp(phi) for each profile, a the dilation: the reach of the
+        terms of the dilated trace, taken once per set."""
+        return tuple(p.support().scale(self.dilation) for p in self.profiles)
 
     def support_hull(self) -> Tuple[Fraction, Fraction]:
         return union_all([p.support() for p in self.profiles]).hull()

@@ -16,19 +16,30 @@ that breaks it.  Every trace is an exact Fraction read off S:
 - the series identity is sum_{j>=1} S_psi(a^j xi) = S_phi(xi) at shift
   s = 0; at s != 0 both sides are off-diagonal entries, so 0.
 
+The restricted traces, the coset sum and the generator test read S on
+integers.  At xi = p/q, S(xi + 2k) is the integer
+`PiecewiseLinear._numerator(p + 2kq, q)` over `_scale` q, and every coset
+point (xi + 2d)/a of the dilation formula is +-(p + 2dq) over the one
+denominator |a| q.  A check takes the weights |f(k)|^2 of f -- and with
+them those of each coset sequence D_d* f, the same values -- as integers
+over one denominator W once, not once per grid point; each result is then
+one integer sum and one Fraction (the generator test's float residual is
+one int / int division).
+
 The one interval path is `dilated_trace`, the left side of the dilation
 formula.  It encloses tau_{D_a V, f} from the genuine generator set of the
 dilated space -- the |a| fractionally-translated dilates of each generator,
 whose Fourier transforms carry unit phases e^{-i d xi / a} -- with
 rational-argument cos/sin intervals, so the check against the exact coset
 sum stays independent of the identity itself.  Each term is taken once per
-profile as integers: its weights c f(k) over one denominator L per call and
-the bounds of its magnitude at 2^-bits; per translate only its phase is
-enclosed, and the outward products, sums and squares run on integers over
-2^(bits+32) 2^bits L, with one Fraction per endpoint at the end.  The exact
-checks take the weights |f(k)|^2 of f and of each coset sequence D_d* f
-once per check, not once per grid point.  The additivity check reads
-tau_{V_1} off the exact coset sum.
+profile as integers: its profile value read as above, its weights c f(k)
+over one denominator L per call and the bounds of its magnitude at 2^-bits;
+per translate d >= 1 only its phase is enclosed (the phase at d = 0 is 1),
+and the outward products, sums and squares run on integers over
+2^(bits+32) 2^bits L, with one Fraction per endpoint at the end.  The
+supports a supp(phi) the terms are drawn from are taken once per set
+(`GeneratorSet.dilated_supports`).  The additivity check reads tau_{V_1}
+off the exact coset sum.
 """
 
 from __future__ import annotations
@@ -44,30 +55,56 @@ from .numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from .piecewise import GeneratorSet, PiecewiseLinear, _sum
 from .rationals import as_fraction, common_denominator
 from .roots import SqrtSum
-from .sequences import CRat, Sequence, coset_op_adj
+from .sequences import CRat, Sequence
 
 
-def _weights(f: Sequence) -> List[Tuple[int, Fraction]]:
-    """The pairs (k, |f(k)|^2) over the support of f: a check takes them
-    once and reads S at each of its grid points."""
-    return [(k, v.abs2()) for k, v in f.entries.items()]
+def _weights(f: Sequence) -> Tuple[int, List[Tuple[int, int]]]:
+    """(W, pairs): |f(k)|^2 = n / W for each pair (k, n) over the support of
+    f, W the common denominator of the weights.  A check takes them once and
+    reads S at each of its grid points."""
+    squares = [(k, v.abs2()) for k, v in f.entries.items()]
+    den = common_denominator(w for _, w in squares)
+    return den, [(k, w.numerator * (den // w.denominator)) for k, w in squares]
 
 
-def _coset_weights(a: int, f: Sequence) -> List[Tuple[int, List[Tuple[int, Fraction]]]]:
-    """The pairs (d, weights of D_d* f) for the cosets d = 0..|a|-1."""
-    return [(d, _weights(coset_op_adj(a, d, f))) for d in range(abs(a))]
+def _cosets(a: int, weights: List[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
+    """The weights of D_d* f for the cosets d = 0..|a|-1, from those of f
+    and over the same W: (D_d* f)(l) = f(d + a l), so each k of f lands in
+    the coset d = k mod |a| at l = (k - d) / a."""
+    m = abs(a)
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    for k, n in weights:
+        d = k % m
+        out[d].append(((k - d) // a, n))
+    return out
 
 
-def _tau(square: PiecewiseLinear, weights: List[Tuple[int, Fraction]],
-         xi: Fraction) -> Fraction:
-    """sum_k |f(k)|^2 S(xi + 2k), S = square, from the weights of f."""
-    return sum((w * square.eval(xi + 2 * k) for k, w in weights), Fraction(0))
+def _tau(square: PiecewiseLinear, weights: List[Tuple[int, int]], p: int, q: int) -> int:
+    """N with sum_k |f(k)|^2 S(p/q + 2k) = N / (W `_scale` q), S = square,
+    from `_weights(f)`: each point read is the integer
+    `_numerator(p + 2kq, q)` over `_scale` q, for any p and q > 0."""
+    num, step = square._numerator, 2 * q
+    return sum(n * num(p + k * step, q) for k, n in weights)
+
+
+def _coset_sum(square: PiecewiseLinear, a: int, cosets, p: int, q: int) -> int:
+    """N with sum_d tau_{V, D_d* f}((xi + 2d)/a) = N / (W `_scale` |a| q) at
+    xi = p/q, with S = square, from `_cosets(a, weights)`.  Every coset
+    point (xi + 2d)/a is the integer +-(p + 2dq) over the one denominator
+    |a| q, the sign that of a."""
+    m = abs(a)
+    sign = 1 if a > 0 else -1
+    return sum(_tau(square, weights, sign * (p + 2 * d * q), m * q)
+               for d, weights in enumerate(cosets))
 
 
 def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """tau_{V,f}(xi) = sum_phi |<f | T_per phi(xi)>|^2 = <G f, f>
     = sum_k |f(k)|^2 S(xi + 2k), exact."""
-    return _tau(gen.spectral, _weights(f), as_fraction(xi))
+    square, xi = gen.spectral, as_fraction(xi)
+    den, weights = _weights(f)
+    q = xi.denominator
+    return Fraction(_tau(square, weights, xi.numerator, q), den * square._scale * q)
 
 
 def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
@@ -194,36 +231,43 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     space: the |a| fractional translates of each dilated generator, with
     Fourier phases e^{-i d (.)/a}.  Certified enclosure.
 
-    Per profile, each term is taken once: its argument, its weights
-    c f(k).re and c f(k).im, c the coefficient of
-    sqrt(r/|a|) = c sqrt(rad), and the integer bounds of sqrt(rad) at
-    2^-bits.  The weights of the call share one denominator L, so each
-    translate d sums its products with the phase enclosures
-    `cos_pi`/`sin_pi` (read back as integers at 2^-(bits+32)) on integers
-    over 2^(bits+32) 2^bits L, outward, and the result is built from two
-    integers at the end: endpoint for endpoint the interval arithmetic of
-    `dilated_trace_direct` in the tests' oracles."""
+    Per profile, each term is taken once: its argument
+    (xi + 2k)/a = +-(p + 2kq) / (|a| q) at xi = p/q, its value
+    r = |profile|^2 there read as an integer over one denominator by the
+    square's `_numerator`, its weights c f(k).re and c f(k).im, c the
+    coefficient of sqrt(r/|a|) = c sqrt(rad), and the integer bounds of
+    sqrt(rad) at 2^-bits.  The weights of the call share one denominator L,
+    so each translate d sums its products with the phase enclosures
+    `cos_pi`/`sin_pi` (read back as integers at 2^-(bits+32); the phase of
+    d = 0 is exactly 1) on integers over 2^(bits+32) 2^bits L, outward, and
+    the result is built from two integers at the end: endpoint for endpoint
+    the interval arithmetic of `dilated_trace_direct` in the tests'
+    oracles.  xi + 2k must land in a supp(phi), which the set keeps
+    (`GeneratorSet.dilated_supports`)."""
     xi = as_fraction(xi)
     a = gen.dilation
-    inv_a = Fraction(1, abs(a))
+    m, sign = abs(a), (1 if a > 0 else -1)
+    p, q = xi.numerator, xi.denominator
     per_profile = []
-    for p in gen.profiles:
-        # xi + 2k must land in a*domain
+    for prof, reach in zip(gen.profiles, gen.dilated_supports):
+        num = prof.square._numerator
+        # r / |a| = N / (scale |a|^2 q) for r = N / (scale |a| q)
+        top = prof.square._scale * m * m * q
         terms = []
-        for lo, hi in p.support().scale(a).pieces:
+        for lo, hi in reach.pieces:
             for k in _shifts(xi, lo, hi):
                 v = f.entries.get(k)
                 if v is None:
                     continue
-                arg = (xi + 2 * k) / a
-                r = p.value_sq(arg)
-                if r:
-                    (rad, c), = SqrtSum.sqrt_of(r * inv_a).terms.items()
+                arg = sign * (p + 2 * k * q)
+                n = num(arg, m * q)
+                if n:
+                    (rad, c), = SqrtSum.sqrt_of(Fraction(n, top)).terms.items()
                     m_lo = m_hi = 1 << bits
                     if rad != 1:
                         m_lo = math.isqrt(rad << 2 * bits)
                         m_hi = m_lo + 1
-                    terms.append((arg, c * v.re, c * v.im, m_lo, m_hi))
+                    terms.append((Fraction(arg, m * q), c * v.re, c * v.im, m_lo, m_hi))
         if terms:
             per_profile.append(terms)
     den = common_denominator(w for terms in per_profile for t in terms for w in t[1:3])
@@ -236,12 +280,16 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
         for d in range(abs(a)):
             re_lo = re_hi = im_lo = im_hi = 0
             for arg, w_re, w_im, m_lo, m_hi in terms:
-                c, s = cos_pi(d * arg, bits), sin_pi(d * arg, bits)
+                if d:
+                    c, s = cos_pi(d * arg, bits), sin_pi(d * arg, bits)
+                    c_lo = c.lo.numerator * (one // c.lo.denominator)
+                    c_hi = c.hi.numerator * (one // c.hi.denominator)
+                    s_lo = s.lo.numerator * (one // s.lo.denominator)
+                    s_hi = s.hi.numerator * (one // s.hi.denominator)
+                else:
+                    c_lo = c_hi = one   # the phase of d = 0 is 1, exactly
+                    s_lo = s_hi = 0
                 # the phase times the magnitude [m_lo, m_hi], m_lo >= 0
-                c_lo = c.lo.numerator * (one // c.lo.denominator)
-                c_hi = c.hi.numerator * (one // c.hi.denominator)
-                s_lo = s.lo.numerator * (one // s.lo.denominator)
-                s_hi = s.hi.numerator * (one // s.hi.denominator)
                 x_lo = c_lo * (m_lo if c_lo >= 0 else m_hi)
                 x_hi = c_hi * (m_hi if c_hi >= 0 else m_lo)
                 y_lo = s_lo * (m_lo if s_lo >= 0 else m_hi)
@@ -279,18 +327,14 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     return FInterval._ordered(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def _coset_sum(square: PiecewiseLinear, a: int, cosets, xi: Fraction) -> Fraction:
-    """sum_d tau_{V, D_d* f}((xi + 2d)/a), with S = square, from
-    `_coset_weights(a, f)`."""
-    return sum((_tau(square, weights, (xi + 2 * d) / a) for d, weights in cosets),
-               Fraction(0))
-
-
 def dilation_coset_sum(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     """Right side of the dilation formula:
     sum_d tau_{V, D_d* f}((xi + 2d)/a), exact."""
-    a = gen.dilation
-    return _coset_sum(gen.spectral, a, _coset_weights(a, f), as_fraction(xi))
+    square, a, xi = gen.spectral, gen.dilation, as_fraction(xi)
+    den, weights = _weights(f)
+    q = xi.denominator
+    return Fraction(_coset_sum(square, a, _cosets(a, weights), xi.numerator, q),
+                    den * square._scale * abs(a) * q)
 
 
 @dataclass(frozen=True)
@@ -304,12 +348,14 @@ def dilation_trace_check(gen: GeneratorSet, f: Sequence, grid: Iterable,
     """Certified |tau_{D_aV,f}(xi) - sum_d tau_{V,D_d*f}((xi+2d)/a)| per point:
     the enclosure of `dilated_trace` at `bits` against the exact coset sum."""
     square, a = gen.spectral, gen.dilation
-    cosets = _coset_weights(a, f)
+    den, weights = _weights(f)
+    cosets, top = _cosets(a, weights), den * square._scale * abs(a)
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
+        q = xi.denominator
         lhs = dilated_trace(gen, f, xi, bits)
-        rhs = _coset_sum(square, a, cosets, xi)
+        rhs = Fraction(_coset_sum(square, a, cosets, xi.numerator, q), top * q)
         rows.append(GridRow(xi, (lhs - FInterval.point(rhs)).sup_abs()))
     return rows
 
@@ -340,26 +386,33 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     On diagonal Gramians that trace is S(xi) + |alpha|^2 S(xi + 2l), so a
     row passes exactly when the difference D = S_gen - S_ref gives
     D(xi) + |alpha|^2 D(xi + 2l) = 0; its residual is the absolute value of
-    that rational.  The rows are exact: `bits` is kept for callers and not
-    used."""
+    that rational.  At xi = p/q each row reads the integers
+    D(xi) = `_numerator(p, q)` / (scale q) and D(xi + 2l), scale the
+    `_scale` of D, so it is decided on the integer
+    n = v D(xi) scale q + u D(xi + 2l) scale q, |alpha|^2 = u / v, and its
+    residual is abs(n / (v scale q)), the float of that Fraction.  Two sets
+    with one S give D = 0, and every row passes with residual 0.0.  The
+    rows are exact: `bits` is kept for callers and not used."""
     lo1, hi1 = gen.support_hull()
     lo2, hi2 = reference.support_hull()
     radius = max(abs(x) for x in (lo1, hi1, lo2, hi2)) or Fraction(1)
     l_window = int(radius) + 1
+    ls = [l for l in range(-l_window, l_window + 1) if l]
     difference = gen.spectral - reference.spectral
-    alphas = [(alpha, alpha.abs2()) for alpha in ALPHAS]
+    num, scale = difference._numerator, difference._scale
+    alphas = [(alpha, w.numerator, w.denominator)
+              for alpha, w in zip(ALPHAS, (alpha.abs2() for alpha in ALPHAS))]
     rows: List[GeneratorTestRow] = []
     for xi in grid:
         xi = as_fraction(xi)
-        d0 = difference.eval(xi)
-        for l in range(-l_window, l_window + 1):
-            if l == 0:
-                continue
-            dl = difference.eval(xi + 2 * l)
-            for alpha, weight in alphas:
-                diff = d0 + weight * dl
-                rows.append(GeneratorTestRow(xi, l, alpha, "fail" if diff else "pass",
-                                             abs(float(diff))))
+        p, q = xi.numerator, xi.denominator
+        d0 = num(p, q)
+        for l in ls:
+            dl = num(p + 2 * l * q, q)
+            for alpha, u, v in alphas:
+                n = v * d0 + u * dl
+                rows.append(GeneratorTestRow(xi, l, alpha, "fail" if n else "pass",
+                                             abs(n / (v * scale * q))))
     return rows
 
 
@@ -425,12 +478,21 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     used."""
     phi_square, psi_square = phi_gen.spectral, psi_gen.spectral
     a = phi_gen.dilation
-    weights, cosets = _weights(f), _coset_weights(a, f)
+    m = abs(a)
+    den, weights = _weights(f)
+    cosets = _cosets(a, weights)
+    # the rise over W scale_phi |a| q; the gap over W scale |a| q, scale the
+    # lcm of the two squares' scales
+    scale = math.lcm(phi_square._scale, psi_square._scale)
+    phi_lift, psi_lift = scale // phi_square._scale, scale // psi_square._scale
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
-        rise = _coset_sum(phi_square, a, cosets, xi) - _tau(phi_square, weights, xi)
-        rows.append(SplitRow(xi, abs(rise - _tau(psi_square, weights, xi)), rise))
+        p, q = xi.numerator, xi.denominator
+        rise = _coset_sum(phi_square, a, cosets, p, q) - m * _tau(phi_square, weights, p, q)
+        gap = rise * phi_lift - m * psi_lift * _tau(psi_square, weights, p, q)
+        rows.append(SplitRow(xi, Fraction(abs(gap), den * scale * m * q),
+                             Fraction(rise, den * phi_square._scale * m * q)))
     return rows
 
 
@@ -490,15 +552,23 @@ def grid_of_size(hull: Tuple[Fraction, Fraction], n: int,
                  seed: int = GRID_SEED,
                  exclude: Iterable[Fraction] = ()) -> List[Fraction]:
     """Exactly n distinct seeded rationals in the hull, excluding 0 and the
-    given measure-zero points."""
+    given measure-zero points.  The candidates are lo + span r / M for
+    r = 1..M-1, M = 64 _GRID_DEN; ValueError when fewer than n of them are
+    left after the exclusions."""
     lo, hi = _nonempty_hull(hull)
     banned = {Fraction(0)} | {as_fraction(e) for e in exclude}
-    rng = random.Random(seed)
     span = hi - lo
+    m = _GRID_DEN * 64
+    # only a banned point on the candidate lattice takes a candidate away
+    taken = sum(1 for b in banned if lo < b < hi and ((b - lo) * m / span).denominator == 1)
+    if n > m - 1 - taken:
+        raise ValueError(f"{n} grid points asked for; the hull holds "
+                         f"{m - 1 - taken} candidates")
+    rng = random.Random(seed)
     out: list[Fraction] = []
     seen = set()
     while len(out) < n:
-        q = lo + span * Fraction(rng.randrange(1, _GRID_DEN * 64), _GRID_DEN * 64)
+        q = lo + span * Fraction(rng.randrange(1, m), m)
         if q in banned or q in seen:
             continue
         seen.add(q)

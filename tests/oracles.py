@@ -8,15 +8,18 @@ closed-form cells one by one from their moments, term by term, where the
 plan takes whole-array passes over all its cells of a kind.
 
 Trace: the fibers of a profile, and the direct forms of the restricted,
-operator and dilated traces, of the pairing sum_p p_hat(x) p_hat(y) and of
+operator and dilated traces, of the coset sum of the dilation formula (one
+direct restricted trace per coset sequence), of the trace split, of the
+pairing sum_p p_hat(x) p_hat(y) with the series rows built from it, and of
 the NTF generator test, which recompute every magnitude, root and fiber
 inner product where it is used, for any generator set.  The library reads
 the traces, the generator test and the series identity off the diagonal
-Gramian S(xi + 2k) of supports injective mod 2, and sums the dilated trace
-on integers over one denominator from terms taken once; its results must be
-equal to these, down to each Fraction and Fraction endpoint.  The direct
-dilated trace runs on `CInterval`, rectangular complex intervals over
-`FInterval`, with the interval product and square kept here.
+Gramian S(xi + 2k) of supports injective mod 2, as integer numerators over
+one denominator per point, and sums the dilated trace on integers over one
+denominator from terms taken once; its results must be equal to these, down
+to each Fraction, float residual and Fraction endpoint.  The direct dilated
+trace runs on `CInterval`, rectangular complex intervals over `FInterval`,
+with the interval product and square kept here.
 
 Trace CSV: the spectral and dimension functions point by point, from the
 profile values and the fibers, which the CSV reads off the diagonal Gramian.
@@ -70,9 +73,9 @@ from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum, 
 from framesmith.quadrature import _FRESNEL_INF, _SERIES_PHASE, _Cell, _fresnel_tail, _pow_diff
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum
-from framesmith.sequences import Sequence
+from framesmith.sequences import Sequence, coset_op_adj
 from framesmith.trace import (ALPHAS, GRID_SEED, _GRID_DEN, GeneratorTestRow,
-                              _nonempty_hull)
+                              SeriesRow, SplitRow, _nonempty_hull)
 from framesmith.verification import _EMPTY_GRID, TAIL_TARGET
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
@@ -293,6 +296,40 @@ def restricted_trace_direct(gen, f, xi) -> SqrtSum:
     per fiber."""
     return sum((fiber_inner_abs2(f, fiber(p, xi)) for p in gen.profiles),
                SqrtSum.zero())
+
+
+def dilation_coset_sum_direct(gen, f, xi) -> SqrtSum:
+    """The right side of the dilation formula, sum_d tau_{V, D_d* f}((xi + 2d)/a),
+    one direct restricted trace of each coset sequence D_d* f at its point."""
+    a, xi = gen.dilation, as_fraction(xi)
+    return sum((restricted_trace_direct(gen, coset_op_adj(a, d, f), (xi + 2 * d) / a)
+                for d in range(abs(a))), SqrtSum.zero())
+
+
+def trace_split_direct(phi_gen, psi_gen, f, grid) -> list:
+    """The rows of the trace split from the direct forms: tau_{V_1} the
+    direct coset sum, tau_{V_0} and tau_{W_0} direct restricted traces."""
+    rows = []
+    for xi in map(as_fraction, grid):
+        rise = (dilation_coset_sum_direct(phi_gen, f, xi)
+                - restricted_trace_direct(phi_gen, f, xi)).rational_value()
+        gap = rise - restricted_trace_direct(psi_gen, f, xi).rational_value()
+        rows.append(SplitRow(xi, abs(gap), rise))
+    return rows
+
+
+def series_identity_direct(phi_gen, psi_gen, s, grid, scales=80) -> list:
+    """The series rows from the pairing sums sum_p p_hat(x) p_hat(y) of the
+    scales j = 1..scales-1 against that of the scaling set; at points in
+    the psi hull, a^j xi has left it long before j = scales."""
+    a = psi_gen.dilation
+    rows = []
+    for xi in map(as_fraction, grid):
+        left = sum((pair_sum(psi_gen.profiles, a ** j * xi, a ** j * (xi + 2 * s))
+                    for j in range(1, scales)), SqrtSum.zero())
+        right = pair_sum(phi_gen.profiles, xi, xi + 2 * s)
+        rows.append(SeriesRow(xi, s, (left - right).rational_value()))
+    return rows
 
 
 def operator_trace_direct(gen, op, xi) -> SqrtSum:

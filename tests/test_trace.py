@@ -13,7 +13,6 @@ from framesmith.frametest import TestSignal, out_of_range_energy
 from framesmith.intervals import IntervalSet
 from framesmith.numeric import FInterval
 from framesmith.piecewise import SqrtProfile
-from framesmith.roots import SqrtSum
 from framesmith.sequences import CRat, Sequence, coset_op, coset_op_adj
 from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               dilated_trace, dilation_coset_sum,
@@ -23,9 +22,11 @@ from framesmith.trace import (GeneratorSet, WindowOperator, default_grid,
                               trace_split_check)
 from framesmith.verification import check_ntf_multiwavelet, check_split
 
-from oracles import (dilated_trace_direct, dimension_function, fiber,
-                     ntf_generator_test_direct, operator_trace_direct, pair_sum,
-                     restricted_trace_direct, spectral_function)
+from oracles import (dilated_trace_direct, dilation_coset_sum_direct,
+                     dimension_function, fiber, ntf_generator_test_direct,
+                     operator_trace_direct, restricted_trace_direct,
+                     series_identity_direct, spectral_function,
+                     trace_split_direct)
 
 TWO_POW_40 = F(1, 2 ** 40)
 DILATIONS = (2, -2, 3, -3, 4)
@@ -37,11 +38,13 @@ ADMISSIBLE = [(n, a) for n in BUILTINS for a in DILATIONS
 # coprime denominators (the dilated trace sums over their lcm)
 SEQUENCES = ("1@0,i@1,-1/2@-1", "1@0", "1@0,1@1", "1/2@-1,-i@2",
              "1/3@0,2/7i@1,-5/11@-1")
-# window operators: identity-padded, zero-padded, and a PSD tridiagonal block
+# window operators: identity-padded, zero-padded, a PSD tridiagonal block,
+# and an identity-padded diagonal whose entries have coprime denominators
 OPERATORS = (WindowOperator.identity(-1, 3), WindowOperator.of(0, [[1]]),
              WindowOperator.of(-2, [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
                                     [0, 0, 1, 2]]),
-             WindowOperator.of(-1, [[1, 1, 0], [1, 3, 1], [0, 1, 1]], "identity"))
+             WindowOperator.of(-1, [[1, 1, 0], [1, 3, 1], [0, 1, 1]], "identity"),
+             WindowOperator.of(0, [[F(1, 3), 0], [0, F(2, 7)]], "identity"))
 
 
 def _rank_one(f: Sequence) -> WindowOperator:
@@ -352,6 +355,19 @@ def _hull(*gens):
     return min(ends), max(ends)
 
 
+def _far_points(hull):
+    """Two points of the hull with denominators near 10^6 and 10^7 times the
+    hull's."""
+    lo, hi = hull
+    return [lo + (hi - lo) * F(123457, 1000003), lo + (hi - lo) * F(7777777, 9999991)]
+
+
+def _halved(gen: GeneratorSet) -> GeneratorSet:
+    """gen with the square of every profile halved."""
+    return GeneratorSet(tuple(SqrtProfile(p.square.scale_value(F(1, 2)))
+                              for p in gen.profiles), gen.dilation)
+
+
 class TestOracleEquality:
     """The diagonal forms are equal to the direct forms in oracles.py, which
     build each fiber and its inner products: the restricted and operator
@@ -390,25 +406,98 @@ class TestOracleEquality:
             assert any(r.verdict == "fail" and r.residual > 0 for r in rows)
 
 
+class TestIntegerReads:
+    """The exact checks read S on integers, one denominator per point; their
+    values are equal to the direct forms in oracles.py, down to each
+    Fraction, failing rows included."""
+
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    @pytest.mark.parametrize("name, a", ADMISSIBLE, ids=ADMISSIBLE_IDS)
+    def test_coset_sums_and_split_rows_equal_direct(self, name, a, partition):
+        scaling, wavelets = _family(name, a, partition)
+        phi, psi = scaling.generator_set(), wavelets.generator_set()
+        grid = grid_of_size(_hull(phi, psi), 2,
+                            exclude=phi.breakpoints() + psi.breakpoints())
+        grid += _far_points(_hull(phi, psi))
+        for text in SEQUENCES:
+            f = Sequence.parse(text)
+            for xi in grid:
+                assert dilation_coset_sum(phi, f, xi) == \
+                    dilation_coset_sum_direct(phi, f, xi).rational_value()
+            # the halved wavelet set opens the additivity gap
+            for gen in (psi, _halved(psi)):
+                assert trace_split_check(phi, gen, f, grid) == \
+                    trace_split_direct(phi, gen, f, grid)
+        rows = trace_split_check(phi, _halved(psi), Sequence.parse(SEQUENCES[0]), grid)
+        assert any(r.additivity_gap > 0 for r in rows)
+
+    @pytest.mark.parametrize("a", DILATIONS)
+    def test_each_support_scaled_once_per_set(self, a, monkeypatch):
+        # a fresh set: the family's own may have scaled its supports already
+        gen = GeneratorSet(_family("pwl:a=3/4,b=5/4", a)[1].generator_set().profiles, a)
+        grid = grid_of_size(gen.support_hull(), 6, exclude=gen.breakpoints())
+        calls = []
+        inner = IntervalSet.scale
+
+        def spy(self, c):
+            calls.append((self, c))
+            return inner(self, c)
+        monkeypatch.setattr(IntervalSet, "scale", spy)
+        f = Sequence.parse(SEQUENCES[0])
+        for _ in range(2):
+            rows = dilation_trace_check(gen, f, grid)
+            assert len(rows) == len(grid)
+        dilated_trace(gen, f, grid[0])
+        assert calls == [(p.support(), a) for p in gen.profiles]
+
+
+class TestZeroDifference:
+    """Two generator sets with one spectral function pass every row of the
+    generator test with residual 0.0."""
+
+    @pytest.mark.parametrize("name, a", ADMISSIBLE, ids=ADMISSIBLE_IDS)
+    def test_same_set(self, name, a):
+        psi = _family(name, a)[1].generator_set()
+        grid = grid_of_size(psi.support_hull(), 3, exclude=psi.breakpoints())
+        want = ntf_generator_test_direct(psi, psi, grid)
+        rows = ntf_generator_test(psi, psi, grid)
+        assert rows == want
+        assert len(rows) == len(want) > 0
+        assert all(r.verdict == "pass" and r.residual == 0.0 for r in rows)
+
+    def test_equal_spectral_other_profiles(self):
+        # chi[-1, 1) against its two halves: one S, different profiles
+        whole = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 1))),), 2)
+        halves = GeneratorSet((SqrtProfile.indicator(IntervalSet.of((-1, 0))),
+                               SqrtProfile.indicator(IntervalSet.of((0, 1)))), 2)
+        assert whole.profiles != halves.profiles
+        assert whole.spectral == halves.spectral
+        grid = grid_of_size((F(-1), F(1)), 7)
+        want = ntf_generator_test_direct(whole, halves, grid)
+        rows = ntf_generator_test(whole, halves, grid)
+        assert rows == want
+        assert all(r.verdict == "pass" and r.residual == 0.0 for r in rows)
+
+
 class TestSeriesIdentity:
     @pytest.mark.parametrize("partition", PARTITIONS)
     @pytest.mark.parametrize("name, a", ADMISSIBLE, ids=ADMISSIBLE_IDS)
     def test_equal_to_pair_sums(self, name, a, partition):
-        # the residual read off the diagonal Gramians is the pairing sum of
-        # each scale; at s != 0 every pair is 0
+        # the residual read off the diagonal Gramians on integers is the
+        # pairing sum of each scale; at s != 0 every pair is 0.  Halving
+        # the wavelet squares gives failing rows, which are compared too.
         scaling, wavelets = _family(name, a, partition)
         phi, psi = scaling.generator_set(), wavelets.generator_set()
         grid = grid_of_size(psi.support_hull(), 4,
                             exclude=phi.breakpoints() + psi.breakpoints())
-        for s in (0, 1, -2):
-            for row in series_identity_check(phi, psi, s, grid):
-                # the grid points lie in the psi hull, so a^79 xi is far
-                # outside it and every later scale pairs zeros
-                xi = row.xi
-                left = sum((pair_sum(psi.profiles, a ** j * xi, a ** j * (xi + 2 * s))
-                            for j in range(1, 80)), SqrtSum.zero())
-                right = pair_sum(phi.profiles, xi, xi + 2 * s)
-                assert row.residual == (left - right).rational_value()
+        # a point near 0, where S_phi is 1, and points of large denominators
+        grid += [F(123457, 10000019)] + _far_points(psi.support_hull())
+        for gen in (psi, _halved(psi)):
+            for s in (0, 1, -2):
+                rows = series_identity_check(phi, gen, s, grid)
+                assert rows == series_identity_direct(phi, gen, s, grid)
+        assert any(r.verdict() == "fail" for r in
+                   series_identity_check(phi, _halved(psi), 0, grid))
 
     @pytest.mark.parametrize("name, a", ADMISSIBLE, ids=ADMISSIBLE_IDS)
     def test_wavelet_scale_sum_is_scaling_square_sum(self, name, a):
@@ -497,3 +586,46 @@ def test_default_grid_excludes_breakpoints_and_zero():
     assert all(F(-1) < x < F(1) for x in grid)
     again = default_grid([F(-1), F(0), F(1)], (F(-1), F(1)), n_random=20)
     assert grid == again  # seeded determinism
+
+
+def _grid_loop(hull, n, seed=trace.GRID_SEED, exclude=()):
+    """The draw loop of `grid_of_size` without its up-front count."""
+    lo, hi = trace._nonempty_hull(hull)
+    banned = {F(0)} | {F(e) for e in exclude}
+    rng = random.Random(seed)
+    m = trace._GRID_DEN * 64
+    out = []
+    while len(out) < n:
+        q = lo + (hi - lo) * F(rng.randrange(1, m), m)
+        if q not in banned and q not in out:
+            out.append(q)
+    return sorted(out)
+
+
+class TestGridOfSize:
+    @pytest.mark.parametrize("hull, n, exclude", [
+        ((F(-1), F(1)), 10, ()),
+        ((F(-7, 3), F(5, 2)), 40, (F(1, 2), F(-1))),
+        ((F(1), F(1)), 5, ()),
+        ((F(0), F(3)), 1, (F(3, 2),))])
+    def test_same_points_as_the_draw_loop(self, hull, n, exclude):
+        assert grid_of_size(hull, n, exclude=exclude) == _grid_loop(hull, n, exclude=exclude)
+
+    def test_too_many_points_raise(self, monkeypatch):
+        # 63 candidates lo + 2 r / 64 at _GRID_DEN = 1; 0 is one of them
+        monkeypatch.setattr(trace, "_GRID_DEN", 1)
+        hull = (F(-1), F(1))
+        assert grid_of_size(hull, 62) == _grid_loop(hull, 62)
+        assert len(set(grid_of_size(hull, 62))) == 62
+        with pytest.raises(ValueError, match="63 grid points asked for; the hull holds 62"):
+            grid_of_size(hull, 63)
+        # an excluded candidate takes one away; a point off the lattice or
+        # an end of the hull none
+        assert len(grid_of_size(hull, 62, exclude=[F(-1), F(1), F(1, 3)])) == 62
+        assert len(grid_of_size(hull, 61, exclude=[F(1, 2), F(1, 3)])) == 61
+        with pytest.raises(ValueError, match="the hull holds 61 candidates"):
+            grid_of_size(hull, 62, exclude=[F(1, 2), F(1, 3)])
+        assert grid_of_size((F(1), F(2)), 63) == _grid_loop((F(1), F(2)), 63)
+        with pytest.raises(ValueError, match="the hull holds 63 candidates"):
+            grid_of_size((F(1), F(2)), 64)
+        assert grid_of_size(hull, 0) == []
