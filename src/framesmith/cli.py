@@ -189,9 +189,12 @@ def cmd_trace(args) -> int:
         grid = family_grid(gen, wavelets.generator_set())
     else:
         grid = _even_grid(gen.support_hull(), _grid_size(args.grid))
+    fns = diagonal_traces(gen, f, grid)
     lines = ["xi,spectral,dim,tau_f"]
-    for row in zip(grid, *diagonal_traces(gen, f, grid)):
-        lines.append(",".join(repr(float(v)) for v in row))
+    for p, q in ((xi.numerator, xi.denominator) for xi in grid):
+        # N / (scale q) rounds once, as int / int does: the float of the Fraction
+        lines.append(",".join([repr(p / q)] + [repr(g._numerator(p, q) / (g.scale * q))
+                                               for g in fns]))
     _write(args.out, "\n".join(lines) + "\n")
     print(f"trace: {len(grid)} rows -> {args.out}")
     return 0

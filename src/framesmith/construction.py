@@ -196,7 +196,7 @@ def _layered(spec: SpectralSpec, square: PiecewiseLinear,
     profiles: List[SqrtProfile] = []
     kept: List[IntervalSet] = []
     for layer in layers:
-        profile = SqrtProfile(square, layer)
+        profile = SqrtProfile(square.restrict(layer))
         if not profile.square.is_zero():
             profiles.append(profile)
             kept.append(layer)
@@ -402,5 +402,5 @@ def random_admissible_spec(rng: random.Random, dilation: int | None = None
     right_knots = one_side()
     right = side_pieces(right_knots, +1)
     left = side_pieces(one_side() if a > 0 else right_knots, -1)
-    sigma = PiecewiseLinear(tuple(left + right))
+    sigma = PiecewiseLinear.of(*left, *right)
     return SpectralSpec(sigma, a)

@@ -113,7 +113,7 @@ def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
     products of numerators and (positive) denominators."""
     tn, td = t.numerator, t.denominator
     spans = []
-    for l, h in psi.domain.pieces:
+    for l, h in psi.support().pieces:
         ends = [(tn * l.numerator, td * l.denominator), (tn * h.numerator, td * h.denominator)]
         spans.append(ends if tn > 0 else ends[::-1])
     return any(lo.numerator * hd < hn * lo.denominator and ln * hi.denominator < hi.numerator * ld

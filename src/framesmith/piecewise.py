@@ -1,40 +1,35 @@
 """Exactly-represented piecewise-linear functions and square-root profiles.
 
 A PiecewiseLinear is a finite list of half-open pieces [lo, hi) carrying an
-affine map alpha*x + beta with rational coefficients; the function is 0
-outside its pieces.  Canonical form (sorted pieces, zero pieces dropped,
-touching pieces with the same line merged) makes equality of canonical
-objects coincide with pointwise equality away from a finite breakpoint set.
-The constructor puts whatever it is given in that form and refuses
-overlapping pieces; `of` and the loader go through it.  The internal
-producers whose output is canonical already -- `_sum`, `restrict`,
-`compose_shift`, `scale_value` and `compose_scale` -- build through
-`_trusted` instead, which takes the pieces as given: each keeps the pieces
-sorted and disjoint (a reflection reverses them), drops or never makes a
-zero line, and never gives two touching pieces one line.
-Whatever takes several functions at once (sums, differences, restriction to
-an IntervalSet, the integral of a product, square sums) runs on the one
-forward sweep over their common refinement, `refine`.  Sums, the integral of
-a product and the frame-test quadrature cells take that sweep on an integer
-grid (`_on_grid`): every breakpoint an integer over the functions' common
-denominator D, and every line an integer line over one denominator per
-function, so their exact sums are integer sums with one Fraction, or one
-int / int division, at the end.  `_sum` adds each cell's lines over one lcm
-scale, drops zero cells and merges touching cells with equal integer lines
-before it builds one Fraction per coefficient.  Each function keeps one
-cached integer form, `_form`: itself alone on that grid.  Every point read
-(`eval`, `eval_left`, and through `_numerator` the norm-sum walk of
-`verification` and the exact trace identities of `trace`) looks the piece
-up on it with integers only and builds at most one Fraction; `_numerator`
-builds none, so a reader sums integer numerators over one denominator
-`_scale` q.
+affine map alpha*x + beta with rational coefficients, 0 outside them.  Its
+value is one integer form: `cells` (LO, HI, A, B) with f(X / den) =
+(A X + B) / scale on [LO / den, HI / den), canonical -- cells sorted,
+disjoint and nonempty, no zero line, touching cells with distinct lines,
+den the least denominator of the ends, scale = e den for e the least common
+denominator of alpha = A den / scale and beta = B / scale.  The one
+constructor takes such cells over any den and scale that hold them and
+reduces the two; every producer (sums, `restrict`, the compositions,
+`scale_value`, `indicator`) builds through it on integers.  `parse`, the
+one way in from rational pieces (as integer pairs, for `of` and the family
+loader), sorts, drops empty and zero pieces, merges touching pieces with
+one line and refuses overlaps, on integers.  `pieces`, the Fraction
+read-out, is built on demand for output, supports and breakpoints.
+Whatever takes several functions at once (sums, restriction, product
+integrals, quadrature cells) runs on one sweep, `refine`, over their cells
+re-gridded by `_on_grid` onto the lcm of their denominators: exact sums are
+integer sums with one Fraction at the end.  Every point read (`eval`,
+`eval_left`, and through `_numerator` the norm-sum walk of `verification`,
+the `trace` CSV and the trace identities) looks the cell up on integers;
+`_numerator` builds no Fraction, so a reader sums integer numerators over
+one denominator `scale` q.
 
-A SqrtProfile represents x -> sqrt(square(x)) * chi_domain(x).  The square
-root is never expanded; everything downstream works with the exact square,
-and roots are taken only where a value is enclosed (the dilated trace) or
-integrated (quadrature).  A GeneratorSet is a tuple of profiles read as the
-Fourier transforms of the generators of a shift-invariant space; its
-`spectral` is the one sum of their squares, computed once per set.
+A SqrtProfile represents x -> sqrt(square(x)), supported where its square
+is.  The square root is never expanded; everything downstream works with
+the exact square, and roots are taken only where a value is enclosed (the
+dilated trace) or integrated (quadrature).  A GeneratorSet is a tuple of
+profiles read as the Fourier transforms of the generators of a
+shift-invariant space; its `spectral` is the one sum of their squares,
+computed once per set.
 """
 
 from __future__ import annotations
@@ -47,33 +42,19 @@ from functools import cached_property
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .folding import _repeated_residue
-from .intervals import IntervalSet, union_all
+from .intervals import IntervalSet
 from .rationals import as_fraction, common_denominator
 
 Piece = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, alpha, beta
-
-
-def _canonical_pieces(pieces: Iterable[Piece]) -> Tuple[Piece, ...]:
-    kept = [(lo, hi, a, b) for lo, hi, a, b in pieces
-            if lo < hi and not (a == 0 and b == 0)]
-    kept.sort()
-    for i in range(1, len(kept)):
-        if kept[i][0] < kept[i - 1][1]:
-            raise ValueError(f"overlapping pieces at {kept[i][0]}")
-    merged: list[Piece] = []
-    for p in kept:
-        if merged and merged[-1][1] == p[0] and merged[-1][2:] == p[2:]:
-            merged[-1] = (merged[-1][0], p[1], p[2], p[3])
-        else:
-            merged.append(p)
-    return tuple(merged)
+Cell = Tuple[int, int, int, int]  # LO, HI, A, B on the integer grid
 
 
 def refine(fns: Sequence) -> Iterator[Tuple[Fraction, Fraction, list]]:
     """(lo, hi, pieces) over the common refinement of the functions' pieces,
     left to right: pieces[n] is the piece of fns[n] holding [lo, hi), or
-    None.  A PiecewiseLinear and an IntervalSet walk alike, one pointer each:
-    both have sorted, disjoint half-open pieces that start with their ends."""
+    None.  A PiecewiseLinear, an IntervalSet and a `_Grid` walk alike, one
+    pointer each: each has sorted, disjoint half-open pieces that start with
+    their ends."""
     lists = [f.pieces for f in fns]
     at = [0] * len(lists)
     lo = min((ps[0][0] for ps in lists if ps), default=None)
@@ -98,102 +79,131 @@ def refine(fns: Sequence) -> Iterator[Tuple[Fraction, Fraction, list]]:
         lo = hi
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, unsafe_hash=True)
 class PiecewiseLinear:
-    pieces: Tuple[Piece, ...] = ()
+    """f(X / den) = (A X + B) / scale on each cell [LO / den, HI / den), 0
+    elsewhere, in the canonical form above: equality and hash compare it."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", _canonical_pieces(self.pieces))
+    den: int
+    cells: Tuple[Cell, ...]
+    scale: int
+
+    def __init__(self, den: int, cells: Iterable[Cell], scale: int):
+        """The function of `cells` over den and scale > 0: the cells must be
+        canonical but for the two denominators, which are reduced here."""
+        cells = tuple(cells)
+        if not cells:
+            den = scale = 1
+        else:
+            g = math.gcd(den, *(x for cell in cells for x in cell[:2]))
+            c = math.gcd(scale, *(cell[2] * den for cell in cells), *(cell[3] for cell in cells))
+            if g != 1 or c != den:
+                # alpha = A den / scale and beta = B / scale over e = scale / c
+                least = den // g
+                cells = tuple((lo // g, hi // g, a * den // c, b // c * least)
+                              for lo, hi, a, b in cells)
+                den, scale = least, scale // c * least
+        self.den, self.cells, self.scale = den, cells, scale
+        self._starts = tuple(cell[0] for cell in cells)  # the point reads bisect these
 
     @classmethod
-    def _trusted(cls, pieces: Tuple[Piece, ...]) -> "PiecewiseLinear":
-        """The function of `pieces` taken as given: the constructor of the
-        internal producers whose output is canonical already (sorted,
-        disjoint and nonempty pieces of Fractions, no zero line, touching
-        pieces with distinct lines).  Everything from outside goes through
-        the checking constructor."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "pieces", pieces)
-        return f
-
-    @cached_property
-    def _form(self) -> Tuple[int, List[int], "_Grid"]:
-        """(den, starts, grid): the function alone on the integer grid of
-        `_on_grid`, x = X / den, and the integer starts LO of its pieces."""
-        den, (grid,) = _on_grid([self])
-        return den, [p[0] for p in grid.pieces], grid
-
-    @property
-    def _scale(self) -> int:
-        """The scale of `_form`: f(p / q) = `_numerator(p, q)` / (_scale q)."""
-        return self._form[2].scale
+    def parse(cls, pieces: Iterable[Sequence[Tuple[int, int]]]) -> "PiecewiseLinear":
+        """The canonical function of (lo, hi, alpha, beta) pieces of rationals
+        given as (numerator, denominator > 0) pairs, in any order; ValueError
+        names the start of the second of two overlapping pieces."""
+        pieces = list(pieces)
+        den = math.lcm(*(d for piece in pieces for _, d in piece[:2]))
+        e = math.lcm(*(d for piece in pieces for _, d in piece[2:]))
+        kept = sorted(cell for cell in (
+            (ln * (den // ld), hn * (den // hd), an * (e // ad), bn * (e // bd) * den)
+            for (ln, ld), (hn, hd), (an, ad), (bn, bd) in pieces)
+            if cell[0] < cell[1] and (cell[2] or cell[3]))
+        cells: List[list] = []
+        for lo, hi, a, b in kept:
+            if cells and lo < cells[-1][1]:
+                raise ValueError(f"overlapping pieces at {Fraction(lo, den)}")
+            if cells and cells[-1][1] == lo and cells[-1][2:] == [a, b]:
+                cells[-1][1] = hi
+            else:
+                cells.append([lo, hi, a, b])
+        return cls(den, map(tuple, cells), e * den)
 
     @staticmethod
     def of(*pieces) -> "PiecewiseLinear":
         """Build from (lo, hi, alpha, beta) tuples of ints/Fractions/strings."""
-        return PiecewiseLinear(tuple(
-            (as_fraction(lo), as_fraction(hi), as_fraction(a), as_fraction(b))
-            for lo, hi, a, b in pieces))
+        return PiecewiseLinear.parse(
+            [(q.numerator, q.denominator) for q in map(as_fraction, piece)]
+            for piece in pieces)
 
     @staticmethod
     def zero() -> "PiecewiseLinear":
-        return PiecewiseLinear()
+        return PiecewiseLinear(1, (), 1)
 
     @staticmethod
     def indicator(sets: IntervalSet) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple(
-            (lo, hi, Fraction(0), Fraction(1)) for lo, hi in sets.pieces))
+        den = common_denominator(x for piece in sets.pieces for x in piece)
+        return PiecewiseLinear(den, [(lo.numerator * (den // lo.denominator),
+                                      hi.numerator * (den // hi.denominator), 0, den)
+                                     for lo, hi in sets.pieces], den)
+
+    @cached_property
+    def pieces(self) -> Tuple[Piece, ...]:
+        """The cells as (lo, hi, alpha, beta) Fractions, built on demand."""
+        den, scale = self.den, self.scale
+        return tuple((Fraction(lo, den), Fraction(hi, den), Fraction(a * den, scale),
+                      Fraction(b, scale)) for lo, hi, a, b in self.cells)
 
     # -- evaluation -----------------------------------------------------
 
     def _numerator(self, p: int, q: int) -> int:
-        """N with f(p / q) = N / (`_scale` q), for integers p and q > 0,
-        p / q not necessarily reduced.  For the integer ends LO = lo den and
-        HI = hi den, lo <= p / q < hi holds iff LO <= floor(p den / q) < HI,
-        so the half-open lookup compares integers only."""
-        den, starts, grid = self._form
-        x = p * den // q
-        i = bisect.bisect_right(starts, x) - 1
-        if i < 0 or x >= grid.pieces[i][1]:
+        """N with f(p / q) = N / (`scale` q), for integers p and q > 0, not
+        necessarily coprime: lo <= p / q < hi holds iff LO <= floor(p den / q)
+        < HI, so the half-open lookup compares integers only."""
+        x = p * self.den // q
+        i = bisect.bisect_right(self._starts, x) - 1
+        if i < 0 or x >= self.cells[i][1]:
             return 0
-        _, _, a, b = grid.pieces[i]
-        return a * p * den + b * q
+        _, _, a, b = self.cells[i]
+        return a * p * self.den + b * q
 
     def eval(self, x) -> Fraction:
         x = as_fraction(x)
-        q = x.denominator
-        return Fraction(self._numerator(x.numerator, q), self._form[2].scale * q)
+        return Fraction(self._numerator(x.numerator, x.denominator), self.scale * x.denominator)
 
     def eval_left(self, x) -> Fraction:
-        """One-sided limit from below at x (exact): lo < x <= hi holds iff
-        LO < ceil(x den) <= HI."""
+        """The limit from below at x: lo < x <= hi iff LO < ceil(x den) <= HI."""
         x = as_fraction(x)
         p, q = x.numerator, x.denominator
-        den, starts, grid = self._form
-        up = -(-p * den // q)
-        i = bisect.bisect_left(starts, up) - 1
-        if i < 0 or up > grid.pieces[i][1]:
+        up = -(-p * self.den // q)
+        i = bisect.bisect_left(self._starts, up) - 1
+        if i < 0 or up > self.cells[i][1]:
             return Fraction(0)
-        _, _, a, b = grid.pieces[i]
-        return Fraction(a * p * den + b * q, grid.scale * q)
+        _, _, a, b = self.cells[i]
+        return Fraction(a * p * self.den + b * q, self.scale * q)
 
     # -- structure ------------------------------------------------------
 
+    def _runs(self) -> List[int]:
+        """The first index of each run of touching cells, then len(cells)."""
+        cells = self.cells
+        return [i for i in range(len(cells)) if not i or cells[i][0] != cells[i - 1][1]
+                ] + [len(cells)]
+
     def breakpoints(self) -> list[Fraction]:
-        pts: list[Fraction] = []
-        for lo, hi, _, _ in self.pieces:
-            if not pts or pts[-1] != lo:
-                pts.append(lo)
-            pts.append(hi)
-        return pts
+        runs, pieces = self._runs(), self.pieces
+        return [p for i, j in zip(runs, runs[1:])
+                for p in (pieces[i][0], *(q[1] for q in pieces[i:j]))]
 
     def support(self) -> IntervalSet:
         """Essential support: the pieces carrying a not-identically-zero line
-        (isolated interior zeros are measure zero and stay included)."""
-        return IntervalSet(tuple((lo, hi) for lo, hi, _, _ in self.pieces))
+        (isolated interior zeros are measure zero and stay included), one
+        interval per run of touching pieces."""
+        runs, pieces = self._runs(), self.pieces
+        return IntervalSet._trusted(tuple((pieces[i][0], pieces[j - 1][1])
+                                          for i, j in zip(runs, runs[1:])))
 
     def is_zero(self) -> bool:
-        return not self.pieces
+        return not self.cells
 
     # -- algebra --------------------------------------------------------
 
@@ -208,35 +218,38 @@ class PiecewiseLinear:
 
     def scale_value(self, c) -> "PiecewiseLinear":
         c = as_fraction(c)
-        if c == 0:
-            return PiecewiseLinear._trusted(())
-        return PiecewiseLinear._trusted(tuple(
-            (lo, hi, a * c, b * c) for lo, hi, a, b in self.pieces))
+        n = c.numerator  # c = 0 gives the zero function, with no cells
+        return PiecewiseLinear(self.den, [(lo, hi, a * n, b * n) for lo, hi, a, b in self.cells
+                                          if n], self.scale * c.denominator)
 
     def compose_scale(self, c) -> "PiecewiseLinear":
-        """g(x) = f(c*x) for rational c != 0."""
+        """g(x) = f(c*x) for rational c = n / d != 0: over den |n|, ends
+        LO d and HI d, line (A sign(n) X + B d) / (scale d)."""
         c = as_fraction(c)
         if c == 0:
             raise ValueError("scale factor must be nonzero")
-        if c > 0:
-            return PiecewiseLinear._trusted(tuple(
-                (lo / c, hi / c, a * c, b) for lo, hi, a, b in self.pieces))
-        # half-open boundary flips; keep [l, r) (measure-zero shift)
-        return PiecewiseLinear._trusted(tuple(
-            (hi / c, lo / c, a * c, b) for lo, hi, a, b in reversed(self.pieces)))
+        n, d = c.numerator, c.denominator
+        if n > 0:
+            cells = [(lo * d, hi * d, a, b * d) for lo, hi, a, b in self.cells]
+        else:  # half-open boundary flips; keep [l, r) (measure-zero shift)
+            cells = [(-hi * d, -lo * d, -a, b * d) for lo, hi, a, b in reversed(self.cells)]
+        return PiecewiseLinear(self.den * abs(n), cells, self.scale * d)
 
     def compose_shift(self, t) -> "PiecewiseLinear":
-        """g(x) = f(x + t)."""
+        """g(x) = f(x + t) for t = n / d: over den d, ends moved by n den,
+        line (A X + A den n + B d) / (scale d)."""
         t = as_fraction(t)
-        return PiecewiseLinear._trusted(tuple(
-            (lo - t, hi - t, a, a * t + b) for lo, hi, a, b in self.pieces))
+        n, d = t.numerator, t.denominator
+        move = n * self.den
+        return PiecewiseLinear(self.den * d, [(lo * d - move, hi * d - move, a, a * move + b * d)
+                                              for lo, hi, a, b in self.cells], self.scale * d)
 
     def restrict(self, where: IntervalSet) -> "PiecewiseLinear":
         # a cell boundary between two kept cells is a piece end of self, as
         # the set's pieces never touch, so the kept lines stay distinct
-        return PiecewiseLinear._trusted(tuple(
-            (lo, hi, p[2], p[3]) for lo, hi, (p, w) in refine([self, where])
-            if p and w))
+        den, (grid, mask) = _on_grid([self, PiecewiseLinear.indicator(where)])
+        return PiecewiseLinear(den, [(lo, hi, p[2], p[3]) for lo, hi, (p, w)
+                                     in refine([grid, mask]) if p and w], grid.scale)
 
     def first_negative_witness(self) -> Fraction | None:
         """A point where the function is negative, or None.  Linearity on each
@@ -245,13 +258,14 @@ class PiecewiseLinear:
         The point is the middle of the open stretch of the piece where the
         line is negative, never a breakpoint, so it stays a witness for any
         function that equals this one away from finitely many points."""
-        for lo, hi, a, b in self.pieces:
+        for lo, hi, a, b in self.cells:
             at_lo, at_hi = a * lo + b, a * hi + b
             if at_lo < 0 and at_hi < 0:
-                return (lo + hi) / 2
+                return Fraction(lo + hi, 2 * self.den)
             if at_lo < 0 or at_hi < 0:
-                root = -b / a  # the line crosses 0 inside [lo, hi]
-                return (lo + root) / 2 if at_lo < 0 else (root + hi) / 2
+                # the line crosses 0 inside [lo, hi] at X = -b / a
+                end = lo if at_lo < 0 else hi
+                return Fraction(a * end - b, 2 * a * self.den)
         return None
 
     def dilation_rise(self, c) -> Fraction | None:
@@ -262,18 +276,10 @@ class PiecewiseLinear:
 
     def max_value(self) -> Fraction:
         """Exact maximum (attained at a piece endpoint or 0 outside)."""
-        best = Fraction(0)
-        for lo, hi, a, b in self.pieces:
+        best = 0
+        for lo, hi, a, b in self.cells:
             best = max(best, a * lo + b, a * hi + b)
-        return best
-
-    # -- integrals ------------------------------------------------------
-
-    def integral(self) -> Fraction:
-        total = Fraction(0)
-        for lo, hi, a, b in self.pieces:
-            total += a * (hi * hi - lo * lo) / 2 + b * (hi - lo)
-        return total
+        return Fraction(best, self.scale)
 
     def zero_neighborhood(self) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
         """(left limit, right limit, clearance, max slope) describing f near 0.
@@ -282,11 +288,9 @@ class PiecewiseLinear:
         the adjacent pieces; max slope = max |alpha| of the pieces touching 0.
         Returns None when 0 is outside the support closure on both sides.
         """
-        left = self.eval_left(0)
-        right = self.eval(0)  # the limit from above, by half-openness
         clearance = None
-        slope = Fraction(0)
-        for lo, hi, a, b in self.pieces:
+        slope = 0
+        for lo, hi, a, _ in self.cells:
             if lo <= 0 < hi:  # piece carrying the right limit
                 d = hi if lo == 0 else min(hi, -lo)
                 clearance = d if clearance is None else min(clearance, d)
@@ -297,7 +301,9 @@ class PiecewiseLinear:
                 slope = max(slope, abs(a))
         if clearance is None:
             return None
-        return (left, right, clearance, slope)
+        # the right limit is the value at 0, by half-openness
+        return (self.eval_left(0), self.eval(0), Fraction(clearance, self.den),
+                Fraction(slope * self.den, self.scale))
 
     def __repr__(self) -> str:
         body = " ".join(f"[{lo},{hi}):{a}x+{b}" for lo, hi, a, b in self.pieces)
@@ -318,29 +324,23 @@ def _linear_product(lines: Iterable[Tuple[int, int]]) -> list[int]:
 
 
 class _Grid(NamedTuple):
-    """A PiecewiseLinear on an integer grid x = X / den: pieces (LO, HI, A, B)
-    of integers with f(X / den) = (A X + B) / scale on [LO, HI).  `refine`
-    walks grids as it walks the functions: it only orders ends."""
+    """A PiecewiseLinear's cells re-gridded onto a finer x = X / den, over its
+    own scale.  `refine` walks grids as it walks the functions."""
 
-    pieces: List[Tuple[int, int, int, int]]
+    pieces: Sequence[Cell]
     scale: int
 
 
 def _on_grid(fns: Sequence[PiecewiseLinear]) -> Tuple[int, List[_Grid]]:
-    """(den, grids): den the common denominator of the breakpoints of fns,
-    and each function on the grid x = X / den, with one coefficient
-    denominator per function: alpha X / den + beta = (A X + B) / scale for
-    A = alpha e, B = beta e den, scale = e den, e the common denominator of
-    the function's coefficients."""
-    den = common_denominator(x for f in fns for p in f.pieces for x in p[:2])
+    """(den, grids): den the lcm of the functions' denominators, and each
+    function's cells re-gridded onto x = X / den: for m = den / f.den the
+    ends and B are m times f's and the scale m times f.scale."""
+    den = math.lcm(*(f.den for f in fns))
     grids = []
     for f in fns:
-        e = common_denominator(c for p in f.pieces for c in p[2:])
-        grids.append(_Grid([(lo.numerator * (den // lo.denominator),
-                             hi.numerator * (den // hi.denominator),
-                             a.numerator * (e // a.denominator),
-                             b.numerator * (e // b.denominator) * den)
-                            for lo, hi, a, b in f.pieces], e * den))
+        m = den // f.den
+        grids.append(_Grid(f.cells, f.scale) if m == 1 else _Grid(
+            [(lo * m, hi * m, a, b * m) for lo, hi, a, b in f.cells], f.scale * m))
     return den, grids
 
 
@@ -364,33 +364,30 @@ def integrate_product(factors: Sequence[PiecewiseLinear]) -> Fraction:
 
 @dataclass(frozen=True)
 class SqrtProfile:
-    """Nonnegative Fourier-domain profile sqrt(square) * chi_domain; the
-    domain defaults to the square's support."""
+    """Nonnegative Fourier-domain profile sqrt(square), supported where the
+    square is; a caller that wants it on a layer restricts the square."""
 
     square: PiecewiseLinear
-    domain: IntervalSet | None = None
 
     def __post_init__(self):
-        sq = self.square if self.domain is None else self.square.restrict(self.domain)
-        witness = sq.first_negative_witness()
+        witness = self.square.first_negative_witness()
         if witness is not None:
             raise ValueError(f"square negative at {witness}")
-        object.__setattr__(self, "square", sq)
-        object.__setattr__(self, "domain", sq.support())
 
     @staticmethod
     def indicator(sets: IntervalSet) -> "SqrtProfile":
-        return SqrtProfile(PiecewiseLinear.indicator(sets), sets)
+        return SqrtProfile(PiecewiseLinear.indicator(sets))
 
     def support(self) -> IntervalSet:
-        return self.domain
+        return self.square.support()
 
     def value_sq(self, x) -> Fraction:
         """|profile(x)|^2, exact."""
         return self.square.eval(x)
 
     def is_indicator(self) -> bool:
-        return all(a == 0 and b == 1 for _, _, a, b in self.square.pieces)
+        top = self.square.scale
+        return all(a == 0 and b == top for _, _, a, b in self.square.cells)
 
 
 def _sum(fns: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
@@ -398,16 +395,10 @@ def _sum(fns: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     functions on the integer grid of `_on_grid`.  Each cell's lines are
     summed as integers over L, the lcm of the functions' scales; zero cells
     are dropped and touching cells with equal integer lines merged, so the
-    pieces are canonical.  Only then is one Fraction built per coefficient,
-    alpha = A den / L and beta = B / L, and the cells keep the given
-    Fraction endpoints."""
+    cells are canonical over den and L."""
     den, grids = _on_grid(fns)
     top = math.lcm(*(g.scale for g in grids))
     lifts = [top // g.scale for g in grids]
-    ends = {}
-    for f, g in zip(fns, grids):
-        for (lo, hi, _, _), (x, y, _, _) in zip(f.pieces, g.pieces):
-            ends[x], ends[y] = lo, hi
     out: List[list] = []
     for lo, hi, pieces in refine(grids):
         a = b = 0
@@ -421,9 +412,7 @@ def _sum(fns: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
             out[-1][1] = hi
         else:
             out.append([lo, hi, a, b])
-    return PiecewiseLinear._trusted(tuple(
-        (ends[lo], ends[hi], Fraction(a * den, top), Fraction(b, top))
-        for lo, hi, a, b in out))
+    return PiecewiseLinear(den, map(tuple, out), top)
 
 
 def _square_sum(profiles: Iterable[SqrtProfile]) -> PiecewiseLinear:
@@ -469,7 +458,10 @@ class GeneratorSet:
         return tuple(p.support().scale(self.dilation) for p in self.profiles)
 
     def support_hull(self) -> Tuple[Fraction, Fraction]:
-        return union_all([p.support() for p in self.profiles]).hull()
+        """(least first start, greatest last end) of the supports, or (0, 0)."""
+        pieces = [p.square.pieces for p in self.profiles if p.square.cells]
+        return (min((ps[0][0] for ps in pieces), default=Fraction(0)),
+                max((ps[-1][1] for ps in pieces), default=Fraction(0)))
 
     def breakpoints(self) -> List[Fraction]:
         cells = list(refine([p.square for p in self.profiles]))

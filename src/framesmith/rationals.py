@@ -15,7 +15,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Tuple
 
 _RATIO_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+))?\s*$", re.ASCII)
 
@@ -37,8 +37,8 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def parse_ratio(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
+def ratio_parts(text: str) -> Tuple[int, int]:
+    """(p, q) of "p/q" or "p" as written, q > 0 (q = 1 for "p")."""
     m = _RATIO_RE.match(text)
     if not m:
         raise ValueError(f"not a rational: {text!r}")
@@ -46,7 +46,7 @@ def parse_ratio(text: str) -> Fraction:
     den = parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def format_ratio(q: Fraction) -> str:
@@ -63,7 +63,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return parse_ratio(x)
+        return Fraction(*ratio_parts(x))
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-from .rationals import format_ratio, parse_int, parse_ratio
+from .rationals import as_fraction, format_ratio, parse_int
 
 _IMAG_RE = re.compile(r"^\s*([+-]?)\s*((?:\d+(?:/\d+)?)?)\s*[ij]\s*$", re.ASCII)
 _REAL_RE = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*([+-].*)?$", re.ASCII)
@@ -33,17 +33,17 @@ class CRat:
         t = text.strip()
         m = _IMAG_RE.match(t)
         if m:
-            mag = parse_ratio(m.group(2)) if m.group(2) else Fraction(1)
+            mag = as_fraction(m.group(2)) if m.group(2) else Fraction(1)
             return CRat(Fraction(0), -mag if m.group(1) == "-" else mag)
         # split a trailing imaginary part off a leading real part
         body = _REAL_RE.match(t)
         if body:
-            real = parse_ratio(body.group(1))
+            real = as_fraction(body.group(1))
             if body.group(2) is None:
                 return CRat(real, Fraction(0))
             tail = _IMAG_RE.match(body.group(2))
             if tail:
-                mag = parse_ratio(tail.group(2)) if tail.group(2) else Fraction(1)
+                mag = as_fraction(tail.group(2)) if tail.group(2) else Fraction(1)
                 return CRat(real, -mag if tail.group(1) == "-" else mag)
         raise ValueError(f"not a Gaussian rational: {text!r}")
 

@@ -2,7 +2,10 @@
 
 Rationals are serialized as "num/den" strings (pi units) so no float ever
 contaminates an exact value; canonical dumps are sorted and newline-terminated
-so identical objects produce byte-identical files.  Every JSON input is
+so identical objects produce byte-identical files.  A function's ratio
+strings are read as integer pairs onto its integer grid (`PiecewiseLinear.parse`
+canonicalizes any piece order), and a profile's square is restricted by the
+file's `domain` only where that differs from its support.  Every JSON input is
 refused when one object names a key twice.  A phi is written under the key
 k of its layer, the window [2k - 1, 2k + 1), and loaded onto that window.
 Loading a family checks its structural premises (`LayeredFamily.validate`:
@@ -25,7 +28,7 @@ from .construction import LayeredFamily
 from .folding import _windows, window
 from .intervals import IntervalSet
 from .piecewise import PiecewiseLinear, SqrtProfile
-from .rationals import format_ratio, parse_ratio
+from .rationals import format_ratio, ratio_parts
 
 FORMAT_VERSION = "framesmith/1"
 
@@ -34,12 +37,13 @@ class ParseError(ValueError):
     """Malformed JSON payload; message carries the offending location."""
 
 
-def _ratio_in(x, where: str) -> Fraction:
+def _ratio_in(x, where: str) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of a JSON integer or ratio string."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
         try:
-            return parse_ratio(x)
+            return ratio_parts(x)
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from None
     raise ParseError(f"{where}: expected rational string, got {type(x).__name__}")
@@ -56,8 +60,8 @@ def intervalset_from_jsonable(obj, where: str = "intervals") -> IntervalSet:
     for i, pair in enumerate(obj):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}[{i}]: expected [lo, hi]")
-        lo = _ratio_in(pair[0], f"{where}[{i}].lo")
-        hi = _ratio_in(pair[1], f"{where}[{i}].hi")
+        lo = Fraction(*_ratio_in(pair[0], f"{where}[{i}].lo"))
+        hi = Fraction(*_ratio_in(pair[1], f"{where}[{i}].hi"))
         if lo >= hi:
             raise ParseError(f"{where}[{i}]: expected lo < hi")
         pairs.append((lo, hi))
@@ -83,20 +87,20 @@ def pwl_from_jsonable(obj, where: str = "pwl") -> PiecewiseLinear:
             raise ParseError(f"{loc}.piece: expected [lo, hi]")
         lo = _ratio_in(piece[0], f"{loc}.piece.lo")
         hi = _ratio_in(piece[1], f"{loc}.piece.hi")
-        if lo >= hi:
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             raise ParseError(f"{loc}.piece: expected lo < hi")
         alpha = _ratio_in(item.get("alpha", 0), f"{loc}.alpha")
         beta = _ratio_in(item.get("beta", 0), f"{loc}.beta")
         pieces.append((lo, hi, alpha, beta))
     try:
-        return PiecewiseLinear(tuple(pieces))
+        return PiecewiseLinear.parse(pieces)
     except ValueError as e:
         raise ParseError(f"{where}: {e}") from None
 
 
 def profile_to_jsonable(p: SqrtProfile) -> dict:
     return {"square": pwl_to_jsonable(p.square),
-            "domain": intervalset_to_jsonable(p.domain)}
+            "domain": intervalset_to_jsonable(p.support())}
 
 
 def profile_from_jsonable(obj, where: str = "profile") -> SqrtProfile:
@@ -104,8 +108,10 @@ def profile_from_jsonable(obj, where: str = "profile") -> SqrtProfile:
         raise ParseError(f"{where}: expected {{square, domain}}")
     sq = pwl_from_jsonable(obj["square"], f"{where}.square")
     dom = intervalset_from_jsonable(obj.get("domain", []), f"{where}.domain")
+    if dom and dom != sq.support():
+        sq = sq.restrict(dom)
     try:
-        return SqrtProfile(sq, dom if dom else sq.support())
+        return SqrtProfile(sq)
     except ValueError as e:
         raise ParseError(f"{where}: {e}") from None
 

@@ -9,8 +9,9 @@ premise (see `GeneratorSet`) and raises ValueError naming the first profile
 that breaks it.  Every trace is an exact Fraction read off S:
 - tau_{V,f} = sum_k |f(k)|^2 S(xi + 2k) and tau_{V,T} = sum_k T_kk S(xi + 2k);
 - the `trace` CSV: S, the periodization sum_k S(. + 2k) (the dimension
-  function) and tau_{V,f}, each a piecewise-linear function read at every
-  grid point (`diagonal_traces`);
+  function) and tau_{V,f}, the three piecewise-linear functions of
+  `diagonal_traces`, each read at every grid point p/q on integers as
+  `_numerator(p, q)` / (`scale` q), one int / int division per cell;
 - two generator sets give equal traces exactly when their S agree (the NTF
   generator test);
 - the series identity is sum_{j>=1} S_psi(a^j xi) = S_phi(xi) at shift
@@ -18,7 +19,7 @@ that breaks it.  Every trace is an exact Fraction read off S:
 
 The restricted traces, the coset sum and the generator test read S on
 integers.  At xi = p/q, S(xi + 2k) is the integer
-`PiecewiseLinear._numerator(p + 2kq, q)` over `_scale` q, and every coset
+`PiecewiseLinear._numerator(p + 2kq, q)` over `scale` q, and every coset
 point (xi + 2d)/a of the dilation formula is +-(p + 2dq) over the one
 denominator |a| q.  A check takes the weights |f(k)|^2 of f -- and with
 them those of each coset sequence D_d* f, the same values -- as integers
@@ -80,15 +81,15 @@ def _cosets(a: int, weights: List[Tuple[int, int]]) -> List[List[Tuple[int, int]
 
 
 def _tau(square: PiecewiseLinear, weights: List[Tuple[int, int]], p: int, q: int) -> int:
-    """N with sum_k |f(k)|^2 S(p/q + 2k) = N / (W `_scale` q), S = square,
+    """N with sum_k |f(k)|^2 S(p/q + 2k) = N / (W `scale` q), S = square,
     from `_weights(f)`: each point read is the integer
-    `_numerator(p + 2kq, q)` over `_scale` q, for any p and q > 0."""
+    `_numerator(p + 2kq, q)` over `scale` q, for any p and q > 0."""
     num, step = square._numerator, 2 * q
     return sum(n * num(p + k * step, q) for k, n in weights)
 
 
 def _coset_sum(square: PiecewiseLinear, a: int, cosets, p: int, q: int) -> int:
-    """N with sum_d tau_{V, D_d* f}((xi + 2d)/a) = N / (W `_scale` |a| q) at
+    """N with sum_d tau_{V, D_d* f}((xi + 2d)/a) = N / (W `scale` |a| q) at
     xi = p/q, with S = square, from `_cosets(a, weights)`.  Every coset
     point (xi + 2d)/a is the integer +-(p + 2dq) over the one denominator
     |a| q, the sign that of a."""
@@ -104,31 +105,29 @@ def restricted_trace(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     square, xi = gen.spectral, as_fraction(xi)
     den, weights = _weights(f)
     q = xi.denominator
-    return Fraction(_tau(square, weights, xi.numerator, q), den * square._scale * q)
+    return Fraction(_tau(square, weights, xi.numerator, q), den * square.scale * q)
 
 
 def diagonal_traces(gen: GeneratorSet, f: Sequence, grid: Seq[Fraction]
-                    ) -> Tuple[List[Fraction], List[Fraction], List[Fraction]]:
-    """The columns of the trace CSV at the grid points, in their order,
-    exact: the spectral function S = sum_phi |phi_hat|^2, the dimension
-    function (the trace of G) and tau_{V,f}.
-
-    The three columns are S, the periodization sum_k S(. + 2k) and
-    sum_{k in supp f} |f(k)|^2 S(. + 2k), piecewise linear, each read at
-    every grid point."""
+                    ) -> Tuple[PiecewiseLinear, PiecewiseLinear, PiecewiseLinear]:
+    """The functions of the columns of the trace CSV, exact: the spectral
+    function S = sum_phi |phi_hat|^2, the dimension function (the trace of
+    G) and tau_{V,f}, that is S, the periodization sum_k S(. + 2k) and
+    sum_{k in supp f} |f(k)|^2 S(. + 2k).  The periodization holds the
+    terms that reach the grid, so it is the dimension function there."""
     square = gen.spectral
     ks = range(0)
-    if grid and square.pieces:
-        # every k with S(xi + 2k) != 0 for some xi in [lo, hi], the integers
-        # around the grid: more k add 0 at the grid points, and integer ends
-        # spare the Fraction comparisons of min(grid) and max(grid)
+    if grid and square.cells:
+        # every k with S(xi + 2k) != 0 for some xi in [lo, hi] around the grid
+        # (more add 0 there): ceil((LO / den - hi) / 2) to ceil((HI / den - lo) / 2)
         lo, hi = min(map(math.floor, grid)), max(map(math.ceil, grid))
-        ks = range(math.ceil((square.pieces[0][0] - hi) / 2),
-                   math.ceil((square.pieces[-1][1] - lo) / 2))
+        den = square.den
+        ks = range(-((hi * den - square.cells[0][0]) // (2 * den)),
+                   -((lo * den - square.cells[-1][1]) // (2 * den)))
     periodized = _sum([square.compose_shift(2 * k) for k in ks])
     weighted = _sum([square.compose_shift(2 * k).scale_value(v.abs2())
                      for k, v in f.entries.items()])
-    return tuple([g.eval(xi) for xi in grid] for g in (square, periodized, weighted))
+    return square, periodized, weighted
 
 
 # -- finite positive operators ---------------------------------------------
@@ -252,7 +251,7 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
     for prof, reach in zip(gen.profiles, gen.dilated_supports):
         num = prof.square._numerator
         # r / |a| = N / (scale |a|^2 q) for r = N / (scale |a| q)
-        top = prof.square._scale * m * m * q
+        top = prof.square.scale * m * m * q
         terms = []
         for lo, hi in reach.pieces:
             for k in _shifts(xi, lo, hi):
@@ -334,7 +333,7 @@ def dilation_coset_sum(gen: GeneratorSet, f: Sequence, xi) -> Fraction:
     den, weights = _weights(f)
     q = xi.denominator
     return Fraction(_coset_sum(square, a, _cosets(a, weights), xi.numerator, q),
-                    den * square._scale * abs(a) * q)
+                    den * square.scale * abs(a) * q)
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ def dilation_trace_check(gen: GeneratorSet, f: Sequence, grid: Iterable,
     the enclosure of `dilated_trace` at `bits` against the exact coset sum."""
     square, a = gen.spectral, gen.dilation
     den, weights = _weights(f)
-    cosets, top = _cosets(a, weights), den * square._scale * abs(a)
+    cosets, top = _cosets(a, weights), den * square.scale * abs(a)
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -388,7 +387,7 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     D(xi) + |alpha|^2 D(xi + 2l) = 0; its residual is the absolute value of
     that rational.  At xi = p/q each row reads the integers
     D(xi) = `_numerator(p, q)` / (scale q) and D(xi + 2l), scale the
-    `_scale` of D, so it is decided on the integer
+    `scale` of D, so it is decided on the integer
     n = v D(xi) scale q + u D(xi + 2l) scale q, |alpha|^2 = u / v, and its
     residual is abs(n / (v scale q)), the float of that Fraction.  Two sets
     with one S give D = 0, and every row passes with residual 0.0.  The
@@ -399,7 +398,7 @@ def ntf_generator_test(gen: GeneratorSet, reference: GeneratorSet,
     l_window = int(radius) + 1
     ls = [l for l in range(-l_window, l_window + 1) if l]
     difference = gen.spectral - reference.spectral
-    num, scale = difference._numerator, difference._scale
+    num, scale = difference._numerator, difference.scale
     alphas = [(alpha, w.numerator, w.denominator)
               for alpha, w in zip(ALPHAS, (alpha.abs2() for alpha in ALPHAS))]
     rows: List[GeneratorTestRow] = []
@@ -483,8 +482,8 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     cosets = _cosets(a, weights)
     # the rise over W scale_phi |a| q; the gap over W scale |a| q, scale the
     # lcm of the two squares' scales
-    scale = math.lcm(phi_square._scale, psi_square._scale)
-    phi_lift, psi_lift = scale // phi_square._scale, scale // psi_square._scale
+    scale = math.lcm(phi_square.scale, psi_square.scale)
+    phi_lift, psi_lift = scale // phi_square.scale, scale // psi_square.scale
     rows = []
     for xi in grid:
         xi = as_fraction(xi)
@@ -492,7 +491,7 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
         rise = _coset_sum(phi_square, a, cosets, p, q) - m * _tau(phi_square, weights, p, q)
         gap = rise * phi_lift - m * psi_lift * _tau(psi_square, weights, p, q)
         rows.append(SplitRow(xi, Fraction(abs(gap), den * scale * m * q),
-                             Fraction(rise, den * phi_square._scale * m * q)))
+                             Fraction(rise, den * phi_square.scale * m * q)))
     return rows
 
 

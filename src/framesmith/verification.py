@@ -177,7 +177,7 @@ def check_ntf_multiwavelet(family: LayeredFamily,
     c_num, c_den = clearance.numerator, clearance.denominator
     s_num, s_den = slope.numerator, slope.denominator
     t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
-    top, sigma_at = sigma._scale, sigma._numerator
+    top, sigma_at = sigma.scale, sigma._numerator
     worst_n, worst_d = 0, 1  # the worst tail is s_num worst_n / (s_den worst_d)
     failures = checked = 0
     for xi in grid:

@@ -34,7 +34,8 @@ windows inside each piece, and the boundary-by-chunk loop that
 
 Point reads: the Fraction lookups by bisection on the piece starts, for the
 value and the limit from below, that `eval` and `eval_left` run on the
-integer form of a function.
+integer form of a function.  Canonical pieces: the Fraction sort, overlap
+check and merge that `PiecewiseLinear.parse` runs on integers.
 
 Refinement: the loops that `piecewise.refine` and `intervals._overlay`
 replace -- the cut-and-look-up sum, the Fraction sum on the sweep that the
@@ -571,6 +572,26 @@ def layered_partition_oracle(K):
 # -- refinement ----------------------------------------------------------------
 
 
+def _canonical_pieces(pieces):
+    """The canonical Fraction pieces of (lo, hi, alpha, beta) pieces: sorted,
+    empty and zero pieces dropped, touching pieces with one line merged;
+    ValueError at the first overlap.  `PiecewiseLinear.parse` does this on
+    integers."""
+    kept = [(lo, hi, a, b) for lo, hi, a, b in pieces
+            if lo < hi and not (a == 0 and b == 0)]
+    kept.sort()
+    for i in range(1, len(kept)):
+        if kept[i][0] < kept[i - 1][1]:
+            raise ValueError(f"overlapping pieces at {kept[i][0]}")
+    merged = []
+    for p in kept:
+        if merged and merged[-1][1] == p[0] and merged[-1][2:] == p[2:]:
+            merged[-1] = (merged[-1][0], p[1], p[2], p[3])
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
 def piece_at(f, x):
     """The piece of f holding x, or None, by bisection on the piece starts."""
     i = bisect.bisect_right([p[0] for p in f.pieces], x) - 1
@@ -616,14 +637,14 @@ def combine_oracle(f, g, op):
         a1, b1 = (p[2], p[3]) if p else (Fraction(0), Fraction(0))
         a2, b2 = (q[2], q[3]) if q else (Fraction(0), Fraction(0))
         out.append((lo, hi, op(a1, a2), op(b1, b2)))
-    return PiecewiseLinear(tuple(out))
+    return PiecewiseLinear.of(*out)
 
 
 def sum_oracle(fns):
     """The pointwise sum on the Fraction sweep: each cell's coefficients
     added as Fractions, and the cells put in canonical form by the checking
-    constructor."""
-    return PiecewiseLinear(tuple(
+    parse."""
+    return PiecewiseLinear.of(*(
         (lo, hi, sum(p[2] for p in pieces if p), sum(p[3] for p in pieces if p))
         for lo, hi, pieces in refine(fns)))
 
@@ -636,7 +657,7 @@ def restrict_oracle(f, where):
             l, h = max(lo, wlo), min(hi, whi)
             if l < h:
                 out.append((l, h, a, b))
-    return PiecewiseLinear(tuple(out))
+    return PiecewiseLinear.of(*out)
 
 
 def intersect_oracle(A, B):

@@ -291,5 +291,5 @@ def test_meets_is_support_intersection(domain, ends, tent, a, j):
         hi += 1
     f = TestSignal.tent(lo, hi) if tent else TestSignal.indicator(lo, hi)
     psi = SqrtProfile.indicator(IntervalSet.of(*((l, h) for l, h in domain if l < h)))
-    exact = f.hat.support().intersect(psi.domain.scale(F(a) ** j))
+    exact = f.hat.support().intersect(psi.support().scale(F(a) ** j))
     assert _meets(f, psi, F(a) ** j) == (not exact.is_empty())

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framesmith.construction import example_by_name, random_admissible_spec
-from framesmith.intervals import IntervalSet
-from framesmith.piecewise import PiecewiseLinear, SqrtProfile, integrate_product
+from framesmith.intervals import IntervalSet, union_all
+from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
 from framesmith.rationals import format_ratio
-from oracles import eval_left_oracle, eval_oracle
+from framesmith.serialize import pwl_from_jsonable, pwl_to_jsonable
+from oracles import _canonical_pieces, eval_left_oracle, eval_oracle
 from oracles import radicand_zeros  # the Gauss-Legendre oracle's zero scan
 
 
@@ -43,7 +45,7 @@ def _random_pwl(rng):
         pieces.append((x, hi, F(rng.randint(-9, 9), rng.choice((1, 2, 5))),
                        F(rng.randint(-9, 9), rng.choice((1, 3, 7)))))
         x = hi
-    return PiecewiseLinear(tuple(pieces))
+    return PiecewiseLinear.of(*pieces)
 
 
 class TestEval:
@@ -52,7 +54,7 @@ class TestEval:
 
     @staticmethod
     def _assert_reads(f, extra=()):
-        scale = f._form[2].scale
+        scale = f.scale
         xs = [F(0), *extra]
         for b in f.breakpoints():
             step = F(1, 7 * b.denominator)
@@ -121,7 +123,7 @@ def test_nonneg_matches_breakpoint_scan_oracle():
             b = F(rng.randint(-4, 4), 2)
             pieces.append((cur, cur + width, a, b))
             cur += width + F(rng.randint(0, 2))
-        f = PiecewiseLinear(tuple(pieces))
+        f = PiecewiseLinear.of(*pieces)
         # oracle: sample endpoints and many interior points exactly
         bad = False
         for lo, hi, a, b in f.pieces:
@@ -188,7 +190,7 @@ def test_overlapping_pieces_rejected():
 
 def test_integral_and_products():
     sigma = tent(1, 1)
-    assert sigma.integral() == 1
+    assert integrate_product([sigma]) == 1
     assert integrate_product([sigma, sigma]) == F(2, 3)
     # cubic: int_0^1 x^3 = 1/4 via three linear factors
     x_on = PiecewiseLinear.of((0, 1, 1, 0))
@@ -214,7 +216,7 @@ class TestSqrtProfile:
     def test_square_times_indicator_is_exact(self):
         sigma = tent(1, 1)
         dom = IntervalSet.of((F(-1, 2), F(1, 4)))
-        p = SqrtProfile(sigma, dom)
+        p = SqrtProfile(sigma.restrict(dom))
         rng = random.Random(2)
         for _ in range(200):
             x = F(rng.randint(-40, 40), 16)
@@ -229,3 +231,102 @@ class TestSqrtProfile:
         p = SqrtProfile.indicator(IntervalSet.of((-1, 1)))
         assert p.is_indicator()
         assert p.value_sq(0) == 1
+
+
+# -- the integer parse against the Fraction canonicalization --------------------
+
+_ENDS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+_COEFFS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 5))))
+
+
+@st.composite
+def _disjoint_pieces(draw):
+    """Pieces between sorted distinct ends, every other gap skipped at
+    random; a piece keeps the line before it with probability 1/2, so
+    touching pieces often share one line."""
+    ends = sorted(set(draw(st.lists(_ENDS, min_size=2, max_size=9))))
+    pieces, line = [], (F(1), F(0))
+    for lo, hi in zip(ends, ends[1:]):
+        if draw(st.booleans()):
+            line = (draw(_COEFFS), draw(_COEFFS))
+        if draw(st.integers(0, 3)):
+            pieces.append((lo, hi) + line)
+    return pieces
+
+
+@st.composite
+def _piece_lists(draw):
+    """Unsorted piece lists: disjoint pieces with touching runs of one line,
+    or free pieces that may overlap; plus zero lines, empty and reversed
+    pieces, and some piece split in two touching halves with one line."""
+    pieces = draw(st.one_of(_disjoint_pieces(),
+                            st.lists(st.tuples(_ENDS, _ENDS, _COEFFS, _COEFFS), max_size=6)))
+    if pieces and draw(st.booleans()):
+        i = draw(st.integers(0, len(pieces) - 1))
+        lo, hi, a, b = pieces[i]
+        mid = (lo + hi) / 2
+        pieces[i:i + 1] = [(lo, mid, a, b), (mid, hi, a, b)]
+    pieces += draw(st.lists(st.tuples(_ENDS, _ENDS, st.just(F(0)), st.just(F(0))), max_size=2))
+    x = draw(_ENDS)
+    pieces += draw(st.lists(st.tuples(st.just(x), st.just(x), _COEFFS, _COEFFS), max_size=1))
+    return draw(st.permutations(pieces))
+
+
+class TestParse:
+    @given(_piece_lists(), st.sampled_from((1, 1, 3, 10)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_fraction_canonicalization(self, pieces, k):
+        """The integer parse of the pieces, given as unreduced pairs
+        (numerator k, denominator k), has the oracle's canonical pieces or
+        raises its error; the family file codec gives back an equal
+        function with an equal hash."""
+        pairs = [[(x.numerator * k, x.denominator * k) for x in p] for p in pieces]
+        try:
+            expected = _canonical_pieces(pieces)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                PiecewiseLinear.parse(pairs)
+            assert str(got.value) == str(e) and str(e).startswith("overlapping pieces at ")
+            return
+        f = PiecewiseLinear.parse(pairs)
+        assert f.pieces == expected
+        assert all(type(x) is F for p in f.pieces for x in p)
+        assert f == PiecewiseLinear.of(*expected) and hash(f) == hash(PiecewiseLinear.of(*expected))
+        again = pwl_from_jsonable(pwl_to_jsonable(f))
+        assert again == f and hash(again) == hash(f)
+
+    def test_each_kind_of_input_occurs(self):
+        """The strategy draws overlaps, merges and dropped pieces."""
+        seen = set()
+
+        @given(_piece_lists())
+        @settings(max_examples=300, deadline=None)
+        def draw(pieces):
+            try:
+                kept = _canonical_pieces(pieces)
+            except ValueError:
+                seen.add("overlap")
+                return
+            live = [p for p in pieces if p[0] < p[1] and (p[2] or p[3])]
+            if len(live) < len(pieces):
+                seen.add("dropped")
+            if len(kept) < len(live):
+                seen.add("merged")
+
+        draw()
+        assert seen == {"overlap", "dropped", "merged"}
+
+
+def test_support_hull_is_the_hull_of_the_union():
+    """The least first start and greatest last end of the supports is the
+    hull of their union: (0, 0) for no profiles or only zero squares."""
+    rng = random.Random(31)
+    for _ in range(300):
+        profiles = tuple(SqrtProfile(PiecewiseLinear.indicator(_random_pwl(rng).support()))
+                         if rng.random() < 0.8 else SqrtProfile(PiecewiseLinear.zero())
+                         for _ in range(rng.randint(0, 4)))
+        hull = GeneratorSet(profiles).support_hull()
+        assert hull == union_all([p.support() for p in profiles]).hull()
+        assert all(type(x) is F for x in hull)
+    zero = SqrtProfile(PiecewiseLinear.zero())
+    assert GeneratorSet(()).support_hull() == GeneratorSet((zero,)).support_hull() == (0, 0)

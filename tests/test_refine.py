@@ -10,8 +10,9 @@ pieces often touch at shared ends, and on their images under compose_scale.
 Product integrals, the endpoint sweep, the quadrature cells and their break
 terms run on integers over common denominators; each must equal its
 Fraction form, the floats of the cells and break terms bit for bit.  The
-producers that build through the trusted constructors, which skip
-canonicalisation, must give pieces that are canonical already.
+producers that skip canonicalisation -- every PiecewiseLinear producer,
+which builds through the integer constructor, and the trusted IntervalSet
+ones -- must give the canonical form already.
 """
 
 import operator
@@ -25,10 +26,10 @@ from framesmith.construction import build_family, example_by_name
 from framesmith.folding import layered_partition
 from framesmith.frametest import TestSignal, _scaled_square
 from framesmith.intervals import IntervalSet, _canonicalize, _overlay
-from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _canonical_pieces,
-                                  _square_sum, _sum, integrate_product, refine)
+from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _square_sum, _sum,
+                                  integrate_product, refine)
 from framesmith.quadrature import QuadPlan
-from oracles import (break_terms_oracle, closed_cells_oracle, combine_oracle,
+from oracles import (_canonical_pieces, break_terms_oracle, closed_cells_oracle, combine_oracle,
                      difference_oracle, integrate_product_oracle, intersect_oracle,
                      layered_partition_oracle, overlay_oracle, piece_at,
                      restrict_oracle, sum_oracle)
@@ -61,7 +62,7 @@ def random_pwl(rng: random.Random, nonneg: bool = False) -> PiecewiseLinear:
         elif rng.random() < 0.7:
             line = (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-4, 4), 2))
         pieces.append((lo, hi) + line)
-    return PiecewiseLinear(tuple(pieces))
+    return PiecewiseLinear.of(*pieces)
 
 
 def random_set(rng: random.Random) -> IntervalSet:
@@ -195,7 +196,7 @@ def _producer_cases(rng: random.Random):
         yield ("restrict", f.restrict(where),
                [(lo, hi, p[2], p[3]) for lo, hi, (p, w) in refine([f, where]) if p and w])
     hull = (min(ends, default=F(0)) - 1, max(ends, default=F(0)) + 1)
-    line = PiecewiseLinear(((hull[0], hull[1], F(rng.randint(-3, 3), 2), F(1, 3)),))
+    line = PiecewiseLinear.of((hull[0], hull[1], F(rng.randint(-3, 3), 2), F(1, 3)))
     rest = sum_oracle([line, f.scale_value(-1)])
     for fns in ([f, g], [f, f.scale_value(-1)], [f, rest], [f, g, rest, f],
                 [f.compose_scale(F(a) ** 40), g], [], [f]):
@@ -215,9 +216,11 @@ def _producer_cases(rng: random.Random):
 
 
 def test_trusted_producers_are_canonical():
-    """Each producer that skips the checking constructor gives pieces that
-    are canonical already: equal to their own canonical form and to the
-    canonical form of the pieces it built before, all Fractions."""
+    """Each producer that skips canonicalisation gives pieces that are
+    canonical already: equal to their own canonical form and to the
+    canonical form of the pieces it built before, all Fractions.  A
+    PiecewiseLinear equals the parse of those pieces, so its integer form
+    (den, cells, scale) is the canonical one too."""
     counts = {}
     for seed in range(300):
         rng = random.Random(f"trusted{seed}")
@@ -225,7 +228,9 @@ def test_trusted_producers_are_canonical():
             canonical = (_canonical_pieces if isinstance(got, PiecewiseLinear)
                          else _canonicalize)
             assert got.pieces == canonical(got.pieces) == canonical(raw), (seed, name)
-            assert got == type(got)(tuple(raw)), (seed, name)
+            parsed = (PiecewiseLinear.of(*raw) if isinstance(got, PiecewiseLinear)
+                      else IntervalSet(tuple(raw)))
+            assert got == parsed and hash(got) == hash(parsed), (seed, name)
             assert all(type(x) is F for p in got.pieces for x in p), (seed, name)
             counts[name] = counts.get(name, 0) + bool(got.pieces)
     assert min(counts.values()) >= 100, counts

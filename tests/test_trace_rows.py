@@ -72,6 +72,11 @@ def _oracle_lines(path, f_text, grid_arg):
     return lines
 
 
+def _columns(gen, f, grid):
+    """The three `diagonal_traces` functions read at every grid point."""
+    return [[g.eval(xi) for xi in grid] for g in diagonal_traces(gen, f, grid)]
+
+
 def _assert_csv_matches(tmp_path, spec, partition, cases):
     path = _family_file(tmp_path, spec, partition)
     csv = tmp_path / "trace.csv"
@@ -106,7 +111,7 @@ class TestTraceCsv:
         gen = scaling.generator_set()
         grid = [F(i, 8) for i in range(-24, 25)]
         f = Sequence.parse("1@0,i@1,-1/2@-1,3@5,1@-2")
-        spectral, dim, tau = diagonal_traces(gen, f, grid)
+        spectral, dim, tau = _columns(gen, f, grid)
         assert spectral == [spectral_function(gen, xi) for xi in grid]
         assert dim == [dimension_function(gen, xi) for xi in grid]
         assert tau == [restricted_trace_direct(gen, f, xi).rational_value() for xi in grid]
@@ -133,10 +138,54 @@ class TestTraceCsv:
         inner = grid[1:-1]
         random.Random(len(name) + a).shuffle(inner)
         shuffled = [grid[-1]] + inner + [grid[0]]
-        at = dict(zip(grid, zip(*diagonal_traces(gen, f, grid))))
-        got = diagonal_traces(gen, f, shuffled)
+        at = dict(zip(grid, zip(*_columns(gen, f, grid))))
+        got = _columns(gen, f, shuffled)
         assert list(zip(*got)) == [at[xi] for xi in shuffled]
         assert got[1] == [dimension_function(gen, xi) for xi in shuffled]
+
+
+# the built-ins, two seeded random specs, and a tent whose ends have
+# denominators 3^40 + 1 and 2^60 + 1: its grid points and values pass 2^53 in
+# numerator and denominator, where a float of N / (scale q) that was not
+# correctly rounded would show
+_FAR = f"pwl:a={3 ** 40}/{3 ** 40 + 1},b={2 ** 60 + 3}/{2 ** 60 + 1}"
+CELL_CASES = ADMISSIBLE + [(7, 2), (12, -3), (_FAR, 2), (_FAR, -3)]
+
+
+class TestCsvCells:
+    """Each CSV cell is one int / int division on the integer form; it must
+    be repr(float(v)) of the exact Fraction v of the oracle columns."""
+
+    @staticmethod
+    def _fraction_lines(path, f_text, grid_arg):
+        scaling, wavelets = family_from_jsonable(loads_json(path.read_text()))
+        gen = scaling.generator_set()
+        if grid_arg == "auto":
+            grid = _fraction_family_grid(gen, wavelets.generator_set())
+        else:
+            lo, hi = gen.support_hull()
+            grid = [lo + (hi - lo) * F(i, int(grid_arg)) for i in range(int(grid_arg))]
+        f = Sequence.parse(f_text)
+        return [(xi, spectral_function(gen, xi), dimension_function(gen, xi),
+                 restricted_trace_direct(gen, f, xi).rational_value()) for xi in grid]
+
+    @pytest.mark.parametrize("name,a", CELL_CASES)
+    def test_cells_are_the_floats_of_the_exact_columns(self, tmp_path, name, a):
+        spec = (_random_spec(name, a) if isinstance(name, int)
+                else SpectralSpec(example_by_name(name).sigma, a))
+        path = _family_file(tmp_path, spec, "greedy")
+        f_text = SEQUENCES[(len(str(name)) + a) % len(SEQUENCES)]
+        csv = tmp_path / "trace.csv"
+        for grid_arg in ("auto", "37"):
+            assert main(["trace", "--family", str(path), "--f", f_text,
+                         "--grid", grid_arg, "--out", str(csv)]) == 0
+            rows = self._fraction_lines(path, f_text, grid_arg)
+            assert csv.read_text().splitlines() == ["xi,spectral,dim,tau_f"] + [
+                ",".join(repr(float(v)) for v in row) for row in rows], grid_arg
+            if name == _FAR:
+                wide = [v for row in rows for v in row
+                        if abs(v.numerator) > 2 ** 53 and v.denominator > 2 ** 53]
+                assert len(wide) > len(rows), grid_arg
 
 
 class TestDefaultGrid:
