@@ -73,11 +73,15 @@ block of a k sweep.  |c| grows along the run, so its head is the prefix
 FreqRun(k0, n_head, unit).  The moments need the end phases e^{i c x} at each
 cell end x, and cells that share an end share its phases.  With
 m = 64 q + r the phase is e^{i k0 unit x} * e^{i 64 q unit x} *
-e^{i r unit x} (angle addition), so a run costs about n / 64 + 64
-exponentials per end instead of n, and its break form is
+e^{i r unit x} (angle addition): a lead, a coarse row and a fine column.
+Only the lead depends on k0, so a plan keeps the fine table and the coarse
+rows for the last unit it was integrated at, adding rows when a longer run
+comes in, and a run there computes only its lead: a sweep costs about
+K / 64 + 64 exponentials per end instead of K.  The break form is
 (coarse * diag(B_n e^{i k0 unit x})) @ fine, one small matmul per B_n with
-no phase array of length n per end.  The tables round the argument
-k * unit * x, so they agree with e^{i c x} to a few ulps of it.
+no phase array of length n per end; Horner's rule in 1/c runs in place on it.
+The tables round the argument k * unit * x, so they agree with e^{i c x} to
+a few ulps of it.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def _series_prefix(freqs: np.ndarray, length: float) -> int:
 @dataclass(frozen=True)
 class FreqRun:
     """The frequencies (k0 + m) * unit, m = 0..n-1: one block of a k sweep.
-    k0 >= 0, so |frequency| grows along the run."""
+    k0 >= 0, so |frequency| grows along the run; the unit is finite, not 0."""
 
     k0: int
     n: int
@@ -190,6 +194,9 @@ class FreqRun:
         if self.k0 < 0 or self.n < 1:
             raise ValueError(f"a frequency run needs k0 >= 0 and n >= 1, "
                              f"got k0 = {self.k0}, n = {self.n}")
+        if not (math.isfinite(self.unit) and self.unit):
+            raise ValueError(f"a frequency run needs a finite nonzero unit, "
+                             f"got unit = {self.unit}")
 
     def __len__(self) -> int:
         return self.n
@@ -203,11 +210,36 @@ class FreqRun:
         addition): lead = e^{i k0 unit x}, coarse = e^{i _RUN_STRIDE q unit x}
         and fine = e^{i r unit x}, so n / _RUN_STRIDE + _RUN_STRIDE + 1
         exponentials per x instead of n."""
-        coarse = np.exp(1j * np.multiply.outer(
-            np.arange(-(-self.n // _RUN_STRIDE)) * (_RUN_STRIDE * self.unit), xs))
-        fine = np.exp(1j * np.multiply.outer(xs, np.arange(_RUN_STRIDE) * self.unit))
-        lead = np.exp(1j * (self.k0 * self.unit) * xs)
-        return lead, coarse, fine
+        return self.lead(xs), self.coarse(xs), self.fine(xs)
+
+    def lead(self, xs: np.ndarray) -> np.ndarray:
+        """e^{i k0 unit x}, the one table that depends on k0."""
+        return np.exp(1j * (self.k0 * self.unit) * xs)
+
+    def coarse(self, xs: np.ndarray, start: int = 0) -> np.ndarray:
+        """The coarse table from row start on (see tables)."""
+        return np.exp(1j * np.multiply.outer(
+            np.arange(start, -(-self.n // _RUN_STRIDE)) * (_RUN_STRIDE * self.unit), xs))
+
+    def fine(self, xs: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.multiply.outer(xs, np.arange(_RUN_STRIDE) * self.unit))
+
+
+class _Phases:
+    """FreqRun's tables at fixed points xs for the last unit, with coarse
+    rows added when a longer run comes in: a run computes only its lead."""
+
+    def __init__(self, xs: np.ndarray):
+        self.xs, self.unit = xs, None
+
+    def tables(self, run: FreqRun) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = -(-run.n // _RUN_STRIDE)
+        if run.unit != self.unit:
+            self.unit, (lead, self.coarse, self.fine) = run.unit, run.tables(self.xs)
+            return lead, self.coarse, self.fine
+        if rows > len(self.coarse):
+            self.coarse = np.concatenate([self.coarse, run.coarse(self.xs, len(self.coarse))])
+        return run.lead(self.xs), self.coarse[:rows], self.fine
 
 
 class _Cell(NamedTuple):
@@ -238,6 +270,7 @@ class _Batch:
         self.nu = cells[0].nu
         ends = np.array([cell.ends for cell in cells])
         self.points, index = np.unique(ends, return_inverse=True)
+        self._phases = _Phases(self.points)
         self.first, self.second = index.reshape(ends.shape).T
         self.sign = np.array([float(cell.sign) for cell in cells])
         self.s0 = np.array([cell.s0 for cell in cells])
@@ -270,7 +303,7 @@ class _Batch:
                   ) -> np.ndarray:
         """The cells' integral at each frequency c of the run, given
         freqs = run.freqs() and inv = 1/c (0 at c = 0)."""
-        lead, coarse, fine = run.tables(self.points)
+        lead, coarse, fine = self._phases.tables(run)
         phases = ((lead[:, None] * coarse.T)[:, :, None] * fine[:, None, :]
                   ).reshape(len(self.points), -1)[:, :run.n]
         e0, e1 = phases[self.first], phases[self.second]
@@ -402,7 +435,9 @@ class QuadPlan:
     polynomial cell: there each of them would take the upward recurrence,
     and the break sum is an exact rearrangement of those cell sums), and the
     polynomial batch at the head frequencies below that line, a prefix of
-    the run (k0 >= 0).
+    the run (k0 >= 0); a path that covers the whole run is the result.  The
+    plan keeps its phase tables per unit (_Phases), so a run computes only
+    its lead; each result is a new array.  A plan is not thread-safe.
     """
 
     # always empty: bench/tracer.py reads it until the benchmark refresh of
@@ -422,22 +457,25 @@ class QuadPlan:
         if polys:
             self._ell_min = min(cell.length for cell in polys)
             self._xs, self._jumps = _break_terms(polys, *scales)
+            self._phases = _Phases(self._xs)
             self._weights = self._jumps * (-1j) ** np.arange(1, len(self._jumps) + 1)[:, None]
 
     def integrate(self, run: FreqRun) -> np.ndarray:
-        """The integral at each frequency of the run."""
+        """The integral at each frequency of the run, a new array."""
         freqs = run.freqs()
-        inv = np.divide(1.0, freqs, out=np.zeros(run.n), where=freqs != 0)
-        out = (self._rooted.integrate(run, freqs, inv) if self._rooted
-               else np.zeros(run.n, dtype=complex))
+        # past k = 0 no c is 0: FreqRun refuses a zero unit
+        inv = (np.reciprocal(freqs) if run.k0
+               else np.divide(1.0, freqs, out=np.zeros(run.n), where=freqs != 0))
+        out = self._rooted.integrate(run, freqs, inv) if self._rooted else None
         if self._polys:
             n_head = _series_prefix(freqs, self._ell_min)
-            if n_head < run.n:
-                out[n_head:] += self._break_sum(run, inv[n_head:])
+            parts = [self._break_sum(run, inv[n_head:])] if n_head < run.n else []
             if n_head:
-                out[:n_head] += self._polys.integrate(
-                    FreqRun(run.k0, n_head, run.unit), freqs[:n_head], inv[:n_head])
-        return out
+                parts.insert(0, self._polys.integrate(
+                    FreqRun(run.k0, n_head, run.unit), freqs[:n_head], inv[:n_head]))
+            polys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            out = polys if out is None else np.add(out, polys, out=out)
+        return np.zeros(run.n, dtype=complex) if out is None else out
 
     def _break_sum(self, run: FreqRun, inv: np.ndarray) -> np.ndarray:
         """sum_x e^{icx} sum_n B_n(x) (-i/c)^{n+1}, the polynomial cells'
@@ -445,10 +483,12 @@ class QuadPlan:
         the 1/c there.  The factors (-i)^{n+1} sit in self._weights, so the
         powers of 1/c are real, and the sums over x are one matmul of the
         angle-addition tables per B_n."""
-        lead, coarse, fine = run.tables(self._xs)
+        lead, coarse, fine = self._phases.tables(run)
         weighted = (self._weights * lead)[:, None, :] * coarse
         sums = (weighted @ fine).reshape(len(self._weights), -1)[:, run.n - len(inv):run.n]
         acc = sums[-1]
         for row in sums[-2::-1]:
-            acc = row + inv * acc
-        return inv * acc
+            acc *= inv
+            acc += row
+        acc *= inv
+        return acc

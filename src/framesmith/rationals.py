@@ -49,8 +49,9 @@ def ratio_parts(text: str) -> Tuple[int, int]:
     return num, den
 
 
-def format_ratio(q: Fraction) -> str:
-    q = Fraction(q)
+def format_ratio(q: Fraction | int) -> str:
+    """q as p/q in lowest terms, or as p when its denominator is 1.  An int
+    has a numerator and the denominator 1 too, so neither kind is converted."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

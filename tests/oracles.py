@@ -6,6 +6,9 @@ prod factor(u) * e^{i c u} du by sampling, with no closed form, so they check
 the quadrature module from outside.  The cell oracles integrate a plan's
 closed-form cells one by one from their moments, term by term, where the
 plan takes whole-array passes over all its cells of a kind.
+`integrate_per_call` is `QuadPlan.integrate` with nothing kept between
+calls, which the plan's kept phase tables and in-place passes must equal
+exactly.
 
 Trace: the fibers of a profile, and the direct forms of the restricted,
 operator and dilated traces, of the coset sum of the dilation formula (one
@@ -57,6 +60,7 @@ scales sit well inside those ranges.
 """
 
 import bisect
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -71,7 +75,8 @@ from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_mul
 from framesmith.intervals import IntervalSet, _overlay
 from framesmith.numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum, refine
-from framesmith.quadrature import _FRESNEL_INF, _SERIES_PHASE, _Cell, _fresnel_tail, _pow_diff
+from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, FreqRun, _Cell, _fresnel_tail,
+                                   _pow_diff, _series_prefix)
 from framesmith.rationals import as_fraction
 from framesmith.roots import SqrtSum
 from framesmith.sequences import Sequence, coset_op_adj
@@ -235,6 +240,56 @@ def rooted_cells_oracle(plan, run):
     """A QuadPlan's rooted (nu = 1/2) cells summed one by one at each
     frequency of a FreqRun."""
     return cell_sum_oracle([cell for cell in plan.closed if cell.nu], run.freqs())
+
+
+class _TablesPerCall:
+    """FreqRun.tables at fixed points, taken on every call: a plan's
+    _Phases with nothing kept."""
+
+    def __init__(self, xs):
+        self.xs = xs
+
+    def tables(self, run):
+        return run.tables(self.xs)
+
+
+def _batch_per_call(batch, run, freqs, inv):
+    """A plan's _Batch over the run, its tables taken on the call."""
+    fresh = copy.copy(batch)
+    fresh._phases = _TablesPerCall(batch.points)
+    return fresh.integrate(run, freqs, inv)
+
+
+def _break_sum_per_call(plan, run, inv):
+    """A plan's break sum past the head, its tables taken on the call and
+    Horner's rule on new arrays."""
+    lead, coarse, fine = run.tables(plan._xs)
+    weighted = (plan._weights * lead)[:, None, :] * coarse
+    sums = (weighted @ fine).reshape(len(plan._weights), -1)[:, run.n - len(inv):run.n]
+    acc = sums[-1]
+    for row in sums[-2::-1]:
+        acc = row + inv * acc
+    return inv * acc
+
+
+def integrate_per_call(plan, run):
+    """QuadPlan.integrate with nothing kept between calls: the tables of
+    FreqRun.tables on every call, a zero-filled output that each path adds
+    into, 1/c by a masked divide at every k0, and Horner's rule on new
+    arrays.  The plan keeps its tables per unit and runs in place; its
+    values must equal these exactly."""
+    freqs = run.freqs()
+    inv = np.divide(1.0, freqs, out=np.zeros(run.n), where=freqs != 0)
+    out = (_batch_per_call(plan._rooted, run, freqs, inv) if plan._rooted
+           else np.zeros(run.n, dtype=complex))
+    if plan._polys:
+        n_head = _series_prefix(freqs, plan._ell_min)
+        if n_head < run.n:
+            out[n_head:] += _break_sum_per_call(plan, run, inv[n_head:])
+        if n_head:
+            out[:n_head] += _batch_per_call(plan._polys, FreqRun(run.k0, n_head, run.unit),
+                                            freqs[:n_head], inv[:n_head])
+    return out
 
 
 def fiber(profile, xi) -> dict:

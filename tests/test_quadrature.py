@@ -9,9 +9,9 @@ from framesmith.construction import SpectralSpec, build_family, example_by_name
 from framesmith.frametest import TestSignal, _scaled_square
 from framesmith.piecewise import PiecewiseLinear
 from framesmith.quadrature import (_FRESNEL_INF, _FRESNEL_SERIES, _SERIES_PHASE, FreqRun,
-                                   QuadPlan, _fresnel_tail)
-from oracles import (cell_sum_oracle, gl_reference, head_cells_oracle, riemann_oracle,
-                     rooted_cells_oracle)
+                                   QuadPlan, _fresnel_tail, _series_prefix)
+from oracles import (cell_sum_oracle, gl_reference, head_cells_oracle, integrate_per_call,
+                     riemann_oracle, rooted_cells_oracle)
 
 
 def _factors(integrand):
@@ -21,8 +21,10 @@ def _factors(integrand):
 
 
 def _at(plan, cs):
-    """The plan at each single frequency c, as the run FreqRun(1, 1, c)."""
-    return np.array([plan.integrate(FreqRun(1, 1, c))[0] for c in cs])
+    """The plan at each single frequency c, as the run FreqRun(1, 1, c), and
+    at c = 0 as FreqRun(0, 1, 1) (a run's unit is nonzero)."""
+    return np.array([plan.integrate(FreqRun(1, 1, c) if c else FreqRun(0, 1, 1.0))[0]
+                     for c in cs])
 
 
 def _root_cell(lo, hi, alpha, beta):
@@ -125,6 +127,13 @@ class TestFreqRun:
         # the head of a run is its prefix only when |frequency| grows along it
         with pytest.raises(ValueError, match="k0 >= 0 and n >= 1"):
             FreqRun(k0, n, math.pi / 2)
+
+    @pytest.mark.parametrize("unit", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_zero_or_nonfinite_unit_raises(self, unit):
+        # past k = 0 the plan takes 1/c unmasked, so no c may be 0
+        for k0 in (0, 3):
+            with pytest.raises(ValueError, match="a finite nonzero unit"):
+                FreqRun(k0, 4, unit)
 
     @pytest.mark.parametrize("integrand", [_sweep_integrand, _polynomial_integrand])
     def test_run_matches_riemann(self, integrand):
@@ -303,6 +312,75 @@ class TestRootedBatch:
             # the run crosses every cell's series switch |c| s1 = _SERIES_PHASE
             s1 = [cell.s1 for cell in plan.closed if cell.nu]
             assert abs(unit) * max(s1) <= _SERIES_PHASE < abs(unit) * 699 * min(s1)
+
+
+def _frame_plan(signal, squares, a, j):
+    """A frame-test plan: the signal against the sum of the scaled squares
+    of the named built-in wavelets at dilation a, scale j, and its unit
+    pi a^-j."""
+    square = PiecewiseLinear.zero()
+    for name, index in squares:
+        square = square + _family_squares(name, a, j)[index]
+    return QuadPlan(TestSignal.parse(signal).hat, square), math.pi * float(F(a) ** -j)
+
+
+# (signal, squares, a, j): break-only, rooted-only and mixed plans, one of
+# each at a unit below 0 (a = -2, odd j)
+SWEEP_PLANS = {
+    "journe-2": ("tent:[-1,1)", [("journe", 0)], -2, -1),
+    "shannon3": ("chi:[1,2)", [("shannon", 1)], 3, 0),
+    "pwl3": ("tent:[-1,1)", [("pwl:a=1/2,b=1/2", 0)], 3, 0),
+    "pwl-2": ("tent:[-1,1)", [("pwl:a=3/4,b=5/4", 1)], -2, 1),
+    "mixed2": ("tent:[-1,1)", [("pwl:a=3/4,b=5/4", 0), ("journe", 0)], 2, 0),
+    "mixed-2": ("tent:[-1,1)", [("pwl:a=1/2,b=1/2", 0), ("shannon", 0)], -2, -1),
+}
+
+
+def _sweep_schedule(unit):
+    """The runs of a frame-test k sweep at one unit: k0 = 0 with its head,
+    blocks of 64, 128, ..., 16384 k, two more of 16384, then a shorter run
+    after the longest."""
+    runs, k0, block = [], 0, 64
+    while block <= 16384:
+        runs.append(FreqRun(k0, block, unit))
+        k0, block = k0 + block, 2 * block
+    runs += [FreqRun(k0, 16384, unit), FreqRun(k0 + 16384, 16384, unit),
+             FreqRun(k0 + 32768, 300, unit)]
+    return runs
+
+
+class TestKeptTables:
+    def test_plans(self):
+        kinds = {}
+        for name, case in SWEEP_PLANS.items():
+            plan, unit = _frame_plan(*case)
+            kinds[name] = (plan._rooted is not None, plan._polys is not None, unit < 0)
+            if plan._polys:
+                # the first block holds the head and runs past it
+                assert 0 < _series_prefix(FreqRun(0, 64, unit).freqs(), plan._ell_min) < 64
+        assert kinds == {"journe-2": (False, True, True), "shannon3": (False, True, False),
+                         "pwl3": (True, False, False), "pwl-2": (True, False, True),
+                         "mixed2": (True, True, False), "mixed-2": (True, True, True)}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", SWEEP_PLANS)
+    def test_sweep_equals_per_call_oracle(self, name):
+        plan, unit = _frame_plan(*SWEEP_PLANS[name])
+        # the sweep at the plan's unit, then at a second unit on the same plan
+        for run in _sweep_schedule(unit) + _sweep_schedule(unit * F(5, 7))[:4]:
+            assert np.array_equal(plan.integrate(run), integrate_per_call(plan, run)), run
+
+    @pytest.mark.parametrize("name", SWEEP_PLANS)
+    @pytest.mark.parametrize("k0", [0, 1001])
+    def test_results_do_not_alias(self, name, k0):
+        plan, unit = _frame_plan(*SWEEP_PLANS[name])
+        run = FreqRun(k0, 200, unit)
+        first, second = plan.integrate(run), plan.integrate(run)
+        assert not np.shares_memory(first, second)
+        want = second.copy()
+        first[:] = 7
+        assert np.array_equal(second, want)
+        assert np.array_equal(plan.integrate(run), want)
 
 
 def _fresnel_errors(x):
