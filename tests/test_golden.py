@@ -2,24 +2,30 @@
 
 Pins the sha256 of the construct family JSON, the all-suites check report
 and the auto-grid trace CSV of the built-in examples at a = 2, 3, -2, 4 and
--3, plus the wavelet-set family and tiling report of the Journe set.  These
-outputs are exact with no exception: every number in them is a rational or
+-3, of seeded random-spec families at a = 2, 3 and -2 under both partition
+rules (many profiles, and greedy layers of several pieces), plus the
+wavelet-set family and tiling report of the Journe set.  These outputs are exact with no exception: every number in them is a rational or
 the float of a rational, so the digests do not depend on the numpy build.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from framesmith.cli import main
-from framesmith.construction import JOURNE_WAVELET_SET
-from framesmith.serialize import dumps_canonical, sets_to_jsonable
+from framesmith.construction import JOURNE_WAVELET_SET, random_admissible_spec
+from framesmith.serialize import dumps_canonical, pwl_to_jsonable, sets_to_jsonable
 
 EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 # sigma of the Journe example is not dilation-monotone at a = 3 or -3
 REFUSED = [("journe", 3), ("journe", -3)]
 CASES = [(ex, a) for ex in EXAMPLES for a in (2, 3, -2, 4, -3)
          if (ex, a) not in REFUSED]
+# (seed, a) of `random_admissible_spec` families whose greedy layers hold
+# several pieces each; every one is built under both partition rules
+RANDOM = [(43, 2), (43, 3), (30, -2)]
+RANDOM_CASES = [(seed, a, rule) for seed, a in RANDOM for rule in ("greedy", "windows")]
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -150,6 +156,42 @@ GOLDEN = {
         '778b5dfb7eec6ec63cf6adf6d27fa2337644e461af1a56c726af70f049f2a38c',
         '974ba1b3f8c47513b3d1d4cfbee316ba47bb3197d81064c605f0ca32e51fdf53',
     ),
+    'random43@2 greedy': (
+        '2eb0fed797bc871eb93c0425c9e860a5b3fad9d05f56125070e896a94b6e2c10',
+        1,
+        '87dbf80c9e4417093a3621b8de29fd979fd8f010367912fc118a220b520cdeaf',
+        'ff4d477e9c91799b6a83f803d12dfb1b1785c7fa85c6ee144ea040392bde5228',
+    ),
+    'random43@2 windows': (
+        '329c64ef6e5d42edf3937423abfee7d514003c2a9a7cee30eb389a9e190159a6',
+        1,
+        'd2385f112d6007b458101858dd8bc459422276822d925b6645e7f05b91fa60e4',
+        'd1e697f06de292dcac8eaf6f5bd70cfba60afd8873743fe43463a268c64db50c',
+    ),
+    'random43@3 greedy': (
+        '667cb319bc5a8a4a570651990bd23300522eb429029a33b3a03c19aca2809972',
+        1,
+        'd2b537a8e54c6b259d14b04899a2cd38fa7a0a84e2bd7fc5718a94784154f87a',
+        '41edb0d3c525696d11a6a37482480dec52fee2193c399b5ea69a2bdbccb26c79',
+    ),
+    'random43@3 windows': (
+        '8bd198e3428941915bfa9bacb969dda5aa0b5bc4513df32c29d8768afb5d1615',
+        1,
+        'a15319fa4ac68a94fdd6d162e5459714a05d8ff21e4285d98c7a28e2439f59ca',
+        'e194b4fa218dcb883fd592aa68a933b9020348c33e6e41506b95a2d8527c46dc',
+    ),
+    'random30@-2 greedy': (
+        '55012a3349fbdf7d58a14c8f6c5bda70ac621116ee533a41cc90dd69a8e48f06',
+        1,
+        '384690748147ff2cccf8b8cea25c7514ce5a4120f100f2cd2179d7984d9c9708',
+        '6ceb50b70cd37bff0b7cedf7720ec2a1067b559c84a8b9762cf6abab2ee7c42c',
+    ),
+    'random30@-2 windows': (
+        '265d78f838e29b34fa6646584cc68039aa529c7f4fee4212dd37adf4a2757c3b',
+        1,
+        '887dd6e2560d77c5013045a8b4c51bc7b31f22d9f8b98c56810093fb36b40300',
+        'df79eabb0670e604c1d85fa3c747b87037cad16e40297b1e9fbeb68c1d8d512b',
+    ),
     'journe waveletset': (
         '8ee11175c5cd78264c4d4f2be44861c9662ee267e927dbbfed72cba1c2d7396d',
         '061471c0aa7a564c83f15f201de24801e85923f2d1e85918d8017ebbd6ff3314',
@@ -183,3 +225,13 @@ def test_journe_waveletset_outputs(tmp_path):
     assert main(["check-waveletset", "--E", str(sets), "--a", "2",
                  "--out", str(rep)]) == 0
     assert (_digest(fam), _digest(rep)) == GOLDEN["journe waveletset"]
+
+
+@pytest.mark.parametrize("seed,a,rule", RANDOM_CASES,
+                         ids=[f"random{s}@{a} {r}" for s, a, r in RANDOM_CASES])
+def test_random_spec_outputs(tmp_path, seed, a, rule):
+    spec = random_admissible_spec(random.Random(seed), a)
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(dumps_canonical({"sigma": pwl_to_jsonable(spec.sigma), "dilation": a}))
+    got = _family_outputs(tmp_path, "--sigma", str(sigma), "--partition", rule)
+    assert got == GOLDEN[f"random{seed}@{a} {rule}"]
