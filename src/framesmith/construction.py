@@ -259,7 +259,7 @@ def waveletset_closure(E: IntervalSet, a: int) -> IntervalSet:
     names a cell that no dilate of E reaches.
     """
     require_dilation(a)
-    r, cells = fold_dilation([E], a)
+    den, r, cells = fold_dilation([E], a)
     sides = [cells] if a < 0 else \
         [[c for c in cells if c[0] < 0], [c for c in cells if c[0] > 0]]
     pieces = []
@@ -268,17 +268,17 @@ def waveletset_closure(E: IntervalSet, a: int) -> IntervalSet:
             continue
         for lo, hi, (js,) in side:
             if not js:
-                raise ClosureDidNotStabilize((lo, hi))
+                raise ClosureDidNotStabilize((Fraction(lo, den), Fraction(hi, den)))
         # every shell a^k A with k <= inner lies in the union
         inner = min(js[-1] for _, _, (js,) in side) - 1
-        edge = r * Fraction(abs(a)) ** (inner + 1)
+        edge = Fraction(r, den) * Fraction(abs(a)) ** (inner + 1)
         pieces.append((-edge if side[0][0] < 0 else Fraction(0),
                        edge if side[-1][0] > 0 else Fraction(0)))
         for lo, hi, (js,) in side:
             for k in range(inner + 1, js[-1]):
-                c = Fraction(a) ** k
+                c = Fraction(a) ** k / den
                 pieces.append((lo * c, hi * c) if c > 0 else (hi * c, lo * c))
-    return IntervalSet(tuple(pieces))
+    return IntervalSet.of(*pieces)
 
 
 def waveletset_sigma(E: IntervalSet, a: int) -> PiecewiseLinear:

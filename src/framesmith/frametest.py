@@ -108,16 +108,13 @@ def _scale_plan(f: TestSignal, psi: SqrtProfile, a: int, j: int, k_max: int
 
 def _meets(f: TestSignal, psi: SqrtProfile, t: Fraction) -> bool:
     """Whether the support of psi_hat(./t) meets that of f_hat in positive
-    measure (t = a^j): whether a piece [lo, hi) of f_hat and a piece t [l, h)
-    of the scaled domain overlap, both ends compared as integer cross
-    products of numerators and (positive) denominators."""
-    tn, td = t.numerator, t.denominator
-    spans = []
-    for l, h in psi.support().pieces:
-        ends = [(tn * l.numerator, td * l.denominator), (tn * h.numerator, td * h.denominator)]
-        spans.append(ends if tn > 0 else ends[::-1])
-    return any(lo.numerator * hd < hn * lo.denominator and ln * hi.denominator < hi.numerator * ld
-               for lo, hi, _, _ in f.hat.pieces for (ln, ld), (hn, hd) in spans)
+    measure (t = a^j): whether a cell [lo, hi) of f_hat and a cell [l, h)
+    of t supp(psi) overlap, both ends compared on integers as cross products
+    with the other's denominator."""
+    s = psi.support().scale(t)
+    fd, sd = f.hat.den, s.den
+    return any(lo * sd < h * fd and l * fd < hi * sd
+               for lo, hi, _, _ in f.hat.cells for l, h in s.cells)
 
 
 def coefficient(f: TestSignal, psi: SqrtProfile, j: int, k: int, a: int = 2

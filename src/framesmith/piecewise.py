@@ -12,8 +12,9 @@ reduces the two; every producer (sums, `restrict`, the compositions,
 `scale_value`, `indicator`) builds through it on integers.  `parse`, the
 one way in from rational pieces (as integer pairs, for `of` and the family
 loader), sorts, drops empty and zero pieces, merges touching pieces with
-one line and refuses overlaps, on integers.  `pieces`, the Fraction
-read-out, is built on demand for output, supports and breakpoints.
+one line and refuses overlaps, on integers.  Supports (`IntervalSet`s on
+the same grid), breakpoints and hulls are read off the cells; `pieces`, the
+Fraction read-out, is built on demand for output and oracles.
 Whatever takes several functions at once (sums, restriction, product
 integrals, quadrature cells) runs on one sweep, `refine`, over their cells
 re-gridded by `_on_grid` onto the lcm of their denominators: exact sums are
@@ -43,7 +44,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .folding import _repeated_residue
 from .intervals import IntervalSet
-from .rationals import as_fraction, common_denominator
+from .rationals import as_fraction
 
 Piece = Tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, alpha, beta
 Cell = Tuple[int, int, int, int]  # LO, HI, A, B on the integer grid
@@ -141,10 +142,8 @@ class PiecewiseLinear:
 
     @staticmethod
     def indicator(sets: IntervalSet) -> "PiecewiseLinear":
-        den = common_denominator(x for piece in sets.pieces for x in piece)
-        return PiecewiseLinear(den, [(lo.numerator * (den // lo.denominator),
-                                      hi.numerator * (den // hi.denominator), 0, den)
-                                     for lo, hi in sets.pieces], den)
+        den = sets.den
+        return PiecewiseLinear(den, [(lo, hi, 0, den) for lo, hi in sets.cells], den)
 
     @cached_property
     def pieces(self) -> Tuple[Piece, ...]:
@@ -190,17 +189,17 @@ class PiecewiseLinear:
                 ] + [len(cells)]
 
     def breakpoints(self) -> list[Fraction]:
-        runs, pieces = self._runs(), self.pieces
-        return [p for i, j in zip(runs, runs[1:])
-                for p in (pieces[i][0], *(q[1] for q in pieces[i:j]))]
+        runs, cells, den = self._runs(), self.cells, self.den
+        return [Fraction(x, den) for i, j in zip(runs, runs[1:])
+                for x in (cells[i][0], *(c[1] for c in cells[i:j]))]
 
     def support(self) -> IntervalSet:
         """Essential support: the pieces carrying a not-identically-zero line
         (isolated interior zeros are measure zero and stay included), one
-        interval per run of touching pieces."""
-        runs, pieces = self._runs(), self.pieces
-        return IntervalSet._trusted(tuple((pieces[i][0], pieces[j - 1][1])
-                                          for i, j in zip(runs, runs[1:])))
+        interval per run of touching pieces, read off the cells."""
+        runs, cells = self._runs(), self.cells
+        return IntervalSet(self.den, [(cells[i][0], cells[j - 1][1])
+                                      for i, j in zip(runs, runs[1:])])
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -459,10 +458,13 @@ class GeneratorSet:
 
     def support_hull(self) -> Tuple[Fraction, Fraction]:
         """(least first start, greatest last end) of the supports, or (0, 0)."""
-        pieces = [p.square.pieces for p in self.profiles if p.square.cells]
-        return (min((ps[0][0] for ps in pieces), default=Fraction(0)),
-                max((ps[-1][1] for ps in pieces), default=Fraction(0)))
+        squares = [p.square for p in self.profiles if p.square.cells]
+        den = math.lcm(*(f.den for f in squares))
+        return (Fraction(min((f.cells[0][0] * (den // f.den) for f in squares), default=0), den),
+                Fraction(max((f.cells[-1][1] * (den // f.den) for f in squares), default=0), den))
 
     def breakpoints(self) -> List[Fraction]:
-        cells = list(refine([p.square for p in self.profiles]))
-        return [lo for lo, _, _ in cells] + [hi for _, hi, _ in cells[-1:]]
+        den = math.lcm(*(p.square.den for p in self.profiles))
+        ends = {x * (den // p.square.den) for p in self.profiles
+                for cell in p.square.cells for x in cell[:2]}
+        return [Fraction(x, den) for x in sorted(ends)]

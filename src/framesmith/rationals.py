@@ -1,21 +1,24 @@
 """Rational frequency scalars in units of pi.
 
-Every frequency in this package is a `fractions.Fraction` q denoting the
-real number q*pi.  In these units the 2*pi translation lattice is the even
-integers and dilation by an integer a is plain multiplication, so all
-breakpoints, translates and dilates of the objects built here stay rational.
-Sweeps over many such values (`intervals._overlay`, the integer grid of
-`piecewise`) put them on the integer multiples of 1/D, D their
-`common_denominator`, and compare and add integers there.
+Every frequency in this package is a rational q denoting the real number
+q*pi.  In these units the 2*pi translation lattice is the even integers and
+dilation by an integer a is plain multiplication, so all breakpoints,
+translates and dilates of the objects built here stay rational.  The exact
+objects store them on an integer grid: a piecewise-linear function or an
+interval set holds integer ends X of x = X / den over its one denominator,
+and whatever takes several at once (`intervals._overlay`, `piecewise.refine`,
+the folds) re-grids them onto the lcm of their denominators and compares and
+adds integers there.  A `fractions.Fraction` is the form at the edges: what a
+caller passes in or reads out, the points of the verification grid, and the
+"p/q" strings of the file format, which `ratio_parts` reads as integer pairs.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 _RATIO_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+))?\s*$", re.ASCII)
 
@@ -25,11 +28,15 @@ class TooManyDigits(ValueError):
     conversion; the message gives the digit count, not the digits."""
 
 
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+
+
 def parse_int(text: str) -> int:
     """int(text) for an optional sign and ASCII digits, the grammar the
     callers have matched.  Past the limit of `sys.get_int_max_str_digits`
-    (where the interpreter has one) it raises TooManyDigits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    (where the interpreter has one), read on every call so that a later
+    `sys.set_int_max_str_digits` holds, it raises TooManyDigits."""
+    limit = _digit_limit()
     digits = len(text) - (text[:1] in ("+", "-"))
     if limit and digits > limit:
         raise TooManyDigits(f"an integer of {digits} digits is past the limit "
@@ -66,10 +73,3 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(*ratio_parts(x))
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
-
-
-def common_denominator(qs: Iterable[Fraction]) -> int:
-    """The least common multiple of the denominators of the rationals qs (1
-    for none): each q is the integer q.numerator * (D // q.denominator)
-    over D."""
-    return math.lcm(*{q.denominator for q in qs})

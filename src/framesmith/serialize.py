@@ -2,10 +2,11 @@
 
 Rationals are serialized as "num/den" strings (pi units) so no float ever
 contaminates an exact value; canonical dumps are sorted and newline-terminated
-so identical objects produce byte-identical files.  A function's ratio
-strings are read as integer pairs onto its integer grid (`PiecewiseLinear.parse`
-canonicalizes any piece order), and a profile's square is restricted by the
-file's `domain` only where that differs from its support.  Every JSON input is
+so identical objects produce byte-identical files.  The ratio strings of a
+function or an interval set are read as integer pairs onto its integer grid
+(`PiecewiseLinear.parse` and `IntervalSet.parse` canonicalize any order), and
+a profile's square is restricted by the file's `domain` only where that
+differs from its support.  Every JSON input is
 refused when one object names a key twice.  A phi is written under the key
 k of its layer, the window [2k - 1, 2k + 1), and loaded onto that window.
 Loading a family checks its structural premises (`LayeredFamily.validate`:
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from fractions import Fraction
 from typing import List, Tuple
 
 from . import __version__
@@ -60,12 +60,12 @@ def intervalset_from_jsonable(obj, where: str = "intervals") -> IntervalSet:
     for i, pair in enumerate(obj):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{where}[{i}]: expected [lo, hi]")
-        lo = Fraction(*_ratio_in(pair[0], f"{where}[{i}].lo"))
-        hi = Fraction(*_ratio_in(pair[1], f"{where}[{i}].hi"))
-        if lo >= hi:
+        lo = _ratio_in(pair[0], f"{where}[{i}].lo")
+        hi = _ratio_in(pair[1], f"{where}[{i}].hi")
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             raise ParseError(f"{where}[{i}]: expected lo < hi")
         pairs.append((lo, hi))
-    return IntervalSet.of(*pairs)
+    return IntervalSet.parse(pairs)
 
 
 def pwl_to_jsonable(f: PiecewiseLinear) -> list:
@@ -126,7 +126,7 @@ def family_to_jsonable(scaling: LayeredFamily, wavelets: LayeredFamily,
         "sigma": pwl_to_jsonable(wavelets.sigma),
         "partition": [intervalset_to_jsonable(layer) for layer in wavelets.layers],
         "psis": [profile_to_jsonable(p) for p in wavelets.profiles],
-        "phis": {str(_windows(*layer.hull())[0]): profile_to_jsonable(p)
+        "phis": {str(_windows(*layer.cells[0], layer.den)[0]): profile_to_jsonable(p)
                  for p, layer in zip(scaling.profiles, scaling.layers)},
         "provenance": {"input_digest": input_digest,
                        "tool": f"framesmith {__version__}"},

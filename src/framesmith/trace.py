@@ -54,7 +54,7 @@ from typing import Iterable, List, Sequence as Seq, Tuple
 from .folding import _shifts
 from .numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from .piecewise import GeneratorSet, PiecewiseLinear, _sum
-from .rationals import as_fraction, common_denominator
+from .rationals import as_fraction
 from .roots import SqrtSum
 from .sequences import CRat, Sequence
 
@@ -64,7 +64,7 @@ def _weights(f: Sequence) -> Tuple[int, List[Tuple[int, int]]]:
     f, W the common denominator of the weights.  A check takes them once and
     reads S at each of its grid points."""
     squares = [(k, v.abs2()) for k, v in f.entries.items()]
-    den = common_denominator(w for _, w in squares)
+    den = math.lcm(*(w.denominator for _, w in squares))
     return den, [(k, w.numerator * (den // w.denominator)) for k, w in squares]
 
 
@@ -215,8 +215,8 @@ def operator_trace(gen: GeneratorSet, op: WindowOperator, xi) -> Fraction:
     total = sum((op.rows[i][i] * square.eval(xi + 2 * (op.offset + i))
                  for i in range(n)), Fraction(0))
     if op.pad == "identity":
-        total += sum((square.eval(xi + 2 * k) for lo, hi, _, _ in square.pieces
-                      for k in _shifts(xi, lo, hi)
+        total += sum((square.eval(xi + 2 * k) for lo, hi, _, _ in square.cells
+                      for k in _shifts(xi.numerator, xi.denominator, lo, hi, square.den)
                       if not op.offset <= k < op.offset + n), Fraction(0))
     return total
 
@@ -253,8 +253,8 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
         # r / |a| = N / (scale |a|^2 q) for r = N / (scale |a| q)
         top = prof.square.scale * m * m * q
         terms = []
-        for lo, hi in reach.pieces:
-            for k in _shifts(xi, lo, hi):
+        for lo, hi in reach.cells:
+            for k in _shifts(p, q, lo, hi, reach.den):
                 v = f.entries.get(k)
                 if v is None:
                     continue
@@ -269,7 +269,7 @@ def dilated_trace(gen: GeneratorSet, f: Sequence, xi,
                     terms.append((Fraction(arg, m * q), c * v.re, c * v.im, m_lo, m_hi))
         if terms:
             per_profile.append(terms)
-    den = common_denominator(w for terms in per_profile for t in terms for w in t[1:3])
+    den = math.lcm(*(w.denominator for terms in per_profile for t in terms for w in t[1:3]))
     one = 1 << (bits + 32)
     lo = hi = 0
     for terms in per_profile:

@@ -60,7 +60,7 @@ from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
 from .rationals import as_fraction, format_ratio
-from .trace import default_grid
+from .trace import GRID_SEED, default_grid
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
@@ -107,7 +107,7 @@ def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
     return Check(name, "fail", {"xi": xi, "difference": diff.eval(xi)})
 
 
-def family_grid(*gens: GeneratorSet, seed: int = 0x5EED) -> List[Fraction]:
+def family_grid(*gens: GeneratorSet, seed: int = GRID_SEED) -> List[Fraction]:
     breaks: set[Fraction] = set()
     hull_pts: List[Fraction] = []
     for g in gens:
@@ -359,24 +359,26 @@ def check_wavelet_set_tiling(E_list: Seq[IntervalSet], a: int
                               "multiplicity": cell[2]}))
 
     union = union_all(list(E_list))
-    if any(lo <= 0 <= hi for lo, hi in union.pieces):
+    if any(lo <= 0 <= hi for lo, hi in union.cells):
         report.add(Check("dilation_tiling", "fail", {"xi": Fraction(0)}, detail=(
             "the union meets every neighbourhood of 0, so infinitely many "
             "dilates overlap as xi -> 0")))
         return report
-    r, cells = fold_dilation([union], a)
+    den, r, cells = fold_dilation([union], a)
     over = next(((lo, hi, len(js)) for lo, hi, (js,) in cells if len(js) >= 2), None)
     gap = next(((lo, hi) for lo, hi, (js,) in cells if not js), None)
     if over:
         lo, hi, c = over
         report.add(Check("dilation_tiling", "fail",
-                         {"overlap_lo": lo, "overlap_hi": hi, "count": c},
-                         detail="doubly covered interval of the annulus"))
+                         {"overlap_lo": Fraction(lo, den), "overlap_hi": Fraction(hi, den),
+                          "count": c}, detail="doubly covered interval of the annulus"))
     elif gap:
         lo, hi = gap
-        report.add(Check("dilation_tiling", "fail", {"gap_lo": lo, "gap_hi": hi},
+        report.add(Check("dilation_tiling", "fail",
+                         {"gap_lo": Fraction(lo, den), "gap_hi": Fraction(hi, den)},
                          detail="interval of the annulus that no dilate covers"))
     else:
+        r = Fraction(r, den)
         report.add(Check("dilation_tiling", "pass", detail=(
             f"exactly one dilate on every cell of the annulus "
             f"{format_ratio(r)} <= |xi| < {format_ratio(abs(a) * r)}, a fundamental "
@@ -418,7 +420,7 @@ def check_semiorthogonal(family: LayeredFamily) -> VerificationReport:
                          detail="empty family is trivially semi-orthogonal"))
         return report
     supports = [p.support() for p in psis]
-    _, cells = fold_dilation(supports, a)
+    _, _, cells = fold_dilation(supports, a)
     gaps = ((i, i2, min((m - m2 for _, _, js in cells for m in js[i]
                          for m2 in js[i2] if m > m2), default=None))
             for i, i2 in product(range(len(psis)), repeat=2))
@@ -430,7 +432,7 @@ def check_semiorthogonal(family: LayeredFamily) -> VerificationReport:
             "scales")))
         return report
     i, i2, delta = overlap_found
-    ov = supports[i].intersect(supports[i2].scale(Fraction(a) ** delta))
+    ov = supports[i].intersect(supports[i2].scale(a ** delta))
     report.add(Check("semi_orthogonal", "fail",
                      {"psi": i, "psi_other": i2, "scale_gap": delta,
                       "overlap_lo": ov.pieces[0][0], "overlap_hi": ov.pieces[0][1],

@@ -30,15 +30,19 @@ profile values and the fibers, which the CSV reads off the diagonal Gramian.
 Grid and norm sum: the verification grid and the norm-sum loop on
 Fractions, which the library runs on integers over common denominators.
 
-Translation fold: the chunk-by-chunk overlay, one cell per window a piece
-meets, that `per_multiplicity` replaces by one weighted pair for the full
-windows inside each piece, and the boundary-by-chunk loop that
-`layered_partition` replaces by a bitmask overlay.
+Translation fold: the Fraction chunks of a set in the windows it meets,
+which `fold_chunks` takes on the set's integer grid; the chunk-by-chunk
+overlay, one cell per window a piece meets, that `per_multiplicity`
+replaces by one weighted pair for the full windows inside each piece; and
+the boundary-by-chunk loop that `layered_partition` replaces by a bitmask
+overlay.  Each sweeps Fractions, with `overlay_oracle`.
 
 Point reads: the Fraction lookups by bisection on the piece starts, for the
 value and the limit from below, that `eval` and `eval_left` run on the
 integer form of a function.  Canonical pieces: the Fraction sort, overlap
-check and merge that `PiecewiseLinear.parse` runs on integers.
+check and merge that `PiecewiseLinear.parse` runs on integers, and the
+Fraction sort and merge of interval pieces (`_canonicalize`, with
+`set_oracle`) that `IntervalSet.parse` runs on integers.
 
 Refinement: the loops that `piecewise.refine` and `intervals._overlay`
 replace -- the cut-and-look-up sum, the Fraction sum on the sweep that the
@@ -71,8 +75,8 @@ from operator import itemgetter
 import numpy as np
 
 from framesmith.construction import Check, SeedClassification, require_dilation
-from framesmith.folding import FoldedMultiplicity, _shifts, fold_chunks, per_multiplicity
-from framesmith.intervals import IntervalSet, _overlay
+from framesmith.folding import FoldedMultiplicity, per_multiplicity
+from framesmith.intervals import IntervalSet
 from framesmith.numeric import DEFAULT_BITS, FInterval, cos_pi, sin_pi
 from framesmith.piecewise import PiecewiseLinear, _linear_product, _square_sum, refine
 from framesmith.quadrature import (_FRESNEL_INF, _SERIES_PHASE, FreqRun, _Cell, _fresnel_tail,
@@ -290,6 +294,11 @@ def integrate_per_call(plan, run):
             out[:n_head] += _batch_per_call(plan._polys, FreqRun(run.k0, n_head, run.unit),
                                             freqs[:n_head], inv[:n_head])
     return out
+
+
+def _shifts(xi, lo, hi) -> range:
+    """The k with lo <= xi + 2k < hi, on Fractions."""
+    return range(math.ceil((lo - xi) / 2), math.ceil((hi - xi) / 2))
 
 
 def fiber(profile, xi) -> dict:
@@ -603,16 +612,28 @@ def norm_sum_oracle(family, grid, telescopes) -> list:
     return rows
 
 
+def fold_chunks_oracle(K):
+    """(lo, hi, k), sorted: the part of each piece of K in each window
+    [2k - 1, 2k + 1) it meets, moved by -2k, on Fractions."""
+    return sorted((max(lo, 2 * k - 1) - 2 * k, min(hi, 2 * k + 1) - 2 * k, k)
+                  for lo, hi in K.pieces
+                  for k in range(math.floor((lo + 1) / 2), math.ceil((hi + 1) / 2)))
+
+
 def per_multiplicity_chunks(K) -> FoldedMultiplicity:
     """The multiplicity of chi_K on [-1, 1) from one overlay pair per chunk
-    of K in a window [2k - 1, 2k + 1)."""
-    return FoldedMultiplicity(tuple(_overlay((lo, hi) for lo, hi, _ in fold_chunks(K))))
+    of K in a window [2k - 1, 2k + 1), on the Fraction sweep, in the
+    integer form over the least denominator of its cells."""
+    cells = overlay_oracle([(lo, hi) for lo, hi, _ in fold_chunks_oracle(K)])
+    den = math.lcm(*(x.denominator for cell in cells for x in cell[:2]))
+    return FoldedMultiplicity(den, tuple((int(lo * den), int(hi * den), c)
+                                         for lo, hi, c in cells))
 
 
 def layered_partition_oracle(K):
     """The layers of K from every boundary cell of its chunks: the i-th
     smallest window k whose chunk covers a cell goes to layer i."""
-    chunks = fold_chunks(K)
+    chunks = fold_chunks_oracle(K)
     boundaries = sorted({x for lo, hi, _ in chunks for x in (lo, hi)})
     layers = []
     for clo, chi in zip(boundaries, boundaries[1:]):
@@ -621,10 +642,31 @@ def layered_partition_oracle(K):
             while len(layers) <= i:
                 layers.append([])
             layers[i].append((clo + 2 * k, chi + 2 * k))
-    return [IntervalSet(tuple(pieces)) for pieces in layers]
+    return [set_oracle(pieces) for pieces in layers]
 
 
 # -- refinement ----------------------------------------------------------------
+
+
+def _canonicalize(pairs):
+    """The canonical Fraction pieces of (lo, hi) pairs: sorted, empty pairs
+    dropped, overlapping and touching ones merged.  `IntervalSet.parse` does
+    this on integers."""
+    pieces = sorted((lo, hi) for lo, hi in pairs if lo < hi)
+    merged = []
+    for lo, hi in pieces:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def set_oracle(pairs) -> IntervalSet:
+    """The set of (lo, hi) Fraction pairs, put in canonical form on
+    Fractions."""
+    return IntervalSet.of(*_canonicalize(pairs))
 
 
 def _canonical_pieces(pieces):
@@ -723,7 +765,7 @@ def intersect_oracle(A, B):
             lo, hi = max(alo, blo), min(ahi, bhi)
             if lo < hi:
                 out.append((lo, hi))
-    return IntervalSet(tuple(out))
+    return set_oracle(out)
 
 
 def difference_oracle(A, B):
@@ -743,7 +785,7 @@ def difference_oracle(A, B):
                 break
         if cur < hi:
             out.append((cur, hi))
-    return IntervalSet(tuple(out))
+    return set_oracle(out)
 
 
 def integrate_product_oracle(factors):
@@ -881,8 +923,8 @@ def tiling_oracle(E, a, window=Fraction(64), j_range=24) -> bool:
     target = field_set.difference(IntervalSet.of((-eps, eps)))
     dilates = [img for j in range(-j_range, j_range + 1)
                if (img := E.scale(Fraction(a) ** j).intersect(field_set))]
-    cells = _overlay(piece for img in dilates for piece in img.pieces)
-    covered = IntervalSet(tuple((lo, hi) for lo, hi, _ in cells))
+    cells = overlay_oracle([piece for img in dilates for piece in img.pieces])
+    covered = set_oracle((lo, hi) for lo, hi, _ in cells)
     return all(c == 1 for _, _, c in cells) and not target.difference(covered)
 
 
@@ -933,7 +975,7 @@ def classify_oracle(E, a) -> SeedClassification:
     """The seed classifier that tests E inside aE and a piece of E
     straddling 0 itself, then folds aE minus E."""
     require_dilation(a)
-    if E.is_empty():
+    if not E:
         return SeedClassification("not_admissible", "empty seed")
     stray = E.difference(E.scale(a))
     if stray:

@@ -17,10 +17,11 @@ from framesmith.construction import (LayeredFamily, SpectralSpec, build_family,
                                      build_scaling, build_wavelets)
 from framesmith.serialize import (ParseError, digest_of, dumps_canonical,
                                   family_from_jsonable, family_to_jsonable,
-                                  loads_json, pwl_to_jsonable, sets_to_jsonable)
+                                  intervalset_from_jsonable, loads_json,
+                                  pwl_from_jsonable, pwl_to_jsonable, sets_to_jsonable)
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear
-from framesmith.rationals import format_ratio
+from framesmith.rationals import TooManyDigits, format_ratio, ratio_parts
 from framesmith.verification import check_ntf_multiwavelet, family_grid
 
 
@@ -408,6 +409,29 @@ class TestStrictInput:
                             f"of {n - 1} digits for integer string conversion\n")
         assert "1" * 100 not in err and len(err) < 1000
         assert not out.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integers of any length")
+    def test_digit_limit_lowered_at_runtime_holds_in_the_loader(self):
+        # the limit is read on every parse, not once at import
+        digits = "1" * 641
+        sigma = [{"piece": ["-1", "1"], "beta": f"{digits}/{digits}"}]
+        interval = [["-1", f"{digits}/{digits}"]]
+        assert pwl_from_jsonable(sigma).eval(0) == 1
+        assert intervalset_from_jsonable(interval) == IntervalSet.of((-1, 1))
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for load, obj in ((pwl_from_jsonable, sigma), (intervalset_from_jsonable, interval)):
+                with pytest.raises(ParseError, match="an integer of 641 digits is past the "
+                                   "limit of 640 digits") as e:
+                    load(obj)
+                assert isinstance(e.value.__context__, TooManyDigits)
+            with pytest.raises(TooManyDigits):
+                ratio_parts(f"{digits}/3")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert pwl_from_jsonable(sigma).eval(0) == 1
 
     @pytest.mark.parametrize("f_text,shown", [
         ("1@1_0", "'1@1_0'"),                  # used to read index 10

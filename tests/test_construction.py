@@ -168,7 +168,7 @@ class TestWaveletSetPipeline:
             waveletset_sigma(IntervalSet.of((1, F(3, 2))), 2)
 
     def test_empty_set(self):
-        assert waveletset_closure(IntervalSet.empty(), 2) == IntervalSet.empty()
+        assert waveletset_closure(IntervalSet(), 2) == IntervalSet()
 
     def test_round_trip_reproduces_wavelet_set(self):
         for E in (IntervalSet.of((-2, -1), (1, 2)), JOURNE_WAVELET_SET):

@@ -44,7 +44,7 @@ def _annulus_set(rng: random.Random, a: int) -> IntervalSet:
         for lo, hi in zip(ends, ends[1:]):
             piece = IntervalSet.of((lo, hi) if sign > 0 else (-hi, -lo))
             pieces.append(piece.scale(F(a) ** rng.randint(-2, 2)))
-    return IntervalSet(tuple(p for s in pieces for p in s.pieces))
+    return IntervalSet.of(*(p for s in pieces for p in s.pieces))
 
 
 def _perturbed(rng: random.Random, E: IntervalSet, a: int) -> IntervalSet:
@@ -68,7 +68,7 @@ def _perturbed(rng: random.Random, E: IntervalSet, a: int) -> IntervalSet:
         pieces.append((0, x) if rng.random() < 0.5 else (-x, 0))
     else:
         pieces.append((-F(rng.randint(1, 8), 64), F(rng.randint(1, 8), 64)))
-    return IntervalSet(tuple(pieces))
+    return IntervalSet.of(*pieces)
 
 
 def _seeded_sets(a: int):
@@ -94,8 +94,9 @@ class TestFold:
     def test_cells_partition_annulus_and_list_every_scale(self, a):
         m = abs(a)
         for E in _seeded_sets(a)[:20]:
-            r, cells = fold_dilation([E, E.scale(F(1, 3))], a)
-            covered = IntervalSet(tuple((lo, hi) for lo, hi, _ in cells))
+            den, r, cells = fold_dilation([E, E.scale(F(1, 3))], a)
+            r, cells = F(r, den), [(F(lo, den), F(hi, den), js) for lo, hi, js in cells]
+            covered = IntervalSet.of(*((lo, hi) for lo, hi, _ in cells))
             assert covered == IntervalSet.of((-m * r, -r), (r, m * r))
             assert sum(hi - lo for lo, hi, _ in cells) == 2 * (m - 1) * r
             for lo, hi, scales in cells:
@@ -149,9 +150,10 @@ class TestClosure:
                 # orbit of another cell on its side(s) is in U down to 0
                 assert not any(closure_member(E, a, (lo + hi) / 2 * F(a) ** k)
                                for k in range(-30, 30))
-                reached = next(c for c in fold_dilation([E], a)[1]
+                den, _, cells = fold_dilation([E], a)
+                reached = next(c for c in cells
                                if c[2][0] and (a < 0 or (c[0] > 0) == (lo > 0)))
-                assert closure_member(E, a, (reached[0] + reached[1]) / 2 * F(a) ** -30)
+                assert closure_member(E, a, F(reached[0] + reached[1], 2 * den) * F(a) ** -30)
                 continue
             kinds.add("finite")
             assert all(isinstance(x, F) for piece in U.pieces for x in piece)

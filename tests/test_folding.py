@@ -1,11 +1,27 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from framesmith.construction import LayeredFamily
 from framesmith.folding import (_repeated_residue, fold_chunks, layered_partition,
                                per_multiplicity)
 from framesmith.intervals import IntervalSet, union_all
+from framesmith.piecewise import PiecewiseLinear, SqrtProfile
+from framesmith.verification import check_semiorthogonal, check_wavelet_set_tiling
 
-from oracles import per_multiplicity_chunks
+from oracles import (fold_chunks_oracle, layered_partition_oracle, per_multiplicity_chunks,
+                     semiorth_oracle, tiling_oracle)
+
+
+def _value_at(m, xi: F) -> int:
+    """The multiplicity m reads at xi."""
+    return next((c for lo, hi, c in m.cells if lo <= xi < hi), 0)
+
+
+def _level_set(m, i: int) -> IntervalSet:
+    """{residues with multiplicity >= i} as an interval set."""
+    return IntervalSet.of(*((lo, hi) for lo, hi, c in m.cells if c >= i))
 
 
 def brute_force_count(K: IntervalSet, xi: F, k_span: int = 40) -> int:
@@ -50,7 +66,7 @@ def test_fold_against_brute_force_oracle():
         m = per_multiplicity(K)
         for _ in range(40):
             xi = F(rng.randint(-8, 7), 8) + F(rng.randint(0, 15), 128)
-            assert m.value_at(xi) == brute_force_count(K, xi), (K, xi)
+            assert _value_at(m, xi) == brute_force_count(K, xi), (K, xi)
 
 
 def test_partition_postconditions_randomized():
@@ -73,7 +89,7 @@ def test_partition_postconditions_randomized():
             mult = per_multiplicity(layer)
             assert mult.max_value() <= 1
             # congruent (mod 2pi, up to measure zero) to {multiplicity >= i+1}
-            assert mult.level_set(1) == m.level_set(i + 1)
+            assert _level_set(mult, 1) == _level_set(m, i + 1)
 
 
 def test_partition_deterministic():
@@ -86,15 +102,15 @@ def test_partition_deterministic():
 
 def test_fold_chunks_cover_and_translate_back():
     K = IntervalSet.of((F(5, 2), F(7, 2)))
-    chunks = fold_chunks(K)
+    chunks = [(F(lo, K.den), F(hi, K.den), k) for lo, hi, k in fold_chunks(K)]
     rebuilt = IntervalSet.of(*[(lo + 2 * k, hi + 2 * k) for lo, hi, k in chunks])
     assert rebuilt == K
     assert all(F(-1) <= lo < hi <= F(1) for lo, hi, _ in chunks)
 
 
 def test_empty_set():
-    assert layered_partition(IntervalSet.empty()) == []
-    assert per_multiplicity(IntervalSet.empty()).max_value() == 0
+    assert layered_partition(IntervalSet()) == []
+    assert per_multiplicity(IntervalSet()).max_value() == 0
 
 
 def test_weighted_windows_match_chunk_overlay():
@@ -127,3 +143,88 @@ def test_repeated_residue_matches_the_fold():
     assert _repeated_residue(IntervalSet.of((-1, 1))) is None
     assert _repeated_residue(IntervalSet.of((-1, F(1, 2)), (F(3, 4), F(11, 10)))) \
         == (F(-1), F(-9, 10), 2)
+
+
+# -- the integer folds against the Fraction oracles -----------------------------
+
+def _mixed_set(rng: random.Random) -> IntervalSet:
+    """Up to five pieces over unlike denominators, touching or overlapping
+    now and then."""
+    pieces = []
+    for _ in range(rng.randint(1, 5)):
+        lo = F(rng.randint(-90, 70), rng.choice((1, 2, 3, 5, 7, 12)))
+        pieces.append((lo, lo + F(rng.randint(1, 90), rng.choice((1, 3, 4, 10)))))
+    return IntervalSet.of(*pieces)
+
+
+def test_folds_match_oracles_over_mixed_denominators():
+    rng = random.Random(41)
+    repeated = 0
+    for _ in range(600):
+        K = _mixed_set(rng)
+        m, want = per_multiplicity(K), per_multiplicity_chunks(K)
+        assert m == want and m.cells == want.cells, K
+        assert layered_partition(K) == layered_partition_oracle(K), K
+        expected = next((c for c in want.cells if c[2] >= 2), None)
+        assert _repeated_residue(K) == expected, K
+        repeated += expected is not None
+        chunks = [(F(lo, K.den), F(hi, K.den), k) for lo, hi, k in fold_chunks(K)]
+        assert chunks == fold_chunks_oracle(K), K
+    assert 100 < repeated < 600
+
+
+WIDE_DILATIONS = (4, 5, -4, -5)
+
+
+def _annulus_sets(a: int, n: int = 40):
+    """Unions of pieces of an annulus {r0 <= |xi| < |a| r0}, each dilated by
+    a^j, |j| <= 1, over unlike denominators; every other one with a piece
+    moved, so some tile by dilation and some do not."""
+    rng = random.Random(600 + a)
+    m, out = abs(a), []
+    for count in range(n):
+        r0 = F(rng.randint(1, 9), rng.choice((3, 5, 8)))
+        pieces = []
+        for sign in (1, -1):
+            cuts = sorted({r0 + (m - 1) * r0 * F(k, 15) for k in rng.sample(range(1, 15), 2)})
+            ends = [r0] + cuts + [m * r0]
+            for lo, hi in zip(ends, ends[1:]):
+                c = sign * F(a) ** rng.randint(-1, 1)
+                pieces.append((lo * c, hi * c) if c > 0 else (hi * c, lo * c))
+        if count % 2:
+            i = rng.randrange(len(pieces))
+            lo, hi = pieces[i]
+            pieces[i] = (lo, hi + (hi - lo) / rng.choice((-3, 5)))
+        out.append(IntervalSet.of(*pieces))
+    return out
+
+
+def _tiles(E, a) -> bool:
+    report = check_wavelet_set_tiling([E], a)
+    return next(c for c in report.checks if c.name == "dilation_tiling").status == "pass"
+
+
+@pytest.mark.parametrize("a", WIDE_DILATIONS)
+def test_dilation_fold_matches_oracles_at_wide_dilations(a):
+    sets = _annulus_sets(a)
+    verdicts = {_tiles(E, a) for E in sets}
+    assert verdicts == {True, False}
+    for E in sets:
+        assert _tiles(E, a) == tiling_oracle(E, a), (E, a)
+    rng = random.Random(700 + a)
+    gaps = set()
+    for _ in range(30):
+        supports = rng.sample(sets, rng.randint(1, 3))
+        fam = LayeredFamily(tuple(SqrtProfile.indicator(s) for s in supports),
+                            tuple(supports), PiecewiseLinear.zero(), a)
+        row = check_semiorthogonal(fam).checks[0]
+        found = semiorth_oracle(supports, a)
+        gaps.add(found is None)
+        if found is None:
+            assert row.status == "pass"
+        else:
+            i, i2, delta, ov = found
+            w = row.witness
+            assert (w["psi"], w["psi_other"], w["scale_gap"], w["overlap_lo"],
+                    w["overlap_hi"]) == (i, i2, delta, *ov.pieces[0]), (supports, a)
+    assert False in gaps

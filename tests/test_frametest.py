@@ -292,4 +292,4 @@ def test_meets_is_support_intersection(domain, ends, tent, a, j):
     f = TestSignal.tent(lo, hi) if tent else TestSignal.indicator(lo, hi)
     psi = SqrtProfile.indicator(IntervalSet.of(*((l, h) for l, h in domain if l < h)))
     exact = f.hat.support().intersect(psi.support().scale(F(a) ** j))
-    assert _meets(f, psi, F(a) ** j) == (not exact.is_empty())
+    assert _meets(f, psi, F(a) ** j) == bool(exact)

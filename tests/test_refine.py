@@ -10,11 +10,12 @@ pieces often touch at shared ends, and on their images under compose_scale.
 Product integrals, the endpoint sweep, the quadrature cells and their break
 terms run on integers over common denominators; each must equal its
 Fraction form, the floats of the cells and break terms bit for bit.  The
-producers that skip canonicalisation -- every PiecewiseLinear producer,
-which builds through the integer constructor, and the trusted IntervalSet
-ones -- must give the canonical form already.
+producers that skip canonicalisation -- every PiecewiseLinear and
+IntervalSet producer that builds through its integer constructor -- must
+give the canonical form already.
 """
 
+import math
 import operator
 import random
 from dataclasses import replace
@@ -25,11 +26,12 @@ import pytest
 from framesmith.construction import build_family, example_by_name
 from framesmith.folding import layered_partition
 from framesmith.frametest import TestSignal, _scaled_square
-from framesmith.intervals import IntervalSet, _canonicalize, _overlay
+from framesmith.intervals import IntervalSet, _overlay
 from framesmith.piecewise import (PiecewiseLinear, SqrtProfile, _square_sum, _sum,
                                   integrate_product, refine)
 from framesmith.quadrature import QuadPlan
-from oracles import (_canonical_pieces, break_terms_oracle, closed_cells_oracle, combine_oracle,
+from oracles import (_canonical_pieces, _canonicalize, break_terms_oracle, closed_cells_oracle,
+                     combine_oracle,
                      difference_oracle, integrate_product_oracle, intersect_oracle,
                      layered_partition_oracle, overlay_oracle, piece_at,
                      restrict_oracle, sum_oracle)
@@ -145,7 +147,8 @@ def test_integrate_product_matches_oracle_on_deep_grids():
 def test_overlay_matches_fraction_sweep_on_tied_ends():
     """The integer sweep against the Fraction one: ends drawn from a few
     values over unlike denominators, so many intervals start or end
-    together, with unit, bitmask and arbitrary weights."""
+    together, with unit, bitmask and arbitrary weights; the integer sweep
+    takes the ends over their common denominator."""
     for seed in range(400):
         rng = random.Random(f"overlay{seed}")
         ends = sorted({F(rng.randint(-9, 9), rng.choice([1, 2, 3, 6, 9 ** 5]))
@@ -158,9 +161,11 @@ def test_overlay_matches_fraction_sweep_on_tied_ends():
             pairs.append((lo, hi))
         for weights in (None, [1 << n for n in range(len(pairs))],
                         [rng.randint(-3, 3) or 1 for _ in pairs]):
-            got = _overlay(pairs, weights)
-            assert got == overlay_oracle(pairs, weights), seed
-            assert all(type(x) is F for cell in got for x in cell[:2])
+            den = math.lcm(*(x.denominator for x in ends))
+            got = _overlay([(int(lo * den), int(hi * den)) for lo, hi in pairs], weights)
+            assert all(type(x) is int for cell in got for x in cell)
+            assert [(F(lo, den), F(hi, den), v) for lo, hi, v in got] \
+                == overlay_oracle(pairs, weights), seed
 
 
 def _producer_cases(rng: random.Random):
@@ -191,7 +196,7 @@ def _producer_cases(rng: random.Random):
            [(lo - t, hi - t, al, al * t + be) for lo, hi, al, be in f.pieces])
     ends = f.breakpoints()
     cuts = sorted(rng.sample(ends, min(len(ends), rng.randint(2, 4)))) if ends else []
-    for where in (IntervalSet(tuple(zip(cuts[::2], cuts[1::2]))), f.support(),
+    for where in (IntervalSet.of(*zip(cuts[::2], cuts[1::2])), f.support(),
                   random_set(rng)):
         yield ("restrict", f.restrict(where),
                [(lo, hi, p[2], p[3]) for lo, hi, (p, w) in refine([f, where]) if p and w])
@@ -206,7 +211,7 @@ def _producer_cases(rng: random.Random):
     A, B = random_set(rng), random_set(rng).translate(t)
     for X, Y in ((A, B), (B, A), (A, A), (A, f.support())):
         for value, result in ((3, X.intersect(Y)), (1, X.difference(Y))):
-            yield ("_cover", result, [(lo, hi) for lo, hi, v in _overlay(
+            yield ("_cover", result, [(lo, hi) for lo, hi, v in overlay_oracle(
                 X.pieces + Y.pieces, [1] * len(X.pieces) + [2] * len(Y.pieces))
                 if v == value])
     yield "translate", A.translate(t), [(lo + t, hi + t) for lo, hi in A.pieces]
@@ -218,9 +223,9 @@ def _producer_cases(rng: random.Random):
 def test_trusted_producers_are_canonical():
     """Each producer that skips canonicalisation gives pieces that are
     canonical already: equal to their own canonical form and to the
-    canonical form of the pieces it built before, all Fractions.  A
-    PiecewiseLinear equals the parse of those pieces, so its integer form
-    (den, cells, scale) is the canonical one too."""
+    canonical form of the pieces it built before, all Fractions.  It equals
+    the parse of those pieces, so its integer form ((den, cells, scale) of
+    a function, (den, cells) of a set) is the canonical one too."""
     counts = {}
     for seed in range(300):
         rng = random.Random(f"trusted{seed}")
@@ -229,7 +234,7 @@ def test_trusted_producers_are_canonical():
                          else _canonicalize)
             assert got.pieces == canonical(got.pieces) == canonical(raw), (seed, name)
             parsed = (PiecewiseLinear.of(*raw) if isinstance(got, PiecewiseLinear)
-                      else IntervalSet(tuple(raw)))
+                      else IntervalSet.of(*raw))
             assert got == parsed and hash(got) == hash(parsed), (seed, name)
             assert all(type(x) is F for p in got.pieces for x in p), (seed, name)
             counts[name] = counts.get(name, 0) + bool(got.pieces)
