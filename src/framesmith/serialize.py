@@ -177,9 +177,10 @@ def family_from_jsonable(obj) -> Tuple[LayeredFamily, LayeredFamily]:
 
 
 def sets_from_jsonable(obj, where: str = "sets") -> List[IntervalSet]:
-    """A sets file is either one interval set or a list of them."""
-    if isinstance(obj, list) and obj and isinstance(obj[0], list) \
-            and obj[0] and isinstance(obj[0][0], list):
+    """A sets file is either one interval set or a list of them; the first
+    nonempty element decides which, so an empty set may come first."""
+    first = next((x for x in obj if x), None) if isinstance(obj, list) else None
+    if isinstance(first, list) and isinstance(first[0], list):
         return [intervalset_from_jsonable(x, f"{where}[{i}]")
                 for i, x in enumerate(obj)]
     return [intervalset_from_jsonable(obj, where)]

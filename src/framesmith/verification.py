@@ -1,9 +1,10 @@
 """Checkers for the characterization identities of NTF wavelet families.
 
-Every "pass" is backed by rational identities or an explicit tail bound;
-nothing is accepted silently through floating point.  Fails carry a witness
-(grid point, residue, sides); a grid that holds no point to check surfaces
-as "uncertain" instead of being coerced either way.
+Every "pass" is an exact identity or a consequence of exact identities,
+decided for all xi; nothing is accepted through floating point or through
+sampling.  Fails carry a witness (point, residue, sides).  "uncertain" is
+kept for precision caps (`roots.SqrtSum.sign_verdict`), which no check here
+reaches.
 
 The paper's two equations are judged here and nowhere else; the family
 loader (`validate`) checks only the structural premises, so a file that
@@ -20,26 +21,21 @@ outward decay of the scaling square sum; density = the three conditions of
 `admissibility_check` on that square sum, the scaling side's spectral
 function; sufficiency = local finiteness + split + outward decay +
 density's inward limit 1 + (when those hold) the NTF characterization as a
-meta check.
+meta check, which those rows already prove.
 
-The grid serves the norm sum alone: when the wavelet square sum equals the
-gain sigma(./a) - sigma, the partial scale sum telescopes to its two end
-terms, values of sigma.  (The loop over the scales would count a jump of
-sigma on the orbit at a < 0, where `compose_scale` moves the piece ends: a
-measure-zero set.)  The grid loop is exact integer arithmetic: the depths J
-and Jout come from ceilings taken on the numerators and one table of the
-powers of |a|; sigma is read at xi / a^(J+1) and xi a^Jout as (numerator,
-positive denominator) pairs against its integer piece ends, the test
-|1 - partial sum| <= tail is one integer comparison, and the worst tail is
-kept as an integer pair.  A Fraction is built only for the reported tail
-bound and for each of the at most three fail witnesses.  Everything else
-holds for all xi: dilation monotonicity is an exact piecewise-linear
-inequality, outward decay follows from the support hull, and the shifted
-splits and shifted orthogonality from the premise of `GeneratorSet`: each
-support meets every residue class mod 2 at most once, so every cross term
-vanishes identically.  Every square sum is the family's
-`generator_set().spectral`, which decides that premise and raises
-ValueError naming the profile that breaks it.
+The grid changes no verdict.  It sizes the norm sum's tail figure alone:
+per nonzero grid point xi the inward depth J, the least with a^{-J-1} xi
+strictly inside sigma's 0-clearance and slope |xi| / |a|^(J+1) at most
+TAIL_TARGET, taken by ceilings on the numerators and one table of the
+powers of |a|, and the worst such tail kept as an integer pair; a Fraction
+is built only for the reported `tail_bound`.  Everything else holds for
+all xi: dilation monotonicity is an exact piecewise-linear inequality,
+outward decay follows from the support hull, and the shifted splits and
+shifted orthogonality from the premise of `GeneratorSet`: each support
+meets every residue class mod 2 at most once, so every cross term vanishes
+identically.  Every square sum is the family's `generator_set().spectral`,
+which decides that premise and raises ValueError naming the profile that
+breaks it.
 
 The wavelet-set tiling and the scale gaps of semi-orthogonality are read
 off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
@@ -48,7 +44,6 @@ off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
 from __future__ import annotations
 
 import bisect
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -64,7 +59,8 @@ from .trace import GRID_SEED, default_grid
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
-_EMPTY_GRID = "the grid holds no point other than 0, so nothing was checked"
+_EMPTY_GRID = ("the scale sum is 1 for all xi != 0; the grid holds no point "
+               "other than 0, so there is no tail figure")
 
 
 class _Powers:
@@ -72,7 +68,6 @@ class _Powers:
     needed."""
 
     def __init__(self, a: int):
-        self.a = a
         self.base = abs(a)
         self.table = [1]
 
@@ -86,10 +81,6 @@ class _Powers:
         while self.table[-1] < target:
             self.table.append(self.table[-1] * self.base)
         return bisect.bisect_left(self.table, target)
-
-    def signed(self, n: int) -> int:
-        """a^n itself."""
-        return self[n] if self.a > 0 or n % 2 == 0 else -self[n]
 
 
 def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
@@ -125,29 +116,29 @@ def check_ntf_multiwavelet(family: LayeredFamily,
                            grid: Iterable | None = None) -> VerificationReport:
     """Norm-sum (sum over all scales of |psi_hat|^2 equals 1) and shifted
     orthogonality (vanishing cross terms for shifts outside the dilation
-    lattice).
+    lattice), both for all xi.
 
-    Shifted orthogonality holds for all xi from the supports alone.  The
-    norm sum is certified per grid point from the family's spectral
-    profile: when the square sum equals the gain sigma(./a) - sigma, the
-    partial sum over -J <= j <= Jout telescopes to
-    sigma(a^{-J-1} xi) - sigma(a^Jout xi); the outward tail is identically
-    0 (bounded support) and the inward tail is bounded by
-    slope * |a^{-J-1} xi| inside the support pieces at 0.  That walk runs on
-    integers: xi = n / d gives the two arguments as (+-n, d |a|^(J+1)), the
-    sign that of a^(J+1), and (n a^Jout, d), each looked up against sigma's
-    integer piece ends with the half-open convention of `eval`, and the
-    partial sum, the tail and their comparison stay integer numerators
-    over integer denominators.  A family whose square sum does not
-    telescope has its partial sum added scale by scale, on Fractions.
-    A support that repeats a residue mod 2 raises ValueError (the premise of
+    Shifted orthogonality holds from the supports alone.  The norm sum
+    follows from three facts: the exact identity sum|psi_i|^2 =
+    sigma(./a) - sigma (`scale_sum_telescopes`), the bounded support of
+    sigma, and both one-sided limits of sigma at 0 being 1 (the zero-limit
+    row, which fails as `norm_sum` at xi = 0).  Then the partial sum over
+    -J <= j <= Jout telescopes to sigma(a^{-J-1} xi) - sigma(a^Jout xi),
+    whose second term is 0 for large Jout and whose first tends to 1 as J
+    grows, from either side of 0 even at a < 0.  A family whose squares do
+    not telescope gets no `norm_sum` row: the first row's exact witness
+    already shows the broken equation.
+
+    The grid only sizes the reported `tail_bound`, the worst
+    slope * |xi| / |a|^(J+1) over its nonzero points, J the inward depth
+    that puts a^{-J-1} xi strictly inside the 0-clearance and the tail below
+    TAIL_TARGET; a grid with no nonzero point reports no figure.  A support
+    that repeats a residue mod 2 raises ValueError (the premise of
     `GeneratorSet`).
     """
     report = VerificationReport()
-    a = family.dilation
     sigma = family.sigma
     psi_gen = family.generator_set()
-    square_sum = psi_gen.spectral
 
     # shifted orthogonality: the premise kills every cross term
     for i in range(len(family.profiles)):
@@ -155,37 +146,31 @@ def check_ntf_multiwavelet(family: LayeredFamily,
             "support meets each residue class at most once, so every "
             "cross term vanishes identically")))
 
-    row = _identity("scale_sum_telescopes", square_sum, family.gain(), (
+    row = _identity("scale_sum_telescopes", psi_gen.spectral, family.gain(), (
         "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
         "piecewise-linear identity"))
     report.add(row)
-    telescopes = row.status == "pass"
     nbhd = sigma.zero_neighborhood()
     if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
         report.add(Check("norm_sum", "fail", {"xi": Fraction(0)},
                          detail="sigma does not tend to 1 at 0"))
         return report
+    if row.status != "pass":
+        return report
     _, _, clearance, slope = nbhd
 
     if grid is None:
         grid = family_grid(psi_gen)
-    lo, hi = psi_gen.support_hull()
-    radius = max(abs(lo), abs(hi), Fraction(1))
-
-    scale = Fraction(a)
-    powers = _Powers(a)
+    powers = _Powers(family.dilation)
     c_num, c_den = clearance.numerator, clearance.denominator
     s_num, s_den = slope.numerator, slope.denominator
     t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
-    top, sigma_at = sigma.scale, sigma._numerator
     worst_n, worst_d = 0, 1  # the worst tail is s_num worst_n / (s_den worst_d)
-    failures = checked = 0
     for xi in grid:
         xi = as_fraction(xi)
         n, d = xi.numerator, xi.denominator
         if n == 0:
             continue
-        checked += 1
         size = abs(n)  # |xi| = size / d
         # inward depth J: a^{-J-1} xi strictly inside the 0-clearance, where
         # sigma is 1 + alpha x on each side, and the tail below the target;
@@ -193,40 +178,15 @@ def check_ntf_multiwavelet(family: LayeredFamily,
         near = size * c_den // (d * c_num) + 1
         far = -(-size * s_num * t_den // (d * s_den * t_num))
         J = max(powers.first(max(near, far)) - 1, 0)
-        # outward depth Jout: the least j >= 0 with |a^j xi| > radius
-        Jout = powers.first(radius.numerator * d // (radius.denominator * size) + 1)
-        inward = powers[J + 1]
-        # the partial sum is p_num / p_den, and the tail, slope |xi| / |a|^(J+1),
-        # is s_num size / (s_den d inward)
-        if telescopes:
-            # sigma(a^{-J-1} xi) - sigma(a^Jout xi), with the sign of a^(J+1)
-            # moved to the numerator: each value is sigma_at(p, q) / (top q)
-            p_num = (sigma_at(n if powers.signed(J + 1) > 0 else -n, d * inward)
-                     - sigma_at(n * powers.signed(Jout), d) * inward)
-            p_den = top * d * inward
-        else:
-            partial = sum((square_sum.eval(xi * scale ** j)
-                           for j in range(-J, Jout + 1)), Fraction(0))
-            p_num, p_den = partial.numerator, partial.denominator
-        if size * worst_d > worst_n * d * inward:
-            worst_n, worst_d = size, d * inward
-        # |1 - partial| > tail, on integers
-        if abs(p_den - p_num) * s_den * d * inward > s_num * size * p_den:
-            failures += 1
-            if failures <= 3:
-                report.add(Check("norm_sum", "fail",
-                                 {"xi": xi, "partial_sum": Fraction(p_num, p_den),
-                                  "allowed_tail": Fraction(s_num * size,
-                                                           s_den * d * inward)}))
-    if checked == 0:
-        report.add(Check("norm_sum", "uncertain", detail=_EMPTY_GRID))
-    elif failures == 0:
+        inward = d * powers[J + 1]
+        if size * worst_d > worst_n * inward:
+            worst_n, worst_d = size, inward
+    if not worst_n:
+        report.add(Check("norm_sum", "pass", detail=_EMPTY_GRID))
+    else:
         report.add(Check("norm_sum", "pass",
                          tail_bound=Fraction(s_num * worst_n, s_den * worst_d),
-                         detail=f"all grid points within the certified tail"))
-    elif failures > 3:
-        report.add(Check("norm_sum", "fail",
-                         detail=f"{failures} grid points outside the tail bound"))
+                         detail="all grid points within the certified tail"))
     return report
 
 
@@ -261,23 +221,23 @@ def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
                  ) -> Dict[str, VerificationReport]:
     """Run the named suites (from SUITES) on one grid; {name: report}.
 
-    The grid serves the norm sum only: the split identities, outward decay,
-    density and semi-orthogonality are decided for all xi.  The split
-    identities and density run at most once per call (sufficiency takes its
-    inward-limit row from density's report), and the NTF characterization
-    once per sigma: the sufficiency meta check takes sigma from the scaling
-    squares, not from the family, and reuses the ntf suite's report when
-    the two agree.  Each family's square sum is its generator set's
-    `spectral`, built once."""
+    The grid sizes the norm sum's tail figure only: every verdict holds for
+    all xi.  The split identities and density run at most once per call
+    (sufficiency takes its inward-limit row from density's report).  The
+    sufficiency meta check runs no NTF suite of its own: it is reached only
+    when `two_scale_split[s=0]` passes, which is the telescoping identity
+    sum|psi|^2 = sum|phi|^2(./a) - sum|phi|^2 of the scaling squares, and
+    `unit_limit_inward` passes, which gives both one-sided limits 1 of
+    sum|phi|^2 at 0; a piecewise-linear square sum has bounded support.
+    Those are the three facts from which `check_ntf_multiwavelet` proves the
+    norm sum with sum|phi|^2 in place of sigma, so `meta_ntf_follows`
+    holds.  Each family's square sum is its generator set's `spectral`,
+    built once."""
     phi_gen = phi_fam.generator_set()
-    if grid is None:
-        grid = family_grid(phi_gen, psi_fam.generator_set())
-    grid = [as_fraction(x) for x in grid]
 
-    @cache
-    def ntf(sigma: PiecewiseLinear) -> VerificationReport:
-        family = psi_fam if sigma == psi_fam.sigma else replace(psi_fam, sigma=sigma)
-        return check_ntf_multiwavelet(family, grid)
+    def ntf() -> VerificationReport:
+        return check_ntf_multiwavelet(psi_fam, family_grid(
+            phi_gen, psi_fam.generator_set()) if grid is None else grid)
 
     @cache
     def split() -> VerificationReport:
@@ -303,15 +263,11 @@ def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
             f"{phi_gen.spectral.max_value()}"))] + decay().checks)
         report.add(next(c for c in density().checks if c.name == "unit_limit_inward"))
         if report.status == "pass":
-            sub = ntf(phi_gen.spectral)
-            if sub.status == "pass":
-                report.add(Check("meta_ntf_follows", "pass", detail=(
-                    "hypotheses hold and the NTF characterization passes too")))
-            else:
-                report.merge(sub, prefix="meta:")
+            report.add(Check("meta_ntf_follows", "pass", detail=(
+                "hypotheses hold and the NTF characterization passes too")))
         return report
 
-    suites = {"ntf": lambda: ntf(psi_fam.sigma), "split": split,
+    suites = {"ntf": ntf, "split": split,
               "decay": decay, "sufficiency": sufficiency,
               "density": density,
               "semiorth": lambda: check_semiorthogonal(psi_fam)}

@@ -233,16 +233,18 @@ class TestTelescopedNormSum:
             report = check_suites(scaling, wavelets, ["ntf"], grid)["ntf"]
             assert report.status == "pass", (seed, report.to_jsonable())
 
-    def test_untelescoped_family_still_loops(self):
-        # a corrupted square sum no longer equals the gain
+    def test_untelescoped_family_has_no_norm_sum_row(self):
+        # a corrupted square sum no longer equals the gain: the identity's
+        # witness is the verdict, and no scale window is sampled
         wavelets = FAMILIES["pwl:a=1/2,b=1/2@2"][1]
         psis = (SqrtProfile(wavelets.profiles[0].square.scale_value(F(9, 4))),) \
             + wavelets.profiles[1:]
         bogus = replace(wavelets, profiles=psis)
         report = check_ntf_multiwavelet(bogus)
         names = [(c.name, c.status) for c in report.checks]
-        assert ("scale_sum_telescopes", "fail") in names
-        assert ("norm_sum", "fail") in names
+        assert names[-1] == ("scale_sum_telescopes", "fail")
+        assert report.checks[-1].witness["difference"] != 0
+        assert not any(name == "norm_sum" for name, _ in names)
 
 
 def full_walk(phi_sq, a, xi):

@@ -248,11 +248,10 @@ class TestNormSum:
     @pytest.mark.parametrize("c", (F(1, 2), 10), ids=["halved", "x10"])
     @pytest.mark.parametrize("name,a", [("shannon", -2), ("pwl:a=3/4,b=5/4", 3),
                                         ("journe", 2)])
-    def test_non_telescoping_fails_match(self, name, a, c):
+    def test_non_telescoping_has_no_norm_sum_row(self, name, a, c):
         _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
         tampered = _scaled_psis(wavelets, c)
-        got = self._assert_same(tampered, family_grid(tampered.generator_set()))
-        assert got[0].status == "fail" and "partial_sum" in got[0].witness
+        assert self._assert_same(tampered, family_grid(tampered.generator_set())) == []
 
     def _judged_by_shannon(self, pieces):
         """The wavelets of the sigma `pieces` at a = 2 judged against
@@ -261,18 +260,17 @@ class TestNormSum:
         mixed = replace(wavelets, sigma=example_by_name("shannon").sigma)
         return self._assert_same(mixed, family_grid(mixed.generator_set()))
 
-    def test_non_telescoping_pass_matches(self):
-        # 1 on shannon's support and 1/2 beyond it: the scale sum is still 1
-        got = self._judged_by_shannon([(-2, -1, 0, "1/2"), (-1, 1, 0, 1),
-                                       (1, 2, 0, "1/2")])
-        assert [c.status for c in got] == ["pass"]
+    def test_non_telescoping_sum_of_one_has_no_row(self):
+        # 1 on shannon's support and 1/2 beyond it: the scale sum is still 1,
+        # but no exact identity proves it, so no norm_sum row is reported
+        assert self._judged_by_shannon([(-2, -1, 0, "1/2"), (-1, 1, 0, 1),
+                                        (1, 2, 0, "1/2")]) == []
 
     def test_halved_sigma_fails_match(self):
-        # halved on shannon's support away from 0: a^(-J-1) xi lands there
-        got = self._judged_by_shannon([(-1, "-1/2", 0, "1/2"), ("-1/2", "1/2", 0, 1),
-                                       ("1/2", 1, 0, "1/2")])
-        assert [c.status for c in got] == ["fail"] * 4
-        assert got[0].witness["partial_sum"] == F(1, 2)
+        # halved on shannon's support away from 0: the squares do not
+        # telescope to shannon's gain, so there is no norm_sum row
+        assert self._judged_by_shannon([(-1, "-1/2", 0, "1/2"), ("-1/2", "1/2", 0, 1),
+                                        ("1/2", 1, 0, "1/2")]) == []
         # halved at 0 it stops before the loop, with the same row
         _, wavelets = build_family(example_by_name("shannon"))
         half = replace(wavelets, sigma=wavelets.sigma.scale_value(F(1, 2)))
@@ -320,13 +318,15 @@ class TestNormSum:
             for c in (1, F(1, 2)):
                 self._assert_same(_scaled_psis(wavelets, c), grid)
 
-    def test_signed_powers(self):
+    def test_first_powers(self):
         for a in (2, -2, 3, -3, 4):
             powers = _Powers(a)
-            assert [powers.signed(n) for n in range(9)] == [a ** n for n in range(9)]
+            assert [powers[n] for n in range(9)] == [abs(a) ** n for n in range(9)]
             assert [powers.first(t) for t in range(1, 80)] == \
                 [min(n for n in range(9) if abs(a) ** n >= t) for t in range(1, 80)]
 
     def test_empty_grid_matches(self):
         _, wavelets = build_family(example_by_name("shannon"))
-        assert [c.status for c in self._assert_same(wavelets, [F(0)])] == ["uncertain"]
+        for grid in ([], [F(0)]):
+            got = self._assert_same(wavelets, grid)
+            assert [(c.status, c.tail_bound) for c in got] == [("pass", None)]

@@ -8,17 +8,17 @@ import pytest
 from framesmith.construction import (JOURNE_WAVELET_SET, LayeredFamily,
                                      SpectralSpec, build_family,
                                      build_wavelets, classify_waveletset_seed,
-                                     example_journe, example_pwl,
+                                     example_by_name, example_journe, example_pwl,
                                      example_shannon, random_admissible_spec,
                                      waveletset_sigma)
 from framesmith.intervals import IntervalSet
-from framesmith.piecewise import SqrtProfile
+from framesmith.piecewise import PiecewiseLinear, SqrtProfile
 from framesmith.trace import grid_of_size
 from framesmith.verification import (check_density, check_ntf_multiwavelet,
                                      check_semiorthogonal, check_split,
                                      check_suites, check_wavelet_set_tiling,
                                      cross_energy, family_grid)
-from oracles import riemann_oracle
+from oracles import meta_ntf_oracle, riemann_oracle
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +56,27 @@ class TestNtfCheck:
         fails = [c for c in report.checks if c.status == "fail"]
         assert any(c.witness for c in fails)
 
-    def test_grid_without_nonzero_point_is_uncertain(self, shannon):
+    def test_grid_without_nonzero_point_passes_without_tail(self, shannon):
         for grid in ([], [F(0)]):
             report = check_ntf_multiwavelet(shannon[1], grid=grid)
             norm_row = next(c for c in report.checks if c.name == "norm_sum")
-            assert norm_row.status == "uncertain"
+            assert norm_row.status == "pass"
             assert norm_row.tail_bound is None
             assert "no point other than 0" in norm_row.detail
+
+    def test_sampled_scale_window_does_not_pass(self, shannon):
+        # psi's square halved on [1, 3/2): the Calderon sum is 1/2 on every
+        # orbit through that piece, though the orbit of 7/4 misses it
+        psi = shannon[1]
+        cut = IntervalSet.of((1, F(3, 2)))
+        bad = replace(psi, profiles=tuple(
+            SqrtProfile(p.square - p.square.restrict(cut).scale_value(F(1, 2)))
+            for p in psi.profiles))
+        report = check_ntf_multiwavelet(bad, grid=[F(7, 4)])
+        assert not any(c.name == "norm_sum" for c in report.checks)
+        row = next(c for c in report.checks if c.name == "scale_sum_telescopes")
+        assert row.status == "fail"
+        assert row.witness == {"xi": F(5, 4), "difference": F(-1, 2)}
 
 
 class TestSplitChecks:
@@ -231,6 +245,53 @@ class TestSemiOrthogonality:
     def test_empty_family_trivially_passes(self, shannon):
         empty = LayeredFamily((), (), shannon[1].sigma, 2)
         assert check_semiorthogonal(empty).status == "pass"
+
+
+def _sufficiency_cases():
+    for name in ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4"):
+        for a in (2, 3, -2, -3, 4):
+            if name == "journe" and abs(a) == 3:
+                continue  # not admissible at |a| = 3
+            yield f"{name}@{a}", build_family(SpectralSpec(example_by_name(name).sigma, a))
+    for seed in range(10):
+        a = (2, 3, -2, -3, 4)[seed % 5]
+        yield f"random{seed}@{a}", build_family(random_admissible_spec(random.Random(seed), a))
+    yield "shannon-altered-sigma", _altered_sigma()
+
+
+def _altered_sigma():
+    """shannon with sigma altered away from 0: sum|phi|^2 != sigma, while
+    the split still holds."""
+    scaling, wavelets = build_family(example_shannon())
+    altered = PiecewiseLinear.of((-2, -1, 0, F(1, 3)), (-1, 1, 0, 1), (1, 2, 0, F(1, 3)))
+    return scaling, replace(wavelets, sigma=altered)
+
+
+class TestMetaNtf:
+    """The sufficiency meta row against the second NTF run that `check_suites`
+    once made, on sigma replaced by the scaling square sum."""
+
+    @pytest.mark.parametrize("scaling,wavelets", [
+        pytest.param(*fams, id=key) for key, fams in _sufficiency_cases()])
+    def test_meta_row_agrees_with_the_second_ntf_run(self, scaling, wavelets):
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        report = check_suites(scaling, wavelets, ["sufficiency"], grid)["sufficiency"]
+        assert report.status == "pass"
+        assert report.checks[-1].name == "meta_ntf_follows"
+        assert meta_ntf_oracle(scaling, wavelets, grid).status == "pass"
+
+    def test_altered_sigma_fails_ntf_but_not_the_meta_check(self):
+        scaling, wavelets = _altered_sigma()
+        reports = check_suites(scaling, wavelets, ["ntf", "sufficiency"])
+        assert reports["ntf"].status == "fail"
+        assert reports["sufficiency"].status == "pass"
+
+    def test_failed_hypothesis_adds_no_meta_row(self, worked_half):
+        scaling, wavelets = worked_half
+        halved = replace(scaling, profiles=tuple(
+            SqrtProfile(p.square.scale_value(F(1, 2))) for p in scaling.profiles))
+        report = check_suites(halved, wavelets, ["sufficiency"])["sufficiency"]
+        assert not any(c.name.startswith("meta") for c in report.checks)
 
 
 class TestSoundnessChain:
