@@ -3,8 +3,9 @@
 Exit codes: 0 all pass, 1 any fail (a broken paper equation included), 2 any
 uncertain/inconclusive; parse errors and broken structural premises of a
 family file also exit 2 after printing the location or the premise.
-All randomness is seeded (default 0x5EED); outputs are canonical JSON / CSV,
-so reruns with the same inputs are byte-identical.
+The one random draw, the points of `trace --grid auto`, is seeded
+(`trace.GRID_SEED`); outputs are canonical JSON / CSV, so reruns with the
+same inputs are byte-identical.
 
 `main` may be called many times in one process. It parses through one
 parser, built on first use (not at import), and picks the subcommand's
@@ -32,7 +33,7 @@ from .sequences import Sequence
 from .serialize import (ParseError, digest_of, dumps_canonical,
                         family_from_jsonable, family_to_jsonable,
                         loads_json, pwl_from_jsonable, sets_from_jsonable)
-from .trace import GRID_SEED, _nonempty_hull, diagonal_traces
+from .trace import _nonempty_hull, diagonal_traces
 from .verification import (SUITES, VerificationReport, check_suites,
                            check_wavelet_set_tiling, family_grid)
 
@@ -97,10 +98,7 @@ def cmd_check(args) -> int:
             print(f"check: unknown suite {n!r} (choose from {','.join(SUITES)})",
                   file=sys.stderr)
             return 2
-    # the grid serves the ntf suite's tail figure alone
-    grid = family_grid(scaling.generator_set(), wavelets.generator_set(),
-                       seed=args.seed) if "ntf" in names else None
-    reports = check_suites(scaling, wavelets, names, grid)
+    reports = check_suites(scaling, wavelets, names)
     report = VerificationReport()
     for n in names:
         report.merge(reports[n], f"{n}:")
@@ -276,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "square sum, sufficiency = local finiteness + split + "
                         "outward decay + density's inward limit 1 + the NTF "
                         "check as a meta check")
-    k.add_argument("--seed", type=_integer, default=GRID_SEED,
-                   help="seed of the grid, which sizes the norm-sum tail "
-                        "figure only; every verdict holds for all xi")
     k.add_argument("--out")
 
     w = sub.add_parser("check-waveletset", help=(

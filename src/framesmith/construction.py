@@ -116,7 +116,7 @@ def admissibility_check(spec: SpectralSpec) -> VerificationReport:
         condition("unit_limit_inward", Fraction(0),
                   "support does not reach 0; both one-sided limits are 0")
     else:
-        left, right, _, _ = nbhd
+        left, right, _ = nbhd
         ok = left == 1 and right == 1
         side, bad = ("left", left) if left != 1 else ("right", right)
         condition("unit_limit_inward", None if ok else Fraction(0),

@@ -280,29 +280,23 @@ class PiecewiseLinear:
             best = max(best, a * lo + b, a * hi + b)
         return Fraction(best, self.scale)
 
-    def zero_neighborhood(self) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
-        """(left limit, right limit, clearance, max slope) describing f near 0.
+    def zero_neighborhood(self) -> tuple[Fraction, Fraction, Fraction] | None:
+        """(left limit, right limit, max slope) describing f near 0.
 
-        clearance = distance from 0 to the nearest breakpoint strictly inside
-        the adjacent pieces; max slope = max |alpha| of the pieces touching 0.
-        Returns None when 0 is outside the support closure on both sides.
+        max slope = max |alpha| of the pieces touching 0, so f is within
+        slope |x| of its one-sided limit up to the nearest breakpoint on each
+        side (the 0-clearance).  For sigma that bounds the norm sum's tail:
+        `verification.TAIL_TARGET` when the slope is nonzero, attained at
+        xi = TAIL_TARGET |a|^n / slope whenever slope * clearance >
+        TAIL_TARGET, and 0 when it is zero.  Returns None when 0 is outside
+        the support closure on both sides.
         """
-        clearance = None
-        slope = 0
-        for lo, hi, a, _ in self.cells:
-            if lo <= 0 < hi:  # piece carrying the right limit
-                d = hi if lo == 0 else min(hi, -lo)
-                clearance = d if clearance is None else min(clearance, d)
-                slope = max(slope, abs(a))
-            if lo < 0 <= hi:  # piece carrying the left limit
-                d = -lo if hi == 0 else min(-lo, hi)
-                clearance = d if clearance is None else min(clearance, d)
-                slope = max(slope, abs(a))
-        if clearance is None:
+        touching = [abs(a) for lo, hi, a, _ in self.cells if lo <= 0 <= hi]
+        if not touching:
             return None
         # the right limit is the value at 0, by half-openness
-        return (self.eval_left(0), self.eval(0), Fraction(clearance, self.den),
-                Fraction(slope * self.den, self.scale))
+        return (self.eval_left(0), self.eval(0),
+                Fraction(max(touching) * self.den, self.scale))
 
     def __repr__(self) -> str:
         body = " ".join(f"[{lo},{hi}):{a}x+{b}" for lo, hi, a, b in self.pieces)

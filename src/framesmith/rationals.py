@@ -9,7 +9,7 @@ interval set holds integer ends X of x = X / den over its one denominator,
 and whatever takes several at once (`intervals._overlay`, `piecewise.refine`,
 the folds) re-grids them onto the lcm of their denominators and compares and
 adds integers there.  A `fractions.Fraction` is the form at the edges: what a
-caller passes in or reads out, the points of the verification grid, and the
+caller passes in or reads out, the points of the sample grids, and the
 "p/q" strings of the file format, which `ratio_parts` reads as integer pairs.
 """
 

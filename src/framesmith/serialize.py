@@ -178,7 +178,11 @@ def family_from_jsonable(obj) -> Tuple[LayeredFamily, LayeredFamily]:
 
 def sets_from_jsonable(obj, where: str = "sets") -> List[IntervalSet]:
     """A sets file is either one interval set or a list of them; the first
-    nonempty element decides which, so an empty set may come first."""
+    nonempty element decides which, so an empty set may come first.  A
+    nonempty list of empty lists is that many empty sets, since [] is never
+    a [lo, hi] pair."""
+    if isinstance(obj, list) and obj and all(x == [] for x in obj):
+        return [IntervalSet() for _ in obj]
     first = next((x for x in obj if x), None) if isinstance(obj, list) else None
     if isinstance(first, list) and isinstance(first[0], list):
         return [intervalset_from_jsonable(x, f"{where}[{i}]")

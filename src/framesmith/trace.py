@@ -495,7 +495,10 @@ def trace_split_check(phi_gen: GeneratorSet, psi_gen: GeneratorSet,
     return rows
 
 
-# -- verification grid policy ------------------------------------------------
+# -- sample grids -------------------------------------------------------------
+# The points of `trace --grid auto` (`default_grid`, through
+# `verification.family_grid`) and the benchmark's grids; no verdict of
+# `check` reads a grid.
 
 
 GRID_SEED = 0x5EED

@@ -16,26 +16,27 @@ bounded support, so it is 0.  The report types `Check` and
 `VerificationReport` live in `construction`, whose `admissibility_check`
 returns one too.
 
-`check_suites` runs the SUITES on one grid.  decay = the split identities +
+`check_suites` runs the SUITES.  decay = the split identities +
 outward decay of the scaling square sum; density = the three conditions of
 `admissibility_check` on that square sum, the scaling side's spectral
 function; sufficiency = local finiteness + split + outward decay +
 density's inward limit 1 + (when those hold) the NTF characterization as a
 meta check, which those rows already prove.
 
-The grid changes no verdict.  It sizes the norm sum's tail figure alone:
-per nonzero grid point xi the inward depth J, the least with a^{-J-1} xi
-strictly inside sigma's 0-clearance and slope |xi| / |a|^(J+1) at most
-TAIL_TARGET, taken by ceilings on the numerators and one table of the
-powers of |a|, and the worst such tail kept as an integer pair; a Fraction
-is built only for the reported `tail_bound`.  Everything else holds for
-all xi: dilation monotonicity is an exact piecewise-linear inequality,
-outward decay follows from the support hull, and the shifted splits and
-shifted orthogonality from the premise of `GeneratorSet`: each support
-meets every residue class mod 2 at most once, so every cross term vanishes
-identically.  Every square sum is the family's `generator_set().spectral`,
-which decides that premise and raises ValueError naming the profile that
-breaks it.
+No check reads a grid.  The norm sum's `tail_bound` is the supremum over
+all xi != 0 of the truncation tail slope |xi| / |a|^(J+1) at the inward
+depth J(xi): the least J >= 0 with a^{-J-1} xi strictly inside sigma's
+0-clearance, where |1 - sigma(x)| <= slope |x|, and that tail at most
+TAIL_TARGET.  It is TAIL_TARGET when sigma slopes at 0 -- attained at
+xi = TAIL_TARGET |a|^n / slope, n >= 1, whenever slope * clearance >
+TAIL_TARGET, and an upper bound in every case -- and 0 when sigma is flat
+there.  Every other verdict holds for all xi too: dilation monotonicity is
+an exact piecewise-linear inequality, outward decay follows from the
+support hull, and the shifted splits and shifted orthogonality from the
+premise of `GeneratorSet`: each support meets every residue class mod 2 at
+most once, so every cross term vanishes identically.  Every square sum is
+the family's `generator_set().spectral`, which decides that premise and
+raises ValueError naming the profile that breaks it.
 
 The wavelet-set tiling and the scale gaps of semi-orthogonality are read
 off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
@@ -43,7 +44,6 @@ off the dilation fold of the sets (`folding.fold_dilation`), for all xi.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -54,33 +54,11 @@ from .construction import (Check, LayeredFamily, SpectralSpec, VerificationRepor
 from .folding import _repeated_residue, fold_dilation
 from .intervals import IntervalSet, union_all
 from .piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
-from .rationals import as_fraction, format_ratio
-from .trace import GRID_SEED, default_grid
+from .rationals import format_ratio
+from .trace import default_grid
 
 TAIL_TARGET = Fraction(1, 10 ** 9)
 SUITES = ("ntf", "split", "decay", "sufficiency", "density", "semiorth")
-_EMPTY_GRID = ("the scale sum is 1 for all xi != 0; the grid holds no point "
-               "other than 0, so there is no tail figure")
-
-
-class _Powers:
-    """The powers |a|^n, n >= 0, of one dilation a, tabled as they are
-    needed."""
-
-    def __init__(self, a: int):
-        self.base = abs(a)
-        self.table = [1]
-
-    def __getitem__(self, n: int) -> int:
-        while len(self.table) <= n:
-            self.table.append(self.table[-1] * self.base)
-        return self.table[n]
-
-    def first(self, target: int) -> int:
-        """The least n >= 0 with |a|^n >= target."""
-        while self.table[-1] < target:
-            self.table.append(self.table[-1] * self.base)
-        return bisect.bisect_left(self.table, target)
 
 
 def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
@@ -98,7 +76,9 @@ def _identity(name: str, lhs: PiecewiseLinear, rhs: PiecewiseLinear,
     return Check(name, "fail", {"xi": xi, "difference": diff.eval(xi)})
 
 
-def family_grid(*gens: GeneratorSet, seed: int = GRID_SEED) -> List[Fraction]:
+def family_grid(*gens: GeneratorSet) -> List[Fraction]:
+    """The seeded `default_grid` on the generator sets' breakpoints and
+    joint support hull: the points of `trace --grid auto`."""
     breaks: set[Fraction] = set()
     hull_pts: List[Fraction] = []
     for g in gens:
@@ -106,14 +86,13 @@ def family_grid(*gens: GeneratorSet, seed: int = GRID_SEED) -> List[Fraction]:
         lo, hi = g.support_hull()
         hull_pts.extend((lo, hi))
     hull = (min(hull_pts, default=Fraction(0)), max(hull_pts, default=Fraction(0)))
-    return default_grid(sorted(breaks), hull, seed=seed)
+    return default_grid(sorted(breaks), hull)
 
 
 # -- NTF multiwavelet characterization ----------------------------------------
 
 
-def check_ntf_multiwavelet(family: LayeredFamily,
-                           grid: Iterable | None = None) -> VerificationReport:
+def check_ntf_multiwavelet(family: LayeredFamily) -> VerificationReport:
     """Norm-sum (sum over all scales of |psi_hat|^2 equals 1) and shifted
     orthogonality (vanishing cross terms for shifts outside the dilation
     lattice), both for all xi.
@@ -129,15 +108,16 @@ def check_ntf_multiwavelet(family: LayeredFamily,
     not telescope gets no `norm_sum` row: the first row's exact witness
     already shows the broken equation.
 
-    The grid only sizes the reported `tail_bound`, the worst
-    slope * |xi| / |a|^(J+1) over its nonzero points, J the inward depth
-    that puts a^{-J-1} xi strictly inside the 0-clearance and the tail below
-    TAIL_TARGET; a grid with no nonzero point reports no figure.  A support
-    that repeats a residue mod 2 raises ValueError (the premise of
-    `GeneratorSet`).
+    `tail_bound` is the supremum over all xi != 0 of the tail
+    slope |xi| / |a|^(J+1) left at the inward depth J(xi), the least J >= 0
+    that puts a^{-J-1} xi strictly inside sigma's 0-clearance and the tail
+    at most TAIL_TARGET: TAIL_TARGET when the slope of sigma at 0
+    (`zero_neighborhood`) is nonzero, attained at xi = TAIL_TARGET |a|^n /
+    slope whenever slope * clearance > TAIL_TARGET, and 0 when it is zero.
+    A support that repeats a residue mod 2 raises ValueError (the premise
+    of `GeneratorSet`).
     """
     report = VerificationReport()
-    sigma = family.sigma
     psi_gen = family.generator_set()
 
     # shifted orthogonality: the premise kills every cross term
@@ -150,43 +130,16 @@ def check_ntf_multiwavelet(family: LayeredFamily,
         "sum of |psi_hat|^2 equals sigma(xi/a) - sigma(xi) as exact "
         "piecewise-linear identity"))
     report.add(row)
-    nbhd = sigma.zero_neighborhood()
+    nbhd = family.sigma.zero_neighborhood()
     if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
         report.add(Check("norm_sum", "fail", {"xi": Fraction(0)},
                          detail="sigma does not tend to 1 at 0"))
-        return report
-    if row.status != "pass":
-        return report
-    _, _, clearance, slope = nbhd
-
-    if grid is None:
-        grid = family_grid(psi_gen)
-    powers = _Powers(family.dilation)
-    c_num, c_den = clearance.numerator, clearance.denominator
-    s_num, s_den = slope.numerator, slope.denominator
-    t_num, t_den = TAIL_TARGET.numerator, TAIL_TARGET.denominator
-    worst_n, worst_d = 0, 1  # the worst tail is s_num worst_n / (s_den worst_d)
-    for xi in grid:
-        xi = as_fraction(xi)
-        n, d = xi.numerator, xi.denominator
-        if n == 0:
-            continue
-        size = abs(n)  # |xi| = size / d
-        # inward depth J: a^{-J-1} xi strictly inside the 0-clearance, where
-        # sigma is 1 + alpha x on each side, and the tail below the target;
-        # |a|^(J+1) >= max(|xi| // clearance + 1, slope |xi| / TAIL_TARGET)
-        near = size * c_den // (d * c_num) + 1
-        far = -(-size * s_num * t_den // (d * s_den * t_num))
-        J = max(powers.first(max(near, far)) - 1, 0)
-        inward = d * powers[J + 1]
-        if size * worst_d > worst_n * inward:
-            worst_n, worst_d = size, inward
-    if not worst_n:
-        report.add(Check("norm_sum", "pass", detail=_EMPTY_GRID))
-    else:
+    elif row.status == "pass":  # nbhd[2] is the slope of sigma at 0
         report.add(Check("norm_sum", "pass",
-                         tail_bound=Fraction(s_num * worst_n, s_den * worst_d),
-                         detail="all grid points within the certified tail"))
+                         tail_bound=TAIL_TARGET if nbhd[2] else Fraction(0),
+                         detail=("the scale sum is 1 for all xi != 0; truncated "
+                                 "at the inward depth J(xi), its tail is at "
+                                 "most tail_bound at every xi != 0")))
     return report
 
 
@@ -217,12 +170,10 @@ def check_split(phi_fam: LayeredFamily, psi_fam: LayeredFamily
 
 
 def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
-                 names: Iterable[str], grid: Iterable | None = None
-                 ) -> Dict[str, VerificationReport]:
-    """Run the named suites (from SUITES) on one grid; {name: report}.
+                 names: Iterable[str]) -> Dict[str, VerificationReport]:
+    """Run the named suites (from SUITES); {name: report}.
 
-    The grid sizes the norm sum's tail figure only: every verdict holds for
-    all xi.  The split identities and density run at most once per call
+    Every verdict holds for all xi, and no suite reads a grid.  The split identities and density run at most once per call
     (sufficiency takes its inward-limit row from density's report).  The
     sufficiency meta check runs no NTF suite of its own: it is reached only
     when `two_scale_split[s=0]` passes, which is the telescoping identity
@@ -234,10 +185,6 @@ def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
     holds.  Each family's square sum is its generator set's `spectral`,
     built once."""
     phi_gen = phi_fam.generator_set()
-
-    def ntf() -> VerificationReport:
-        return check_ntf_multiwavelet(psi_fam, family_grid(
-            phi_gen, psi_fam.generator_set()) if grid is None else grid)
 
     @cache
     def split() -> VerificationReport:
@@ -267,7 +214,7 @@ def check_suites(phi_fam: LayeredFamily, psi_fam: LayeredFamily,
                 "hypotheses hold and the NTF characterization passes too")))
         return report
 
-    suites = {"ntf": ntf, "split": split,
+    suites = {"ntf": lambda: check_ntf_multiwavelet(psi_fam), "split": split,
               "decay": decay, "sufficiency": sufficiency,
               "density": density,
               "semiorth": lambda: check_semiorthogonal(psi_fam)}

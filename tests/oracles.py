@@ -27,11 +27,11 @@ with the interval product and square kept here.
 Trace CSV: the spectral and dimension functions point by point, from the
 profile values and the fibers, which the CSV reads off the diagonal Gramian.
 
-Grid and norm sum: the verification grid and the telescoped norm-sum walk
-on Fractions, which the library reduces to the tail figure on integers over
-common denominators; and the sufficiency meta check as a second NTF run on
-the scaling square sum, which the library now adds from the rows that
-prove it.
+Grid and norm sum: the verification grid on Fractions; the norm sum's
+per-point depth rule (`tail_at`, with the telescoped partial sum it bounds
+in `partial_at`), of which the library reports the supremum over all
+xi != 0; and the sufficiency meta check as a second NTF run on the scaling
+square sum, which the library now adds from the rows that prove it.
 
 Translation fold: the Fraction chunks of a set in the windows it meets,
 which `fold_chunks` takes on the set's integer grid; the chunk-by-chunk
@@ -89,7 +89,7 @@ from framesmith.roots import SqrtSum
 from framesmith.sequences import Sequence, coset_op_adj
 from framesmith.trace import (ALPHAS, GRID_SEED, _GRID_DEN, GeneratorTestRow,
                               SeriesRow, SplitRow, _nonempty_hull)
-from framesmith.verification import _EMPTY_GRID, TAIL_TARGET, check_ntf_multiwavelet
+from framesmith.verification import TAIL_TARGET, check_ntf_multiwavelet
 
 # Graded Gauss-Legendre panels.  Gauss panels converge only as O(h^{3/2}) at
 # a square-root singularity; geometric grading toward a vanishing radicand
@@ -568,57 +568,71 @@ def _first_power(base, bound) -> int:
     return n
 
 
-def norm_sum_oracle(family, grid, telescopes) -> list:
-    """The norm_sum rows of `check_ntf_multiwavelet`, with J, Jout, the
-    sigma arguments and the tail on Fractions and Fraction powers.  A family
-    whose squares do not telescope gets no row past the zero-limit one."""
-    a, sigma = family.dilation, family.sigma
-    nbhd = sigma.zero_neighborhood()
-    if nbhd is None or nbhd[0] != 1 or nbhd[1] != 1:
+def zero_line(sigma):
+    """(clearance, slope) of sigma at 0 on its Fraction pieces: the distance
+    from 0 to the nearest nonzero end of the pieces touching 0, inside which
+    sigma is one line on each side, and the largest |alpha| of those pieces."""
+    touching = [piece for piece in sigma.pieces if piece[0] <= 0 <= piece[1]]
+    return (min(abs(x) for lo, hi, _, _ in touching for x in (lo, hi) if x),
+            max(abs(alpha) for _, _, alpha, _ in touching))
+
+
+def inward_depth(family, xi) -> int:
+    """J(xi): the least J >= 0 with a^{-J-1} xi strictly inside sigma's
+    0-clearance and slope |xi| / |a|^(J+1) at most TAIL_TARGET."""
+    clearance, slope = zero_line(family.sigma)
+    xi = abs(as_fraction(xi))
+    return max(_first_power(abs(family.dilation),
+                            max(xi // clearance + 1, slope * xi / TAIL_TARGET)) - 1, 0)
+
+
+def tail_at(family, xi) -> Fraction:
+    """The norm sum's truncation tail slope |xi| / |a|^(J+1) at xi != 0 and
+    its inward depth J = `inward_depth`: the per-point rule of which
+    `check_ntf_multiwavelet` reports the supremum over all xi != 0."""
+    _, slope = zero_line(family.sigma)
+    return slope * abs(as_fraction(xi)) / abs(family.dilation) ** (inward_depth(family, xi) + 1)
+
+
+def partial_at(family, xi) -> Fraction:
+    """The telescoped partial sum sigma(a^{-J-1} xi) - sigma(a^Jout xi) of the
+    scale sum at xi != 0, J = `inward_depth` and Jout the least with a^Jout xi
+    beyond the psi hull, on Fractions: within `tail_at` of 1."""
+    xi = as_fraction(xi)
+    a, sigma = Fraction(family.dilation), family.sigma
+    lo, hi = family.generator_set().support_hull()
+    radius = max(abs(lo), abs(hi), Fraction(1))
+    Jout = _first_power(abs(a), Fraction(radius // abs(xi) + 1))
+    return (eval_oracle(sigma, xi / a ** (inward_depth(family, xi) + 1))
+            - eval_oracle(sigma, xi * a ** Jout))
+
+
+def norm_sum_oracle(family, telescopes) -> list:
+    """The norm_sum rows of `check_ntf_multiwavelet`: a fail at 0 unless both
+    one-sided limits of sigma at 0 are 1, no row when the squares do not
+    telescope, and otherwise a pass whose tail bound is the supremum of
+    `tail_at` over all xi != 0: TAIL_TARGET when sigma slopes at 0, 0 when
+    it is flat there."""
+    sigma = family.sigma
+    touches = any(lo <= 0 <= hi for lo, hi, _, _ in sigma.pieces)
+    if not touches or eval_left_oracle(sigma, 0) != 1 or eval_oracle(sigma, 0) != 1:
         return [Check("norm_sum", "fail", {"xi": Fraction(0)},
                       detail="sigma does not tend to 1 at 0")]
     if not telescopes:
         return []
-    _, _, clearance, slope = nbhd
-    lo, hi = family.generator_set().support_hull()
-    radius = max(abs(lo), abs(hi), Fraction(1))
-    scale = Fraction(a)
-    rows, worst_tail, failures, checked = [], Fraction(0), 0, 0
-    for xi in grid:
-        xi = as_fraction(xi)
-        if xi == 0:
-            continue
-        checked += 1
-        depth = max(abs(xi) // clearance + 1, slope * abs(xi) / TAIL_TARGET)
-        J = max(_first_power(abs(a), depth) - 1, 0)
-        Jout = _first_power(abs(a), Fraction(radius // abs(xi) + 1))
-        partial = (sigma.eval(xi / scale ** (J + 1))
-                   - sigma.eval(xi * scale ** Jout))
-        tail = slope * abs(xi) / abs(a) ** (J + 1)
-        worst_tail = max(worst_tail, tail)
-        if abs(1 - partial) > tail:
-            failures += 1
-            if failures <= 3:
-                rows.append(Check("norm_sum", "fail",
-                                  {"xi": xi, "partial_sum": partial,
-                                   "allowed_tail": tail}))
-    if checked == 0:
-        rows.append(Check("norm_sum", "pass", detail=_EMPTY_GRID))
-    elif failures == 0:
-        rows.append(Check("norm_sum", "pass", tail_bound=worst_tail,
-                          detail="all grid points within the certified tail"))
-    elif failures > 3:
-        rows.append(Check("norm_sum", "fail",
-                          detail=f"{failures} grid points outside the tail bound"))
-    return rows
+    return [Check("norm_sum", "pass",
+                  tail_bound=TAIL_TARGET if zero_line(sigma)[1] else Fraction(0),
+                  detail=("the scale sum is 1 for all xi != 0; truncated at the "
+                          "inward depth J(xi), its tail is at most tail_bound "
+                          "at every xi != 0"))]
 
 
-def meta_ntf_oracle(phi_fam, psi_fam, grid):
+def meta_ntf_oracle(phi_fam, psi_fam):
     """The sufficiency meta check as `check_suites` once ran it: the NTF
     characterization of the wavelets with sigma replaced by the scaling
     square sum."""
     return check_ntf_multiwavelet(
-        replace(psi_fam, sigma=phi_fam.generator_set().spectral), grid)
+        replace(psi_fam, sigma=phi_fam.generator_set().spectral))
 
 
 def fold_chunks_oracle(K):

@@ -28,9 +28,9 @@ from framesmith.intervals import IntervalSet
 from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, _square_sum
 from framesmith.rationals import as_fraction
 from framesmith.verification import (check_density, check_ntf_multiwavelet,
-                                     check_split, check_suites, family_grid)
+                                     check_split, family_grid)
 
-from oracles import fiber, pair_sum
+from oracles import fiber, inward_depth, norm_sum_oracle, pair_sum, partial_at
 
 EXAMPLES = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
 DILATIONS = (2, 3, -2, -3, 4)
@@ -202,36 +202,29 @@ class TestTelescopedNormSum:
                           - sigma.eval(xi * F(a) ** Jout))
             assert telescoped == loop_partial(wavelets, xi, J, Jout)
         assert compared >= len(grid)
-        assert check_ntf_multiwavelet(wavelets, grid=points).status == "pass"
+        assert check_ntf_multiwavelet(wavelets).status == "pass"
 
     def test_negative_dilation_jump_keeps_loop_bytes(self):
         # -1/2 * (-2)^j hits the jumps of sigma = chi_[-1,1) at -1 and 1: the
         # loop counts psi there twice, the telescoped sum takes sigma's values
         wavelets = FAMILIES["shannon@-2"][1]
         xi = F(-1, 2)
-        J, Jout = 0, 3  # the depths norm_sum picks at this point
+        J, Jout = 0, 3  # the depths of the norm sum's rule at this point
+        assert inward_depth(wavelets, xi) == J
         assert loop_partial(wavelets, xi, J, Jout) == 2
-        report = check_ntf_multiwavelet(wavelets, grid=[xi])
-        assert report.checks[-1].to_jsonable() == {
-            "name": "norm_sum", "status": "pass", "tail_bound": "0",
-            "detail": "all grid points within the certified tail"}
+        assert partial_at(wavelets, xi) == 1
+        report = check_ntf_multiwavelet(wavelets)
+        assert report.checks[-1] == norm_sum_oracle(wavelets, True)[0]
+        assert report.checks[-1].to_jsonable()["tail_bound"] == "0"
 
     @pytest.mark.parametrize("a", [2, 3, -2, -3])
     def test_orbit_through_the_clearance_edge(self, a):
         # |xi| = |a|^n: the orbit meets the ends of sigma = chi_[-1,1), where
         # the inward end term must already lie strictly inside (-1, 1)
         wavelets = FAMILIES[f"shannon@{a}"][1]
-        grid = [F(s * abs(a) ** n) for s in (1, -1) for n in range(3)]
-        assert check_ntf_multiwavelet(wavelets, grid=grid).status == "pass"
-
-    @pytest.mark.parametrize("a", [-2, -3])
-    def test_negative_dilation_passes_every_grid_seed(self, a):
-        scaling, wavelets = FAMILIES[f"shannon@{a}"]
-        gens = scaling.generator_set(), wavelets.generator_set()
-        for seed in range(400):
-            grid = family_grid(*gens, seed=seed)
-            report = check_suites(scaling, wavelets, ["ntf"], grid)["ntf"]
-            assert report.status == "pass", (seed, report.to_jsonable())
+        for xi in [F(s * abs(a) ** n) for s in (1, -1) for n in range(3)]:
+            assert partial_at(wavelets, xi) == 1, xi
+        assert check_ntf_multiwavelet(wavelets).status == "pass"
 
     def test_untelescoped_family_has_no_norm_sum_row(self):
         # a corrupted square sum no longer equals the gain: the identity's

@@ -23,7 +23,7 @@ from framesmith.serialize import (ParseError, digest_of, dumps_canonical,
 from framesmith.intervals import IntervalSet
 from framesmith.piecewise import PiecewiseLinear
 from framesmith.rationals import TooManyDigits, format_ratio, ratio_parts
-from framesmith.verification import check_ntf_multiwavelet, family_grid
+from framesmith.verification import check_ntf_multiwavelet
 
 
 def run(*argv) -> int:
@@ -92,12 +92,11 @@ class TestRoundTrip:
         rep_file = tmp_path / "rep.json"
         assert run("check", "--family", family_file, "--suite", "ntf,split",
                    "--out", rep_file) == 0
-        # in-memory pipeline with the same grid policy
+        # in-memory pipeline
         scaling, wavelets = build_family(example_pwl(F(1, 2), F(1, 2)))
         from framesmith.verification import VerificationReport, check_split
-        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
         report = VerificationReport()
-        report.merge(check_ntf_multiwavelet(wavelets, grid=grid), "ntf:")
+        report.merge(check_ntf_multiwavelet(wavelets), "ntf:")
         report.merge(check_split(scaling, wavelets), "split:")
         payload = report.to_jsonable()
         payload["suite"] = ["ntf", "split"]
@@ -317,6 +316,25 @@ class TestStrictInput:
         assert IntervalSet.of() in sets and IntervalSet.of((1, 2)) in sets
         assert sets_from_jsonable([["1", "2"]]) == [IntervalSet.of((1, 2))]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(IntervalSet()), st.lists(
+        st.tuples(st.fractions(-4, 4, max_denominator=6),
+                  st.fractions(F(1, 6), 2, max_denominator=6)),
+        max_size=3).map(lambda ps: IntervalSet.of(*((lo, lo + w) for lo, w in ps))),
+    ), min_size=1, max_size=4))
+    def test_sets_file_round_trips(self, sets):
+        # empty sets anywhere, all of them empty included: [[]] is one empty
+        # set, since [] is never a [lo, hi] pair
+        assert sets_from_jsonable(sets_to_jsonable(sets)) == sets
+
+    @pytest.mark.parametrize("text", ["[]", "[[]]", "[[], []]"])
+    def test_empty_sets_fail_the_tiling(self, tmp_path, capsys, text):
+        path = tmp_path / "E.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run("check-waveletset", "--E", path) == 1
+        assert capsys.readouterr().out == "check-waveletset: fail\n"
+
     @pytest.mark.parametrize("command,text,key", [
         ("construct", '{"sigma": [{"piece": ["-1", "1"], "beta": "1"}], '
                       '"dilation": 2, "dilation": 3}', "dilation"),
@@ -466,9 +484,7 @@ class TestStrictInput:
         ("construct", "--a", "\u0663"),   # used to build the a = 3 family
         ("trace", "--grid", "1_0"),            # used to write 10 rows
         ("frame-test", "--kbudget", "1_0"),    # used to sweep with a budget of 10
-        ("check", "--seed", "\u0661"),    # used to run with seed 1
-    ], ids=["arabic_dilation", "underscore_grid", "underscore_kbudget",
-            "arabic_seed"])
+    ], ids=["arabic_dilation", "underscore_grid", "underscore_kbudget"])
     def test_non_ascii_integer_option_exits_2(self, family_file, tmp_path, capsys,
                                               command, option, text):
         out = tmp_path / "out"
@@ -865,6 +881,38 @@ class TestSuites:
         assert calls == {**once, "check_ntf_multiwavelet": 0}
 
 
+class TestCheckReadsNoGrid:
+    @pytest.mark.parametrize("example,a", [
+        ("shannon", 2), ("journe", -2), ("pwl:a=1/2,b=1/2", 3), ("pwl:a=3/4,b=5/4", -3)])
+    def test_check_is_unchanged_with_every_grid_gone(self, tmp_path, monkeypatch,
+                                                     example, a):
+        import framesmith.trace as tr
+        import framesmith.verification as v
+        fam, rep = tmp_path / "fam.json", tmp_path / "rep.json"
+        assert run("construct", "--example", example, "--a", a, "--out", fam) == 0
+        code = run("check", "--family", fam, "--out", rep)
+        before = rep.read_bytes()
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("check read a grid")
+        for module, name in ((v, "family_grid"), (v, "default_grid"), (cli, "family_grid"),
+                             (tr, "default_grid"), (tr, "grid_of_size")):
+            monkeypatch.setattr(module, name, no_grid)
+        rep.unlink()
+        assert run("check", "--family", fam, "--out", rep) == code
+        assert rep.read_bytes() == before
+
+    def test_seed_option_is_gone(self, family_file, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run("check", "--family", family_file, "--seed", 1, "--out", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         # the full suite legitimately reports the overlap family as not
@@ -876,8 +924,7 @@ class TestDeterminism:
             rep = tmp_path / f"rep_{tag}.json"
             assert run("construct", "--example", "pwl:a=1/2,b=1/2",
                        "--out", fam) == 0
-            codes.append(run("check", "--family", fam, "--seed", 0x5EED,
-                             "--out", rep))
+            codes.append(run("check", "--family", fam, "--out", rep))
             files.append((fam.read_bytes(), rep.read_bytes()))
         assert files[0] == files[1]
         assert codes[0] == codes[1] == 1
@@ -911,8 +958,8 @@ class TestOneParser:
         monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
                             lambda *a, **k: built.append(1) or real(*a, **k))
         cli.build_parser.cache_clear()
-        for seed in (1, 2, 3):
-            run("check", "--family", family_file, "--suite", "ntf", "--seed", seed)
+        for suite in ("ntf", "split", "ntf,density"):
+            run("check", "--family", family_file, "--suite", suite)
         assert len(built) == 1
         assert cli.build_parser() is cli.build_parser()
 
@@ -924,7 +971,7 @@ class TestOneParser:
         out = tmp_path / "out"
         commands = [
             (["--version"], None),
-            (["check", "--family", family_file, "--suite", "ntf", "--seed", 7,
+            (["check", "--family", family_file, "--suite", "ntf,split",
               "--out", out], out),
             (["check", "--family", family_file, "--suite", "ntf", "--out", out], out),
             (["trace", "--family", family_file, "--grid", 8, "--out", out], out),
@@ -937,7 +984,7 @@ class TestOneParser:
         fresh = [self._outcomes([c], capsys)[0] for c in commands]
         assert shared == fresh
         # each later call differs from the one before it, so a leaked
-        # seed, grid or --classify would show
+        # suite list, grid or --classify would show
         assert shared[1] != shared[2] and shared[3] != shared[4]
         assert shared[5][0] == ("exit", 2) and shared[6][0] == 0
 
@@ -960,9 +1007,9 @@ class TestOneParser:
     def test_rebound_handler_runs(self, family_file, monkeypatch):
         assert run("check", "--family", family_file, "--suite", "ntf") == 0
         seen = []
-        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.seed) or 7)
-        assert run("check", "--family", family_file, "--seed", 3) == 7
-        assert seen == [3]
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.suite) or 7)
+        assert run("check", "--family", family_file, "--suite", "split") == 7
+        assert seen == ["split"]
 
 
 # -- fuzzing: mutated input files exit 0, 1 or 2 and never raise ---------------

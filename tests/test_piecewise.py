@@ -9,7 +9,7 @@ from framesmith.intervals import IntervalSet, union_all
 from framesmith.piecewise import GeneratorSet, PiecewiseLinear, SqrtProfile, integrate_product
 from framesmith.rationals import format_ratio
 from framesmith.serialize import pwl_from_jsonable, pwl_to_jsonable
-from oracles import _canonical_pieces, eval_left_oracle, eval_oracle
+from oracles import _canonical_pieces, eval_left_oracle, eval_oracle, zero_line
 from oracles import radicand_zeros  # the Gauss-Legendre oracle's zero scan
 
 
@@ -199,12 +199,18 @@ def test_integral_and_products():
 
 def test_zero_neighborhood():
     sigma = tent(F(1, 2), 2)
-    left, right, clearance, slope = sigma.zero_neighborhood()
-    assert (left, right) == (1, 1)
-    assert clearance == F(1, 2)
-    assert slope == 2
+    assert sigma.zero_neighborhood() == (1, 1, 2)
+    assert zero_line(sigma) == (F(1, 2), 2)   # the clearance lives in the oracle
     away = PiecewiseLinear.of((1, 2, 0, 1))
     assert away.zero_neighborhood() is None
+    # one-sided slopes: the larger |alpha| of the two pieces at 0
+    sides = PiecewiseLinear.of((-1, 0, F(1, 3), 1), (0, F(1, 4), -5, 1))
+    assert sides.zero_neighborhood() == (1, 1, 5) and zero_line(sides) == (F(1, 4), 5)
+    for sigma in [example_by_name(n).sigma for n in ("shannon", "journe",
+                                                      "pwl:a=3/4,b=5/4")] + \
+            [random_admissible_spec(random.Random(seed)).sigma for seed in range(8)]:
+        assert sigma.zero_neighborhood() == (eval_left_oracle(sigma, 0),
+                                             eval_oracle(sigma, 0), zero_line(sigma)[1])
 
 
 class TestSqrtProfile:

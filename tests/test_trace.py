@@ -87,7 +87,7 @@ ENTRY_POINTS = {
     "series_identity_check": lambda g, b: series_identity_check(g, b, 0, [_XI]),
     "check_split": lambda g, b: check_split(
         LayeredFamily((_CHI,), (window(0),), _CHI.square, 2), _wavelets(b)),
-    "check_ntf_multiwavelet": lambda g, b: check_ntf_multiwavelet(_wavelets(b), [_XI]),
+    "check_ntf_multiwavelet": lambda g, b: check_ntf_multiwavelet(_wavelets(b)),
     "out_of_range_energy": lambda g, b: out_of_range_energy(
         TestSignal.tent(-1, 1), _wavelets(b), -2, 2),
 }

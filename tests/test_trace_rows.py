@@ -1,6 +1,6 @@
 """The exact-integer paths of certify against their per-point oracles: the
-trace CSV read off the diagonal Gramian, the integer verification grid and
-the integer norm-sum loop."""
+trace CSV read off the diagonal Gramian and the integer grid; and the norm
+sum's all-xi tail bound against the per-point depth rule it replaces."""
 
 import random
 from dataclasses import replace
@@ -17,11 +17,11 @@ from framesmith.sequences import Sequence
 from framesmith.serialize import (digest_of, dumps_canonical, family_from_jsonable,
                                   family_to_jsonable, loads_json)
 from framesmith.trace import default_grid, diagonal_traces
-from framesmith.verification import (TAIL_TARGET, _Powers, check_ntf_multiwavelet,
-                                     family_grid)
+from framesmith.verification import TAIL_TARGET, check_ntf_multiwavelet, family_grid
 
 from oracles import (default_grid_fractions, dimension_function, norm_sum_oracle,
-                     restricted_trace_direct, spectral_function)
+                     partial_at, restricted_trace_direct, spectral_function, tail_at,
+                     zero_line)
 
 DILATIONS = (2, 3, -2, -3, 4)
 BUILTINS = ("shannon", "journe", "pwl:a=1/2,b=1/2", "pwl:a=3/4,b=5/4")
@@ -213,9 +213,7 @@ class TestDefaultGrid:
         for name, a in ADMISSIBLE:
             scaling, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
             gens = (scaling.generator_set(), wavelets.generator_set())
-            for seed in (0x5EED, 2):
-                assert family_grid(*gens, seed=seed) == \
-                    _fraction_family_grid(*gens, seed=seed)
+            assert family_grid(*gens) == _fraction_family_grid(*gens)
 
 
 def _scaled_psis(wavelets, c):
@@ -224,41 +222,36 @@ def _scaled_psis(wavelets, c):
 
 
 class TestNormSum:
-    def _assert_same(self, wavelets, grid):
-        report = check_ntf_multiwavelet(wavelets, grid=grid)
+    def _assert_same(self, wavelets):
+        report = check_ntf_multiwavelet(wavelets)
         rows = {c.name: c for c in report.checks}
         telescopes = rows["scale_sum_telescopes"].status == "pass"
         got = [c for c in report.checks if c.name == "norm_sum"]
-        assert got == norm_sum_oracle(wavelets, grid, telescopes)
+        assert got == norm_sum_oracle(wavelets, telescopes)
         return got
 
     @pytest.mark.parametrize("name,a", ADMISSIBLE)
-    def test_builtins_match_the_fraction_loop(self, name, a):
-        scaling, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
-        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
-        assert [c.status for c in self._assert_same(wavelets, grid)] == ["pass"]
+    def test_builtins_match_the_oracle(self, name, a):
+        _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
+        assert [c.status for c in self._assert_same(wavelets)] == ["pass"]
 
     @pytest.mark.parametrize("seed,a", RANDOM)
-    def test_random_specs_match_the_fraction_loop(self, seed, a):
+    def test_random_specs_match_the_oracle(self, seed, a):
         _, wavelets = build_family(_random_spec(seed, a))
-        for grid_seed in (0x5EED, seed):
-            self._assert_same(wavelets, family_grid(wavelets.generator_set(),
-                                                    seed=grid_seed))
+        self._assert_same(wavelets)
 
     @pytest.mark.parametrize("c", (F(1, 2), 10), ids=["halved", "x10"])
     @pytest.mark.parametrize("name,a", [("shannon", -2), ("pwl:a=3/4,b=5/4", 3),
                                         ("journe", 2)])
     def test_non_telescoping_has_no_norm_sum_row(self, name, a, c):
         _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
-        tampered = _scaled_psis(wavelets, c)
-        assert self._assert_same(tampered, family_grid(tampered.generator_set())) == []
+        assert self._assert_same(_scaled_psis(wavelets, c)) == []
 
     def _judged_by_shannon(self, pieces):
         """The wavelets of the sigma `pieces` at a = 2 judged against
         shannon's sigma, whose gain their squares do not telescope to."""
         _, wavelets = build_family(SpectralSpec(PiecewiseLinear.of(*pieces), 2))
-        mixed = replace(wavelets, sigma=example_by_name("shannon").sigma)
-        return self._assert_same(mixed, family_grid(mixed.generator_set()))
+        return self._assert_same(replace(wavelets, sigma=example_by_name("shannon").sigma))
 
     def test_non_telescoping_sum_of_one_has_no_row(self):
         # 1 on shannon's support and 1/2 beyond it: the scale sum is still 1,
@@ -271,62 +264,83 @@ class TestNormSum:
         # telescope to shannon's gain, so there is no norm_sum row
         assert self._judged_by_shannon([(-1, "-1/2", 0, "1/2"), ("-1/2", "1/2", 0, 1),
                                         ("1/2", 1, 0, "1/2")]) == []
-        # halved at 0 it stops before the loop, with the same row
+        # halved at 0 it fails at 0 whether or not the squares telescope
         _, wavelets = build_family(example_by_name("shannon"))
         half = replace(wavelets, sigma=wavelets.sigma.scale_value(F(1, 2)))
-        got = self._assert_same(half, family_grid(half.generator_set()))
+        got = self._assert_same(half)
         assert got[0].witness == {"xi": F(0)}
 
-    @pytest.mark.parametrize("name,a", [("shannon", 2), ("journe", -2),
-                                        ("pwl:a=1/2,b=1/2", 3),
-                                        ("pwl:a=3/4,b=5/4", -3)])
-    def test_depth_boundaries_match(self, name, a):
-        # points where |xi| / clearance, slope |xi| / TAIL_TARGET or
-        # radius / |xi| sits on, just under or just over a power of |a|
-        _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
-        _, _, clearance, slope = wavelets.sigma.zero_neighborhood()
-        lo, hi = wavelets.generator_set().support_hull()
-        radius = max(abs(lo), abs(hi), F(1))
-        grid = set()
-        for n in range(40):
-            for q in (abs(a) ** n - F(1, 3), F(abs(a) ** n), abs(a) ** n + F(1, 3)):
-                points = [q * clearance, radius / q]
-                if slope:
-                    points.append(q * TAIL_TARGET / slope)
-                grid.update(s * x for x in points if x <= 2 * radius for s in (1, -1))
-        for c in (1, F(1, 2), 10):
-            self._assert_same(_scaled_psis(wavelets, c), sorted(grid))
 
-    @pytest.mark.parametrize("a", (-2, -3, 4))
-    def test_breakpoint_orbits_match(self, a):
-        """Grid points on the dilation orbits of sigma's breakpoints, of the
-        psi hull ends and of the clearance: xi = b a^k, both signs.  The
-        walk's sigma arguments a^(-J-1) xi and a^Jout xi are points of these
-        orbits; the depths keep them off the breakpoints themselves (strictly
-        inside the clearance, strictly beyond the hull), so the half-open
-        lookup at the ends is tested on its own (`test_piecewise.TestEval`)."""
-        for name in BUILTINS:
-            try:
-                _, wavelets = build_family(SpectralSpec(example_by_name(name).sigma, a))
-            except ValueError:
-                continue   # journe is not admissible at |a| = 3
-            clearance = wavelets.sigma.zero_neighborhood()[2]
-            ends = (wavelets.sigma.breakpoints() + [clearance]
-                    + list(wavelets.generator_set().support_hull()))
-            grid = sorted({s * b * F(a) ** k for b in ends if b
-                           for k in range(-8, 9) for s in (1, -1)})
-            for c in (1, F(1, 2)):
-                self._assert_same(_scaled_psis(wavelets, c), grid)
+def _seeded_rationals(key, n=2000):
+    """n seeded nonzero rationals of both signs, denominators up to 10^7
+    and |xi| from 10^-7 up to 10^6, spread evenly in log |xi|."""
+    rng = random.Random(key)
+    out = []
+    for _ in range(n):
+        den = rng.randint(1, 10 ** 7)
+        size = max(1, int(den * 10 ** rng.uniform(-7, 6)))
+        out.append(F(rng.choice((1, -1)) * size, den))
+    return out
 
-    def test_first_powers(self):
-        for a in (2, -2, 3, -3, 4):
-            powers = _Powers(a)
-            assert [powers[n] for n in range(9)] == [abs(a) ** n for n in range(9)]
-            assert [powers.first(t) for t in range(1, 80)] == \
-                [min(n for n in range(9) if abs(a) ** n >= t) for t in range(1, 80)]
 
-    def test_empty_grid_matches(self):
-        _, wavelets = build_family(example_by_name("shannon"))
-        for grid in ([], [F(0)]):
-            got = self._assert_same(wavelets, grid)
-            assert [(c.status, c.tail_bound) for c in got] == [("pass", None)]
+def _turning_points(wavelets):
+    """Points where the depth rule turns: |xi| / clearance, slope |xi| /
+    TAIL_TARGET or radius / |xi| on, just under or just over a power of |a|;
+    and the dilation orbits of sigma's breakpoints, of the psi hull ends and
+    of the clearance, xi = b a^k; both signs."""
+    a = wavelets.dilation
+    clearance, slope = zero_line(wavelets.sigma)
+    lo, hi = wavelets.generator_set().support_hull()
+    radius = max(abs(lo), abs(hi), F(1))
+    points = set()
+    for n in range(40):
+        for q in (abs(a) ** n - F(1, 3), F(abs(a) ** n), abs(a) ** n + F(1, 3)):
+            near = [q * clearance, radius / q] + ([q * TAIL_TARGET / slope] if slope else [])
+            points.update(x for x in near if x <= 2 * radius)
+    ends = wavelets.sigma.breakpoints() + [clearance, lo, hi]
+    points.update(abs(b) * F(a) ** k for b in ends if b for k in range(-8, 9))
+    return [s * x for x in sorted(points) for s in (1, -1)]
+
+
+SLOPED = [(n, a) for n, a in ADMISSIBLE if n.startswith("pwl")]
+TAIL_CASES = ADMISSIBLE + RANDOM
+
+
+def _tail_family(name, a):
+    scaling, wavelets = build_family(_random_spec(name, a) if isinstance(name, int)
+                                     else SpectralSpec(example_by_name(name).sigma, a))
+    bound = next(c for c in check_ntf_multiwavelet(wavelets).checks
+                 if c.name == "norm_sum").tail_bound
+    return scaling, wavelets, bound
+
+
+class TestAllXiTail:
+    """The norm sum's `tail_bound` against `tail_at`, the per-point depth rule
+    that it replaces: an upper bound at every point, attained on the sloped
+    sigma, and 0 everywhere on the flat ones (shannon, journe)."""
+
+    @pytest.mark.parametrize("name,a", TAIL_CASES)
+    def test_tail_at_is_within_the_bound(self, name, a):
+        scaling, wavelets, bound = _tail_family(name, a)
+        if isinstance(name, str):
+            assert bound == (TAIL_TARGET if (name, a) in SLOPED else 0)
+        grid = family_grid(scaling.generator_set(), wavelets.generator_set())
+        for xi in _seeded_rationals(f"{name}@{a}") + grid + _turning_points(wavelets):
+            if xi:
+                tail = tail_at(wavelets, xi)
+                assert tail <= bound, xi
+                # the telescoped partial sum at that depth is within the tail
+                assert abs(1 - partial_at(wavelets, xi)) <= tail, xi
+
+    @pytest.mark.parametrize("name,a", SLOPED + RANDOM)
+    def test_bound_is_attained(self, name, a):
+        _, wavelets, bound = _tail_family(name, a)
+        clearance, slope = zero_line(wavelets.sigma)
+        if not slope:
+            assert bound == 0
+            return
+        assert slope * clearance > TAIL_TARGET
+        for n in range(1, 21):
+            for s in (1, -1):
+                assert tail_at(wavelets, s * TAIL_TARGET * abs(a) ** n / slope) == \
+                    bound == TAIL_TARGET, (n, s)
